@@ -3,7 +3,9 @@ reproduction.
 
 Matrix files are resolved against --matrix as a path first, then inside
 $SPAI_IR_MATRIX_DIR (default ./matrices).  Exit codes: 0 success/converged,
-2 non-convergence or failed table bands, 1 usage or input errors.
+2 non-convergence or failed table bands, 1 usage or input errors, including
+arithmetic failures such as a singular matrix or an overflowing
+factorization.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def cmd_solve(args) -> int:
     outcome = solve_system(
         A, name, args.solver, uf, u, ur, ug=ug, up=up,
         eps=args.eps, alpha=args.alpha, beta=args.beta, tau=tau,
-        i_max=args.imax, max_workers=args.workers,
+        i_max=args.imax,
     )
     rep = outcome.report
     row = {
@@ -124,7 +126,7 @@ def cmd_sweep(args) -> int:
     A, name = _load(args.matrix)
     eps_grid = [float(t) for t in args.eps_grid.split(",")]
     uf_list = [parse_precision(t) for t in args.uf_list.split(",")]
-    rows = run_sweep(A, name, eps_grid, uf_list, beta=args.beta, max_workers=args.workers)
+    rows = run_sweep(A, name, eps_grid, uf_list, beta=args.beta)
     if args.json:
         _emit(_to_json(rows), args.out)
     else:
@@ -134,8 +136,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_table(args) -> int:
     solvers = set(args.solvers.split(",")) if args.solvers else None
-    rows = run_table(args.name, solvers=solvers, with_kappa=not args.no_kappa,
-                     max_workers=args.workers)
+    rows = run_table(args.name, solvers=solvers, with_kappa=not args.no_kappa)
     for row in rows:
         row["table"] = args.name
     if args.json:
@@ -177,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--csv", action="store_true", help="emit CSV")
-    common.add_argument("--workers", type=int, default=1, help="concurrent SPAI columns")
 
     sp = sub.add_parser("solve", parents=[common], help="run one refinement solve")
     sp.add_argument("--matrix", required=True)
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, MatrixMarketParseError, ValueError) as exc:
+    except (ArithmeticError, FileNotFoundError, MatrixMarketParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -164,44 +164,65 @@ def fl_op(op: str, a: float, b: float | None = None, p: Precision = DOUBLE) -> f
     return _rnd_scalar(r, p)
 
 
-def fl_sum(v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:
+def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarray | float:
     """Sum with every partial addition rounded to ``p``.
 
     Uses a fixed pairwise reduction order over the zero-padded
     power-of-two-length array, so results are deterministic and independent
     of threading (padding with zeros is exact under round-to-nearest).
-    Entries are assumed to be representable in ``p`` already.  For a 1-d
-    input returns a float; for a 2-d input reduces along ``axis``.
+    Entries are assumed to be representable in ``p`` already.  Reduces
+    along ``axis``; a 1-d input gives a float.
+
+    ``lengths`` (broadcastable to the result's shape) sums only the first
+    ``lengths`` entries of each reduced line, bit for bit as if that line
+    were summed alone: entries past the length are taken as +0, and each
+    result is read from its own power-of-two subtree, at level
+    ceil(log2 length), not from the root of the longer tree (adding the
+    root's further +0 terms would turn a -0 sum into +0).
     """
     s = np.asarray(v, dtype=np.float64)
-    squeeze = s.ndim == 1
-    if squeeze:
-        s = s[:, None]
-    elif axis == 1:
-        s = s.T
-    m = s.shape[0]
+    if axis:
+        s = np.moveaxis(s, axis, 0)
+    m, rest = s.shape[0], s.shape[1:]
+    levels = None
+    if lengths is not None:
+        lengths = np.broadcast_to(np.asarray(lengths, dtype=np.int64), rest)
+        if lengths.size and (lengths.min() < 0 or lengths.max() > m):
+            raise ValueError(f"lengths must lie in [0, {m}]")
+        levels = np.frexp(np.maximum(lengths - 1, 0).astype(np.float64))[1]
     if m == 0:
-        return 0.0 if squeeze else np.zeros(s.shape[1])
+        out = np.zeros(rest)
+        return float(out) if out.ndim == 0 else out
     size = 1 << (m - 1).bit_length()
-    if size != m:
-        padded = np.zeros((size, s.shape[1]))
-        padded[:m] = s
+    if levels is not None or size != m:
+        padded = np.zeros((size,) + rest)
+        if levels is None:
+            padded[:m] = s
+        else:
+            np.copyto(padded[:m], s, where=np.arange(m).reshape((m,) + (1,) * len(rest)) < lengths)
         s = padded
+    out = s[0]
+    level = 0
     while s.shape[0] > 1:
         s = _rnd(s[0::2] + s[1::2], p)
-    out = s[0]
-    return float(out[0]) if squeeze else out
+        level += 1
+        out = s[0] if levels is None else np.where(levels == level, s[0], out)
+    return float(out) if out.ndim == 0 else out
 
 
-def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:
-    """Inner product in ``p``: each product rounded, then a rounded pairwise sum."""
+def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0,
+           lengths=None) -> np.ndarray | float:
+    """Inner product in ``p``: each product rounded, then a rounded pairwise
+    sum (see :func:`fl_sum` for ``axis`` and ``lengths``)."""
     prods = _rnd(np.asarray(u, dtype=np.float64) * np.asarray(v, dtype=np.float64), p)
-    return fl_sum(prods, p, axis=axis)
+    return fl_sum(prods, p, axis=axis, lengths=lengths)
 
 
-def fl_norm2(v: np.ndarray, p: Precision) -> float:
-    """Euclidean norm computed in ``p`` (rounded dot, rounded square root)."""
-    return fl_op("sqrt", fl_dot(v, v, p), p=p)
+def fl_norm2(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarray | float:
+    """Euclidean norm computed in ``p``: a rounded dot, then a rounded square
+    root (see :func:`fl_sum` for ``axis`` and ``lengths``)."""
+    norm = _rnd(np.sqrt(fl_dot(v, v, p, axis=axis, lengths=lengths)), p)
+    return float(norm) if np.ndim(norm) == 0 else norm
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,10 @@ class IrConfig:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
         if self.i_max < 1:
             raise ValueError("i_max must be at least 1")
+        # quad-emulated has no storage format: only the residual is computed in it
+        for name in ("uf", "u", "ug", "up"):
+            if getattr(self, name) == QUAD:
+                raise ValueError(f"quad-emulated is a residual precision only; {name} cannot be quad")
 
     @property
     def gmres_ug(self) -> Precision:
@@ -320,19 +324,15 @@ class PreparedSolver:
             return self.precond.nnz
         return 0
 
-    def precond_matrix(self) -> SparseMatrix | None:
-        """Explicit preconditioner matrix when one exists (SPAI only)."""
-        return self.spai.P if self.spai is not None else None
 
-
-def prepare_solver(A: SparseMatrix, cfg: IrConfig, max_workers: int = 1) -> PreparedSolver:
+def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
     """Build the preconditioner or factors required by ``cfg.solver``."""
     if cfg.solver == "spai":
         if cfg.spai is None:
             raise ValueError("spai solver requires cfg.spai parameters")
         if cfg.spai.uf is not cfg.uf:
             raise ValueError("cfg.spai.uf must match cfg.uf")
-        pre = build_left_preconditioner(A, cfg.spai, max_workers=max_workers)
+        pre = build_left_preconditioner(A, cfg.spai)
         return PreparedSolver(kind="spai", precond=pre.P, spai=pre)
     if cfg.solver in ("lu", "sir"):
         perm = rcm_permutation(A)
@@ -379,7 +379,7 @@ def _residual(A: SparseMatrix, x: np.ndarray, b: np.ndarray, ur: Precision) -> n
 
 
 def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver | None = None,
-           x_ref=None, max_workers: int = 1):
+           x_ref=None):
     """Iterative refinement of A x = b under ``cfg``; returns ``(x, IrReport)``.
 
     ``solver`` and ``x_ref`` allow reusing a prepared preconditioner and a
@@ -390,7 +390,7 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
     if A.n_cols != n or b.shape[0] != n:
         raise ValueError("square system with matching right-hand side required")
     if solver is None:
-        solver = prepare_solver(A, cfg, max_workers=max_workers)
+        solver = prepare_solver(A, cfg)
     if x_ref is None:
         x_ref = dd_solve(A, b)
 

@@ -10,13 +10,13 @@ sense.  All arithmetic runs in a configurable emulated precision.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .precision import (
     ERRSTATE,
+    QUAD,
     SINGLE,
     Precision,
     _rnd,
@@ -25,13 +25,15 @@ from .precision import (
     fl_op,
     fl_sum,
 )
-from .sparse import (
+from .sparse import (  # noqa: F401 - shadow and extract_submatrix are bound here for perfbench/tracer.py
     ScalingInfo,
     SparseMatrix,
     column_scale,
+    extract_blocks,
     extract_submatrix,
     index_set,
     shadow,
+    shadows,
 )
 
 __all__ = [
@@ -40,9 +42,11 @@ __all__ = [
     "RankDeficiencySignal",
     "build_spai",
     "build_left_preconditioner",
+    "solve_ls_batch",
     "solve_column_ls",
     "rho_score",
     "augment_pattern",
+    "augment_patterns",
 ]
 
 COL_OK = "ok"
@@ -81,6 +85,8 @@ class SpaiParams:
             raise ValueError("beta must be at least 1")
         if self.initial_pattern not in ("identity", "pattern"):
             raise ValueError(f"unknown initial pattern {self.initial_pattern!r}")
+        if self.uf == QUAD:
+            raise ValueError("quad-emulated is a residual precision only; it cannot build the preconditioner")
 
     def resolved_alpha(self, n: int) -> int:
         return self.alpha if self.alpha is not None else math.ceil(n / self.beta)
@@ -124,58 +130,80 @@ class SpaiPreconditioner:
         }
 
 
+def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
+    """Householder least squares min ||A_i x - e_i||_2 for a batch of blocks, all in ``uf``.
+
+    ``Abar`` is (N, M, P) and ``ebar`` (N, M), zero-padded: item i is the
+    block ``Abar[i, :m[i], :p[i]]`` with right-hand side ``ebar[i, :m[i]]``.
+    Returns ``(mbar, sbar, deficient)``: mbar (N, P), the residual
+    ``sbar = A_i mbar_i - e_i`` (N, M), both zero past each item's size, and
+    a flag per item that is set for a wide block or a zero pivot column, in
+    which case that item's mbar and sbar mean nothing.
+
+    Every item comes out bit-identical to its block solved alone: each
+    reduction takes the item's own length (see :func:`fl_sum`), so whatever
+    the updates leave in the padding (0 * inf is NaN) never reaches a real
+    entry.
+    """
+    B = np.asarray(Abar, dtype=np.float64)
+    e = np.asarray(ebar, dtype=np.float64)
+    m = np.asarray(m, dtype=np.int64)
+    deficient = np.asarray(p, dtype=np.int64) > m
+    p = np.where(deficient, 0, p)
+    N, M, P = B.shape
+    steps = int(p.max()) if N else 0
+    # e rides along as column P, so each reflection updates it exactly as it
+    # updates the trailing block
+    W = np.concatenate([B, e[:, :, None]], axis=2)
+    row_ok = np.arange(M) < m[:, None]
+    with np.errstate(**ERRSTATE):
+        for j in range(steps):
+            live = (j < p) & ~deficient
+            rows = np.maximum(m - j, 0)
+            x = W[:, j:, j]
+            nx = fl_norm2(x, uf, axis=1, lengths=rows)
+            deficient |= live & (nx == 0.0)
+            live &= nx != 0.0
+            alpha = np.where(x[:, 0] >= 0.0, -nx, nx)
+            v = x.copy()
+            v[:, 0] = _rnd(x[:, 0] - alpha, uf)
+            vtv = fl_dot(v, v, uf, axis=1, lengths=rows)
+            # apply H = I - 2 v v^T / (v^T v) to the trailing block and to e
+            trail = W[:, j:, j + 1 :]
+            s = fl_dot(v[:, :, None], trail, uf, axis=1, lengths=rows[:, None])
+            coef = _rnd(_rnd(2.0 * s, uf) / vtv[:, None], uf)
+            new = _rnd(trail - _rnd(v[:, :, None] * coef[:, None, :], uf), uf)
+            upd = live & (vtv != 0.0)
+            W[:, j:, j + 1 :] = np.where(upd[:, None, None], new, trail)
+            W[live, j, j] = alpha[live]
+            W[live, j + 1 :, j] = 0.0
+        mbar = np.zeros((N, P))
+        for c in range(steps - 1, -1, -1):
+            s = fl_dot(W[:, c, c + 1 : P], mbar[:, c + 1 :], uf, axis=1, lengths=np.maximum(p - c - 1, 0))
+            mbar[:, c] = np.where(c < p, _rnd(_rnd(W[:, c, P] - s, uf) / W[:, c, c], uf), 0.0)
+        # residual on the original block, fixed ascending-column accumulation
+        y = np.zeros((N, M))
+        for c in range(steps):
+            t = _rnd(y + _rnd(B[:, :, c] * mbar[:, c, None], uf), uf)
+            y = np.where((c < p)[:, None], t, y)
+        sbar = np.where(row_ok, _rnd(y - e, uf), 0.0)
+    return mbar, sbar, deficient
+
+
 def solve_column_ls(Abar: np.ndarray, ebar: np.ndarray, uf: Precision):
     """Least squares min ||Abar m - ebar||_2 by Householder QR, all in ``uf``.
 
     Returns ``(mbar, sbar)`` where ``sbar = Abar @ mbar - ebar`` is also
     accumulated in ``uf``.  Raises :class:`RankDeficiencySignal` when a
     diagonal of R rounds to zero (or the problem is structurally wide).
+    This is :func:`solve_ls_batch` on a batch of one.
     """
-    A = np.array(Abar, dtype=np.float64)
-    e = np.array(ebar, dtype=np.float64)
+    A = np.asarray(Abar, dtype=np.float64)
     m, p = A.shape
-    if p > m:
-        raise RankDeficiencySignal("wide least-squares block")
-    with np.errstate(**ERRSTATE):
-        return _solve_column_ls_body(A, e, np.array(Abar, dtype=np.float64), m, p, uf)
-
-
-def _solve_column_ls_body(A, e, B, m, p, uf):
-    e_orig = e.copy()
-    for j in range(p):
-        x = A[j:, j]
-        nx = fl_norm2(x, uf)
-        if nx == 0.0:
-            raise RankDeficiencySignal(f"zero pivot column {j}")
-        alpha = -nx if x[0] >= 0.0 else nx
-        v = x.copy()
-        v[0] = fl_op("sub", x[0], alpha, p=uf)
-        vtv = fl_dot(v, v, uf)
-        if vtv != 0.0:
-            # apply H = I - 2 v v^T / (v^T v) to the trailing block and to e
-            if j + 1 < p:
-                s = fl_dot(v[:, None], A[j:, j + 1 :], uf, axis=0)
-                coef = _rnd(_rnd(2.0 * s, uf) / vtv, uf)
-                A[j:, j + 1 :] = _rnd(
-                    A[j:, j + 1 :] - _rnd(v[:, None] * coef[None, :], uf), uf
-                )
-            se = fl_dot(v, e[j:], uf)
-            ce = fl_op("div", fl_op("mul", 2.0, se, p=uf), vtv, p=uf)
-            e[j:] = _rnd(e[j:] - _rnd(v * ce, uf), uf)
-        A[j, j] = alpha
-        A[j + 1 :, j] = 0.0
-        if _rnd(np.array([alpha]), uf)[0] == 0.0:
-            raise RankDeficiencySignal(f"diagonal {j} rounds to zero")
-    mbar = np.zeros(p)
-    for c in range(p - 1, -1, -1):
-        s = fl_dot(A[c, c + 1 :], mbar[c + 1 :], uf) if c + 1 < p else 0.0
-        mbar[c] = fl_op("div", fl_op("sub", e[c], s, p=uf), A[c, c], p=uf)
-    # residual on the original block, fixed ascending-column accumulation
-    y = np.zeros(m)
-    for c in range(p):
-        y = _rnd(y + _rnd(B[:, c] * mbar[c], uf), uf)
-    sbar = _rnd(y - e_orig, uf)
-    return mbar, sbar
+    mbar, sbar, deficient = solve_ls_batch(A[None], np.asarray(ebar, dtype=np.float64)[None], [m], [p], uf)
+    if deficient[0]:
+        raise RankDeficiencySignal("wide least-squares block" if p > m else "zero pivot column")
+    return mbar[0], sbar[0]
 
 
 def rho_score(sbar: np.ndarray, a_col_on_I: np.ndarray, uf: Precision) -> float:
@@ -197,6 +225,65 @@ def rho_score(sbar: np.ndarray, a_col_on_I: np.ndarray, uf: Precision) -> float:
     return fl_op("sqrt", rad, p=uf)
 
 
+def augment_patterns(
+    A: SparseMatrix,
+    row_sets: list[np.ndarray],
+    patterns: list[np.ndarray],
+    sbar: np.ndarray,
+    beta: int,
+    uf: Precision,
+    A_t: SparseMatrix | None = None,
+) -> list[np.ndarray]:
+    """Grow each pattern J_i by up to ``beta`` acceptable candidates, for a batch of columns.
+
+    Column i has the shadow I_i = ``row_sets[i]`` and the residual
+    ``sbar[i, :|I_i|]`` (``sbar`` is zero-padded to (N, max |I_i|)).  Its
+    candidates are the unvisited column indices with a nonzero in a row of
+    I_i (any other column is zero on I_i and cannot reduce the residual).
+    A candidate is acceptable when its score (see :func:`rho_score`) is at
+    most the mean score, and the smallest scores win, ties broken by
+    smallest column index.  A column without an acceptable candidate keeps
+    its pattern.  Each column's scores are bit-identical to scoring it alone.
+    """
+    if not row_sets:
+        return []
+    if A_t is None:
+        A_t = A.transpose()
+    n = A.n_cols
+    N = len(row_sets)
+    reach = shadows(A_t, row_sets)
+    owner = np.repeat(np.arange(N), [r.size for r in reach])
+    reach = np.concatenate(reach)
+    visited = np.concatenate([J + i * n for i, J in enumerate(patterns)])
+    unvisited = ~np.isin(owner * n + reach, visited)
+    c = np.bincount(owner[unvisited], minlength=N)
+    cands = np.split(reach[unvisited], np.cumsum(c)[:-1])
+    C = extract_blocks(A, row_sets, cands)
+    m = np.array([I.size for I in row_sets], dtype=np.int64)
+    sbar = sbar[:, : C.shape[1]]
+    with np.errstate(**ERRSTATE):
+        ss = fl_dot(sbar, sbar, uf, axis=1, lengths=m)
+        dots = fl_dot(sbar[:, :, None], C, uf, axis=1, lengths=m[:, None])
+        dens = fl_dot(C, C, uf, axis=1, lengths=m[:, None])
+        q = _rnd(_rnd(dots * dots, uf) / dens, uf)
+        rad = np.maximum(_rnd(ss[:, None] - q, uf), 0.0)
+        rho = _rnd(np.sqrt(rad), uf)
+        rho_mean = _rnd(fl_sum(rho, uf, axis=1, lengths=c) / c, uf)
+    # padding sorts after every real score (NaN sorts last, padded indices
+    # exceed every real one) and never passes the mean test
+    real = np.arange(C.shape[2]) < c[:, None]
+    rho = np.where(real, rho, np.nan)
+    cand = np.full(rho.shape, n, dtype=np.int64)
+    cand[real] = reach[unvisited]
+    top = np.lexsort((cand, rho), axis=1)[:, : int(beta)]
+    chosen = np.take_along_axis(rho, top, axis=1) <= rho_mean[:, None]
+    picked = np.take_along_axis(cand, top, axis=1)
+    return [
+        index_set(np.concatenate([J, picked[i][chosen[i]]])) if chosen[i].any() else J
+        for i, J in enumerate(patterns)
+    ]
+
+
 def augment_pattern(
     A: SparseMatrix,
     k: int,
@@ -207,54 +294,35 @@ def augment_pattern(
     uf: Precision,
     A_t: SparseMatrix | None = None,
 ) -> np.ndarray:
-    """Grow the pattern of column k by up to ``beta`` acceptable candidates.
+    """Grow the pattern Jk of column k by up to ``beta`` acceptable candidates.
 
-    Candidates are the unvisited column indices of the rows in Ik plus row k;
-    a candidate is acceptable when its score is at most the mean score, and
-    the smallest scores win (ties broken by smallest column index).  Returns
-    Jk unchanged when no candidate exists.
+    This is :func:`augment_patterns` on a batch of one; Jk comes back
+    unchanged when no candidate is acceptable.  ``k`` is kept for the
+    callers' sake: a candidate reached only through row k is zero on Ik.
     """
-    if A_t is None:
-        A_t = A.transpose()
-    Lk = index_set(np.append(Ik, k))
-    pieces = [A_t.col(int(ell))[0] for ell in Lk]
-    cand = np.setdiff1d(np.concatenate(pieces), Jk) if pieces else np.empty(0, np.int64)
-    if cand.size == 0:
-        return Jk
-    C = extract_submatrix(A, Ik, cand)
-    usable = np.any(C != 0.0, axis=0)
-    cand, C = cand[usable], C[:, usable]
-    if cand.size == 0:
-        return Jk
-    with np.errstate(**ERRSTATE):
-        ss = fl_dot(sbar, sbar, uf)
-        dots = fl_dot(sbar[:, None], C, uf, axis=0)
-        dens = fl_dot(C, C, uf, axis=0)
-        q = _rnd(_rnd(dots * dots, uf) / dens, uf)
-        rad = np.maximum(_rnd(ss - q, uf), 0.0)
-        rho = _rnd(np.sqrt(rad), uf)
-        rho_mean = fl_op("div", fl_sum(rho, uf), float(cand.size), p=uf)
-    order = np.lexsort((cand, rho))
-    chosen = [int(cand[i]) for i in order[: int(beta)] if rho[i] <= rho_mean]
-    if not chosen:
-        return Jk
-    return index_set(np.concatenate([Jk, np.asarray(chosen, dtype=np.int64)]))
+    return augment_patterns(A, [Ik], [Jk], np.asarray(sbar, dtype=np.float64)[None], beta, uf, A_t)[0]
 
 
-def build_spai(At: SparseMatrix, params: SpaiParams, max_workers: int = 1) -> SpaiPreconditioner:
+def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     """Adaptive approximate inverse M ~= inv(At), all arithmetic in ``params.uf``.
 
     The input values are first rounded into the build precision (entries
-    that round to zero are dropped).  Columns are independent: they may be
-    computed concurrently and the result is identical for any execution
-    order.  Abnormal columns (overflow, stagnation, rank deficiency) are
-    frozen at their last finite state and flagged rather than aborting the
-    whole construction.
+    that round to zero are dropped).  Columns are independent and advance in
+    lockstep: each round solves the least-squares problems of every
+    unfinished column in one batch (:func:`solve_ls_batch`), tests each
+    column, grows the patterns of those above the tolerance in one batch
+    (:func:`augment_patterns`), and drops the columns that finished.  Every
+    column is bit-identical to its own adaptive loop.  Abnormal columns
+    (overflow, stagnation, rank deficiency) are frozen at their last finite
+    state and flagged rather than aborting the whole construction.  The
+    pattern of a column is that of its last completed least-squares solve
+    (an augmentation made in the final round is never solved).
     """
     if At.n_rows != At.n_cols:
         raise ValueError("square matrix required")
     n = At.n_rows
-    B = At.rounded(params.uf)
+    uf = params.uf
+    B = At.rounded(uf)
     if params.initial_pattern == "identity":
         diag_ok = np.zeros(n, dtype=bool)
         for j in range(n):
@@ -264,105 +332,74 @@ def build_spai(At: SparseMatrix, params: SpaiParams, max_workers: int = 1) -> Sp
             raise ValueError(
                 f"zero diagonal at index {j}: identity initial pattern needs a nonzero diagonal"
             )
+        patterns = [index_set([k]) for k in range(n)]
+    else:
+        patterns = [index_set(B.col(k)[0]) if B.col(k)[0].size else index_set([k]) for k in range(n)]
     B_t = B.transpose()
+    E = SparseMatrix.identity(n)
     alpha = params.resolved_alpha(n)
 
-    def column(k: int):
-        if params.initial_pattern == "identity":
-            first = index_set([k])
-        else:
-            rows = B.col(k)[0]
-            first = index_set(rows) if rows.size else index_set([k])
-        return _build_column(B, B_t, k, first, params.eps, alpha, params.beta, params.uf)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(column, range(n)))
-    else:
-        results = [column(k) for k in range(n)]
-
-    rows_acc = []
-    vals_acc = []
-    colptr_cols = []
-    resnorm = np.zeros(n)
+    solved = [np.empty(0, dtype=np.int64)] * n
+    values = [np.empty(0)] * n
+    resnorm = np.full(n, np.inf)
     rounds = np.zeros(n, dtype=np.int64)
     satisfied = np.zeros(n, dtype=bool)
-    status: list[str] = []
-    for k, (J, vals, rn, rd, sat, st) in enumerate(results):
-        rows_acc.append(J)
-        vals_acc.append(vals)
-        colptr_cols.append(np.full(J.size, k, dtype=np.int64))
-        resnorm[k] = rn if math.isfinite(rn) else np.inf
-        rounds[k] = rd
-        satisfied[k] = sat
-        status.append(st)
+    status = np.full(n, COL_OK, dtype=object)
+    active = np.arange(n)
+    for step in range(alpha + 1):
+        I_sets = shadows(B, [patterns[k] for k in active])
+        m = np.array([I.size for I in I_sets], dtype=np.int64)
+        status[active[m == 0]] = COL_STAGNATED
+        keep = np.flatnonzero(m)
+        active, m = active[keep], m[keep]
+        if not active.size:
+            break
+        I_sets = [I_sets[i] for i in keep]
+        J_sets = [patterns[k] for k in active]
+        p = np.array([J.size for J in J_sets], dtype=np.int64)
+        ebar = extract_blocks(E, I_sets, active[:, None])[:, :, 0]
+        mbar, sbar, deficient = solve_ls_batch(extract_blocks(B, I_sets, J_sets), ebar, m, p, uf)
+        with np.errstate(**ERRSTATE):
+            norms = fl_norm2(sbar, uf, axis=1, lengths=m)
+        finite = np.isfinite(mbar).all(axis=1) & np.isfinite(sbar).all(axis=1) & np.isfinite(norms)
+        status[active[deficient]] = COL_RANK_DEFICIENT
+        status[active[~deficient & ~finite]] = COL_OVERFLOW
+        ok = np.flatnonzero(~deficient & finite)
+        for i in ok:
+            k = active[i]
+            solved[k], values[k], resnorm[k] = J_sets[i], mbar[i, : p[i]].copy(), norms[i]
+        met = norms[ok] <= params.eps
+        satisfied[active[ok[met]]] = True
+        if step == alpha:
+            break
+        grow = ok[~met]
+        grown = augment_patterns(B, [I_sets[i] for i in grow], [J_sets[i] for i in grow],
+                                 sbar[grow], params.beta, uf, A_t=B_t)
+        moved = np.array([G.size > J_sets[i].size for G, i in zip(grown, grow)], dtype=bool)
+        status[active[grow[~moved]]] = COL_STAGNATED
+        for G, i in zip(grown, grow):
+            patterns[active[i]] = G
+        active = active[grow[moved]]
+        rounds[active] += 1
+
     M = SparseMatrix.from_coo(
         n,
         n,
-        np.concatenate(rows_acc) if rows_acc else np.empty(0, np.int64),
-        np.concatenate(colptr_cols) if colptr_cols else np.empty(0, np.int64),
-        np.concatenate(vals_acc) if vals_acc else np.empty(0),
+        np.concatenate(solved) if n else np.empty(0, np.int64),
+        np.repeat(np.arange(n, dtype=np.int64), [J.size for J in solved]),
+        np.concatenate(values) if n else np.empty(0),
     )
     return SpaiPreconditioner(
         P=M,
         col_resnorm=resnorm,
         col_rounds=rounds,
         satisfied=satisfied,
-        col_status=status,
+        col_status=status.tolist(),
         params=params,
     )
 
 
-def _build_column(B, B_t, k, first_pattern, eps, alpha, beta, uf):
-    """Adaptive loop for one column: solve, test, augment, repeat.
-
-    Returns ``(J, values, resnorm, rounds, satisfied, status)``; J and
-    values describe the pattern of the last completed least-squares solve
-    (an augmentation performed on the final round is never re-solved and is
-    discarded).
-    """
-    Jk = first_pattern
-    J_solved = np.empty(0, dtype=np.int64)
-    values = np.empty(0)
-    resnorm = math.inf
-    rounds = 0
-    satisfied = False
-    status = COL_OK
-    for step in range(alpha + 1):
-        Ik = shadow(B, Jk)
-        if Ik.size == 0:
-            status = COL_STAGNATED
-            break
-        Abar = extract_submatrix(B, Ik, Jk)
-        ebar = (Ik == k).astype(np.float64)
-        try:
-            mbar, sbar = solve_column_ls(Abar, ebar, uf)
-        except RankDeficiencySignal:
-            status = COL_RANK_DEFICIENT
-            break
-        if not (np.all(np.isfinite(mbar)) and np.all(np.isfinite(sbar))):
-            status = COL_OVERFLOW
-            break
-        norm = fl_norm2(sbar, uf)
-        if not math.isfinite(norm):
-            status = COL_OVERFLOW
-            break
-        J_solved, values, resnorm = Jk, mbar, norm
-        if norm <= eps:
-            satisfied = True
-            break
-        if step == alpha:
-            break
-        grown = augment_pattern(B, k, Ik, Jk, sbar, beta, uf, A_t=B_t)
-        if grown.size == Jk.size:
-            status = COL_STAGNATED
-            break
-        Jk = grown
-        rounds += 1
-    return J_solved, values, resnorm, rounds, satisfied, status
-
-
-def build_left_preconditioner(A: SparseMatrix, params: SpaiParams, max_workers: int = 1) -> SpaiPreconditioner:
+def build_left_preconditioner(A: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     """Left preconditioner P ~= inv(A) via the transposed construction.
 
     The transpose is column-scaled so every column peaks at magnitude 1
@@ -375,7 +412,7 @@ def build_left_preconditioner(A: SparseMatrix, params: SpaiParams, max_workers: 
         raise ValueError("square matrix required")
     At = A.transpose()
     scaled, info = column_scale(At)
-    pre = build_spai(scaled, params, max_workers=max_workers)
+    pre = build_spai(scaled, params)
     P = pre.P.transpose().scale_columns(info.d)
     return SpaiPreconditioner(
         P=P,

@@ -20,7 +20,9 @@ __all__ = [
     "index_set",
     "load_matrix_market",
     "shadow",
+    "shadows",
     "extract_submatrix",
+    "extract_blocks",
     "column_scale",
     "matvec",
 ]
@@ -281,26 +283,66 @@ def load_matrix_market(source) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _flatten(index_sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated index sets, the set each entry belongs to, and each set's size."""
+    sizes = np.array([len(s) for s in index_sets], dtype=np.int64)
+    flat = np.concatenate([np.empty(0, np.int64), *index_sets]).astype(np.int64, copy=False)
+    return flat, np.repeat(np.arange(sizes.size), sizes), sizes
+
+
+def _gather_columns(A: SparseMatrix, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stored entry of the columns J, column by column: row indices,
+    positions in J and values."""
+    starts = A.indptr[J]
+    counts = A.indptr[J + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    idx = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
+    return A.indices[idx], np.repeat(np.arange(J.size), counts), A.data[idx]
+
+
+def shadows(A: SparseMatrix, index_sets) -> list[np.ndarray]:
+    """:func:`shadow` of every column set in ``index_sets``, in one gather."""
+    if not len(index_sets):
+        return []
+    flat, owner, _ = _flatten(index_sets)
+    rows, which, _ = _gather_columns(A, flat)
+    keys = np.unique(owner[which] * A.n_rows + rows)
+    owner = keys // A.n_rows
+    counts = np.bincount(owner, minlength=len(index_sets))
+    return np.split(keys - owner * A.n_rows, np.cumsum(counts)[:-1])
+
+
 def shadow(A: SparseMatrix, J: np.ndarray) -> np.ndarray:
     """Rows with a nonzero in any column of J (stored entries are nonzero)."""
-    if len(J) == 0:
-        return np.empty(0, dtype=np.int64)
-    pieces = [A.col(int(j))[0] for j in np.asarray(J)]
-    return np.unique(np.concatenate(pieces))
+    return shadows(A, [J])[0]
+
+
+def extract_blocks(A: SparseMatrix, row_sets, col_sets) -> np.ndarray:
+    """Dense blocks A(I_i, J_i) for sorted index sets, in one gather.
+
+    Returns an (N, max |I_i|, max |J_i|) array holding block i in
+    ``[i, :|I_i|, :|J_i|]`` and zeros elsewhere.
+    """
+    I, I_owner, I_sizes = _flatten(row_sets)
+    J, J_owner, J_sizes = _flatten(col_sets)
+    out = np.zeros((len(col_sets), int(I_sizes.max(initial=0)), int(J_sizes.max(initial=0))))
+    rows, which, vals = _gather_columns(A, J)
+    owner = J_owner[which]
+    I_keys = I_owner * A.n_rows + I
+    keys = owner * A.n_rows + rows
+    pos = np.searchsorted(I_keys, keys)
+    hit = pos < I.size
+    hit[hit] = I_keys[pos[hit]] == keys[hit]
+    owner, pos, which = owner[hit], pos[hit], which[hit]
+    I_start = np.cumsum(I_sizes) - I_sizes
+    J_start = np.cumsum(J_sizes) - J_sizes
+    out[owner, pos - I_start[owner], which - J_start[owner]] = vals[hit]
+    return out
 
 
 def extract_submatrix(A: SparseMatrix, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Dense copy of A(I, J) for sorted index sets I, J."""
-    I = np.asarray(I, dtype=np.int64)
-    out = np.zeros((I.size, len(J)))
-    for c, j in enumerate(np.asarray(J)):
-        rows, valsj = A.col(int(j))
-        pos = np.searchsorted(I, rows)
-        pos_ok = pos < I.size
-        hit = np.zeros(rows.size, dtype=bool)
-        hit[pos_ok] = I[pos[pos_ok]] == rows[pos_ok]
-        out[pos[hit], c] = valsj[hit]
-    return out
+    return extract_blocks(A, [I], [J])[0]
 
 
 def column_scale(At: SparseMatrix) -> tuple[SparseMatrix, ScalingInfo]:

@@ -13,7 +13,7 @@ from .analysis import cond2_transpose, kappa_inf, kappa_inf_product
 from .precision import Precision, parse_precision
 from .refine import IrConfig, IrReport, prepare_solver, run_ir
 from .reference import GOLDEN_TABLES, TABLE_SETTINGS, GoldenRow, find_matrix, rhs_for
-from .spai import SpaiParams, build_left_preconditioner
+from .spai import SpaiParams, build_left_preconditioner, build_spai
 from .sparse import SparseMatrix, load_matrix_market
 
 __all__ = [
@@ -88,15 +88,14 @@ def solve_system(
     i_max: int = 10,
     with_kappa: bool = True,
     x_ref=None,
-    max_workers: int = 1,
 ) -> SolveOutcome:
     """One full refinement run with the benchmark right-hand side."""
     if tau is None:
         tau = default_tau(u)
     cfg = _build_config(solver, uf, u, ur, ug, up, eps, alpha, beta, tau, i_max)
-    prepared = prepare_solver(A, cfg, max_workers=max_workers)
+    prepared = prepare_solver(A, cfg)
     b = rhs_for(A.n_rows)
-    x, report = run_ir(A, b, cfg, solver=prepared, x_ref=x_ref, max_workers=max_workers)
+    x, report = run_ir(A, b, cfg, solver=prepared, x_ref=x_ref)
     kappa_tilde = None
     if with_kappa:
         if solver == "spai":
@@ -117,7 +116,7 @@ def solve_system(
 
 
 def sweep_cell(A: SparseMatrix, name: str, eps: float, uf: Precision, cond2_at: float,
-               beta: int = 8, max_workers: int = 1) -> dict:
+               beta: int = 8) -> dict:
     """One (eps, build precision) cell: preconditioner stats only, no solve."""
     n = A.n_rows
     row = {
@@ -132,7 +131,7 @@ def sweep_cell(A: SparseMatrix, name: str, eps: float, uf: Precision, cond2_at: 
         "status": "ok",
     }
     try:
-        pre = build_left_preconditioner(A, SpaiParams(eps=eps, beta=beta, uf=uf), max_workers=max_workers)
+        pre = build_left_preconditioner(A, SpaiParams(eps=eps, beta=beta, uf=uf))
         row["nnz"] = pre.nnz
         row["satisfied_all"] = pre.all_satisfied
         row["kappa_tilde"] = kappa_inf_product(pre.P, A)
@@ -141,27 +140,24 @@ def sweep_cell(A: SparseMatrix, name: str, eps: float, uf: Precision, cond2_at: 
     return row
 
 
-def run_sweep(A: SparseMatrix, name: str, eps_grid, uf_list, beta: int = 8,
-              max_workers: int = 1) -> list[dict]:
+def run_sweep(A: SparseMatrix, name: str, eps_grid, uf_list, beta: int = 8) -> list[dict]:
     """Grid of preconditioner builds, ordered by grid position."""
     cond2_at = cond2_transpose(A)
     rows = []
     for eps in eps_grid:
         for uf in uf_list:
-            rows.append(sweep_cell(A, name, float(eps), uf, cond2_at, beta=beta,
-                                   max_workers=max_workers))
+            rows.append(sweep_cell(A, name, float(eps), uf, cond2_at, beta=beta))
     return rows
 
 
-def kappa_ratio_unscaled(A: SparseMatrix, eps: float, uf: Precision,
-                         max_workers: int = 1) -> float:
+def kappa_ratio_unscaled(A: SparseMatrix, eps: float, uf: Precision) -> float:
     """kappa(P A) relative to the closed-form estimate (1 + 2 n eps)^2.
 
     Uses the plain construction on the transpose without column scaling,
     matching the conditioning-vs-eps study protocol (the scaling step
     belongs to the solver pipeline, not to this diagnostic).
     """
-    pre = build_spai(A.transpose(), SpaiParams(eps=eps, uf=uf), max_workers=max_workers)
+    pre = build_spai(A.transpose(), SpaiParams(eps=eps, uf=uf))
     P = pre.P.transpose()
     kt = kappa_inf_product(P, A)
     n = A.n_rows
@@ -175,7 +171,7 @@ def _within(value: float, ref: float, band: float) -> bool:
 
 
 def run_table_row(row: GoldenRow, A: SparseMatrix, settings: dict, *,
-                  with_kappa: bool = True, x_ref=None, max_workers: int = 1) -> dict:
+                  with_kappa: bool = True, x_ref=None) -> dict:
     """Execute one golden row and compare against its published values."""
     uf = parse_precision(settings["uf"])
     u = parse_precision(settings["u"])
@@ -191,7 +187,6 @@ def run_table_row(row: GoldenRow, A: SparseMatrix, settings: dict, *,
         tau=settings["tau"],
         with_kappa=with_kappa,
         x_ref=x_ref,
-        max_workers=max_workers,
     )
     rep = outcome.report
     nnz_ok = _within(outcome.precond_nnz, row.nnz, NNZ_BAND)
@@ -220,7 +215,7 @@ def run_table_row(row: GoldenRow, A: SparseMatrix, settings: dict, *,
 
 
 def run_table(name: str, *, directory: Path | None = None, solvers=None,
-              with_kappa: bool = True, max_workers: int = 1) -> list[dict]:
+              with_kappa: bool = True) -> list[dict]:
     """Reproduce one golden table; missing matrix files yield 'missing' rows.
 
     ``solvers`` restricts which preconditioner kinds are run (e.g. skip the
@@ -255,7 +250,6 @@ def run_table(name: str, *, directory: Path | None = None, solvers=None,
 
             refs[row.matrix] = dd_solve(A, rhs_for(A.n_rows))
         rows.append(
-            run_table_row(row, A, settings, with_kappa=with_kappa,
-                          x_ref=refs[row.matrix], max_workers=max_workers)
+            run_table_row(row, A, settings, with_kappa=with_kappa, x_ref=refs[row.matrix])
         )
     return rows

@@ -1,0 +1,105 @@
+"""Property tests for the padding argument behind the lockstep SPAI build.
+
+A batch pads every item to a common shape.  That is bit-exact only if a
+length-limited ``fl_sum`` equals the sum of each line alone, and if an item
+solved inside a batch of other blocks equals the same block solved on its
+own; both are compared here as raw bytes.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spai_ir.precision import DOUBLE, HALF, SINGLE, fl_sum
+from spai_ir.spai import RankDeficiencySignal, solve_column_ls, solve_ls_batch
+
+FORMATS = {"half": (HALF, np.uint16), "single": (SINGLE, np.uint32)}
+# signed zeros, the subnormal edges and the overflow edge of both formats
+SPECIAL = np.array([0.0, -0.0, 2.0**-24, -(2.0**-24), 2.0**-149, -(2.0**-149), 2.0**-14, 65504.0,
+                    -65504.0, 32768.0, 3.4028234663852886e38, -3.4028234663852886e38,
+                    1.7014118346046923e38, np.inf, -np.inf])
+
+
+@st.composite
+def ragged_columns(draw):
+    """Columns of values representable in half or single, each with a length.
+
+    Values are random bit patterns of the format (NaN replaced by -0) mixed
+    with the special values above that the format can hold; entries past a
+    column's length are garbage the sum must ignore.
+    """
+    p, bits = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
+    lengths = draw(st.lists(st.integers(0, 70), min_size=1, max_size=5))
+    shape = (max(lengths) + draw(st.integers(0, 3)), len(lengths))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        special = SPECIAL[p.dtype(SPECIAL).astype(np.float64) == SPECIAL]
+        V = rng.randint(0, np.iinfo(bits).max + 1, size=shape).astype(bits).view(p.dtype).astype(np.float64)
+    V[np.isnan(V)] = -0.0
+    V = np.where(rng.rand(*shape) < draw(st.sampled_from([0.0, 0.3, 0.9])), rng.choice(special, shape), V)
+    for c, n in enumerate(lengths):
+        V[n:, c] = draw(st.sampled_from([np.nan, np.inf, -0.0, 1.0]))
+    return p, V, np.array(lengths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ragged_columns())
+def test_fl_sum_lengths_equal_each_column_alone(case):
+    p, V, lengths = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        batched = fl_sum(V, p, axis=0, lengths=lengths)
+        transposed = fl_sum(V.T, p, axis=1, lengths=lengths)
+        for c, n in enumerate(lengths):
+            alone = np.float64(fl_sum(V[:n, c], p))
+            assert batched[c].tobytes() == alone.tobytes(), (c, n, batched[c], alone)
+            assert transposed[c].tobytes() == alone.tobytes()
+
+
+@st.composite
+def block_batches(draw):
+    p = draw(st.sampled_from([HALF, SINGLE, DOUBLE]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    count = draw(st.integers(1, 6))
+    rng = np.random.RandomState(seed)
+    blocks = []
+    for _ in range(count):
+        m = int(rng.randint(1, 9))
+        kind = draw(st.sampled_from(["tall", "wide", "zero_column", "repeated_column", "huge"]))
+        cols = int(rng.randint(m + 1, m + 3)) if kind == "wide" else int(rng.randint(1, m + 1))
+        A = rng.randn(m, cols) * (rng.rand(m, cols) < 0.8)
+        if kind == "zero_column":
+            A[:, rng.randint(cols)] = 0.0
+        elif kind == "repeated_column" and cols > 1:
+            A[:, -1] = A[:, 0]
+        elif kind == "huge":
+            A *= 10.0 ** rng.randint(2, 40)  # overflows half or single inside the solve
+        with np.errstate(over="ignore"):
+            A = A.astype(p.dtype).astype(np.float64) if p.dtype else A
+        e = np.zeros(m)
+        e[rng.randint(m)] = 1.0
+        blocks.append((A, e))
+    return p, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_batches())
+def test_block_solved_in_a_batch_equals_block_alone(case):
+    p, blocks = case
+    m = np.array([A.shape[0] for A, _ in blocks])
+    q = np.array([A.shape[1] for A, _ in blocks])
+    Abar = np.zeros((len(blocks), m.max(), q.max()))
+    ebar = np.zeros((len(blocks), m.max()))
+    for i, (A, e) in enumerate(blocks):
+        Abar[i, : m[i], : q[i]] = A
+        ebar[i, : m[i]] = e
+    mbar, sbar, deficient = solve_ls_batch(Abar, ebar, m, q, p)
+    for i, (A, e) in enumerate(blocks):
+        try:
+            x, s = solve_column_ls(A, e, p)
+        except RankDeficiencySignal:
+            assert deficient[i]
+            continue
+        assert not deficient[i]
+        assert mbar[i, : q[i]].tobytes() == x.tobytes()
+        assert sbar[i, : m[i]].tobytes() == s.tobytes()
+        assert not np.any(mbar[i, q[i]:]) and not np.any(sbar[i, m[i]:])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dd_sparse
-from spai_ir.precision import DOUBLE, HALF, SINGLE, round_array
+from spai_ir.precision import DOUBLE, HALF, SINGLE, fl_norm2, round_array
 from spai_ir.spai import (
     RankDeficiencySignal,
     SpaiParams,
@@ -286,18 +286,89 @@ def test_resnorm_monotone_across_rounds(rng):
         assert b <= a * (1 + slack)
 
 
-def test_build_deterministic_and_order_independent(rng):
+def reference_build_spai(At, params):
+    """Column-by-column adaptive loop through the public one-column kernels.
+
+    The batch-of-one reference for the lockstep build: returns the arrays of
+    P and the per-column statistics that ``build_spai`` must reproduce bit
+    for bit.
+    """
+    n, uf = At.n_rows, params.uf
+    B = At.rounded(uf)
+    B_t = B.transpose()
+    alpha = params.resolved_alpha(n)
+    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    resnorm = np.full(n, np.inf)
+    rounds = np.zeros(n, dtype=np.int64)
+    satisfied = np.zeros(n, dtype=bool)
+    status = ["ok"] * n
+    for k in range(n):
+        solved = None
+        Jk = index_set([k])
+        if params.initial_pattern == "pattern" and B.col(k)[0].size:
+            Jk = index_set(B.col(k)[0])
+        for step in range(alpha + 1):
+            Ik = shadow(B, Jk)
+            if Ik.size == 0:
+                status[k] = "stagnated"
+                break
+            try:
+                mbar, sbar = solve_column_ls(extract_submatrix(B, Ik, Jk), (Ik == k).astype(float), uf)
+            except RankDeficiencySignal:
+                status[k] = "rank_deficient"
+                break
+            norm = fl_norm2(sbar, uf)
+            if not (np.all(np.isfinite(mbar)) and np.all(np.isfinite(sbar)) and math.isfinite(norm)):
+                status[k] = "overflow"
+                break
+            solved, resnorm[k] = (Jk, mbar), norm
+            if norm <= params.eps:
+                satisfied[k] = True
+                break
+            if step == alpha:
+                break
+            grown = augment_pattern(B, k, Ik, Jk, sbar, params.beta, uf, A_t=B_t)
+            if grown.size == Jk.size:
+                status[k] = "stagnated"
+                break
+            Jk = grown
+            rounds[k] += 1
+        if solved is not None:
+            rows.append(solved[0])
+            cols.append(np.full(solved[0].size, k))
+            vals.append(solved[1])
+    P = SparseMatrix.from_coo(n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    return P, resnorm, rounds, satisfied, status
+
+
+def assert_matches_reference(At, params):
+    """build_spai (all columns in lockstep) equals the column-by-column reference bit for bit."""
+    pre = build_spai(At, params)
+    P, resnorm, rounds, satisfied, status = reference_build_spai(At, params)
+    for got, want in ((pre.P.indptr, P.indptr), (pre.P.indices, P.indices), (pre.P.data, P.data),
+                      (pre.col_resnorm, resnorm), (pre.col_rounds, rounds), (pre.satisfied, satisfied)):
+        assert got.tobytes() == want.tobytes()
+    assert pre.col_status == status
+    return pre
+
+
+def test_build_matches_column_by_column_reference(rng):
+    # ordinary builds, plus unscaled inputs of wide dynamic range whose
+    # columns overflow, stagnate or lose rank in half precision
+    seen = set()
     dense = random_dd_sparse(rng, 40)
-    A = SparseMatrix.from_dense(dense)
-    params = SpaiParams(eps=0.3, uf=HALF)
-    p1 = build_left_preconditioner(A, params, max_workers=1)
-    p2 = build_left_preconditioner(A, params, max_workers=4)
-    assert np.array_equal(p1.P.data, p2.P.data)
-    assert np.array_equal(p1.P.indices, p2.P.indices)
-    assert np.array_equal(p1.P.indptr, p2.P.indptr)
-    assert np.array_equal(p1.col_resnorm, p2.col_resnorm)
-    p3 = build_left_preconditioner(A, params, max_workers=1)
-    assert np.array_equal(p1.P.data, p3.P.data)
+    for params in (SpaiParams(eps=0.3, uf=HALF), SpaiParams(eps=0.1, uf=SINGLE, beta=3),
+                   SpaiParams(eps=0.2, uf=DOUBLE, initial_pattern="pattern")):
+        seen.update(assert_matches_reference(SparseMatrix.from_dense(dense).transpose(), params).col_status)
+    wild = np.random.RandomState(5)
+    for trial in range(6):
+        n = int(wild.randint(5, 30))
+        d = wild.randn(n, n) * (wild.rand(n, n) < 0.3) * 10.0 ** wild.randint(-6, 7, size=(n, n))
+        np.fill_diagonal(d, (1 + wild.rand(n)) * 10.0 ** wild.randint(-4, 5, size=n))
+        for params in (SpaiParams(eps=0.05, uf=HALF), SpaiParams(eps=0.3, alpha=2, beta=1, uf=HALF),
+                       SpaiParams(eps=0.2, uf=SINGLE, initial_pattern="pattern")):
+            seen.update(assert_matches_reference(SparseMatrix.from_dense(d), params).col_status)
+    assert seen == {"ok", "overflow", "stagnated", "rank_deficient"}
 
 
 def test_nnz_at_least_n_with_identity_pattern(rng):

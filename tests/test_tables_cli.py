@@ -1,7 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 from conftest import load_synthetic
 from spai_ir.cli import main
@@ -77,6 +80,24 @@ def test_solve_system_outcome_shape():
     assert out.kappa_tilde is not None
 
 
+def test_kappa_ratio_unscaled_is_finite():
+    from spai_ir.tables import kappa_ratio_unscaled
+
+    ratio = kappa_ratio_unscaled(load_synthetic("dd_rand_64"), 0.3, SINGLE)
+    assert math.isfinite(ratio) and ratio > 0.0
+
+
+def test_quad_only_as_residual_precision():
+    from spai_ir.precision import DOUBLE, QUAD
+    from spai_ir.refine import IrConfig
+
+    for kw in (dict(uf=QUAD), dict(u=QUAD), dict(ug=QUAD), dict(up=QUAD)):
+        with pytest.raises(ValueError, match="quad"):
+            IrConfig(**{**dict(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="none"), **kw})
+    with pytest.raises(ValueError, match="quad"):
+        SpaiParams(eps=0.3, uf=QUAD)
+
+
 # ---- CLI --------------------------------------------------------------------
 
 
@@ -147,6 +168,19 @@ def test_cli_table_missing_rows_nonzero_exit(tmp_path):
 def test_cli_invalid_precisions():
     res = _run_cli(["solve", "--matrix", "ident_32", "--precisions", "h,s"])
     assert res.returncode == 1
+    # quad has no storage format: as the working precision it is refused
+    res = _run_cli(["solve", "--matrix", "dd_rand_64", "--precisions", "s,q,q"])
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "quad" in res.stderr
+
+
+def test_cli_singular_matrix_is_one_line_error(tmp_path):
+    path = tmp_path / "singular.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 5\n"
+                    "1 1 1.0\n1 2 2.0\n2 1 2.0\n2 2 4.0\n3 3 1.0\n")
+    res = _run_cli(["solve", "--matrix", str(path), "--solver", "lu", "--precisions", "h,s,d"])
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1, res.stderr
 
 
 def test_cli_main_callable_directly(capsys):
