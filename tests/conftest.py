@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,11 @@ def reference_solution(A: SparseMatrix, b: np.ndarray):
     if key not in _refs:
         _refs[key] = dd_solve(A, b)
     return _refs[key]
+
+
+def digest(arr: np.ndarray, dtype) -> str:
+    """SHA-256 of an array's bytes in ``dtype``, for bit-exact fingerprints."""
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
 
 
 @pytest.fixture

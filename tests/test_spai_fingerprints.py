@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import digest
 from spai_ir.precision import HALF, SINGLE
 from spai_ir.reference import SYNTHETIC, find_matrix
 from spai_ir.spai import SpaiParams, build_left_preconditioner
@@ -28,10 +29,6 @@ EPS = (0.2, 0.3, 0.5)
 UFS = (HALF, SINGLE)
 
 
-def _digest(arr: np.ndarray, dtype) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
-
-
 def cell_key(name: str, uf, eps: float) -> str:
     return f"{name}/{uf.name}/eps={eps}"
 
@@ -39,12 +36,12 @@ def cell_key(name: str, uf, eps: float) -> str:
 def fingerprint(A, uf, eps: float) -> dict:
     pre = build_left_preconditioner(A, SpaiParams(eps=eps, uf=uf))
     return {
-        "indptr": _digest(pre.P.indptr, np.int64),
-        "indices": _digest(pre.P.indices, np.int64),
-        "data": _digest(pre.P.data, np.float64),
-        "col_resnorm": _digest(pre.col_resnorm, np.float64),
-        "col_rounds": _digest(pre.col_rounds, np.int64),
-        "satisfied": _digest(pre.satisfied, np.uint8),
+        "indptr": digest(pre.P.indptr, np.int64),
+        "indices": digest(pre.P.indices, np.int64),
+        "data": digest(pre.P.data, np.float64),
+        "col_resnorm": digest(pre.col_resnorm, np.float64),
+        "col_rounds": digest(pre.col_rounds, np.int64),
+        "satisfied": digest(pre.satisfied, np.uint8),
         "col_status": hashlib.sha256(json.dumps(list(pre.col_status)).encode()).hexdigest(),
     }
 
