@@ -11,9 +11,10 @@ from .precision import (
     Precision,
     dd_residual,
     dd_solve,
+    dense_lu,
     parse_precision,
 )
-from .refine import IrConfig, IrReport, dense_lu, measure_errors, run_ir
+from .refine import IrConfig, IrReport, measure_errors, run_ir
 from .spai import SpaiParams, SpaiPreconditioner, build_left_preconditioner, build_spai
 from .sparse import SparseMatrix, load_matrix_market
 

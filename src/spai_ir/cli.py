@@ -19,7 +19,7 @@ import sys
 from .precision import parse_precision
 from .reference import GOLDEN_TABLES, find_matrix
 from .sparse import MatrixMarketParseError, load_matrix_market
-from .tables import default_tau, run_sweep, run_table, solve_system
+from .tables import default_tau, result_row, run_sweep, run_table, solve_system
 
 SWEEP_FIELDS = [
     "matrix", "eps", "uf", "nnz", "kappa_tilde", "estimate", "feasible",
@@ -88,17 +88,9 @@ def cmd_solve(args) -> int:
         i_max=args.imax,
     )
     rep = outcome.report
-    row = {
-        "table": "", "matrix": name, "solver": args.solver, "precond": args.solver,
-        "eps": args.eps if args.solver == "spai" else None,
-        "uf": uf.name, "u": u.name, "ur": ur.name, "tau": tau,
-        "precond_nnz": outcome.precond_nnz, "nnz": outcome.precond_nnz,
-        "kappa_tilde": outcome.kappa_tilde,
-        "steps": rep.steps, "iters_per_step": list(rep.gmres_iters_per_step),
-        "total_iters": rep.total_gmres_iters, "converged": rep.converged,
-        "stagnated": rep.stagnated, "ferr": rep.ferr_history[-1],
-        "nbe": rep.nbe_history[-1], "status": "ok",
-    }
+    row = result_row(name, args.solver, args.eps if args.solver == "spai" else None, uf.name, outcome)
+    row.update(table="", solver=args.solver, precond_nnz=outcome.precond_nnz,
+               u=u.name, ur=ur.name, tau=tau, stagnated=rep.stagnated)
     if args.json:
         payload = dict(row)
         payload["report"] = rep.to_dict()

@@ -35,7 +35,10 @@ __all__ = [
     "fl_norm2",
     "dd_residual",
     "dd_solve",
+    "DenseLu",
+    "dense_lu",
     "DomainError",
+    "OverflowInFactorizationError",
     "SingularMatrixError",
 ]
 
@@ -46,6 +49,10 @@ class DomainError(ArithmeticError):
 
 class SingularMatrixError(ArithmeticError):
     """Raised when a factorization or solve meets an exactly singular matrix."""
+
+
+class OverflowInFactorizationError(ArithmeticError):
+    """The factorization produced non-finite entries in the target precision."""
 
 
 @dataclass(frozen=True)
@@ -319,34 +326,83 @@ def dd_residual(A, x, b) -> np.ndarray:
     return rh
 
 
-def _plain_lu(A: np.ndarray):
-    """Partial-pivoting LU in plain double with a fixed, vectorized update order."""
-    lu = np.array(A, dtype=np.float64)
-    n = lu.shape[0]
-    piv = np.arange(n)
-    for k in range(n - 1):
-        j = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[j, k] == 0.0:
-            raise SingularMatrixError("singular")
-        if j != k:
-            lu[[k, j]] = lu[[j, k]]
-            piv[[k, j]] = piv[[j, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    if lu[n - 1, n - 1] == 0.0:
-        raise SingularMatrixError("singular")
-    return lu, piv
+# ---------------------------------------------------------------------------
+# dense LU in emulated precision
+# ---------------------------------------------------------------------------
 
 
-def _plain_lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.asarray(b, dtype=np.float64)[piv].copy()
-    n = lu.shape[0]
-    for k in range(n):
-        x[k + 1 :] -= lu[k + 1 :, k] * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] /= lu[k, k]
-        x[:k] -= lu[:k, k] * x[k]
+@dataclass
+class DenseLu:
+    """Partial-pivoting factors of (a row permutation of) a dense matrix.
+
+    ``lu`` packs both factors in one array: U on and above the diagonal,
+    the multipliers of the unit lower factor L below it.  Row ``k`` of the
+    factored matrix is row ``perm[k]`` of the input.
+    """
+
+    lu: np.ndarray
+    perm: np.ndarray
+
+    @property
+    def nnz_lu(self) -> int:
+        """Nonzero entries of L and U, the unit diagonal of L counted once
+        with the diagonal of U."""
+        return int(np.count_nonzero(self.lu))
+
+    def substitute(self, b: np.ndarray, p: Precision) -> np.ndarray:
+        """Solve L U x = b for ``b`` already in pivot order by forward and
+        back substitution, every operation rounded to ``p``."""
+        lu = self.lu
+        x = round_array(np.asarray(b, dtype=np.float64), p).copy()
+        with np.errstate(**ERRSTATE):
+            for k in range(lu.shape[0] - 1):
+                x[k + 1 :] = _rnd(x[k + 1 :] - _rnd(lu[k + 1 :, k] * x[k], p), p)
+            for k in range(lu.shape[0] - 1, -1, -1):
+                x[k] = _rnd_scalar(x[k] / lu[k, k], p)
+                x[:k] = _rnd(x[:k] - _rnd(lu[:k, k] * x[k], p), p)
+        return x
+
+
+def _round_in_place(x: np.ndarray, p: Precision) -> np.ndarray:
+    """:func:`_rnd` written back into ``x`` (returned), without a float64
+    temporary."""
+    if p.dtype is not None:
+        x[...] = x.astype(p.dtype)
     return x
+
+
+def dense_lu(A, uf: Precision) -> DenseLu:
+    """LU with partial pivoting, every operation rounded to ``uf``.
+
+    Factors a copy of the dense array ``A``.  Raises
+    :class:`SingularMatrixError` on an exactly zero pivot and
+    :class:`OverflowInFactorizationError` when the factors contain
+    non-finite entries (the caller may equilibrate and retry).
+    """
+    M = round_array(np.array(A, dtype=np.float64), uf)
+    n = M.shape[0]
+    if M.shape[0] != M.shape[1]:
+        raise ValueError("square matrix required")
+    perm = np.arange(n)
+    with np.errstate(**ERRSTATE):
+        for k in range(n - 1):
+            p = k + int(np.argmax(np.abs(M[k:, k])))
+            if M[p, k] == 0.0:
+                raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
+            if p != k:
+                M[[k, p]] = M[[p, k]]
+                perm[[k, p]] = perm[[p, k]]
+            col = M[k + 1 :, k]
+            col /= M[k, k]
+            _round_in_place(col, uf)
+            trailing = M[k + 1 :, k + 1 :]
+            trailing -= _round_in_place(np.outer(col, M[k, k + 1 :]), uf)
+            _round_in_place(trailing, uf)
+    if M[n - 1, n - 1] == 0.0:
+        raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
+    if not np.all(np.isfinite(M)):
+        raise OverflowInFactorizationError(f"overflow in {uf.name}")
+    return DenseLu(lu=M, perm=perm)
 
 
 def _dd_lu_solve(A: np.ndarray, b: np.ndarray):
@@ -391,9 +447,9 @@ def _dd_lu_solve(A: np.ndarray, b: np.ndarray):
 def dd_solve(A, b, method: str = "refined"):
     """Reference solution of A x = b accurate to double-double level.
 
-    ``method="refined"`` (default) factors a dense copy once in double and
-    then refines with double-double residuals until the residual stops
-    improving; the limiting forward error is of order
+    ``method="refined"`` (default) factors a dense copy once in double with
+    :func:`dense_lu` and then refines with double-double residuals until the
+    residual stops improving; the limiting forward error is of order
     ``unit_roundoff(QUAD) * cond(A)``.  ``method="factor"`` carries the whole
     dense factorization in double-double and is used as an independent
     oracle at small sizes.  Returns ``(x_hi, x_lo)`` as a normalized
@@ -407,9 +463,9 @@ def dd_solve(A, b, method: str = "refined"):
         return _dd_lu_solve(dense, b)
     if method != "refined":
         raise ValueError(f"unknown method {method!r}")
-    lu, piv = _plain_lu(dense)
+    factors = dense_lu(dense, DOUBLE)
     resid_target = A if hasattr(A, "row_slots") else dense
-    xh = _plain_lu_solve(lu, piv, b)
+    xh = factors.substitute(b[factors.perm], DOUBLE)
     xl = np.zeros_like(xh)
     best = math.inf
     for _ in range(8):
@@ -420,6 +476,6 @@ def dd_solve(A, b, method: str = "refined"):
         if rnorm >= best:
             break
         best = rnorm
-        d = _plain_lu_solve(lu, piv, rh)
+        d = factors.substitute(rh[factors.perm], DOUBLE)
         xh, xl = dd_add(xh, xl, d, np.zeros_like(d))
     return xh, xl

@@ -64,7 +64,6 @@ class GoldenRow:
     kappa_tilde: float
     nnz: int
     iters_per_step: tuple
-    lu_ordering: str | None = None
 
     @property
     def total_iters(self) -> int:
@@ -78,67 +77,69 @@ TABLE_SETTINGS = {
     "t6": dict(uf="s", u="s", ur="d", tau=1e-4),
 }
 
+# The published LU rows used AMD, nested-dissection or RCM orderings; the
+# reproduction always orders with RCM (its LU bands do not set the CLI exit code).
 GOLDEN_TABLES = {
     "t4": [
         GoldenRow("pores_3", "spai", 0.5, 6.6e3, 3560, (110, 113)),
         GoldenRow("pores_3", "spai", 0.4, 3.8e3, 4871, (86, 88)),
-        GoldenRow("pores_3", "lu", None, 1.0, 9706, (2, 2), "amd"),
+        GoldenRow("pores_3", "lu", None, 1.0, 9706, (2, 2)),
         GoldenRow("pores_3", "none", None, 1.2e6, 0, (417, 456, 441)),
         GoldenRow("steam1", "spai", 0.2, 1.5, 1140, (7, 7)),
         GoldenRow("steam1", "spai", 0.1, 1.5, 1303, (7, 7)),
-        GoldenRow("steam1", "lu", None, 1.9, 14133, (2,), "amd"),
+        GoldenRow("steam1", "lu", None, 1.9, 14133, (2,)),
         GoldenRow("steam1", "none", None, 3.1e7, 0, (158, 193, 192)),
         GoldenRow("steam3", "spai", 0.5, 3.9, 244, (9, 12, 10)),
         GoldenRow("steam3", "spai", 0.1, 1.9, 403, (5, 6, 6)),
-        GoldenRow("steam3", "lu", None, 1.1, 483, (2,), "amd"),
+        GoldenRow("steam3", "lu", None, 1.1, 483, (2,)),
         GoldenRow("steam3", "none", None, 7.6e10, 0, (61, 80, 80)),
         GoldenRow("saylr1", "spai", 0.4, 1.9e4, 1932, (64, 66, 65)),
         GoldenRow("saylr1", "spai", 0.3, 7.5e3, 3405, (44, 45)),
-        GoldenRow("saylr1", "lu", None, 1.0, 3607, (2, 3), "amd"),
+        GoldenRow("saylr1", "lu", None, 1.0, 3607, (2, 3)),
         GoldenRow("saylr1", "none", None, 1.6e9, 0, (214, 229, 215)),
     ],
     "t5": [
         GoldenRow("bfwa782", "spai", 0.5, 1.1e3, 6271, (75, 89)),
         GoldenRow("bfwa782", "spai", 0.3, 5.0e2, 11430, (54, 60)),
-        GoldenRow("bfwa782", "lu", None, 2.1, 21838, (3, 4), "amd"),
+        GoldenRow("bfwa782", "lu", None, 2.1, 21838, (3, 4)),
         GoldenRow("bfwa782", "none", None, 6.8e3, 0, (172, 209)),
         GoldenRow("cage5", "spai", 0.5, 9.9, 101, (8, 8)),
         GoldenRow("cage5", "spai", 0.3, 3.9, 213, (6, 6)),
-        GoldenRow("cage5", "lu", None, 1.0, 359, (2,), "amd"),
+        GoldenRow("cage5", "lu", None, 1.0, 359, (2,)),
         GoldenRow("cage5", "none", None, 2.9e1, 0, (13, 12)),
         GoldenRow("gre_115", "spai", 0.5, 5.8e2, 725, (24, 24)),
         GoldenRow("gre_115", "spai", 0.3, 1.8e1, 1719, (10, 11)),
-        GoldenRow("gre_115", "lu", None, 1.0, 1551, (2,), "nds"),
+        GoldenRow("gre_115", "lu", None, 1.0, 1551, (2,)),
         GoldenRow("gre_115", "none", None, 1.4e2, 0, (49, 51)),
         GoldenRow("orsreg_1", "spai", 0.5, 1.7e2, 9261, (29, 45, 34)),
         GoldenRow("orsreg_1", "spai", 0.3, 1.3e2, 11120, (23, 38)),
-        GoldenRow("orsreg_1", "lu", None, 2.2, 133634, (4, 5), "rcm"),
+        GoldenRow("orsreg_1", "lu", None, 2.2, 133634, (4, 5)),
         GoldenRow("orsreg_1", "none", None, 7.0e3, 0, (107, 150, 95)),
         GoldenRow("sherman4", "spai", 0.5, 1.6e3, 1386, (67, 73)),
         GoldenRow("sherman4", "spai", 0.3, 5.0e2, 8496, (35, 39)),
-        GoldenRow("sherman4", "lu", None, 1.8, 14211, (2, 3), "amd"),
+        GoldenRow("sherman4", "lu", None, 1.8, 14211, (2, 3)),
         GoldenRow("sherman4", "none", None, 3.1e3, 0, (85, 93)),
     ],
     "t6": [
         GoldenRow("bfwa782", "spai", 0.5, 1.1e3, 6261, (74, 92)),
         GoldenRow("bfwa782", "spai", 0.3, 5.0e2, 11470, (54, 60)),
-        GoldenRow("bfwa782", "lu", None, 1.0, 21848, (1,), "amd"),
+        GoldenRow("bfwa782", "lu", None, 1.0, 21848, (1,)),
         GoldenRow("bfwa782", "none", None, 6.8e3, 0, (172, 209)),
         GoldenRow("cage5", "spai", 0.5, 9.9, 101, (8, 8)),
         GoldenRow("cage5", "spai", 0.3, 3.9, 213, (6, 6)),
-        GoldenRow("cage5", "lu", None, 1.0, 359, (1,), "amd"),
+        GoldenRow("cage5", "lu", None, 1.0, 359, (1,)),
         GoldenRow("cage5", "none", None, 2.9e1, 0, (13, 12)),
         GoldenRow("gre_115", "spai", 0.5, 6.2e2, 725, (24, 27)),
         GoldenRow("gre_115", "spai", 0.3, 1.7e1, 1739, (10, 10)),
-        GoldenRow("gre_115", "lu", None, 1.0, 1556, (1,), "nds"),
+        GoldenRow("gre_115", "lu", None, 1.0, 1556, (1,)),
         GoldenRow("gre_115", "none", None, 1.4e2, 0, (49, 51)),
         GoldenRow("orsreg_1", "spai", 0.5, 1.4e2, 9261, (25, 40, 32)),
         GoldenRow("orsreg_1", "spai", 0.3, 1.1e2, 11025, (22, 38)),
-        GoldenRow("orsreg_1", "lu", None, 1.0, 330910, (1,), "rcm"),
+        GoldenRow("orsreg_1", "lu", None, 1.0, 330910, (1,)),
         GoldenRow("orsreg_1", "none", None, 7.0e3, 0, (107, 150, 95)),
         GoldenRow("sherman4", "spai", 0.5, 1.6e3, 1385, (67, 73)),
         GoldenRow("sherman4", "spai", 0.3, 5.0e2, 8499, (35, 39)),
-        GoldenRow("sherman4", "lu", None, 1.0, 14211, (1,), "amd"),
+        GoldenRow("sherman4", "lu", None, 1.0, 14211, (1,)),
         GoldenRow("sherman4", "none", None, 3.1e3, 0, (85, 93)),
     ],
 }

@@ -16,12 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# fl_op stays bound here although unused: perfbench/tracer.py wraps refine.fl_op
 from .precision import (
     QUAD,
+    DenseLu,
+    OverflowInFactorizationError,
     Precision,
     SingularMatrixError,
     dd_residual,
     dd_solve,
+    dense_lu,
     fl_op,
     round_array,
 )
@@ -44,10 +48,6 @@ __all__ = [
 ]
 
 SOLVERS = ("spai", "lu", "none", "sir")
-
-
-class OverflowInFactorizationError(ArithmeticError):
-    """The factorization produced non-finite entries in the target precision."""
 
 
 @dataclass(frozen=True)
@@ -123,83 +123,18 @@ class IrReport:
 
 
 # ---------------------------------------------------------------------------
-# dense LU in emulated precision
+# dense LU preconditioner
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DenseLu:
-    """Partial-pivoting factors of (a permutation of) a dense matrix.
-
-    ``nnz_lu`` counts the nonzero entries of L+U after rounding to the
-    factorization precision (unit diagonal of L included via the sum).
-    """
-
-    L: np.ndarray
-    U: np.ndarray
-    perm: np.ndarray
-    nnz_lu: int
-    uf: Precision
-
-
-def dense_lu(A, uf: Precision) -> DenseLu:
-    """LU with partial pivoting, every operation rounded to ``uf``.
-
-    Raises :class:`~spai_ir.precision.SingularMatrixError` on an exactly
-    zero pivot and :class:`OverflowInFactorizationError` when the factors
-    contain non-finite entries (the caller may equilibrate and retry).
-    """
-    M = A.to_dense() if isinstance(A, SparseMatrix) else np.array(A, dtype=np.float64)
-    M = round_array(M, uf)
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("square matrix required")
-    perm = np.arange(n)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n - 1):
-            p = k + int(np.argmax(np.abs(M[k:, k])))
-            if M[p, k] == 0.0:
-                raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
-            if p != k:
-                M[[k, p]] = M[[p, k]]
-                perm[[k, p]] = perm[[p, k]]
-            M[k + 1 :, k] = round_array(M[k + 1 :, k] / M[k, k], uf)
-            M[k + 1 :, k + 1 :] = round_array(
-                M[k + 1 :, k + 1 :] - round_array(np.outer(M[k + 1 :, k], M[k, k + 1 :]), uf), uf
-            )
-    if M[n - 1, n - 1] == 0.0:
-        raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
-    if not np.all(np.isfinite(M)):
-        raise OverflowInFactorizationError(f"overflow in {uf.name}")
-    L = np.tril(M, -1) + np.eye(n)
-    U = np.triu(M)
-    nnz_lu = int(np.count_nonzero(L + U))
-    return DenseLu(L=L, U=U, perm=perm, nnz_lu=nnz_lu, uf=uf)
-
-
-def _solve_unit_lower(L: np.ndarray, b: np.ndarray, p: Precision) -> np.ndarray:
-    x = round_array(np.asarray(b, dtype=np.float64), p).copy()
-    for k in range(L.shape[0] - 1):
-        x[k + 1 :] = round_array(x[k + 1 :] - round_array(L[k + 1 :, k] * x[k], p), p)
-    return x
-
-
-def _solve_upper(U: np.ndarray, b: np.ndarray, p: Precision) -> np.ndarray:
-    x = np.array(b, dtype=np.float64)
-    for k in range(U.shape[0] - 1, -1, -1):
-        x[k] = fl_op("div", x[k], U[k, k], p=p)
-        x[:k] = round_array(x[:k] - round_array(U[:k, k] * x[k], p), p)
-    return x
-
-
-def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
+def equilibrate_two_sided(A: np.ndarray, uf: Precision):
     """Row and column scaling pushing entries into a safe range for ``uf``.
 
     Returns diagonals (r, s) and a scalar mu such that mu * R A S has
-    magnitudes at most ``0.1 * max_finite(uf)``; used as a retry when a
-    low-precision factorization overflows.
+    magnitudes at most ``0.1 * max_finite(uf)`` for the dense matrix ``A``;
+    used as a retry when a low-precision factorization overflows.
     """
-    dense = np.abs(A.to_dense())
+    dense = np.abs(A)
     rowmax = dense.max(axis=1)
     if np.any(rowmax == 0.0):
         raise SingularMatrixError("structurally singular: empty row")
@@ -215,14 +150,20 @@ def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
 class LuPreconditioner:
     """Applies (an approximation of) the inverse via stored LU factors.
 
-    Optionally wraps two-sided scaling: with factors of mu * R A S, applying
-    the preconditioner to v computes S (U^-1 L^-1 Pi (mu R v)), every
-    elementary operation rounded to the requested precision.
+    The factors are those of mu * R B S, where B = A[order][:, order] is a
+    symmetric reordering of A and the optional two-sided scaling (r, s)
+    acts in the reordered coordinates.  Applying the preconditioner to v
+    computes S U^-1 L^-1 Pi (mu R v[order]) and returns it in the original
+    order, every elementary operation rounded to the requested precision.
     """
 
-    def __init__(self, factors: DenseLu, r=None, s=None, mu: float = 1.0):
+    def __init__(self, factors: DenseLu, order: np.ndarray, r=None, s=None, mu: float = 1.0):
         self.factors = factors
-        self.r = r
+        # entry of v feeding each row of the factors: reordering, then pivoting
+        self.rows = np.asarray(order)[factors.perm]
+        self.inv_order = np.empty(len(order), dtype=np.int64)
+        self.inv_order[order] = np.arange(len(order))
+        self.r = None if r is None else r[factors.perm]
         self.s = s
         self.mu = mu
 
@@ -231,15 +172,13 @@ class LuPreconditioner:
         return self.factors.nnz_lu
 
     def apply(self, v: np.ndarray, p: Precision) -> np.ndarray:
-        x = round_array(np.asarray(v, dtype=np.float64), p)
+        x = round_array(np.asarray(v, dtype=np.float64)[self.rows], p)
         if self.r is not None:
             x = round_array(round_array(self.mu * x, p) * self.r, p)
-        x = x[self.factors.perm]
-        x = _solve_unit_lower(self.factors.L, x, p)
-        x = _solve_upper(self.factors.U, x, p)
+        x = self.factors.substitute(x, p)
         if self.s is not None:
             x = round_array(x * self.s, p)
-        return x
+        return x[self.inv_order]
 
     def apply_dense_exact(self, X: np.ndarray) -> np.ndarray:
         """Plain double-precision application to a dense block (diagnostics)."""
@@ -248,14 +187,14 @@ class LuPreconditioner:
         Y = np.array(X, dtype=np.float64)
         if Y.ndim == 1:
             Y = Y[:, None]
+        Y = Y[self.rows]
         if self.r is not None:
             Y = (self.mu * Y) * self.r[:, None]
-        Y = Y[self.factors.perm]
-        Y = solve_triangular(self.factors.L, Y, lower=True, unit_diagonal=True)
-        Y = solve_triangular(self.factors.U, Y)
+        Y = solve_triangular(self.factors.lu, Y, lower=True, unit_diagonal=True)
+        Y = solve_triangular(self.factors.lu, Y)
         if self.s is not None:
             Y = Y * self.s[:, None]
-        return Y
+        return Y[self.inv_order]
 
 
 def rcm_permutation(A: SparseMatrix) -> np.ndarray:
@@ -335,40 +274,16 @@ def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
         pre = build_left_preconditioner(A, cfg.spai)
         return PreparedSolver(kind="spai", precond=pre.P, spai=pre)
     if cfg.solver in ("lu", "sir"):
-        perm = rcm_permutation(A)
-        dense = A.to_dense()[np.ix_(perm, perm)]
+        order = rcm_permutation(A)
+        dense = A.to_dense()[np.ix_(order, order)]
         try:
-            factors = dense_lu(dense, cfg.uf)
-            lu = LuPreconditioner(factors)
-            scaled = False
+            lu = LuPreconditioner(dense_lu(dense, cfg.uf), order)
         except OverflowInFactorizationError:
-            r, s, mu = equilibrate_two_sided(SparseMatrix.from_dense(dense), cfg.uf)
+            r, s, mu = equilibrate_two_sided(dense, cfg.uf)
             hatA = round_array(mu * (dense * r[:, None]) * s[None, :], cfg.uf)
-            factors = dense_lu(hatA, cfg.uf)
-            lu = LuPreconditioner(factors, r=r, s=s, mu=mu)
-            scaled = True
-        return PreparedSolver(kind=cfg.solver, precond=_PermutedLu(lu, perm, A.n_rows), lu_scaled=scaled)
+            lu = LuPreconditioner(dense_lu(hatA, cfg.uf), order, r=r, s=s, mu=mu)
+        return PreparedSolver(kind=cfg.solver, precond=lu, lu_scaled=lu.r is not None)
     return PreparedSolver(kind="none")
-
-
-class _PermutedLu:
-    """LU preconditioner conjugated with a symmetric fill-reducing ordering."""
-
-    def __init__(self, lu: LuPreconditioner, perm: np.ndarray, n: int):
-        self.lu = lu
-        self.perm = perm
-        self.inv_perm = np.empty(n, dtype=np.int64)
-        self.inv_perm[perm] = np.arange(n)
-
-    @property
-    def nnz(self) -> int:
-        return self.lu.nnz
-
-    def apply(self, v: np.ndarray, p: Precision) -> np.ndarray:
-        return self.lu.apply(np.asarray(v)[self.perm], p)[self.inv_perm]
-
-    def apply_dense_exact(self, X: np.ndarray) -> np.ndarray:
-        return self.lu.apply_dense_exact(np.asarray(X)[self.perm])[self.inv_perm]
 
 
 def _residual(A: SparseMatrix, x: np.ndarray, b: np.ndarray, ur: Precision) -> np.ndarray:

@@ -6,6 +6,7 @@ rounded matrix-vector products).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,8 +198,8 @@ def load_matrix_market(source) -> SparseMatrix:
 
     Accepts real or integer fields with general or symmetric symmetry;
     symmetric inputs are expanded to full storage and duplicate entries are
-    summed.  Malformed content raises :class:`MatrixMarketParseError` naming
-    the offending 1-based line number.
+    summed.  Malformed content, including a NaN or infinite value, raises
+    :class:`MatrixMarketParseError` naming the offending 1-based line number.
     """
     fh = _open_lines(source)
     try:
@@ -259,6 +260,8 @@ def load_matrix_market(source) -> SparseMatrix:
                 v = float(toks[2])
             except ValueError:
                 raise MatrixMarketParseError(f"line {lineno}: malformed entry {s!r}") from None
+            if not math.isfinite(v):
+                raise MatrixMarketParseError(f"line {lineno}: non-finite value {toks[2]!r}")
             if not (1 <= i <= n_rows and 1 <= j <= n_cols):
                 raise MatrixMarketParseError(f"line {lineno}: index ({i}, {j}) out of range")
             rows[k], cols[k], vals[k] = i - 1, j - 1, v

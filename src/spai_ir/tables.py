@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import cond2_transpose, kappa_inf, kappa_inf_product
-from .precision import Precision, parse_precision
+from .precision import Precision, dd_solve, parse_precision
 from .refine import IrConfig, IrReport, prepare_solver, run_ir
 from .reference import GOLDEN_TABLES, TABLE_SETTINGS, GoldenRow, find_matrix, rhs_for
 from .spai import SpaiParams, build_left_preconditioner, build_spai
@@ -21,6 +21,7 @@ __all__ = [
     "ITERS_BAND",
     "SolveOutcome",
     "default_tau",
+    "result_row",
     "solve_system",
     "sweep_cell",
     "run_sweep",
@@ -170,48 +171,40 @@ def _within(value: float, ref: float, band: float) -> bool:
     return abs(value - ref) <= band * abs(ref)
 
 
+def result_row(matrix: str, precond: str, eps: float | None, uf: str,
+               outcome: SolveOutcome | None = None, golden: GoldenRow | None = None) -> dict:
+    """One row of the schema shared by ``spai-ir solve`` and ``spai-ir table``.
+
+    Without an ``outcome`` the row records a table matrix whose file is
+    missing.  ``golden`` adds the published reference values and, for a
+    solved row, the regression-band checks against them.
+    """
+    row = {"matrix": matrix, "precond": precond, "eps": eps, "uf": uf,
+           "status": "ok" if outcome is not None else "missing"}
+    if golden is not None:
+        row.update(ref_nnz=golden.nnz, ref_total_iters=golden.total_iters)
+    if outcome is None:
+        return row
+    rep = outcome.report
+    row.update(kappa_tilde=outcome.kappa_tilde, nnz=outcome.precond_nnz, steps=rep.steps,
+               iters_per_step=list(rep.gmres_iters_per_step), total_iters=rep.total_gmres_iters,
+               converged=rep.converged, ferr=rep.ferr_history[-1], nbe=rep.nbe_history[-1])
+    if golden is not None:
+        row.update(ref_kappa_tilde=golden.kappa_tilde, ref_iters_per_step=list(golden.iters_per_step),
+                   nnz_ok=_within(outcome.precond_nnz, golden.nnz, NNZ_BAND),
+                   iters_ok=_within(rep.total_gmres_iters, golden.total_iters, ITERS_BAND))
+    return row
+
+
 def run_table_row(row: GoldenRow, A: SparseMatrix, settings: dict, *,
                   with_kappa: bool = True, x_ref=None) -> dict:
     """Execute one golden row and compare against its published values."""
     uf = parse_precision(settings["uf"])
     u = parse_precision(settings["u"])
     ur = parse_precision(settings["ur"])
-    outcome = solve_system(
-        A,
-        row.matrix,
-        row.precond,
-        uf,
-        u,
-        ur,
-        eps=row.eps,
-        tau=settings["tau"],
-        with_kappa=with_kappa,
-        x_ref=x_ref,
-    )
-    rep = outcome.report
-    nnz_ok = _within(outcome.precond_nnz, row.nnz, NNZ_BAND)
-    iters_ok = _within(rep.total_gmres_iters, row.total_iters, ITERS_BAND)
-    return {
-        "matrix": row.matrix,
-        "precond": row.precond,
-        "eps": row.eps,
-        "uf": uf.name,
-        "kappa_tilde": outcome.kappa_tilde,
-        "nnz": outcome.precond_nnz,
-        "steps": rep.steps,
-        "iters_per_step": list(rep.gmres_iters_per_step),
-        "total_iters": rep.total_gmres_iters,
-        "converged": rep.converged,
-        "ferr": rep.ferr_history[-1],
-        "nbe": rep.nbe_history[-1],
-        "ref_kappa_tilde": row.kappa_tilde,
-        "ref_nnz": row.nnz,
-        "ref_total_iters": row.total_iters,
-        "ref_iters_per_step": list(row.iters_per_step),
-        "nnz_ok": nnz_ok,
-        "iters_ok": iters_ok,
-        "status": "ok",
-    }
+    outcome = solve_system(A, row.matrix, row.precond, uf, u, ur, eps=row.eps,
+                           tau=settings["tau"], with_kappa=with_kappa, x_ref=x_ref)
+    return result_row(row.matrix, row.precond, row.eps, uf.name, outcome, golden=row)
 
 
 def run_table(name: str, *, directory: Path | None = None, solvers=None,
@@ -235,19 +228,9 @@ def run_table(name: str, *, directory: Path | None = None, solvers=None,
             loaded[row.matrix] = load_matrix_market(path) if path else None
         A = loaded[row.matrix]
         if A is None:
-            rows.append({
-                "matrix": row.matrix,
-                "precond": row.precond,
-                "eps": row.eps,
-                "uf": settings["uf"],
-                "ref_nnz": row.nnz,
-                "ref_total_iters": row.total_iters,
-                "status": "missing",
-            })
+            rows.append(result_row(row.matrix, row.precond, row.eps, settings["uf"], golden=row))
             continue
         if row.matrix not in refs:
-            from .precision import dd_solve
-
             refs[row.matrix] = dd_solve(A, rhs_for(A.n_rows))
         rows.append(
             run_table_row(row, A, settings, with_kappa=with_kappa, x_ref=refs[row.matrix])

@@ -25,8 +25,7 @@ from spai_ir.sparse import SparseMatrix
 
 def test_lu_identity():
     f = dense_lu(np.eye(4), DOUBLE)
-    assert np.array_equal(f.L, np.eye(4))
-    assert np.array_equal(f.U, np.eye(4))
+    assert np.array_equal(f.lu, np.eye(4))  # L = U = I, packed
     assert np.array_equal(f.perm, np.arange(4))
     assert f.nnz_lu == 4
 
@@ -34,8 +33,7 @@ def test_lu_identity():
 def test_lu_permutation_matrix():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     f = dense_lu(A, DOUBLE)
-    assert np.array_equal(f.L, np.eye(2))
-    assert np.array_equal(f.U, np.eye(2))
+    assert np.array_equal(f.lu, np.eye(2))
     assert np.array_equal(f.perm, np.array([1, 0]))
 
 
@@ -43,8 +41,16 @@ def test_lu_reconstruction_bound(rng):
     A = random_dd_sparse(rng, 8)
     f = dense_lu(A, DOUBLE)
     PA = A[f.perm]
-    err = norm_inf(PA - f.L @ f.U)
+    L = np.tril(f.lu, -1) + np.eye(8)
+    U = np.triu(f.lu)
+    err = norm_inf(PA - L @ U)
     assert err <= 10 * 8**3 * 2.0**-53 * norm_inf(A)
+
+
+def test_lu_nnz_counts_pivots_of_minus_one():
+    # a pivot of exactly -1 must not cancel the unit diagonal of L
+    assert dense_lu(-np.eye(3), SINGLE).nnz_lu == 3
+    assert dense_lu(np.array([[2.0, 1.0], [1.0, -0.5]]), SINGLE).nnz_lu == 4
 
 
 def test_lu_singular():
@@ -56,11 +62,10 @@ def test_lu_half_overflow_and_equilibration(rng):
     A = random_dd_sparse(rng, 6) * 3.0e4  # products overflow half during elimination
     with pytest.raises(OverflowInFactorizationError):
         dense_lu(A, HALF)
-    As = SparseMatrix.from_dense(A)
-    r, s, mu = equilibrate_two_sided(As, HALF)
+    r, s, mu = equilibrate_two_sided(A, HALF)
     scaled = mu * (A * r[:, None]) * s[None, :]
     f = dense_lu(scaled, HALF)  # no overflow after scaling
-    lupre = LuPreconditioner(f, r=r, s=s, mu=mu)
+    lupre = LuPreconditioner(f, np.arange(6), r=r, s=s, mu=mu)
     b = rng.randn(6)
     x = lupre.apply(b, SINGLE)
     want = np.linalg.solve(A, b)

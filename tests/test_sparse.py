@@ -55,6 +55,12 @@ def test_load_errors_name_lines():
         load_matrix_market((HEADER + "2 2 1\n").encode())
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_load_rejects_non_finite_values(value):
+    with pytest.raises(MatrixMarketParseError, match="line 4: non-finite"):
+        load_matrix_market((HEADER + f"2 2 2\n1 1 1.0\n2 2 {value}\n").encode())
+
+
 def test_explicit_zeros_dropped():
     A = load_matrix_market((HEADER + "2 2 2\n1 1 0.0\n2 1 1.0\n").encode())
     assert A.nnz == 1

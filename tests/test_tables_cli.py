@@ -183,6 +183,19 @@ def test_cli_singular_matrix_is_one_line_error(tmp_path):
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1, res.stderr
 
 
+@pytest.mark.parametrize("value, solver, precisions", [
+    ("nan", "spai", "h,s,d"), ("nan", "lu", "h,s,d"), ("nan", "none", "h,s,d"),
+    ("inf", "none", "s,d,q"),
+])
+def test_cli_non_finite_entry_is_one_line_error(tmp_path, value, solver, precisions):
+    path = tmp_path / "nonfinite.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 3\n"
+                    f"1 1 1.0\n2 2 {value}\n3 3 1.0\n")
+    res = _run_cli(["solve", "--matrix", str(path), "--solver", solver, "--precisions", precisions])
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [f"error: line 4: non-finite value '{value}'"], res.stderr
+
+
 def test_cli_main_callable_directly(capsys):
     rc = main(["solve", "--matrix", "ident_32", "--solver", "none", "--precisions", "s,d,q"])
     assert rc == 0
