@@ -371,6 +371,12 @@ def _round_in_place(x: np.ndarray, p: Precision) -> np.ndarray:
     return x
 
 
+def _reach(v: np.ndarray) -> int:
+    """One past the last nonzero entry of ``v``; 0 if there is none."""
+    nz = np.flatnonzero(v)
+    return int(nz[-1]) + 1 if nz.size else 0
+
+
 def dense_lu(A, uf: Precision) -> DenseLu:
     """LU with partial pivoting, every operation rounded to ``uf``.
 
@@ -378,12 +384,22 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     :class:`SingularMatrixError` on an exactly zero pivot and
     :class:`OverflowInFactorizationError` when the factors contain
     non-finite entries (the caller may equilibrate and retry).
+
+    Step k subtracts its rank-1 update only from the rows up to its last
+    nonzero multiplier and the columns up to the last nonzero entry of its
+    pivot row; every entry skipped would get a - fl(+-0 * u) = a.  Partial
+    pivoting keeps the factors inside the band, so the cost follows the
+    bandwidth of the ordered matrix, not n**3.  The factors are those of
+    the full-block update bit for bit: a -0 in the rounded input makes every
+    step take the full block (-0 - -0 = +0), and so does an inf or NaN in a
+    step's multipliers or pivot row (0 * inf = NaN).
     """
     M = round_array(np.array(A, dtype=np.float64), uf)
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
     perm = np.arange(n)
+    signed_zero = bool(np.any(np.signbit(M) & (M == 0.0)))
     with np.errstate(**ERRSTATE):
         for k in range(n - 1):
             p = k + int(np.argmax(np.abs(M[k:, k])))
@@ -395,9 +411,14 @@ def dense_lu(A, uf: Precision) -> DenseLu:
             col = M[k + 1 :, k]
             col /= M[k, k]
             _round_in_place(col, uf)
-            trailing = M[k + 1 :, k + 1 :]
-            trailing -= _round_in_place(np.outer(col, M[k, k + 1 :]), uf)
-            _round_in_place(trailing, uf)
+            row = M[k, k + 1 :]
+            if signed_zero or not (np.isfinite(col).all() and np.isfinite(row).all()):
+                re, ce = col.shape[0], row.shape[0]
+            else:
+                re, ce = _reach(col), _reach(row)
+            block = M[k + 1 : k + 1 + re, k + 1 : k + 1 + ce]
+            block -= _round_in_place(np.outer(col[:re], row[:ce]), uf)
+            _round_in_place(block, uf)
     if M[n - 1, n - 1] == 0.0:
         raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
     if not np.all(np.isfinite(M)):
@@ -448,8 +469,9 @@ def dd_solve(A, b, method: str = "refined"):
     """Reference solution of A x = b accurate to double-double level.
 
     ``method="refined"`` (default) factors a dense copy once in double with
-    :func:`dense_lu` and then refines with double-double residuals until the
-    residual stops improving; the limiting forward error is of order
+    :func:`dense_lu`, whose cost follows the bandwidth of ``A`` as ordered,
+    and then refines with double-double residuals until the residual stops
+    improving; the limiting forward error is of order
     ``unit_roundoff(QUAD) * cond(A)``.  ``method="factor"`` carries the whole
     dense factorization in double-double and is used as an independent
     oracle at small sizes.  Returns ``(x_hi, x_lo)`` as a normalized

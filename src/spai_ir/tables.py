@@ -228,7 +228,8 @@ def run_table(name: str, *, directory: Path | None = None, solvers=None,
             loaded[row.matrix] = load_matrix_market(path) if path else None
         A = loaded[row.matrix]
         if A is None:
-            rows.append(result_row(row.matrix, row.precond, row.eps, settings["uf"], golden=row))
+            rows.append(result_row(row.matrix, row.precond, row.eps, parse_precision(settings["uf"]).name,
+                                   golden=row))
             continue
         if row.matrix not in refs:
             refs[row.matrix] = dd_solve(A, rhs_for(A.n_rows))

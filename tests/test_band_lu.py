@@ -1,0 +1,70 @@
+"""Property test of the band-limited update of ``dense_lu``.
+
+Each elimination step of ``dense_lu`` updates only the rows up to its last
+nonzero multiplier and the columns up to the last nonzero entry of its
+pivot row.  That is bit-exact only if the skipped entries would not have
+changed, so ``dense_lu`` is compared here, as raw bytes, with
+``reference_dense_lu``, which updates the whole trailing block at every
+step.  Both must return the same factors and pivot order, or raise the same
+exception with the same message.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import reference_dense_lu
+from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
+
+# as given, overflow of half / single / double, underflow of half / single / double
+SCALES = (1.0, 3.0e4, 1.0e5, 1.0e37, 1.0e300, 1.0e-7, 1.0e-44, 1.0e-310)
+
+
+def outcome(factor, A, uf):
+    try:
+        f = factor(A, uf)
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+    return f.lu.tobytes(), f.perm.tobytes()
+
+
+@st.composite
+def lu_inputs(draw):
+    """A banded, random-sparse or dense matrix with n in 1..40, its rows
+    spread over several decades and the whole scaled, often out of the
+    format's range; -0 and inf entries, zero rows and zero columns are
+    planted in it."""
+    n = draw(st.integers(1, 40))
+    uf = draw(st.sampled_from([HALF, SINGLE, DOUBLE]))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n))
+    kind = draw(st.sampled_from(["banded", "sparse", "dense"]))
+    if kind == "banded":
+        lower, upper = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        i, j = np.indices((n, n))
+        A[(i - j > lower) | (j - i > upper)] = 0.0
+    elif kind == "sparse":
+        A[rng.rand(n, n) >= draw(st.sampled_from([0.05, 0.2, 0.5]))] = 0.0
+    if draw(st.booleans()):
+        A[np.diag_indices(n)] += 4.0 * np.sign(rng.standard_normal(n))
+    A *= 10.0 ** rng.uniform(-draw(st.integers(0, 6)), 0.0, (n, 1))
+    A *= draw(st.sampled_from(SCALES))
+    for value, most in ((-0.0, 8), (np.inf, 2)):
+        planted = draw(st.integers(0, most))
+        A[rng.randint(n, size=planted), rng.randint(n, size=planted)] = value
+    A[rng.randint(n, size=draw(st.integers(0, 2))), :] = 0.0
+    A[:, rng.randint(n, size=draw(st.integers(0, 2)))] = 0.0
+    return A, uf
+
+
+@settings(max_examples=400, deadline=None)
+@given(lu_inputs())
+# a -0 that a full step turns into +0 (-0 - -0): L holds +0 at [2, 1]
+@example((np.array([[2.0, -1.0, 0.0], [1.0, 1.0, 1.0], [0.0, -0.0, 1.0]]), DOUBLE))
+# an inf in the pivot row over zero multipliers (0 * inf = NaN): overflow, not a zero pivot
+@example((np.array([[1.0, 1e5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), HALF))
+# a NaN multiplier (inf / inf) over a zero pivot row: overflow, not a zero pivot
+@example((np.array([[1e5, 0.0, 0.0], [1e5, 0.0, 0.0], [0.0, 0.0, 0.0]]), HALF))
+def test_dense_lu_equals_full_block_reference(case):
+    A, uf = case
+    assert outcome(dense_lu, A, uf) == outcome(reference_dense_lu, A, uf)

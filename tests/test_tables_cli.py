@@ -45,6 +45,13 @@ def test_run_table_all_rows_missing_without_benchmark_files(tmp_path):
     assert all(r["status"] == "missing" for r in rows)
 
 
+def test_run_table_missing_rows_name_the_precision(tmp_path):
+    # a missing row reports uf as a solved row does: the precision's name, not its flag
+    rows = run_table("t5", directory=tmp_path)
+    assert rows and all(r["status"] == "missing" for r in rows)
+    assert {r["uf"] for r in rows} == {"half"}
+
+
 def test_run_table_row_band_comparison():
     # exercise the golden-row pipeline end to end on a shipped matrix by
     # using a self-consistent reference, then a deliberately wrong one
