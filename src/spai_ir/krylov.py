@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precision import ERRSTATE, Precision, _rnd, fl_dot, fl_norm2, fl_op, round_array
+from .precision import Precision, fl, fl_dot, fl_norm2, fl_op, quiet
 from .sparse import SparseMatrix, matvec
 
 __all__ = [
@@ -64,7 +64,7 @@ class GmresReport:
 
 def _apply_p(P, v: np.ndarray, up: Precision) -> np.ndarray:
     if P is None:
-        return round_array(v, up)
+        return fl(v, up)
     if isinstance(P, SparseMatrix):
         return matvec(P, v, up)
     return P.apply(v, up)
@@ -85,6 +85,7 @@ def apply_precond_matvec(A: SparseMatrix, P, v: np.ndarray, up: Precision) -> np
     return y
 
 
+@quiet
 def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     """Solve P A d = P r by MGS-GMRES; returns ``(d, GmresReport)``.
 
@@ -102,7 +103,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     z = _apply_p(P, r, cfg.up)
     if not np.all(np.isfinite(z)):
         raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")
-    z = round_array(z, cfg.ug)
+    z = fl(z, cfg.ug)
     beta = fl_norm2(z, cfg.ug)
     if beta == 0.0:
         return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
@@ -114,7 +115,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     sn = np.zeros(m)
     g = np.zeros(m + 1)
     g[0] = beta
-    V[:, 0] = round_array(z / beta, cfg.ug)
+    V[:, 0] = fl(z / beta, cfg.ug)
     relres_history = [1.0]
     breakdown = False
     converged = False
@@ -123,12 +124,11 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
 
     for j in range(m):
         w = apply_precond_matvec(A, P, V[:, j], cfg.up)
-        with np.errstate(**ERRSTATE):
-            w = _rnd(w, cfg.ug)
-            for i in range(j + 1):
-                hij = fl_dot(V[:, i], w, cfg.ug)
-                H[i, j] = hij
-                w = _rnd(w - _rnd(hij * V[:, i], cfg.ug), cfg.ug)
+        w = fl(w, cfg.ug)
+        for i in range(j + 1):
+            hij = fl_dot(V[:, i], w, cfg.ug)
+            H[i, j] = hij
+            w = fl(w - fl(hij * V[:, i], cfg.ug), cfg.ug)
         hnext = fl_norm2(w, cfg.ug)
         H[j + 1, j] = hnext
 
@@ -160,7 +160,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
             # the true preconditioned residual is checked after the solve
             verify_breakdown = True
             break
-        V[:, j + 1] = round_array(w / hnext, cfg.ug)
+        V[:, j + 1] = fl(w / hnext, cfg.ug)
         if relres <= cfg.tau:
             converged = True
             break
@@ -172,11 +172,11 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
         y[c] = fl_op("div", fl_op("sub", g[c], s, p=cfg.ug), H[c, c], p=cfg.ug)
     d = np.zeros(n)
     for c in range(k):
-        d = round_array(d + round_array(y[c] * V[:, c], cfg.ug), cfg.ug)
+        d = fl(d + fl(y[c] * V[:, c], cfg.ug), cfg.ug)
 
     if verify_breakdown:
         q = apply_precond_matvec(A, P, d, cfg.up)
-        true_rel = fl_norm2(round_array(z - q, cfg.ug), cfg.ug) / beta
+        true_rel = fl_norm2(fl(z - q, cfg.ug), cfg.ug) / beta
         relres_history[-1] = float(true_rel)
         if true_rel <= cfg.tau:
             converged = True

@@ -1,11 +1,18 @@
 """Software emulation of floating-point formats.
 
 Every value is stored in a native ``float64``; a value "lives in" a lower
-format when it is a fixed point of :func:`round_scalar` for that format.
-Arithmetic is emulated operate-then-round: each elementary operation is
-carried out exactly in double and the result is rounded to the target
-format (round-to-nearest, ties-to-even, subnormals kept, overflow to
-infinity).
+format when it is a fixed point of :func:`fl` for that format.  Arithmetic
+is emulated operate-then-round: each elementary operation is carried out
+exactly in double and the result is rounded to the target format by
+:func:`fl`, the one rounding kernel (round-to-nearest, ties-to-even,
+subnormals kept, overflow to infinity).
+
+Overflow to infinity and 0/0 = NaN are intended results, not errors.  The
+functions that compute on emulated values are wrapped in :func:`quiet`, the
+one numpy error-state policy, so no numpy warning leaves the package.  The
+kernel and the primitives ``fl_op``, ``fl_sum``, ``fl_dot`` and ``fl_norm2``
+stay bare because they run in the innermost loops; a caller outside the
+package wraps them in :func:`quiet`.
 
 The quad-emulated format is realized with compensated double-double
 arithmetic built on error-free transformations; it is used for high
@@ -14,6 +21,7 @@ accuracy residuals and reference solves, not as a storage format.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,8 +35,8 @@ __all__ = [
     "QUAD",
     "PRECISIONS",
     "parse_precision",
-    "round_scalar",
-    "round_array",
+    "quiet",
+    "fl",
     "fl_op",
     "fl_sum",
     "fl_dot",
@@ -96,49 +104,42 @@ def parse_precision(flag: str) -> Precision:
     raise ValueError(f"unknown precision {flag!r}; expected one of h, s, d, q")
 
 
-def _rnd(x: np.ndarray, p: Precision) -> np.ndarray:
-    """Bare rounding kernel: float64 ndarray in, no error-state handling.
+def quiet(fn):
+    """Run ``fn`` with numpy's overflow, invalid and divide warnings off.
 
-    Hot-path helper; the public entry points of this package establish a
-    numpy error state that silences the overflow-to-infinity cast.
+    A fresh ``np.errstate`` is entered per call, so nested calls restore
+    the caller's state on every numpy version (one shared instance used as
+    a decorator is not re-entrant before numpy 2.0).
     """
+
+    @functools.wraps(fn)
+    def quieted(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fn(*args, **kwargs)
+
+    return quieted
+
+
+def fl(x, p: Precision, inplace: bool = False):
+    """Round to format ``p``: the one rounding kernel of the package.
+
+    A number gives a float; a float64 array gives a new float64 array, or
+    with ``inplace`` is rounded in place, without a float64 temporary, and
+    returned.  Round-to-nearest-even with subnormals kept; values beyond
+    the format's range become infinities.  Double and quad-emulated keep
+    the double word: an array comes back as itself.
+
+    Overflow to +-inf is the intended result, but the kernel is bare: numpy
+    warns of it unless the caller runs under :func:`quiet`.
+    """
+    if not isinstance(x, np.ndarray):
+        return float(x) if p.dtype is None else float(p.dtype(x))
     if p.dtype is None:
         return x
-    return x.astype(p.dtype).astype(np.float64)
-
-
-def round_array(x: np.ndarray, p: Precision) -> np.ndarray:
-    """Round every entry of ``x`` to format ``p``, returned as float64.
-
-    Round-to-nearest-even with subnormal support; values beyond the format
-    range become infinities.  For double and quad-emulated this is the
-    identity (and may return the input array itself).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if p.dtype is None:
-        return x
-    with np.errstate(over="ignore"):
+    if not inplace:
         return x.astype(p.dtype).astype(np.float64)
-
-
-# numpy error-state configuration installed by the public entry points so
-# the rounding kernels can stay bare (overflow-to-infinity is the intended
-# semantics, not an error)
-ERRSTATE = dict(over="ignore", invalid="ignore", divide="ignore")
-
-
-def _rnd_scalar(x: float, p: Precision) -> float:
-    if p.dtype is None:
-        return float(x)
-    return float(p.dtype(x))
-
-
-def round_scalar(x: float, p: Precision) -> float:
-    """Round one double to format ``p`` (see :func:`round_array`)."""
-    if p.dtype is None:
-        return float(x)
-    with np.errstate(over="ignore"):
-        return float(p.dtype(x))
+    x[...] = x.astype(p.dtype)
+    return x
 
 
 def fl_op(op: str, a: float, b: float | None = None, p: Precision = DOUBLE) -> float:
@@ -149,13 +150,14 @@ def fl_op(op: str, a: float, b: float | None = None, p: Precision = DOUBLE) -> f
     infinity, 0/0 gives NaN); the square root of a negative raises
     :class:`DomainError`.  For the quad emulation the returned double is the
     high word of the compensated result, which for a single operation on
-    double operands is just the correctly rounded double.
+    double operands is just the correctly rounded double.  Bare, like
+    :func:`fl`: outside :func:`quiet` overflow and x/0 warn.
     """
     a = float(a)
     if op == "sqrt":
         if a < 0.0:
             raise DomainError("domain")
-        return _rnd_scalar(math.sqrt(a), p)
+        return fl(math.sqrt(a), p)
     b = float(b)  # type: ignore[arg-type]
     if op == "add":
         r = a + b
@@ -164,11 +166,10 @@ def fl_op(op: str, a: float, b: float | None = None, p: Precision = DOUBLE) -> f
     elif op == "mul":
         r = a * b
     elif op == "div":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = float(np.divide(a, b))
+        r = np.float64(a) / b
     else:
         raise ValueError(f"unknown operation {op!r}")
-    return _rnd_scalar(r, p)
+    return fl(r, p)
 
 
 def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarray | float:
@@ -185,7 +186,8 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     were summed alone: entries past the length are taken as +0, and each
     result is read from its own power-of-two subtree, at level
     ceil(log2 length), not from the root of the longer tree (adding the
-    root's further +0 terms would turn a -0 sum into +0).
+    root's further +0 terms would turn a -0 sum into +0).  Bare, like
+    :func:`fl`: outside :func:`quiet` overflow warns.
     """
     s = np.asarray(v, dtype=np.float64)
     if axis:
@@ -211,7 +213,7 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     out = s[0]
     level = 0
     while s.shape[0] > 1:
-        s = _rnd(s[0::2] + s[1::2], p)
+        s = fl(s[0::2] + s[1::2], p)
         level += 1
         out = s[0] if levels is None else np.where(levels == level, s[0], out)
     return float(out) if out.ndim == 0 else out
@@ -220,16 +222,15 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
 def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0,
            lengths=None) -> np.ndarray | float:
     """Inner product in ``p``: each product rounded, then a rounded pairwise
-    sum (see :func:`fl_sum` for ``axis`` and ``lengths``)."""
-    prods = _rnd(np.asarray(u, dtype=np.float64) * np.asarray(v, dtype=np.float64), p)
+    sum (see :func:`fl_sum` for ``axis``, ``lengths`` and overflow)."""
+    prods = fl(np.asarray(u, dtype=np.float64) * np.asarray(v, dtype=np.float64), p)
     return fl_sum(prods, p, axis=axis, lengths=lengths)
 
 
 def fl_norm2(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarray | float:
     """Euclidean norm computed in ``p``: a rounded dot, then a rounded square
-    root (see :func:`fl_sum` for ``axis`` and ``lengths``)."""
-    norm = _rnd(np.sqrt(fl_dot(v, v, p, axis=axis, lengths=lengths)), p)
-    return float(norm) if np.ndim(norm) == 0 else norm
+    root (see :func:`fl_sum` for ``axis``, ``lengths`` and overflow)."""
+    return fl(np.sqrt(fl_dot(v, v, p, axis=axis, lengths=lengths)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +310,7 @@ def _dd_residual_parts(A, xh, xl, b):
     return dd_add(b, np.zeros_like(b), -sh, -sl)
 
 
+@quiet
 def dd_residual(A, x, b) -> np.ndarray:
     """b - A x with all accumulation in double-double, rounded to double.
 
@@ -349,26 +351,18 @@ class DenseLu:
         with the diagonal of U."""
         return int(np.count_nonzero(self.lu))
 
+    @quiet
     def substitute(self, b: np.ndarray, p: Precision) -> np.ndarray:
         """Solve L U x = b for ``b`` already in pivot order by forward and
         back substitution, every operation rounded to ``p``."""
         lu = self.lu
-        x = round_array(np.asarray(b, dtype=np.float64), p).copy()
-        with np.errstate(**ERRSTATE):
-            for k in range(lu.shape[0] - 1):
-                x[k + 1 :] = _rnd(x[k + 1 :] - _rnd(lu[k + 1 :, k] * x[k], p), p)
-            for k in range(lu.shape[0] - 1, -1, -1):
-                x[k] = _rnd_scalar(x[k] / lu[k, k], p)
-                x[:k] = _rnd(x[:k] - _rnd(lu[:k, k] * x[k], p), p)
+        x = fl(np.array(b, dtype=np.float64), p, inplace=True)
+        for k in range(lu.shape[0] - 1):
+            x[k + 1 :] = fl(x[k + 1 :] - fl(lu[k + 1 :, k] * x[k], p), p)
+        for k in range(lu.shape[0] - 1, -1, -1):
+            x[k] = fl(x[k] / lu[k, k], p)
+            x[:k] = fl(x[:k] - fl(lu[:k, k] * x[k], p), p)
         return x
-
-
-def _round_in_place(x: np.ndarray, p: Precision) -> np.ndarray:
-    """:func:`_rnd` written back into ``x`` (returned), without a float64
-    temporary."""
-    if p.dtype is not None:
-        x[...] = x.astype(p.dtype)
-    return x
 
 
 def _reach(v: np.ndarray) -> int:
@@ -377,6 +371,7 @@ def _reach(v: np.ndarray) -> int:
     return int(nz[-1]) + 1 if nz.size else 0
 
 
+@quiet
 def dense_lu(A, uf: Precision) -> DenseLu:
     """LU with partial pivoting, every operation rounded to ``uf``.
 
@@ -394,31 +389,30 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     step take the full block (-0 - -0 = +0), and so does an inf or NaN in a
     step's multipliers or pivot row (0 * inf = NaN).
     """
-    M = round_array(np.array(A, dtype=np.float64), uf)
+    M = fl(np.array(A, dtype=np.float64), uf, inplace=True)
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
     perm = np.arange(n)
     signed_zero = bool(np.any(np.signbit(M) & (M == 0.0)))
-    with np.errstate(**ERRSTATE):
-        for k in range(n - 1):
-            p = k + int(np.argmax(np.abs(M[k:, k])))
-            if M[p, k] == 0.0:
-                raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
-            if p != k:
-                M[[k, p]] = M[[p, k]]
-                perm[[k, p]] = perm[[p, k]]
-            col = M[k + 1 :, k]
-            col /= M[k, k]
-            _round_in_place(col, uf)
-            row = M[k, k + 1 :]
-            if signed_zero or not (np.isfinite(col).all() and np.isfinite(row).all()):
-                re, ce = col.shape[0], row.shape[0]
-            else:
-                re, ce = _reach(col), _reach(row)
-            block = M[k + 1 : k + 1 + re, k + 1 : k + 1 + ce]
-            block -= _round_in_place(np.outer(col[:re], row[:ce]), uf)
-            _round_in_place(block, uf)
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(M[k:, k])))
+        if M[p, k] == 0.0:
+            raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
+        if p != k:
+            M[[k, p]] = M[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+        col = M[k + 1 :, k]
+        col /= M[k, k]
+        fl(col, uf, inplace=True)
+        row = M[k, k + 1 :]
+        if signed_zero or not (np.isfinite(col).all() and np.isfinite(row).all()):
+            re, ce = col.shape[0], row.shape[0]
+        else:
+            re, ce = _reach(col), _reach(row)
+        block = M[k + 1 : k + 1 + re, k + 1 : k + 1 + ce]
+        block -= fl(np.outer(col[:re], row[:ce]), uf, inplace=True)
+        fl(block, uf, inplace=True)
     if M[n - 1, n - 1] == 0.0:
         raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
     if not np.all(np.isfinite(M)):
@@ -429,8 +423,8 @@ def dense_lu(A, uf: Precision) -> DenseLu:
 def _dd_lu_solve(A: np.ndarray, b: np.ndarray):
     """Dense LU factorization and solve carried entirely in double-double.
 
-    Cubic in n with heavy per-element cost; intended for modest sizes and
-    as an independent cross-check of the refined solver.
+    Cubic in n with heavy per-element cost: an independent oracle for
+    :func:`dd_solve` at small sizes.
     """
     Ah = np.array(A, dtype=np.float64)
     Al = np.zeros_like(Ah)
@@ -465,26 +459,20 @@ def _dd_lu_solve(A: np.ndarray, b: np.ndarray):
     return bh, bl
 
 
-def dd_solve(A, b, method: str = "refined"):
+@quiet
+def dd_solve(A, b):
     """Reference solution of A x = b accurate to double-double level.
 
-    ``method="refined"`` (default) factors a dense copy once in double with
-    :func:`dense_lu`, whose cost follows the bandwidth of ``A`` as ordered,
-    and then refines with double-double residuals until the residual stops
-    improving; the limiting forward error is of order
-    ``unit_roundoff(QUAD) * cond(A)``.  ``method="factor"`` carries the whole
-    dense factorization in double-double and is used as an independent
-    oracle at small sizes.  Returns ``(x_hi, x_lo)`` as a normalized
-    double-double pair.
+    Factors a dense copy once in double with :func:`dense_lu`, whose cost
+    follows the bandwidth of ``A`` as ordered, and then refines with
+    double-double residuals until the residual stops improving; the limiting
+    forward error is of order ``unit_roundoff(QUAD) * cond(A)``.  Returns
+    ``(x_hi, x_lo)`` as a normalized double-double pair.
     """
     b = np.asarray(b, dtype=np.float64)
     dense = A.to_dense() if hasattr(A, "to_dense") else np.asarray(A, dtype=np.float64)
     if dense.shape[0] != dense.shape[1] or dense.shape[0] != b.shape[0]:
         raise ValueError("dd_solve needs a square system with matching right-hand side")
-    if method == "factor":
-        return _dd_lu_solve(dense, b)
-    if method != "refined":
-        raise ValueError(f"unknown method {method!r}")
     factors = dense_lu(dense, DOUBLE)
     resid_target = A if hasattr(A, "row_slots") else dense
     xh = factors.substitute(b[factors.perm], DOUBLE)

@@ -26,8 +26,9 @@ from .precision import (
     dd_residual,
     dd_solve,
     dense_lu,
+    fl,
     fl_op,
-    round_array,
+    quiet,
 )
 from .krylov import GmresConfig, GmresReport, pgmres_left
 from .spai import SpaiParams, SpaiPreconditioner, build_left_preconditioner
@@ -75,7 +76,6 @@ class IrConfig:
     c_ferr: float = 1.0
     c_nbe: float = 1.0
     use_ferr: bool = True
-    gmres_max_iters: int | None = None
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
@@ -171,13 +171,14 @@ class LuPreconditioner:
     def nnz(self) -> int:
         return self.factors.nnz_lu
 
+    @quiet
     def apply(self, v: np.ndarray, p: Precision) -> np.ndarray:
-        x = round_array(np.asarray(v, dtype=np.float64)[self.rows], p)
+        x = fl(np.asarray(v, dtype=np.float64)[self.rows], p)
         if self.r is not None:
-            x = round_array(round_array(self.mu * x, p) * self.r, p)
+            x = fl(fl(self.mu * x, p) * self.r, p)
         x = self.factors.substitute(x, p)
         if self.s is not None:
-            x = round_array(x * self.s, p)
+            x = fl(x * self.s, p)
         return x[self.inv_order]
 
     def apply_dense_exact(self, X: np.ndarray) -> np.ndarray:
@@ -264,6 +265,7 @@ class PreparedSolver:
         return 0
 
 
+@quiet
 def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
     """Build the preconditioner or factors required by ``cfg.solver``."""
     if cfg.solver == "spai":
@@ -280,7 +282,7 @@ def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
             lu = LuPreconditioner(dense_lu(dense, cfg.uf), order)
         except OverflowInFactorizationError:
             r, s, mu = equilibrate_two_sided(dense, cfg.uf)
-            hatA = round_array(mu * (dense * r[:, None]) * s[None, :], cfg.uf)
+            hatA = fl(mu * (dense * r[:, None]) * s[None, :], cfg.uf)
             lu = LuPreconditioner(dense_lu(hatA, cfg.uf), order, r=r, s=s, mu=mu)
         return PreparedSolver(kind=cfg.solver, precond=lu, lu_scaled=lu.r is not None)
     return PreparedSolver(kind="none")
@@ -290,9 +292,10 @@ def _residual(A: SparseMatrix, x: np.ndarray, b: np.ndarray, ur: Precision) -> n
     if ur is QUAD:
         return dd_residual(A, x, b)
     y = matvec(A, x, ur)
-    return round_array(b - y, ur)
+    return fl(b - y, ur)
 
 
+@quiet
 def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver | None = None,
            x_ref=None):
     """Iterative refinement of A x = b under ``cfg``; returns ``(x, IrReport)``.
@@ -311,12 +314,12 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
 
     # initial solution in uf, stored in u
     if solver.kind == "spai":
-        x = matvec(solver.spai.P, round_array(b, cfg.uf), cfg.uf)
+        x = matvec(solver.spai.P, fl(b, cfg.uf), cfg.uf)
     elif solver.kind in ("lu", "sir"):
         x = solver.precond.apply(b, cfg.uf)
     else:
         x = np.zeros(n)
-    x = round_array(x, cfg.u)
+    x = fl(x, cfg.u)
 
     ferr, nbe = measure_errors(A, b, x, x_ref=x_ref)
     ferr_hist = [ferr]
@@ -337,11 +340,10 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
     converged = converged_now(None if cfg.use_ferr else math.inf)
     stagnated = False
     steps = 0
-    max_iters = cfg.gmres_max_iters if cfg.gmres_max_iters is not None else n
-    gmres_cfg = GmresConfig(tau=cfg.tau, max_iters=max_iters, ug=cfg.gmres_ug, up=cfg.gmres_up)
+    gmres_cfg = GmresConfig(tau=cfg.tau, max_iters=n, ug=cfg.gmres_ug, up=cfg.gmres_up)
 
     while not converged and steps < cfg.i_max:
-        r = round_array(_residual(A, x, b, cfg.ur), cfg.u)
+        r = fl(_residual(A, x, b, cfg.ur), cfg.u)
         if solver.kind == "sir":
             d = solver.precond.apply(r, cfg.uf)
             iters_per_step.append(0)
@@ -350,8 +352,8 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
             d, grep = pgmres_left(A, P, r, gmres_cfg)
             gmres_reports.append(grep)
             iters_per_step.append(grep.iters)
-        d = round_array(d, cfg.u)
-        x_new = round_array(x + d, cfg.u)
+        d = fl(d, cfg.u)
+        x_new = fl(x + d, cfg.u)
         step_ratio = (
             float(np.max(np.abs(d))) / float(np.max(np.abs(x_new)))
             if np.any(x_new)
@@ -393,7 +395,7 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
                 "ug": cfg.gmres_ug.name,
                 "up": cfg.gmres_up.name,
             },
-            "gmres_capped": any(rep.iters >= max_iters and not rep.converged for rep in gmres_reports),
+            "gmres_capped": any(rep.iters >= n and not rep.converged for rep in gmres_reports),
             "gmres_breakdown": any(rep.breakdown for rep in gmres_reports),
             "lu_scaled": solver.lu_scaled,
         },

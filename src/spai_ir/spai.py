@@ -14,17 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precision import (
-    ERRSTATE,
-    QUAD,
-    SINGLE,
-    Precision,
-    _rnd,
-    fl_dot,
-    fl_norm2,
-    fl_op,
-    fl_sum,
-)
+from .precision import QUAD, SINGLE, Precision, fl, fl_dot, fl_norm2, fl_op, fl_sum, quiet
 from .sparse import (  # noqa: F401 - shadow and extract_submatrix are bound here for perfbench/tracer.py
     ScalingInfo,
     SparseMatrix,
@@ -130,6 +120,7 @@ class SpaiPreconditioner:
         }
 
 
+@quiet
 def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
     """Householder least squares min ||A_i x - e_i||_2 for a batch of blocks, all in ``uf``.
 
@@ -156,37 +147,36 @@ def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
     # updates the trailing block
     W = np.concatenate([B, e[:, :, None]], axis=2)
     row_ok = np.arange(M) < m[:, None]
-    with np.errstate(**ERRSTATE):
-        for j in range(steps):
-            live = (j < p) & ~deficient
-            rows = np.maximum(m - j, 0)
-            x = W[:, j:, j]
-            nx = fl_norm2(x, uf, axis=1, lengths=rows)
-            deficient |= live & (nx == 0.0)
-            live &= nx != 0.0
-            alpha = np.where(x[:, 0] >= 0.0, -nx, nx)
-            v = x.copy()
-            v[:, 0] = _rnd(x[:, 0] - alpha, uf)
-            vtv = fl_dot(v, v, uf, axis=1, lengths=rows)
-            # apply H = I - 2 v v^T / (v^T v) to the trailing block and to e
-            trail = W[:, j:, j + 1 :]
-            s = fl_dot(v[:, :, None], trail, uf, axis=1, lengths=rows[:, None])
-            coef = _rnd(_rnd(2.0 * s, uf) / vtv[:, None], uf)
-            new = _rnd(trail - _rnd(v[:, :, None] * coef[:, None, :], uf), uf)
-            upd = live & (vtv != 0.0)
-            W[:, j:, j + 1 :] = np.where(upd[:, None, None], new, trail)
-            W[live, j, j] = alpha[live]
-            W[live, j + 1 :, j] = 0.0
-        mbar = np.zeros((N, P))
-        for c in range(steps - 1, -1, -1):
-            s = fl_dot(W[:, c, c + 1 : P], mbar[:, c + 1 :], uf, axis=1, lengths=np.maximum(p - c - 1, 0))
-            mbar[:, c] = np.where(c < p, _rnd(_rnd(W[:, c, P] - s, uf) / W[:, c, c], uf), 0.0)
-        # residual on the original block, fixed ascending-column accumulation
-        y = np.zeros((N, M))
-        for c in range(steps):
-            t = _rnd(y + _rnd(B[:, :, c] * mbar[:, c, None], uf), uf)
-            y = np.where((c < p)[:, None], t, y)
-        sbar = np.where(row_ok, _rnd(y - e, uf), 0.0)
+    for j in range(steps):
+        live = (j < p) & ~deficient
+        rows = np.maximum(m - j, 0)
+        x = W[:, j:, j]
+        nx = fl_norm2(x, uf, axis=1, lengths=rows)
+        deficient |= live & (nx == 0.0)
+        live &= nx != 0.0
+        alpha = np.where(x[:, 0] >= 0.0, -nx, nx)
+        v = x.copy()
+        v[:, 0] = fl(x[:, 0] - alpha, uf)
+        vtv = fl_dot(v, v, uf, axis=1, lengths=rows)
+        # apply H = I - 2 v v^T / (v^T v) to the trailing block and to e
+        trail = W[:, j:, j + 1 :]
+        s = fl_dot(v[:, :, None], trail, uf, axis=1, lengths=rows[:, None])
+        coef = fl(fl(2.0 * s, uf) / vtv[:, None], uf)
+        new = fl(trail - fl(v[:, :, None] * coef[:, None, :], uf), uf)
+        upd = live & (vtv != 0.0)
+        W[:, j:, j + 1 :] = np.where(upd[:, None, None], new, trail)
+        W[live, j, j] = alpha[live]
+        W[live, j + 1 :, j] = 0.0
+    mbar = np.zeros((N, P))
+    for c in range(steps - 1, -1, -1):
+        s = fl_dot(W[:, c, c + 1 : P], mbar[:, c + 1 :], uf, axis=1, lengths=np.maximum(p - c - 1, 0))
+        mbar[:, c] = np.where(c < p, fl(fl(W[:, c, P] - s, uf) / W[:, c, c], uf), 0.0)
+    # residual on the original block, fixed ascending-column accumulation
+    y = np.zeros((N, M))
+    for c in range(steps):
+        t = fl(y + fl(B[:, :, c] * mbar[:, c, None], uf), uf)
+        y = np.where((c < p)[:, None], t, y)
+    sbar = np.where(row_ok, fl(y - e, uf), 0.0)
     return mbar, sbar, deficient
 
 
@@ -206,6 +196,7 @@ def solve_column_ls(Abar: np.ndarray, ebar: np.ndarray, uf: Precision):
     return mbar[0], sbar[0]
 
 
+@quiet
 def rho_score(sbar: np.ndarray, a_col_on_I: np.ndarray, uf: Precision) -> float:
     """Predicted residual norm if one candidate column joins the pattern.
 
@@ -225,6 +216,7 @@ def rho_score(sbar: np.ndarray, a_col_on_I: np.ndarray, uf: Precision) -> float:
     return fl_op("sqrt", rad, p=uf)
 
 
+@quiet
 def augment_patterns(
     A: SparseMatrix,
     row_sets: list[np.ndarray],
@@ -261,14 +253,13 @@ def augment_patterns(
     C = extract_blocks(A, row_sets, cands)
     m = np.array([I.size for I in row_sets], dtype=np.int64)
     sbar = sbar[:, : C.shape[1]]
-    with np.errstate(**ERRSTATE):
-        ss = fl_dot(sbar, sbar, uf, axis=1, lengths=m)
-        dots = fl_dot(sbar[:, :, None], C, uf, axis=1, lengths=m[:, None])
-        dens = fl_dot(C, C, uf, axis=1, lengths=m[:, None])
-        q = _rnd(_rnd(dots * dots, uf) / dens, uf)
-        rad = np.maximum(_rnd(ss[:, None] - q, uf), 0.0)
-        rho = _rnd(np.sqrt(rad), uf)
-        rho_mean = _rnd(fl_sum(rho, uf, axis=1, lengths=c) / c, uf)
+    ss = fl_dot(sbar, sbar, uf, axis=1, lengths=m)
+    dots = fl_dot(sbar[:, :, None], C, uf, axis=1, lengths=m[:, None])
+    dens = fl_dot(C, C, uf, axis=1, lengths=m[:, None])
+    q = fl(fl(dots * dots, uf) / dens, uf)
+    rad = np.maximum(fl(ss[:, None] - q, uf), 0.0)
+    rho = fl(np.sqrt(rad), uf)
+    rho_mean = fl(fl_sum(rho, uf, axis=1, lengths=c) / c, uf)
     # padding sorts after every real score (NaN sorts last, padded indices
     # exceed every real one) and never passes the mean test
     real = np.arange(C.shape[2]) < c[:, None]
@@ -303,6 +294,7 @@ def augment_pattern(
     return augment_patterns(A, [Ik], [Jk], np.asarray(sbar, dtype=np.float64)[None], beta, uf, A_t)[0]
 
 
+@quiet
 def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     """Adaptive approximate inverse M ~= inv(At), all arithmetic in ``params.uf``.
 
@@ -359,8 +351,7 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
         p = np.array([J.size for J in J_sets], dtype=np.int64)
         ebar = extract_blocks(E, I_sets, active[:, None])[:, :, 0]
         mbar, sbar, deficient = solve_ls_batch(extract_blocks(B, I_sets, J_sets), ebar, m, p, uf)
-        with np.errstate(**ERRSTATE):
-            norms = fl_norm2(sbar, uf, axis=1, lengths=m)
+        norms = fl_norm2(sbar, uf, axis=1, lengths=m)
         finite = np.isfinite(mbar).all(axis=1) & np.isfinite(sbar).all(axis=1) & np.isfinite(norms)
         status[active[deficient]] = COL_RANK_DEFICIENT
         status[active[~deficient & ~finite]] = COL_OVERFLOW
@@ -399,6 +390,7 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     )
 
 
+@quiet
 def build_left_preconditioner(A: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     """Left preconditioner P ~= inv(A) via the transposed construction.
 

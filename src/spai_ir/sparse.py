@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .precision import ERRSTATE, Precision, _rnd, round_array
+from .precision import Precision, fl, quiet
 
 __all__ = [
     "SparseMatrix",
@@ -126,9 +126,10 @@ class SparseMatrix:
         cols = np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(self.indptr))
         return SparseMatrix(self.n_rows, self.n_cols, self.indptr, self.indices, self.data * d[cols])
 
+    @quiet
     def rounded(self, p: Precision) -> "SparseMatrix":
         """Values rounded to p; entries that round to zero are dropped."""
-        vals = round_array(self.data, p)
+        vals = fl(self.data, p)
         cols = np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(self.indptr))
         return SparseMatrix.from_coo(self.n_rows, self.n_cols, self.indices, cols, vals)
 
@@ -366,6 +367,7 @@ def column_scale(At: SparseMatrix) -> tuple[SparseMatrix, ScalingInfo]:
     return At.scale_columns(d), ScalingInfo(d=d)
 
 
+@quiet
 def matvec(A: SparseMatrix, x: np.ndarray, p: Precision) -> np.ndarray:
     """A @ x with every product and partial sum rounded to p.
 
@@ -378,8 +380,7 @@ def matvec(A: SparseMatrix, x: np.ndarray, p: Precision) -> np.ndarray:
     if x.shape[0] != A.n_cols:
         raise ValueError(f"dimension mismatch: {A.shape} @ {x.shape}")
     y = np.zeros(A.n_rows)
-    with np.errstate(**ERRSTATE):
-        for rows, cols, vals in A.row_slots():
-            t = _rnd(vals * x[cols], p)
-            y[rows] = _rnd(y[rows] + t, p)
+    for rows, cols, vals in A.row_slots():
+        t = fl(vals * x[cols], p)
+        y[rows] = fl(y[rows] + t, p)
     return y

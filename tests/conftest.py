@@ -8,7 +8,8 @@ from spai_ir.precision import (
     OverflowInFactorizationError,
     SingularMatrixError,
     dd_solve,
-    round_array,
+    fl,
+    quiet,
 )
 from spai_ir.reference import find_matrix
 from spai_ir.sparse import SparseMatrix, load_matrix_market
@@ -65,6 +66,7 @@ def random_dd_sparse(rng, n: int, fill: float = 0.35) -> np.ndarray:
     return A
 
 
+@quiet
 def reference_dense_lu(A, uf, seen=None) -> DenseLu:
     """Oracle for :func:`spai_ir.precision.dense_lu`: its loop as it stood
     when every step updated the whole trailing block.
@@ -75,32 +77,31 @@ def reference_dense_lu(A, uf, seen=None) -> DenseLu:
     holds an inf or NaN, and ``"nonfinite_multipliers"`` when a step's
     multipliers do.
     """
-    M = round_array(np.array(A, dtype=np.float64), uf)
+    M = fl(np.array(A, dtype=np.float64), uf)
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
     if seen is not None and np.any(np.signbit(M) & (M == 0.0)):
         seen.add("minus_zero")
     perm = np.arange(n)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n - 1):
-            p = k + int(np.argmax(np.abs(M[k:, k])))
-            if M[p, k] == 0.0:
-                raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
-            if p != k:
-                M[[k, p]] = M[[p, k]]
-                perm[[k, p]] = perm[[p, k]]
-            col = M[k + 1 :, k]
-            col /= M[k, k]
-            col[...] = round_array(col, uf)
-            if seen is not None:
-                if not np.all(np.isfinite(M[k, k + 1 :])):
-                    seen.add("nonfinite_pivot_row")
-                if not np.all(np.isfinite(col)):
-                    seen.add("nonfinite_multipliers")
-            trailing = M[k + 1 :, k + 1 :]
-            trailing -= round_array(np.outer(col, M[k, k + 1 :]), uf)
-            trailing[...] = round_array(trailing, uf)
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(M[k:, k])))
+        if M[p, k] == 0.0:
+            raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
+        if p != k:
+            M[[k, p]] = M[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+        col = M[k + 1 :, k]
+        col /= M[k, k]
+        col[...] = fl(col, uf)
+        if seen is not None:
+            if not np.all(np.isfinite(M[k, k + 1 :])):
+                seen.add("nonfinite_pivot_row")
+            if not np.all(np.isfinite(col)):
+                seen.add("nonfinite_multipliers")
+        trailing = M[k + 1 :, k + 1 :]
+        trailing -= fl(np.outer(col, M[k, k + 1 :]), uf)
+        trailing[...] = fl(trailing, uf)
     if M[n - 1, n - 1] == 0.0:
         raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
     if not np.all(np.isfinite(M)):

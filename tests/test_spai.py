@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dd_sparse
-from spai_ir.precision import DOUBLE, HALF, SINGLE, fl_norm2, round_array
+from spai_ir.precision import DOUBLE, HALF, SINGLE, fl, fl_norm2
 from spai_ir.spai import (
     RankDeficiencySignal,
     SpaiParams,
@@ -80,8 +80,8 @@ def test_ls_matches_extended_precision_oracle(rng, uf):
     for _ in range(10):
         A = rng.randn(6, 3)
         b = rng.randn(6)
-        Ar = round_array(A, uf)
-        br = round_array(b, uf)
+        Ar = fl(A, uf)
+        br = fl(b, uf)
         m, s = solve_column_ls(Ar, br, uf)
         m_star = lstsq_oracle(Ar, br)
         kappa = np.linalg.cond(Ar)
