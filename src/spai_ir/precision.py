@@ -132,13 +132,14 @@ def fl(x, p: Precision, inplace: bool = False):
     Overflow to +-inf is the intended result, but the kernel is bare: numpy
     warns of it unless the caller runs under :func:`quiet`.
     """
+    dtype = p.dtype
     if not isinstance(x, np.ndarray):
-        return float(x) if p.dtype is None else float(p.dtype(x))
-    if p.dtype is None:
+        return float(x) if dtype is None else float(dtype(x))
+    if dtype is None:
         return x
     if not inplace:
-        return x.astype(p.dtype).astype(np.float64)
-    x[...] = x.astype(p.dtype)
+        return x.astype(dtype).astype(np.float64)
+    x[...] = x.astype(dtype)
     return x
 
 
@@ -213,7 +214,7 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     out = s[0]
     level = 0
     while s.shape[0] > 1:
-        s = fl(s[0::2] + s[1::2], p)
+        s = fl(s[0::2] + s[1::2], p, inplace=True)
         level += 1
         out = s[0] if levels is None else np.where(levels == level, s[0], out)
     return float(out) if out.ndim == 0 else out
@@ -223,7 +224,7 @@ def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0,
            lengths=None) -> np.ndarray | float:
     """Inner product in ``p``: each product rounded, then a rounded pairwise
     sum (see :func:`fl_sum` for ``axis``, ``lengths`` and overflow)."""
-    prods = fl(np.asarray(u, dtype=np.float64) * np.asarray(v, dtype=np.float64), p)
+    prods = fl(np.asarray(u, dtype=np.float64) * np.asarray(v, dtype=np.float64), p, inplace=True)
     return fl_sum(prods, p, axis=axis, lengths=lengths)
 
 
