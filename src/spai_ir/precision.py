@@ -127,16 +127,16 @@ def fl(x, p: Precision, inplace: bool = False):
     with ``inplace`` is rounded in place, without a float64 temporary, and
     returned.  Round-to-nearest-even with subnormals kept; values beyond
     the format's range become infinities.  Double and quad-emulated keep
-    the double word: an array comes back as itself.
+    the double word: ``x`` comes back as itself.
 
     Overflow to +-inf is the intended result, but the kernel is bare: numpy
     warns of it unless the caller runs under :func:`quiet`.
     """
     dtype = p.dtype
-    if not isinstance(x, np.ndarray):
-        return float(x) if dtype is None else float(dtype(x))
     if dtype is None:
         return x
+    if not isinstance(x, np.ndarray):
+        return float(dtype(x))
     if not inplace:
         return x.astype(dtype).astype(np.float64)
     x[...] = x.astype(dtype)
@@ -216,7 +216,9 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     while s.shape[0] > 1:
         s = fl(s[0::2] + s[1::2], p, inplace=True)
         level += 1
-        out = s[0] if levels is None else np.where(levels == level, s[0], out)
+        if levels is not None:
+            out = np.where(levels == level, s[0], out)
+    out = s[0] if levels is None else out
     return float(out) if out.ndim == 0 else out
 
 
