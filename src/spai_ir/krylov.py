@@ -5,6 +5,12 @@ least-squares solve all run in the GMRES working precision; the operator
 and preconditioner are applied to vectors in a (possibly different)
 application precision.  No restarting: each call runs full GMRES from a
 zero initial guess, as used inside iterative refinement.
+
+The GMRES state lives in the working precision's own numpy dtype (float16,
+float32 or float64) and is computed on natively; each operation then
+rounds once, with the bits of the emulated float64-then-round loop (see
+:mod:`spai_ir.precision`).  Only the operator's float64 output is rounded
+into that dtype, and the correction leaves as float64.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precision import Precision, fl, fl_dot, fl_norm2, fl_op, quiet
+# fl_op stays bound here although unused: perfbench/tracer.py wraps krylov.fl_op
+from .precision import Precision, fl, fl_dot, fl_op, quiet
 from .sparse import SparseMatrix, matvec
 
 __all__ = [
@@ -95,27 +102,35 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     breakdown, or at ``max_iters``.  A basis norm that underflows to zero
     before the tolerance is met sets ``breakdown`` and returns the best
     iterate so far.
+
+    The whole iteration state is held in the storage dtype of ``ug``
+    (float64 for double) and computed on natively: each IEEE operation on
+    half or single values is the exact result rounded once, as the emulation
+    contract asks (see :mod:`spai_ir.precision`).  Every scalar is a numpy
+    scalar of that dtype, never a Python float, so numpy 1.x's promotion of
+    mixed scalar arithmetic to float64 cannot occur.
     """
     n = A.n_rows
     if cfg.max_iters > n:
         raise ValueError("max_iters may not exceed the problem dimension")
+    dt = cfg.ug.dtype or np.float64
     r = np.asarray(r, dtype=np.float64)
     z = _apply_p(P, r, cfg.up)
     if not np.all(np.isfinite(z)):
         raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")
-    z = fl(z, cfg.ug)
-    beta = fl_norm2(z, cfg.ug)
+    z = z.astype(dt)
+    beta = np.sqrt(fl_dot(z, z, cfg.ug))
     if beta == 0.0:
         return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
 
     m = cfg.max_iters
-    V = np.zeros((n, m + 1))
-    H = np.zeros((m + 1, m))
-    cs = np.zeros(m)
-    sn = np.zeros(m)
-    g = np.zeros(m + 1)
+    V = np.zeros((m + 1, n), dt)  # basis vectors as rows
+    H = np.zeros((m + 1, m), dt)
+    cs = np.zeros(m, dt)
+    sn = np.zeros(m, dt)
+    g = np.zeros(m + 1, dt)
     g[0] = beta
-    V[:, 0] = fl(z / beta, cfg.ug)
+    V[0] = z / beta
     relres_history = [1.0]
     breakdown = False
     converged = False
@@ -123,61 +138,58 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     k = 0
 
     for j in range(m):
-        w = apply_precond_matvec(A, P, V[:, j], cfg.up)
-        w = fl(w, cfg.ug)
+        w = apply_precond_matvec(A, P, V[j], cfg.up).astype(dt)
         for i in range(j + 1):
-            hij = fl_dot(V[:, i], w, cfg.ug)
-            H[i, j] = hij
-            w = fl(w - fl(hij * V[:, i], cfg.ug), cfg.ug)
-        hnext = fl_norm2(w, cfg.ug)
+            H[i, j] = fl_dot(V[i], w, cfg.ug)
+            w = w - H[i, j] * V[i]
+        hnext = np.sqrt(fl_dot(w, w, cfg.ug))
         H[j + 1, j] = hnext
 
         for i in range(j):
-            t1 = fl_op("add", fl_op("mul", cs[i], H[i, j], p=cfg.ug), fl_op("mul", sn[i], H[i + 1, j], p=cfg.ug), p=cfg.ug)
-            t2 = fl_op("sub", fl_op("mul", cs[i], H[i + 1, j], p=cfg.ug), fl_op("mul", sn[i], H[i, j], p=cfg.ug), p=cfg.ug)
+            t1 = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+            t2 = cs[i] * H[i + 1, j] - sn[i] * H[i, j]
             H[i, j], H[i + 1, j] = t1, t2
-        denom = fl_op(
-            "sqrt",
-            fl_op("add", fl_op("mul", H[j, j], H[j, j], p=cfg.ug), fl_op("mul", hnext, hnext, p=cfg.ug), p=cfg.ug),
-            p=cfg.ug,
-        )
+        denom = np.sqrt(H[j, j] * H[j, j] + hnext * hnext)
         if denom == 0.0:
             breakdown = True
             break
-        cs[j] = fl_op("div", H[j, j], denom, p=cfg.ug)
-        sn[j] = fl_op("div", hnext, denom, p=cfg.ug)
+        cs[j] = H[j, j] / denom
+        sn[j] = hnext / denom
         H[j, j] = denom
         H[j + 1, j] = 0.0
-        g[j + 1] = fl_op("mul", -sn[j], g[j], p=cfg.ug)
-        g[j] = fl_op("mul", cs[j], g[j], p=cfg.ug)
+        g[j + 1] = -sn[j] * g[j]
+        g[j] = cs[j] * g[j]
 
         k = j + 1
-        relres = abs(g[j + 1]) / beta
-        relres_history.append(float(relres))
+        # the stopping estimate is a double quotient, not a ug operation
+        relres = float(abs(g[j + 1])) / float(beta)
+        relres_history.append(relres)
         if hnext == 0.0:
             # basis cannot be extended; the Givens estimate reads zero here
             # whether this is a genuine happy breakdown or an underflow, so
             # the true preconditioned residual is checked after the solve
             verify_breakdown = True
             break
-        V[:, j + 1] = fl(w / hnext, cfg.ug)
+        V[j + 1] = w / hnext
         if relres <= cfg.tau:
             converged = True
             break
 
     # Hessenberg least squares in the GMRES working precision
-    y = np.zeros(k)
+    y = np.zeros(k, dt)
     for c in range(k - 1, -1, -1):
-        s = fl_dot(H[c, c + 1 : k], y[c + 1 : k], cfg.ug) if c + 1 < k else 0.0
-        y[c] = fl_op("div", fl_op("sub", g[c], s, p=cfg.ug), H[c, c], p=cfg.ug)
-    d = np.zeros(n)
+        s = fl_dot(H[c, c + 1 : k], y[c + 1 : k], cfg.ug) if c + 1 < k else dt(0.0)
+        y[c] = (g[c] - s) / H[c, c]
+    d = np.zeros(n, dt)
     for c in range(k):
-        d = fl(d + fl(y[c] * V[:, c], cfg.ug), cfg.ug)
+        d = d + y[c] * V[c]
+    d = d.astype(np.float64)
 
     if verify_breakdown:
         q = apply_precond_matvec(A, P, d, cfg.up)
-        true_rel = fl_norm2(fl(z - q, cfg.ug), cfg.ug) / beta
-        relres_history[-1] = float(true_rel)
+        zq = (z - q).astype(dt)  # exact double difference, rounded once
+        true_rel = float(np.sqrt(fl_dot(zq, zq, cfg.ug))) / float(beta)
+        relres_history[-1] = true_rel
         if true_rel <= cfg.tau:
             converged = True
         else:
@@ -187,7 +199,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     if cfg.collect_diagnostics and k:
         # the (k+1)-th basis vector exists only when the loop extended it
         cols = k if (breakdown or verify_breakdown) else k + 1
-        Vk = V[:, :cols]
-        gram = Vk.T @ Vk
+        Vk = V[:cols].astype(np.float64)
+        gram = Vk @ Vk.T
         report.ortho_defect = float(np.linalg.norm(gram - np.eye(gram.shape[0]), "fro"))
     return d, report

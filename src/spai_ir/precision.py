@@ -1,11 +1,22 @@
 """Software emulation of floating-point formats.
 
-Every value is stored in a native ``float64``; a value "lives in" a lower
+Values are stored in a native ``float64``; a value "lives in" a lower
 format when it is a fixed point of :func:`fl` for that format.  Arithmetic
 is emulated operate-then-round: each elementary operation is carried out
 exactly in double and the result is rounded to the target format by
 :func:`fl`, the one rounding kernel (round-to-nearest, ties-to-even,
 subnormals kept, overflow to infinity).
+
+Half and single values may instead be stored in their own numpy dtype
+(``Precision.dtype``) and computed on natively, as GMRES does
+(:mod:`spai_ir.krylov`), with the same bits: an IEEE ``+ - * / sqrt`` in
+float16 or float32 is the exact result rounded once, and so is the float64
+operation followed by :func:`fl`, since binary64 carries at least 2t + 2
+significant bits for t = 11 and t = 24 and that double rounding is
+innocuous (Figueroa, "When is double rounding innocuous?", SIGNUM 1995).
+numpy's float16 loops compute in float32 and round to half, innocuous for
+the same reason.  :func:`fl_sum` and :func:`fl_dot` keep such arrays in
+their dtype.
 
 Overflow to infinity and 0/0 = NaN are intended results, not errors.  The
 functions that compute on emulated values are wrapped in :func:`quiet`, the
@@ -182,6 +193,12 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     Entries are assumed to be representable in ``p`` already.  Reduces
     along ``axis``; a 1-d input gives a float.
 
+    An array stored in ``p.dtype`` (float16 or float32) is summed in that
+    dtype, level by level, and a 1-d one gives a scalar of that dtype.  The
+    bits are those of the float64 round trip, because each native IEEE
+    addition is the exact sum rounded once (see the module docstring); only
+    the float64 copies and the per-level casts are saved.
+
     ``lengths`` (broadcastable to the result's shape) sums only the first
     ``lengths`` entries of each reduced line, bit for bit as if that line
     were summed alone: entries past the length are taken as +0, and each
@@ -190,7 +207,10 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     root's further +0 terms would turn a -0 sum into +0).  Bare, like
     :func:`fl`: outside :func:`quiet` overflow warns.
     """
-    s = np.asarray(v, dtype=np.float64)
+    s = np.asarray(v)
+    native = s.dtype.type is p.dtype
+    if not native:
+        s = np.asarray(s, dtype=np.float64)
     if axis:
         s = np.moveaxis(s, axis, 0)
     m, rest = s.shape[0], s.shape[1:]
@@ -201,31 +221,43 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
             raise ValueError(f"lengths must lie in [0, {m}]")
         levels = np.frexp(np.maximum(lengths - 1, 0).astype(np.float64))[1]
     if m == 0:
-        out = np.zeros(rest)
-        return float(out) if out.ndim == 0 else out
-    size = 1 << (m - 1).bit_length()
-    if levels is not None or size != m:
-        padded = np.zeros((size,) + rest)
-        if levels is None:
-            padded[:m] = s
-        else:
-            np.copyto(padded[:m], s, where=np.arange(m).reshape((m,) + (1,) * len(rest)) < lengths)
-        s = padded
-    out = s[0]
-    level = 0
-    while s.shape[0] > 1:
-        s = fl(s[0::2] + s[1::2], p, inplace=True)
-        level += 1
-        if levels is not None:
-            out = np.where(levels == level, s[0], out)
-    out = s[0] if levels is None else out
-    return float(out) if out.ndim == 0 else out
+        out = np.zeros(rest, s.dtype)
+    else:
+        size = 1 << (m - 1).bit_length()
+        if levels is not None or size != m:
+            padded = np.zeros((size,) + rest, s.dtype)
+            if levels is None:
+                padded[:m] = s
+            else:
+                np.copyto(padded[:m], s, where=np.arange(m).reshape((m,) + (1,) * len(rest)) < lengths)
+            s = padded
+        out = s[0]
+        level = 0
+        while s.shape[0] > 1:
+            s = s[0::2] + s[1::2]
+            if not native:
+                fl(s, p, inplace=True)
+            level += 1
+            if levels is not None:
+                out = np.where(levels == level, s[0], out)
+        out = s[0] if levels is None else out
+    if out.ndim:
+        return out
+    return out[()] if native else float(out)
 
 
 def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0,
            lengths=None) -> np.ndarray | float:
     """Inner product in ``p``: each product rounded, then a rounded pairwise
-    sum (see :func:`fl_sum` for ``axis``, ``lengths`` and overflow)."""
+    sum (see :func:`fl_sum` for ``axis``, ``lengths`` and overflow).
+
+    When both arrays are stored in ``p.dtype`` the products and the sum are
+    computed natively in that dtype, with the same bits as the float64
+    round trip (see the module docstring), and a 1-d result is a scalar of
+    that dtype."""
+    u, v = np.asarray(u), np.asarray(v)
+    if u.dtype.type is p.dtype and v.dtype.type is p.dtype:
+        return fl_sum(u * v, p, axis=axis, lengths=lengths)
     prods = fl(np.asarray(u, dtype=np.float64) * np.asarray(v, dtype=np.float64), p, inplace=True)
     return fl_sum(prods, p, axis=axis, lengths=lengths)
 

@@ -3,12 +3,16 @@ import hashlib
 import numpy as np
 import pytest
 
+from spai_ir.krylov import GmresConfig, GmresReport, PrecisionOverflowSignal, _apply_p, apply_precond_matvec
 from spai_ir.precision import (
     DenseLu,
     OverflowInFactorizationError,
     SingularMatrixError,
     dd_solve,
     fl,
+    fl_dot,
+    fl_norm2,
+    fl_op,
     quiet,
 )
 from spai_ir.reference import find_matrix
@@ -107,3 +111,105 @@ def reference_dense_lu(A, uf, seen=None) -> DenseLu:
     if not np.all(np.isfinite(M)):
         raise OverflowInFactorizationError(f"overflow in {uf.name}")
     return DenseLu(lu=M, perm=perm)
+
+
+@quiet
+def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
+    """Oracle for :func:`spai_ir.krylov.pgmres_left`: its loop as it stood
+    when every operation ran in float64 and was rounded to ``ug`` by
+    :func:`fl` or :func:`fl_op`, with the basis stored as columns."""
+    n = A.n_rows
+    if cfg.max_iters > n:
+        raise ValueError("max_iters may not exceed the problem dimension")
+    r = np.asarray(r, dtype=np.float64)
+    z = _apply_p(P, r, cfg.up)
+    if not np.all(np.isfinite(z)):
+        raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")
+    z = fl(z, cfg.ug)
+    beta = fl_norm2(z, cfg.ug)
+    if beta == 0.0:
+        return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
+
+    m = cfg.max_iters
+    V = np.zeros((n, m + 1))
+    H = np.zeros((m + 1, m))
+    cs = np.zeros(m)
+    sn = np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+    V[:, 0] = fl(z / beta, cfg.ug)
+    relres_history = [1.0]
+    breakdown = False
+    converged = False
+    verify_breakdown = False
+    k = 0
+
+    for j in range(m):
+        w = apply_precond_matvec(A, P, V[:, j], cfg.up)
+        w = fl(w, cfg.ug)
+        for i in range(j + 1):
+            hij = fl_dot(V[:, i], w, cfg.ug)
+            H[i, j] = hij
+            w = fl(w - fl(hij * V[:, i], cfg.ug), cfg.ug)
+        hnext = fl_norm2(w, cfg.ug)
+        H[j + 1, j] = hnext
+
+        for i in range(j):
+            t1 = fl_op("add", fl_op("mul", cs[i], H[i, j], p=cfg.ug), fl_op("mul", sn[i], H[i + 1, j], p=cfg.ug), p=cfg.ug)
+            t2 = fl_op("sub", fl_op("mul", cs[i], H[i + 1, j], p=cfg.ug), fl_op("mul", sn[i], H[i, j], p=cfg.ug), p=cfg.ug)
+            H[i, j], H[i + 1, j] = t1, t2
+        denom = fl_op(
+            "sqrt",
+            fl_op("add", fl_op("mul", H[j, j], H[j, j], p=cfg.ug), fl_op("mul", hnext, hnext, p=cfg.ug), p=cfg.ug),
+            p=cfg.ug,
+        )
+        if denom == 0.0:
+            breakdown = True
+            break
+        cs[j] = fl_op("div", H[j, j], denom, p=cfg.ug)
+        sn[j] = fl_op("div", hnext, denom, p=cfg.ug)
+        H[j, j] = denom
+        H[j + 1, j] = 0.0
+        g[j + 1] = fl_op("mul", -sn[j], g[j], p=cfg.ug)
+        g[j] = fl_op("mul", cs[j], g[j], p=cfg.ug)
+
+        k = j + 1
+        relres = abs(g[j + 1]) / beta
+        relres_history.append(float(relres))
+        if hnext == 0.0:
+            # basis cannot be extended; the Givens estimate reads zero here
+            # whether this is a genuine happy breakdown or an underflow, so
+            # the true preconditioned residual is checked after the solve
+            verify_breakdown = True
+            break
+        V[:, j + 1] = fl(w / hnext, cfg.ug)
+        if relres <= cfg.tau:
+            converged = True
+            break
+
+    # Hessenberg least squares in the GMRES working precision
+    y = np.zeros(k)
+    for c in range(k - 1, -1, -1):
+        s = fl_dot(H[c, c + 1 : k], y[c + 1 : k], cfg.ug) if c + 1 < k else 0.0
+        y[c] = fl_op("div", fl_op("sub", g[c], s, p=cfg.ug), H[c, c], p=cfg.ug)
+    d = np.zeros(n)
+    for c in range(k):
+        d = fl(d + fl(y[c] * V[:, c], cfg.ug), cfg.ug)
+
+    if verify_breakdown:
+        q = apply_precond_matvec(A, P, d, cfg.up)
+        true_rel = fl_norm2(fl(z - q, cfg.ug), cfg.ug) / beta
+        relres_history[-1] = float(true_rel)
+        if true_rel <= cfg.tau:
+            converged = True
+        else:
+            breakdown = True
+
+    report = GmresReport(iters=k, relres_history=relres_history, breakdown=breakdown, converged=converged)
+    if cfg.collect_diagnostics and k:
+        # the (k+1)-th basis vector exists only when the loop extended it
+        cols = k if (breakdown or verify_breakdown) else k + 1
+        Vk = V[:, :cols]
+        gram = Vk.T @ Vk
+        report.ortho_defect = float(np.linalg.norm(gram - np.eye(gram.shape[0]), "fro"))
+    return d, report

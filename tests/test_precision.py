@@ -170,6 +170,55 @@ def test_fl_matches_integer_reference_bit_for_bit(name):
     assert_same_bits(got, reference_round(sample, t, emin, p.max_finite))
 
 
+NATIVE_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "sqrt": lambda a, b: np.sqrt(a),
+}
+
+
+def native_operands(name: str):
+    """Pairs of values of the format: the kernel inputs rounded to it, each
+    paired with a shuffled partner moved to within 2**-26 .. 2**2 of its
+    magnitude (so additions round and cancel) and with a far one, and the
+    cross product of the edge values."""
+    p = BIT_FORMATS[name][0]
+    rng = np.random.RandomState(1995)
+    xs = np.unique(quiet(fl)(kernel_inputs(name), p))
+    mant, exp = np.frexp(rng.permutation(xs))
+    near = np.ldexp(mant, exp + rng.randint(-26, 3, xs.size))
+    with np.errstate(invalid="ignore"):
+        near = np.where(np.isfinite(xs), near, rng.permutation(xs))
+    edges = np.array([0.0, 2.0**-24, 2.0**-14, 1.0, 1.5, 3.0, 65504.0, 65520.0, 2.0**-149, 2.0**-126,
+                      float(np.finfo(np.float32).max), np.inf, np.nan])
+    edges = np.unique(quiet(fl)(np.concatenate([edges, -edges]), p))
+    a = np.concatenate([xs, xs, np.repeat(edges, edges.size)])
+    b = np.concatenate([quiet(fl)(near, p), rng.permutation(xs), np.tile(edges, edges.size)])
+    return a.astype(p.dtype), b.astype(p.dtype)
+
+
+@pytest.mark.parametrize("name", sorted(BIT_FORMATS))
+@pytest.mark.parametrize("op", sorted(NATIVE_OPS))
+def test_native_ops_equal_the_rounded_double_op(name, op):
+    # the premise of computing in float16 / float32 directly: on this
+    # platform each native IEEE operation, on arrays and on scalars, gives
+    # the exact result rounded once, as fl of the float64 operation does
+    # (no flush to zero, no double rounding through a wrong path)
+    p = BIT_FORMATS[name][0]
+    a, b = native_operands(name)
+    f = NATIVE_OPS[op]
+    want = quiet(lambda: fl(f(a.astype(np.float64), b.astype(np.float64)), p))()
+    got = quiet(f)(a, b)
+    assert got.dtype == p.dtype
+    assert_same_bits(got, want)
+    step = max(1, a.size // 20_000)
+    scalars = quiet(lambda: [f(x, y) for x, y in zip(a[::step], b[::step])])()
+    assert all(type(s) is p.dtype for s in scalars[:10])
+    assert_same_bits(np.array(scalars, dtype=p.dtype), want[::step])
+
+
 def test_fl_keeps_the_double_word(rng):
     xs = rng.randn(20) * 10.0 ** rng.randint(-300, 300, 20)
     for p in (DOUBLE, QUAD):
