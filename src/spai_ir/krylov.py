@@ -33,7 +33,12 @@ __all__ = [
 
 
 class PrecisionOverflowSignal(ArithmeticError):
-    """An operator application produced non-finite values in low precision."""
+    """An operator application, or GMRES itself, produced non-finite values
+    in low precision; the message names the precision."""
+
+
+def _ug_overflow(ug: Precision) -> PrecisionOverflowSignal:
+    return PrecisionOverflowSignal(f"overflow in the GMRES working precision ({ug.name})")
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,10 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     before the tolerance is met sets ``breakdown`` and returns the best
     iterate so far.
 
+    :class:`PrecisionOverflowSignal` is raised as soon as a value leaves the
+    range of a precision: the operator's output in ``up``, or in ``ug`` the
+    rounded right-hand side or its norm, an Arnoldi norm, or the correction.
+
     The whole iteration state is held in the storage dtype of ``ug``
     (float64 for double) and computed on natively: each IEEE operation on
     half or single values is the exact result rounded once, as the emulation
@@ -119,7 +128,9 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     if not np.all(np.isfinite(z)):
         raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")
     z = z.astype(dt)
-    beta = np.sqrt(fl_dot(z, z, cfg.ug))
+    beta = np.sqrt(fl_dot(z, z, cfg.ug))  # inf too if z overflowed ug
+    if not np.isfinite(beta):
+        raise _ug_overflow(cfg.ug)
     if beta == 0.0:
         return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
 
@@ -143,6 +154,8 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
             H[i, j] = fl_dot(V[i], w, cfg.ug)
             w = w - H[i, j] * V[i]
         hnext = np.sqrt(fl_dot(w, w, cfg.ug))
+        if not np.isfinite(hnext):
+            raise _ug_overflow(cfg.ug)
         H[j + 1, j] = hnext
 
         for i in range(j):
@@ -183,6 +196,8 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     d = np.zeros(n, dt)
     for c in range(k):
         d = d + y[c] * V[c]
+    if not np.all(np.isfinite(d)):
+        raise _ug_overflow(cfg.ug)
     d = d.astype(np.float64)
 
     if verify_breakdown:

@@ -114,10 +114,15 @@ def reference_dense_lu(A, uf, seen=None) -> DenseLu:
 
 
 @quiet
-def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
+def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, seen=None):
     """Oracle for :func:`spai_ir.krylov.pgmres_left`: its loop as it stood
     when every operation ran in float64 and was rounded to ``ug`` by
-    :func:`fl` or :func:`fl_op`, with the basis stored as columns."""
+    :func:`fl` or :func:`fl_op`, with the basis stored as columns, and
+    before it stopped at an overflow of ``ug``.
+
+    ``seen``, if given a set, collects ``"ug_overflow"`` when the norm of
+    the rounded right-hand side or an Arnoldi norm is not finite.
+    """
     n = A.n_rows
     if cfg.max_iters > n:
         raise ValueError("max_iters may not exceed the problem dimension")
@@ -127,6 +132,8 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
         raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")
     z = fl(z, cfg.ug)
     beta = fl_norm2(z, cfg.ug)
+    if seen is not None and not np.isfinite(beta):
+        seen.add("ug_overflow")
     if beta == 0.0:
         return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
 
@@ -152,6 +159,8 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
             H[i, j] = hij
             w = fl(w - fl(hij * V[:, i], cfg.ug), cfg.ug)
         hnext = fl_norm2(w, cfg.ug)
+        if seen is not None and not np.isfinite(hnext):
+            seen.add("ug_overflow")
         H[j + 1, j] = hnext
 
         for i in range(j):

@@ -39,6 +39,20 @@ def test_overflow_signal():
         apply_precond_matvec(A, None, np.full(3, 10.0), HALF)
 
 
+@pytest.mark.parametrize("diag, r, ug", [
+    ([1.0, 1.0, 1.0], [1e5, 0.0, 0.0], HALF),  # the right-hand side rounds to inf
+    ([1.0, 1.0, 1.0], [300.0, 300.0, 300.0], HALF),  # its norm: 3 * 300**2 > 65504
+    ([1.0, 1.0, 1.0], [1e20, 1e20, 1e20], SINGLE),
+    ([3e3, 6e3, 9e3], [1.0, 1.0, 1.0], HALF),  # the first Arnoldi norm
+])
+def test_overflow_in_gmres_names_the_working_precision(diag, r, ug):
+    # the operator is applied in double, so only ug can overflow
+    cfg = GmresConfig(tau=1e-4, max_iters=3, ug=ug, up=DOUBLE)
+    A = SparseMatrix.from_dense(np.diag(diag))
+    with pytest.raises(PrecisionOverflowSignal, match=rf"^overflow in the GMRES working precision \({ug.name}\)$"):
+        pgmres_left(A, None, np.array(r), cfg)
+
+
 def test_exact_inverse_preconditioner_one_iteration(rng):
     dense = rng.randn(5, 5) + 8 * np.eye(5)
     A = SparseMatrix.from_dense(dense)

@@ -7,7 +7,10 @@ so ``pgmres_left`` is compared here, as raw bytes, with
 ``reference_pgmres_left``, the loop that computed in float64 and rounded
 each result with ``fl`` or ``fl_op``.  Both must return the same solution,
 iteration count, residual history and flags, or raise the same exception
-with the same message.
+with the same message.  Where the reference overflowed ``ug`` (a norm, the
+right-hand side, or any non-finite output) or raised,
+``pgmres_left`` must raise :class:`PrecisionOverflowSignal` instead, since it
+stops at the first overflow of ``ug``.
 """
 
 import struct
@@ -18,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_pgmres_left
-from spai_ir.krylov import GmresConfig, pgmres_left
+from spai_ir.krylov import GmresConfig, PrecisionOverflowSignal, pgmres_left
 from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
 from spai_ir.refine import LuPreconditioner
 from spai_ir.sparse import SparseMatrix
@@ -28,14 +31,16 @@ FORMATS = {"h": HALF, "s": SINGLE, "d": DOUBLE}
 SCALES = (1.0, 3.0e2, 1.0e5, 1.0e-6)
 
 
-def outcome(solve, A, P, r, cfg):
+def outcome(solve, A, P, r, cfg, **kwargs):
     """The bytes of a solve, or its exception, and what kind of run it was."""
     try:
-        d, rep = solve(A, P, r, cfg)
+        d, rep = solve(A, P, r, cfg, **kwargs)
     except ArithmeticError as exc:
         return (type(exc).__name__, str(exc)), "overflow"
     history = struct.pack(f"<{len(rep.relres_history)}d", *rep.relres_history)
-    if rep.converged:
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(rep.relres_history))):
+        kind = "nonfinite"
+    elif rep.converged:
         kind = "converged"
     elif rep.breakdown:
         kind = "breakdown"
@@ -77,7 +82,7 @@ def gmres_inputs(draw):
     return SparseMatrix.from_dense(A), P, r, cfg
 
 
-seen: Counter = Counter()
+kinds: Counter = Counter()
 
 
 @settings(max_examples=400, deadline=None)
@@ -91,12 +96,18 @@ seen: Counter = Counter()
 def equals_reference(case):
     A, P, r, cfg = case
     got, kind = outcome(pgmres_left, A, P, r, cfg)
-    want, _ = outcome(reference_pgmres_left, A, P, r, cfg)
-    assert got == want
-    seen[kind] += 1
+    seen = set()
+    want, want_kind = outcome(reference_pgmres_left, A, P, r, cfg, seen=seen)
+    if seen or want_kind in ("overflow", "nonfinite"):
+        assert kind == "overflow" and got[0] == PrecisionOverflowSignal.__name__, (got, want)
+        if seen:
+            assert got[1] == f"overflow in the GMRES working precision ({cfg.ug.name})"
+    else:
+        assert got == want
+    kinds[kind] += 1
 
 
 def test_pgmres_left_equals_emulated_reference():
-    seen.clear()
+    kinds.clear()
     equals_reference()
-    assert set(seen) == {"converged", "capped", "breakdown", "overflow"}, seen
+    assert set(kinds) == {"converged", "capped", "breakdown", "overflow"}, kinds

@@ -191,14 +191,15 @@ def test_cli_singular_matrix_is_one_line_error(tmp_path):
 
 
 def test_cli_half_overflow_is_one_line_error(tmp_path):
-    # half GMRES on diag(3e3, 6e3, 9e3): the Arnoldi norms overflow half, and
-    # no numpy warning may reach stderr ahead of the error line
+    # half GMRES on diag(3e3, 6e3, 9e3): the first Arnoldi norm overflows
+    # half, the error names that precision, and no numpy warning may reach
+    # stderr ahead of the error line
     path = tmp_path / "diag.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 3\n"
                     "1 1 3e3\n2 2 6e3\n3 3 9e3\n")
     res = _run_cli(["solve", "--matrix", str(path), "--solver", "none", "--precisions", "h,h,d,h,h"])
     assert res.returncode == 1
-    assert res.stderr.splitlines() == ["error: overflow while applying preconditioned operator"], res.stderr
+    assert res.stderr.splitlines() == ["error: overflow in the GMRES working precision (half)"], res.stderr
 
 
 @pytest.mark.parametrize("value, solver, precisions", [
