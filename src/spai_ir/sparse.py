@@ -201,6 +201,10 @@ def load_matrix_market(source) -> SparseMatrix:
     symmetric inputs are expanded to full storage and duplicate entries are
     summed.  Malformed content, including a NaN or infinite value, raises
     :class:`MatrixMarketParseError` naming the offending 1-based line number.
+    So does a symmetric file that is not square, and a row or column count
+    larger than the number of entries after symmetric expansion, which
+    leaves a row or column empty; that check keeps the memory a loaded
+    matrix takes proportional to the file.
     """
     fh = _open_lines(source)
     try:
@@ -238,11 +242,12 @@ def load_matrix_market(source) -> SparseMatrix:
         n_rows, n_cols, nnz = size
         if n_rows <= 0 or n_cols <= 0 or nnz < 0:
             raise MatrixMarketParseError(f"line {lineno}: invalid dimensions {size}")
+        if symmetry == "symmetric" and n_rows != n_cols:
+            raise MatrixMarketParseError(f"line {lineno}: symmetric matrix must be square, got {size}")
+        size_lineno = lineno
 
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        k = 0
+        # the entry count is checked against nnz before anything is sized by it
+        rows, cols, vals = [], [], []
         for line in fh:
             lineno += 1
             s = line.strip()
@@ -253,7 +258,7 @@ def load_matrix_market(source) -> SparseMatrix:
                 raise MatrixMarketParseError(
                     f"line {lineno}: expected 'row col value', got {len(toks)} fields"
                 )
-            if k >= nnz:
+            if len(rows) >= nnz:
                 raise MatrixMarketParseError(f"line {lineno}: more entries than declared ({nnz})")
             try:
                 i = int(toks[0])
@@ -265,12 +270,17 @@ def load_matrix_market(source) -> SparseMatrix:
                 raise MatrixMarketParseError(f"line {lineno}: non-finite value {toks[2]!r}")
             if not (1 <= i <= n_rows and 1 <= j <= n_cols):
                 raise MatrixMarketParseError(f"line {lineno}: index ({i}, {j}) out of range")
-            rows[k], cols[k], vals[k] = i - 1, j - 1, v
-            k += 1
-        if k != nnz:
-            raise MatrixMarketParseError(f"line {lineno}: expected {nnz} entries, found {k}")
+            rows.append(i - 1)
+            cols.append(j - 1)
+            vals.append(v)
+        if len(rows) != nnz:
+            raise MatrixMarketParseError(f"line {lineno}: expected {nnz} entries, found {len(rows)}")
     finally:
         fh.close()
+
+    rows = np.array(rows, dtype=np.int64)
+    cols = np.array(cols, dtype=np.int64)
+    vals = np.array(vals, dtype=np.float64)
 
     if symmetry == "symmetric":
         off = rows != cols
@@ -278,6 +288,10 @@ def load_matrix_market(source) -> SparseMatrix:
             np.concatenate([rows, cols[off]]),
             np.concatenate([cols, rows[off]]),
             np.concatenate([vals, vals[off]]),
+        )
+    if max(n_rows, n_cols) > rows.size:
+        raise MatrixMarketParseError(
+            f"line {size_lineno}: {rows.size} entries leave a row or column of {n_rows}x{n_cols} empty"
         )
     return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
 

@@ -55,6 +55,24 @@ def test_load_errors_name_lines():
         load_matrix_market((HEADER + "2 2 1\n").encode())
 
 
+@pytest.mark.parametrize("text, message", [
+    # sized by the declaration, these allocated 16 GiB or more before any entry was read
+    ("1 1 2147483648\n1 1 1.0\n", "line 3: expected 2147483648 entries, found 1"),
+    ("1 2147483648 1\n1 1 1.0\n", "line 2: 1 entries leave a row or column of 1x2147483648 empty"),
+    ("2 2 1\n1 1 1.0\n", "line 2: 1 entries leave a row or column of 2x2 empty"),
+])
+def test_load_rejects_declarations_the_entries_cannot_fill(text, message):
+    with pytest.raises(MatrixMarketParseError, match=f"^{message}$"):
+        load_matrix_market((HEADER + text).encode())
+
+
+def test_load_rejects_a_non_square_symmetric_file():
+    # (1, 3) used to be mirrored to row 3 of a 2-row matrix
+    text = "%%MatrixMarket matrix coordinate real symmetric\n2 3 3\n1 1 1.0\n2 2 1.0\n1 3 1.0\n"
+    with pytest.raises(MatrixMarketParseError, match="line 2: symmetric matrix must be square"):
+        load_matrix_market(text.encode())
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
 def test_load_rejects_non_finite_values(value):
     with pytest.raises(MatrixMarketParseError, match="line 4: non-finite"):
