@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # fl_op stays bound here although unused: perfbench/tracer.py wraps krylov.fl_op
-from .precision import Precision, fl, fl_dot, fl_op, quiet
+from .precision import Precision, fl, fl_dot, fl_norm2, fl_op, quiet
 from .sparse import SparseMatrix, matvec
 
 __all__ = [
@@ -115,9 +115,9 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     The whole iteration state is held in the storage dtype of ``ug``
     (float64 for double) and computed on natively: each IEEE operation on
     half or single values is the exact result rounded once, as the emulation
-    contract asks (see :mod:`spai_ir.precision`).  Every scalar is a numpy
-    scalar of that dtype, never a Python float, so numpy 1.x's promotion of
-    mixed scalar arithmetic to float64 cannot occur.
+    contract asks (see :mod:`spai_ir.precision`).  No Python float meets a
+    half or single scalar in arithmetic, where numpy 1.x would promote the
+    result to float64.
     """
     n = A.n_rows
     if cfg.max_iters > n:
@@ -128,7 +128,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     if not np.all(np.isfinite(z)):
         raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")
     z = z.astype(dt)
-    beta = np.sqrt(fl_dot(z, z, cfg.ug))  # inf too if z overflowed ug
+    beta = fl_norm2(z, cfg.ug)  # inf too if z overflowed ug
     if not np.isfinite(beta):
         raise _ug_overflow(cfg.ug)
     if beta == 0.0:
@@ -153,7 +153,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
         for i in range(j + 1):
             H[i, j] = fl_dot(V[i], w, cfg.ug)
             w = w - H[i, j] * V[i]
-        hnext = np.sqrt(fl_dot(w, w, cfg.ug))
+        hnext = fl_norm2(w, cfg.ug)
         if not np.isfinite(hnext):
             raise _ug_overflow(cfg.ug)
         H[j + 1, j] = hnext
@@ -202,8 +202,8 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
 
     if verify_breakdown:
         q = apply_precond_matvec(A, P, d, cfg.up)
-        zq = (z - q).astype(dt)  # exact double difference, rounded once
-        true_rel = float(np.sqrt(fl_dot(zq, zq, cfg.ug))) / float(beta)
+        # the difference is exact in float64, then rounded once to ug
+        true_rel = float(fl_norm2((z - q).astype(dt), cfg.ug)) / float(beta)
         relres_history[-1] = true_rel
         if true_rel <= cfg.tau:
             converged = True

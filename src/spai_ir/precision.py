@@ -264,8 +264,11 @@ def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0,
 
 def fl_norm2(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarray | float:
     """Euclidean norm computed in ``p``: a rounded dot, then a rounded square
-    root (see :func:`fl_sum` for ``axis``, ``lengths`` and overflow)."""
-    return fl(np.sqrt(fl_dot(v, v, p, axis=axis, lengths=lengths)), p)
+    root (see :func:`fl_sum` for ``axis``, ``lengths`` and overflow).  An
+    array stored in ``p.dtype`` gives a result of that dtype, as in
+    :func:`fl_dot`."""
+    r = np.sqrt(fl_dot(v, v, p, axis=axis, lengths=lengths))
+    return r if r.dtype.type is p.dtype else fl(r, p)
 
 
 # ---------------------------------------------------------------------------
