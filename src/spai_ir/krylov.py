@@ -10,7 +10,9 @@ The GMRES state lives in the working precision's own numpy dtype (float16,
 float32 or float64) and is computed on natively; each operation then
 rounds once, with the bits of the emulated float64-then-round loop (see
 :mod:`spai_ir.precision`).  Only the operator's float64 output is rounded
-into that dtype, and the correction leaves as float64.
+into that dtype, and the correction leaves as float64.  No Python float
+meets a half or single scalar in arithmetic, where numpy 1.x would promote
+the result to float64.
 """
 
 from __future__ import annotations
@@ -110,14 +112,8 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
 
     :class:`PrecisionOverflowSignal` is raised as soon as a value leaves the
     range of a precision: the operator's output in ``up``, or in ``ug`` the
-    rounded right-hand side or its norm, an Arnoldi norm, or the correction.
-
-    The whole iteration state is held in the storage dtype of ``ug``
-    (float64 for double) and computed on natively: each IEEE operation on
-    half or single values is the exact result rounded once, as the emulation
-    contract asks (see :mod:`spai_ir.precision`).  No Python float meets a
-    half or single scalar in arithmetic, where numpy 1.x would promote the
-    result to float64.
+    rounded right-hand side or its norm, an Arnoldi norm, a Givens
+    denominator, or the correction.
     """
     n = A.n_rows
     if cfg.max_iters > n:
@@ -163,6 +159,9 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
             t2 = cs[i] * H[i + 1, j] - sn[i] * H[i, j]
             H[i, j], H[i + 1, j] = t1, t2
         denom = np.sqrt(H[j, j] * H[j, j] + hnext * hnext)
+        if not np.isfinite(denom):
+            # cs = sn = 0 would read as a zero residual estimate
+            raise _ug_overflow(cfg.ug)
         if denom == 0.0:
             breakdown = True
             break

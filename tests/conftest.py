@@ -121,7 +121,8 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, s
     before it stopped at an overflow of ``ug``.
 
     ``seen``, if given a set, collects ``"ug_overflow"`` when the norm of
-    the rounded right-hand side or an Arnoldi norm is not finite.
+    the rounded right-hand side, an Arnoldi norm or a Givens denominator is
+    not finite.
     """
     n = A.n_rows
     if cfg.max_iters > n:
@@ -172,6 +173,8 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, s
             fl_op("add", fl_op("mul", H[j, j], H[j, j], p=cfg.ug), fl_op("mul", hnext, hnext, p=cfg.ug), p=cfg.ug),
             p=cfg.ug,
         )
+        if seen is not None and not np.isfinite(denom):
+            seen.add("ug_overflow")
         if denom == 0.0:
             breakdown = True
             break

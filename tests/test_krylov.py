@@ -44,6 +44,7 @@ def test_overflow_signal():
     ([1.0, 1.0, 1.0], [300.0, 300.0, 300.0], HALF),  # its norm: 3 * 300**2 > 65504
     ([1.0, 1.0, 1.0], [1e20, 1e20, 1e20], SINGLE),
     ([3e3, 6e3, 9e3], [1.0, 1.0, 1.0], HALF),  # the first Arnoldi norm
+    ([300.0, 300.0, 300.0], [1.0, 1.0, 1.0], HALF),  # the first Givens denominator: 300**2 > 65504
 ])
 def test_overflow_in_gmres_names_the_working_precision(diag, r, ug):
     # the operator is applied in double, so only ug can overflow

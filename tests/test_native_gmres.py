@@ -8,7 +8,7 @@ so ``pgmres_left`` is compared here, as raw bytes, with
 each result with ``fl`` or ``fl_op``.  Both must return the same solution,
 iteration count, residual history and flags, or raise the same exception
 with the same message.  Where the reference overflowed ``ug`` (a norm, the
-right-hand side, or any non-finite output) or raised,
+right-hand side, a Givens denominator, or any non-finite output) or raised,
 ``pgmres_left`` must raise :class:`PrecisionOverflowSignal` instead, since it
 stops at the first overflow of ``ug``.
 """
@@ -90,6 +90,9 @@ kinds: Counter = Counter()
 # half GMRES on diag(3e3, 6e3, 9e3): the first Arnoldi norm overflows half
 @example((SparseMatrix.from_dense(np.diag([3e3, 6e3, 9e3])), None, np.ones(3),
           GmresConfig(tau=1e-4, max_iters=3, ug=HALF, up=HALF)))
+# the first Givens denominator overflows half: it used to read as a zero residual
+@example((SparseMatrix.from_dense(np.array([[300.0, 1.0], [0.0, 300.0]])), None, np.ones(2),
+          GmresConfig(tau=1e-3, max_iters=2, ug=HALF, up=DOUBLE)))
 # a zero first column: the first Arnoldi vector and its norm are zero
 @example((SparseMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 1.0]])), None, np.array([1.0, 0.0]),
           GmresConfig(tau=1e-8, max_iters=2, ug=SINGLE, up=DOUBLE)))
