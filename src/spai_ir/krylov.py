@@ -56,7 +56,6 @@ class GmresConfig:
     max_iters: int
     ug: Precision
     up: Precision
-    collect_diagnostics: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
@@ -73,23 +72,18 @@ class GmresReport:
     relres_history: list[float]
     breakdown: bool
     converged: bool
-    ortho_defect: float | None = None
 
 
 def _apply_p(P, v: np.ndarray, up: Precision) -> np.ndarray:
-    if P is None:
-        return fl(v, up)
-    if isinstance(P, SparseMatrix):
-        return matvec(P, v, up)
-    return P.apply(v, up)
+    return fl(v, up) if P is None else P.apply(v, up)
 
 
 def apply_precond_matvec(A: SparseMatrix, P, v: np.ndarray, up: Precision) -> np.ndarray:
     """y = P (A v) with both products carried out in the application precision.
 
-    ``P`` may be a :class:`SparseMatrix`, ``None`` (identity), or any object
-    with an ``apply(vector, precision)`` method (such as an LU-factor
-    preconditioner).  Non-finite output raises
+    ``P`` is ``None`` (identity) or a preconditioner: any object with an
+    ``apply(vector, precision)`` method, such as a :class:`SparseMatrix` or
+    an LU-factor preconditioner.  Non-finite output raises
     :class:`PrecisionOverflowSignal`.
     """
     w = matvec(A, v, up)
@@ -210,10 +204,4 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
             breakdown = True
 
     report = GmresReport(iters=k, relres_history=relres_history, breakdown=breakdown, converged=converged)
-    if cfg.collect_diagnostics and k:
-        # the (k+1)-th basis vector exists only when the loop extended it
-        cols = k if (breakdown or verify_breakdown) else k + 1
-        Vk = V[:cols].astype(np.float64)
-        gram = Vk @ Vk.T
-        report.ortho_defect = float(np.linalg.norm(gram - np.eye(gram.shape[0]), "fro"))
     return d, report

@@ -326,25 +326,18 @@ def dd_div(ah, al, bh, bl):
 def _dd_residual_parts(A, xh, xl, b):
     """Residual b - A x accumulated in double-double; x may itself be a dd pair.
 
-    ``A`` is either a dense ndarray or an object exposing ``row_slots()``
-    (see :class:`spai_ir.sparse.SparseMatrix`): a list of
+    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`; its ``row_slots()`` are
     ``(rows, cols, vals)`` triplets where each row index appears at most
     once per slot and a row's slots are ordered by ascending column.
     """
     b = np.asarray(b, dtype=np.float64)
     sh = np.zeros_like(b)
     sl = np.zeros_like(b)
-    if hasattr(A, "row_slots"):
-        for rows, cols, vals in A.row_slots():
-            ph, pl = dd_mul(vals, np.zeros_like(vals), xh[cols], xl[cols])
-            th, tl = dd_add(sh[rows], sl[rows], ph, pl)
-            sh[rows] = th
-            sl[rows] = tl
-    else:
-        Ad = np.asarray(A, dtype=np.float64)
-        for j in range(Ad.shape[1]):
-            ph, pl = dd_mul(Ad[:, j], 0.0, xh[j], xl[j])
-            sh, sl = dd_add(sh, sl, ph, pl)
+    for rows, cols, vals in A.row_slots():
+        ph, pl = dd_mul(vals, np.zeros_like(vals), xh[cols], xl[cols])
+        th, tl = dd_add(sh[rows], sl[rows], ph, pl)
+        sh[rows] = th
+        sl[rows] = tl
     return dd_add(b, np.zeros_like(b), -sh, -sl)
 
 
@@ -501,23 +494,23 @@ def _dd_lu_solve(A: np.ndarray, b: np.ndarray):
 def dd_solve(A, b):
     """Reference solution of A x = b accurate to double-double level.
 
-    Factors a dense copy once in double with :func:`dense_lu`, whose cost
-    follows the bandwidth of ``A`` as ordered, and then refines with
+    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`.  A dense copy is
+    factored once in double with :func:`dense_lu`, whose cost follows the
+    bandwidth of ``A`` as ordered, and the solution is refined with
     double-double residuals until the residual stops improving; the limiting
     forward error is of order ``unit_roundoff(QUAD) * cond(A)``.  Returns
     ``(x_hi, x_lo)`` as a normalized double-double pair.
     """
     b = np.asarray(b, dtype=np.float64)
-    dense = A.to_dense() if hasattr(A, "to_dense") else np.asarray(A, dtype=np.float64)
+    dense = A.to_dense()
     if dense.shape[0] != dense.shape[1] or dense.shape[0] != b.shape[0]:
         raise ValueError("dd_solve needs a square system with matching right-hand side")
     factors = dense_lu(dense, DOUBLE)
-    resid_target = A if hasattr(A, "row_slots") else dense
     xh = factors.substitute(b[factors.perm], DOUBLE)
     xl = np.zeros_like(xh)
     best = math.inf
     for _ in range(8):
-        rh, rl = _dd_residual_parts(resid_target, xh, xl, b)
+        rh, rl = _dd_residual_parts(A, xh, xl, b)
         rnorm = float(np.max(np.abs(rh)))
         if not math.isfinite(rnorm):
             raise SingularMatrixError("singular")

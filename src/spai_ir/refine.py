@@ -57,7 +57,7 @@ class IrConfig:
 
     ``uf`` is the factorization/construction precision, ``u`` the working
     precision, ``ur`` the residual precision, ``ug``/``up`` the GMRES
-    working and application precisions (both default to ``u``).  The run
+    working and application precisions (``u`` where left ``None``).  The run
     converges when the normwise backward error is at most ``c_nbe * n * u``
     and (unless ``use_ferr`` is off) the forward error is at most
     ``c_ferr * n * u``; with ``use_ferr`` off the forward-error check is
@@ -82,18 +82,13 @@ class IrConfig:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
         if self.i_max < 1:
             raise ValueError("i_max must be at least 1")
+        for name in ("ug", "up"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, self.u)
         # quad-emulated has no storage format: only the residual is computed in it
         for name in ("uf", "u", "ug", "up"):
             if getattr(self, name) == QUAD:
                 raise ValueError(f"quad-emulated is a residual precision only; {name} cannot be quad")
-
-    @property
-    def gmres_ug(self) -> Precision:
-        return self.ug if self.ug is not None else self.u
-
-    @property
-    def gmres_up(self) -> Precision:
-        return self.up if self.up is not None else self.u
 
 
 @dataclass
@@ -186,8 +181,6 @@ class LuPreconditioner:
         from scipy.linalg import solve_triangular
 
         Y = np.array(X, dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
         Y = Y[self.rows]
         if self.r is not None:
             Y = (self.mu * Y) * self.r[:, None]
@@ -249,20 +242,16 @@ def measure_errors(A, b, x, x_ref=None):
 
 @dataclass
 class PreparedSolver:
-    """Preconditioner/factors built once in ``uf`` and reused by the driver."""
+    """Preconditioner built once in ``uf`` and reused by the driver: ``precond``
+    answers ``apply(v, p)`` and ``nnz``, or is ``None`` for the identity."""
 
-    kind: str
-    precond: object | None = None
+    precond: SparseMatrix | LuPreconditioner | None = None
     spai: SpaiPreconditioner | None = None
     lu_scaled: bool = False
 
     @property
     def precond_nnz(self) -> int:
-        if self.kind == "spai":
-            return self.spai.nnz
-        if self.kind in ("lu", "sir"):
-            return self.precond.nnz
-        return 0
+        return self.precond.nnz if self.precond is not None else 0
 
 
 @quiet
@@ -274,7 +263,7 @@ def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
         if cfg.spai.uf is not cfg.uf:
             raise ValueError("cfg.spai.uf must match cfg.uf")
         pre = build_left_preconditioner(A, cfg.spai)
-        return PreparedSolver(kind="spai", precond=pre.P, spai=pre)
+        return PreparedSolver(precond=pre.P, spai=pre)
     if cfg.solver in ("lu", "sir"):
         order = rcm_permutation(A)
         dense = A.to_dense()[np.ix_(order, order)]
@@ -284,8 +273,8 @@ def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
             r, s, mu = equilibrate_two_sided(dense, cfg.uf)
             hatA = fl(mu * (dense * r[:, None]) * s[None, :], cfg.uf)
             lu = LuPreconditioner(dense_lu(hatA, cfg.uf), order, r=r, s=s, mu=mu)
-        return PreparedSolver(kind=cfg.solver, precond=lu, lu_scaled=lu.r is not None)
-    return PreparedSolver(kind="none")
+        return PreparedSolver(precond=lu, lu_scaled=lu.r is not None)
+    return PreparedSolver()
 
 
 def _residual(A: SparseMatrix, x: np.ndarray, b: np.ndarray, ur: Precision) -> np.ndarray:
@@ -313,12 +302,9 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
         x_ref = dd_solve(A, b)
 
     # initial solution in uf, stored in u
-    if solver.kind == "spai":
-        x = matvec(solver.spai.P, fl(b, cfg.uf), cfg.uf)
-    elif solver.kind in ("lu", "sir"):
-        x = solver.precond.apply(b, cfg.uf)
-    else:
-        x = np.zeros(n)
+    x = np.zeros(n)
+    if solver.precond is not None:
+        x = solver.precond.apply(fl(b, cfg.uf), cfg.uf)
     x = fl(x, cfg.u)
 
     ferr, nbe = measure_errors(A, b, x, x_ref=x_ref)
@@ -340,16 +326,15 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
     converged = converged_now(None if cfg.use_ferr else math.inf)
     stagnated = False
     steps = 0
-    gmres_cfg = GmresConfig(tau=cfg.tau, max_iters=n, ug=cfg.gmres_ug, up=cfg.gmres_up)
+    gmres_cfg = GmresConfig(tau=cfg.tau, max_iters=n, ug=cfg.ug, up=cfg.up)
 
     while not converged and steps < cfg.i_max:
         r = fl(_residual(A, x, b, cfg.ur), cfg.u)
-        if solver.kind == "sir":
+        if cfg.solver == "sir":
             d = solver.precond.apply(r, cfg.uf)
             iters_per_step.append(0)
         else:
-            P = solver.precond if solver.kind != "none" else None
-            d, grep = pgmres_left(A, P, r, gmres_cfg)
+            d, grep = pgmres_left(A, solver.precond, r, gmres_cfg)
             gmres_reports.append(grep)
             iters_per_step.append(grep.iters)
         d = fl(d, cfg.u)
@@ -392,14 +377,14 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
                 "uf": cfg.uf.name,
                 "u": cfg.u.name,
                 "ur": cfg.ur.name,
-                "ug": cfg.gmres_ug.name,
-                "up": cfg.gmres_up.name,
+                "ug": cfg.ug.name,
+                "up": cfg.up.name,
             },
             "gmres_capped": any(rep.iters >= n and not rep.converged for rep in gmres_reports),
             "gmres_breakdown": any(rep.breakdown for rep in gmres_reports),
             "lu_scaled": solver.lu_scaled,
         },
     )
-    if solver.kind == "spai":
+    if solver.spai is not None:
         report.details["spai"] = solver.spai.stats_dict()
     return x, report

@@ -10,13 +10,12 @@ sense.  All arithmetic runs in a configurable emulated precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .precision import QUAD, SINGLE, Precision, fl, fl_dot, fl_norm2, fl_op, fl_sum, quiet
 from .sparse import (  # noqa: F401 - shadow and extract_submatrix are bound here for perfbench/tracer.py
-    ScalingInfo,
     SparseMatrix,
     column_scale,
     extract_blocks,
@@ -98,7 +97,6 @@ class SpaiPreconditioner:
     satisfied: np.ndarray
     col_status: list[str]
     params: SpaiParams
-    scaling: ScalingInfo | None = None
 
     @property
     def nnz(self) -> int:
@@ -403,15 +401,6 @@ def build_left_preconditioner(A: SparseMatrix, params: SpaiParams) -> SpaiPrecon
     if A.n_rows != A.n_cols:
         raise ValueError("square matrix required")
     At = A.transpose()
-    scaled, info = column_scale(At)
+    scaled, d = column_scale(At)
     pre = build_spai(scaled, params)
-    P = pre.P.transpose().scale_columns(info.d)
-    return SpaiPreconditioner(
-        P=P,
-        col_resnorm=pre.col_resnorm,
-        col_rounds=pre.col_rounds,
-        satisfied=pre.satisfied,
-        col_status=pre.col_status,
-        params=params,
-        scaling=info,
-    )
+    return replace(pre, P=pre.P.transpose().scale_columns(d))

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,6 @@ from .precision import Precision, fl, quiet
 
 __all__ = [
     "SparseMatrix",
-    "ScalingInfo",
     "MatrixMarketParseError",
     "index_set",
     "load_matrix_market",
@@ -105,6 +103,10 @@ class SparseMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
+    def apply(self, v: np.ndarray, p: Precision) -> np.ndarray:
+        """The preconditioner interface: ``self @ v`` rounded to p (:func:`matvec`)."""
+        return matvec(self, v, p)
+
     def col(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Row indices and values of column j (views, do not mutate)."""
         lo, hi = self.indptr[j], self.indptr[j + 1]
@@ -167,13 +169,6 @@ class SparseMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
-
-
-@dataclass(frozen=True)
-class ScalingInfo:
-    """Positive diagonal D applied on the right during preconditioner setup."""
-
-    d: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +358,10 @@ def extract_submatrix(A: SparseMatrix, I: np.ndarray, J: np.ndarray) -> np.ndarr
     return extract_blocks(A, [I], [J])[0]
 
 
-def column_scale(At: SparseMatrix) -> tuple[SparseMatrix, ScalingInfo]:
+def column_scale(At: SparseMatrix) -> tuple[SparseMatrix, np.ndarray]:
     """Scale each column of At so its largest magnitude becomes exactly 1.
 
-    Returns the scaled matrix and the positive diagonal d with
+    Returns ``(scaled, d)``, the positive diagonal d as an array with
     scaled(:, j) = At(:, j) * d[j]; folding the preconditioner back is
     P = (M^T) D for the M built from the scaled matrix.
     """
@@ -378,7 +373,7 @@ def column_scale(At: SparseMatrix) -> tuple[SparseMatrix, ScalingInfo]:
     if not np.all(np.isfinite(colmax)) or np.any(colmax == 0.0):
         raise ValueError("zero column: column maxima must be positive and finite")
     d = 1.0 / colmax
-    return At.scale_columns(d), ScalingInfo(d=d)
+    return At.scale_columns(d), d
 
 
 @quiet

@@ -63,15 +63,6 @@ class SolveOutcome:
         return d
 
 
-def _build_config(solver: str, uf, u, ur, ug, up, eps, alpha, beta, tau, i_max) -> IrConfig:
-    spai = None
-    if solver == "spai":
-        spai = SpaiParams(eps=eps, alpha=alpha, beta=beta, uf=uf)
-    return IrConfig(
-        uf=uf, u=u, ur=ur, solver=solver, tau=tau, i_max=i_max, ug=ug, up=up, spai=spai
-    )
-
-
 def solve_system(
     A: SparseMatrix,
     name: str,
@@ -93,7 +84,10 @@ def solve_system(
     """One full refinement run with the benchmark right-hand side."""
     if tau is None:
         tau = default_tau(u)
-    cfg = _build_config(solver, uf, u, ur, ug, up, eps, alpha, beta, tau, i_max)
+    cfg = IrConfig(
+        uf=uf, u=u, ur=ur, solver=solver, tau=tau, i_max=i_max, ug=ug, up=up,
+        spai=SpaiParams(eps=eps, alpha=alpha, beta=beta, uf=uf) if solver == "spai" else None,
+    )
     prepared = prepare_solver(A, cfg)
     b = rhs_for(A.n_rows)
     x, report = run_ir(A, b, cfg, solver=prepared, x_ref=x_ref)

@@ -114,7 +114,8 @@ def reference_dense_lu(A, uf, seen=None) -> DenseLu:
 
 
 @quiet
-def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, seen=None):
+def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, seen=None,
+                          collect_diagnostics=False):
     """Oracle for :func:`spai_ir.krylov.pgmres_left`: its loop as it stood
     when every operation ran in float64 and was rounded to ``ug`` by
     :func:`fl` or :func:`fl_op`, with the basis stored as columns, and
@@ -122,7 +123,9 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, s
 
     ``seen``, if given a set, collects ``"ug_overflow"`` when the norm of
     the rounded right-hand side, an Arnoldi norm or a Givens denominator is
-    not finite.
+    not finite.  With ``collect_diagnostics`` the result has a third entry,
+    the Frobenius norm of ``V^T V - I`` over the basis built (``None`` when
+    no step was taken): the loss of orthogonality of the MGS basis.
     """
     n = A.n_rows
     if cfg.max_iters > n:
@@ -218,10 +221,13 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, s
             breakdown = True
 
     report = GmresReport(iters=k, relres_history=relres_history, breakdown=breakdown, converged=converged)
-    if cfg.collect_diagnostics and k:
+    if not collect_diagnostics:
+        return d, report
+    ortho_defect = None
+    if k:
         # the (k+1)-th basis vector exists only when the loop extended it
         cols = k if (breakdown or verify_breakdown) else k + 1
         Vk = V[:, :cols]
         gram = Vk.T @ Vk
-        report.ortho_defect = float(np.linalg.norm(gram - np.eye(gram.shape[0]), "fro"))
-    return d, report
+        ortho_defect = float(np.linalg.norm(gram - np.eye(gram.shape[0]), "fro"))
+    return d, report, ortho_defect

@@ -287,7 +287,7 @@ def test_dd_residual_identity_exact(rng):
 
 
 def test_dd_solve_diagonal():
-    A = np.diag([2.0, 4.0])
+    A = SparseMatrix.from_dense(np.diag([2.0, 4.0]))
     xh, xl = dd_solve(A, np.array([2.0, 4.0]))
     assert np.array_equal(xh, np.array([1.0, 1.0]))
     assert np.array_equal(xl, np.zeros(2))
@@ -306,7 +306,7 @@ def test_dd_solve_residual_at_dd_level(rng):
 def test_dd_solve_matches_full_dd_factorization(rng):
     A = rng.randn(40, 40) + 15 * np.eye(40)
     b = rng.randn(40)
-    xh, xl = dd_solve(A, b)
+    xh, xl = dd_solve(SparseMatrix.from_dense(A), b)
     yh, yl = _dd_lu_solve(A, b)
     # both accurate to ~2^-106 * cond; compare against each other loosely
     num = np.abs((xh - yh) + (xl - yl)).max()
@@ -314,7 +314,7 @@ def test_dd_solve_matches_full_dd_factorization(rng):
 
 
 def test_dd_solve_singular():
-    A = np.zeros((3, 3))
+    A = SparseMatrix.from_dense(np.zeros((3, 3)))
     with pytest.raises(SingularMatrixError):
         dd_solve(A, np.ones(3))
 

@@ -125,15 +125,15 @@ def test_extract_submatrix(rng):
 
 def test_column_scale():
     I4 = SparseMatrix.identity(4)
-    scaled, info = column_scale(I4)
+    scaled, d = column_scale(I4)
     assert np.array_equal(scaled.to_dense(), np.eye(4))
-    assert np.array_equal(info.d, np.ones(4))
+    assert np.array_equal(d, np.ones(4))
 
     A = SparseMatrix.from_dense(np.array([[4.0, 1.0], [2.0, -8.0]]))
-    scaled, info = column_scale(A)
+    scaled, d = column_scale(A)
     assert np.abs(scaled.to_dense()).max(axis=0) == pytest.approx([1.0, 1.0])
     # reconstruction: scaled * diag(1/d) == original
-    rec = scaled.to_dense() / info.d[None, :]
+    rec = scaled.to_dense() / d[None, :]
     assert np.allclose(rec, A.to_dense(), rtol=1e-15)
 
 
