@@ -196,10 +196,11 @@ def load_matrix_market(source) -> SparseMatrix:
     symmetric inputs are expanded to full storage and duplicate entries are
     summed.  Malformed content, including a NaN or infinite value, raises
     :class:`MatrixMarketParseError` naming the offending 1-based line number.
-    So does a symmetric file that is not square, and a row or column count
-    larger than the number of entries after symmetric expansion, which
-    leaves a row or column empty; that check keeps the memory a loaded
-    matrix takes proportional to the file.
+    So does a symmetric file that is not square or that lists an
+    off-diagonal entry in both triangles (expansion would double it), and a
+    row or column count larger than the number of entries after symmetric
+    expansion, which leaves a row or column empty; that check keeps the
+    memory a loaded matrix takes proportional to the file.
     """
     fh = _open_lines(source)
     try:
@@ -243,6 +244,7 @@ def load_matrix_market(source) -> SparseMatrix:
 
         # the entry count is checked against nnz before anything is sized by it
         rows, cols, vals = [], [], []
+        off_diagonal = set()  # (i, j) listed so far, symmetric files only
         for line in fh:
             lineno += 1
             s = line.strip()
@@ -265,6 +267,13 @@ def load_matrix_market(source) -> SparseMatrix:
                 raise MatrixMarketParseError(f"line {lineno}: non-finite value {toks[2]!r}")
             if not (1 <= i <= n_rows and 1 <= j <= n_cols):
                 raise MatrixMarketParseError(f"line {lineno}: index ({i}, {j}) out of range")
+            if symmetry == "symmetric" and i != j:
+                if (j, i) in off_diagonal:
+                    raise MatrixMarketParseError(
+                        f"line {lineno}: entry ({i}, {j}) of a symmetric matrix mirrors an entry "
+                        f"({j}, {i}) already listed"
+                    )
+                off_diagonal.add((i, j))
             rows.append(i - 1)
             cols.append(j - 1)
             vals.append(v)

@@ -73,6 +73,16 @@ def test_load_rejects_a_non_square_symmetric_file():
         load_matrix_market(text.encode())
 
 
+def test_load_rejects_a_symmetric_entry_listed_in_both_triangles():
+    # expansion used to sum the pair: [[1, 6], [6, 1]]
+    text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 4\n1 1 1\n2 2 1\n2 1 3\n1 2 3\n"
+    with pytest.raises(MatrixMarketParseError, match=r"^line 6: entry \(1, 2\) of a symmetric matrix mirrors"):
+        load_matrix_market(text.encode())
+    # either triangle alone loads
+    upper = "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1\n2 2 1\n1 2 3\n"
+    assert np.array_equal(load_matrix_market(upper.encode()).to_dense(), [[1.0, 3.0], [3.0, 1.0]])
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
 def test_load_rejects_non_finite_values(value):
     with pytest.raises(MatrixMarketParseError, match="line 4: non-finite"):
