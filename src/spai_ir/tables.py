@@ -130,7 +130,7 @@ def sweep_cell(A: SparseMatrix, name: str, eps: float, uf: Precision, cond2_at: 
         row["nnz"] = pre.nnz
         row["satisfied_all"] = pre.all_satisfied
         row["kappa_tilde"] = kappa_inf_product(pre.P, A)
-    except Exception as exc:  # per-cell failures recorded, sweep continues
+    except (ArithmeticError, ValueError) as exc:  # per-cell failures recorded, sweep continues
         row["status"] = f"error: {exc}"
     return row
 
@@ -206,10 +206,14 @@ def run_table(name: str, *, directory: Path | None = None, solvers=None,
     """Reproduce one golden table; missing matrix files yield 'missing' rows.
 
     ``solvers`` restricts which preconditioner kinds are run (e.g. skip the
-    dense LU baseline for speed); skipped rows are omitted entirely.
+    dense LU baseline for speed); skipped rows are omitted entirely.  A
+    kind outside spai, lu and none raises ``ValueError``.
     """
     if name not in GOLDEN_TABLES:
         raise ValueError(f"unknown table {name!r}; expected one of {sorted(GOLDEN_TABLES)}")
+    unknown = set(solvers or ()) - {"spai", "lu", "none"}
+    if unknown:
+        raise ValueError(f"unknown table solvers {sorted(unknown)}; expected a subset of spai, lu, none")
     settings = TABLE_SETTINGS[name]
     rows = []
     loaded: dict[str, SparseMatrix | None] = {}

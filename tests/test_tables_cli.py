@@ -39,6 +39,33 @@ def test_sweep_continues_past_cell_failures():
     assert rows[1]["status"] == "ok"
 
 
+def test_sweep_records_a_quad_cell_as_an_error_row(capsys):
+    # quad cannot build a preconditioner: the cell's ValueError becomes its row
+    assert main(["sweep", "--matrix", "ident_32", "--eps-grid", "0.3", "--uf-list", "q", "--json"]) == 2
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["status"].startswith("error: quad-emulated")
+
+
+def test_sweep_lets_a_programming_error_propagate(monkeypatch):
+    import spai_ir.tables as tables
+
+    def broken(A, params):
+        raise TypeError("broken build")
+
+    monkeypatch.setattr(tables, "build_left_preconditioner", broken)
+    with pytest.raises(TypeError, match="broken build"):
+        run_sweep(load_synthetic("ident_32"), "ident_32", [0.3], [SINGLE])
+
+
+@pytest.mark.parametrize("solvers", ["foo", "sir", "spai,sir"])
+def test_table_rejects_an_unknown_solver(solvers, capsys):
+    with pytest.raises(ValueError, match="unknown table solvers"):
+        run_table("t5", solvers=set(solvers.split(",")))
+    assert main(["table", "t5", "--solvers", solvers]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown table solvers") and len(err.splitlines()) == 1, err
+
+
 def test_run_table_all_rows_missing_without_benchmark_files(tmp_path):
     rows = run_table("t4", directory=tmp_path)
     assert rows, "table must emit one row per golden entry"
