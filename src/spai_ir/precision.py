@@ -315,14 +315,6 @@ def dd_mul(ah, al, bh, bl):
     return _renorm(p, e)
 
 
-def dd_div(ah, al, bh, bl):
-    q1 = ah / bh
-    ph, pl = dd_mul(q1, np.zeros_like(q1) if isinstance(q1, np.ndarray) else 0.0, bh, bl)
-    rh, rl = dd_add(ah, al, -ph, -pl)
-    q2 = (rh + rl) / bh
-    return _renorm(q1, q2)
-
-
 def _dd_residual_parts(A, xh, xl, b):
     """Residual b - A x accumulated in double-double; x may itself be a dd pair.
 
@@ -449,45 +441,6 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     if not np.all(np.isfinite(M)):
         raise OverflowInFactorizationError(f"overflow in {uf.name}")
     return DenseLu(lu=M, perm=perm)
-
-
-def _dd_lu_solve(A: np.ndarray, b: np.ndarray):
-    """Dense LU factorization and solve carried entirely in double-double.
-
-    Cubic in n with heavy per-element cost: an independent oracle for
-    :func:`dd_solve` at small sizes.
-    """
-    Ah = np.array(A, dtype=np.float64)
-    Al = np.zeros_like(Ah)
-    n = Ah.shape[0]
-    bh = np.asarray(b, dtype=np.float64).copy()
-    bl = np.zeros_like(bh)
-    for k in range(n):
-        j = k + int(np.argmax(np.abs(Ah[k:, k])))
-        if Ah[j, k] == 0.0:
-            raise SingularMatrixError("singular")
-        if j != k:
-            Ah[[k, j]] = Ah[[j, k]]
-            Al[[k, j]] = Al[[j, k]]
-            bh[k], bh[j] = bh[j], bh[k]
-            bl[k], bl[j] = bl[j], bl[k]
-        if k == n - 1:
-            break
-        mh, ml = dd_div(Ah[k + 1 :, k], Al[k + 1 :, k], Ah[k, k], Al[k, k])
-        Ah[k + 1 :, k] = mh
-        Al[k + 1 :, k] = ml
-        ph, pl = dd_mul(mh[:, None], ml[:, None], Ah[k, k + 1 :][None, :], Al[k, k + 1 :][None, :])
-        Ah[k + 1 :, k + 1 :], Al[k + 1 :, k + 1 :] = dd_add(
-            Ah[k + 1 :, k + 1 :], Al[k + 1 :, k + 1 :], -ph, -pl
-        )
-    for k in range(n):
-        ph, pl = dd_mul(Ah[k + 1 :, k], Al[k + 1 :, k], bh[k], bl[k])
-        bh[k + 1 :], bl[k + 1 :] = dd_add(bh[k + 1 :], bl[k + 1 :], -ph, -pl)
-    for k in range(n - 1, -1, -1):
-        bh[k], bl[k] = dd_div(bh[k], bl[k], Ah[k, k], Al[k, k])
-        ph, pl = dd_mul(Ah[:k, k], Al[:k, k], bh[k], bl[k])
-        bh[:k], bl[:k] = dd_add(bh[:k], bl[:k], -ph, -pl)
-    return bh, bl
 
 
 @quiet

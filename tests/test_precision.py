@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_dd_lu_solve
 from spai_ir.precision import (
     DOUBLE,
     HALF,
@@ -16,7 +17,6 @@ from spai_ir.precision import (
     fl_norm2,
     fl_op,
     fl_sum,
-    _dd_lu_solve,
     fl,
     parse_precision,
     quiet,
@@ -307,7 +307,7 @@ def test_dd_solve_matches_full_dd_factorization(rng):
     A = rng.randn(40, 40) + 15 * np.eye(40)
     b = rng.randn(40)
     xh, xl = dd_solve(SparseMatrix.from_dense(A), b)
-    yh, yl = _dd_lu_solve(A, b)
+    yh, yl = reference_dd_lu_solve(A, b)
     # both accurate to ~2^-106 * cond; compare against each other loosely
     num = np.abs((xh - yh) + (xl - yl)).max()
     assert num <= 1e-25 * np.abs(xh).max()
