@@ -12,7 +12,7 @@ import numpy as np
 
 from .precision import SingularMatrixError
 from .refine import norm_inf
-from .spai import SpaiParams, SpaiPreconditioner
+from .spai import SpaiPreconditioner
 from .sparse import SparseMatrix
 
 __all__ = [
@@ -77,10 +77,10 @@ def cond2_transpose(A) -> float:
     return _two_norm_power(X)
 
 
-def kappa_inf_product(P: SparseMatrix, A: SparseMatrix) -> float:
-    """Infinity-norm condition number of the preconditioned operator P A."""
-    prod = (P.to_scipy_csc() @ A.to_scipy_csc()).toarray()
-    return kappa_inf(prod)
+def kappa_inf_product(P, A: SparseMatrix) -> float:
+    """Infinity-norm condition number of P A; any preconditioner ``P`` (sparse
+    or LU factors) forms the dense product in plain double by ``apply_exact``."""
+    return kappa_inf(P.apply_exact(A))
 
 
 @dataclass
@@ -110,14 +110,14 @@ class BoundReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def check_bounds(A: SparseMatrix, pre: SpaiPreconditioner, params: SpaiParams | None = None) -> BoundReport:
+def check_bounds(A: SparseMatrix, pre: SpaiPreconditioner) -> BoundReport:
     """Fill a :class:`BoundReport` for a built preconditioner.
 
     When every column is satisfied the two residual bounds are asserted
     (raising :class:`BoundViolationError` on failure); otherwise the report
     is returned flagged, with nothing asserted.
     """
-    params = params if params is not None else pre.params
+    params = pre.params
     n = A.n_rows
     eps = params.eps
     Ad = _dense(A)

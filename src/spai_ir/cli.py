@@ -18,6 +18,7 @@ import sys
 
 from .precision import parse_precision
 from .reference import GOLDEN_TABLES, find_matrix
+from .refine import SOLVERS
 from .sparse import MatrixMarketParseError, load_matrix_market
 from .tables import default_tau, result_row, run_sweep, run_table, solve_system
 
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", parents=[common], help="run one refinement solve")
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--solver", choices=["spai", "lu", "none", "sir"], default="spai")
+    sp.add_argument("--solver", choices=SOLVERS, default="spai")
     sp.add_argument("--precisions", default="s,d,q", help="uf,u,ur[,ug,up]; letters h s d q")
     sp.add_argument("--eps", type=float, default=0.3, help="SPAI column tolerance")
     sp.add_argument("--alpha", type=int, default=None, help="max augmentation rounds (default ceil(n/beta))")

@@ -45,23 +45,20 @@ def _ug_overflow(ug: Precision) -> PrecisionOverflowSignal:
 
 @dataclass(frozen=True)
 class GmresConfig:
-    """Stopping tolerance, iteration cap, and the two precisions.
+    """Stopping tolerance and the two precisions.
 
     ``tau`` is compared against the Givens-updated estimate of the
-    preconditioned relative residual.  ``max_iters`` may not exceed the
-    problem size.
+    preconditioned relative residual.  There is no iteration cap below the
+    problem size: GMRES stops after n iterations at the latest.
     """
 
     tau: float
-    max_iters: int
     ug: Precision
     up: Precision
 
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must lie strictly between 0 and 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
 
 
 @dataclass
@@ -100,7 +97,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     The right-hand side is preconditioned in the application precision; the
     iteration stops when the Givens residual estimate relative to the
     preconditioned right-hand side norm drops to ``tau``, on a happy
-    breakdown, or at ``max_iters``.  A basis norm that underflows to zero
+    breakdown, or after n iterations.  A basis norm that underflows to zero
     before the tolerance is met sets ``breakdown`` and returns the best
     iterate so far.
 
@@ -110,8 +107,6 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     denominator, or the correction.
     """
     n = A.n_rows
-    if cfg.max_iters > n:
-        raise ValueError("max_iters may not exceed the problem dimension")
     dt = cfg.ug.dtype or np.float64
     r = np.asarray(r, dtype=np.float64)
     z = _apply_p(P, r, cfg.up)
@@ -124,12 +119,11 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     if beta == 0.0:
         return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
 
-    m = cfg.max_iters
-    V = np.zeros((m + 1, n), dt)  # basis vectors as rows
-    H = np.zeros((m + 1, m), dt)
-    cs = np.zeros(m, dt)
-    sn = np.zeros(m, dt)
-    g = np.zeros(m + 1, dt)
+    V = np.zeros((n + 1, n), dt)  # basis vectors as rows
+    H = np.zeros((n + 1, n), dt)
+    cs = np.zeros(n, dt)
+    sn = np.zeros(n, dt)
+    g = np.zeros(n + 1, dt)
     g[0] = beta
     V[0] = z / beta
     relres_history = [1.0]
@@ -138,7 +132,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     verify_breakdown = False
     k = 0
 
-    for j in range(m):
+    for j in range(n):
         w = apply_precond_matvec(A, P, V[j], cfg.up).astype(dt)
         for i in range(j + 1):
             H[i, j] = fl_dot(V[i], w, cfg.ug)

@@ -55,14 +55,13 @@ class SpaiParams:
     ``eps`` is the per-column residual tolerance, ``alpha`` the maximum
     number of augmentation rounds (``None`` means ceil(n / beta), which lets
     a column fill in as much as it needs), ``beta`` the maximum number of
-    indices added per round.  ``initial_pattern`` is ``"identity"`` or
-    ``"pattern"`` (the sparsity of the input matrix itself).
+    indices added per round.  Every column starts from the identity pattern
+    ``{k}``, so the input needs a nonzero diagonal.
     """
 
     eps: float
     alpha: int | None = None
     beta: int = 8
-    initial_pattern: str = "identity"
     uf: Precision = SINGLE
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class SpaiParams:
             raise ValueError("alpha must be nonnegative")
         if self.beta < 1:
             raise ValueError("beta must be at least 1")
-        if self.initial_pattern not in ("identity", "pattern"):
-            raise ValueError(f"unknown initial pattern {self.initial_pattern!r}")
         if self.uf == QUAD:
             raise ValueError("quad-emulated is a residual precision only; it cannot build the preconditioner")
 
@@ -313,18 +310,15 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     n = At.n_rows
     uf = params.uf
     B = At.rounded(uf)
-    if params.initial_pattern == "identity":
-        diag_ok = np.zeros(n, dtype=bool)
-        for j in range(n):
-            diag_ok[j] = bool(np.any(B.col(j)[0] == j))
-        if not np.all(diag_ok):
-            j = int(np.nonzero(~diag_ok)[0][0])
-            raise ValueError(
-                f"zero diagonal at index {j}: identity initial pattern needs a nonzero diagonal"
-            )
-        patterns = [index_set([k]) for k in range(n)]
-    else:
-        patterns = [index_set(B.col(k)[0]) if B.col(k)[0].size else index_set([k]) for k in range(n)]
+    diag_ok = np.zeros(n, dtype=bool)
+    for j in range(n):
+        diag_ok[j] = bool(np.any(B.col(j)[0] == j))
+    if not np.all(diag_ok):
+        j = int(np.nonzero(~diag_ok)[0][0])
+        raise ValueError(
+            f"zero diagonal at index {j}: identity initial pattern needs a nonzero diagonal"
+        )
+    patterns = [index_set([k]) for k in range(n)]
     B_t = B.transpose()
     E = SparseMatrix.identity(n)
     alpha = params.resolved_alpha(n)

@@ -107,6 +107,10 @@ class SparseMatrix:
         """The preconditioner interface: ``self @ v`` rounded to p (:func:`matvec`)."""
         return matvec(self, v, p)
 
+    def apply_exact(self, A: "SparseMatrix") -> np.ndarray:
+        """The dense product ``self @ A`` in plain double (diagnostics)."""
+        return (self.to_scipy_csc() @ A.to_scipy_csc()).toarray()
+
     def col(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Row indices and values of column j (views, do not mutate)."""
         lo, hi = self.indptr[j], self.indptr[j + 1]

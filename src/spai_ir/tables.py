@@ -93,12 +93,8 @@ def solve_system(
     x, report = run_ir(A, b, cfg, solver=prepared, x_ref=x_ref)
     kappa_tilde = None
     if with_kappa:
-        if solver == "spai":
-            kappa_tilde = kappa_inf_product(prepared.spai.P, A)
-        elif solver == "none":
-            kappa_tilde = kappa_inf(A)
-        else:
-            kappa_tilde = kappa_inf(prepared.precond.apply_dense_exact(A.to_dense()))
+        P = prepared.precond
+        kappa_tilde = kappa_inf(A) if P is None else kappa_inf_product(P, A)
     return SolveOutcome(
         matrix=name,
         solver=solver,

@@ -179,8 +179,6 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, s
     no step was taken): the loss of orthogonality of the MGS basis.
     """
     n = A.n_rows
-    if cfg.max_iters > n:
-        raise ValueError("max_iters may not exceed the problem dimension")
     r = np.asarray(r, dtype=np.float64)
     z = _apply_p(P, r, cfg.up)
     if not np.all(np.isfinite(z)):
@@ -192,7 +190,7 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, s
     if beta == 0.0:
         return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
 
-    m = cfg.max_iters
+    m = n
     V = np.zeros((n, m + 1))
     H = np.zeros((m + 1, m))
     cs = np.zeros(m)

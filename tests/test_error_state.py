@@ -30,7 +30,7 @@ def warnings_are_errors():
 
 
 def test_pgmres_left_half_overflow_raises_no_warning():
-    cfg = GmresConfig(tau=1e-4, max_iters=3, ug=HALF, up=HALF)
+    cfg = GmresConfig(tau=1e-4, ug=HALF, up=HALF)
     with pytest.raises(PrecisionOverflowSignal):
         pgmres_left(DIAG, None, np.ones(3), cfg)
 

@@ -10,11 +10,9 @@ from spai_ir.sparse import SparseMatrix, matvec
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GmresConfig(tau=0.0, max_iters=5, ug=DOUBLE, up=DOUBLE)
+        GmresConfig(tau=0.0, ug=DOUBLE, up=DOUBLE)
     with pytest.raises(ValueError):
-        GmresConfig(tau=2.0, max_iters=5, ug=DOUBLE, up=DOUBLE)
-    with pytest.raises(ValueError):
-        GmresConfig(tau=1e-8, max_iters=0, ug=DOUBLE, up=DOUBLE)
+        GmresConfig(tau=2.0, ug=DOUBLE, up=DOUBLE)
 
 
 def test_apply_precond_matvec(rng):
@@ -48,7 +46,7 @@ def test_overflow_signal():
 ])
 def test_overflow_in_gmres_names_the_working_precision(diag, r, ug):
     # the operator is applied in double, so only ug can overflow
-    cfg = GmresConfig(tau=1e-4, max_iters=3, ug=ug, up=DOUBLE)
+    cfg = GmresConfig(tau=1e-4, ug=ug, up=DOUBLE)
     A = SparseMatrix.from_dense(np.diag(diag))
     with pytest.raises(PrecisionOverflowSignal, match=rf"^overflow in the GMRES working precision \({ug.name}\)$"):
         pgmres_left(A, None, np.array(r), cfg)
@@ -59,7 +57,7 @@ def test_exact_inverse_preconditioner_one_iteration(rng):
     A = SparseMatrix.from_dense(dense)
     P = SparseMatrix.from_dense(np.linalg.inv(dense))
     r = rng.randn(5)
-    d, rep = pgmres_left(A, P, r, GmresConfig(tau=1e-8, max_iters=5, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(A, P, r, GmresConfig(tau=1e-8, ug=DOUBLE, up=DOUBLE))
     assert rep.iters == 1
     assert rep.converged and not rep.breakdown
 
@@ -67,7 +65,7 @@ def test_exact_inverse_preconditioner_one_iteration(rng):
 def test_diagonal_system_matches_dense_solve(rng):
     A = SparseMatrix.from_dense(np.diag(np.arange(1.0, 6.0)))
     r = rng.randn(5)
-    d, rep = pgmres_left(A, None, r, GmresConfig(tau=1e-12, max_iters=5, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(A, None, r, GmresConfig(tau=1e-12, ug=DOUBLE, up=DOUBLE))
     assert rep.iters <= 5
     want = r / np.arange(1.0, 6.0)
     assert np.abs(d - want).max() <= 1e-10 * np.abs(want).max()
@@ -76,7 +74,7 @@ def test_diagonal_system_matches_dense_solve(rng):
 def test_identity_happy_breakdown(rng):
     I = SparseMatrix.identity(6)
     r = rng.randn(6)
-    d, rep = pgmres_left(I, None, r, GmresConfig(tau=1e-10, max_iters=6, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(I, None, r, GmresConfig(tau=1e-10, ug=DOUBLE, up=DOUBLE))
     assert rep.iters == 1
     assert rep.converged and not rep.breakdown
     assert np.allclose(d, r, rtol=1e-14)
@@ -84,22 +82,16 @@ def test_identity_happy_breakdown(rng):
 
 def test_zero_rhs_returns_zero():
     A = SparseMatrix.identity(4)
-    d, rep = pgmres_left(A, None, np.zeros(4), GmresConfig(tau=1e-8, max_iters=4, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(A, None, np.zeros(4), GmresConfig(tau=1e-8, ug=DOUBLE, up=DOUBLE))
     assert np.array_equal(d, np.zeros(4))
     assert rep.iters == 0 and rep.converged
-
-
-def test_max_iters_cannot_exceed_n():
-    A = SparseMatrix.identity(4)
-    with pytest.raises(ValueError):
-        pgmres_left(A, None, np.ones(4), GmresConfig(tau=1e-8, max_iters=9, ug=DOUBLE, up=DOUBLE))
 
 
 def test_relres_history_nonincreasing_double(rng):
     dense = random_dd_sparse(rng, 25)
     A = SparseMatrix.from_dense(dense)
     r = rng.randn(25)
-    d, rep = pgmres_left(A, None, r, GmresConfig(tau=1e-10, max_iters=25, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(A, None, r, GmresConfig(tau=1e-10, ug=DOUBLE, up=DOUBLE))
     hist = rep.relres_history
     for a, b in zip(hist, hist[1:]):
         assert b <= a * (1 + 1e-12)
@@ -112,7 +104,7 @@ def test_true_residual_consistent_with_estimate(name):
     A = load_synthetic(name)
     tau = 1e-8
     r = rhs_for(A.n_rows)
-    d, rep = pgmres_left(A, None, r, GmresConfig(tau=tau, max_iters=A.n_rows, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(A, None, r, GmresConfig(tau=tau, ug=DOUBLE, up=DOUBLE))
     assert rep.converged
     true_rel = np.linalg.norm(r - A.to_dense() @ d) / np.linalg.norm(r)
     assert true_rel <= 10 * tau
@@ -122,7 +114,7 @@ def test_orthogonality_diagnostic(rng):
     dense = random_dd_sparse(rng, 20)
     A = SparseMatrix.from_dense(dense)
     r = rng.randn(20)
-    cfg = GmresConfig(tau=1e-10, max_iters=20, ug=DOUBLE, up=DOUBLE)
+    cfg = GmresConfig(tau=1e-10, ug=DOUBLE, up=DOUBLE)
     d, rep, ortho_defect = reference_pgmres_left(A, None, r, cfg, collect_diagnostics=True)
     # the oracle's basis is pgmres_left's: the solutions agree bit for bit
     assert np.array_equal(pgmres_left(A, None, r, cfg)[0], d)
@@ -137,7 +129,7 @@ def test_single_precision_run_converges(rng):
     dense = random_dd_sparse(rng, 30)
     A = SparseMatrix.from_dense(dense)
     r = rng.randn(30)
-    d, rep = pgmres_left(A, None, r, GmresConfig(tau=1e-4, max_iters=30, ug=SINGLE, up=SINGLE))
+    d, rep = pgmres_left(A, None, r, GmresConfig(tau=1e-4, ug=SINGLE, up=SINGLE))
     assert rep.converged
     true_rel = np.linalg.norm(r - A.to_dense() @ d) / np.linalg.norm(r)
     assert true_rel <= 1e-3
@@ -149,7 +141,7 @@ def test_half_precision_gmres_runs(rng):
     dense = np.float64(np.float16(random_dd_sparse(rng, 12)))
     A = SparseMatrix.from_dense(dense)
     r = np.float64(np.float16(rng.randn(12) * 0.1))
-    d, rep = pgmres_left(A, None, r, GmresConfig(tau=5e-2, max_iters=12, ug=HALF, up=HALF))
+    d, rep = pgmres_left(A, None, r, GmresConfig(tau=5e-2, ug=HALF, up=HALF))
     assert rep.iters <= 12
     assert np.all(np.isfinite(d))
     true_rel = np.linalg.norm(r - dense @ d) / np.linalg.norm(r)

@@ -194,22 +194,11 @@ def test_scaled_lu_fallback_inside_run(rng):
     assert rep.details["lu_scaled"]
 
 
-def test_use_ferr_disabled_step_size_criterion(rng):
-    A = load_synthetic("dd_rand_64")
-    b = rhs_for(A.n_rows)
-    cfg = IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="spai", tau=1e-8,
-                   spai=SpaiParams(eps=0.3, uf=SINGLE), use_ferr=False)
-    x, rep = run_ir(A, b, cfg)
-    assert rep.converged
-    assert rep.nbe_history[-1] <= 64 * 2.0**-53
-
-
 def test_imax_exhaustion_reports_unconverged(rng):
     A = load_synthetic("dd_rand_64")
     b = rhs_for(A.n_rows)
-    # absurdly tight custom threshold cannot be reached in one step
-    cfg = IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="none", tau=1e-8,
-                   i_max=1, c_ferr=1e-6, c_nbe=1e-6)
+    # one loose GMRES solve (tau = 0.5) leaves the forward error far above n * u
+    cfg = IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="none", tau=0.5, i_max=1)
     x, rep = run_ir(A, b, cfg)
     assert not rep.converged
     assert rep.steps == 1

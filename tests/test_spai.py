@@ -305,8 +305,6 @@ def reference_build_spai(At, params):
     for k in range(n):
         solved = None
         Jk = index_set([k])
-        if params.initial_pattern == "pattern" and B.col(k)[0].size:
-            Jk = index_set(B.col(k)[0])
         for step in range(alpha + 1):
             Ik = shadow(B, Jk)
             if Ik.size == 0:
@@ -358,7 +356,7 @@ def test_build_matches_column_by_column_reference(rng):
     seen = set()
     dense = random_dd_sparse(rng, 40)
     for params in (SpaiParams(eps=0.3, uf=HALF), SpaiParams(eps=0.1, uf=SINGLE, beta=3),
-                   SpaiParams(eps=0.2, uf=DOUBLE, initial_pattern="pattern")):
+                   SpaiParams(eps=0.2, uf=DOUBLE)):
         seen.update(assert_matches_reference(SparseMatrix.from_dense(dense).transpose(), params).col_status)
     wild = np.random.RandomState(5)
     for trial in range(6):
@@ -366,7 +364,7 @@ def test_build_matches_column_by_column_reference(rng):
         d = wild.randn(n, n) * (wild.rand(n, n) < 0.3) * 10.0 ** wild.randint(-6, 7, size=(n, n))
         np.fill_diagonal(d, (1 + wild.rand(n)) * 10.0 ** wild.randint(-4, 5, size=n))
         for params in (SpaiParams(eps=0.05, uf=HALF), SpaiParams(eps=0.3, alpha=2, beta=1, uf=HALF),
-                       SpaiParams(eps=0.2, uf=SINGLE, initial_pattern="pattern")):
+                       SpaiParams(eps=0.2, uf=SINGLE)):
             seen.update(assert_matches_reference(SparseMatrix.from_dense(d), params).col_status)
     assert seen == {"ok", "overflow", "stagnated", "rank_deficient"}
 
@@ -378,8 +376,3 @@ def test_nnz_at_least_n_with_identity_pattern(rng):
     assert pre.nnz >= 20
 
 
-def test_pattern_of_a_initial_pattern(rng):
-    dense = random_dd_sparse(rng, 12)
-    A = SparseMatrix.from_dense(dense)
-    pre = build_spai(A.transpose(), SpaiParams(eps=0.5, uf=SINGLE, initial_pattern="pattern"))
-    assert pre.all_satisfied or np.any(pre.col_rounds > 0)
