@@ -13,7 +13,7 @@ from .analysis import cond2_transpose, kappa_inf, kappa_inf_product
 from .precision import Precision, dd_solve, parse_precision
 from .refine import IrConfig, IrReport, prepare_solver, run_ir
 from .reference import GOLDEN_TABLES, TABLE_SETTINGS, GoldenRow, find_matrix, rhs_for
-from .spai import SpaiParams, build_left_preconditioner, build_spai
+from .spai import SpaiParams, build_left_preconditioner
 from .sparse import SparseMatrix, load_matrix_market
 
 __all__ = [
@@ -139,20 +139,6 @@ def run_sweep(A: SparseMatrix, name: str, eps_grid, uf_list, beta: int = 8) -> l
         for uf in uf_list:
             rows.append(sweep_cell(A, name, float(eps), uf, cond2_at, beta=beta))
     return rows
-
-
-def kappa_ratio_unscaled(A: SparseMatrix, eps: float, uf: Precision) -> float:
-    """kappa(P A) relative to the closed-form estimate (1 + 2 n eps)^2.
-
-    Uses the plain construction on the transpose without column scaling,
-    matching the conditioning-vs-eps study protocol (the scaling step
-    belongs to the solver pipeline, not to this diagnostic).
-    """
-    pre = build_spai(A.transpose(), SpaiParams(eps=eps, uf=uf))
-    P = pre.P.transpose()
-    kt = kappa_inf_product(P, A)
-    n = A.n_rows
-    return kt / (1.0 + 2.0 * n * eps) ** 2
 
 
 def _within(value: float, ref: float, band: float) -> bool:

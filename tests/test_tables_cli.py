@@ -115,7 +115,7 @@ def test_solve_system_outcome_shape():
 
 
 def test_kappa_ratio_unscaled_is_finite():
-    from spai_ir.tables import kappa_ratio_unscaled
+    from test_acceptance import kappa_ratio_unscaled
 
     ratio = kappa_ratio_unscaled(load_synthetic("dd_rand_64"), 0.3, SINGLE)
     assert math.isfinite(ratio) and ratio > 0.0
