@@ -5,7 +5,7 @@ Matrix files are resolved against --matrix as a path first, then inside
 $SPAI_IR_MATRIX_DIR (default ./matrices).  Exit codes: 0 success/converged,
 2 non-convergence or failed table bands, 1 usage or input errors, including
 arithmetic failures such as a singular matrix or an overflowing
-factorization.
+factorization, and an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ArithmeticError, FileNotFoundError, MatrixMarketParseError, ValueError) as exc:
+    except (ArithmeticError, OSError, MatrixMarketParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

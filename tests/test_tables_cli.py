@@ -229,6 +229,13 @@ def test_cli_half_overflow_is_one_line_error(tmp_path):
     assert res.stderr.splitlines() == ["error: overflow in the GMRES working precision (half)"], res.stderr
 
 
+def test_cli_unwritable_out_is_one_line_error(tmp_path):
+    # --out names a directory: the write fails with IsADirectoryError
+    res = _run_cli(["solve", "--matrix", "lap2d_196", "--out", str(tmp_path)])
+    assert res.returncode == 1
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: "), res.stderr
+
+
 @pytest.mark.parametrize("value, solver, precisions", [
     ("nan", "spai", "h,s,d"), ("nan", "lu", "h,s,d"), ("nan", "none", "h,s,d"),
     ("inf", "none", "s,d,q"),
