@@ -374,5 +374,3 @@ def test_nnz_at_least_n_with_identity_pattern(rng):
     A = SparseMatrix.from_dense(dense)
     pre = build_left_preconditioner(A, SpaiParams(eps=0.4, uf=SINGLE))
     assert pre.nnz >= 20
-
-
