@@ -20,7 +20,7 @@ from .precision import parse_precision
 from .reference import GOLDEN_TABLES, find_matrix
 from .refine import SOLVERS
 from .sparse import MatrixMarketParseError, load_matrix_market
-from .tables import default_tau, result_row, run_sweep, run_table, solve_system
+from .tables import result_row, run_sweep, run_table, solve_system
 
 SWEEP_FIELDS = [
     "matrix", "eps", "uf", "nnz", "kappa_tilde", "estimate", "feasible",
@@ -41,9 +41,7 @@ def _parse_precisions(spec: str):
     if len(parts) not in (3, 5):
         raise ValueError("--precisions expects uf,u,ur or uf,u,ur,ug,up")
     ps = [parse_precision(p) for p in parts]
-    if len(ps) == 3:
-        ps += [ps[1], ps[1]]
-    return ps
+    return ps + [None] * (5 - len(ps))  # ug and up left unset run in u
 
 
 def _emit(text: str, out_path: str | None):
@@ -82,16 +80,16 @@ def _load(matrix_arg: str):
 def cmd_solve(args) -> int:
     A, name = _load(args.matrix)
     uf, u, ur, ug, up = _parse_precisions(args.precisions)
-    tau = args.tau if args.tau is not None else default_tau(u)
     outcome = solve_system(
         A, name, args.solver, uf, u, ur, ug=ug, up=up,
-        eps=args.eps, alpha=args.alpha, beta=args.beta, tau=tau,
+        eps=args.eps, alpha=args.alpha, beta=args.beta, tau=args.tau,
         i_max=args.imax,
     )
     rep = outcome.report
+    details = rep.details
     row = result_row(name, args.solver, args.eps if args.solver == "spai" else None, uf.name, outcome)
-    row.update(table="", solver=args.solver, precond_nnz=outcome.precond_nnz,
-               u=u.name, ur=ur.name, tau=tau, stagnated=rep.stagnated)
+    row.update(table="", solver=args.solver, precond_nnz=details["precond_nnz"],
+               u=u.name, ur=ur.name, tau=details["tau"], stagnated=rep.stagnated)
     if args.json:
         payload = dict(row)
         payload["report"] = rep.to_dict()
@@ -103,9 +101,9 @@ def cmd_solve(args) -> int:
             f"matrix        : {name} (n={A.n_rows}, nnz={A.nnz})",
             f"solver        : {args.solver}"
             + (f" (eps={args.eps}, beta={args.beta})" if args.solver == "spai" else ""),
-            f"precisions    : uf={uf.name} u={u.name} ur={ur.name} ug={ug.name} up={up.name}",
-            f"tau           : {tau:g}",
-            f"precond nnz   : {outcome.precond_nnz}",
+            "precisions    : " + " ".join(f"{k}={v}" for k, v in details["precisions"].items()),
+            f"tau           : {details['tau']:g}",
+            f"precond nnz   : {details['precond_nnz']}",
             f"kappa(PA)     : {outcome.kappa_tilde:.3e}" if outcome.kappa_tilde is not None else "kappa(PA)     : n/a",
             f"steps/iters   : {rep.total_gmres_iters}({', '.join(map(str, rep.gmres_iters_per_step))})",
             f"converged     : {rep.converged} (stagnated={rep.stagnated})",

@@ -162,13 +162,12 @@ def matrix_dir() -> Path:
     return repo if repo.is_dir() else cwd
 
 
-def find_matrix(name: str, directory: Path | None = None) -> Path | None:
+def find_matrix(name: str) -> Path | None:
     """Locate ``<name>.mtx`` (case as given) in the matrix directory."""
-    directory = directory if directory is not None else matrix_dir()
     candidate = Path(name)
     if candidate.suffix == ".mtx" and candidate.is_file():
         return candidate
-    path = directory / f"{name}.mtx"
+    path = matrix_dir() / f"{name}.mtx"
     return path if path.is_file() else None
 
 

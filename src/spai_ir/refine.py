@@ -11,7 +11,7 @@ and operator application.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -101,16 +101,7 @@ class IrReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "gmres_iters_per_step": list(self.gmres_iters_per_step),
-            "total_gmres_iters": self.total_gmres_iters,
-            "ferr_history": [float(v) for v in self.ferr_history],
-            "nbe_history": [float(v) for v in self.nbe_history],
-            "converged": self.converged,
-            "stagnated": self.stagnated,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +200,13 @@ def norm_inf(A) -> float:
     return float(np.abs(np.asarray(A)).sum(axis=1).max())
 
 
-def measure_errors(A, b, x, x_ref=None):
+def measure_errors(A, b, x, x_ref):
     """Normwise forward error and backward error of a candidate solution.
 
-    The forward error is measured against a double-double reference solve
-    (pass ``x_ref`` to reuse one); the backward-error residual is
-    accumulated in double-double as well.
+    The forward error is measured against ``x_ref``, a double-double
+    reference solution ``(hi, lo)`` such as ``dd_solve`` returns; the
+    backward-error residual is accumulated in double-double as well.
     """
-    if x_ref is None:
-        x_ref = dd_solve(A, b)
     xh, xl = x_ref
     diff = (xh - np.asarray(x, dtype=np.float64)) + xl
     denom = float(np.max(np.abs(xh + xl)))
@@ -243,10 +232,6 @@ class PreparedSolver:
     precond: SparseMatrix | LuPreconditioner | None = None
     spai: SpaiPreconditioner | None = None
     lu_scaled: bool = False
-
-    @property
-    def precond_nnz(self) -> int:
-        return self.precond.nnz if self.precond is not None else 0
 
 
 @quiet
@@ -349,7 +334,7 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
         stagnated=stagnated,
         details={
             "solver": cfg.solver,
-            "precond_nnz": solver.precond_nnz,
+            "precond_nnz": solver.precond.nnz if solver.precond is not None else 0,
             "tau": cfg.tau,
             "precisions": {
                 "uf": cfg.uf.name,

@@ -5,7 +5,6 @@ reproduction, shared by the command-line interface and the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -41,26 +40,16 @@ def default_tau(u: Precision) -> float:
 
 @dataclass
 class SolveOutcome:
-    """Everything a solve row reports: refinement results plus operator stats."""
+    """One solve: the run's report, its solution and the kappa(PA) diagnostic.
+
+    ``report.details`` is the one record of the run's settings and
+    preconditioner size; nothing here repeats it.
+    """
 
     matrix: str
-    solver: str
-    eps: float | None
     report: IrReport
     x: np.ndarray
-    precond_nnz: int
     kappa_tilde: float | None
-
-    def to_dict(self) -> dict:
-        d = {
-            "matrix": self.matrix,
-            "solver": self.solver,
-            "eps": self.eps,
-            "precond_nnz": self.precond_nnz,
-            "kappa_tilde": self.kappa_tilde,
-        }
-        d.update(self.report.to_dict())
-        return d
 
 
 def solve_system(
@@ -95,15 +84,7 @@ def solve_system(
     if with_kappa:
         P = prepared.precond
         kappa_tilde = kappa_inf(A) if P is None else kappa_inf_product(P, A)
-    return SolveOutcome(
-        matrix=name,
-        solver=solver,
-        eps=eps,
-        report=report,
-        x=x,
-        precond_nnz=prepared.precond_nnz,
-        kappa_tilde=kappa_tilde,
-    )
+    return SolveOutcome(matrix=name, report=report, x=x, kappa_tilde=kappa_tilde)
 
 
 def sweep_cell(A: SparseMatrix, name: str, eps: float, uf: Precision, cond2_at: float,
@@ -162,31 +143,21 @@ def result_row(matrix: str, precond: str, eps: float | None, uf: str,
     if outcome is None:
         return row
     rep = outcome.report
-    row.update(kappa_tilde=outcome.kappa_tilde, nnz=outcome.precond_nnz, steps=rep.steps,
+    nnz = rep.details["precond_nnz"]
+    row.update(kappa_tilde=outcome.kappa_tilde, nnz=nnz, steps=rep.steps,
                iters_per_step=list(rep.gmres_iters_per_step), total_iters=rep.total_gmres_iters,
                converged=rep.converged, ferr=rep.ferr_history[-1], nbe=rep.nbe_history[-1])
     if golden is not None:
         row.update(ref_kappa_tilde=golden.kappa_tilde, ref_iters_per_step=list(golden.iters_per_step),
-                   nnz_ok=_within(outcome.precond_nnz, golden.nnz, NNZ_BAND),
+                   nnz_ok=_within(nnz, golden.nnz, NNZ_BAND),
                    iters_ok=_within(rep.total_gmres_iters, golden.total_iters, ITERS_BAND))
     return row
 
 
-def run_table_row(row: GoldenRow, A: SparseMatrix, settings: dict, *,
-                  with_kappa: bool = True, x_ref=None) -> dict:
-    """Execute one golden row and compare against its published values."""
-    uf = parse_precision(settings["uf"])
-    u = parse_precision(settings["u"])
-    ur = parse_precision(settings["ur"])
-    outcome = solve_system(A, row.matrix, row.precond, uf, u, ur, eps=row.eps,
-                           tau=settings["tau"], with_kappa=with_kappa, x_ref=x_ref)
-    return result_row(row.matrix, row.precond, row.eps, uf.name, outcome, golden=row)
-
-
-def run_table(name: str, *, directory: Path | None = None, solvers=None,
-              with_kappa: bool = True) -> list[dict]:
+def run_table(name: str, *, solvers=None, with_kappa: bool = True) -> list[dict]:
     """Reproduce one golden table; missing matrix files yield 'missing' rows.
 
+    Matrices are looked up in the matrix directory (``SPAI_IR_MATRIX_DIR``).
     ``solvers`` restricts which preconditioner kinds are run (e.g. skip the
     dense LU baseline for speed); skipped rows are omitted entirely.  A
     kind outside spai, lu and none raises ``ValueError``.
@@ -197,23 +168,23 @@ def run_table(name: str, *, directory: Path | None = None, solvers=None,
     if unknown:
         raise ValueError(f"unknown table solvers {sorted(unknown)}; expected a subset of spai, lu, none")
     settings = TABLE_SETTINGS[name]
+    uf, u, ur = (parse_precision(settings[key]) for key in ("uf", "u", "ur"))
     rows = []
-    loaded: dict[str, SparseMatrix | None] = {}
-    refs: dict[str, object] = {}
+    # matrix name -> (A, double-double reference solution), or None if the file is missing
+    systems: dict[str, tuple | None] = {}
     for row in GOLDEN_TABLES[name]:
         if solvers is not None and row.precond not in solvers:
             continue
-        if row.matrix not in loaded:
-            path = find_matrix(row.matrix, directory)
-            loaded[row.matrix] = load_matrix_market(path) if path else None
-        A = loaded[row.matrix]
-        if A is None:
-            rows.append(result_row(row.matrix, row.precond, row.eps, parse_precision(settings["uf"]).name,
-                                   golden=row))
-            continue
-        if row.matrix not in refs:
-            refs[row.matrix] = dd_solve(A, rhs_for(A.n_rows))
-        rows.append(
-            run_table_row(row, A, settings, with_kappa=with_kappa, x_ref=refs[row.matrix])
-        )
+        if row.matrix not in systems:
+            path = find_matrix(row.matrix)
+            systems[row.matrix] = None
+            if path is not None:
+                A = load_matrix_market(path)
+                systems[row.matrix] = (A, dd_solve(A, rhs_for(A.n_rows)))
+        outcome = None
+        if systems[row.matrix] is not None:
+            A, x_ref = systems[row.matrix]
+            outcome = solve_system(A, row.matrix, row.precond, uf, u, ur, eps=row.eps,
+                                   tau=settings["tau"], with_kappa=with_kappa, x_ref=x_ref)
+        rows.append(result_row(row.matrix, row.precond, row.eps, uf.name, outcome, golden=row))
     return rows

@@ -226,7 +226,8 @@ def test_criterion_9_determinism():
 
     def run_once():
         out = solve_system(A, name, "spai", HALF, SINGLE, DOUBLE, eps=0.5, tau=1e-4)
-        return json.dumps(out.to_dict(), sort_keys=True)
+        record = {"report": out.report.to_dict(), "kappa_tilde": out.kappa_tilde, "x": out.x.tolist()}
+        return json.dumps(record, sort_keys=True)
 
     assert run_once() == run_once()
 

@@ -48,7 +48,7 @@ def solve_fingerprint(A, name: str, pset: str, solver: str) -> dict:
     return {
         "x": digest(out.x, np.float64),
         "report": _sha(json.dumps(out.report.to_dict(), sort_keys=True).encode()),
-        "precond_nnz": _sha(str(out.precond_nnz).encode()),
+        "precond_nnz": _sha(str(out.report.details["precond_nnz"]).encode()),
         "kappa_tilde": _sha(kappa),
         "lu_scaled": out.report.details["lu_scaled"],
     }

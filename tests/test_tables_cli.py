@@ -8,10 +8,10 @@ import pytest
 
 from conftest import load_synthetic
 from spai_ir.cli import main
-from spai_ir.precision import HALF, SINGLE
+from spai_ir.precision import DOUBLE, HALF, SINGLE
 
 from spai_ir.spai import SpaiParams, build_left_preconditioner
-from spai_ir.tables import default_tau, run_sweep, run_table, solve_system
+from spai_ir.tables import default_tau, result_row, run_sweep, run_table, solve_system
 
 
 def test_default_tau_convention():
@@ -66,15 +66,17 @@ def test_table_rejects_an_unknown_solver(solvers, capsys):
     assert err.startswith("error: unknown table solvers") and len(err.splitlines()) == 1, err
 
 
-def test_run_table_all_rows_missing_without_benchmark_files(tmp_path):
-    rows = run_table("t4", directory=tmp_path)
+def test_run_table_all_rows_missing_without_benchmark_files(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPAI_IR_MATRIX_DIR", str(tmp_path))
+    rows = run_table("t4")
     assert rows, "table must emit one row per golden entry"
     assert all(r["status"] == "missing" for r in rows)
 
 
-def test_run_table_missing_rows_name_the_precision(tmp_path):
+def test_run_table_missing_rows_name_the_precision(tmp_path, monkeypatch):
     # a missing row reports uf as a solved row does: the precision's name, not its flag
-    rows = run_table("t5", directory=tmp_path)
+    monkeypatch.setenv("SPAI_IR_MATRIX_DIR", str(tmp_path))
+    rows = run_table("t5")
     assert rows and all(r["status"] == "missing" for r in rows)
     assert {r["uf"] for r in rows} == {"half"}
 
@@ -83,12 +85,16 @@ def test_run_table_row_band_comparison():
     # exercise the golden-row pipeline end to end on a shipped matrix by
     # using a self-consistent reference, then a deliberately wrong one
     from spai_ir.reference import GoldenRow
-    from spai_ir.tables import run_table_row
 
     A = load_synthetic("band_asym_120")
-    settings = dict(uf="h", u="s", ur="d", tau=1e-4)
+
+    def table_row(golden, with_kappa):
+        outcome = solve_system(A, golden.matrix, golden.precond, HALF, SINGLE, DOUBLE, eps=golden.eps,
+                               tau=1e-4, with_kappa=with_kappa)
+        return result_row(golden.matrix, golden.precond, golden.eps, HALF.name, outcome, golden=golden)
+
     probe = GoldenRow("band_asym_120", "spai", 0.3, 1.0, 1, (1,))
-    first = run_table_row(probe, A, settings, with_kappa=True)
+    first = table_row(probe, with_kappa=True)
     assert first["status"] == "ok" and first["converged"]
     assert not first["nnz_ok"] and not first["iters_ok"]
 
@@ -96,7 +102,7 @@ def test_run_table_row_band_comparison():
         "band_asym_120", "spai", 0.3, first["kappa_tilde"], first["nnz"],
         tuple(first["iters_per_step"]),
     )
-    again = run_table_row(consistent, A, settings, with_kappa=False)
+    again = table_row(consistent, with_kappa=False)
     assert again["nnz_ok"] and again["iters_ok"]
     assert again["nnz"] == first["nnz"]
     assert again["total_iters"] == first["total_iters"]
@@ -107,10 +113,13 @@ def test_solve_system_outcome_shape():
     from spai_ir.precision import DOUBLE, QUAD, SINGLE
 
     out = solve_system(A, "dd_rand_64", "spai", SINGLE, DOUBLE, QUAD, eps=0.3)
-    d = out.to_dict()
-    assert d["matrix"] == "dd_rand_64"
-    assert d["converged"] is True
-    assert d["precond_nnz"] == out.precond_nnz
+    assert out.matrix == "dd_rand_64"
+    assert out.report.converged is True
+    details = out.report.details
+    assert details["solver"] == "spai"
+    assert details["precond_nnz"] == details["spai"]["nnz"] > 0
+    assert details["tau"] == default_tau(DOUBLE)
+    assert details["precisions"] == dict(uf="single", u="double", ur="quad-emulated", ug="double", up="double")
     assert out.kappa_tilde is not None
 
 
