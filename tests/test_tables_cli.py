@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +80,40 @@ def test_run_table_missing_rows_name_the_precision(tmp_path, monkeypatch):
     rows = run_table("t5")
     assert rows and all(r["status"] == "missing" for r in rows)
     assert {r["uf"] for r in rows} == {"half"}
+
+
+def test_run_table_solves_present_rows_once_per_reference(tmp_path, monkeypatch):
+    # a shipped matrix stands in for cage5, the one t5 matrix small enough here
+    import shutil
+
+    import spai_ir.tables as tables
+    from spai_ir.reference import GOLDEN_TABLES, rhs_for
+
+    A = load_synthetic("band_asym_120")
+    shutil.copy(Path(__file__).resolve().parents[1] / "matrices" / "band_asym_120.mtx", tmp_path / "cage5.mtx")
+    monkeypatch.setenv("SPAI_IR_MATRIX_DIR", str(tmp_path))
+    calls = []
+
+    def counted(A, b):
+        calls.append(A.n_rows)
+        return real_dd_solve(A, b)
+
+    real_dd_solve = tables.dd_solve
+    monkeypatch.setattr(tables, "dd_solve", counted)
+    rows = run_table("t5")
+    assert len(rows) == len(GOLDEN_TABLES["t5"]) == 20
+    assert [r["status"] for r in rows].count("ok") == 4
+    assert [r["status"] for r in rows].count("missing") == 16
+    assert calls == [120], "one reference solve per present matrix"
+
+    x_ref = real_dd_solve(A, rhs_for(A.n_rows))
+    for golden, row in zip(GOLDEN_TABLES["t5"], rows):
+        if row["status"] != "ok":
+            continue
+        assert golden.matrix == "cage5"
+        outcome = solve_system(A, "cage5", golden.precond, HALF, SINGLE, DOUBLE, eps=golden.eps,
+                               tau=1e-4, x_ref=x_ref)
+        assert row == result_row("cage5", golden.precond, golden.eps, "half", outcome, golden=golden)
 
 
 def test_run_table_row_band_comparison():
