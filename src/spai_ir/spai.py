@@ -301,9 +301,12 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     (:func:`augment_patterns`), and drops the columns that finished.  Every
     column is bit-identical to its own adaptive loop.  Abnormal columns
     (overflow, stagnation, rank deficiency) are frozen at their last finite
-    state and flagged rather than aborting the whole construction.  The
-    pattern of a column is that of its last completed least-squares solve
-    (an augmentation made in the final round is never solved).
+    state and flagged rather than aborting the whole construction.  Each
+    column of ``P`` holds the values of its last completed least-squares
+    solve (an augmentation made in the final round is never solved).  Like
+    MATLAB's ``sparse``, ``P`` drops a solved value that is exactly zero, so
+    its pattern and ``nnz`` count only the stored nonzeros and can be
+    smaller than the pattern the column was solved on.
     """
     if At.n_rows != At.n_cols:
         raise ValueError("square matrix required")
