@@ -313,13 +313,11 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     n = At.n_rows
     uf = params.uf
     B = At.rounded(uf)
-    diag_ok = np.zeros(n, dtype=bool)
-    for j in range(n):
-        diag_ok[j] = bool(np.any(B.col(j)[0] == j))
-    if not np.all(diag_ok):
-        j = int(np.nonzero(~diag_ok)[0][0])
+    cols = np.repeat(np.arange(n), np.diff(B.indptr))
+    no_diag = np.setdiff1d(np.arange(n), B.indices[B.indices == cols])
+    if no_diag.size:
         raise ValueError(
-            f"zero diagonal at index {j}: identity initial pattern needs a nonzero diagonal"
+            f"zero diagonal at index {no_diag[0]}: identity initial pattern needs a nonzero diagonal"
         )
     patterns = [index_set([k]) for k in range(n)]
     B_t = B.transpose()

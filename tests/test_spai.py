@@ -219,6 +219,24 @@ def test_build_zero_diagonal_rejected():
         build_spai(A, SpaiParams(eps=0.3, uf=DOUBLE))
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_build_zero_diagonal_names_the_first_missing_index(seed):
+    # reference: the loop over columns that the array test in build_spai replaced;
+    # a diagonal of 1e-9 is stored but rounds to zero in half
+    rng = np.random.default_rng(seed)
+    n = 7
+    dense = np.where(rng.random((n, n)) < 0.4, rng.uniform(1.0, 2.0, (n, n)), 0.0)
+    dense[np.diag_indices(n)] = rng.choice([0.0, 1e-9, 1.5], n, p=[0.15, 0.15, 0.7])
+    A = SparseMatrix.from_dense(dense)
+    B = A.rounded(HALF)
+    missing = [j for j in range(n) if not np.any(B.col(j)[0] == j)]
+    if not missing:
+        build_spai(A, SpaiParams(eps=0.3, uf=HALF))
+        return
+    with pytest.raises(ValueError, match=rf"^zero diagonal at index {missing[0]}: "):
+        build_spai(A, SpaiParams(eps=0.3, uf=HALF))
+
+
 def test_build_diagonal_inverse():
     A = SparseMatrix.from_dense(np.diag(np.full(6, 2.0)))
     pre = build_left_preconditioner(A, SpaiParams(eps=0.1, uf=HALF))
