@@ -83,7 +83,7 @@ def test_run_table_missing_rows_name_the_precision(tmp_path, monkeypatch):
 
 
 def test_run_table_solves_present_rows_once_per_reference(tmp_path, monkeypatch):
-    # a shipped matrix stands in for cage5, the one t5 matrix small enough here
+    # a shipped matrix stands in for cage5, the smallest t5 matrix; the others stay missing
     import shutil
 
     import spai_ir.tables as tables
@@ -92,13 +92,13 @@ def test_run_table_solves_present_rows_once_per_reference(tmp_path, monkeypatch)
     A = load_synthetic("band_asym_120")
     shutil.copy(Path(__file__).resolve().parents[1] / "matrices" / "band_asym_120.mtx", tmp_path / "cage5.mtx")
     monkeypatch.setenv("SPAI_IR_MATRIX_DIR", str(tmp_path))
+    real_dd_solve = tables.dd_solve
     calls = []
 
     def counted(A, b):
         calls.append(A.n_rows)
         return real_dd_solve(A, b)
 
-    real_dd_solve = tables.dd_solve
     monkeypatch.setattr(tables, "dd_solve", counted)
     rows = run_table("t5")
     assert len(rows) == len(GOLDEN_TABLES["t5"]) == 20
