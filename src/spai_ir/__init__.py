@@ -2,7 +2,7 @@
 GMRES-based iterative refinement."""
 
 from .analysis import BoundReport, check_bounds, cond2_transpose, kappa_inf
-from .krylov import GmresConfig, GmresReport, pgmres_left
+from .krylov import GmresReport, pgmres_left
 from .precision import (
     DOUBLE,
     HALF,
@@ -33,7 +33,6 @@ __all__ = [
     "SpaiPreconditioner",
     "build_spai",
     "build_left_preconditioner",
-    "GmresConfig",
     "GmresReport",
     "pgmres_left",
     "IrConfig",

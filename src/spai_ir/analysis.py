@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precision import SingularMatrixError
+from .precision import Precision, SingularMatrixError
 from .refine import norm_inf
 from .spai import SpaiPreconditioner
 from .sparse import SparseMatrix
@@ -21,6 +21,8 @@ __all__ = [
     "kappa_inf",
     "cond2_transpose",
     "kappa_inf_product",
+    "feasible",
+    "kappa_estimate",
     "check_bounds",
 ]
 
@@ -83,6 +85,16 @@ def kappa_inf_product(P, A: SparseMatrix) -> float:
     return kappa_inf(P.apply_exact(A))
 
 
+def feasible(uf: Precision, cond2_at: float, eps: float) -> bool:
+    """The paper's feasibility constraint u_f cond2(A^T) <= eps on a build."""
+    return bool(uf.unit_roundoff * cond2_at <= eps)
+
+
+def kappa_estimate(n: int, eps: float) -> float:
+    """Closed-form estimate (1 + 2 n eps)^2 of kappa(PA) when every column meets ``eps``."""
+    return (1.0 + 2.0 * n * eps) ** 2
+
+
 @dataclass
 class BoundReport:
     """Measured preconditioner quality against its guaranteed bounds.
@@ -129,9 +141,7 @@ def check_bounds(A: SparseMatrix, pre: SpaiPreconditioner) -> BoundReport:
     dist = norm_inf(Pd - invA)
     dist_bound = bound * norm_inf(invA)
     cond2_at = cond2_transpose(A)
-    feasible = params.uf.unit_roundoff * cond2_at <= eps
     kt = kappa_inf_product(pre.P, A)
-    estimate = (1.0 + 2.0 * n * eps) ** 2
     satisfied_all = pre.all_satisfied
     report = BoundReport(
         n=n,
@@ -140,10 +150,10 @@ def check_bounds(A: SparseMatrix, pre: SpaiPreconditioner) -> BoundReport:
         norm_I_minus_PA=norm_res,
         bound_2n_eps=bound,
         kappa_tilde=kt,
-        estimate=estimate,
+        estimate=kappa_estimate(n, eps),
         dist_to_inverse=dist,
         dist_bound=dist_bound,
-        feasible=feasible,
+        feasible=feasible(params.uf, cond2_at, eps),
         satisfied_all=satisfied_all,
         cond2_at=cond2_at,
     )

@@ -26,7 +26,6 @@ from .precision import Precision, fl, fl_dot, fl_norm2, fl_op, quiet
 from .sparse import SparseMatrix, matvec
 
 __all__ = [
-    "GmresConfig",
     "GmresReport",
     "PrecisionOverflowSignal",
     "apply_precond_matvec",
@@ -41,24 +40,6 @@ class PrecisionOverflowSignal(ArithmeticError):
 
 def _ug_overflow(ug: Precision) -> PrecisionOverflowSignal:
     return PrecisionOverflowSignal(f"overflow in the GMRES working precision ({ug.name})")
-
-
-@dataclass(frozen=True)
-class GmresConfig:
-    """Stopping tolerance and the two precisions.
-
-    ``tau`` is compared against the Givens-updated estimate of the
-    preconditioned relative residual.  There is no iteration cap below the
-    problem size: GMRES stops after n iterations at the latest.
-    """
-
-    tau: float
-    ug: Precision
-    up: Precision
-
-    def __post_init__(self):
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must lie strictly between 0 and 1")
 
 
 @dataclass
@@ -91,15 +72,17 @@ def apply_precond_matvec(A: SparseMatrix, P, v: np.ndarray, up: Precision) -> np
 
 
 @quiet
-def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
+def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up: Precision):
     """Solve P A d = P r by MGS-GMRES; returns ``(d, GmresReport)``.
 
-    The right-hand side is preconditioned in the application precision; the
-    iteration stops when the Givens residual estimate relative to the
-    preconditioned right-hand side norm drops to ``tau``, on a happy
-    breakdown, or after n iterations.  A basis norm that underflows to zero
-    before the tolerance is met sets ``breakdown`` and returns the best
-    iterate so far.
+    ``ug`` is the working precision of the iteration and ``up`` the
+    precision in which A and P are applied; the right-hand side is
+    preconditioned in ``up``.  The iteration stops when the Givens residual
+    estimate relative to the preconditioned right-hand side norm drops to
+    ``tau`` (in (0, 1), as :class:`spai_ir.refine.IrConfig` checks), on a
+    happy breakdown, or after n iterations: there is no cap below the
+    problem size.  A basis norm that underflows to zero before the
+    tolerance is met sets ``breakdown`` and returns the best iterate so far.
 
     :class:`PrecisionOverflowSignal` is raised as soon as a value leaves the
     range of a precision: the operator's output in ``up``, or in ``ug`` the
@@ -107,15 +90,15 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     denominator, or the correction.
     """
     n = A.n_rows
-    dt = cfg.ug.dtype or np.float64
+    dt = ug.dtype or np.float64
     r = np.asarray(r, dtype=np.float64)
-    z = _apply_p(P, r, cfg.up)
+    z = _apply_p(P, r, up)
     if not np.all(np.isfinite(z)):
         raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")
     z = z.astype(dt)
-    beta = fl_norm2(z, cfg.ug)  # inf too if z overflowed ug
+    beta = fl_norm2(z, ug)  # inf too if z overflowed ug
     if not np.isfinite(beta):
-        raise _ug_overflow(cfg.ug)
+        raise _ug_overflow(ug)
     if beta == 0.0:
         return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
 
@@ -133,13 +116,13 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
     k = 0
 
     for j in range(n):
-        w = apply_precond_matvec(A, P, V[j], cfg.up).astype(dt)
+        w = apply_precond_matvec(A, P, V[j], up).astype(dt)
         for i in range(j + 1):
-            H[i, j] = fl_dot(V[i], w, cfg.ug)
+            H[i, j] = fl_dot(V[i], w, ug)
             w = w - H[i, j] * V[i]
-        hnext = fl_norm2(w, cfg.ug)
+        hnext = fl_norm2(w, ug)
         if not np.isfinite(hnext):
-            raise _ug_overflow(cfg.ug)
+            raise _ug_overflow(ug)
         H[j + 1, j] = hnext
 
         for i in range(j):
@@ -149,7 +132,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
         denom = np.sqrt(H[j, j] * H[j, j] + hnext * hnext)
         if not np.isfinite(denom):
             # cs = sn = 0 would read as a zero residual estimate
-            raise _ug_overflow(cfg.ug)
+            raise _ug_overflow(ug)
         if denom == 0.0:
             breakdown = True
             break
@@ -171,28 +154,28 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig):
             verify_breakdown = True
             break
         V[j + 1] = w / hnext
-        if relres <= cfg.tau:
+        if relres <= tau:
             converged = True
             break
 
     # Hessenberg least squares in the GMRES working precision
     y = np.zeros(k, dt)
     for c in range(k - 1, -1, -1):
-        s = fl_dot(H[c, c + 1 : k], y[c + 1 : k], cfg.ug) if c + 1 < k else dt(0.0)
+        s = fl_dot(H[c, c + 1 : k], y[c + 1 : k], ug) if c + 1 < k else dt(0.0)
         y[c] = (g[c] - s) / H[c, c]
     d = np.zeros(n, dt)
     for c in range(k):
         d = d + y[c] * V[c]
     if not np.all(np.isfinite(d)):
-        raise _ug_overflow(cfg.ug)
+        raise _ug_overflow(ug)
     d = d.astype(np.float64)
 
     if verify_breakdown:
-        q = apply_precond_matvec(A, P, d, cfg.up)
+        q = apply_precond_matvec(A, P, d, up)
         # the difference is exact in float64, then rounded once to ug
-        true_rel = float(fl_norm2((z - q).astype(dt), cfg.ug)) / float(beta)
+        true_rel = float(fl_norm2((z - q).astype(dt), ug)) / float(beta)
         relres_history[-1] = true_rel
-        if true_rel <= cfg.tau:
+        if true_rel <= tau:
             converged = True
         else:
             breakdown = True

@@ -29,7 +29,7 @@ from .precision import (
     fl_op,
     quiet,
 )
-from .krylov import GmresConfig, GmresReport, pgmres_left
+from .krylov import GmresReport, pgmres_left
 from .spai import SpaiParams, SpaiPreconditioner, build_left_preconditioner
 from .sparse import SparseMatrix, matvec
 
@@ -56,8 +56,11 @@ class IrConfig:
 
     ``uf`` is the factorization/construction precision, ``u`` the working
     precision, ``ur`` the residual precision, ``ug``/``up`` the GMRES
-    working and application precisions (``u`` where left ``None``).  There
-    is one stopping rule: the run converges when both the normwise backward
+    working and application precisions (``u`` where left ``None``), and
+    ``tau`` the GMRES tolerance, which must lie in (0, 1).  The ``spai``
+    solver needs ``spai`` parameters built in ``uf``.  Every setting is
+    checked here, before any preconditioner is built.  There is one
+    stopping rule: the run converges when both the normwise backward
     error and the forward error are at most ``n * u``, and stagnates when the
     forward error rises twice in a row or falls by less than half over two
     steps.
@@ -76,8 +79,15 @@ class IrConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
+        if not (0.0 < self.tau < 1.0):
+            raise ValueError("tau must lie strictly between 0 and 1")
         if self.i_max < 1:
             raise ValueError("i_max must be at least 1")
+        if self.solver == "spai":
+            if self.spai is None:
+                raise ValueError("spai solver requires cfg.spai parameters")
+            if self.spai.uf is not self.uf:
+                raise ValueError("cfg.spai.uf must match cfg.uf")
         for name in ("ug", "up"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, self.u)
@@ -238,10 +248,6 @@ class PreparedSolver:
 def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
     """Build the preconditioner or factors required by ``cfg.solver``."""
     if cfg.solver == "spai":
-        if cfg.spai is None:
-            raise ValueError("spai solver requires cfg.spai parameters")
-        if cfg.spai.uf is not cfg.uf:
-            raise ValueError("cfg.spai.uf must match cfg.uf")
         pre = build_left_preconditioner(A, cfg.spai)
         return PreparedSolver(precond=pre.P, spai=pre)
     if cfg.solver in ("lu", "sir"):
@@ -296,7 +302,6 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
     converged = nbe <= thresh and ferr <= thresh
     stagnated = False
     steps = 0
-    gmres_cfg = GmresConfig(tau=cfg.tau, ug=cfg.ug, up=cfg.up)
 
     while not converged and steps < cfg.i_max:
         r = fl(_residual(A, x, b, cfg.ur), cfg.u)
@@ -304,7 +309,7 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
             d = solver.precond.apply(r, cfg.uf)
             iters_per_step.append(0)
         else:
-            d, grep = pgmres_left(A, solver.precond, r, gmres_cfg)
+            d, grep = pgmres_left(A, solver.precond, r, cfg.tau, cfg.ug, cfg.up)
             gmres_reports.append(grep)
             iters_per_step.append(grep.iters)
         d = fl(d, cfg.u)

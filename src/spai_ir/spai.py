@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .precision import QUAD, SINGLE, Precision, fl, fl_dot, fl_norm2, fl_op, fl_sum, quiet
+# fl_op stays bound here although unused: perfbench/tracer.py wraps spai.fl_op
+from .precision import QUAD, SINGLE, Precision, fl, fl_dot, fl_norm2, fl_op, fl_sum, quiet  # noqa: F401
 from .sparse import (  # noqa: F401 - shadow and extract_submatrix are bound here for perfbench/tracer.py
     SparseMatrix,
     column_scale,
@@ -33,7 +34,7 @@ __all__ = [
     "build_left_preconditioner",
     "solve_ls_batch",
     "solve_column_ls",
-    "rho_score",
+    "rho_scores",
     "augment_pattern",
     "augment_patterns",
 ]
@@ -192,23 +193,32 @@ def solve_column_ls(Abar: np.ndarray, ebar: np.ndarray, uf: Precision):
 
 
 @quiet
-def rho_score(sbar: np.ndarray, a_col_on_I: np.ndarray, uf: Precision) -> float:
-    """Predicted residual norm if one candidate column joins the pattern.
+def rho_scores(sbar: np.ndarray, C: np.ndarray, m, uf: Precision) -> np.ndarray:
+    """Grote & Huckle's score of every candidate, for a batch of columns, all in ``uf``.
 
-    Equals the minimum over scalars mu of ||sbar + mu * a|| in exact
-    arithmetic; computed here in ``uf`` with the radicand clamped at zero.
+    Item i has the residual ``sbar[i, :m[i]]`` on its shadow I_i and the
+    candidate columns ``C[i, :m[i], :]`` restricted to I_i; ``sbar`` is
+    (N, M) and ``C`` (N, M, K), zero past each item's size.  Returns rho
+    (N, K): the residual norm min over mu of ||sbar_i + mu c|| predicted if
+    candidate c joins the pattern, computed as sqrt(s.s - (s.c)^2 / c.c)
+    with the radicand clamped at zero.  Each item's scores are
+    bit-identical to scoring it alone.
+
+    A candidate that is zero on I_i scores NaN (0/0), and so does padding.
+    In half precision so does a candidate whose entries on I_i are about
+    1e-5, as (s.c)^2 and c.c underflow to zero.  The NaN makes the mean
+    score in :func:`augment_patterns` NaN, no candidate passes, and the
+    column is flagged stagnated: for B = [[1, 1e-5, .5], [.5, 1e-5, 0],
+    [0, 1, 1]], J = {0} and sbar = (.25, -.5) on I = {0, 1}, candidate 2
+    scores 0.5, yet the pattern does not grow.
     """
-    a = np.asarray(a_col_on_I, dtype=np.float64)
-    if not np.any(a):
-        raise ValueError("zero candidate column: score undefined")
-    ss = fl_dot(sbar, sbar, uf)
-    num = fl_dot(sbar, a, uf)
-    den = fl_dot(a, a, uf)
-    q = fl_op("div", fl_op("mul", num, num, p=uf), den, p=uf)
-    rad = fl_op("sub", ss, q, p=uf)
-    if rad < 0.0:
-        rad = 0.0
-    return fl_op("sqrt", rad, p=uf)
+    m = np.asarray(m, dtype=np.int64)
+    ss = fl_dot(sbar, sbar, uf, axis=1, lengths=m)
+    dots = fl_dot(sbar[:, :, None], C, uf, axis=1, lengths=m[:, None])
+    dens = fl_dot(C, C, uf, axis=1, lengths=m[:, None])
+    q = fl(fl(dots * dots, uf) / dens, uf)
+    rad = np.maximum(fl(ss[:, None] - q, uf), 0.0)
+    return fl(np.sqrt(rad), uf)
 
 
 @quiet
@@ -227,7 +237,7 @@ def augment_patterns(
     ``sbar[i, :|I_i|]`` (``sbar`` is zero-padded to (N, max |I_i|)).  Its
     candidates are the unvisited column indices with a nonzero in a row of
     I_i (any other column is zero on I_i and cannot reduce the residual).
-    A candidate is acceptable when its score (see :func:`rho_score`) is at
+    A candidate is acceptable when its score (see :func:`rho_scores`) is at
     most the mean score, and the smallest scores win, ties broken by
     smallest column index.  A column without an acceptable candidate keeps
     its pattern.  Each column's scores are bit-identical to scoring it alone.
@@ -247,13 +257,7 @@ def augment_patterns(
     cands = np.split(reach[unvisited], np.cumsum(c)[:-1])
     C = extract_blocks(A, row_sets, cands)
     m = np.array([I.size for I in row_sets], dtype=np.int64)
-    sbar = sbar[:, : C.shape[1]]
-    ss = fl_dot(sbar, sbar, uf, axis=1, lengths=m)
-    dots = fl_dot(sbar[:, :, None], C, uf, axis=1, lengths=m[:, None])
-    dens = fl_dot(C, C, uf, axis=1, lengths=m[:, None])
-    q = fl(fl(dots * dots, uf) / dens, uf)
-    rad = np.maximum(fl(ss[:, None] - q, uf), 0.0)
-    rho = fl(np.sqrt(rad), uf)
+    rho = rho_scores(sbar[:, : C.shape[1]], C, m, uf)
     rho_mean = fl(fl_sum(rho, uf, axis=1, lengths=c) / c, uf)
     # padding sorts after every real score (NaN sorts last, padded indices
     # exceed every real one) and never passes the mean test
@@ -332,14 +336,11 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     status = np.full(n, COL_OK, dtype=object)
     active = np.arange(n)
     for step in range(alpha + 1):
-        I_sets = shadows(B, [patterns[k] for k in active])
-        m = np.array([I.size for I in I_sets], dtype=np.int64)
-        status[active[m == 0]] = COL_STAGNATED
-        keep = np.flatnonzero(m)
-        active, m = active[keep], m[keep]
         if not active.size:
             break
-        I_sets = [I_sets[i] for i in keep]
+        # every pattern holds k and B[k, k] != 0, so every shadow holds row k
+        I_sets = shadows(B, [patterns[k] for k in active])
+        m = np.array([I.size for I in I_sets], dtype=np.int64)
         J_sets = [patterns[k] for k in active]
         p = np.array([J.size for J in J_sets], dtype=np.int64)
         ebar = extract_blocks(E, I_sets, active[:, None])[:, :, 0]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import cond2_transpose, kappa_inf, kappa_inf_product
+from .analysis import cond2_transpose, feasible, kappa_estimate, kappa_inf, kappa_inf_product
 from .precision import Precision, dd_solve, parse_precision
 from .refine import IrConfig, IrReport, prepare_solver, run_ir
 from .reference import GOLDEN_TABLES, TABLE_SETTINGS, GoldenRow, find_matrix, rhs_for
@@ -90,13 +90,12 @@ def solve_system(
 def sweep_cell(A: SparseMatrix, name: str, eps: float, uf: Precision, cond2_at: float,
                beta: int = 8) -> dict:
     """One (eps, build precision) cell: preconditioner stats only, no solve."""
-    n = A.n_rows
     row = {
         "matrix": name,
         "eps": eps,
         "uf": uf.name,
-        "estimate": (1.0 + 2.0 * n * eps) ** 2,
-        "feasible": bool(uf.unit_roundoff * cond2_at <= eps),
+        "estimate": kappa_estimate(A.n_rows, eps),
+        "feasible": feasible(uf, cond2_at, eps),
         "nnz": None,
         "kappa_tilde": None,
         "satisfied_all": None,

@@ -3,10 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from spai_ir.krylov import GmresConfig, GmresReport, PrecisionOverflowSignal, _apply_p, apply_precond_matvec
+from spai_ir.krylov import GmresReport, PrecisionOverflowSignal, _apply_p, apply_precond_matvec
 from spai_ir.precision import (
     DenseLu,
     OverflowInFactorizationError,
+    Precision,
     SingularMatrixError,
     _renorm,
     dd_add,
@@ -165,8 +166,8 @@ def reference_dd_lu_solve(A: np.ndarray, b: np.ndarray):
 
 
 @quiet
-def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, seen=None,
-                          collect_diagnostics=False):
+def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up: Precision,
+                          seen=None, collect_diagnostics=False):
     """Oracle for :func:`spai_ir.krylov.pgmres_left`: its loop as it stood
     when every operation ran in float64 and was rounded to ``ug`` by
     :func:`fl` or :func:`fl_op`, with the basis stored as columns, and
@@ -180,11 +181,11 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, s
     """
     n = A.n_rows
     r = np.asarray(r, dtype=np.float64)
-    z = _apply_p(P, r, cfg.up)
+    z = _apply_p(P, r, up)
     if not np.all(np.isfinite(z)):
         raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")
-    z = fl(z, cfg.ug)
-    beta = fl_norm2(z, cfg.ug)
+    z = fl(z, ug)
+    beta = fl_norm2(z, ug)
     if seen is not None and not np.isfinite(beta):
         seen.add("ug_overflow")
     if beta == 0.0:
@@ -197,7 +198,7 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, s
     sn = np.zeros(m)
     g = np.zeros(m + 1)
     g[0] = beta
-    V[:, 0] = fl(z / beta, cfg.ug)
+    V[:, 0] = fl(z / beta, ug)
     relres_history = [1.0]
     breakdown = False
     converged = False
@@ -205,37 +206,37 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, s
     k = 0
 
     for j in range(m):
-        w = apply_precond_matvec(A, P, V[:, j], cfg.up)
-        w = fl(w, cfg.ug)
+        w = apply_precond_matvec(A, P, V[:, j], up)
+        w = fl(w, ug)
         for i in range(j + 1):
-            hij = fl_dot(V[:, i], w, cfg.ug)
+            hij = fl_dot(V[:, i], w, ug)
             H[i, j] = hij
-            w = fl(w - fl(hij * V[:, i], cfg.ug), cfg.ug)
-        hnext = fl_norm2(w, cfg.ug)
+            w = fl(w - fl(hij * V[:, i], ug), ug)
+        hnext = fl_norm2(w, ug)
         if seen is not None and not np.isfinite(hnext):
             seen.add("ug_overflow")
         H[j + 1, j] = hnext
 
         for i in range(j):
-            t1 = fl_op("add", fl_op("mul", cs[i], H[i, j], p=cfg.ug), fl_op("mul", sn[i], H[i + 1, j], p=cfg.ug), p=cfg.ug)
-            t2 = fl_op("sub", fl_op("mul", cs[i], H[i + 1, j], p=cfg.ug), fl_op("mul", sn[i], H[i, j], p=cfg.ug), p=cfg.ug)
+            t1 = fl_op("add", fl_op("mul", cs[i], H[i, j], p=ug), fl_op("mul", sn[i], H[i + 1, j], p=ug), p=ug)
+            t2 = fl_op("sub", fl_op("mul", cs[i], H[i + 1, j], p=ug), fl_op("mul", sn[i], H[i, j], p=ug), p=ug)
             H[i, j], H[i + 1, j] = t1, t2
         denom = fl_op(
             "sqrt",
-            fl_op("add", fl_op("mul", H[j, j], H[j, j], p=cfg.ug), fl_op("mul", hnext, hnext, p=cfg.ug), p=cfg.ug),
-            p=cfg.ug,
+            fl_op("add", fl_op("mul", H[j, j], H[j, j], p=ug), fl_op("mul", hnext, hnext, p=ug), p=ug),
+            p=ug,
         )
         if seen is not None and not np.isfinite(denom):
             seen.add("ug_overflow")
         if denom == 0.0:
             breakdown = True
             break
-        cs[j] = fl_op("div", H[j, j], denom, p=cfg.ug)
-        sn[j] = fl_op("div", hnext, denom, p=cfg.ug)
+        cs[j] = fl_op("div", H[j, j], denom, p=ug)
+        sn[j] = fl_op("div", hnext, denom, p=ug)
         H[j, j] = denom
         H[j + 1, j] = 0.0
-        g[j + 1] = fl_op("mul", -sn[j], g[j], p=cfg.ug)
-        g[j] = fl_op("mul", cs[j], g[j], p=cfg.ug)
+        g[j + 1] = fl_op("mul", -sn[j], g[j], p=ug)
+        g[j] = fl_op("mul", cs[j], g[j], p=ug)
 
         k = j + 1
         relres = abs(g[j + 1]) / beta
@@ -246,25 +247,25 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, cfg: GmresConfig, s
             # the true preconditioned residual is checked after the solve
             verify_breakdown = True
             break
-        V[:, j + 1] = fl(w / hnext, cfg.ug)
-        if relres <= cfg.tau:
+        V[:, j + 1] = fl(w / hnext, ug)
+        if relres <= tau:
             converged = True
             break
 
     # Hessenberg least squares in the GMRES working precision
     y = np.zeros(k)
     for c in range(k - 1, -1, -1):
-        s = fl_dot(H[c, c + 1 : k], y[c + 1 : k], cfg.ug) if c + 1 < k else 0.0
-        y[c] = fl_op("div", fl_op("sub", g[c], s, p=cfg.ug), H[c, c], p=cfg.ug)
+        s = fl_dot(H[c, c + 1 : k], y[c + 1 : k], ug) if c + 1 < k else 0.0
+        y[c] = fl_op("div", fl_op("sub", g[c], s, p=ug), H[c, c], p=ug)
     d = np.zeros(n)
     for c in range(k):
-        d = fl(d + fl(y[c] * V[:, c], cfg.ug), cfg.ug)
+        d = fl(d + fl(y[c] * V[:, c], ug), ug)
 
     if verify_breakdown:
-        q = apply_precond_matvec(A, P, d, cfg.up)
-        true_rel = fl_norm2(fl(z - q, cfg.ug), cfg.ug) / beta
+        q = apply_precond_matvec(A, P, d, up)
+        true_rel = fl_norm2(fl(z - q, ug), ug) / beta
         relres_history[-1] = float(true_rel)
-        if true_rel <= cfg.tau:
+        if true_rel <= tau:
             converged = True
         else:
             breakdown = True

@@ -15,10 +15,10 @@ import pytest
 
 from conftest import load_named, load_synthetic, random_dd_sparse
 from spai_ir.analysis import check_bounds, cond2_transpose, kappa_inf, kappa_inf_product
-from spai_ir.krylov import GmresConfig, pgmres_left
+from spai_ir.krylov import pgmres_left
 from spai_ir.precision import DOUBLE, HALF, SINGLE, Precision
 from spai_ir.reference import MATRICES, SYNTHETIC, find_matrix
-from spai_ir.spai import SpaiParams, build_left_preconditioner, build_spai, rho_score
+from spai_ir.spai import SpaiParams, build_left_preconditioner, build_spai
 from spai_ir.sparse import SparseMatrix, column_scale, extract_submatrix, shadow
 from spai_ir.tables import run_table, solve_system
 
@@ -167,7 +167,7 @@ def test_criterion_6_conditioning_estimate_trend():
 
 def test_criterion_7_oracle_equivalence():
     """Columns match the dense least-squares oracle; scores match minimization."""
-    from test_spai import golden_section_rho, lstsq_oracle
+    from test_spai import golden_section_rho, lstsq_oracle, rho_one
 
     rng = np.random.RandomState(777)
     uf = SINGLE
@@ -193,7 +193,7 @@ def test_criterion_7_oracle_equivalence():
     rng2 = np.random.RandomState(9)
     for _ in range(50):
         s, a = rng2.randn(5), rng2.randn(5)
-        assert rho_score(s, a, DOUBLE) == pytest.approx(golden_section_rho(s, a), rel=1e-8, abs=1e-8)
+        assert rho_one(s, a, DOUBLE) == pytest.approx(golden_section_rho(s, a), rel=1e-8, abs=1e-8)
     print(f"\nACCEPTANCE 7 (oracle equivalence): PASS - {cols_checked} columns vs extended-precision "
           "least squares, 50 scores vs scalar minimization")
 
@@ -204,13 +204,13 @@ def test_criterion_8_gmres_sanity(rng):
     A = SparseMatrix.from_dense(dense)
     P = SparseMatrix.from_dense(np.linalg.inv(dense))
     r = rng.randn(5)
-    d, rep = pgmres_left(A, P, r, GmresConfig(tau=1e-8, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(A, P, r, 1e-8, DOUBLE, DOUBLE)
     assert rep.iters == 1 and rep.converged
 
     for n in (5, 12, 20):
         D = SparseMatrix.from_dense(np.diag(np.arange(1.0, n + 1.0)))
         r = rng.randn(n)
-        d, rep = pgmres_left(D, None, r, GmresConfig(tau=1e-12, ug=DOUBLE, up=DOUBLE))
+        d, rep = pgmres_left(D, None, r, 1e-12, DOUBLE, DOUBLE)
         want = r / np.arange(1.0, n + 1.0)
         assert rep.iters <= n
         assert np.abs(d - want).max() <= 1e-10 * np.abs(want).max()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dd_sparse
-from spai_ir.krylov import GmresConfig, PrecisionOverflowSignal, pgmres_left
+from spai_ir.krylov import PrecisionOverflowSignal, pgmres_left
 from spai_ir.precision import DOUBLE, HALF, SINGLE, quiet
 from spai_ir.refine import IrConfig, prepare_solver, run_ir
 from spai_ir.reference import rhs_for
@@ -30,9 +30,8 @@ def warnings_are_errors():
 
 
 def test_pgmres_left_half_overflow_raises_no_warning():
-    cfg = GmresConfig(tau=1e-4, ug=HALF, up=HALF)
     with pytest.raises(PrecisionOverflowSignal):
-        pgmres_left(DIAG, None, np.ones(3), cfg)
+        pgmres_left(DIAG, None, np.ones(3), 1e-4, HALF, HALF)
 
 
 @pytest.mark.parametrize("u", [HALF, SINGLE])

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import load_synthetic, random_dd_sparse, reference_pgmres_left
-from spai_ir.krylov import GmresConfig, PrecisionOverflowSignal, apply_precond_matvec, pgmres_left
+from spai_ir.krylov import PrecisionOverflowSignal, apply_precond_matvec, pgmres_left
 from spai_ir.precision import DOUBLE, HALF, SINGLE
 from spai_ir.reference import SYNTHETIC, rhs_for
 from spai_ir.sparse import SparseMatrix, matvec
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        GmresConfig(tau=0.0, ug=DOUBLE, up=DOUBLE)
-    with pytest.raises(ValueError):
-        GmresConfig(tau=2.0, ug=DOUBLE, up=DOUBLE)
 
 
 def test_apply_precond_matvec(rng):
@@ -46,10 +39,9 @@ def test_overflow_signal():
 ])
 def test_overflow_in_gmres_names_the_working_precision(diag, r, ug):
     # the operator is applied in double, so only ug can overflow
-    cfg = GmresConfig(tau=1e-4, ug=ug, up=DOUBLE)
     A = SparseMatrix.from_dense(np.diag(diag))
     with pytest.raises(PrecisionOverflowSignal, match=rf"^overflow in the GMRES working precision \({ug.name}\)$"):
-        pgmres_left(A, None, np.array(r), cfg)
+        pgmres_left(A, None, np.array(r), 1e-4, ug, DOUBLE)
 
 
 def test_exact_inverse_preconditioner_one_iteration(rng):
@@ -57,7 +49,7 @@ def test_exact_inverse_preconditioner_one_iteration(rng):
     A = SparseMatrix.from_dense(dense)
     P = SparseMatrix.from_dense(np.linalg.inv(dense))
     r = rng.randn(5)
-    d, rep = pgmres_left(A, P, r, GmresConfig(tau=1e-8, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(A, P, r, 1e-8, DOUBLE, DOUBLE)
     assert rep.iters == 1
     assert rep.converged and not rep.breakdown
 
@@ -65,7 +57,7 @@ def test_exact_inverse_preconditioner_one_iteration(rng):
 def test_diagonal_system_matches_dense_solve(rng):
     A = SparseMatrix.from_dense(np.diag(np.arange(1.0, 6.0)))
     r = rng.randn(5)
-    d, rep = pgmres_left(A, None, r, GmresConfig(tau=1e-12, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(A, None, r, 1e-12, DOUBLE, DOUBLE)
     assert rep.iters <= 5
     want = r / np.arange(1.0, 6.0)
     assert np.abs(d - want).max() <= 1e-10 * np.abs(want).max()
@@ -74,7 +66,7 @@ def test_diagonal_system_matches_dense_solve(rng):
 def test_identity_happy_breakdown(rng):
     I = SparseMatrix.identity(6)
     r = rng.randn(6)
-    d, rep = pgmres_left(I, None, r, GmresConfig(tau=1e-10, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(I, None, r, 1e-10, DOUBLE, DOUBLE)
     assert rep.iters == 1
     assert rep.converged and not rep.breakdown
     assert np.allclose(d, r, rtol=1e-14)
@@ -82,7 +74,7 @@ def test_identity_happy_breakdown(rng):
 
 def test_zero_rhs_returns_zero():
     A = SparseMatrix.identity(4)
-    d, rep = pgmres_left(A, None, np.zeros(4), GmresConfig(tau=1e-8, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(A, None, np.zeros(4), 1e-8, DOUBLE, DOUBLE)
     assert np.array_equal(d, np.zeros(4))
     assert rep.iters == 0 and rep.converged
 
@@ -91,7 +83,7 @@ def test_relres_history_nonincreasing_double(rng):
     dense = random_dd_sparse(rng, 25)
     A = SparseMatrix.from_dense(dense)
     r = rng.randn(25)
-    d, rep = pgmres_left(A, None, r, GmresConfig(tau=1e-10, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(A, None, r, 1e-10, DOUBLE, DOUBLE)
     hist = rep.relres_history
     for a, b in zip(hist, hist[1:]):
         assert b <= a * (1 + 1e-12)
@@ -104,7 +96,7 @@ def test_true_residual_consistent_with_estimate(name):
     A = load_synthetic(name)
     tau = 1e-8
     r = rhs_for(A.n_rows)
-    d, rep = pgmres_left(A, None, r, GmresConfig(tau=tau, ug=DOUBLE, up=DOUBLE))
+    d, rep = pgmres_left(A, None, r, tau, DOUBLE, DOUBLE)
     assert rep.converged
     true_rel = np.linalg.norm(r - A.to_dense() @ d) / np.linalg.norm(r)
     assert true_rel <= 10 * tau
@@ -114,10 +106,9 @@ def test_orthogonality_diagnostic(rng):
     dense = random_dd_sparse(rng, 20)
     A = SparseMatrix.from_dense(dense)
     r = rng.randn(20)
-    cfg = GmresConfig(tau=1e-10, ug=DOUBLE, up=DOUBLE)
-    d, rep, ortho_defect = reference_pgmres_left(A, None, r, cfg, collect_diagnostics=True)
+    d, rep, ortho_defect = reference_pgmres_left(A, None, r, 1e-10, DOUBLE, DOUBLE, collect_diagnostics=True)
     # the oracle's basis is pgmres_left's: the solutions agree bit for bit
-    assert np.array_equal(pgmres_left(A, None, r, cfg)[0], d)
+    assert np.array_equal(pgmres_left(A, None, r, 1e-10, DOUBLE, DOUBLE)[0], d)
     # logged, not asserted against a bound: MGS orthogonality decays like
     # u / relres as the solver converges, so only sanity is checked here
     assert ortho_defect is not None
@@ -129,7 +120,7 @@ def test_single_precision_run_converges(rng):
     dense = random_dd_sparse(rng, 30)
     A = SparseMatrix.from_dense(dense)
     r = rng.randn(30)
-    d, rep = pgmres_left(A, None, r, GmresConfig(tau=1e-4, ug=SINGLE, up=SINGLE))
+    d, rep = pgmres_left(A, None, r, 1e-4, SINGLE, SINGLE)
     assert rep.converged
     true_rel = np.linalg.norm(r - A.to_dense() @ d) / np.linalg.norm(r)
     assert true_rel <= 1e-3
@@ -141,7 +132,7 @@ def test_half_precision_gmres_runs(rng):
     dense = np.float64(np.float16(random_dd_sparse(rng, 12)))
     A = SparseMatrix.from_dense(dense)
     r = np.float64(np.float16(rng.randn(12) * 0.1))
-    d, rep = pgmres_left(A, None, r, GmresConfig(tau=5e-2, ug=HALF, up=HALF))
+    d, rep = pgmres_left(A, None, r, 5e-2, HALF, HALF)
     assert rep.iters <= 12
     assert np.all(np.isfinite(d))
     true_rel = np.linalg.norm(r - dense @ d) / np.linalg.norm(r)

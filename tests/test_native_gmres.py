@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_pgmres_left
-from spai_ir.krylov import GmresConfig, PrecisionOverflowSignal, pgmres_left
+from spai_ir.krylov import PrecisionOverflowSignal, pgmres_left
 from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
 from spai_ir.refine import LuPreconditioner
 from spai_ir.sparse import SparseMatrix
@@ -31,10 +31,10 @@ FORMATS = {"h": HALF, "s": SINGLE, "d": DOUBLE}
 SCALES = (1.0, 3.0e2, 1.0e5, 1.0e-6)
 
 
-def outcome(solve, A, P, r, cfg, **kwargs):
+def outcome(solve, A, P, r, tau, ug, up, **kwargs):
     """The bytes of a solve, or its exception, and what kind of run it was."""
     try:
-        d, rep = solve(A, P, r, cfg, **kwargs)
+        d, rep = solve(A, P, r, tau, ug, up, **kwargs)
     except ArithmeticError as exc:
         return (type(exc).__name__, str(exc)), "overflow"
     history = struct.pack(f"<{len(rep.relres_history)}d", *rep.relres_history)
@@ -78,20 +78,19 @@ def gmres_inputs(draw):
         except ArithmeticError:
             P = None
     tau = draw(st.sampled_from([0.5, 1.0e-2, 1.0e-4, 1.0e-8, 1.0e-14]))
-    cfg = GmresConfig(tau=tau, ug=FORMATS[ug], up=FORMATS[up])
-    return SparseMatrix.from_dense(A), P, r, cfg
+    return SparseMatrix.from_dense(A), P, r, tau, FORMATS[ug], FORMATS[up]
 
 
 def compare(case) -> str:
     """Check one case against the reference; return what kind of run it was."""
-    A, P, r, cfg = case
-    got, kind = outcome(pgmres_left, A, P, r, cfg)
+    A, P, r, tau, ug, up = case
+    got, kind = outcome(pgmres_left, A, P, r, tau, ug, up)
     seen = set()
-    want, want_kind = outcome(reference_pgmres_left, A, P, r, cfg, seen=seen)
+    want, want_kind = outcome(reference_pgmres_left, A, P, r, tau, ug, up, seen=seen)
     if seen or want_kind in ("overflow", "nonfinite"):
         assert kind == "overflow" and got[0] == PrecisionOverflowSignal.__name__, (got, want)
         if seen:
-            assert got[1] == f"overflow in the GMRES working precision ({cfg.ug.name})"
+            assert got[1] == f"overflow in the GMRES working precision ({ug.name})"
     else:
         assert got == want
     return kind
@@ -104,13 +103,13 @@ def test_pgmres_left_equals_emulated_reference():
     @given(gmres_inputs())
     # half GMRES on diag(3e3, 6e3, 9e3): the first Arnoldi norm overflows half
     @example((SparseMatrix.from_dense(np.diag([3e3, 6e3, 9e3])), None, np.ones(3),
-              GmresConfig(tau=1e-4, ug=HALF, up=HALF)))
+              1e-4, HALF, HALF))
     # the first Givens denominator overflows half: it used to read as a zero residual
     @example((SparseMatrix.from_dense(np.array([[300.0, 1.0], [0.0, 300.0]])), None, np.ones(2),
-              GmresConfig(tau=1e-3, ug=HALF, up=DOUBLE)))
+              1e-3, HALF, DOUBLE))
     # a zero first column: the first Arnoldi vector and its norm are zero
     @example((SparseMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 1.0]])), None, np.array([1.0, 0.0]),
-              GmresConfig(tau=1e-8, ug=SINGLE, up=DOUBLE)))
+              1e-8, SINGLE, DOUBLE))
     def every_case(case):
         kinds[compare(case)] += 1
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dd_sparse
-from spai_ir.krylov import GmresConfig, pgmres_left
+from spai_ir.krylov import pgmres_left
 from spai_ir.precision import DOUBLE, QUAD
 from spai_ir.refine import IrConfig, run_ir
 from spai_ir.spai import SpaiParams, build_spai
@@ -138,7 +138,7 @@ def test_double_gmres_iteration_counts_match_naive(rng):
         A = SparseMatrix.from_dense(dense)
         r = rng.randn(40)
         tau = 1e-8
-        d, rep = pgmres_left(A, None, r, GmresConfig(tau=tau, ug=DOUBLE, up=DOUBLE))
+        d, rep = pgmres_left(A, None, r, tau, DOUBLE, DOUBLE)
         d_ref, k_ref = naive_mgs_gmres(lambda v: dense @ v, r, tau, 40)
         assert abs(rep.iters - k_ref) <= 1, f"trial {trial}: {rep.iters} vs {k_ref}"
         assert np.abs(d - d_ref).max() <= 1e-6 * np.abs(d_ref).max()

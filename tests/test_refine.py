@@ -209,6 +209,13 @@ def test_config_validation():
         IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="cholesky")
     with pytest.raises(ValueError):
         IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, i_max=0)
-    cfg = IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="spai")  # missing spai params
-    with pytest.raises(ValueError):
-        prepare_solver(SparseMatrix.identity(3), cfg)
+    with pytest.raises(ValueError, match="requires cfg.spai"):
+        IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="spai")
+    with pytest.raises(ValueError, match="must match cfg.uf"):
+        IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="spai", spai=SpaiParams(eps=0.3, uf=HALF))
+
+
+def test_tau_checked_at_construction():
+    for tau in (0.0, 1.0, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="tau must lie strictly between 0 and 1"):
+            IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="none", tau=tau)

@@ -11,7 +11,7 @@ from spai_ir.spai import (
     augment_pattern,
     build_left_preconditioner,
     build_spai,
-    rho_score,
+    rho_scores,
     solve_column_ls,
 )
 from spai_ir.sparse import SparseMatrix, extract_submatrix, index_set, shadow
@@ -100,30 +100,42 @@ def test_ls_rank_deficient_signal():
         solve_column_ls(np.ones((2, 3)), np.ones(2), DOUBLE)  # wide block
 
 
-# ---- rho_score ---------------------------------------------------------------
+# ---- rho_scores --------------------------------------------------------------
+
+
+def rho_one(s, a, uf):
+    """The score of one candidate ``a`` against the residual ``s``: :func:`rho_scores` on a batch of one."""
+    s = np.asarray(s, dtype=np.float64)
+    return rho_scores(s[None], np.asarray(a, dtype=np.float64)[None, :, None], [s.size], uf)[0, 0]
 
 
 def test_rho_orthogonal_keeps_norm(rng):
     s = np.array([1.0, 0.0, 0.0])
     a = np.array([0.0, 2.0, 0.0])
-    assert rho_score(s, a, DOUBLE) == pytest.approx(np.linalg.norm(s))
+    assert rho_one(s, a, DOUBLE) == pytest.approx(np.linalg.norm(s))
 
 
 def test_rho_parallel_removes_all():
     s = np.array([0.5, -1.0, 2.0])
-    assert rho_score(s, 3.0 * s, DOUBLE) == pytest.approx(0.0, abs=1e-12)
+    assert rho_one(s, 3.0 * s, DOUBLE) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_rho_zero_candidate_rejected():
-    with pytest.raises(ValueError):
-        rho_score(np.ones(3), np.zeros(3), DOUBLE)
+@pytest.mark.parametrize("uf", [HALF, SINGLE, DOUBLE])
+def test_rho_batch_items_score_as_alone(rng, uf):
+    m = np.array([1, 4, 6, 3])
+    sbar = fl(rng.randn(4, 6), uf) * (np.arange(6) < m[:, None])
+    C = fl(rng.randn(4, 6, 5), uf) * (np.arange(6) < m[:, None])[:, :, None]
+    got = rho_scores(sbar, C, m, uf)
+    for i, mi in enumerate(m):
+        for j in range(5):
+            assert got[i, j].tobytes() == rho_one(sbar[i, :mi], C[i, :mi, j], uf).tobytes(), (i, j)
 
 
 def test_rho_matches_minimization_oracle(rng):
     for _ in range(25):
         s = rng.randn(5)
         a = rng.randn(5)
-        got = rho_score(s, a, DOUBLE)
+        got = rho_one(s, a, DOUBLE)
         want = golden_section_rho(s, a)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
 
@@ -143,7 +155,7 @@ def brute_force_augment(dense, k, Ik, Jk, sbar, beta, uf):
         col = dense[np.ix_(Ik, [j])].ravel()
         if not col.any():
             continue
-        scored.append((rho_score(sbar, col, uf), j))
+        scored.append((rho_one(sbar, col, uf), j))
     if not scored:
         return Jk
     mean = np.mean([r for r, _ in scored])  # reference mean in double

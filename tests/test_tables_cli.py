@@ -293,6 +293,20 @@ def test_cli_non_finite_entry_is_one_line_error(tmp_path, value, solver, precisi
     assert res.stderr.splitlines() == [f"error: line 4: non-finite value '{value}'"], res.stderr
 
 
+def test_cli_bad_tau_fails_before_the_build(monkeypatch, capsys):
+    from spai_ir import refine, tables
+
+    def must_not_build(*args, **kwargs):
+        pytest.fail("a preconditioner was built for a bad tau")
+
+    monkeypatch.setattr(refine, "build_left_preconditioner", must_not_build)
+    monkeypatch.setattr(tables, "build_left_preconditioner", must_not_build)
+    rc = main(["solve", "--matrix", "conv_diff_225", "--solver", "spai", "--precisions", "h,s,d",
+               "--eps", "0.1", "--tau", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: tau must lie strictly between 0 and 1"]
+
+
 def test_cli_main_callable_directly(capsys):
     rc = main(["solve", "--matrix", "ident_32", "--solver", "none", "--precisions", "s,d,q"])
     assert rc == 0
