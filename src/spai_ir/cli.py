@@ -18,7 +18,8 @@ import sys
 
 from .precision import parse_precision
 from .reference import GOLDEN_TABLES, find_matrix
-from .refine import SOLVERS
+from .refine import SOLVERS, IrConfig
+from .spai import SpaiParams
 from .sparse import MatrixMarketParseError, load_matrix_market
 from .tables import result_row, run_sweep, run_table, solve_system
 
@@ -176,16 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--precisions", default="s,d,q", help="uf,u,ur[,ug,up]; letters h s d q")
     sp.add_argument("--eps", type=float, default=0.3, help="SPAI column tolerance")
     sp.add_argument("--alpha", type=int, default=None, help="max augmentation rounds (default ceil(n/beta))")
-    sp.add_argument("--beta", type=int, default=8, help="indices added per round")
+    sp.add_argument("--beta", type=int, default=SpaiParams.beta, help="indices added per round")
     sp.add_argument("--tau", type=float, default=None, help="GMRES tolerance (default by working precision)")
-    sp.add_argument("--imax", type=int, default=10, help="max refinement steps")
+    sp.add_argument("--imax", type=int, default=IrConfig.i_max, help="max refinement steps")
     sp.set_defaults(func=cmd_solve)
 
     sw = sub.add_parser("sweep", parents=[common], help="preconditioner grid over eps and build precision")
     sw.add_argument("--matrix", required=True)
     sw.add_argument("--eps-grid", default="0.1,0.2,0.3,0.4,0.5")
     sw.add_argument("--uf-list", default="s,d")
-    sw.add_argument("--beta", type=int, default=8)
+    sw.add_argument("--beta", type=int, default=SpaiParams.beta)
     sw.set_defaults(func=cmd_sweep)
 
     tb = sub.add_parser("table", parents=[common], help="reproduce a golden table")

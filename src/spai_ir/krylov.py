@@ -161,7 +161,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     # Hessenberg least squares in the GMRES working precision
     y = np.zeros(k, dt)
     for c in range(k - 1, -1, -1):
-        s = fl_dot(H[c, c + 1 : k], y[c + 1 : k], ug) if c + 1 < k else dt(0.0)
+        s = fl_dot(H[c, c + 1 : k], y[c + 1 : k], ug)
         y[c] = (g[c] - s) / H[c, c]
     d = np.zeros(n, dt)
     for c in range(k):

@@ -5,7 +5,9 @@ format when it is a fixed point of :func:`fl` for that format.  Arithmetic
 is emulated operate-then-round: each elementary operation is carried out
 exactly in double and the result is rounded to the target format by
 :func:`fl`, the one rounding kernel (round-to-nearest, ties-to-even,
-subnormals kept, overflow to infinity).
+subnormals kept, overflow to infinity).  Sums follow one fixed pairwise
+tree, padded to a power-of-two length with -0, the exact additive
+identity, so the padding changes no partial sum (:func:`fl_sum`).
 
 Half and single values may instead be stored in their own numpy dtype
 (``Precision.dtype``) and computed on natively, as GMRES does
@@ -187,11 +189,13 @@ def fl_op(op: str, a: float, b: float | None = None, p: Precision = DOUBLE) -> f
 def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarray | float:
     """Sum with every partial addition rounded to ``p``.
 
-    Uses a fixed pairwise reduction order over the zero-padded
-    power-of-two-length array, so results are deterministic and independent
-    of threading (padding with zeros is exact under round-to-nearest).
-    Entries are assumed to be representable in ``p`` already.  Reduces
-    along ``axis``; a 1-d input gives a float.
+    Uses a fixed pairwise reduction order over the array padded with -0 to
+    a power-of-two length, so results are deterministic and independent of
+    threading.  -0 is the exact additive identity, x + (-0) = x for every x
+    including -0, so the padding changes no partial sum and a sum whose
+    terms are all -0 is -0 at every length.  Entries are assumed to be
+    representable in ``p`` already.  Reduces along ``axis``; a 1-d input
+    gives a float.
 
     An array stored in ``p.dtype`` (float16 or float32) is summed in that
     dtype, level by level, and a 1-d one gives a scalar of that dtype.  The
@@ -201,10 +205,8 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
 
     ``lengths`` (broadcastable to the result's shape) sums only the first
     ``lengths`` entries of each reduced line, bit for bit as if that line
-    were summed alone: entries past the length are taken as +0, and each
-    result is read from its own power-of-two subtree, at level
-    ceil(log2 length), not from the root of the longer tree (adding the
-    root's further +0 terms would turn a -0 sum into +0).  Bare, like
+    were summed alone: entries past the length are masked to -0 as well.  A
+    line of length 0, like an empty input, sums to +0.  Bare, like
     :func:`fl`: outside :func:`quiet` overflow warns.
     """
     s = np.asarray(v)
@@ -214,33 +216,25 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     if axis:
         s = np.moveaxis(s, axis, 0)
     m, rest = s.shape[0], s.shape[1:]
-    levels = None
+    size = 1 << max(m - 1, 0).bit_length()
     if lengths is not None:
         lengths = np.broadcast_to(np.asarray(lengths, dtype=np.int64), rest)
         if lengths.size and (lengths.min() < 0 or lengths.max() > m):
             raise ValueError(f"lengths must lie in [0, {m}]")
-        levels = np.frexp(np.maximum(lengths - 1, 0).astype(np.float64))[1]
-    if m == 0:
-        out = np.zeros(rest, s.dtype)
-    else:
-        size = 1 << (m - 1).bit_length()
-        if levels is not None or size != m:
-            padded = np.zeros((size,) + rest, s.dtype)
-            if levels is None:
-                padded[:m] = s
-            else:
-                np.copyto(padded[:m], s, where=np.arange(m).reshape((m,) + (1,) * len(rest)) < lengths)
-            s = padded
-        out = s[0]
-        level = 0
-        while s.shape[0] > 1:
-            s = s[0::2] + s[1::2]
-            if not native:
-                fl(s, p, inplace=True)
-            level += 1
-            if levels is not None:
-                out = np.where(levels == level, s[0], out)
-        out = s[0] if levels is None else out
+        padded = np.full((size,) + rest, -0.0, s.dtype)
+        padded[0] = 0.0  # the sum of no terms is +0
+        np.copyto(padded[:m], s, where=np.arange(m).reshape((m,) + (1,) * len(rest)) < lengths)
+        s = padded
+    elif size != m:
+        padded = np.empty((size,) + rest, s.dtype)
+        padded[:m] = s
+        padded[m:] = -0.0 if m else 0.0  # the sum of no terms is +0
+        s = padded
+    while s.shape[0] > 1:
+        s = s[0::2] + s[1::2]
+        if not native:
+            fl(s, p, inplace=True)
+    out = s[0]
     if out.ndim:
         return out
     return out[()] if native else float(out)

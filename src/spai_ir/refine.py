@@ -57,7 +57,9 @@ class IrConfig:
     ``uf`` is the factorization/construction precision, ``u`` the working
     precision, ``ur`` the residual precision, ``ug``/``up`` the GMRES
     working and application precisions (``u`` where left ``None``), and
-    ``tau`` the GMRES tolerance, which must lie in (0, 1).  The ``spai``
+    ``tau`` the GMRES tolerance, which must lie in (0, 1); left ``None`` it
+    follows the working precision: 1e-4 when the unit roundoff of ``u`` is
+    above 2**-30 (half, single), else 1e-8.  The ``spai``
     solver needs ``spai`` parameters built in ``uf``.  Every setting is
     checked here, before any preconditioner is built.  There is one
     stopping rule: the run converges when both the normwise backward
@@ -70,7 +72,7 @@ class IrConfig:
     u: Precision
     ur: Precision
     solver: str = "spai"
-    tau: float = 1e-8
+    tau: float | None = None
     i_max: int = 10
     ug: Precision | None = None
     up: Precision | None = None
@@ -79,6 +81,8 @@ class IrConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
+        if self.tau is None:
+            object.__setattr__(self, "tau", 1e-4 if self.u.unit_roundoff > 2.0**-30 else 1e-8)
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must lie strictly between 0 and 1")
         if self.i_max < 1:

@@ -84,21 +84,25 @@ class SpaiPreconditioner:
     """The assembled preconditioner plus per-column construction statistics.
 
     ``col_resnorm`` holds the final residual 2-norm of each column as
-    measured in the build precision, ``col_rounds`` the number of pattern
-    augmentations, ``satisfied`` whether the column met the tolerance, and
-    ``col_status`` one of ``ok | overflow | stagnated | rank_deficient``.
+    measured in the build precision (inf for a column that never solved),
+    ``col_rounds`` the number of pattern augmentations, and ``col_status``
+    one of ``ok | overflow | stagnated | rank_deficient``.
     """
 
     P: SparseMatrix
     col_resnorm: np.ndarray
     col_rounds: np.ndarray
-    satisfied: np.ndarray
     col_status: list[str]
     params: SpaiParams
 
     @property
     def nnz(self) -> int:
         return self.P.nnz
+
+    @property
+    def satisfied(self) -> np.ndarray:
+        """Whether each column met the tolerance: its residual is at most eps."""
+        return self.col_resnorm <= self.params.eps
 
     @property
     def all_satisfied(self) -> bool:
@@ -204,19 +208,18 @@ def rho_scores(sbar: np.ndarray, C: np.ndarray, m, uf: Precision) -> np.ndarray:
     with the radicand clamped at zero.  Each item's scores are
     bit-identical to scoring it alone.
 
-    A candidate that is zero on I_i scores NaN (0/0), and so does padding.
-    In half precision so does a candidate whose entries on I_i are about
-    1e-5, as (s.c)^2 and c.c underflow to zero.  The NaN makes the mean
-    score in :func:`augment_patterns` NaN, no candidate passes, and the
-    column is flagged stagnated: for B = [[1, 1e-5, .5], [.5, 1e-5, 0],
-    [0, 1, 1]], J = {0} and sbar = (.25, -.5) on I = {0, 1}, candidate 2
-    scores 0.5, yet the pattern does not grow.
+    A candidate whose c.c rounds to zero is scored as no reduction, rho =
+    ||s||: that holds for padding, and in half precision for a candidate
+    whose entries on I_i are about 1e-5, as c.c underflows.  Its quotient
+    would be 0/0 = NaN, which would make the mean score in
+    :func:`augment_patterns` NaN, so that no candidate passes and the column
+    stagnates although a good candidate exists.
     """
     m = np.asarray(m, dtype=np.int64)
     ss = fl_dot(sbar, sbar, uf, axis=1, lengths=m)
     dots = fl_dot(sbar[:, :, None], C, uf, axis=1, lengths=m[:, None])
     dens = fl_dot(C, C, uf, axis=1, lengths=m[:, None])
-    q = fl(fl(dots * dots, uf) / dens, uf)
+    q = np.where(dens == 0.0, 0.0, fl(fl(dots * dots, uf) / dens, uf))
     rad = np.maximum(fl(ss[:, None] - q, uf), 0.0)
     return fl(np.sqrt(rad), uf)
 
@@ -332,7 +335,6 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     values = [np.empty(0)] * n
     resnorm = np.full(n, np.inf)
     rounds = np.zeros(n, dtype=np.int64)
-    satisfied = np.zeros(n, dtype=bool)
     status = np.full(n, COL_OK, dtype=object)
     active = np.arange(n)
     for step in range(alpha + 1):
@@ -354,7 +356,6 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
             k = active[i]
             solved[k], values[k], resnorm[k] = J_sets[i], mbar[i, : p[i]].copy(), norms[i]
         met = norms[ok] <= params.eps
-        satisfied[active[ok[met]]] = True
         if step == alpha:
             break
         grow = ok[~met]
@@ -378,7 +379,6 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
         P=M,
         col_resnorm=resnorm,
         col_rounds=rounds,
-        satisfied=satisfied,
         col_status=status.tolist(),
         params=params,
     )

@@ -19,7 +19,6 @@ __all__ = [
     "NNZ_BAND",
     "ITERS_BAND",
     "SolveOutcome",
-    "default_tau",
     "result_row",
     "solve_system",
     "sweep_cell",
@@ -31,11 +30,6 @@ __all__ = [
 # preconditioner size within 15 percent, total GMRES iterations within 25.
 NNZ_BAND = 0.15
 ITERS_BAND = 0.25
-
-
-def default_tau(u: Precision) -> float:
-    """GMRES tolerance convention: roughly the square root of the working precision."""
-    return 1e-4 if u.unit_roundoff > 2.0**-30 else 1e-8
 
 
 @dataclass
@@ -64,15 +58,14 @@ def solve_system(
     up: Precision | None = None,
     eps: float | None = None,
     alpha: int | None = None,
-    beta: int = 8,
+    beta: int = SpaiParams.beta,
     tau: float | None = None,
-    i_max: int = 10,
+    i_max: int = IrConfig.i_max,
     with_kappa: bool = True,
     x_ref=None,
 ) -> SolveOutcome:
-    """One full refinement run with the benchmark right-hand side."""
-    if tau is None:
-        tau = default_tau(u)
+    """One full refinement run with the benchmark right-hand side; ``tau``
+    left ``None`` follows the working precision (see :class:`IrConfig`)."""
     cfg = IrConfig(
         uf=uf, u=u, ur=ur, solver=solver, tau=tau, i_max=i_max, ug=ug, up=up,
         spai=SpaiParams(eps=eps, alpha=alpha, beta=beta, uf=uf) if solver == "spai" else None,
@@ -88,7 +81,7 @@ def solve_system(
 
 
 def sweep_cell(A: SparseMatrix, name: str, eps: float, uf: Precision, cond2_at: float,
-               beta: int = 8) -> dict:
+               beta: int = SpaiParams.beta) -> dict:
     """One (eps, build precision) cell: preconditioner stats only, no solve."""
     row = {
         "matrix": name,
@@ -111,7 +104,7 @@ def sweep_cell(A: SparseMatrix, name: str, eps: float, uf: Precision, cond2_at: 
     return row
 
 
-def run_sweep(A: SparseMatrix, name: str, eps_grid, uf_list, beta: int = 8) -> list[dict]:
+def run_sweep(A: SparseMatrix, name: str, eps_grid, uf_list, beta: int = SpaiParams.beta) -> list[dict]:
     """Grid of preconditioner builds, ordered by grid position."""
     cond2_at = cond2_transpose(A)
     rows = []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import load_named, load_synthetic, random_dd_sparse
-from spai_ir.analysis import check_bounds, cond2_transpose, kappa_inf, kappa_inf_product
+from spai_ir.analysis import check_bounds, cond2_transpose, feasible, kappa_inf, kappa_inf_product
 from spai_ir.krylov import pgmres_left
 from spai_ir.precision import DOUBLE, HALF, SINGLE, Precision
 from spai_ir.reference import MATRICES, SYNTHETIC, find_matrix
@@ -53,7 +53,7 @@ def test_criterion_1_bound_suite():
         cond2_at = cond2_transpose(A)
         for uf in (HALF, SINGLE):
             for eps in EPS_GRID:
-                if uf.unit_roundoff * cond2_at > eps:
+                if not feasible(uf, cond2_at, eps):
                     continue  # feasibility constraint not met; out of scope
                 pre = build_left_preconditioner(A, SpaiParams(eps=eps, uf=uf))
                 assert pre.all_satisfied, (name, uf.name, eps, pre.stats_dict())

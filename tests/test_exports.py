@@ -1,9 +1,15 @@
-"""Every name that ``spai_ir`` or one of its modules exports in ``__all__`` exists."""
+"""Every name that ``spai_ir`` or one of its modules exports in ``__all__``
+exists, and no module imports a name it does not use."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import spai_ir
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _modules():
@@ -22,3 +28,32 @@ def test_every_exported_name_resolves():
         assert not missing, f"{module.__name__}.__all__ names what it does not define: {missing}"
         checked += 1
     assert checked >= 9, checked
+
+
+def _unused_imports(module) -> set[str]:
+    """Names that ``module`` imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read - set(getattr(module, "__all__", ()))
+
+
+def test_unused_imports_are_only_the_traced_bindings():
+    """A module may bind a name it does not use only for the benchmark's
+    tracer, which wraps ``spai_ir.<module>.<name>`` for each of its
+    ``TARGETS`` (see ``tests/test_tracer_bindings.py``)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {(module, attr) for _, _, modules, attr in tracer.TARGETS for module in modules}
+    unused = {
+        (module.__name__.removeprefix("spai_ir."), name)
+        for module in _modules()
+        for name in _unused_imports(module)
+    }
+    assert unused - traced == set()

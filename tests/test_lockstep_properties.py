@@ -7,6 +7,7 @@ own; both are compared here as raw bytes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,20 @@ def test_fl_sum_lengths_equal_each_column_alone(case):
             alone = np.float64(fl_sum(V[:n, c], p))
             assert batched[c].tobytes() == alone.tobytes(), (c, n, batched[c], alone)
             assert transposed[c].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("p", [HALF, SINGLE, DOUBLE])
+def test_fl_sum_of_negative_zeros_is_negative_zero_at_every_length(p):
+    """A sum whose terms are all -0 is -0, alone and batched with ``lengths``,
+    in float64 and in the format's own dtype; a sum of no terms is +0."""
+    for dtype in {np.float64, p.dtype or np.float64}:
+        for n in range(71):
+            got = fl_sum(np.full(n, -0.0, dtype), p)
+            assert got == 0.0 and np.signbit(got) == (n > 0), n
+            V = np.full((70, 2), -0.0, dtype)
+            V[n:] = 1.0  # past the length
+            got = fl_sum(V, p, axis=0, lengths=[n, 0])
+            assert not np.any(got) and np.signbit(got).tolist() == [n > 0, False], n
 
 
 @st.composite

@@ -215,6 +215,16 @@ def test_config_validation():
         IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="spai", spai=SpaiParams(eps=0.3, uf=HALF))
 
 
+def test_run_without_tau_takes_the_working_precision_tolerance():
+    # hsd: tau is 1e-4, so GMRES stops twice at 9 iterations; a tau of 1e-8
+    # would run one solve capped at n = 120 iterations
+    A = load_synthetic("band_asym_120")
+    cfg = IrConfig(uf=HALF, u=SINGLE, ur=DOUBLE, solver="spai", spai=SpaiParams(eps=0.3, uf=HALF))
+    x, rep = run_ir(A, rhs_for(A.n_rows), cfg)
+    assert rep.converged and rep.details["tau"] == 1e-4
+    assert rep.gmres_iters_per_step == [9, 9]
+
+
 def test_tau_checked_at_construction():
     for tau in (0.0, 1.0, 2.0, float("nan")):
         with pytest.raises(ValueError, match="tau must lie strictly between 0 and 1"):

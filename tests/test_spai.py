@@ -131,6 +131,16 @@ def test_rho_batch_items_score_as_alone(rng, uf):
             assert got[i, j].tobytes() == rho_one(sbar[i, :mi], C[i, :mi, j], uf).tobytes(), (i, j)
 
 
+def test_rho_underflowing_candidate_scores_no_reduction():
+    # in half, candidate 1 is about 1e-5 on I = {0, 1}, so c.c and (s.c)^2
+    # underflow: it scores ||s||, and candidate 2 (score 0.5) still joins J
+    B = SparseMatrix.from_dense(fl(np.array([[1, 1e-5, 0.5], [0.5, 1e-5, 0], [0, 1, 1]]), HALF))
+    s = np.array([0.25, -0.5])
+    assert rho_one(s, B.to_dense()[:2, 1], HALF) == fl_norm2(s, HALF)
+    got = augment_pattern(B, 0, index_set([0, 1]), index_set([0]), s, beta=8, uf=HALF)
+    assert got.tolist() == [0, 2]
+
+
 def test_rho_matches_minimization_oracle(rng):
     for _ in range(25):
         s = rng.randn(5)

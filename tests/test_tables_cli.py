@@ -9,17 +9,17 @@ import pytest
 
 from conftest import load_synthetic
 from spai_ir.cli import main
-from spai_ir.precision import DOUBLE, HALF, SINGLE
-
+from spai_ir.precision import DOUBLE, HALF, QUAD, SINGLE
+from spai_ir.refine import IrConfig
 from spai_ir.spai import SpaiParams, build_left_preconditioner
-from spai_ir.tables import default_tau, result_row, run_sweep, run_table, solve_system
+from spai_ir.tables import result_row, run_sweep, run_table, solve_system
 
 
 def test_default_tau_convention():
-    from spai_ir.precision import DOUBLE, SINGLE
-
-    assert default_tau(SINGLE) == 1e-4
-    assert default_tau(DOUBLE) == 1e-8
+    # left out, tau follows the working precision, as in `spai-ir solve`
+    for u, tau in ((HALF, 1e-4), (SINGLE, 1e-4), (DOUBLE, 1e-8)):
+        assert IrConfig(uf=HALF, u=u, ur=QUAD, solver="none").tau == tau
+    assert IrConfig(uf=HALF, u=HALF, ur=QUAD, solver="none", tau=0.5).tau == 0.5
 
 
 def test_sweep_grid_of_one_matches_direct_build():
@@ -145,15 +145,13 @@ def test_run_table_row_band_comparison():
 
 def test_solve_system_outcome_shape():
     A = load_synthetic("dd_rand_64")
-    from spai_ir.precision import DOUBLE, QUAD, SINGLE
-
     out = solve_system(A, "dd_rand_64", "spai", SINGLE, DOUBLE, QUAD, eps=0.3)
     assert out.matrix == "dd_rand_64"
     assert out.report.converged is True
     details = out.report.details
     assert details["solver"] == "spai"
     assert details["precond_nnz"] == details["spai"]["nnz"] > 0
-    assert details["tau"] == default_tau(DOUBLE)
+    assert details["tau"] == 1e-8
     assert details["precisions"] == dict(uf="single", u="double", ur="quad-emulated", ug="double", up="double")
     assert out.kappa_tilde is not None
 
@@ -166,9 +164,6 @@ def test_kappa_ratio_unscaled_is_finite():
 
 
 def test_quad_only_as_residual_precision():
-    from spai_ir.precision import DOUBLE, QUAD
-    from spai_ir.refine import IrConfig
-
     for kw in (dict(uf=QUAD), dict(u=QUAD), dict(ug=QUAD), dict(up=QUAD)):
         with pytest.raises(ValueError, match="quad"):
             IrConfig(**{**dict(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="none"), **kw})
