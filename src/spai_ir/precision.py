@@ -309,40 +309,27 @@ def dd_mul(ah, al, bh, bl):
     return _renorm(p, e)
 
 
-def _dd_residual_parts(A, xh, xl, b):
-    """Residual b - A x accumulated in double-double; x may itself be a dd pair.
+@quiet
+def dd_residual(A, x, b) -> np.ndarray:
+    """b - A x with all accumulation in double-double, rounded to double.
 
     ``A`` is a :class:`spai_ir.sparse.SparseMatrix`; its ``row_slots()`` are
     ``(rows, cols, vals)`` triplets where each row index appears at most
-    once per slot and a row's slots are ordered by ascending column.
+    once per slot and a row's slots are ordered by ascending column.  ``x``
+    may be a plain double vector or a ``(hi, lo)`` double-double pair, such
+    as the iterate :func:`dd_solve` refines, in which case the residual
+    reflects the full compensated accuracy of the pair.
     """
+    if not isinstance(x, tuple):
+        x = (x, np.zeros(len(x)))
+    xh, xl = (np.asarray(w, dtype=np.float64) for w in x)
     b = np.asarray(b, dtype=np.float64)
     sh = np.zeros_like(b)
     sl = np.zeros_like(b)
     for rows, cols, vals in A.row_slots():
         ph, pl = dd_mul(vals, np.zeros_like(vals), xh[cols], xl[cols])
-        th, tl = dd_add(sh[rows], sl[rows], ph, pl)
-        sh[rows] = th
-        sl[rows] = tl
-    return dd_add(b, np.zeros_like(b), -sh, -sl)
-
-
-@quiet
-def dd_residual(A, x, b) -> np.ndarray:
-    """b - A x with all accumulation in double-double, rounded to double.
-
-    ``x`` may be a plain double vector or a ``(hi, lo)`` double-double pair
-    (as returned by :func:`dd_solve`), in which case the residual reflects
-    the full compensated accuracy of the pair.
-    """
-    if isinstance(x, tuple):
-        xh = np.asarray(x[0], dtype=np.float64)
-        xl = np.asarray(x[1], dtype=np.float64)
-    else:
-        xh = np.asarray(x, dtype=np.float64)
-        xl = np.zeros_like(xh)
-    rh, rl = _dd_residual_parts(A, xh, xl, np.asarray(b, dtype=np.float64))
-    return rh
+        sh[rows], sl[rows] = dd_add(sh[rows], sl[rows], ph, pl)
+    return dd_add(b, np.zeros_like(b), -sh, -sl)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +430,11 @@ def dd_solve(A, b):
 
     ``A`` is a :class:`spai_ir.sparse.SparseMatrix`.  A dense copy is
     factored once in double with :func:`dense_lu`, whose cost follows the
-    bandwidth of ``A`` as ordered, and the solution is refined with
-    double-double residuals until the residual stops improving; the limiting
-    forward error is of order ``unit_roundoff(QUAD) * cond(A)``.  Returns
-    ``(x_hi, x_lo)`` as a normalized double-double pair.
+    bandwidth of ``A`` as ordered.  The double-double iterate is then
+    refined with :func:`dd_residual` of the pair until that residual stops
+    improving; the limiting forward error is of order
+    ``unit_roundoff(QUAD) * cond(A)``.  Returns ``(x_hi, x_lo)`` as a
+    normalized double-double pair.
     """
     b = np.asarray(b, dtype=np.float64)
     dense = A.to_dense()
@@ -457,7 +445,7 @@ def dd_solve(A, b):
     xl = np.zeros_like(xh)
     best = math.inf
     for _ in range(8):
-        rh, rl = _dd_residual_parts(A, xh, xl, b)
+        rh = dd_residual(A, (xh, xl), b)
         rnorm = float(np.max(np.abs(rh)))
         if not math.isfinite(rnorm):
             raise SingularMatrixError("singular")

@@ -29,7 +29,7 @@ from .precision import (
     fl_op,
     quiet,
 )
-from .krylov import GmresReport, pgmres_left
+from .krylov import pgmres_left
 from .spai import SpaiParams, SpaiPreconditioner, build_left_preconditioner
 from .sparse import SparseMatrix, matvec
 
@@ -250,7 +250,16 @@ class PreparedSolver:
 
 @quiet
 def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
-    """Build the preconditioner or factors required by ``cfg.solver``."""
+    """Build the preconditioner or factors required by ``cfg.solver``.
+
+    ``A`` is checked first, for every solver: a non-square ``A`` or one
+    with a NaN or infinite entry raises ``ValueError`` before any ordering,
+    factorization or build.
+    """
+    if A.n_rows != A.n_cols:
+        raise ValueError(f"square matrix required, got {A.n_rows}x{A.n_cols}")
+    if not np.all(np.isfinite(A.data)):
+        raise ValueError("matrix A has a NaN or infinite entry")
     if cfg.solver == "spai":
         pre = build_left_preconditioner(A, cfg.spai)
         return PreparedSolver(precond=pre.P, spai=pre)
@@ -280,12 +289,17 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
     """Iterative refinement of A x = b under ``cfg``; returns ``(x, IrReport)``.
 
     ``solver`` and ``x_ref`` allow reusing a prepared preconditioner and a
-    double-double reference solution across runs on the same system.
+    double-double reference solution across runs on the same system.  A
+    non-square ``A``, a ``b`` of the wrong length and a NaN or infinite
+    entry of ``b`` raise ``ValueError``, as :func:`prepare_solver` does for
+    ``A``, before any factorization.
     """
     b = np.asarray(b, dtype=np.float64)
     n = A.n_rows
     if A.n_cols != n or b.shape[0] != n:
         raise ValueError("square system with matching right-hand side required")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side b has a NaN or infinite entry")
     if solver is None:
         solver = prepare_solver(A, cfg)
     if x_ref is None:
@@ -297,44 +311,33 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
         x = solver.precond.apply(fl(b, cfg.uf), cfg.uf)
     x = fl(x, cfg.u)
 
-    ferr, nbe = measure_errors(A, b, x, x_ref=x_ref)
-    ferr_hist = [ferr]
-    nbe_hist = [nbe]
+    ferr_hist: list[float] = []
+    nbe_hist: list[float] = []
     iters_per_step: list[int] = []
-    gmres_reports: list[GmresReport] = []
     thresh = n * cfg.u.unit_roundoff
-    converged = nbe <= thresh and ferr <= thresh
-    stagnated = False
-    steps = 0
-
-    while not converged and steps < cfg.i_max:
+    capped = breakdown = False
+    while True:
+        ferr, nbe = measure_errors(A, b, x, x_ref=x_ref)
+        ferr_hist.append(ferr)
+        nbe_hist.append(nbe)
+        converged = nbe <= thresh and ferr <= thresh
+        # a forward error that rose twice in a row also fell by less than half
+        stagnated = not converged and len(ferr_hist) >= 3 and ferr > 0.5 * ferr_hist[-3]
+        if converged or stagnated or len(iters_per_step) >= cfg.i_max:
+            break
         r = fl(_residual(A, x, b, cfg.ur), cfg.u)
         if cfg.solver == "sir":
             d = solver.precond.apply(r, cfg.uf)
             iters_per_step.append(0)
         else:
             d, grep = pgmres_left(A, solver.precond, r, cfg.tau, cfg.ug, cfg.up)
-            gmres_reports.append(grep)
             iters_per_step.append(grep.iters)
-        d = fl(d, cfg.u)
-        x = fl(x + d, cfg.u)
-        steps += 1
-        ferr, nbe = measure_errors(A, b, x, x_ref=x_ref)
-        ferr_hist.append(ferr)
-        nbe_hist.append(nbe)
-        if nbe <= thresh and ferr <= thresh:
-            converged = True
-            break
-        if len(ferr_hist) >= 3:
-            if ferr_hist[-1] > ferr_hist[-2] > ferr_hist[-3]:
-                stagnated = True
-                break
-            if ferr_hist[-1] > 0.5 * ferr_hist[-3]:
-                stagnated = True
-                break
+            capped = capped or (grep.iters >= n and not grep.converged)
+            breakdown = breakdown or grep.breakdown
+        x = fl(x + fl(d, cfg.u), cfg.u)
 
     report = IrReport(
-        steps=steps,
+        steps=len(iters_per_step),
         gmres_iters_per_step=iters_per_step,
         total_gmres_iters=int(sum(iters_per_step)),
         ferr_history=ferr_hist,
@@ -352,8 +355,8 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
                 "ug": cfg.ug.name,
                 "up": cfg.up.name,
             },
-            "gmres_capped": any(rep.iters >= n and not rep.converged for rep in gmres_reports),
-            "gmres_breakdown": any(rep.breakdown for rep in gmres_reports),
+            "gmres_capped": capped,
+            "gmres_breakdown": breakdown,
             "lu_scaled": solver.lu_scaled,
         },
     )

@@ -185,16 +185,11 @@ def _open_lines(source):
         return open(source, "rt", encoding="ascii", errors="replace")
     if isinstance(source, bytes):
         return io.StringIO(source.decode("ascii", errors="replace"))
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("ascii", errors="replace")
-        return io.StringIO(text)
-    raise TypeError("source must be a path, bytes, or file-like object")
+    raise TypeError("source must be a path or bytes")
 
 
 def load_matrix_market(source) -> SparseMatrix:
-    """Parse coordinate-format Matrix Market content.
+    """Parse coordinate-format Matrix Market content from a path or bytes.
 
     Accepts real or integer fields with general or symmetric symmetry;
     symmetric inputs are expanded to full storage and duplicate entries are

@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import spai_ir
@@ -57,3 +58,36 @@ def test_unused_imports_are_only_the_traced_bindings():
         for name in _unused_imports(module)
     }
     assert unused - traced == set()
+
+
+def _definitions():
+    """``(name, file)`` of every top-level function and class of ``spai_ir``
+    and of every method that is not a dunder."""
+    for path in sorted(Path(spai_ir.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            yield node.name, path.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        yield item.name, path.name
+
+
+def test_every_definition_is_named_elsewhere():
+    """A function, class or method that nothing names besides its own
+    definition is dead code (word-boundary match over the sources, tests,
+    tools and the benchmark)."""
+    root = TRACER.parents[1]
+    text = "\n".join(
+        path.read_text()
+        for folder in ("src", "tests", "tools", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    )
+    dead = [
+        (name, file)
+        for name, file in _definitions()
+        if len(re.findall(rf"\b{name}\b", text))
+        <= len(re.findall(rf"\b(?:def|class) {name}\b", text))
+    ]
+    assert not dead, f"defined but never named elsewhere: {dead}"

@@ -229,3 +229,43 @@ def test_tau_checked_at_construction():
     for tau in (0.0, 1.0, 2.0, float("nan")):
         with pytest.raises(ValueError, match="tau must lie strictly between 0 and 1"):
             IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="none", tau=tau)
+
+
+# ---- input checks -------------------------------------------------------------
+
+
+def _no_factorization(monkeypatch):
+    from spai_ir import refine
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("a bad input reached an ordering, build or factorization")
+
+    for name in ("rcm_permutation", "dense_lu", "build_left_preconditioner", "dd_solve"):
+        monkeypatch.setattr(refine, name, must_not_run)
+
+
+def _cfg(solver):
+    spai = SpaiParams(eps=0.3, uf=HALF) if solver == "spai" else None
+    return IrConfig(uf=HALF, u=SINGLE, ur=DOUBLE, solver=solver, spai=spai)
+
+
+@pytest.mark.parametrize("solver", ["spai", "lu", "none", "sir"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_matrix_entry_is_named_before_any_factorization(monkeypatch, solver, value):
+    # an inf used to surface as "overflow in double" (none), "singular in
+    # single: zero pivot at step 1" (lu) or "zero column: ..." (spai)
+    A = SparseMatrix.from_dense(np.diag([1.0, value, 1.0]))
+    _no_factorization(monkeypatch)
+    with pytest.raises(ValueError, match="^matrix A has a NaN or infinite entry$"):
+        run_ir(A, rhs_for(3), _cfg(solver))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_right_hand_side_is_named_before_any_factorization(monkeypatch, value):
+    # a NaN used to surface as "singular" from the reference solve
+    b = rhs_for(3)
+    b[1] = value
+    _no_factorization(monkeypatch)
+    with pytest.raises(ValueError, match="^right-hand side b has a NaN or infinite entry$"):
+        run_ir(SparseMatrix.identity(3), b, _cfg("lu"))
+

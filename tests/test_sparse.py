@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,11 @@ def test_load_errors_name_lines():
         load_matrix_market((HEADER + "2 2 1\n1 1\n").encode())
     with pytest.raises(MatrixMarketParseError, match="expected 1"):
         load_matrix_market((HEADER + "2 2 1\n").encode())
+
+
+def test_load_takes_a_path_or_bytes_only():
+    with pytest.raises(TypeError, match="^source must be a path or bytes$"):
+        load_matrix_market(io.BytesIO((HEADER + "1 1 1\n1 1 5\n").encode()))
 
 
 @pytest.mark.parametrize("text, message", [

@@ -288,6 +288,17 @@ def test_cli_non_finite_entry_is_one_line_error(tmp_path, value, solver, precisi
     assert res.stderr.splitlines() == [f"error: line 4: non-finite value '{value}'"], res.stderr
 
 
+@pytest.mark.parametrize("solver", ["spai", "lu", "none", "sir"])
+def test_cli_non_square_matrix_is_one_line_error(tmp_path, capsys, solver):
+    # lu and sir used to print scipy's "inconsistent shapes" from the ordering
+    path = tmp_path / "wide.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 3 3\n"
+                    "1 1 1.0\n2 2 1.0\n1 3 2.0\n")
+    rc = main(["solve", "--matrix", str(path), "--solver", solver, "--precisions", "h,s,d"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: square matrix required, got 2x3"]
+
+
 def test_cli_bad_tau_fails_before_the_build(monkeypatch, capsys):
     from spai_ir import refine, tables
 
