@@ -10,15 +10,15 @@ tree, padded to a power-of-two length with -0, the exact additive
 identity, so the padding changes no partial sum (:func:`fl_sum`).
 
 Half and single values may instead be stored in their own numpy dtype
-(``Precision.dtype``) and computed on natively, as GMRES does
-(:mod:`spai_ir.krylov`), with the same bits: an IEEE ``+ - * / sqrt`` in
-float16 or float32 is the exact result rounded once, and so is the float64
-operation followed by :func:`fl`, since binary64 carries at least 2t + 2
-significant bits for t = 11 and t = 24 and that double rounding is
-innocuous (Figueroa, "When is double rounding innocuous?", SIGNUM 1995).
-numpy's float16 loops compute in float32 and round to half, innocuous for
-the same reason.  :func:`fl_sum` and :func:`fl_dot` keep such arrays in
-their dtype.
+(``Precision.dtype``) and computed on natively, as GMRES (:mod:`spai_ir.krylov`)
+and single-precision SPAI builds (:mod:`spai_ir.spai`) do, with the same
+bits: an IEEE ``+ - * / sqrt`` in float16 or float32 is the exact result
+rounded once, and so is the float64 operation followed by :func:`fl`, since
+binary64 carries at least 2t + 2 significant bits for t = 11 and t = 24 and
+that double rounding is innocuous (Figueroa, "When is double rounding
+innocuous?", SIGNUM 1995).  numpy's float16 loops compute in float32 and
+round to half, innocuous for the same reason.  :func:`fl_sum` and
+:func:`fl_dot` keep such arrays in their dtype, and :func:`fl` returns them.
 
 Overflow to infinity and 0/0 = NaN are intended results, not errors.  The
 functions that compute on emulated values are wrapped in :func:`quiet`, the
@@ -139,8 +139,8 @@ def fl(x, p: Precision, inplace: bool = False):
     A number gives a float; a float64 array gives a new float64 array, or
     with ``inplace`` is rounded in place, without a float64 temporary, and
     returned.  Round-to-nearest-even with subnormals kept; values beyond
-    the format's range become infinities.  Double and quad-emulated keep
-    the double word: ``x`` comes back as itself.
+    the format's range become infinities.  ``x`` comes back as itself for
+    double and quad-emulated, which keep the double word, and in ``p.dtype``.
 
     Overflow to +-inf is the intended result, but the kernel is bare: numpy
     warns of it unless the caller runs under :func:`quiet`.
@@ -150,6 +150,8 @@ def fl(x, p: Precision, inplace: bool = False):
         return x
     if not isinstance(x, np.ndarray):
         return float(dtype(x))
+    if x.dtype.type is dtype:
+        return x
     if not inplace:
         return x.astype(dtype).astype(np.float64)
     x[...] = x.astype(dtype)
@@ -214,11 +216,11 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     if not native:
         s = np.asarray(s, dtype=np.float64)
     if axis:
-        s = np.moveaxis(s, axis, 0)
+        s = s.swapaxes(0, 1) if axis == 1 else np.moveaxis(s, axis, 0)
     m, rest = s.shape[0], s.shape[1:]
     size = 1 << max(m - 1, 0).bit_length()
     if lengths is not None:
-        lengths = np.broadcast_to(np.asarray(lengths, dtype=np.int64), rest)
+        lengths = np.asarray(lengths, dtype=np.int64)  # the mask below broadcasts it
         if lengths.size and (lengths.min() < 0 or lengths.max() > m):
             raise ValueError(f"lengths must lie in [0, {m}]")
         padded = np.full((size,) + rest, -0.0, s.dtype)
@@ -434,12 +436,16 @@ def dd_solve(A, b):
     refined with :func:`dd_residual` of the pair until that residual stops
     improving; the limiting forward error is of order
     ``unit_roundoff(QUAD) * cond(A)``.  Returns ``(x_hi, x_lo)`` as a
-    normalized double-double pair.
+    normalized double-double pair.  A NaN or infinite entry of ``A`` or
+    ``b`` raises ``ValueError`` before the factorization.
     """
     b = np.asarray(b, dtype=np.float64)
     dense = A.to_dense()
     if dense.shape[0] != dense.shape[1] or dense.shape[0] != b.shape[0]:
         raise ValueError("dd_solve needs a square system with matching right-hand side")
+    for what, values in (("matrix A", A.data), ("right-hand side b", b)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{what} has a NaN or infinite entry")
     factors = dense_lu(dense, DOUBLE)
     xh = factors.substitute(b[factors.perm], DOUBLE)
     xl = np.zeros_like(xh)

@@ -4,7 +4,8 @@ Builds an explicit sparse M with M ~= inv(B) column by column: each column
 solves a small dense least-squares problem on the current sparsity pattern,
 and while the column residual is above the tolerance the pattern is grown
 with the candidate indices that most reduce the residual in a univariate
-sense.  All arithmetic runs in a configurable emulated precision.
+sense.  All arithmetic runs in a configurable emulated precision; single
+builds compute natively in float32, as GMRES does, with the same bits.
 """
 
 from __future__ import annotations
@@ -134,10 +135,11 @@ def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
     Every item comes out bit-identical to its block solved alone: each
     reduction takes the item's own length (see :func:`fl_sum`), so whatever
     the updates leave in the padding (0 * inf is NaN) never reaches a real
-    entry.
+    entry.  Single computes in float32, where :func:`fl` is the identity;
+    half stays on the float64 round trip, faster than float16 in numpy.
     """
-    B = np.asarray(Abar, dtype=np.float64)
-    e = np.asarray(ebar, dtype=np.float64)
+    dt = np.float32 if uf == SINGLE else np.float64
+    B, e = np.asarray(Abar, dtype=dt), np.asarray(ebar, dtype=dt)
     m = np.asarray(m, dtype=np.int64)
     deficient = np.asarray(p, dtype=np.int64) > m
     p = np.where(deficient, 0, p)
@@ -150,34 +152,34 @@ def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
     for j in range(steps):
         live = (j < p) & ~deficient
         rows = np.maximum(m - j, 0)
-        x = W[:, j:, j]
-        nx = fl_norm2(x, uf, axis=1, lengths=rows)
+        x0 = W[:, j, j].copy()
+        nx = fl_norm2(W[:, j:, j], uf, axis=1, lengths=rows)
         deficient |= live & (nx == 0.0)
         live &= nx != 0.0
-        alpha = np.where(x[:, 0] >= 0.0, -nx, nx)
-        v = x.copy()
-        v[:, 0] = fl(x[:, 0] - alpha, uf)
-        vtv = fl_dot(v, v, uf, axis=1, lengths=rows)
-        # apply H = I - 2 v v^T / (v^T v) to the trailing block and to e
-        trail = W[:, j:, j + 1 :]
-        s = fl_dot(v[:, :, None], trail, uf, axis=1, lengths=rows[:, None])
-        coef = fl(fl(2.0 * s, uf) / vtv[:, None], uf)
-        new = fl(trail - fl(v[:, :, None] * coef[:, None, :], uf), uf)
+        alpha = np.where(x0 >= 0.0, -nx, nx)
+        # column j becomes v, so one reduction gives v^T v and v^T trail, and
+        # H = I - 2 v v^T / (v^T v) updates the trailing block and e
+        W[:, j, j] = fl(x0 - alpha, uf)
+        v = W[:, j:, j, None]
+        d = fl_dot(v, W[:, j:, j:], uf, axis=1, lengths=rows[:, None])
+        vtv, trail = d[:, 0], W[:, j:, j + 1 :]
+        coef = fl(fl(2.0 * d[:, 1:], uf) / vtv[:, None], uf)
+        new = fl(trail - fl(v * coef[:, None, :], uf), uf)
         upd = live & (vtv != 0.0)
         W[:, j:, j + 1 :] = np.where(upd[:, None, None], new, trail)
-        W[live, j, j] = alpha[live]
+        W[:, j, j] = np.where(live, alpha, x0)
         W[live, j + 1 :, j] = 0.0
-    mbar = np.zeros((N, P))
+    mbar = np.zeros((N, P), dt)
     for c in range(steps - 1, -1, -1):
         s = fl_dot(W[:, c, c + 1 : P], mbar[:, c + 1 :], uf, axis=1, lengths=np.maximum(p - c - 1, 0))
         mbar[:, c] = np.where(c < p, fl(fl(W[:, c, P] - s, uf) / W[:, c, c], uf), 0.0)
     # residual on the original block, fixed ascending-column accumulation
-    y = np.zeros((N, M))
+    y = np.zeros((N, M), dt)
     for c in range(steps):
         t = fl(y + fl(B[:, :, c] * mbar[:, c, None], uf), uf)
         y = np.where((c < p)[:, None], t, y)
     sbar = np.where(row_ok, fl(y - e, uf), 0.0)
-    return mbar, sbar, deficient
+    return mbar.astype(np.float64, copy=False), sbar.astype(np.float64, copy=False), deficient
 
 
 def solve_column_ls(Abar: np.ndarray, ebar: np.ndarray, uf: Precision):
@@ -215,13 +217,15 @@ def rho_scores(sbar: np.ndarray, C: np.ndarray, m, uf: Precision) -> np.ndarray:
     :func:`augment_patterns` NaN, so that no candidate passes and the column
     stagnates although a good candidate exists.
     """
+    dt = np.float32 if uf == SINGLE else np.float64  # as in solve_ls_batch
+    sbar, C = np.asarray(sbar, dtype=dt), np.asarray(C, dtype=dt)
     m = np.asarray(m, dtype=np.int64)
     ss = fl_dot(sbar, sbar, uf, axis=1, lengths=m)
     dots = fl_dot(sbar[:, :, None], C, uf, axis=1, lengths=m[:, None])
     dens = fl_dot(C, C, uf, axis=1, lengths=m[:, None])
     q = np.where(dens == 0.0, 0.0, fl(fl(dots * dots, uf) / dens, uf))
     rad = np.maximum(fl(ss[:, None] - q, uf), 0.0)
-    return fl(np.sqrt(rad), uf)
+    return fl(np.sqrt(rad), uf).astype(np.float64, copy=False)
 
 
 @quiet

@@ -281,3 +281,64 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Pre
         gram = Vk.T @ Vk
         ortho_defect = float(np.linalg.norm(gram - np.eye(gram.shape[0]), "fro"))
     return d, report, ortho_defect
+
+
+@quiet
+def reference_solve_ls(Abar, ebar, m, p, uf: Precision):
+    """Oracle for :func:`spai_ir.spai.solve_ls_batch`: its Householder loop
+    as it stood when every format computed in float64 and rounded each
+    operation to ``uf`` by :func:`fl`, with ``v^T v`` and ``v^T trail``
+    reduced apart."""
+    B = np.asarray(Abar, dtype=np.float64)
+    e = np.asarray(ebar, dtype=np.float64)
+    m = np.asarray(m, dtype=np.int64)
+    deficient = np.asarray(p, dtype=np.int64) > m
+    p = np.where(deficient, 0, p)
+    N, M, P = B.shape
+    steps = int(p.max()) if N else 0
+    W = np.concatenate([B, e[:, :, None]], axis=2)
+    row_ok = np.arange(M) < m[:, None]
+    for j in range(steps):
+        live = (j < p) & ~deficient
+        rows = np.maximum(m - j, 0)
+        x = W[:, j:, j]
+        nx = fl_norm2(x, uf, axis=1, lengths=rows)
+        deficient |= live & (nx == 0.0)
+        live &= nx != 0.0
+        alpha = np.where(x[:, 0] >= 0.0, -nx, nx)
+        v = x.copy()
+        v[:, 0] = fl(x[:, 0] - alpha, uf)
+        vtv = fl_dot(v, v, uf, axis=1, lengths=rows)
+        trail = W[:, j:, j + 1 :]
+        s = fl_dot(v[:, :, None], trail, uf, axis=1, lengths=rows[:, None])
+        coef = fl(fl(2.0 * s, uf) / vtv[:, None], uf)
+        new = fl(trail - fl(v[:, :, None] * coef[:, None, :], uf), uf)
+        upd = live & (vtv != 0.0)
+        W[:, j:, j + 1 :] = np.where(upd[:, None, None], new, trail)
+        W[live, j, j] = alpha[live]
+        W[live, j + 1 :, j] = 0.0
+    mbar = np.zeros((N, P))
+    for c in range(steps - 1, -1, -1):
+        s = fl_dot(W[:, c, c + 1 : P], mbar[:, c + 1 :], uf, axis=1, lengths=np.maximum(p - c - 1, 0))
+        mbar[:, c] = np.where(c < p, fl(fl(W[:, c, P] - s, uf) / W[:, c, c], uf), 0.0)
+    y = np.zeros((N, M))
+    for c in range(steps):
+        t = fl(y + fl(B[:, :, c] * mbar[:, c, None], uf), uf)
+        y = np.where((c < p)[:, None], t, y)
+    sbar = np.where(row_ok, fl(y - e, uf), 0.0)
+    return mbar, sbar, deficient
+
+
+@quiet
+def reference_rho_scores(sbar, C, m, uf: Precision):
+    """Oracle for :func:`spai_ir.spai.rho_scores`: its scorer as it stood
+    when every format computed in float64 and rounded by :func:`fl`."""
+    sbar = np.asarray(sbar, dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64)
+    m = np.asarray(m, dtype=np.int64)
+    ss = fl_dot(sbar, sbar, uf, axis=1, lengths=m)
+    dots = fl_dot(sbar[:, :, None], C, uf, axis=1, lengths=m[:, None])
+    dens = fl_dot(C, C, uf, axis=1, lengths=m[:, None])
+    q = np.where(dens == 0.0, 0.0, fl(fl(dots * dots, uf) / dens, uf))
+    rad = np.maximum(fl(ss[:, None] - q, uf), 0.0)
+    return fl(np.sqrt(rad), uf)

@@ -226,6 +226,13 @@ def test_fl_keeps_the_double_word(rng):
         assert fl(np.float64(xs[0]), p) == xs[0]
 
 
+@pytest.mark.parametrize("p", [HALF, SINGLE])
+def test_fl_returns_an_array_in_its_format_as_itself(rng, p):
+    xs = rng.randn(20).astype(p.dtype)
+    assert fl(xs, p) is xs and fl(xs, p, inplace=True) is xs
+    assert fl(xs, HALF if p is SINGLE else SINGLE).dtype == np.float64
+
+
 def test_fl_op_examples():
     for p in (HALF, SINGLE):
         assert fl_op("add", 1.0, p.unit_roundoff / 2, p=p) == 1.0
@@ -316,6 +323,17 @@ def test_dd_solve_matches_full_dd_factorization(rng):
 def test_dd_solve_singular():
     A = SparseMatrix.from_dense(np.zeros((3, 3)))
     with pytest.raises(SingularMatrixError):
+        dd_solve(A, np.ones(3))
+
+
+def test_dd_solve_rejects_a_non_finite_right_hand_side():
+    with pytest.raises(ValueError, match="right-hand side b has a NaN or infinite entry"):
+        dd_solve(SparseMatrix.identity(3), np.array([1.0, np.nan, 1.0]))
+
+
+def test_dd_solve_rejects_a_non_finite_matrix_entry():
+    A = SparseMatrix.from_dense(np.diag([1.0, np.inf, 1.0]))
+    with pytest.raises(ValueError, match="matrix A has a NaN or infinite entry"):
         dd_solve(A, np.ones(3))
 
 
