@@ -22,9 +22,13 @@ from .sparse import (  # noqa: F401 - shadow and extract_submatrix are bound her
     column_scale,
     extract_blocks,
     extract_submatrix,
-    index_set,
+    keys_to_batch,
+    one_set,
+    owners,
+    set_keys,
     shadow,
     shadows,
+    take_sets,
 )
 
 __all__ = [
@@ -231,54 +235,51 @@ def rho_scores(sbar: np.ndarray, C: np.ndarray, m, uf: Precision) -> np.ndarray:
 @quiet
 def augment_patterns(
     A: SparseMatrix,
-    row_sets: list[np.ndarray],
-    patterns: list[np.ndarray],
+    row_sets,
+    patterns,
     sbar: np.ndarray,
     beta: int,
     uf: Precision,
     A_t: SparseMatrix | None = None,
-) -> list[np.ndarray]:
+):
     """Grow each pattern J_i by up to ``beta`` acceptable candidates, for a batch of columns.
 
-    Column i has the shadow I_i = ``row_sets[i]`` and the residual
-    ``sbar[i, :|I_i|]`` (``sbar`` is zero-padded to (N, max |I_i|)).  Its
-    candidates are the unvisited column indices with a nonzero in a row of
-    I_i (any other column is zero on I_i and cannot reduce the residual).
-    A candidate is acceptable when its score (see :func:`rho_scores`) is at
-    most the mean score, and the smallest scores win, ties broken by
-    smallest column index.  A column without an acceptable candidate keeps
-    its pattern.  Each column's scores are bit-identical to scoring it alone.
+    ``row_sets`` and ``patterns`` are batches ``(ptr, idx)`` of sorted index
+    sets (set i is ``idx[ptr[i]:ptr[i + 1]]``, see :mod:`spai_ir.sparse`),
+    and the grown patterns come back as one.  Column i has the shadow I_i
+    and the residual ``sbar[i, :|I_i|]`` (``sbar`` is zero-padded to
+    (N, max |I_i|)).  Its candidates are the unvisited column indices with
+    a nonzero in a row of I_i (any other column is zero on I_i and cannot
+    reduce the residual).  A candidate is acceptable when its score (see
+    :func:`rho_scores`) is at most the mean score, and the smallest scores
+    win, ties broken by smallest column index.  A column without an
+    acceptable candidate keeps its pattern.  Each column's scores are
+    bit-identical to scoring it alone.
     """
-    if not row_sets:
-        return []
+    N = row_sets[0].size - 1
+    if not N:
+        return patterns
     if A_t is None:
         A_t = A.transpose()
     n = A.n_cols
-    N = len(row_sets)
-    reach = shadows(A_t, row_sets)
-    owner = np.repeat(np.arange(N), [r.size for r in reach])
-    reach = np.concatenate(reach)
-    visited = np.concatenate([J + i * n for i, J in enumerate(patterns)])
-    unvisited = ~np.isin(owner * n + reach, visited)
-    c = np.bincount(owner[unvisited], minlength=N)
-    cands = np.split(reach[unvisited], np.cumsum(c)[:-1])
+    reach_ptr, reach = shadows(A_t, row_sets)
+    keys = set_keys(owners(reach_ptr), reach, n)
+    visited = set_keys(owners(patterns[0]), patterns[1], n)
+    cands = keys_to_batch(keys[~np.isin(keys, visited)], N, n)
+    c = np.diff(cands[0])
     C = extract_blocks(A, row_sets, cands)
-    m = np.array([I.size for I in row_sets], dtype=np.int64)
-    rho = rho_scores(sbar[:, : C.shape[1]], C, m, uf)
+    rho = rho_scores(sbar[:, : C.shape[1]], C, np.diff(row_sets[0]), uf)
     rho_mean = fl(fl_sum(rho, uf, axis=1, lengths=c) / c, uf)
     # padding sorts after every real score (NaN sorts last, padded indices
     # exceed every real one) and never passes the mean test
     real = np.arange(C.shape[2]) < c[:, None]
     rho = np.where(real, rho, np.nan)
     cand = np.full(rho.shape, n, dtype=np.int64)
-    cand[real] = reach[unvisited]
+    cand[real] = cands[1]
     top = np.lexsort((cand, rho), axis=1)[:, : int(beta)]
     chosen = np.take_along_axis(rho, top, axis=1) <= rho_mean[:, None]
-    picked = np.take_along_axis(cand, top, axis=1)
-    return [
-        index_set(np.concatenate([J, picked[i][chosen[i]]])) if chosen[i].any() else J
-        for i, J in enumerate(patterns)
-    ]
+    picked = set_keys(np.nonzero(chosen)[0], np.take_along_axis(cand, top, axis=1)[chosen], n)
+    return keys_to_batch(np.union1d(visited, picked), N, n)
 
 
 def augment_pattern(
@@ -297,7 +298,8 @@ def augment_pattern(
     unchanged when no candidate is acceptable.  ``k`` is kept for the
     callers' sake: a candidate reached only through row k is zero on Ik.
     """
-    return augment_patterns(A, [Ik], [Jk], np.asarray(sbar, dtype=np.float64)[None], beta, uf, A_t)[0]
+    sbar = np.asarray(sbar, dtype=np.float64)[None]
+    return augment_patterns(A, one_set(Ik), one_set(Jk), sbar, beta, uf, A_t)[1]
 
 
 @quiet
@@ -309,7 +311,9 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     lockstep: each round solves the least-squares problems of every
     unfinished column in one batch (:func:`solve_ls_batch`), tests each
     column, grows the patterns of those above the tolerance in one batch
-    (:func:`augment_patterns`), and drops the columns that finished.  Every
+    (:func:`augment_patterns`), and drops the columns that finished.  The
+    unfinished columns' patterns and shadows are held as batches
+    ``(ptr, idx)`` of sorted index sets (see :mod:`spai_ir.sparse`).  Every
     column is bit-identical to its own adaptive loop.  Abnormal columns
     (overflow, stagnation, rank deficiency) are frozen at their last finite
     state and flagged rather than aborting the whole construction.  Each
@@ -330,57 +334,53 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
         raise ValueError(
             f"zero diagonal at index {no_diag[0]}: identity initial pattern needs a nonzero diagonal"
         )
-    patterns = [index_set([k]) for k in range(n)]
     B_t = B.transpose()
     E = SparseMatrix.identity(n)
     alpha = params.resolved_alpha(n)
 
-    solved = [np.empty(0, dtype=np.int64)] * n
-    values = [np.empty(0)] * n
     resnorm = np.full(n, np.inf)
     rounds = np.zeros(n, dtype=np.int64)
     status = np.full(n, COL_OK, dtype=object)
+    last = np.full(n, -1)  # the last round each column solved without a fault
+    solved = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]  # (round, column, row, value)
     active = np.arange(n)
+    J = (np.arange(n + 1), np.arange(n))  # the active columns' patterns
     for step in range(alpha + 1):
         if not active.size:
             break
         # every pattern holds k and B[k, k] != 0, so every shadow holds row k
-        I_sets = shadows(B, [patterns[k] for k in active])
-        m = np.array([I.size for I in I_sets], dtype=np.int64)
-        J_sets = [patterns[k] for k in active]
-        p = np.array([J.size for J in J_sets], dtype=np.int64)
-        ebar = extract_blocks(E, I_sets, active[:, None])[:, :, 0]
-        mbar, sbar, deficient = solve_ls_batch(extract_blocks(B, I_sets, J_sets), ebar, m, p, uf)
+        I = shadows(B, J)
+        m, p = np.diff(I[0]), np.diff(J[0])
+        ebar = extract_blocks(E, I, (np.arange(active.size + 1), active))[:, :, 0]
+        mbar, sbar, deficient = solve_ls_batch(extract_blocks(B, I, J), ebar, m, p, uf)
         norms = fl_norm2(sbar, uf, axis=1, lengths=m)
         finite = np.isfinite(mbar).all(axis=1) & np.isfinite(sbar).all(axis=1) & np.isfinite(norms)
         status[active[deficient]] = COL_RANK_DEFICIENT
         status[active[~deficient & ~finite]] = COL_OVERFLOW
-        ok = np.flatnonzero(~deficient & finite)
-        for i in ok:
-            k = active[i]
-            solved[k], values[k], resnorm[k] = J_sets[i], mbar[i, : p[i]].copy(), norms[i]
+        good = ~deficient & finite
+        ok = np.flatnonzero(good)
+        resnorm[active[ok]] = norms[ok]
+        last[active[ok]] = step
+        entry_col = owners(J[0])
+        keep = good[entry_col]
+        solved.append((np.full(int(keep.sum()), step), active[entry_col[keep]], J[1][keep],
+                       mbar[good[:, None] & (np.arange(mbar.shape[1]) < p[:, None])]))
         met = norms[ok] <= params.eps
         if step == alpha:
             break
         grow = ok[~met]
-        grown = augment_patterns(B, [I_sets[i] for i in grow], [J_sets[i] for i in grow],
-                                 sbar[grow], params.beta, uf, A_t=B_t)
-        moved = np.array([G.size > J_sets[i].size for G, i in zip(grown, grow)], dtype=bool)
+        grown = augment_patterns(B, take_sets(I, grow), take_sets(J, grow), sbar[grow], params.beta, uf,
+                                 A_t=B_t)
+        moved = np.diff(grown[0]) > p[grow]
         status[active[grow[~moved]]] = COL_STAGNATED
-        for G, i in zip(grown, grow):
-            patterns[active[i]] = G
+        J = take_sets(grown, np.flatnonzero(moved))
         active = active[grow[moved]]
         rounds[active] += 1
 
-    M = SparseMatrix.from_coo(
-        n,
-        n,
-        np.concatenate(solved) if n else np.empty(0, np.int64),
-        np.repeat(np.arange(n, dtype=np.int64), [J.size for J in solved]),
-        np.concatenate(values) if n else np.empty(0),
-    )
+    step, col, row, value = (np.concatenate(field) for field in zip(*solved))
+    final = step == last[col]
     return SpaiPreconditioner(
-        P=M,
+        P=SparseMatrix.from_coo(n, n, row[final], col[final], value[final]),
         col_resnorm=resnorm,
         col_rounds=rounds,
         col_status=status.tolist(),

@@ -16,8 +16,12 @@ from .precision import Precision, fl, quiet
 __all__ = [
     "SparseMatrix",
     "MatrixMarketParseError",
-    "index_set",
     "load_matrix_market",
+    "one_set",
+    "owners",
+    "set_keys",
+    "keys_to_batch",
+    "take_sets",
     "shadow",
     "shadows",
     "extract_submatrix",
@@ -29,11 +33,6 @@ __all__ = [
 
 class MatrixMarketParseError(ValueError):
     """Malformed Matrix Market input; message carries the 1-based line number."""
-
-
-def index_set(indices) -> np.ndarray:
-    """Sorted, duplicate-free int64 index array."""
-    return np.unique(np.asarray(indices, dtype=np.int64))
 
 
 class SparseMatrix:
@@ -304,66 +303,93 @@ def load_matrix_market(source) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _flatten(index_sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated index sets, the set each entry belongs to, and each set's size."""
-    sizes = np.array([len(s) for s in index_sets], dtype=np.int64)
-    flat = np.concatenate([np.empty(0, np.int64), *index_sets]).astype(np.int64, copy=False)
-    return flat, np.repeat(np.arange(sizes.size), sizes), sizes
+# A batch of N index sets is stored the way SparseMatrix stores its pattern:
+# ``(ptr, idx)``, set i being ``idx[ptr[i]:ptr[i + 1]]``, each set sorted.
 
 
-def _gather_columns(A: SparseMatrix, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every stored entry of the columns J, column by column: row indices,
-    positions in J and values."""
-    starts = A.indptr[J]
-    counts = A.indptr[J + 1] - starts
+def one_set(indices) -> tuple[np.ndarray, np.ndarray]:
+    """The batch holding the one sorted index set ``indices``."""
+    idx = np.asarray(indices, dtype=np.int64)
+    return np.array([0, idx.size]), idx
+
+
+def owners(ptr: np.ndarray) -> np.ndarray:
+    """The set each entry of a batch belongs to."""
+    return np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+
+
+def set_keys(owner: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """Keys of the entries ``idx`` (each below n) of the sets ``owner``:
+    sorting keys sorts by set, then by index."""
+    return owner * n + idx
+
+
+def keys_to_batch(keys: np.ndarray, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The batch of N sets that the sorted, distinct keys ``keys`` hold."""
+    owner = keys // n
+    return _ptr(np.bincount(owner, minlength=N)), keys - owner * n
+
+
+def take_sets(batch, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sets ``sel`` of a batch, in the order of ``sel``."""
+    ptr, idx = batch
+    pos, _, counts = _gather(ptr, sel)
+    return _ptr(counts), idx[pos]
+
+
+def _ptr(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def _gather(ptr: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions of the entries of the sets (or columns) ``sel`` of ``ptr``,
+    set by set, the position in ``sel`` each comes from, and each set's size."""
+    starts = ptr[sel]
+    counts = ptr[sel + 1] - starts
     offsets = np.cumsum(counts) - counts
-    idx = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
-    return A.indices[idx], np.repeat(np.arange(J.size), counts), A.data[idx]
+    pos = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
+    return pos, np.repeat(np.arange(sel.size), counts), counts
 
 
-def shadows(A: SparseMatrix, index_sets) -> list[np.ndarray]:
-    """:func:`shadow` of every column set in ``index_sets``, in one gather."""
-    if not len(index_sets):
-        return []
-    flat, owner, _ = _flatten(index_sets)
-    rows, which, _ = _gather_columns(A, flat)
-    keys = np.unique(owner[which] * A.n_rows + rows)
-    owner = keys // A.n_rows
-    counts = np.bincount(owner, minlength=len(index_sets))
-    return np.split(keys - owner * A.n_rows, np.cumsum(counts)[:-1])
+def shadows(A: SparseMatrix, cols) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`shadow` of every set of the batch ``cols``, as a batch, in one gather."""
+    ptr, J = cols
+    pos, which, _ = _gather(A.indptr, J)
+    keys = np.unique(set_keys(owners(ptr)[which], A.indices[pos], A.n_rows))
+    return keys_to_batch(keys, ptr.size - 1, A.n_rows)
 
 
 def shadow(A: SparseMatrix, J: np.ndarray) -> np.ndarray:
     """Rows with a nonzero in any column of J (stored entries are nonzero)."""
-    return shadows(A, [J])[0]
+    return shadows(A, one_set(J))[1]
 
 
-def extract_blocks(A: SparseMatrix, row_sets, col_sets) -> np.ndarray:
-    """Dense blocks A(I_i, J_i) for sorted index sets, in one gather.
+def extract_blocks(A: SparseMatrix, rows, cols) -> np.ndarray:
+    """Dense blocks A(I_i, J_i) for the batches ``rows`` = I and ``cols`` = J
+    of sorted index sets, in one gather.
 
     Returns an (N, max |I_i|, max |J_i|) array holding block i in
     ``[i, :|I_i|, :|J_i|]`` and zeros elsewhere.
     """
-    I, I_owner, I_sizes = _flatten(row_sets)
-    J, J_owner, J_sizes = _flatten(col_sets)
-    out = np.zeros((len(col_sets), int(I_sizes.max(initial=0)), int(J_sizes.max(initial=0))))
-    rows, which, vals = _gather_columns(A, J)
-    owner = J_owner[which]
-    I_keys = I_owner * A.n_rows + I
-    keys = owner * A.n_rows + rows
-    pos = np.searchsorted(I_keys, keys)
-    hit = pos < I.size
-    hit[hit] = I_keys[pos[hit]] == keys[hit]
-    owner, pos, which = owner[hit], pos[hit], which[hit]
-    I_start = np.cumsum(I_sizes) - I_sizes
-    J_start = np.cumsum(J_sizes) - J_sizes
-    out[owner, pos - I_start[owner], which - J_start[owner]] = vals[hit]
+    I_ptr, I = rows
+    J_ptr, J = cols
+    I_sizes, J_sizes = np.diff(I_ptr), np.diff(J_ptr)
+    out = np.zeros((J_sizes.size, int(I_sizes.max(initial=0)), int(J_sizes.max(initial=0))))
+    pos, which, _ = _gather(A.indptr, J)
+    owner = owners(J_ptr)[which]
+    I_keys = set_keys(owners(I_ptr), I, A.n_rows)
+    keys = set_keys(owner, A.indices[pos], A.n_rows)
+    at = np.searchsorted(I_keys, keys)
+    hit = at < I.size
+    hit[hit] = I_keys[at[hit]] == keys[hit]
+    owner, at, which = owner[hit], at[hit], which[hit]
+    out[owner, at - I_ptr[owner], which - J_ptr[owner]] = A.data[pos[hit]]
     return out
 
 
 def extract_submatrix(A: SparseMatrix, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Dense copy of A(I, J) for sorted index sets I, J."""
-    return extract_blocks(A, [I], [J])[0]
+    return extract_blocks(A, one_set(I), one_set(J))[0]
 
 
 def column_scale(At: SparseMatrix) -> tuple[SparseMatrix, np.ndarray]:

@@ -14,7 +14,7 @@ from spai_ir.spai import (
     rho_scores,
     solve_column_ls,
 )
-from spai_ir.sparse import SparseMatrix, extract_submatrix, index_set, shadow
+from spai_ir.sparse import SparseMatrix, extract_submatrix, shadow
 
 
 # ---- independent oracles ----------------------------------------------------
@@ -137,7 +137,7 @@ def test_rho_underflowing_candidate_scores_no_reduction():
     B = SparseMatrix.from_dense(fl(np.array([[1, 1e-5, 0.5], [0.5, 1e-5, 0], [0, 1, 1]]), HALF))
     s = np.array([0.25, -0.5])
     assert rho_one(s, B.to_dense()[:2, 1], HALF) == fl_norm2(s, HALF)
-    got = augment_pattern(B, 0, index_set([0, 1]), index_set([0]), s, beta=8, uf=HALF)
+    got = augment_pattern(B, 0, np.array([0, 1]), np.array([0]), s, beta=8, uf=HALF)
     assert got.tolist() == [0, 2]
 
 
@@ -171,7 +171,7 @@ def brute_force_augment(dense, k, Ik, Jk, sbar, beta, uf):
     mean = np.mean([r for r, _ in scored])  # reference mean in double
     scored.sort()
     chosen = [j for r, j in scored[:beta] if r <= mean]
-    return index_set(np.concatenate([Jk, np.array(chosen, dtype=np.int64)])) if chosen else Jk
+    return np.unique(np.concatenate([Jk, chosen])) if chosen else Jk
 
 
 def test_augment_all_ties_admits_in_index_order(rng):
@@ -179,7 +179,7 @@ def test_augment_all_ties_admits_in_index_order(rng):
     dense = np.eye(8)
     dense[0, :] = 1.0  # row 0 makes all columns candidates
     A = SparseMatrix.from_dense(dense)
-    Jk = index_set([0])
+    Jk = np.array([0])
     Ik = shadow(A, Jk)
     sbar = (Ik == 5).astype(float)  # orthogonal to candidate columns on Ik
     got = augment_pattern(A, 0, Ik, Jk, sbar, beta=3, uf=DOUBLE)
@@ -195,8 +195,8 @@ def test_augment_dominant_candidate_first(rng):
     dense[:3, 5] = [0.5, 0.5, 0.1]
     dense[0, 1] = 1e-3
     A = SparseMatrix.from_dense(dense)
-    Jk = index_set([0])
-    Ik = index_set([0, 1, 2])
+    Jk = np.array([0])
+    Ik = np.array([0, 1, 2])
     got = augment_pattern(A, 0, Ik, Jk, sbar, beta=1, uf=DOUBLE)
     assert 4 in got.tolist()
 
@@ -207,7 +207,7 @@ def test_augment_matches_brute_force(rng):
         np.fill_diagonal(dense, 1.0 + rng.rand(8))
         A = SparseMatrix.from_dense(dense)
         k = int(rng.randint(8))
-        Jk = index_set([k])
+        Jk = np.array([k])
         Ik = shadow(A, Jk)
         sbar = rng.randn(Ik.size)
         got = augment_pattern(A, k, Ik, Jk, sbar, beta=3, uf=DOUBLE)
@@ -217,7 +217,7 @@ def test_augment_matches_brute_force(rng):
 
 def test_augment_no_candidates_returns_unchanged():
     A = SparseMatrix.identity(4)
-    Jk = index_set([2])
+    Jk = np.array([2])
     Ik = shadow(A, Jk)
     out = augment_pattern(A, 2, Ik, Jk, np.array([0.5]), beta=2, uf=DOUBLE)
     assert np.array_equal(out, Jk)
@@ -310,7 +310,7 @@ def test_resnorm_monotone_across_rounds(rng):
     B_t = B.transpose()
     uf = SINGLE
     k = 3
-    Jk = index_set([k])
+    Jk = np.array([k])
     norms = []
     for _ in range(5):
         Ik = shadow(B, Jk)
@@ -344,7 +344,7 @@ def reference_build_spai(At, params):
     status = ["ok"] * n
     for k in range(n):
         solved = None
-        Jk = index_set([k])
+        Jk = np.array([k])
         for step in range(alpha + 1):
             Ik = shadow(B, Jk)
             if Ik.size == 0:

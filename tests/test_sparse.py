@@ -9,7 +9,6 @@ from spai_ir.sparse import (
     SparseMatrix,
     column_scale,
     extract_submatrix,
-    index_set,
     load_matrix_market,
     matvec,
     shadow,
@@ -111,10 +110,10 @@ def test_transpose_involution(rng):
 
 def test_shadow_identity_and_definition(rng):
     I = SparseMatrix.identity(6)
-    assert np.array_equal(shadow(I, index_set([3])), [3])
+    assert np.array_equal(shadow(I, np.array([3])), [3])
     dense = rng.randn(6, 6) * (rng.rand(6, 6) < 0.5)
     A = SparseMatrix.from_dense(dense)
-    J = index_set([1, 3])
+    J = np.array([1, 3])
     got = shadow(A, J)
     want = np.nonzero(np.abs(dense[:, [1, 3]]).sum(axis=1))[0]
     assert np.array_equal(got, want)
@@ -123,20 +122,20 @@ def test_shadow_identity_and_definition(rng):
 def test_shadow_union_property(rng):
     dense = rng.randn(9, 9) * (rng.rand(9, 9) < 0.3)
     A = SparseMatrix.from_dense(dense)
-    J1, J2 = index_set([0, 2]), index_set([2, 5, 7])
-    lhs = shadow(A, index_set(np.concatenate([J1, J2])))
+    J1, J2 = np.array([0, 2]), np.array([2, 5, 7])
+    lhs = shadow(A, np.union1d(J1, J2))
     rhs = np.union1d(shadow(A, J1), shadow(A, J2))
     assert np.array_equal(lhs, rhs)
 
 
 def test_extract_submatrix(rng):
     I6 = SparseMatrix.identity(6)
-    assert extract_submatrix(I6, index_set([2]), index_set([2])) == np.array([[1.0]])
+    assert extract_submatrix(I6, np.array([2]), np.array([2])) == np.array([[1.0]])
     dense = rng.randn(8, 8) * (rng.rand(8, 8) < 0.45)
     A = SparseMatrix.from_dense(dense)
-    allidx = index_set(range(8))
+    allidx = np.arange(8)
     assert np.array_equal(extract_submatrix(A, allidx, allidx), A.to_dense())
-    I, J = index_set([1, 4, 6]), index_set([0, 5])
+    I, J = np.array([1, 4, 6]), np.array([0, 5])
     assert np.array_equal(extract_submatrix(A, I, J), dense[np.ix_(I, J)])
 
 
