@@ -44,6 +44,7 @@ __all__ = [
     "measure_errors",
     "norm_inf",
     "run_ir",
+    "check_matrix",
     "prepare_solver",
 ]
 
@@ -249,17 +250,21 @@ class PreparedSolver:
 
 
 @quiet
-def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
-    """Build the preconditioner or factors required by ``cfg.solver``.
-
-    ``A`` is checked first, for every solver: a non-square ``A`` or one
-    with a NaN or infinite entry raises ``ValueError`` before any ordering,
-    factorization or build.
-    """
+def check_matrix(A: SparseMatrix) -> None:
+    """Raise ``ValueError`` for a non-square ``A`` or one with a NaN or infinite entry."""
     if A.n_rows != A.n_cols:
         raise ValueError(f"square matrix required, got {A.n_rows}x{A.n_cols}")
     if not np.all(np.isfinite(A.data)):
         raise ValueError("matrix A has a NaN or infinite entry")
+
+
+def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
+    """Build the preconditioner or factors required by ``cfg.solver``.
+
+    ``A`` is checked first (:func:`check_matrix`), for every solver, before
+    any ordering, factorization or build.
+    """
+    check_matrix(A)
     if cfg.solver == "spai":
         pre = build_left_preconditioner(A, cfg.spai)
         return PreparedSolver(precond=pre.P, spai=pre)

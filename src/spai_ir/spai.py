@@ -17,19 +17,9 @@ import numpy as np
 
 # fl_op stays bound here although unused: perfbench/tracer.py wraps spai.fl_op
 from .precision import QUAD, SINGLE, Precision, fl, fl_dot, fl_norm2, fl_op, fl_sum, quiet  # noqa: F401
-from .sparse import (  # noqa: F401 - shadow and extract_submatrix are bound here for perfbench/tracer.py
-    SparseMatrix,
-    column_scale,
-    extract_blocks,
-    extract_submatrix,
-    keys_to_batch,
-    one_set,
-    owners,
-    set_keys,
-    shadow,
-    shadows,
-    take_sets,
-)
+# shadow and extract_submatrix stay bound here for perfbench/tracer.py
+from .sparse import SparseMatrix, batch_keys, column_scale, extract_blocks, extract_submatrix  # noqa: F401
+from .sparse import keys_to_batch, one_set, owners, shadow, shadows, take_sets  # noqa: F401
 
 __all__ = [
     "SpaiParams",
@@ -233,52 +223,42 @@ def rho_scores(sbar: np.ndarray, C: np.ndarray, m, uf: Precision) -> np.ndarray:
 
 
 @quiet
-def augment_patterns(
-    A: SparseMatrix,
-    row_sets,
-    patterns,
-    sbar: np.ndarray,
-    beta: int,
-    uf: Precision,
-    A_t: SparseMatrix | None = None,
-):
+def augment_patterns(A: SparseMatrix, row_sets, patterns, sbar: np.ndarray, beta: int, uf: Precision,
+                     A_t: SparseMatrix | None = None):
     """Grow each pattern J_i by up to ``beta`` acceptable candidates, for a batch of columns.
 
-    ``row_sets`` and ``patterns`` are batches ``(ptr, idx)`` of sorted index
-    sets (set i is ``idx[ptr[i]:ptr[i + 1]]``, see :mod:`spai_ir.sparse`),
-    and the grown patterns come back as one.  Column i has the shadow I_i
-    and the residual ``sbar[i, :|I_i|]`` (``sbar`` is zero-padded to
-    (N, max |I_i|)).  Its candidates are the unvisited column indices with
-    a nonzero in a row of I_i (any other column is zero on I_i and cannot
-    reduce the residual).  A candidate is acceptable when its score (see
-    :func:`rho_scores`) is at most the mean score, and the smallest scores
-    win, ties broken by smallest column index.  A column without an
+    The shadows I_i (``row_sets``), the patterns and the result are
+    batches ``(ptr, idx)`` of sorted index sets (see :mod:`spai_ir.sparse`).
+    Column i has the residual ``sbar[i, :|I_i|]`` (``sbar`` is zero-padded
+    to (N, max |I_i|)).  Its candidates are the unvisited column indices
+    with a nonzero in a row of I_i (any other column is zero on I_i and
+    cannot reduce the residual).  A candidate is acceptable when its score
+    (see :func:`rho_scores`) is at most the mean score, and the smallest
+    scores win, ties broken by smallest column index.  A column without an
     acceptable candidate keeps its pattern.  Each column's scores are
     bit-identical to scoring it alone.
     """
     N = row_sets[0].size - 1
-    if not N:
-        return patterns
     if A_t is None:
         A_t = A.transpose()
     n = A.n_cols
-    reach_ptr, reach = shadows(A_t, row_sets)
-    keys = set_keys(owners(reach_ptr), reach, n)
-    visited = set_keys(owners(patterns[0]), patterns[1], n)
-    cands = keys_to_batch(keys[~np.isin(keys, visited)], N, n)
+    keys = batch_keys(shadows(A_t, row_sets), n)
+    visited = batch_keys(patterns, n)
+    keys = keys[~np.isin(keys, visited)]
+    cands = keys_to_batch(keys, N, n)
     c = np.diff(cands[0])
     C = extract_blocks(A, row_sets, cands)
     rho = rho_scores(sbar[:, : C.shape[1]], C, np.diff(row_sets[0]), uf)
     rho_mean = fl(fl_sum(rho, uf, axis=1, lengths=c) / c, uf)
-    # padding sorts after every real score (NaN sorts last, padded indices
-    # exceed every real one) and never passes the mean test
+    # padding sorts after every real score (NaN sorts last, padded keys
+    # exceed every real one) and never passes the mean test; within a
+    # column, keys sort as the candidate indices do
     real = np.arange(C.shape[2]) < c[:, None]
     rho = np.where(real, rho, np.nan)
-    cand = np.full(rho.shape, n, dtype=np.int64)
-    cand[real] = cands[1]
+    cand = np.full(rho.shape, np.iinfo(np.int64).max)
+    cand[real] = keys
     top = np.lexsort((cand, rho), axis=1)[:, : int(beta)]
-    chosen = np.take_along_axis(rho, top, axis=1) <= rho_mean[:, None]
-    picked = set_keys(np.nonzero(chosen)[0], np.take_along_axis(cand, top, axis=1)[chosen], n)
+    picked = np.take_along_axis(cand, top, axis=1)[np.take_along_axis(rho, top, axis=1) <= rho_mean[:, None]]
     return keys_to_batch(np.union1d(visited, picked), N, n)
 
 
@@ -298,8 +278,7 @@ def augment_pattern(
     unchanged when no candidate is acceptable.  ``k`` is kept for the
     callers' sake: a candidate reached only through row k is zero on Ik.
     """
-    sbar = np.asarray(sbar, dtype=np.float64)[None]
-    return augment_patterns(A, one_set(Ik), one_set(Jk), sbar, beta, uf, A_t)[1]
+    return augment_patterns(A, one_set(Ik), one_set(Jk), np.asarray(sbar)[None], beta, uf, A_t)[1]
 
 
 @quiet
@@ -328,8 +307,7 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     n = At.n_rows
     uf = params.uf
     B = At.rounded(uf)
-    cols = np.repeat(np.arange(n), np.diff(B.indptr))
-    no_diag = np.setdiff1d(np.arange(n), B.indices[B.indices == cols])
+    no_diag = np.setdiff1d(np.arange(n), B.indices[B.indices == owners(B.indptr)])
     if no_diag.size:
         raise ValueError(
             f"zero diagonal at index {no_diag[0]}: identity initial pattern needs a nonzero diagonal"
@@ -357,20 +335,15 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
         finite = np.isfinite(mbar).all(axis=1) & np.isfinite(sbar).all(axis=1) & np.isfinite(norms)
         status[active[deficient]] = COL_RANK_DEFICIENT
         status[active[~deficient & ~finite]] = COL_OVERFLOW
-        good = ~deficient & finite
-        ok = np.flatnonzero(good)
-        resnorm[active[ok]] = norms[ok]
-        last[active[ok]] = step
-        entry_col = owners(J[0])
-        keep = good[entry_col]
-        solved.append((np.full(int(keep.sum()), step), active[entry_col[keep]], J[1][keep],
-                       mbar[good[:, None] & (np.arange(mbar.shape[1]) < p[:, None])]))
-        met = norms[ok] <= params.eps
+        ok = np.flatnonzero(~deficient & finite)
+        resnorm[active[ok]], last[active[ok]] = norms[ok], step
+        ptr, row = take_sets(J, ok)
+        value = mbar[ok][np.arange(mbar.shape[1]) < p[ok, None]]
+        solved.append((np.full(row.size, step), active[ok][owners(ptr)], row, value))
         if step == alpha:
             break
-        grow = ok[~met]
-        grown = augment_patterns(B, take_sets(I, grow), take_sets(J, grow), sbar[grow], params.beta, uf,
-                                 A_t=B_t)
+        grow = ok[norms[ok] > params.eps]
+        grown = augment_patterns(B, take_sets(I, grow), take_sets(J, grow), sbar[grow], params.beta, uf, B_t)
         moved = np.diff(grown[0]) > p[grow]
         status[active[grow[~moved]]] = COL_STAGNATED
         J = take_sets(grown, np.flatnonzero(moved))

@@ -19,7 +19,7 @@ __all__ = [
     "load_matrix_market",
     "one_set",
     "owners",
-    "set_keys",
+    "batch_keys",
     "keys_to_batch",
     "take_sets",
     "shadow",
@@ -117,26 +117,23 @@ class SparseMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
-        cols = np.repeat(np.arange(self.n_cols), np.diff(self.indptr))
-        out[self.indices, cols] = self.data
+        out[self.indices, owners(self.indptr)] = self.data
         return out
 
     def transpose(self) -> "SparseMatrix":
-        cols = np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(self.indptr))
-        return SparseMatrix.from_coo(self.n_cols, self.n_rows, cols, self.indices, self.data)
+        return SparseMatrix.from_coo(self.n_cols, self.n_rows, owners(self.indptr), self.indices, self.data)
 
     def scale_columns(self, d: np.ndarray) -> "SparseMatrix":
         """New matrix with column j multiplied by d[j]."""
         d = np.asarray(d, dtype=np.float64)
-        cols = np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(self.indptr))
-        return SparseMatrix(self.n_rows, self.n_cols, self.indptr, self.indices, self.data * d[cols])
+        data = self.data * d[owners(self.indptr)]
+        return SparseMatrix(self.n_rows, self.n_cols, self.indptr, self.indices, data)
 
     @quiet
     def rounded(self, p: Precision) -> "SparseMatrix":
         """Values rounded to p; entries that round to zero are dropped."""
         vals = fl(self.data, p)
-        cols = np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(self.indptr))
-        return SparseMatrix.from_coo(self.n_rows, self.n_cols, self.indices, cols, vals)
+        return SparseMatrix.from_coo(self.n_rows, self.n_cols, self.indices, owners(self.indptr), vals)
 
     def to_scipy_csc(self):
         from scipy.sparse import csc_matrix
@@ -156,8 +153,7 @@ class SparseMatrix:
         order for every output component while staying vectorized.
         """
         if self._slots is None:
-            cols = np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(self.indptr))
-            rows = self.indices
+            cols, rows = owners(self.indptr), self.indices
             order = np.lexsort((cols, rows))
             r, c, v = rows[order], cols[order], self.data[order]
             starts = np.searchsorted(r, np.arange(self.n_rows))
@@ -303,14 +299,14 @@ def load_matrix_market(source) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-# A batch of N index sets is stored the way SparseMatrix stores its pattern:
-# ``(ptr, idx)``, set i being ``idx[ptr[i]:ptr[i + 1]]``, each set sorted.
+# A batch of N sorted index sets is stored the way SparseMatrix stores its
+# pattern: ``(ptr, idx)``, set i being ``idx[ptr[i]:ptr[i + 1]]``.  Entry j of
+# set i has the key ``i * n + j``, so sorted keys sort by set, then by index.
 
 
 def one_set(indices) -> tuple[np.ndarray, np.ndarray]:
-    """The batch holding the one sorted index set ``indices``."""
-    idx = np.asarray(indices, dtype=np.int64)
-    return np.array([0, idx.size]), idx
+    """The batch of the one sorted index set ``indices``."""
+    return np.array([0, np.size(indices)]), np.asarray(indices, dtype=np.int64)
 
 
 def owners(ptr: np.ndarray) -> np.ndarray:
@@ -318,45 +314,38 @@ def owners(ptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
 
 
-def set_keys(owner: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """Keys of the entries ``idx`` (each below n) of the sets ``owner``:
-    sorting keys sorts by set, then by index."""
-    return owner * n + idx
+def batch_keys(batch, n: int) -> np.ndarray:
+    """The key of every entry of a batch of sets of indices below n."""
+    return owners(batch[0]) * n + batch[1]
 
 
 def keys_to_batch(keys: np.ndarray, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The batch of N sets that the sorted, distinct keys ``keys`` hold."""
+    """The batch of N sets whose entries have the sorted, distinct ``keys``."""
     owner = keys // n
-    return _ptr(np.bincount(owner, minlength=N)), keys - owner * n
+    return np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=N))]), keys - owner * n
 
 
 def take_sets(batch, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sets ``sel`` of a batch, in the order of ``sel``."""
+    """The sets ``sel`` of a batch."""
     ptr, idx = batch
-    pos, _, counts = _gather(ptr, sel)
-    return _ptr(counts), idx[pos]
+    return np.concatenate([[0], np.cumsum(np.diff(ptr)[sel])]), idx[_gather(ptr, sel)[0]]
 
 
-def _ptr(counts: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(counts)])
-
-
-def _gather(ptr: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gather(ptr: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the entries of the sets (or columns) ``sel`` of ``ptr``,
-    set by set, the position in ``sel`` each comes from, and each set's size."""
+    set by set, and the position in ``sel`` each comes from."""
     starts = ptr[sel]
     counts = ptr[sel + 1] - starts
     offsets = np.cumsum(counts) - counts
     pos = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
-    return pos, np.repeat(np.arange(sel.size), counts), counts
+    return pos, np.repeat(np.arange(sel.size), counts)
 
 
 def shadows(A: SparseMatrix, cols) -> tuple[np.ndarray, np.ndarray]:
     """:func:`shadow` of every set of the batch ``cols``, as a batch, in one gather."""
-    ptr, J = cols
-    pos, which, _ = _gather(A.indptr, J)
-    keys = np.unique(set_keys(owners(ptr)[which], A.indices[pos], A.n_rows))
-    return keys_to_batch(keys, ptr.size - 1, A.n_rows)
+    pos, which = _gather(A.indptr, cols[1])
+    keys = np.unique(owners(cols[0])[which] * A.n_rows + A.indices[pos])
+    return keys_to_batch(keys, cols[0].size - 1, A.n_rows)
 
 
 def shadow(A: SparseMatrix, J: np.ndarray) -> np.ndarray:
@@ -371,14 +360,12 @@ def extract_blocks(A: SparseMatrix, rows, cols) -> np.ndarray:
     Returns an (N, max |I_i|, max |J_i|) array holding block i in
     ``[i, :|I_i|, :|J_i|]`` and zeros elsewhere.
     """
-    I_ptr, I = rows
-    J_ptr, J = cols
-    I_sizes, J_sizes = np.diff(I_ptr), np.diff(J_ptr)
-    out = np.zeros((J_sizes.size, int(I_sizes.max(initial=0)), int(J_sizes.max(initial=0))))
-    pos, which, _ = _gather(A.indptr, J)
+    (I_ptr, I), (J_ptr, J) = rows, cols
+    out = np.zeros((J_ptr.size - 1, int(np.diff(I_ptr).max(initial=0)), int(np.diff(J_ptr).max(initial=0))))
+    pos, which = _gather(A.indptr, J)
     owner = owners(J_ptr)[which]
-    I_keys = set_keys(owners(I_ptr), I, A.n_rows)
-    keys = set_keys(owner, A.indices[pos], A.n_rows)
+    I_keys = batch_keys(rows, A.n_rows)
+    keys = owner * A.n_rows + A.indices[pos]
     at = np.searchsorted(I_keys, keys)
     hit = at < I.size
     hit[hit] = I_keys[at[hit]] == keys[hit]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .analysis import cond2_transpose, feasible, kappa_estimate, kappa_inf, kappa_inf_product
 from .precision import Precision, dd_solve, parse_precision
-from .refine import IrConfig, IrReport, prepare_solver, run_ir
+from .refine import IrConfig, IrReport, check_matrix, prepare_solver, run_ir
 from .reference import GOLDEN_TABLES, TABLE_SETTINGS, GoldenRow, find_matrix, rhs_for
 from .spai import SpaiParams, build_left_preconditioner
 from .sparse import SparseMatrix, load_matrix_market
@@ -105,7 +105,8 @@ def sweep_cell(A: SparseMatrix, name: str, eps: float, uf: Precision, cond2_at: 
 
 
 def run_sweep(A: SparseMatrix, name: str, eps_grid, uf_list, beta: int = SpaiParams.beta) -> list[dict]:
-    """Grid of preconditioner builds, ordered by grid position."""
+    """Grid of preconditioner builds, ordered by grid position, after :func:`check_matrix`."""
+    check_matrix(A)
     cond2_at = cond2_transpose(A)
     rows = []
     for eps in eps_grid:
