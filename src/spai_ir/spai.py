@@ -223,8 +223,15 @@ def rho_scores(sbar: np.ndarray, C: np.ndarray, m, uf: Precision) -> np.ndarray:
 
 
 @quiet
-def augment_patterns(A: SparseMatrix, row_sets, patterns, sbar: np.ndarray, beta: int, uf: Precision,
-                     A_t: SparseMatrix | None = None):
+def augment_patterns(
+    A: SparseMatrix,
+    row_sets,
+    patterns,
+    sbar: np.ndarray,
+    beta: int,
+    uf: Precision,
+    A_t: SparseMatrix | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Grow each pattern J_i by up to ``beta`` acceptable candidates, for a batch of columns.
 
     The shadows I_i (``row_sets``), the patterns and the result are

@@ -1,6 +1,6 @@
-"""Compressed-column sparse matrices, Matrix Market ingestion, and
-precision-aware kernels (shadow, submatrix extraction, column scaling,
-rounded matrix-vector products).
+"""Compressed-column sparse matrices, Matrix Market ingestion, batches of
+index sets, and kernels (shadows, block extraction, column scaling, rounded
+matrix-vector products).
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def _gather(ptr: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def shadows(A: SparseMatrix, cols) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`shadow` of every set of the batch ``cols``, as a batch, in one gather."""
+    """:func:`shadow` of every set of the batch ``cols`` = ``(ptr, idx)``, as a batch, in one gather."""
     pos, which = _gather(A.indptr, cols[1])
     keys = np.unique(owners(cols[0])[which] * A.n_rows + A.indices[pos])
     return keys_to_batch(keys, cols[0].size - 1, A.n_rows)
@@ -354,8 +354,8 @@ def shadow(A: SparseMatrix, J: np.ndarray) -> np.ndarray:
 
 
 def extract_blocks(A: SparseMatrix, rows, cols) -> np.ndarray:
-    """Dense blocks A(I_i, J_i) for the batches ``rows`` = I and ``cols`` = J
-    of sorted index sets, in one gather.
+    """Dense blocks A(I_i, J_i) for the batches ``rows`` = I and ``cols`` = J,
+    each ``(ptr, idx)`` with sorted sets, in one gather.
 
     Returns an (N, max |I_i|, max |J_i|) array holding block i in
     ``[i, :|I_i|, :|J_i|]`` and zeros elsewhere.

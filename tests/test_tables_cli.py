@@ -12,6 +12,7 @@ from spai_ir.cli import main
 from spai_ir.precision import DOUBLE, HALF, QUAD, SINGLE
 from spai_ir.refine import IrConfig
 from spai_ir.spai import SpaiParams, build_left_preconditioner
+from spai_ir.sparse import SparseMatrix
 from spai_ir.tables import result_row, run_sweep, run_table, solve_system
 
 
@@ -297,6 +298,26 @@ def test_cli_non_square_matrix_is_one_line_error(tmp_path, capsys, solver):
     rc = main(["solve", "--matrix", str(path), "--solver", solver, "--precisions", "h,s,d"])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: square matrix required, got 2x3"]
+
+
+def test_cli_sweep_non_square_matrix_is_one_line_error(tmp_path, capsys):
+    # the sweep used to print "error: singular" from cond2(A^T)'s inverse
+    path = tmp_path / "wide.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 3 3\n"
+                    "1 1 1.0\n2 2 1.0\n1 3 2.0\n")
+    assert main(["sweep", "--matrix", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.splitlines() == ["error: square matrix required, got 2x3"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_run_sweep_refuses_a_non_finite_entry_before_any_work(monkeypatch, value):
+    import spai_ir.tables as tables
+
+    monkeypatch.setattr(tables, "cond2_transpose", lambda A: pytest.fail("the sweep did work on a bad A"))
+    A = SparseMatrix.from_coo(3, 3, [0, 1, 2], [0, 1, 2], [1.0, value, 1.0])
+    with pytest.raises(ValueError, match="^matrix A has a NaN or infinite entry$"):
+        run_sweep(A, "bad", [0.3], [SINGLE])
 
 
 def test_cli_bad_tau_fails_before_the_build(monkeypatch, capsys):
