@@ -249,7 +249,6 @@ class PreparedSolver:
     lu_scaled: bool = False
 
 
-@quiet
 def check_matrix(A: SparseMatrix) -> None:
     """Raise ``ValueError`` for a non-square ``A`` or one with a NaN or infinite entry."""
     if A.n_rows != A.n_cols:
@@ -258,6 +257,7 @@ def check_matrix(A: SparseMatrix) -> None:
         raise ValueError("matrix A has a NaN or infinite entry")
 
 
+@quiet
 def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
     """Build the preconditioner or factors required by ``cfg.solver``.
 
