@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .precision import Precision, SingularMatrixError
-from .refine import norm_inf
+from .refine import norm_inf, require_square
 from .spai import SpaiPreconditioner
 from .sparse import SparseMatrix
 
@@ -36,6 +36,9 @@ def _dense(A) -> np.ndarray:
 
 
 def _inv(A: np.ndarray) -> np.ndarray:
+    """The inverse of a dense matrix; ``ValueError`` (:func:`require_square`)
+    if it is not square, :class:`SingularMatrixError` if it is singular."""
+    require_square(A.shape)
     try:
         return np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:

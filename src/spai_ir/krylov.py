@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # fl_op stays bound here although unused: perfbench/tracer.py wraps krylov.fl_op
-from .precision import Precision, fl, fl_dot, fl_norm2, fl_op, quiet
+from .precision import PairwisePlan, Precision, fl, fl_dot, fl_norm2, fl_op, quiet
 from .sparse import SparseMatrix, matvec
 
 __all__ = [
@@ -103,6 +103,8 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
         return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
 
     V = np.zeros((n + 1, n), dt)  # basis vectors as rows
+    plan = PairwisePlan(n, ug)  # the Arnoldi dots and norms
+    t = np.empty(n, dt)  # scratch for a rounded product
     H = np.zeros((n + 1, n), dt)
     cs = np.zeros(n, dt)
     sn = np.zeros(n, dt)
@@ -118,9 +120,9 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     for j in range(n):
         w = apply_precond_matvec(A, P, V[j], up).astype(dt)
         for i in range(j + 1):
-            H[i, j] = fl_dot(V[i], w, ug)
-            w = w - H[i, j] * V[i]
-        hnext = fl_norm2(w, ug)
+            h = H[i, j] = plan.dot(V[i], w)
+            np.subtract(w, np.multiply(h, V[i], out=t), out=w)
+        hnext = plan.norm2(w)
         if not np.isfinite(hnext):
             raise _ug_overflow(ug)
         H[j + 1, j] = hnext
@@ -165,7 +167,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
         y[c] = (g[c] - s) / H[c, c]
     d = np.zeros(n, dt)
     for c in range(k):
-        d = d + y[c] * V[c]
+        np.add(d, np.multiply(y[c], V[c], out=t), out=d)
     if not np.all(np.isfinite(d)):
         raise _ug_overflow(ug)
     d = d.astype(np.float64)

@@ -188,6 +188,36 @@ def fl_op(op: str, a: float, b: float | None = None, p: Precision = DOUBLE) -> f
     return fl(r, p)
 
 
+def _padded_length(m: int) -> int:
+    return 1 << max(m - 1, 0).bit_length()
+
+
+def _levels(buf: np.ndarray):
+    """The pairwise tree over axis 0 of ``buf`` as ``(a, b, out)`` views.
+
+    ``buf`` holds the padded terms, ``size`` a power of two, then room for
+    every level's sums: ``2 * size - 1`` rows in all.  A level adds the even
+    and odd rows of its input, ``a + b``, into ``out``, the rows right after
+    that input, which are the next level's input; the total ends in the
+    last row.  Writing each level beside its input, not over it, keeps every
+    output contiguous and apart from its operands, so numpy neither checks
+    nor copies for overlap.
+    """
+    n, lo = (buf.shape[0] + 1) // 2, 0
+    while n > 1:
+        yield buf[lo : lo + n : 2], buf[lo + 1 : lo + n : 2], buf[lo + n : lo + n + n // 2]
+        lo, n = lo + n, n // 2
+
+
+def _reduce(levels, p: Precision | None = None) -> None:
+    """Run the one pairwise tree over the views of :func:`_levels`, level
+    by level, rounding each level's sums to ``p`` when given."""
+    for a, b, out in levels:
+        np.add(a, b, out)
+        if p is not None:
+            fl(out, p, inplace=True)
+
+
 def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarray | float:
     """Sum with every partial addition rounded to ``p``.
 
@@ -197,7 +227,9 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     including -0, so the padding changes no partial sum and a sum whose
     terms are all -0 is -0 at every length.  Entries are assumed to be
     representable in ``p`` already.  Reduces along ``axis``; a 1-d input
-    gives a float.
+    gives a float.  The tree runs level by level in one buffer that holds
+    the padded copy and every level's sums (:func:`_levels`, :func:`_reduce`,
+    which :class:`PairwisePlan` runs too).
 
     An array stored in ``p.dtype`` (float16 or float32) is summed in that
     dtype, level by level, and a 1-d one gives a scalar of that dtype.  The
@@ -213,33 +245,57 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     """
     s = np.asarray(v)
     native = s.dtype.type is p.dtype
-    if not native:
-        s = np.asarray(s, dtype=np.float64)
     if axis:
         s = s.swapaxes(0, 1) if axis == 1 else np.moveaxis(s, axis, 0)
     m, rest = s.shape[0], s.shape[1:]
-    size = 1 << max(m - 1, 0).bit_length()
+    size = _padded_length(m)
+    buf = np.empty((2 * size - 1,) + rest, s.dtype if native else np.float64)
     if lengths is not None:
         lengths = np.asarray(lengths, dtype=np.int64)  # the mask below broadcasts it
         if lengths.size and (lengths.min() < 0 or lengths.max() > m):
             raise ValueError(f"lengths must lie in [0, {m}]")
-        padded = np.full((size,) + rest, -0.0, s.dtype)
-        padded[0] = 0.0  # the sum of no terms is +0
-        np.copyto(padded[:m], s, where=np.arange(m).reshape((m,) + (1,) * len(rest)) < lengths)
-        s = padded
-    elif size != m:
-        padded = np.empty((size,) + rest, s.dtype)
-        padded[:m] = s
-        padded[m:] = -0.0 if m else 0.0  # the sum of no terms is +0
-        s = padded
-    while s.shape[0] > 1:
-        s = s[0::2] + s[1::2]
-        if not native:
-            fl(s, p, inplace=True)
-    out = s[0]
+        buf[0] = 0.0  # the sum of no terms is +0
+        buf[1:size] = -0.0
+        np.copyto(buf[:m], s, where=np.arange(m).reshape((m,) + (1,) * len(rest)) < lengths)
+    else:
+        buf[:m] = s
+        buf[m:size] = -0.0 if m else 0.0  # the sum of no terms is +0
+    _reduce(_levels(buf), None if native or p.dtype is None else p)
+    out = buf[-1]
     if out.ndim:
-        return out
+        return out.copy()  # not a view that keeps the whole buffer alive
     return out[()] if native else float(out)
+
+
+class PairwisePlan:
+    """:func:`fl_dot` and :func:`fl_norm2` of length-``m`` vectors stored in
+    ``p``'s own dtype (float64 for double), through one reusable tree.
+
+    The plan owns the buffer of :func:`fl_sum`'s tree for length ``m``, its
+    padding already set, and the views of its levels (:func:`_levels`), all
+    built once.  A call writes the products into the buffer's head and runs
+    the tree (:func:`_reduce`), so it allocates no array; no level writes
+    into the head or the padding, so nothing of one call reaches the next.
+    The results are those of :func:`fl_dot` and :func:`fl_norm2` bit for
+    bit, as scalars of the plan's dtype.  GMRES (:mod:`spai_ir.krylov`)
+    holds one plan per solve for its Arnoldi dots and norms.  Bare, like
+    :func:`fl`.
+    """
+
+    def __init__(self, m: int, p: Precision):
+        size = _padded_length(m)
+        self._buf = np.empty(2 * size - 1, p.dtype or np.float64)
+        self._buf[m:size] = -0.0 if m else 0.0  # the sum of no terms is +0
+        self._head = self._buf[:m]
+        self._levels = list(_levels(self._buf))
+
+    def dot(self, u: np.ndarray, v: np.ndarray):
+        np.multiply(u, v, out=self._head)
+        _reduce(self._levels)
+        return self._buf[-1]
+
+    def norm2(self, v: np.ndarray):
+        return np.sqrt(self.dot(v, v))
 
 
 def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0,

@@ -44,6 +44,7 @@ __all__ = [
     "measure_errors",
     "norm_inf",
     "run_ir",
+    "require_square",
     "check_matrix",
     "prepare_solver",
 ]
@@ -249,10 +250,15 @@ class PreparedSolver:
     lu_scaled: bool = False
 
 
+def require_square(shape: tuple[int, int]) -> None:
+    """Raise ``ValueError`` unless ``shape`` is that of a square matrix."""
+    if shape[0] != shape[1]:
+        raise ValueError(f"square matrix required, got {shape[0]}x{shape[1]}")
+
+
 def check_matrix(A: SparseMatrix) -> None:
     """Raise ``ValueError`` for a non-square ``A`` or one with a NaN or infinite entry."""
-    if A.n_rows != A.n_cols:
-        raise ValueError(f"square matrix required, got {A.n_rows}x{A.n_cols}")
+    require_square(A.shape)
     if not np.all(np.isfinite(A.data)):
         raise ValueError("matrix A has a NaN or infinite entry")
 

@@ -24,6 +24,29 @@ def test_kappa_inf_singular():
         kappa_inf(np.zeros((2, 2)))
 
 
+NON_SQUARE = SparseMatrix.from_dense(np.ones((2, 3)))
+
+
+def test_kappa_inf_non_square_is_not_singular():
+    with pytest.raises(ValueError, match="^square matrix required, got 2x3$"):
+        kappa_inf(NON_SQUARE)
+
+
+def test_cond2_transpose_non_square_is_not_singular():
+    with pytest.raises(ValueError, match="^square matrix required, got 2x3$"):
+        cond2_transpose(NON_SQUARE)
+
+
+def test_kappa_inf_product_non_square_is_not_singular():
+    with pytest.raises(ValueError, match="^square matrix required, got 2x3$"):
+        kappa_inf_product(SparseMatrix.identity(2), NON_SQUARE)
+
+
+def test_cond2_transpose_singular():
+    with pytest.raises(SingularMatrixError):
+        cond2_transpose(SparseMatrix.from_dense(np.ones((2, 2))))
+
+
 def test_cond2_transpose_identity():
     assert cond2_transpose(SparseMatrix.identity(7)) == pytest.approx(1.0, rel=1e-3)
 

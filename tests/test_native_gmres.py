@@ -96,6 +96,12 @@ def compare(case) -> str:
     return kind
 
 
+def banded(n: int) -> SparseMatrix:
+    """A nonsymmetric banded matrix on which GMRES takes many steps."""
+    return SparseMatrix.from_dense(4.0 * np.eye(n) - 1.3 * np.eye(n, k=-1) - 0.7 * np.eye(n, k=1)
+                                   - 0.5 * np.eye(n, k=5))
+
+
 def test_pgmres_left_equals_emulated_reference():
     kinds = Counter()
 
@@ -110,6 +116,11 @@ def test_pgmres_left_equals_emulated_reference():
     # a zero first column: the first Arnoldi vector and its norm are zero
     @example((SparseMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 1.0]])), None, np.array([1.0, 0.0]),
               1e-8, SINGLE, DOUBLE))
+    # one past a power of two: the reduction pads nearly a whole extra level
+    @example((banded(17), None, np.linspace(1.0, 2.0, 17), 1e-3, HALF, SINGLE))
+    @example((banded(17), None, np.linspace(1.0, 2.0, 17), 1e-12, DOUBLE, DOUBLE))
+    @example((banded(33), None, np.linspace(1.0, 2.0, 33), 1e-3, HALF, SINGLE))
+    @example((banded(33), None, np.linspace(1.0, 2.0, 33), 1e-12, DOUBLE, DOUBLE))
     def every_case(case):
         kinds[compare(case)] += 1
 
