@@ -13,6 +13,12 @@ rounds once, with the bits of the emulated float64-then-round loop (see
 into that dtype, and the correction leaves as float64.  No Python float
 meets a half or single scalar in arithmetic, where numpy 1.x would promote
 the result to float64.
+
+The modified Gram-Schmidt dots and the Arnoldi norms, most of the work,
+go through one :class:`spai_ir.precision.PairwisePlan` per solve, which
+reuses one buffer for ``fl_sum``'s tree; the basis update and the final
+combination run in place through one scratch vector.  Each is still one
+IEEE operation per entry, rounded once, so the bits do not change.
 """
 
 from __future__ import annotations

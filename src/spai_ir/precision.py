@@ -7,7 +7,13 @@ exactly in double and the result is rounded to the target format by
 :func:`fl`, the one rounding kernel (round-to-nearest, ties-to-even,
 subnormals kept, overflow to infinity).  Sums follow one fixed pairwise
 tree, padded to a power-of-two length with -0, the exact additive
-identity, so the padding changes no partial sum (:func:`fl_sum`).
+identity, so the padding changes no partial sum (:func:`fl_sum`).  The
+tree has one implementation (:func:`_levels`, :func:`_reduce`): it runs
+level by level inside one buffer that holds the padded terms and every
+level's sums, with no array allocated per level.  :class:`PairwisePlan`
+keeps such a buffer and its level views for vectors of one length, so
+that GMRES's dots and norms, thousands per solve, reuse them with the
+bits of :func:`fl_dot` and :func:`fl_norm2`.
 
 Half and single values may instead be stored in their own numpy dtype
 (``Precision.dtype``) and computed on natively, as GMRES (:mod:`spai_ir.krylov`)
