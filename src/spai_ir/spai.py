@@ -19,7 +19,8 @@ import numpy as np
 from .precision import QUAD, SINGLE, Precision, fl, fl_dot, fl_norm2, fl_op, fl_sum, quiet  # noqa: F401
 # shadow and extract_submatrix stay bound here for perfbench/tracer.py
 from .sparse import SparseMatrix, batch_keys, column_scale, extract_blocks, extract_submatrix  # noqa: F401
-from .sparse import keys_to_batch, one_set, owners, shadow, shadows, take_sets  # noqa: F401
+from .sparse import in_arrival_order, keys_to_batch, one_set, owners, shadow, shadows, take_sets  # noqa: F401
+from .sparse import to_index_order
 
 __all__ = [
     "SpaiParams",
@@ -132,7 +133,20 @@ def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
     entry.  Single computes in float32, where :func:`fl` is the identity;
     half stays on the float64 round trip, faster than float16 in numpy.
     """
-    dt = np.float32 if uf == SINGLE else np.float64
+    mbar, deficient = _qr_solve(Abar, ebar, m, p, uf)
+    p = np.where(np.asarray(p) > np.asarray(m), 0, p)  # a wide block takes no column
+    return mbar, _residual(Abar, ebar, mbar, m, p, uf), deficient
+
+
+def _dtype(uf: Precision):
+    return np.float32 if uf == SINGLE else np.float64
+
+
+def _qr_solve(Abar, ebar, m, p, uf: Precision):
+    """The ``(mbar, deficient)`` of :func:`solve_ls_batch`: the Householder
+    factorization of each block in its given row and column order, then
+    back substitution."""
+    dt = _dtype(uf)
     B, e = np.asarray(Abar, dtype=dt), np.asarray(ebar, dtype=dt)
     m = np.asarray(m, dtype=np.int64)
     deficient = np.asarray(p, dtype=np.int64) > m
@@ -142,7 +156,6 @@ def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
     # e rides along as column P, so each reflection updates it exactly as it
     # updates the trailing block
     W = np.concatenate([B, e[:, :, None]], axis=2)
-    row_ok = np.arange(M) < m[:, None]
     for j in range(steps):
         live = (j < p) & ~deficient
         rows = np.maximum(m - j, 0)
@@ -167,13 +180,21 @@ def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
     for c in range(steps - 1, -1, -1):
         s = fl_dot(W[:, c, c + 1 : P], mbar[:, c + 1 :], uf, axis=1, lengths=np.maximum(p - c - 1, 0))
         mbar[:, c] = np.where(c < p, fl(fl(W[:, c, P] - s, uf) / W[:, c, c], uf), 0.0)
-    # residual on the original block, fixed ascending-column accumulation
+    return mbar.astype(np.float64, copy=False), deficient
+
+
+def _residual(Abar, ebar, mbar, m, p, uf: Precision) -> np.ndarray:
+    """``sbar = A_i mbar_i - e_i`` for a batch, accumulated over the
+    columns in their given order, zero past each item's size."""
+    dt = _dtype(uf)
+    B, e, mbar = (np.asarray(a, dtype=dt) for a in (Abar, ebar, mbar))
+    N, M, P = B.shape
     y = np.zeros((N, M), dt)
-    for c in range(steps):
+    for c in range(P):
         t = fl(y + fl(B[:, :, c] * mbar[:, c, None], uf), uf)
         y = np.where((c < p)[:, None], t, y)
-    sbar = np.where(row_ok, fl(y - e, uf), 0.0)
-    return mbar.astype(np.float64, copy=False), sbar.astype(np.float64, copy=False), deficient
+    sbar = np.where(np.arange(M) < np.asarray(m)[:, None], fl(y - e, uf), 0.0)
+    return sbar.astype(np.float64, copy=False)
 
 
 def solve_column_ls(Abar: np.ndarray, ebar: np.ndarray, uf: Precision):
@@ -329,22 +350,27 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     last = np.full(n, -1)  # the last round each column solved without a fault
     solved = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]  # (round, column, row, value)
     active = np.arange(n)
-    J = (np.arange(n + 1), np.arange(n))  # the active columns' patterns
+    # the active columns' patterns and the previous round's shadows, ordered by arrival
+    J = (np.arange(n + 1), np.arange(n), np.zeros(n, np.int64))
+    I = (np.zeros(n + 1, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
     for step in range(alpha + 1):
         if not active.size:
             break
         # every pattern holds k and B[k, k] != 0, so every shadow holds row k
-        I = shadows(B, J)
+        I = in_arrival_order(I, shadows(B, J), n)
         m, p = np.diff(I[0]), np.diff(J[0])
-        ebar = extract_blocks(E, I, (np.arange(active.size + 1), active))[:, :, 0]
-        mbar, sbar, deficient = solve_ls_batch(extract_blocks(B, I, J), ebar, m, p, uf)
+        e = (np.arange(active.size + 1), active)
+        ebar = extract_blocks(E, I, e, ordered=True)[:, :, 0]
+        mbar, deficient = _qr_solve(extract_blocks(B, I, J, ordered=True), ebar, m, p, uf)
+        mbar = to_index_order(J, mbar)
+        sbar = _residual(extract_blocks(B, I, J), extract_blocks(E, I, e)[:, :, 0], mbar, m, p, uf)
         norms = fl_norm2(sbar, uf, axis=1, lengths=m)
         finite = np.isfinite(mbar).all(axis=1) & np.isfinite(sbar).all(axis=1) & np.isfinite(norms)
         status[active[deficient]] = COL_RANK_DEFICIENT
         status[active[~deficient & ~finite]] = COL_OVERFLOW
         ok = np.flatnonzero(~deficient & finite)
         resnorm[active[ok]], last[active[ok]] = norms[ok], step
-        ptr, row = take_sets(J, ok)
+        ptr, row, _ = take_sets(J, ok)
         value = mbar[ok][np.arange(mbar.shape[1]) < p[ok, None]]
         solved.append((np.full(row.size, step), active[ok][owners(ptr)], row, value))
         if step == alpha:
@@ -353,7 +379,8 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
         grown = augment_patterns(B, take_sets(I, grow), take_sets(J, grow), sbar[grow], params.beta, uf, B_t)
         moved = np.diff(grown[0]) > p[grow]
         status[active[grow[~moved]]] = COL_STAGNATED
-        J = take_sets(grown, np.flatnonzero(moved))
+        J = in_arrival_order(take_sets(J, grow[moved]), take_sets(grown, np.flatnonzero(moved)), n)
+        I = take_sets(I, grow[moved])
         active = active[grow[moved]]
         rounds[active] += 1
 

@@ -22,6 +22,8 @@ __all__ = [
     "batch_keys",
     "keys_to_batch",
     "take_sets",
+    "in_arrival_order",
+    "to_index_order",
     "shadow",
     "shadows",
     "extract_submatrix",
@@ -302,6 +304,9 @@ def load_matrix_market(source) -> SparseMatrix:
 # A batch of N sorted index sets is stored the way SparseMatrix stores its
 # pattern: ``(ptr, idx)``, set i being ``idx[ptr[i]:ptr[i + 1]]``.  Entry j of
 # set i has the key ``i * n + j``, so sorted keys sort by set, then by index.
+# An ordered batch ``(ptr, idx, at)`` also gives each entry its position in
+# its set's arrival order (see :func:`in_arrival_order`); the entries stay
+# sorted, and every kernel that takes a batch takes an ordered one.
 
 
 def one_set(indices) -> tuple[np.ndarray, np.ndarray]:
@@ -325,10 +330,43 @@ def keys_to_batch(keys: np.ndarray, N: int, n: int) -> tuple[np.ndarray, np.ndar
     return np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=N))]), keys - owner * n
 
 
-def take_sets(batch, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sets ``sel`` of a batch."""
-    ptr, idx = batch
-    return np.concatenate([[0], np.cumsum(np.diff(ptr)[sel])]), idx[_gather(ptr, sel)[0]]
+def take_sets(batch, sel: np.ndarray) -> tuple:
+    """The sets ``sel`` of a batch, ordered if the batch is."""
+    ptr, pos = batch[0], _gather(batch[0], sel)[0]
+    return (np.concatenate([[0], np.cumsum(np.diff(ptr)[sel])]),) + tuple(a[pos] for a in batch[1:])
+
+
+def _sorted_positions(ptr: np.ndarray) -> np.ndarray:
+    """The position of every entry of a batch within its set."""
+    return np.arange(ptr[-1]) - np.repeat(ptr[:-1], np.diff(ptr))
+
+
+def in_arrival_order(old, new, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch ``new`` of sets of indices below n, ordered by arrival.
+
+    Set i of ``new`` holds set i of the ordered batch ``old``: those entries
+    keep their positions, and the entries new to the set follow them in
+    ascending order.  With an empty ``old`` the order is ascending.
+    """
+    ptr, idx = new[0], new[1]
+    fresh = ~np.isin(batch_keys(new, n), batch_keys(old, n), assume_unique=True)
+    ahead = np.concatenate([[0], np.cumsum(fresh)])  # fresh entries ahead of each position
+    owner = owners(ptr)
+    at = np.empty(idx.size, np.int64)
+    at[~fresh] = old[2]
+    at[fresh] = (np.diff(old[0])[owner] + ahead[:-1] - ahead[ptr[:-1]][owner])[fresh]
+    return ptr, idx, at
+
+
+def to_index_order(batch, X: np.ndarray) -> np.ndarray:
+    """Row i of ``X`` (N, K) holds set i's values in the arrival order of
+    the ordered ``batch``; returns them in the order of the sorted indices,
+    zero past each set's size."""
+    ptr, _, at = batch
+    owner = owners(ptr)
+    out = np.zeros_like(X)
+    out[owner, _sorted_positions(ptr)] = X[owner, at]
+    return out
 
 
 def _gather(ptr: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,24 +391,27 @@ def shadow(A: SparseMatrix, J: np.ndarray) -> np.ndarray:
     return shadows(A, one_set(J))[1]
 
 
-def extract_blocks(A: SparseMatrix, rows, cols) -> np.ndarray:
-    """Dense blocks A(I_i, J_i) for the batches ``rows`` = I and ``cols`` = J,
-    each ``(ptr, idx)`` with sorted sets, in one gather.
+def extract_blocks(A: SparseMatrix, rows, cols, ordered: bool = False) -> np.ndarray:
+    """Dense blocks A(I_i, J_i) for the batches ``rows`` = I and ``cols`` = J
+    of sorted sets, in one gather.
 
     Returns an (N, max |I_i|, max |J_i|) array holding block i in
-    ``[i, :|I_i|, :|J_i|]`` and zeros elsewhere.
+    ``[i, :|I_i|, :|J_i|]`` and zeros elsewhere.  Its rows and columns
+    follow the sorted indices, or with ``ordered`` the arrival positions of
+    an ordered batch (a plain batch keeps its sorted order).
     """
-    (I_ptr, I), (J_ptr, J) = rows, cols
+    I_ptr, J_ptr, J = rows[0], cols[0], cols[1]
+    row_at, col_at = (b[2] if ordered and len(b) > 2 else _sorted_positions(b[0]) for b in (rows, cols))
     out = np.zeros((J_ptr.size - 1, int(np.diff(I_ptr).max(initial=0)), int(np.diff(J_ptr).max(initial=0))))
     pos, which = _gather(A.indptr, J)
     owner = owners(J_ptr)[which]
     I_keys = batch_keys(rows, A.n_rows)
     keys = owner * A.n_rows + A.indices[pos]
     at = np.searchsorted(I_keys, keys)
-    hit = at < I.size
+    hit = at < I_keys.size
     hit[hit] = I_keys[at[hit]] == keys[hit]
     owner, at, which = owner[hit], at[hit], which[hit]
-    out[owner, at - I_ptr[owner], which - J_ptr[owner]] = A.data[pos[hit]]
+    out[owner, row_at[at], col_at[which]] = A.data[pos[hit]]
     return out
 
 

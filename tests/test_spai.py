@@ -326,16 +326,35 @@ def test_resnorm_monotone_across_rounds(rng):
         assert b <= a * (1 + slack)
 
 
+def arrival_order(prev, new):
+    """The indices ``prev`` in their order, then those of ``new`` not among them, ascending."""
+    return np.concatenate([prev, np.setdiff1d(new, prev)]).astype(np.int64)
+
+
+def ascending_residual(Abar, mbar, ebar, uf):
+    """``Abar @ mbar - ebar`` with every operation rounded to ``uf``, the
+    columns accumulated left to right."""
+    y = np.zeros(Abar.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(Abar.shape[1]):
+            y = fl(y + fl(Abar[:, c] * mbar[c], uf), uf)
+        return fl(y - ebar, uf)
+
+
 def reference_build_spai(At, params):
     """Column-by-column adaptive loop through the public one-column kernels.
 
     The batch-of-one reference for the lockstep build: returns the arrays of
     P and the per-column statistics that ``build_spai`` must reproduce bit
-    for bit.
+    for bit.  Each round factors the column's block from scratch with its
+    rows and columns in arrival order (the previous round's in their order,
+    then the new ones ascending); the residual, the scores and the pattern
+    use the ascending order.
     """
     n, uf = At.n_rows, params.uf
     B = At.rounded(uf)
     B_t = B.transpose()
+    dense = B.to_dense()
     alpha = params.resolved_alpha(n)
     rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     resnorm = np.full(n, np.inf)
@@ -344,32 +363,36 @@ def reference_build_spai(At, params):
     status = ["ok"] * n
     for k in range(n):
         solved = None
-        Jk = np.array([k])
+        Jk, Ik = np.array([k]), np.empty(0, np.int64)  # in arrival order
         for step in range(alpha + 1):
-            Ik = shadow(B, Jk)
+            Js = np.sort(Jk)
+            Ik = arrival_order(Ik, shadow(B, Js))
+            Is = np.sort(Ik)
             if Ik.size == 0:
                 status[k] = "stagnated"
                 break
             try:
-                mbar, sbar = solve_column_ls(extract_submatrix(B, Ik, Jk), (Ik == k).astype(float), uf)
+                mbar, _ = solve_column_ls(dense[np.ix_(Ik, Jk)], (Ik == k).astype(float), uf)
             except RankDeficiencySignal:
                 status[k] = "rank_deficient"
                 break
+            mbar = mbar[np.argsort(Jk)]
+            sbar = ascending_residual(extract_submatrix(B, Is, Js), mbar, (Is == k).astype(float), uf)
             norm = fl_norm2(sbar, uf)
             if not (np.all(np.isfinite(mbar)) and np.all(np.isfinite(sbar)) and math.isfinite(norm)):
                 status[k] = "overflow"
                 break
-            solved, resnorm[k] = (Jk, mbar), norm
+            solved, resnorm[k] = (Js, mbar), norm
             if norm <= params.eps:
                 satisfied[k] = True
                 break
             if step == alpha:
                 break
-            grown = augment_pattern(B, k, Ik, Jk, sbar, params.beta, uf, A_t=B_t)
+            grown = augment_pattern(B, k, Is, Js, sbar, params.beta, uf, A_t=B_t)
             if grown.size == Jk.size:
                 status[k] = "stagnated"
                 break
-            Jk = grown
+            Jk = arrival_order(Jk, grown)
             rounds[k] += 1
         if solved is not None:
             rows.append(solved[0])
