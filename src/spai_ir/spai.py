@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .precision import QUAD, SINGLE, Precision, fl, fl_dot, fl_norm2, fl_op, fl_
 # shadow and extract_submatrix stay bound here for perfbench/tracer.py
 from .sparse import SparseMatrix, batch_keys, column_scale, extract_blocks, extract_submatrix  # noqa: F401
 from .sparse import in_arrival_order, keys_to_batch, one_set, owners, shadow, shadows, take_sets  # noqa: F401
-from .sparse import to_index_order
+from .sparse import arrived_since, distinct, to_index_order, unit_blocks
 
 __all__ = [
     "SpaiParams",
@@ -133,66 +134,192 @@ def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
     entry.  Single computes in float32, where :func:`fl` is the identity;
     half stays on the float64 round trip, faster than float16 in numpy.
     """
-    mbar, deficient = _qr_solve(Abar, ebar, m, p, uf)
-    p = np.where(np.asarray(p) > np.asarray(m), 0, p)  # a wide block takes no column
-    return mbar, _residual(Abar, ebar, mbar, m, p, uf), deficient
+    N, M, P = np.shape(Abar)
+    qr, deficient = _extend_qr(_Qr.empty(N, uf), Abar, ebar, m, p, uf)
+    mbar = _back_substitute(qr, uf)
+    sbar = _residual(Abar, ebar, mbar, m, qr.p, uf)
+    return np.pad(mbar, ((0, 0), (0, P - mbar.shape[1]))), sbar, deficient
 
 
 def _dtype(uf: Precision):
     return np.float32 if uf == SINGLE else np.float64
 
 
-def _qr_solve(Abar, ebar, m, p, uf: Precision):
-    """The ``(mbar, deficient)`` of :func:`solve_ls_batch`: the Householder
-    factorization of each block in its given row and column order, then
-    back substitution."""
-    dt = _dtype(uf)
-    B, e = np.asarray(Abar, dtype=dt), np.asarray(ebar, dtype=dt)
-    m = np.asarray(m, dtype=np.int64)
-    deficient = np.asarray(p, dtype=np.int64) > m
+class _Qr(NamedTuple):
+    """Householder factorizations of a batch of least-squares blocks, each
+    in its block's row and column order.
+
+    Item i has ``m[i]`` rows and ``p[i]`` columns.  Column j of ``W`` holds
+    R above the diagonal and the reflector v_j from the diagonal down;
+    ``rdiag`` holds R's diagonal, ``vtv`` each v_j^T v_j and ``qte`` Q^T e.
+    """
+
+    W: np.ndarray
+    rdiag: np.ndarray
+    vtv: np.ndarray
+    qte: np.ndarray
+    m: np.ndarray
+    p: np.ndarray
+
+    @classmethod
+    def empty(cls, N: int, uf: Precision) -> "_Qr":
+        """N factorizations of blocks with no rows and no columns."""
+        dt, none = _dtype(uf), np.zeros(N, np.int64)
+        return cls(np.zeros((N, 0, 0), dt), np.zeros((N, 0), dt), np.zeros((N, 0), dt), np.zeros((N, 0), dt),
+                   none, none)
+
+    def take(self, sel: np.ndarray) -> "_Qr":
+        return _Qr(*(a[sel] for a in self))
+
+
+def _reach(count: np.ndarray, steps: int) -> np.ndarray:
+    """For each step j below ``steps``, one past the last item whose count
+    exceeds j: items from there on take no part in step j, so a loop
+    works on the leading items only, the fewer the more the items come in
+    descending count."""
+    ahead = np.maximum.accumulate(count[::-1])[::-1]  # the largest count from each item on
+    return np.searchsorted(-ahead, -np.arange(steps))
+
+
+def _put(dst: np.ndarray, new: np.ndarray, where: np.ndarray) -> None:
+    """``dst`` takes ``new`` where ``where`` (broadcast) is set, in one
+    assignment when it is set everywhere and in none when nowhere."""
+    if where.all():
+        dst[...] = new
+    elif where.any():
+        np.copyto(dst, new, where=where)
+
+
+def _reflect(trail: np.ndarray, v: np.ndarray, coef: np.ndarray, upd: np.ndarray, uf: Precision) -> None:
+    """``trail - v coef``, every operation rounded to ``uf``, into the items
+    ``upd`` of ``trail`` (k, rows, cols); ``v`` is (k, rows, 1) and
+    ``coef`` (k, cols)."""
+    t = fl(v * coef[:, None, :], uf, inplace=True)
+    _put(trail, fl(np.subtract(trail, t, out=t), uf, inplace=True), upd[:, None, None])
+
+
+def _householder(W: np.ndarray, m, p, uf: Precision):
+    """Householder steps in place on the blocks ``W[i, :m[i], :p[i]]`` and
+    the column ``W[i, :m[i], -1]`` that rides along (e, or Q^T e so far).
+
+    Returns ``(rdiag, vtv, deficient)``: R's diagonal, each step's v^T v,
+    and a flag per item that is set for a wide block or a zero pivot
+    column.  Column j keeps its reflector from the diagonal down.
+    """
+    N, P = W.shape[0], W.shape[2] - 1
+    deficient = p > m
     p = np.where(deficient, 0, p)
-    N, M, P = B.shape
-    steps = int(p.max()) if N else 0
-    # e rides along as column P, so each reflection updates it exactly as it
-    # updates the trailing block
-    W = np.concatenate([B, e[:, :, None]], axis=2)
-    for j in range(steps):
-        live = (j < p) & ~deficient
-        rows = np.maximum(m - j, 0)
-        x0 = W[:, j, j].copy()
-        nx = fl_norm2(W[:, j:, j], uf, axis=1, lengths=rows)
-        deficient |= live & (nx == 0.0)
+    rdiag, vtv = np.zeros((N, P), W.dtype), np.zeros((N, P), W.dtype)
+    steps = int(p.max(initial=0))
+    for j, k in enumerate(_reach(p, steps)):
+        Wk = W[:k]
+        live = (j < p[:k]) & ~deficient[:k]
+        rows = np.maximum(m[:k] - j, 0)
+        x0 = Wk[:, j, j].copy()
+        nx = fl_norm2(Wk[:, j:, j], uf, axis=1, lengths=rows)
+        deficient[:k] |= live & (nx == 0.0)
         live &= nx != 0.0
         alpha = np.where(x0 >= 0.0, -nx, nx)
         # column j becomes v, so one reduction gives v^T v and v^T trail, and
         # H = I - 2 v v^T / (v^T v) updates the trailing block and e
-        W[:, j, j] = fl(x0 - alpha, uf)
-        v = W[:, j:, j, None]
-        d = fl_dot(v, W[:, j:, j:], uf, axis=1, lengths=rows[:, None])
-        vtv, trail = d[:, 0], W[:, j:, j + 1 :]
-        coef = fl(fl(2.0 * d[:, 1:], uf) / vtv[:, None], uf)
-        new = fl(trail - fl(v * coef[:, None, :], uf), uf)
-        upd = live & (vtv != 0.0)
-        W[:, j:, j + 1 :] = np.where(upd[:, None, None], new, trail)
-        W[:, j, j] = np.where(live, alpha, x0)
-        W[live, j + 1 :, j] = 0.0
-    mbar = np.zeros((N, P), dt)
-    for c in range(steps - 1, -1, -1):
-        s = fl_dot(W[:, c, c + 1 : P], mbar[:, c + 1 :], uf, axis=1, lengths=np.maximum(p - c - 1, 0))
-        mbar[:, c] = np.where(c < p, fl(fl(W[:, c, P] - s, uf) / W[:, c, c], uf), 0.0)
-    return mbar.astype(np.float64, copy=False), deficient
+        Wk[:, j, j] = fl(x0 - alpha, uf)
+        v = Wk[:, j:, j, None]
+        d = fl_dot(v, Wk[:, j:, j:], uf, axis=1, lengths=rows[:, None])
+        vtv[:k, j], trail = d[:, 0], Wk[:, j:, j + 1 :]
+        coef = fl(fl(2.0 * d[:, 1:], uf) / d[:, :1], uf)
+        _reflect(trail, v, coef, live & (d[:, 0] != 0.0), uf)
+        _put(Wk[:, j, j], x0, ~live)
+        rdiag[:k, j] = np.where(live, alpha, x0)
+    return rdiag, vtv, deficient
+
+
+def _extend_qr(qr: _Qr, Anew, ebar, m, p, uf: Precision):
+    """Extend the factorizations ``qr`` by new rows and columns.
+
+    Item i's block now has ``m[i]`` rows and ``p[i]`` columns: the first
+    ``qr.m[i]`` rows and ``qr.p[i]`` columns are those ``qr`` factored,
+    the old columns are zero in the new rows, and ``Anew[i]`` holds the
+    new columns (``Anew`` is (N, M, max new)), zero-padded, with the rows
+    in the block's order; ``ebar`` (N, M) gives e on the new rows.  The
+    stored reflectors are applied to the new columns only, then the
+    factorization continues from the old width on the rows below it.
+    Returns ``(qr, deficient)``, the flag being set for a wide block or a
+    zero pivot column.  Items in descending ``qr.p`` apply the stored
+    reflectors fastest.
+
+    The result has the bits of factoring each whole block from scratch,
+    except for the signs of zeros inside ``W``: every stored reflector is
+    zero in the new rows, so each of its sums over a longer line keeps the
+    old line's pairwise tree as its left subtree and adds only zeros, and
+    an overflow in an old step makes that column's solution non-finite, so
+    a column that goes on to a new round never had one.
+    """
+    dt = _dtype(uf)
+    m, p = np.asarray(m, np.int64), np.asarray(p, np.int64)
+    m_old, p_old = qr.m, qr.p
+    wide = p > m
+    p = np.where(wide, p_old, p)  # a wide block takes no new column
+    P, M_old, P_old = int(p.max(initial=0)), int(m_old.max(initial=0)), int(p_old.max(initial=0))
+    pn, Pn = p - p_old, int((p - p_old).max(initial=0))
+    An = np.array(np.asarray(Anew)[:, :, :Pn], dtype=dt)
+    N, M = An.shape[:2]
+    old_rows = np.arange(M_old) < m_old[:, None]
+    W = np.zeros((N, M, P), dt)
+    np.copyto(W[:, :M_old, :P_old], qr.W[:, :M_old, :P_old], where=old_rows[:, :, None])
+    qte = np.array(ebar, dtype=dt)
+    np.copyto(qte[:, :M_old], qr.qte[:, :M_old], where=old_rows)
+    vtv_old = qr.vtv[:, :P_old]
+    upd = (np.arange(P_old) < p_old[:, None]) & (vtv_old != 0.0)
+    rows = np.maximum(m[:, None] - np.arange(P_old), 0)
+    for j, k in enumerate(_reach(p_old, P_old)):
+        v, trail = W[:k, j:, j, None], An[:k, j:]
+        d = fl_dot(v, trail, uf, axis=1, lengths=rows[:k, j, None])
+        _reflect(trail, v, fl(fl(2.0 * d, uf) / vtv_old[:k, j, None], uf), upd[:k, j], uf)
+    # the new columns' own steps run on their rows from the old width down,
+    # the items in descending count of new columns
+    order = np.argsort(-pn, kind="stable")
+    mb = (m - p_old)[order]
+    Mb = int(mb.max(initial=0))
+    below = np.minimum(p_old[order, None] + np.arange(Mb), max(M - 1, 0))
+    Wb = np.concatenate([An, qte[:, :, None]], axis=2)[order[:, None], below]
+    rdiag_b, vtv_b, deficient_b = _householder(Wb, mb, pn[order], uf)
+    # back in place: rows from the old width down, then the new columns
+    b, r = np.nonzero(np.arange(Mb) < mb[:, None])
+    i = order[b]
+    An[i, p_old[i] + r], qte[i, p_old[i] + r] = Wb[b, r, :Pn], Wb[b, r, Pn]
+    rdiag, vtv = np.zeros((N, P), dt), np.zeros((N, P), dt)
+    rdiag[:, :P_old], vtv[:, :P_old] = qr.rdiag[:, :P_old], vtv_old
+    b, t = np.nonzero(np.arange(Pn) < pn[order, None])
+    i, c = order[b], p_old[order[b]] + t
+    W[i, :, c] = An[i, :, t]
+    rdiag[i, c], vtv[i, c] = rdiag_b[b, t], vtv_b[b, t]
+    deficient = np.empty(N, bool)
+    deficient[order] = deficient_b
+    return _Qr(W, rdiag, vtv, qte, m, p), deficient | wide
+
+
+def _back_substitute(qr: _Qr, uf: Precision) -> np.ndarray:
+    """The least-squares solutions R^-1 (Q^T e)[:p] of the factorizations
+    ``qr``, (N, max p) in float64, zero past each item's width."""
+    R, p = qr.W, qr.p
+    mbar = np.zeros(qr.rdiag.shape, R.dtype)
+    for c, k in reversed(list(enumerate(_reach(p, mbar.shape[1])))):
+        s = fl_dot(R[:k, c, c + 1 :], mbar[:k, c + 1 :], uf, axis=1, lengths=np.maximum(p[:k] - c - 1, 0))
+        _put(mbar[:k, c], fl(fl(qr.qte[:k, c] - s, uf) / qr.rdiag[:k, c], uf), c < p[:k])
+    return mbar.astype(np.float64, copy=False)
 
 
 def _residual(Abar, ebar, mbar, m, p, uf: Precision) -> np.ndarray:
     """``sbar = A_i mbar_i - e_i`` for a batch, accumulated over the
-    columns in their given order, zero past each item's size."""
+    columns in their given order, zero past each item's size; ``mbar`` may
+    be narrower than ``Abar`` but not than any item."""
     dt = _dtype(uf)
     B, e, mbar = (np.asarray(a, dtype=dt) for a in (Abar, ebar, mbar))
-    N, M, P = B.shape
+    N, M = e.shape
     y = np.zeros((N, M), dt)
-    for c in range(P):
-        t = fl(y + fl(B[:, :, c] * mbar[:, c, None], uf), uf)
-        y = np.where((c < p)[:, None], t, y)
+    for c, k in enumerate(_reach(p, mbar.shape[1])):
+        t = fl(B[:k, :, c] * mbar[:k, c, None], uf, inplace=True)
+        _put(y[:k], fl(np.add(y[:k], t, out=t), uf, inplace=True), (c < p[:k])[:, None])
     sbar = np.where(np.arange(M) < np.asarray(m)[:, None], fl(y - e, uf), 0.0)
     return sbar.astype(np.float64, copy=False)
 
@@ -287,7 +414,7 @@ def augment_patterns(
     cand[real] = keys
     top = np.lexsort((cand, rho), axis=1)[:, : int(beta)]
     picked = np.take_along_axis(cand, top, axis=1)[np.take_along_axis(rho, top, axis=1) <= rho_mean[:, None]]
-    return keys_to_batch(np.union1d(visited, picked), N, n)
+    return keys_to_batch(distinct(np.concatenate([visited, picked])), N, n)
 
 
 def augment_pattern(
@@ -341,7 +468,6 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
             f"zero diagonal at index {no_diag[0]}: identity initial pattern needs a nonzero diagonal"
         )
     B_t = B.transpose()
-    E = SparseMatrix.identity(n)
     alpha = params.resolved_alpha(n)
 
     resnorm = np.full(n, np.inf)
@@ -350,20 +476,24 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     last = np.full(n, -1)  # the last round each column solved without a fault
     solved = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]  # (round, column, row, value)
     active = np.arange(n)
-    # the active columns' patterns and the previous round's shadows, ordered by arrival
+    # the active columns' patterns, their previous round's shadows and
+    # factorizations, all in arrival order
     J = (np.arange(n + 1), np.arange(n), np.zeros(n, np.int64))
     I = (np.zeros(n + 1, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
+    qr = _Qr.empty(n, uf)
     for step in range(alpha + 1):
         if not active.size:
             break
         # every pattern holds k and B[k, k] != 0, so every shadow holds row k
         I = in_arrival_order(I, shadows(B, J), n)
         m, p = np.diff(I[0]), np.diff(J[0])
-        e = (np.arange(active.size + 1), active)
-        ebar = extract_blocks(E, I, e, ordered=True)[:, :, 0]
-        mbar, deficient = _qr_solve(extract_blocks(B, I, J, ordered=True), ebar, m, p, uf)
-        mbar = to_index_order(J, mbar)
-        sbar = _residual(extract_blocks(B, I, J), extract_blocks(E, I, e)[:, :, 0], mbar, m, p, uf)
+        # e lies on row k, which every shadow holds from the first round on,
+        # when rows in arrival order are ascending; no later round adds it
+        ebar = unit_blocks(I, active, n)
+        new = extract_blocks(B, I, arrived_since(J, qr.p), ordered=True)
+        qr, deficient = _extend_qr(qr, new, ebar if not step else np.zeros_like(ebar), m, p, uf)
+        mbar = to_index_order(J, _back_substitute(qr, uf))
+        sbar = _residual(extract_blocks(B, I, J), ebar, mbar, m, p, uf)
         norms = fl_norm2(sbar, uf, axis=1, lengths=m)
         finite = np.isfinite(mbar).all(axis=1) & np.isfinite(sbar).all(axis=1) & np.isfinite(norms)
         status[active[deficient]] = COL_RANK_DEFICIENT
@@ -379,9 +509,12 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
         grown = augment_patterns(B, take_sets(I, grow), take_sets(J, grow), sbar[grow], params.beta, uf, B_t)
         moved = np.diff(grown[0]) > p[grow]
         status[active[grow[~moved]]] = COL_STAGNATED
-        J = in_arrival_order(take_sets(J, grow[moved]), take_sets(grown, np.flatnonzero(moved)), n)
-        I = take_sets(I, grow[moved])
-        active = active[grow[moved]]
+        # the columns that go on, widest first (see _extend_qr)
+        order = np.argsort(-p[grow[moved]], kind="stable")
+        go = grow[moved][order]
+        J = in_arrival_order(take_sets(J, go), take_sets(grown, np.flatnonzero(moved)[order]), n)
+        I, qr = take_sets(I, go), qr.take(go)
+        active = active[go]
         rounds[active] += 1
 
     step, col, row, value = (np.concatenate(field) for field in zip(*solved))

@@ -20,14 +20,17 @@ __all__ = [
     "one_set",
     "owners",
     "batch_keys",
+    "distinct",
     "keys_to_batch",
     "take_sets",
     "in_arrival_order",
+    "arrived_since",
     "to_index_order",
     "shadow",
     "shadows",
     "extract_submatrix",
     "extract_blocks",
+    "unit_blocks",
     "column_scale",
     "matvec",
 ]
@@ -316,12 +319,23 @@ def one_set(indices) -> tuple[np.ndarray, np.ndarray]:
 
 def owners(ptr: np.ndarray) -> np.ndarray:
     """The set each entry of a batch belongs to."""
-    return np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    return np.arange(ptr.size - 1).repeat(ptr[1:] - ptr[:-1])
 
 
 def batch_keys(batch, n: int) -> np.ndarray:
     """The key of every entry of a batch of sets of indices below n."""
     return owners(batch[0]) * n + batch[1]
+
+
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as ``np.unique``
+    gives them, by one sort: numpy 2's hash-based ``np.unique`` takes
+    several times as long on the key arrays of a batch."""
+    keys = np.sort(keys)
+    keep = np.empty(keys.size, bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def keys_to_batch(keys: np.ndarray, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -338,7 +352,7 @@ def take_sets(batch, sel: np.ndarray) -> tuple:
 
 def _sorted_positions(ptr: np.ndarray) -> np.ndarray:
     """The position of every entry of a batch within its set."""
-    return np.arange(ptr[-1]) - np.repeat(ptr[:-1], np.diff(ptr))
+    return np.arange(ptr[-1]) - ptr[:-1].repeat(ptr[1:] - ptr[:-1])
 
 
 def in_arrival_order(old, new, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,13 +363,25 @@ def in_arrival_order(old, new, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ascending order.  With an empty ``old`` the order is ascending.
     """
     ptr, idx = new[0], new[1]
-    fresh = ~np.isin(batch_keys(new, n), batch_keys(old, n), assume_unique=True)
-    ahead = np.concatenate([[0], np.cumsum(fresh)])  # fresh entries ahead of each position
     owner = owners(ptr)
-    at = np.empty(idx.size, np.int64)
-    at[~fresh] = old[2]
-    at[fresh] = (np.diff(old[0])[owner] + ahead[:-1] - ahead[ptr[:-1]][owner])[fresh]
+    kept = np.searchsorted(owner * n + idx, batch_keys(old, n))  # where the old entries are
+    fresh = np.ones(idx.size, bool)
+    fresh[kept] = False
+    ahead = np.concatenate([[0], np.cumsum(fresh)])  # fresh entries ahead of each position
+    at = np.diff(old[0])[owner] + ahead[:-1] - ahead[ptr[:-1]][owner]
+    at[kept] = old[2]
     return ptr, idx, at
+
+
+def arrived_since(batch, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of each set i of the ordered ``batch`` that arrived after
+    its first ``k[i]``, as an ordered batch with positions counted from
+    ``k[i]``."""
+    ptr, idx, at = batch
+    first = k[owners(ptr)]
+    late = at >= first
+    counts = np.bincount(owners(ptr)[late], minlength=ptr.size - 1)
+    return np.concatenate([[0], np.cumsum(counts)]), idx[late], at[late] - first[late]
 
 
 def to_index_order(batch, X: np.ndarray) -> np.ndarray:
@@ -382,7 +408,7 @@ def _gather(ptr: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def shadows(A: SparseMatrix, cols) -> tuple[np.ndarray, np.ndarray]:
     """:func:`shadow` of every set of the batch ``cols`` = ``(ptr, idx)``, as a batch, in one gather."""
     pos, which = _gather(A.indptr, cols[1])
-    keys = np.unique(owners(cols[0])[which] * A.n_rows + A.indices[pos])
+    keys = distinct(owners(cols[0])[which] * A.n_rows + A.indices[pos])
     return keys_to_batch(keys, cols[0].size - 1, A.n_rows)
 
 
@@ -412,6 +438,19 @@ def extract_blocks(A: SparseMatrix, rows, cols, ordered: bool = False) -> np.nda
     hit[hit] = I_keys[at[hit]] == keys[hit]
     owner, at, which = owner[hit], at[hit], which[hit]
     out[owner, row_at[at], col_at[which]] = A.data[pos[hit]]
+    return out
+
+
+def unit_blocks(rows, targets: np.ndarray, n: int) -> np.ndarray:
+    """The blocks I_i x {targets[i]} of the identity, for the batch ``rows``
+    of sets of indices below n, each set holding its target: (N, max |I_i|),
+    one where set i holds targets[i] and zero elsewhere, rows in sorted
+    order.  This is ``extract_blocks`` of the identity without its gather."""
+    ptr = rows[0]
+    N = ptr.size - 1
+    out = np.zeros((N, int((ptr[1:] - ptr[:-1]).max(initial=0))))
+    at = np.searchsorted(batch_keys(rows, n), np.arange(N) * n + targets)
+    out[np.arange(N), at - ptr[:-1]] = 1.0
     return out
 
 

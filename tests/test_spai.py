@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dd_sparse
-from spai_ir.precision import DOUBLE, HALF, SINGLE, fl, fl_norm2
+from spai_ir.precision import DOUBLE, HALF, SINGLE, fl, fl_norm2, quiet
 from spai_ir.spai import (
     RankDeficiencySignal,
     SpaiParams,
@@ -341,6 +341,7 @@ def ascending_residual(Abar, mbar, ebar, uf):
         return fl(y - ebar, uf)
 
 
+@quiet
 def reference_build_spai(At, params):
     """Column-by-column adaptive loop through the public one-column kernels.
 
