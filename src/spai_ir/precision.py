@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,21 +199,42 @@ def _padded_length(m: int) -> int:
     return 1 << max(m - 1, 0).bit_length()
 
 
-def _levels(buf: np.ndarray):
-    """The pairwise tree over axis 0 of ``buf`` as ``(a, b, out)`` views.
+def _levels(buf: np.ndarray, m: int) -> list:
+    """The pairwise tree over the first ``m`` rows of ``buf`` as ``(a, b,
+    out)`` views.
 
-    ``buf`` holds the padded terms, ``size`` a power of two, then room for
-    every level's sums: ``2 * size - 1`` rows in all.  A level adds the even
-    and odd rows of its input, ``a + b``, into ``out``, the rows right after
-    that input, which are the next level's input; the total ends in the
-    last row.  Writing each level beside its input, not over it, keeps every
-    output contiguous and apart from its operands, so numpy neither checks
-    nor copies for overlap.
+    ``buf`` holds the terms padded with -0 to ``size``, a power of two,
+    then room for every level's sums: ``2 * size - 1`` rows in all.  A
+    level adds the even and odd rows of its input, ``a + b``, into
+    ``out``, the rows right after that input, which are the next level's
+    input; the total ends in the last row.  Writing each level beside its
+    input, not over it, keeps every output contiguous and apart from its
+    operands, so numpy neither checks nor copies for overlap.
+
+    A pair of padding rows sums to -0, so a level adds only the pairs that
+    hold a term and leaves the rest of its output alone; where its last
+    pair ends on a term, the row after it, which the next level reads, is
+    set to -0 here.  The sums are those of the whole padded tree.
     """
-    n, lo = (buf.shape[0] + 1) // 2, 0
+    views = []
+    for a, b, out, pad in _level_slices(m):
+        if pad is not None:
+            buf[pad] = -0.0
+        views.append((buf[a], buf[b], buf[out]))
+    return views
+
+
+@functools.lru_cache(maxsize=None)
+def _level_slices(m: int) -> tuple:
+    """The slices of :func:`_levels` for ``m`` terms, and each level's row
+    to set to -0 (or None)."""
+    n, lo, plan = _padded_length(m), 0, []
     while n > 1:
-        yield buf[lo : lo + n : 2], buf[lo + 1 : lo + n : 2], buf[lo + n : lo + n + n // 2]
-        lo, n = lo + n, n // 2
+        h = (m + 1) // 2  # pairs that hold a term
+        pad = lo + n + h if h % 2 and h < n // 2 else None
+        plan.append((slice(lo, lo + 2 * h, 2), slice(lo + 1, lo + 2 * h, 2), slice(lo + n, lo + n + h), pad))
+        lo, n, m = lo + n, n // 2, h
+    return tuple(plan)
 
 
 def _reduce(levels, p: Precision | None = None) -> None:
@@ -221,7 +243,17 @@ def _reduce(levels, p: Precision | None = None) -> None:
     for a, b, out in levels:
         np.add(a, b, out)
         if p is not None:
-            fl(out, p, inplace=True)
+            out[...] = out.astype(p.dtype)  # fl(out, p, inplace=True), without the call
+
+
+@functools.lru_cache(maxsize=128)
+def _tree(m: int, dtype, thread: int):
+    """A buffer of :func:`fl_sum`'s tree for one line of length ``m`` in
+    ``dtype``, padding set, and the views of its levels; one per thread."""
+    size = _padded_length(m)
+    buf = np.empty(2 * size - 1, dtype)
+    buf[m:size] = -0.0 if m else 0.0  # the sum of no terms is +0
+    return buf, _levels(buf, m)
 
 
 def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarray | float:
@@ -251,6 +283,12 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     """
     s = np.asarray(v)
     native = s.dtype.type is p.dtype
+    rounding = None if native or p.dtype is None else p
+    if s.ndim == 1 and lengths is None:
+        buf, levels = _tree(s.size, s.dtype if native else np.float64, threading.get_ident())
+        buf[: s.size] = s
+        _reduce(levels, rounding)
+        return buf[-1] if native else float(buf[-1])
     if axis:
         s = s.swapaxes(0, 1) if axis == 1 else np.moveaxis(s, axis, 0)
     m, rest = s.shape[0], s.shape[1:]
@@ -258,15 +296,16 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     buf = np.empty((2 * size - 1,) + rest, s.dtype if native else np.float64)
     if lengths is not None:
         lengths = np.asarray(lengths, dtype=np.int64)  # the mask below broadcasts it
-        if lengths.size and (lengths.min() < 0 or lengths.max() > m):
+        # one reduction checks both ends: a negative length reads as a huge unsigned one
+        if lengths.size and lengths.view(np.uint64).max() > m:
             raise ValueError(f"lengths must lie in [0, {m}]")
         buf[0] = 0.0  # the sum of no terms is +0
-        buf[1:size] = -0.0
+        buf[1 : m + 1] = -0.0
         np.copyto(buf[:m], s, where=np.arange(m).reshape((m,) + (1,) * len(rest)) < lengths)
     else:
         buf[:m] = s
-        buf[m:size] = -0.0 if m else 0.0  # the sum of no terms is +0
-    _reduce(_levels(buf), None if native or p.dtype is None else p)
+        buf[m : m + 1] = -0.0 if m else 0.0  # the sum of no terms is +0
+    _reduce(_levels(buf, m), rounding)
     out = buf[-1]
     if out.ndim:
         return out.copy()  # not a view that keeps the whole buffer alive
@@ -293,7 +332,7 @@ class PairwisePlan:
         self._buf = np.empty(2 * size - 1, p.dtype or np.float64)
         self._buf[m:size] = -0.0 if m else 0.0  # the sum of no terms is +0
         self._head = self._buf[:m]
-        self._levels = list(_levels(self._buf))
+        self._levels = _levels(self._buf, m)
 
     def dot(self, u: np.ndarray, v: np.ndarray):
         np.multiply(u, v, out=self._head)

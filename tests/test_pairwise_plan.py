@@ -11,13 +11,18 @@ by one call may reach the next.  Lengths run over 0..70 and both sides of
 random bit patterns of the format with signed zeros, subnormals, values
 whose products or sums overflow it, infinities and NaN, and some draws
 make every product -0.
+
+A 1-d ``fl_sum`` reuses one such tree per length and dtype as well, and a
+batched one adds only the pairs of each level that hold a term; both are
+compared with ``reference_sum``, and a 1-d result must not change when a
+later call reuses its tree.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spai_ir.precision import DOUBLE, HALF, SINGLE, PairwisePlan, fl, fl_dot, fl_norm2
+from spai_ir.precision import DOUBLE, HALF, SINGLE, PairwisePlan, fl, fl_dot, fl_norm2, fl_sum
 
 FORMATS = {"half": (HALF, np.uint16), "single": (SINGLE, np.uint32), "double": (DOUBLE, np.uint64)}
 LENGTHS = list(range(71)) + [127, 128, 129, 1023, 1024, 1025]
@@ -109,3 +114,52 @@ def test_plan_edge_sums():
             with np.errstate(invalid="ignore"):
                 assert np.isnan(plan.dot(terms, ones)) == (m > 1), m
             assert same(plan.dot(ones, ones), m), m
+
+
+def reference_sum(s: np.ndarray, p) -> float:
+    """The pairwise tree over the terms ``s`` padded with -0 (+0 for no
+    terms), each level a new array rounded to ``p``."""
+    s = np.asarray(s, dtype=np.float64)
+    size = 1 << max(len(s) - 1, 0).bit_length()
+    s = np.concatenate([s, np.full(size - len(s), -0.0 if len(s) else 0.0)])
+    while len(s) > 1:
+        s = fl(s[0::2] + s[1::2], p)
+    return float(s[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_cases())
+def test_1d_sums_equal_the_reference_and_keep_their_results(case):
+    """A 1-d ``fl_sum`` reuses one tree per length and storage dtype: its
+    results equal ``reference_sum`` on the native array and on its float64
+    copy, come back as scalars, and do not change when later calls of the
+    same length reuse the tree."""
+    p, m, pairs = case
+    kept = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u, v in pairs:
+            terms = fl(u.astype(np.float64) * v.astype(np.float64), p)
+            want = reference_sum(terms, p)
+            native = terms.astype(p.dtype or np.float64)
+            for got in (fl_sum(native, p), fl_sum(terms, p)):
+                assert np.ndim(got) == 0 and same(got, want), (m, got, want)
+                kept.append((got, want))
+    for got, want in kept:
+        assert same(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan_cases(), st.integers(0, 2**32 - 1))
+def test_batched_sums_with_lengths_equal_the_reference_line_by_line(case, seed):
+    """The levels of a batched sum add only the pairs that hold a term of
+    the longest line; each line, cut at its own length, still sums to
+    ``reference_sum`` of its terms."""
+    p, m, pairs = case
+    rng = np.random.RandomState(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.stack([fl(u.astype(np.float64) * v.astype(np.float64), p) for u, v in pairs], axis=1)
+        lengths = rng.randint(0, m + 1, size=terms.shape[1])
+        for store in {np.float64, p.dtype or np.float64}:
+            got = fl_sum(terms.astype(store), p, axis=0, lengths=lengths)
+            for c, n in enumerate(lengths):
+                assert same(got[c], reference_sum(terms[:n, c], p)), (m, n, c)
