@@ -1,0 +1,75 @@
+"""Property test: the rounded ``matvec`` equals a scalar loop bit for bit.
+
+``sparse.matvec(A, x, p)`` accumulates each row through padded row slots.
+The oracle walks the compressed columns instead: for every row it adds
+fl(a_ij * x_j) to a sum that starts from +0, column by column in
+ascending order, on numpy scalars of p's dtype (float64 for double), whose
+operations round once as the emulation does.  Matrices and vectors hold
+values of the format: random bit patterns mixed with signed zeros,
+subnormals and values whose products or sums overflow; some rows are empty.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spai_ir.precision import DOUBLE, HALF, SINGLE
+from spai_ir.sparse import SparseMatrix, matvec
+
+FORMATS = {"half": (HALF, np.uint16), "single": (SINGLE, np.uint32), "double": (DOUBLE, np.uint64)}
+SPECIAL = np.array([0.0, -0.0, 2.0**-24, -(2.0**-24), 2.0**-14, 2.0**-149, -(2.0**-149), 2.0**-126,
+                    5e-324, -5e-324, 2.2250738585072014e-308, 255.9, 65504.0, -65504.0,
+                    3.4028234663852886e38, -3.4028234663852886e38, 1.7976931348623157e308,
+                    -1.3407807929942596e154, 1.0, -1.0])
+
+
+def values(rng, p, bits, shape, mix):
+    """Finite values of the format: random bit patterns, some replaced by
+    the special values the format holds."""
+    dtype = p.dtype or np.float64
+    with np.errstate(over="ignore", invalid="ignore"):
+        special = SPECIAL[dtype(SPECIAL).astype(np.float64) == SPECIAL]
+        x = rng.randint(0, np.iinfo(bits).max, size=shape, dtype=bits).view(dtype).astype(np.float64)
+    x[~np.isfinite(x)] = -0.0
+    return np.where(rng.rand(*shape) < mix, rng.choice(special, shape), x)
+
+
+@st.composite
+def matvec_cases(draw):
+    p, bits = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    mix = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    dense = values(rng, p, bits, (n_rows, n_cols), mix)
+    dense *= rng.rand(n_rows, n_cols) < draw(st.sampled_from([0.2, 0.5, 1.0]))
+    dense[rng.rand(n_rows) < 0.25] = 0.0  # empty rows
+    return p, SparseMatrix.from_dense(dense), values(rng, p, bits, (n_cols,), mix)
+
+
+def scalar_matvec(A: SparseMatrix, x: np.ndarray, p) -> np.ndarray:
+    """Row by row, +0 plus fl(a_ij * x_j) for the row's entries in ascending
+    column order, on numpy scalars of p's dtype."""
+    dt = p.dtype or np.float64
+    entries = [[] for _ in range(A.n_rows)]
+    for j in range(A.n_cols):  # columns in ascending order
+        rows, vals = A.col(j)
+        for i, a in zip(rows, vals):
+            entries[i].append((a, x[j]))
+    out = np.empty(A.n_rows)
+    for i, row in enumerate(entries):
+        y = dt(0.0)
+        for a, xj in row:
+            y = dt(y + dt(dt(a) * dt(xj)))
+        out[i] = y
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(matvec_cases())
+def test_matvec_equals_the_scalar_loop_bit_for_bit(case):
+    p, A, x = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = matvec(A, x, p), scalar_matvec(A, x, p)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes(), (got, want)
