@@ -6,6 +6,17 @@ and while the column residual is above the tolerance the pattern is grown
 with the candidate indices that most reduce the residual in a univariate
 sense.  All arithmetic runs in a configurable emulated precision; single
 builds compute natively in float32, as GMRES does, with the same bits.
+
+A column's least-squares block keeps its rows and columns in arrival
+order: those of the previous round in their order, then the new ones in
+ascending order.  In that order the old columns are zero in the new rows,
+so the Householder factorization of the grown block continues the stored
+one: each round applies a column's stored reflectors to its new columns
+only and goes on from the old width, with the bits of a factorization from
+scratch (Grote & Huckle, SISC 1997, update the QR factorization across
+rounds the same way).  Only the factorization sees that order: the
+solution, the residual, its norm and the scores keep the ascending order
+of the indices.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from .precision import QUAD, SINGLE, Precision, fl, fl_dot, fl_norm2, fl_op, fl_
 # shadow and extract_submatrix stay bound here for perfbench/tracer.py
 from .sparse import SparseMatrix, batch_keys, column_scale, extract_blocks, extract_submatrix  # noqa: F401
 from .sparse import in_arrival_order, keys_to_batch, one_set, owners, shadow, shadows, take_sets  # noqa: F401
-from .sparse import arrived_since, distinct, to_index_order, unit_blocks
+from .sparse import arrived_since, distinct, to_index_order
 
 __all__ = [
     "SpaiParams",
@@ -443,12 +454,14 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     The input values are first rounded into the build precision (entries
     that round to zero are dropped).  Columns are independent and advance in
     lockstep: each round solves the least-squares problems of every
-    unfinished column in one batch (:func:`solve_ls_batch`), tests each
-    column, grows the patterns of those above the tolerance in one batch
-    (:func:`augment_patterns`), and drops the columns that finished.  The
-    unfinished columns' patterns and shadows are held as batches
-    ``(ptr, idx)`` of sorted index sets (see :mod:`spai_ir.sparse`).  Every
-    column is bit-identical to its own adaptive loop.  Abnormal columns
+    unfinished column in one batch, tests each column, grows the patterns
+    of those above the tolerance in one batch (:func:`augment_patterns`),
+    and drops the columns that finished.  The unfinished columns' patterns
+    and shadows are held as ordered batches ``(ptr, idx, at)`` (see
+    :mod:`spai_ir.sparse`), their Householder factorizations in arrival
+    order from one round to the next (see the module docstring).  Every
+    column is bit-identical to its own adaptive loop that factors each
+    round's block from scratch in arrival order.  Abnormal columns
     (overflow, stagnation, rank deficiency) are frozen at their last finite
     state and flagged rather than aborting the whole construction.  Each
     column of ``P`` holds the values of its last completed least-squares
@@ -468,6 +481,7 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
             f"zero diagonal at index {no_diag[0]}: identity initial pattern needs a nonzero diagonal"
         )
     B_t = B.transpose()
+    E = SparseMatrix.identity(n)
     alpha = params.resolved_alpha(n)
 
     resnorm = np.full(n, np.inf)
@@ -487,9 +501,9 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
         # every pattern holds k and B[k, k] != 0, so every shadow holds row k
         I = in_arrival_order(I, shadows(B, J), n)
         m, p = np.diff(I[0]), np.diff(J[0])
-        # e lies on row k, which every shadow holds from the first round on,
-        # when rows in arrival order are ascending; no later round adds it
-        ebar = unit_blocks(I, active, n)
+        # e is the unit vector on row k: the first round's rows come in
+        # ascending order, and no later round adds row k
+        ebar = extract_blocks(E, I, (np.arange(active.size + 1), active))[:, :, 0]
         new = extract_blocks(B, I, arrived_since(J, qr.p), ordered=True)
         qr, deficient = _extend_qr(qr, new, ebar if not step else np.zeros_like(ebar), m, p, uf)
         mbar = to_index_order(J, _back_substitute(qr, uf))

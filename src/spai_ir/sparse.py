@@ -1,6 +1,13 @@
 """Compressed-column sparse matrices, Matrix Market ingestion, batches of
 index sets, and kernels (shadows, block extraction, column scaling, rounded
 matrix-vector products).
+
+A batch of index sets may carry each entry's position in its set's arrival
+order, as the SPAI build needs for its least-squares blocks: the entries
+that a set held before keep their positions, and those it gains follow in
+ascending order (:func:`in_arrival_order`).  :func:`extract_blocks` places
+rows and columns by those positions on request, and :func:`arrived_since`
+and :func:`to_index_order` move between the two orders.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ __all__ = [
     "shadows",
     "extract_submatrix",
     "extract_blocks",
-    "unit_blocks",
     "column_scale",
     "matvec",
 ]
@@ -378,10 +384,10 @@ def arrived_since(batch, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     its first ``k[i]``, as an ordered batch with positions counted from
     ``k[i]``."""
     ptr, idx, at = batch
-    first = k[owners(ptr)]
-    late = at >= first
-    counts = np.bincount(owners(ptr)[late], minlength=ptr.size - 1)
-    return np.concatenate([[0], np.cumsum(counts)]), idx[late], at[late] - first[late]
+    owner = owners(ptr)
+    late = at >= k[owner]
+    counts = np.bincount(owner[late], minlength=ptr.size - 1)
+    return np.concatenate([[0], np.cumsum(counts)]), idx[late], (at - k[owner])[late]
 
 
 def to_index_order(batch, X: np.ndarray) -> np.ndarray:
@@ -438,19 +444,6 @@ def extract_blocks(A: SparseMatrix, rows, cols, ordered: bool = False) -> np.nda
     hit[hit] = I_keys[at[hit]] == keys[hit]
     owner, at, which = owner[hit], at[hit], which[hit]
     out[owner, row_at[at], col_at[which]] = A.data[pos[hit]]
-    return out
-
-
-def unit_blocks(rows, targets: np.ndarray, n: int) -> np.ndarray:
-    """The blocks I_i x {targets[i]} of the identity, for the batch ``rows``
-    of sets of indices below n, each set holding its target: (N, max |I_i|),
-    one where set i holds targets[i] and zero elsewhere, rows in sorted
-    order.  This is ``extract_blocks`` of the identity without its gather."""
-    ptr = rows[0]
-    N = ptr.size - 1
-    out = np.zeros((N, int((ptr[1:] - ptr[:-1]).max(initial=0))))
-    at = np.searchsorted(batch_keys(rows, n), np.arange(N) * n + targets)
-    out[np.arange(N), at - ptr[:-1]] = 1.0
     return out
 
 
