@@ -153,6 +153,8 @@ def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
 
 
 def _dtype(uf: Precision):
+    """A build's storage: float32 for single, which computes natively, and
+    float64 for the round trip of half and for double."""
     return np.float32 if uf == SINGLE else np.float64
 
 
@@ -201,12 +203,31 @@ def _put(dst: np.ndarray, new: np.ndarray, where: np.ndarray) -> None:
         np.copyto(dst, new, where=where)
 
 
-def _reflect(trail: np.ndarray, v: np.ndarray, coef: np.ndarray, upd: np.ndarray, uf: Precision) -> None:
+def _padding(W: np.ndarray, m) -> np.ndarray:
+    """Set the rows of ``W`` (N, M, cols) past each item's ``m`` to +0 and
+    return them as an (N, M) mask.
+
+    The Householder loops keep those rows +0 in every column that a step
+    updates and -0 in the reflector: a product of the two is -0, the exact
+    additive identity that :func:`fl_sum` pads with, so the reductions take
+    the whole column with the bits of summing each item's own rows alone.
+    """
+    pad = np.arange(W.shape[1]) >= np.asarray(m)[:, None]
+    np.copyto(W, 0.0, where=pad[:, :, None])
+    return pad
+
+
+def _reflect(trail: np.ndarray, v: np.ndarray, coef: np.ndarray, upd: np.ndarray, uf: Precision,
+             pad: np.ndarray) -> None:
     """``trail - v coef``, every operation rounded to ``uf``, into the items
     ``upd`` of ``trail`` (k, rows, cols); ``v`` is (k, rows, 1) and
-    ``coef`` (k, cols)."""
+    ``coef`` (k, cols).  A coefficient that overflowed leaves NaN (0 * inf)
+    in the padding rows ``pad`` (k, rows), which are set back to +0 (see
+    :func:`_padding`)."""
     t = fl(v * coef[:, None, :], uf, inplace=True)
     _put(trail, fl(np.subtract(trail, t, out=t), uf, inplace=True), upd[:, None, None])
+    if not np.isfinite(coef).all():
+        np.copyto(trail, 0.0, where=pad[:, :, None])
 
 
 def _householder(W: np.ndarray, m, p, uf: Precision):
@@ -217,17 +238,18 @@ def _householder(W: np.ndarray, m, p, uf: Precision):
     and a flag per item that is set for a wide block or a zero pivot
     column.  Column j keeps its reflector from the diagonal down.
     """
-    N, P = W.shape[0], W.shape[2] - 1
+    N, M, P = W.shape[0], W.shape[1], W.shape[2] - 1
     deficient = p > m
     p = np.where(deficient, 0, p)
     rdiag, vtv = np.zeros((N, P), W.dtype), np.zeros((N, P), W.dtype)
-    steps = int(p.max(initial=0))
-    for j, k in enumerate(_reach(p, steps)):
+    pad = _padding(W, m)
+    for j, k in enumerate(_reach(p, int(p.max(initial=0)))):
         Wk = W[:k]
         live = (j < p[:k]) & ~deficient[:k]
-        rows = np.maximum(m[:k] - j, 0)
-        x0 = Wk[:, j, j].copy()
-        nx = fl_norm2(Wk[:, j:, j], uf, axis=1, lengths=rows)
+        x = Wk[:, j:, j]
+        np.copyto(x, -0.0, where=pad[:k, j:])
+        x0 = x[:, 0].copy()
+        nx = fl_norm2(x, uf, axis=1)
         deficient[:k] |= live & (nx == 0.0)
         live &= nx != 0.0
         alpha = np.where(x0 >= 0.0, -nx, nx)
@@ -235,10 +257,10 @@ def _householder(W: np.ndarray, m, p, uf: Precision):
         # H = I - 2 v v^T / (v^T v) updates the trailing block and e
         Wk[:, j, j] = fl(x0 - alpha, uf)
         v = Wk[:, j:, j, None]
-        d = fl_dot(v, Wk[:, j:, j:], uf, axis=1, lengths=rows[:, None])
+        d = fl_dot(v, Wk[:, j:, j:], uf, axis=1)
         vtv[:k, j], trail = d[:, 0], Wk[:, j:, j + 1 :]
         coef = fl(fl(2.0 * d[:, 1:], uf) / d[:, :1], uf)
-        _reflect(trail, v, coef, live & (d[:, 0] != 0.0), uf)
+        _reflect(trail, v, coef, live & (d[:, 0] != 0.0), uf, pad[:k, j:])
         _put(Wk[:, j, j], x0, ~live)
         rdiag[:k, j] = np.where(live, alpha, x0)
     return rdiag, vtv, deficient
@@ -274,18 +296,19 @@ def _extend_qr(qr: _Qr, Anew, ebar, m, p, uf: Precision):
     pn, Pn = p - p_old, int((p - p_old).max(initial=0))
     An = np.array(np.asarray(Anew)[:, :, :Pn], dtype=dt)
     N, M = An.shape[:2]
+    pad = _padding(An, m)
     old_rows = np.arange(M_old) < m_old[:, None]
     W = np.zeros((N, M, P), dt)
     np.copyto(W[:, :M_old, :P_old], qr.W[:, :M_old, :P_old], where=old_rows[:, :, None])
+    np.copyto(W[:, :, :P_old], -0.0, where=pad[:, :, None])  # the stored reflectors' padding
     qte = np.array(ebar, dtype=dt)
     np.copyto(qte[:, :M_old], qr.qte[:, :M_old], where=old_rows)
     vtv_old = qr.vtv[:, :P_old]
     upd = (np.arange(P_old) < p_old[:, None]) & (vtv_old != 0.0)
-    rows = np.maximum(m[:, None] - np.arange(P_old), 0)
     for j, k in enumerate(_reach(p_old, P_old)):
         v, trail = W[:k, j:, j, None], An[:k, j:]
-        d = fl_dot(v, trail, uf, axis=1, lengths=rows[:k, j, None])
-        _reflect(trail, v, fl(fl(2.0 * d, uf) / vtv_old[:k, j, None], uf), upd[:k, j], uf)
+        d = fl_dot(v, trail, uf, axis=1)
+        _reflect(trail, v, fl(fl(2.0 * d, uf) / vtv_old[:k, j, None], uf), upd[:k, j], uf, pad[:k, j:])
     # the new columns' own steps run on their rows from the old width down,
     # the items in descending count of new columns
     order = np.argsort(-pn, kind="stable")
@@ -370,7 +393,7 @@ def rho_scores(sbar: np.ndarray, C: np.ndarray, m, uf: Precision) -> np.ndarray:
     :func:`augment_patterns` NaN, so that no candidate passes and the column
     stagnates although a good candidate exists.
     """
-    dt = np.float32 if uf == SINGLE else np.float64  # as in solve_ls_batch
+    dt = _dtype(uf)
     sbar, C = np.asarray(sbar, dtype=dt), np.asarray(C, dtype=dt)
     m = np.asarray(m, dtype=np.int64)
     ss = fl_dot(sbar, sbar, uf, axis=1, lengths=m)
