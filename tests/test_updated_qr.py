@@ -109,29 +109,25 @@ def test_carried_factorization_equals_a_fresh_one(case):
     check_carried_equals_fresh(*case)
 
 
-@st.composite
-def wild_builds(draw):
-    """A sparse matrix with a nonzero diagonal whose entries span many
-    decades, so that in half or single some columns overflow, lose rank
-    or stagnate, with the build's settings."""
-    uf = draw(st.sampled_from([HALF, SINGLE]))
-    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
-    n = int(rng.randint(2, 25))
-    span = 6 if uf is HALF else 24
-    d = rng.randn(n, n) * (rng.rand(n, n) < 0.3) * 10.0 ** rng.randint(-span, span + 1, size=(n, n))
-    np.fill_diagonal(d, (1 + rng.rand(n)) * 10.0 ** rng.randint(-span // 2, span // 2 + 1, size=n))
-    eps, alpha, beta = draw(st.sampled_from([(0.05, None, 8), (0.3, 2, 1), (0.1, None, 3)]))
-    return SparseMatrix.from_dense(d), SpaiParams(eps=eps, alpha=alpha, beta=beta, uf=uf)
-
-
 def wild(uf, seed, eps, alpha, beta):
-    """The draw of :func:`wild_builds` for a seed, for the examples below."""
+    """A sparse matrix with a nonzero diagonal whose entries span many
+    decades, so that in half or single some columns overflow, lose rank or
+    stagnate, and the build's settings."""
     rng = np.random.RandomState(seed)
     n = int(rng.randint(2, 25))
     span = 6 if uf is HALF else 24
     d = rng.randn(n, n) * (rng.rand(n, n) < 0.3) * 10.0 ** rng.randint(-span, span + 1, size=(n, n))
     np.fill_diagonal(d, (1 + rng.rand(n)) * 10.0 ** rng.randint(-span // 2, span // 2 + 1, size=n))
     return SparseMatrix.from_dense(d), SpaiParams(eps=eps, alpha=alpha, beta=beta, uf=uf)
+
+
+SETTINGS = [(0.05, None, 8), (0.3, 2, 1), (0.1, None, 3)]
+
+
+@st.composite
+def wild_builds(draw):
+    return wild(draw(st.sampled_from([HALF, SINGLE])), draw(st.integers(0, 2**32 - 1)),
+                *draw(st.sampled_from(SETTINGS)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,7 +146,8 @@ def test_carried_build_equals_a_fresh_arrival_order_build(case):
 
 
 def test_examples_reach_every_abnormal_status():
-    for uf, cases in ((HALF, [(0, 0.05, None, 8), (108, 0.3, 2, 1)]), (SINGLE, [(0, 0.05, None, 8), (24, 0.05, None, 8)])):
+    for uf, cases in ((HALF, [(0, 0.05, None, 8), (108, 0.3, 2, 1)]),
+                      (SINGLE, [(0, 0.05, None, 8), (24, 0.05, None, 8)])):
         seen = set()
         for case in cases:
             seen.update(assert_matches_reference(*wild(uf, *case)).col_status)
