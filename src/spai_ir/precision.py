@@ -246,6 +246,9 @@ def _reduce(levels, p: Precision | None = None) -> None:
             out[...] = out.astype(p.dtype)  # fl(out, p, inplace=True), without the call
 
 
+_TREE_MAX = 1 << 16  # longest 1-d line whose tree is kept, so the cache stays small
+
+
 @functools.lru_cache(maxsize=128)
 def _tree(m: int, dtype, thread: int):
     """A buffer of :func:`fl_sum`'s tree for one line of length ``m`` in
@@ -267,7 +270,8 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     representable in ``p`` already.  Reduces along ``axis``; a 1-d input
     gives a float.  The tree runs level by level in one buffer that holds
     the padded copy and every level's sums (:func:`_levels`, :func:`_reduce`,
-    which :class:`PairwisePlan` runs too).
+    which :class:`PairwisePlan` runs too); a 1-d line of up to 2**16 terms
+    reuses one such buffer per length and dtype (:func:`_tree`).
 
     An array stored in ``p.dtype`` (float16 or float32) is summed in that
     dtype, level by level, and a 1-d one gives a scalar of that dtype.  The
@@ -284,7 +288,7 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
     s = np.asarray(v)
     native = s.dtype.type is p.dtype
     rounding = None if native or p.dtype is None else p
-    if s.ndim == 1 and lengths is None:
+    if s.ndim == 1 and lengths is None and s.size <= _TREE_MAX:
         buf, levels = _tree(s.size, s.dtype if native else np.float64, threading.get_ident())
         buf[: s.size] = s
         _reduce(levels, rounding)

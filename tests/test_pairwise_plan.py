@@ -163,3 +163,11 @@ def test_batched_sums_with_lengths_equal_the_reference_line_by_line(case, seed):
             got = fl_sum(terms.astype(store), p, axis=0, lengths=lengths)
             for c, n in enumerate(lengths):
                 assert same(got[c], reference_sum(terms[:n, c], p)), (m, n, c)
+
+
+def test_long_1d_sums_bypass_the_kept_trees():
+    """Lines longer than the kept trees take the batched path, with the same bits."""
+    rng = np.random.RandomState(3)
+    for m in (2**16, 2**16 + 1):
+        terms = fl(rng.standard_normal(m), HALF)
+        assert same(fl_sum(terms, HALF), reference_sum(terms, HALF)), m
