@@ -16,9 +16,10 @@ that GMRES's dots and norms, thousands per solve, reuse them with the
 bits of :func:`fl_dot` and :func:`fl_norm2`.
 
 Half and single values may instead be stored in their own numpy dtype
-(``Precision.dtype``) and computed on natively, as GMRES (:mod:`spai_ir.krylov`)
-and single-precision SPAI builds (:mod:`spai_ir.spai`) do, with the same
-bits: an IEEE ``+ - * / sqrt`` in float16 or float32 is the exact result
+(``Precision.dtype``) and computed on natively, as GMRES (:mod:`spai_ir.krylov`),
+single-precision SPAI builds (:mod:`spai_ir.spai`) and single-precision
+dense LU and substitution (:func:`dense_lu`, :meth:`DenseLu.substitute`) do,
+with the same bits: an IEEE ``+ - * / sqrt`` in float16 or float32 is the exact result
 rounded once, and so is the float64 operation followed by :func:`fl`, since
 binary64 carries at least 2t + 2 significant bits for t = 11 and t = 24 and
 that double rounding is innocuous (Figueroa, "When is double rounding
@@ -33,6 +34,13 @@ kernel and the primitives ``fl_op``, ``fl_sum``, ``fl_dot`` and ``fl_norm2``
 stay bare because they run in the innermost loops; a caller outside the
 package wraps them in :func:`quiet`.
 
+The emulated dense LU does only the work that can change a bit: an
+elimination step updates only the rows and columns that its nonzero
+multipliers and pivot row reach inside the input's structural envelope, and
+the substitution runs over the band of the final factors, so both cost
+what the bandwidth of the ordered matrix implies, with the bits of the
+loops over whole columns.
+
 The quad-emulated format is realized with compensated double-double
 arithmetic built on error-free transformations; it is used for high
 accuracy residuals and reference solves, not as a storage format.
@@ -43,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -448,13 +456,33 @@ def dd_residual(A, x, b) -> np.ndarray:
 class DenseLu:
     """Partial-pivoting factors of (a row permutation of) a dense matrix.
 
-    ``lu`` packs both factors in one array: U on and above the diagonal,
-    the multipliers of the unit lower factor L below it.  Row ``k`` of the
-    factored matrix is row ``perm[k]`` of the input.
+    ``lu`` packs both factors in one float64 array: U on and above the
+    diagonal, the multipliers of the unit lower factor L below it.  Row
+    ``k`` of the factored matrix is row ``perm[k]`` of the input.  ``uf`` is
+    the precision the factors were computed in (double if not known); the
+    entries of half and single factors are single values, so
+    :meth:`substitute` in single runs natively in float32 on them.
+
+    Two reach tables, taken once from the final factors (after every row
+    swap), bound the substitution: ``l_end[k]`` is one past the last
+    nonzero multiplier in column k of L (k + 1 if there is none), and
+    ``u_start[k]`` is the first nonzero row of column k of U above the
+    diagonal (k if there is none).
     """
 
     lu: np.ndarray
     perm: np.ndarray
+    uf: Precision = DOUBLE
+    l_end: np.ndarray = field(init=False, repr=False)
+    u_start: np.ndarray = field(init=False, repr=False)
+    _band: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        n = self.lu.shape[0]
+        nz = self.lu.T != 0.0  # row k of nz is column k of the factors
+        steps = np.arange(n)
+        self.l_end = np.maximum(n - nz[:, ::-1].argmax(axis=1), steps + 1)
+        self.u_start = np.minimum(nz.argmax(axis=1), steps)
 
     @property
     def nnz_lu(self) -> int:
@@ -462,24 +490,98 @@ class DenseLu:
         with the diagonal of U."""
         return int(np.count_nonzero(self.lu))
 
+    def _steps(self, dtype, l_end: np.ndarray, u_start: np.ndarray) -> tuple:
+        """The steps of the substitution in ``dtype`` over the rows that
+        the reach tables give: forward ``(k, first row, end row, column of
+        L)`` and back ``(k, first row, column of U, pivot)``.  The columns
+        are copies in ``dtype``, gathered by one indexing of ``lu``."""
+        n = self.lu.shape[0]
+        k = np.arange(n)
+        starts = np.concatenate([k + 1, u_start])
+        ends = np.concatenate([l_end, k])
+        lengths = ends - starts
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+        vals = self.lu[rows, np.repeat(np.concatenate([k, k]), lengths)].astype(dtype)
+        cols = [vals[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+        pivots = list(self.lu.diagonal().astype(dtype))
+        forward = [(j, j + 1, end, cols[j]) for j, end in enumerate(l_end[:-1].tolist()) if end > j + 1]
+        back = [(j, start, cols[n + j], pivots[j]) for j, start in reversed(list(enumerate(u_start.tolist())))]
+        return forward, back
+
     @quiet
     def substitute(self, b: np.ndarray, p: Precision) -> np.ndarray:
         """Solve L U x = b for ``b`` already in pivot order by forward and
-        back substitution, every operation rounded to ``p``."""
-        lu = self.lu
-        x = fl(np.array(b, dtype=np.float64), p, inplace=True)
-        for k in range(lu.shape[0] - 1):
-            x[k + 1 :] = fl(x[k + 1 :] - fl(lu[k + 1 :, k] * x[k], p), p)
-        for k in range(lu.shape[0] - 1, -1, -1):
-            x[k] = fl(x[k] / lu[k, k], p)
-            x[:k] = fl(x[:k] - fl(lu[:k, k] * x[k], p), p)
-        return x
+        back substitution, every operation rounded to ``p``; returns float64.
+
+        Step k of the forward loop runs over the rows of column k of L up to
+        ``l_end[k]``, step k of the back loop over the rows of column k of U
+        from ``u_start[k]``, so the cost follows the band of the factors,
+        not n**2.  The operations and their order are those of the loops
+        over whole columns, and so are the bits: a skipped entry is a zero
+        factor, and x_i - fl(+-0 * x_k) = x_i unless x_i is -0 or x_k is not
+        finite.  No -0 arises in x from a right-hand side without one, so a
+        -0 in the rounded ``b`` takes the whole columns from the start, and
+        a result that is not finite is computed again over them.  The band
+        steps are built once per dtype and kept.
+
+        Single-precision substitution of half or single factors runs
+        natively in float32, with the bits of the float64 round trip (see
+        the module docstring); half keeps float64 and :func:`fl`.
+        """
+        native = p is SINGLE and self.uf in (HALF, SINGLE)
+        dtype = np.float32 if native else np.float64
+        rounding = None if native or p.dtype is None else p
+        x = np.array(b, dtype=dtype)
+        if rounding is not None:
+            fl(x, rounding, inplace=True)
+        if not np.signbit(x[x == 0.0]).any():
+            if dtype not in self._band:
+                self._band[dtype] = self._steps(dtype, self.l_end, self.u_start)
+            y = _substitute(x.copy(), self._band[dtype], rounding)
+            if np.isfinite(y).all():
+                return y.astype(np.float64, copy=False)
+        n = x.shape[0]
+        y = _substitute(x, self._steps(dtype, np.full(n, n), np.zeros(n, np.int64)), rounding)
+        return y.astype(np.float64, copy=False)
+
+
+def _substitute(x: np.ndarray, steps: tuple, rounding: Precision | None) -> np.ndarray:
+    """Forward and back substitution in place on ``x`` through the steps
+    of :meth:`DenseLu._steps`; every operation is rounded to ``rounding``,
+    or computed natively in ``x``'s dtype when it is None."""
+    forward, back = steps
+    for k, start, end, col in forward:
+        seg = x[start:end]
+        if rounding is None:
+            seg -= col * x[k]
+        else:
+            seg -= fl(col * x[k], rounding, inplace=True)
+            fl(seg, rounding, inplace=True)
+    for k, start, col, pivot in back:
+        xk = x[k] / pivot
+        x[k] = xk = xk if rounding is None else fl(xk, rounding)
+        if start < k:
+            seg = x[start:k]
+            if rounding is None:
+                seg -= col * xk
+            else:
+                seg -= fl(col * xk, rounding, inplace=True)
+                fl(seg, rounding, inplace=True)
+    return x
 
 
 def _reach(v: np.ndarray) -> int:
     """One past the last nonzero entry of ``v``; 0 if there is none."""
-    nz = np.flatnonzero(v)
+    nz = v.nonzero()[0]
     return int(nz[-1]) + 1 if nz.size else 0
+
+
+def _finite(v: np.ndarray) -> bool:
+    """Whether every entry of ``v`` is finite, by one reduction: a sum with
+    an inf or NaN term is not finite.  A finite sum that overflows reads as
+    not finite, which only costs the caller its shortcut."""
+    return math.isfinite(np.add.reduce(v, dtype=np.float64))
 
 
 @quiet
@@ -489,46 +591,80 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     Factors a copy of the dense array ``A``.  Raises
     :class:`SingularMatrixError` on an exactly zero pivot and
     :class:`OverflowInFactorizationError` when the factors contain
-    non-finite entries (the caller may equilibrate and retry).
+    non-finite entries (the caller may equilibrate and retry).  Single
+    precision is factored natively in float32 and half in float64 with
+    :func:`fl`, with the same bits (see the module docstring).
 
-    Step k subtracts its rank-1 update only from the rows up to its last
-    nonzero multiplier and the columns up to the last nonzero entry of its
-    pivot row; every entry skipped would get a - fl(+-0 * u) = a.  Partial
-    pivoting keeps the factors inside the band, so the cost follows the
-    bandwidth of the ordered matrix, not n**3.  The factors are those of
-    the full-block update bit for bit: a -0 in the rounded input makes every
-    step take the full block (-0 - -0 = +0), and so does an inf or NaN in a
-    step's multipliers or pivot row (0 * inf = NaN).
+    Only the work that can change a bit is done.  Rows and columns are
+    bounded by the structural envelope of the input: column k can hold a
+    nonzero only in the rows up to the last nonzero row of columns 0..k
+    (row swaps stay inside it), and those rows only in the columns up to
+    their last nonzero column.  Step k searches its pivot and scans its
+    pivot row inside that envelope, divides the whole column (0 divided by
+    a negative pivot is -0 in L), and subtracts its rank-1 update, formed
+    in one reused scratch of the band's size, only from the rows up to its
+    last nonzero multiplier and the columns up to the last nonzero entry of
+    its pivot row; every entry skipped would get a - fl(+-0 * u) = a.
+    Partial pivoting keeps the factors inside the band, so the cost follows
+    the bandwidth of the ordered matrix, not n**3.  The factors are those
+    of the full-block update bit for bit: a -0 in the rounded input makes
+    every step take the full block (-0 - -0 = +0), and so does, from that
+    step on, an inf or NaN in a step's multipliers or pivot row (0 * inf =
+    NaN), tested by one reduction per vector.
     """
-    M = fl(np.array(A, dtype=np.float64), uf, inplace=True)
+    single = uf is SINGLE
+    M = np.asarray(A, dtype=np.float64).astype(np.float32 if single else np.float64)
+    rounding = None if single or uf.dtype is None else uf
+    if rounding is not None:
+        fl(M, rounding, inplace=True)
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
+    nz = M != 0.0
+    full = bool(np.any(~nz & np.signbit(M)))  # a -0 in the rounded input
+    # one past the last row that may hold a nonzero in columns 0..k, and one
+    # past the last column that may hold a nonzero in those rows (an empty
+    # line counts as full, which is safe)
+    rows_end = np.maximum.accumulate(n - nz[::-1].argmax(axis=0))
+    cols_end = np.maximum.accumulate(n - nz[:, ::-1].argmax(axis=1))[rows_end - 1]
+    del nz
+    steps = np.arange(n)
+    scratch = np.empty((max(int((rows_end - steps).max(initial=1)) - 1, 0),
+                        max(int((cols_end - steps).max(initial=1)) - 1, 0)), M.dtype)
+    rows_end, cols_end = rows_end.tolist(), cols_end.tolist()
     perm = np.arange(n)
-    signed_zero = bool(np.any(np.signbit(M) & (M == 0.0)))
     for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(M[k:, k])))
+        r_end = n if full else max(rows_end[k], k + 1)
+        p = k + int(np.argmax(np.abs(M[k:r_end, k])))
         if M[p, k] == 0.0:
             raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
         if p != k:
-            M[[k, p]] = M[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
+            M[k], M[p] = M[p], M[k].copy()
+            perm[k], perm[p] = perm[p], perm[k]
         col = M[k + 1 :, k]
-        col /= M[k, k]
-        fl(col, uf, inplace=True)
-        row = M[k, k + 1 :]
-        if signed_zero or not (np.isfinite(col).all() and np.isfinite(row).all()):
-            re, ce = col.shape[0], row.shape[0]
-        else:
-            re, ce = _reach(col), _reach(row)
-        block = M[k + 1 : k + 1 + re, k + 1 : k + 1 + ce]
-        block -= fl(np.outer(col[:re], row[:ce]), uf, inplace=True)
-        fl(block, uf, inplace=True)
+        col /= M[k, k]  # the whole column: 0 divided by a negative pivot is -0
+        mult = col[: r_end - k - 1]  # past it, +-0 (or NaN from a NaN pivot)
+        if rounding is not None:
+            fl(mult, rounding, inplace=True)
+        row = M[k, k + 1 : n if full else cols_end[k]]
+        if not full and not (_finite(col) and _finite(row)):
+            full, row = True, M[k, k + 1 :]
+        re, ce = (col.shape[0], row.shape[0]) if full else (_reach(mult), _reach(row))
+        if re and ce:
+            fits = re <= scratch.shape[0] and ce <= scratch.shape[1]
+            t = scratch[:re, :ce] if fits else np.empty((re, ce), M.dtype)
+            np.multiply(col[:re, None], row[None, :ce], out=t)
+            block = M[k + 1 : k + 1 + re, k + 1 : k + 1 + ce]
+            if rounding is None:
+                block -= t
+            else:
+                block -= fl(t, rounding, inplace=True)
+                fl(block, rounding, inplace=True)
     if M[n - 1, n - 1] == 0.0:
         raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
     if not np.all(np.isfinite(M)):
         raise OverflowInFactorizationError(f"overflow in {uf.name}")
-    return DenseLu(lu=M, perm=perm)
+    return DenseLu(lu=M.astype(np.float64, copy=False), perm=perm, uf=uf)
 
 
 @quiet

@@ -375,16 +375,18 @@ def solve_column_ls(Abar: np.ndarray, ebar: np.ndarray, uf: Precision):
 
 
 @quiet
-def rho_scores(sbar: np.ndarray, C: np.ndarray, m, uf: Precision) -> np.ndarray:
+def rho_scores(sbar: np.ndarray, C: np.ndarray, uf: Precision) -> np.ndarray:
     """Grote & Huckle's score of every candidate, for a batch of columns, all in ``uf``.
 
-    Item i has the residual ``sbar[i, :m[i]]`` on its shadow I_i and the
-    candidate columns ``C[i, :m[i], :]`` restricted to I_i; ``sbar`` is
-    (N, M) and ``C`` (N, M, K), zero past each item's size.  Returns rho
-    (N, K): the residual norm min over mu of ||sbar_i + mu c|| predicted if
-    candidate c joins the pattern, computed as sqrt(s.s - (s.c)^2 / c.c)
-    with the radicand clamped at zero.  Each item's scores are
-    bit-identical to scoring it alone.
+    Item i has the residual ``sbar[i, :m_i]`` on its shadow I_i, of size
+    m_i, and the candidate columns ``C[i, :m_i, :]`` restricted to I_i;
+    ``sbar`` is (N, M) and ``C`` (N, M, K), zero past each item's size.
+    Returns rho (N, K): the residual norm min over mu of ||sbar_i + mu c||
+    predicted if candidate c joins the pattern, computed as
+    sqrt(s.s - (s.c)^2 / c.c) with the radicand clamped at zero.  Each
+    item's scores are bit-identical to scoring it alone: the sums run over
+    the whole padded line, and the zero padding can change only the sign of
+    a zero sum, which enters squared or is a sum of squares already.
 
     A candidate whose c.c rounds to zero is scored as no reduction, rho =
     ||s||: that holds for padding, and in half precision for a candidate
@@ -395,10 +397,9 @@ def rho_scores(sbar: np.ndarray, C: np.ndarray, m, uf: Precision) -> np.ndarray:
     """
     dt = _dtype(uf)
     sbar, C = np.asarray(sbar, dtype=dt), np.asarray(C, dtype=dt)
-    m = np.asarray(m, dtype=np.int64)
-    ss = fl_dot(sbar, sbar, uf, axis=1, lengths=m)
-    dots = fl_dot(sbar[:, :, None], C, uf, axis=1, lengths=m[:, None])
-    dens = fl_dot(C, C, uf, axis=1, lengths=m[:, None])
+    ss = fl_dot(sbar, sbar, uf, axis=1)
+    dots = fl_dot(sbar[:, :, None], C, uf, axis=1)
+    dens = fl_dot(C, C, uf, axis=1)
     q = np.where(dens == 0.0, 0.0, fl(fl(dots * dots, uf) / dens, uf))
     rad = np.maximum(fl(ss[:, None] - q, uf), 0.0)
     return fl(np.sqrt(rad), uf).astype(np.float64, copy=False)
@@ -437,7 +438,7 @@ def augment_patterns(
     cands = keys_to_batch(keys, N, n)
     c = np.diff(cands[0])
     C = extract_blocks(A, row_sets, cands)
-    rho = rho_scores(sbar[:, : C.shape[1]], C, np.diff(row_sets[0]), uf)
+    rho = rho_scores(sbar[:, : C.shape[1]], C, uf)
     rho_mean = fl(fl_sum(rho, uf, axis=1, lengths=c) / c, uf)
     # padding sorts after every real score (NaN sorts last, padded keys
     # exceed every real one) and never passes the mean test; within a

@@ -117,6 +117,20 @@ def reference_dense_lu(A, uf, seen=None) -> DenseLu:
     return DenseLu(lu=M, perm=perm)
 
 
+@quiet
+def reference_substitute(factors: DenseLu, b, p: Precision) -> np.ndarray:
+    """Oracle for :meth:`spai_ir.precision.DenseLu.substitute`: its loops as
+    they stood when every step ran over whole columns of the factors."""
+    lu = factors.lu
+    x = fl(np.array(b, dtype=np.float64), p, inplace=True)
+    for k in range(lu.shape[0] - 1):
+        x[k + 1 :] = fl(x[k + 1 :] - fl(lu[k + 1 :, k] * x[k], p), p)
+    for k in range(lu.shape[0] - 1, -1, -1):
+        x[k] = fl(x[k] / lu[k, k], p)
+        x[:k] = fl(x[:k] - fl(lu[:k, k] * x[k], p), p)
+    return x
+
+
 def dd_div(ah, al, bh, bl):
     """Double-double quotient (ah + al) / (bh + bl), normalized."""
     q1 = ah / bh

@@ -65,6 +65,8 @@ def lu_inputs(draw):
 @example((np.array([[1.0, 1e5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), HALF))
 # a NaN multiplier (inf / inf) over a zero pivot row: overflow, not a zero pivot
 @example((np.array([[1e5, 0.0, 0.0], [1e5, 0.0, 0.0], [0.0, 0.0, 0.0]]), HALF))
+# a negative pivot over structural zeros in its column: 0 / -2 is -0 in L
+@example((np.array([[-2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0]]), DOUBLE))
 def test_dense_lu_equals_full_block_reference(case):
     A, uf = case
     assert outcome(dense_lu, A, uf) == outcome(reference_dense_lu, A, uf)

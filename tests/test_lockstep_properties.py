@@ -194,6 +194,6 @@ def test_batched_solve_and_scores_equal_the_float64_reference(case):
     # a deficient item's outputs mean nothing, but they keep their bits too
     assert mbar.tobytes() == want_m.tobytes() and sbar.tobytes() == want_s.tobytes()
     s = np.where(deficient[:, None], ebar, sbar)
-    rho = rho_scores(s, Abar, m, p)
+    rho = rho_scores(s, Abar, p)
     assert rho.dtype == np.float64
     assert rho.tobytes() == reference_rho_scores(s, Abar, m, p).tobytes()

@@ -106,7 +106,7 @@ def test_ls_rank_deficient_signal():
 def rho_one(s, a, uf):
     """The score of one candidate ``a`` against the residual ``s``: :func:`rho_scores` on a batch of one."""
     s = np.asarray(s, dtype=np.float64)
-    return rho_scores(s[None], np.asarray(a, dtype=np.float64)[None, :, None], [s.size], uf)[0, 0]
+    return rho_scores(s[None], np.asarray(a, dtype=np.float64)[None, :, None], uf)[0, 0]
 
 
 def test_rho_orthogonal_keeps_norm(rng):
@@ -125,7 +125,7 @@ def test_rho_batch_items_score_as_alone(rng, uf):
     m = np.array([1, 4, 6, 3])
     sbar = fl(rng.randn(4, 6), uf) * (np.arange(6) < m[:, None])
     C = fl(rng.randn(4, 6, 5), uf) * (np.arange(6) < m[:, None])[:, :, None]
-    got = rho_scores(sbar, C, m, uf)
+    got = rho_scores(sbar, C, uf)
     for i, mi in enumerate(m):
         for j in range(5):
             assert got[i, j].tobytes() == rho_one(sbar[i, :mi], C[i, :mi, j], uf).tobytes(), (i, j)
