@@ -16,11 +16,12 @@ that GMRES's dots and norms, thousands per solve, reuse them with the
 bits of :func:`fl_dot` and :func:`fl_norm2`.
 
 Half and single values may instead be stored in their own numpy dtype
-(``Precision.dtype``) and computed on natively, as GMRES (:mod:`spai_ir.krylov`),
-single-precision SPAI builds (:mod:`spai_ir.spai`) and single-precision
-dense LU and substitution (:func:`dense_lu`, :meth:`DenseLu.substitute`) do,
-with the same bits: an IEEE ``+ - * / sqrt`` in float16 or float32 is the exact result
-rounded once, and so is the float64 operation followed by :func:`fl`, since
+(``Precision.dtype``) and computed on natively, as GMRES
+(:mod:`spai_ir.krylov`), single-precision SPAI builds (:mod:`spai_ir.spai`)
+and single-precision dense LU and substitution (:func:`dense_lu`,
+:meth:`DenseLu.substitute`) do, with the same bits: an IEEE
+``+ - * / sqrt`` in float16 or float32 is the exact result rounded once,
+and so is the float64 operation followed by :func:`fl`, since
 binary64 carries at least 2t + 2 significant bits for t = 11 and t = 24 and
 that double rounding is innocuous (Figueroa, "When is double rounding
 innocuous?", SIGNUM 1995).  numpy's float16 loops compute in float32 and
@@ -461,7 +462,7 @@ class DenseLu:
     ``k`` of the factored matrix is row ``perm[k]`` of the input.  ``uf`` is
     the precision the factors were computed in (double if not known); the
     entries of half and single factors are single values, so
-    :meth:`substitute` in single runs natively in float32 on them.
+    :meth:`substitute` in single runs natively in float32 on a copy of them.
 
     Two reach tables, taken once from the final factors (after every row
     swap), bound the substitution: ``l_end[k]`` is one past the last
@@ -475,39 +476,22 @@ class DenseLu:
     uf: Precision = DOUBLE
     l_end: np.ndarray = field(init=False, repr=False)
     u_start: np.ndarray = field(init=False, repr=False)
-    _band: dict = field(init=False, repr=False, default_factory=dict)
+    _single: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         n = self.lu.shape[0]
-        nz = self.lu.T != 0.0  # row k of nz is column k of the factors
-        steps = np.arange(n)
-        self.l_end = np.maximum(n - nz[:, ::-1].argmax(axis=1), steps + 1)
-        self.u_start = np.minimum(nz.argmax(axis=1), steps)
+        self.l_end, self.u_start = np.empty(n, np.int64), np.empty(n, np.int64)
+        for c in range(0, n, 128):  # 128 columns at a time, so the masks stay small
+            nz = self.lu[:, c : c + 128] != 0.0
+            k = np.arange(c, c + nz.shape[1])
+            self.l_end[c : c + 128] = np.maximum(n - nz[::-1].argmax(axis=0), k + 1)
+            self.u_start[c : c + 128] = np.minimum(nz.argmax(axis=0), k)
 
     @property
     def nnz_lu(self) -> int:
         """Nonzero entries of L and U, the unit diagonal of L counted once
         with the diagonal of U."""
         return int(np.count_nonzero(self.lu))
-
-    def _steps(self, dtype, l_end: np.ndarray, u_start: np.ndarray) -> tuple:
-        """The steps of the substitution in ``dtype`` over the rows that
-        the reach tables give: forward ``(k, first row, end row, column of
-        L)`` and back ``(k, first row, column of U, pivot)``.  The columns
-        are copies in ``dtype``, gathered by one indexing of ``lu``."""
-        n = self.lu.shape[0]
-        k = np.arange(n)
-        starts = np.concatenate([k + 1, u_start])
-        ends = np.concatenate([l_end, k])
-        lengths = ends - starts
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
-        vals = self.lu[rows, np.repeat(np.concatenate([k, k]), lengths)].astype(dtype)
-        cols = [vals[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
-        pivots = list(self.lu.diagonal().astype(dtype))
-        forward = [(j, j + 1, end, cols[j]) for j, end in enumerate(l_end[:-1].tolist()) if end > j + 1]
-        back = [(j, start, cols[n + j], pivots[j]) for j, start in reversed(list(enumerate(u_start.tolist())))]
-        return forward, back
 
     @quiet
     def substitute(self, b: np.ndarray, p: Precision) -> np.ndarray:
@@ -520,53 +504,61 @@ class DenseLu:
         not n**2.  The operations and their order are those of the loops
         over whole columns, and so are the bits: a skipped entry is a zero
         factor, and x_i - fl(+-0 * x_k) = x_i unless x_i is -0 or x_k is not
-        finite.  No -0 arises in x from a right-hand side without one, so a
-        -0 in the rounded ``b`` takes the whole columns from the start, and
-        a result that is not finite is computed again over them.  The band
-        steps are built once per dtype and kept.
+        finite.  An entry still to be updated is -0 only if the rounded
+        ``b`` holds a -0 (a difference is -0 only when its minuend is, and a
+        quotient, which may be -0, is final), so such a ``b`` takes the
+        whole columns from the start; a result that is not finite is
+        computed again over them.
 
         Single-precision substitution of half or single factors runs
-        natively in float32, with the bits of the float64 round trip (see
-        the module docstring); half keeps float64 and :func:`fl`.
+        natively in float32 on a copy of the factors made once, with the
+        bits of the float64 round trip (see the module docstring); half
+        keeps float64 and :func:`fl`.
         """
-        native = p is SINGLE and self.uf in (HALF, SINGLE)
-        dtype = np.float32 if native else np.float64
-        rounding = None if native or p.dtype is None else p
-        x = np.array(b, dtype=dtype)
+        if p is SINGLE and self.uf in (HALF, SINGLE):
+            if self._single is None:
+                self._single = self.lu.astype(np.float32)
+            lu, rounding = self._single, None
+        else:
+            lu, rounding = self.lu, (None if p.dtype is None else p)
+        x = np.array(b, dtype=lu.dtype)
         if rounding is not None:
             fl(x, rounding, inplace=True)
         if not np.signbit(x[x == 0.0]).any():
-            if dtype not in self._band:
-                self._band[dtype] = self._steps(dtype, self.l_end, self.u_start)
-            y = _substitute(x.copy(), self._band[dtype], rounding)
+            y = _substitute(lu, x.copy(), rounding, self.l_end.tolist(), self.u_start.tolist())
             if np.isfinite(y).all():
                 return y.astype(np.float64, copy=False)
         n = x.shape[0]
-        y = _substitute(x, self._steps(dtype, np.full(n, n), np.zeros(n, np.int64)), rounding)
+        y = _substitute(lu, x, rounding, [n] * n, [0] * n)
         return y.astype(np.float64, copy=False)
 
 
-def _substitute(x: np.ndarray, steps: tuple, rounding: Precision | None) -> np.ndarray:
-    """Forward and back substitution in place on ``x`` through the steps
-    of :meth:`DenseLu._steps`; every operation is rounded to ``rounding``,
-    or computed natively in ``x``'s dtype when it is None."""
-    forward, back = steps
-    for k, start, end, col in forward:
-        seg = x[start:end]
-        if rounding is None:
-            seg -= col * x[k]
-        else:
-            seg -= fl(col * x[k], rounding, inplace=True)
-            fl(seg, rounding, inplace=True)
-    for k, start, col, pivot in back:
-        xk = x[k] / pivot
+def _substitute(lu: np.ndarray, x: np.ndarray, rounding: Precision | None,
+                l_end: list, u_start: list) -> np.ndarray:
+    """Forward and back substitution with the factors ``lu``, in place on
+    ``x``, over the rows that the reach tables ``l_end`` and ``u_start``
+    give (see :meth:`DenseLu.substitute`); every operation is rounded to
+    ``rounding``, or computed natively in ``x``'s dtype when it is None."""
+    n = x.shape[0]
+    for k in range(n - 1):
+        end = l_end[k]
+        if end > k + 1:
+            seg = x[k + 1 : end]
+            if rounding is None:
+                seg -= lu[k + 1 : end, k] * x[k]
+            else:
+                seg -= fl(lu[k + 1 : end, k] * x[k], rounding, inplace=True)
+                fl(seg, rounding, inplace=True)
+    for k in range(n - 1, -1, -1):
+        xk = x[k] / lu[k, k]
         x[k] = xk = xk if rounding is None else fl(xk, rounding)
+        start = u_start[k]
         if start < k:
             seg = x[start:k]
             if rounding is None:
-                seg -= col * xk
+                seg -= lu[start:k, k] * xk
             else:
-                seg -= fl(col * xk, rounding, inplace=True)
+                seg -= fl(lu[start:k, k] * xk, rounding, inplace=True)
                 fl(seg, rounding, inplace=True)
     return x
 
@@ -620,13 +612,21 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
-    nz = M != 0.0
-    full = bool(np.any(~nz & np.signbit(M)))  # a -0 in the rounded input
-    # one past the last row that may hold a nonzero in columns 0..k, and one
-    # past the last column that may hold a nonzero in those rows (an empty
-    # line counts as full, which is safe)
-    rows_end = np.maximum.accumulate(n - nz[::-1].argmax(axis=0))
-    cols_end = np.maximum.accumulate(n - nz[:, ::-1].argmax(axis=1))[rows_end - 1]
+    # at most two n x n masks live at once, and argmax runs along rows
+    nz = M == 0.0
+    minus_zero = np.signbit(M)
+    minus_zero &= nz
+    full = bool(minus_zero.any())  # a -0 in the rounded input
+    del minus_zero
+    nz = np.logical_not(nz, out=nz)
+    # one past the last row that may hold a nonzero in columns 0..k (row i
+    # does when its first nonzero column is at most k), and one past the last
+    # column that may hold a nonzero in those rows; an empty row counts as
+    # one that reaches every column, which is safe
+    rows_end = np.zeros(n, np.int64)
+    np.maximum.at(rows_end, nz.argmax(axis=1), np.arange(1, n + 1))
+    rows_end = np.maximum.accumulate(rows_end)
+    cols_end = np.maximum.accumulate(n - nz[:, ::-1].argmax(axis=1))[np.maximum(rows_end, 1) - 1]
     del nz
     steps = np.arange(n)
     scratch = np.empty((max(int((rows_end - steps).max(initial=1)) - 1, 0),

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_dense_lu, reference_substitute
-from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
+from spai_ir.precision import DOUBLE, HALF, SINGLE, DenseLu, dense_lu
 
 FORMATS = (HALF, SINGLE, DOUBLE)
 # per format: a subnormal, and a value whose products overflow
@@ -66,7 +66,7 @@ def substitute_inputs(draw):
 @example((np.array([[-2.0, 1.0], [0.0, 1.0]]), DOUBLE, DOUBLE, np.array([1.0, -0.0])))
 def test_substitute_equals_whole_column_reference(case):
     A, uf, p, b = case
-    got = solve(dense_lu, lambda f, rhs, q: f.substitute(rhs, q), A, uf, p, b)
+    got = solve(dense_lu, DenseLu.substitute, A, uf, p, b)
     want = solve(reference_dense_lu, reference_substitute, A, uf, p, b)
     assume(want is not None)
     assert got == want
