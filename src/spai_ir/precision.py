@@ -629,8 +629,7 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     cols_end = np.maximum.accumulate(n - nz[:, ::-1].argmax(axis=1))[np.maximum(rows_end, 1) - 1]
     del nz
     steps = np.arange(n)
-    scratch = np.empty((max(int((rows_end - steps).max(initial=1)) - 1, 0),
-                        max(int((cols_end - steps).max(initial=1)) - 1, 0)), M.dtype)
+    scratch = np.empty(((rows_end - steps).max(initial=1) - 1, (cols_end - steps).max(initial=1) - 1), M.dtype)
     rows_end, cols_end = rows_end.tolist(), cols_end.tolist()
     perm = np.arange(n)
     for k in range(n - 1):
