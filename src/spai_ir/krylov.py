@@ -19,6 +19,16 @@ go through one :class:`spai_ir.precision.PairwisePlan` per solve, which
 reuses one buffer for ``fl_sum``'s tree; the basis update and the final
 combination run in place through one scratch vector.  Each is still one
 IEEE operation per entry, rounded once, so the bits do not change.
+
+Numpy calls per Arnoldi step are kept few.  The basis is a list of
+vectors, so a dot indexes no array.  Column j of the Hessenberg matrix is
+built in a Python list: its MGS coefficients and the next basis norm are
+collected there, the earlier Givens rotations, whose cosines and sines are
+lists too, are applied to it, and it is written into ``H`` once.  In
+double these scalars are Python floats, whose operations are the binary64
+operations of numpy's float64; in half and single they stay numpy scalars
+of the working dtype, so every operation still rounds to it.  The
+operations and their order are those of a loop over the columns of ``H``.
 """
 
 from __future__ import annotations
@@ -108,15 +118,15 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     if beta == 0.0:
         return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
 
-    V = np.zeros((n + 1, n), dt)  # basis vectors as rows
+    # Python floats for double, scalars of dt otherwise (see the module docstring)
+    scalar = float if ug.dtype is None else dt
     plan = PairwisePlan(n, ug)  # the Arnoldi dots and norms
     t = np.empty(n, dt)  # scratch for a rounded product
     H = np.zeros((n + 1, n), dt)
-    cs = np.zeros(n, dt)
-    sn = np.zeros(n, dt)
+    cs, sn = [], []
     g = np.zeros(n + 1, dt)
     g[0] = beta
-    V[0] = z / beta
+    basis = [z / beta]
     relres_history = [1.0]
     breakdown = False
     converged = False
@@ -124,30 +134,32 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     k = 0
 
     for j in range(n):
-        w = apply_precond_matvec(A, P, V[j], up).astype(dt)
-        for i in range(j + 1):
-            h = H[i, j] = plan.dot(V[i], w)
-            np.subtract(w, np.multiply(h, V[i], out=t), out=w)
-        hnext = plan.norm2(w)
+        w = apply_precond_matvec(A, P, basis[j], up).astype(dt)
+        col = []  # column j of H
+        for v in basis:
+            h = scalar(plan.dot(v, w))
+            col.append(h)
+            np.subtract(w, np.multiply(h, v, out=t), out=w)
+        hnext = scalar(plan.norm2(w))
         if not np.isfinite(hnext):
             raise _ug_overflow(ug)
-        H[j + 1, j] = hnext
+        col.append(hnext)
 
         for i in range(j):
-            t1 = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-            t2 = cs[i] * H[i + 1, j] - sn[i] * H[i, j]
-            H[i, j], H[i + 1, j] = t1, t2
-        denom = np.sqrt(H[j, j] * H[j, j] + hnext * hnext)
+            a, b = col[i], col[i + 1]
+            col[i], col[i + 1] = cs[i] * a + sn[i] * b, cs[i] * b - sn[i] * a
+        hjj = col[j]
+        denom = scalar(np.sqrt(hjj * hjj + hnext * hnext))
         if not np.isfinite(denom):
             # cs = sn = 0 would read as a zero residual estimate
             raise _ug_overflow(ug)
         if denom == 0.0:
             breakdown = True
             break
-        cs[j] = H[j, j] / denom
-        sn[j] = hnext / denom
-        H[j, j] = denom
-        H[j + 1, j] = 0.0
+        cs.append(hjj / denom)
+        sn.append(hnext / denom)
+        col[j], col[j + 1] = denom, 0.0
+        H[: j + 2, j] = col
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]
 
@@ -161,7 +173,8 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
             # the true preconditioned residual is checked after the solve
             verify_breakdown = True
             break
-        V[j + 1] = w / hnext
+        w /= hnext
+        basis.append(w)
         if relres <= tau:
             converged = True
             break
@@ -173,7 +186,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
         y[c] = (g[c] - s) / H[c, c]
     d = np.zeros(n, dt)
     for c in range(k):
-        np.add(d, np.multiply(y[c], V[c], out=t), out=d)
+        np.add(d, np.multiply(y[c], basis[c], out=t), out=d)
     if not np.all(np.isfinite(d)):
         raise _ug_overflow(ug)
     d = d.astype(np.float64)

@@ -13,7 +13,11 @@ level by level inside one buffer that holds the padded terms and every
 level's sums, with no array allocated per level.  :class:`PairwisePlan`
 keeps such a buffer and its level views for vectors of one length, so
 that GMRES's dots and norms, thousands per solve, reuse them with the
-bits of :func:`fl_dot` and :func:`fl_norm2`.
+bits of :func:`fl_dot` and :func:`fl_norm2`.  A double plan runs the numpy
+levels only down to 16 sums and adds those as Python floats in one
+written-out pairwise expression: a Python ``+`` on floats is the same
+binary64 addition, and the level's unused rows hold -0, the identity, so
+the bits do not change while four numpy calls per dot go.
 
 Half and single values may instead be stored in their own numpy dtype
 (``Precision.dtype``) and computed on natively, as GMRES
@@ -338,19 +342,40 @@ class PairwisePlan:
     bit, as scalars of the plan's dtype.  GMRES (:mod:`spai_ir.krylov`)
     holds one plan per solve for its Arnoldi dots and norms.  Bare, like
     :func:`fl`.
+
+    A double plan runs its numpy levels only down to the level of 16 sums
+    (a plan of at most 16 terms runs none and writes its products straight
+    into that level) and adds those 16 as Python floats in one written-out
+    pairwise expression, read by one ``tolist``; the tree's last four
+    levels would cost one numpy call each for at most 8 additions.  The
+    level's rows past its last sum are set to -0 once, here, and no call
+    writes them.  The bits are those of the numpy levels: a Python ``+`` on
+    floats is one binary64 addition, -0 + -0 = -0, so the extra padding is
+    still the identity, and infinities and NaN pass through.  Half and
+    single plans keep every level in numpy, where a Python tail would need
+    a rounding after every addition.
     """
 
     def __init__(self, m: int, p: Precision):
-        size = _padded_length(m)
-        self._buf = np.empty(2 * size - 1, p.dtype or np.float64)
-        self._buf[m:size] = -0.0 if m else 0.0  # the sum of no terms is +0
+        double = p.dtype is None
+        size = max(_padded_length(m), 16 if double else 1)
+        self._buf = np.full(2 * size - 1, -0.0, p.dtype or np.float64)
+        if not m:
+            self._buf[0] = 0.0  # the sum of no terms is +0
         self._head = self._buf[:m]
-        self._levels = _levels(self._buf, m)
+        levels, self._tail = _levels(self._buf, m), None
+        if double:  # the last four levels, 16 sums down to 1, run in Python floats
+            levels, self._tail = levels[:-4], self._buf[2 * size - 32 : 2 * size - 16]
+        self._levels = levels
 
     def dot(self, u: np.ndarray, v: np.ndarray):
         np.multiply(u, v, out=self._head)
         _reduce(self._levels)
-        return self._buf[-1]
+        if self._tail is None:
+            return self._buf[-1]
+        a = self._tail.tolist()
+        return np.float64((((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])))
+                          + (((a[8] + a[9]) + (a[10] + a[11])) + ((a[12] + a[13]) + (a[14] + a[15]))))
 
     def norm2(self, v: np.ndarray):
         return np.sqrt(self.dot(v, v))
@@ -429,23 +454,27 @@ def dd_mul(ah, al, bh, bl):
 def dd_residual(A, x, b) -> np.ndarray:
     """b - A x with all accumulation in double-double, rounded to double.
 
-    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`; its ``row_slots()`` are
-    ``(rows, cols, vals)`` triplets where each row index appears at most
-    once per slot and a row's slots are ordered by ascending column.  ``x``
-    may be a plain double vector or a ``(hi, lo)`` double-double pair, such
-    as the iterate :func:`dd_solve` refines, in which case the residual
+    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`.  Each row's products
+    are added to a +0 sum in ascending column order, slot by slot through
+    the prefixes of :meth:`~spai_ir.sparse.SparseMatrix.row_plan`, in the
+    permuted row order; one scatter at the end restores the row order.
+    ``x`` may be a plain double vector or a ``(hi, lo)`` double-double pair,
+    such as the iterate :func:`dd_solve` refines, in which case the residual
     reflects the full compensated accuracy of the pair.
     """
     if not isinstance(x, tuple):
         x = (x, np.zeros(len(x)))
     xh, xl = (np.asarray(w, dtype=np.float64) for w in x)
     b = np.asarray(b, dtype=np.float64)
+    order, slots = A.row_plan()
     sh = np.zeros_like(b)
     sl = np.zeros_like(b)
-    for rows, cols, vals in A.row_slots():
+    for r, cols, vals in slots:
         ph, pl = dd_mul(vals, np.zeros_like(vals), xh[cols], xl[cols])
-        sh[rows], sl[rows] = dd_add(sh[rows], sl[rows], ph, pl)
-    return dd_add(b, np.zeros_like(b), -sh, -sl)[0]
+        sh[:r], sl[:r] = dd_add(sh[:r], sl[:r], ph, pl)
+    out = np.empty_like(b)
+    out[order] = dd_add(b[order], np.zeros_like(b), -sh, -sl)[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ class SparseMatrix:
     construction.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_slots")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_plan")
 
     def __init__(self, n_rows: int, n_cols: int, indptr, indices, data):
         self.n_rows = int(n_rows)
@@ -63,7 +63,7 @@ class SparseMatrix:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
-        self._slots = None
+        self._plan = None
         for arr in (self.indptr, self.indices, self.data):
             arr.setflags(write=False)
 
@@ -154,28 +154,36 @@ class SparseMatrix:
             shape=(self.n_rows, self.n_cols),
         )
 
-    def row_slots(self):
-        """Padded row-major accumulation plan.
+    def row_plan(self):
+        """The rows in an order where every accumulation slot is a prefix.
 
-        Returns a list of ``(rows, cols, vals)`` triplets such that each row
-        index appears at most once per slot and, across slots, a given row's
-        entries appear in ascending column order.  Rounded accumulation slot
-        by slot therefore reproduces the canonical "columns left to right"
-        order for every output component while staying vectorized.
+        Returns ``(order, slots)``, built once and cached.  ``order`` sorts
+        the rows by descending entry count, stably, so row ``order[k]`` is
+        the k-th permuted row.  Slot s is ``(r, cols, vals)``: the s-th
+        entry, in ascending column order, of each of the first ``r``
+        permuted rows, which are the rows with more than s entries.
+        Accumulating slot by slot into the prefix ``y[:r]`` of a permuted
+        vector, then scattering ``y`` back to ``order``, adds every row's
+        entries in ascending column order, the canonical "columns left to
+        right" order, with no gather or scatter of ``y`` per slot.
         """
-        if self._slots is None:
-            cols, rows = owners(self.indptr), self.indices
-            order = np.lexsort((cols, rows))
-            r, c, v = rows[order], cols[order], self.data[order]
-            starts = np.searchsorted(r, np.arange(self.n_rows))
-            pos = np.arange(r.size) - starts[r]
-            width = int(pos.max()) + 1 if r.size else 0
-            slots = []
-            for pslot in range(width):
-                m = pos == pslot
-                slots.append((r[m], c[m], v[m]))
-            self._slots = slots
-        return self._slots
+        if self._plan is None:
+            cols = owners(self.indptr)
+            counts = np.bincount(self.indices, minlength=self.n_rows)
+            order = np.argsort(-counts, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(self.n_rows)
+            counts = counts[order]
+            # entries by permuted row and column, then stably by position in the row
+            at = np.lexsort((cols, rank[self.indices]))
+            pos = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            at = at[np.argsort(pos, kind="stable")]
+            cols, vals = cols[at], self.data[at]
+            # slot s holds the rows with more than s entries
+            widths = np.searchsorted(-counts, -np.arange(counts.max(initial=0)))
+            ends = np.cumsum(widths).tolist()
+            self._plan = order, [(r, cols[e - r : e], vals[e - r : e]) for r, e in zip(widths.tolist(), ends)]
+        return self._plan
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
@@ -475,15 +483,23 @@ def matvec(A: SparseMatrix, x: np.ndarray, p: Precision) -> np.ndarray:
     """A @ x with every product and partial sum rounded to p.
 
     Accumulation order is fixed: within each output component, contributions
-    are added in ascending column order (equivalently: columns left to
+    are added to +0 in ascending column order (equivalently: columns left to
     right, ascending row within a column), so results are reproducible and
-    independent of threading.
+    independent of threading.  The sums run in the permuted row order of
+    :meth:`SparseMatrix.row_plan`, each slot added in place into a prefix
+    of the rows, and one scatter at the end restores the row order.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != A.n_cols:
         raise ValueError(f"dimension mismatch: {A.shape} @ {x.shape}")
+    order, slots = A.row_plan()
     y = np.zeros(A.n_rows)
-    for rows, cols, vals in A.row_slots():
-        t = fl(vals * x[cols], p)
-        y[rows] = fl(y[rows] + t, p)
-    return y
+    for r, cols, vals in slots:
+        t = x[cols]
+        np.multiply(vals, t, out=t)
+        seg = y[:r]
+        seg += fl(t, p, inplace=True)
+        fl(seg, p, inplace=True)
+    out = np.empty(A.n_rows)
+    out[order] = y
+    return out

@@ -20,7 +20,7 @@ from spai_ir.precision import (
     quiet,
 )
 from spai_ir.reference import find_matrix
-from spai_ir.sparse import SparseMatrix, load_matrix_market
+from spai_ir.sparse import SparseMatrix, load_matrix_market, owners
 
 _loaded: dict[str, SparseMatrix] = {}
 _refs: dict[tuple, tuple] = {}
@@ -177,6 +177,39 @@ def reference_dd_lu_solve(A: np.ndarray, b: np.ndarray):
         ph, pl = dd_mul(Ah[:k, k], Al[:k, k], bh[k], bl[k])
         bh[:k], bl[:k] = dd_add(bh[:k], bl[:k], -ph, -pl)
     return bh, bl
+
+
+@quiet
+def reference_dd_residual(A: SparseMatrix, x, b) -> np.ndarray:
+    """Oracle for :func:`spai_ir.precision.dd_residual`: its loop as it
+    stood when it accumulated through padded row slots in the natural row
+    order, each slot gathered from and scattered back to its rows.
+
+    The slots are ``(rows, cols, vals)`` triplets in which each row index
+    appears at most once per slot and a row's slots are ordered by
+    ascending column.
+    """
+    cols, rows = owners(A.indptr), A.indices
+    order = np.lexsort((cols, rows))
+    r, c, v = rows[order], cols[order], A.data[order]
+    starts = np.searchsorted(r, np.arange(A.n_rows))
+    pos = np.arange(r.size) - starts[r]
+    width = int(pos.max()) + 1 if r.size else 0
+    slots = []
+    for pslot in range(width):
+        m = pos == pslot
+        slots.append((r[m], c[m], v[m]))
+
+    if not isinstance(x, tuple):
+        x = (x, np.zeros(len(x)))
+    xh, xl = (np.asarray(w, dtype=np.float64) for w in x)
+    b = np.asarray(b, dtype=np.float64)
+    sh = np.zeros_like(b)
+    sl = np.zeros_like(b)
+    for rows, cols, vals in slots:
+        ph, pl = dd_mul(vals, np.zeros_like(vals), xh[cols], xl[cols])
+        sh[rows], sl[rows] = dd_add(sh[rows], sl[rows], ph, pl)
+    return dd_add(b, np.zeros_like(b), -sh, -sl)[0]
 
 
 @quiet

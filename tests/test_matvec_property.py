@@ -1,16 +1,19 @@
 """Property test: the rounded ``matvec`` equals a scalar loop bit for bit.
 
-``sparse.matvec(A, x, p)`` accumulates each row through padded row slots.
-The oracle walks the compressed columns instead: for every row it adds
+``sparse.matvec(A, x, p)`` accumulates its rows in an order sorted by entry
+count, each slot into a prefix of them, and scatters the result back to the
+row order.  The oracle walks the compressed columns instead: for every row it adds
 fl(a_ij * x_j) to a sum that starts from +0, column by column in
 ascending order, on numpy scalars of p's dtype (float64 for double), whose
 operations round once as the emulation does.  Matrices and vectors hold
 values of the format: random bit patterns mixed with signed zeros,
 subnormals and values whose products or sums overflow; some rows are empty.
+Examples in every format add a matrix with an empty row, one whose rows all
+have the same length, and an x holding -0, inf and NaN.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spai_ir.precision import DOUBLE, HALF, SINGLE
@@ -64,8 +67,22 @@ def scalar_matvec(A: SparseMatrix, x: np.ndarray, p) -> np.ndarray:
     return out
 
 
+# an empty middle row after a longer one, so the rows are reordered
+EMPTY_ROW = SparseMatrix.from_dense(np.array([[2.0, 0.0, -3.0], [0.0, 0.0, 0.0], [1.5, 0.25, 0.5],
+                                              [0.0, 4.0, 0.0]]))
+# every row has two entries, in different columns
+TIED_ROWS = SparseMatrix.from_dense(np.array([[0.0, 1.0, 0.0, -2.0], [3.0, 0.0, 0.5, 0.0], [1.0, -1.0, 0.0, 0.0]]))
+SPECIAL_X = np.array([-0.0, np.inf, np.nan, 1.0])
+
+
 @settings(max_examples=400, deadline=None)
 @given(matvec_cases())
+@example((HALF, EMPTY_ROW, SPECIAL_X[:3]))
+@example((SINGLE, EMPTY_ROW, SPECIAL_X[[0, 3, 1]]))
+@example((DOUBLE, EMPTY_ROW, SPECIAL_X[[3, 0, 2]]))
+@example((HALF, TIED_ROWS, SPECIAL_X))
+@example((SINGLE, TIED_ROWS, SPECIAL_X[::-1]))
+@example((DOUBLE, TIED_ROWS, SPECIAL_X[[0, 3, 0, 1]]))
 def test_matvec_equals_the_scalar_loop_bit_for_bit(case):
     p, A, x = case
     with np.errstate(over="ignore", invalid="ignore"):

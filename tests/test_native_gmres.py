@@ -121,6 +121,11 @@ def test_pgmres_left_equals_emulated_reference():
     @example((banded(17), None, np.linspace(1.0, 2.0, 17), 1e-12, DOUBLE, DOUBLE))
     @example((banded(33), None, np.linspace(1.0, 2.0, 33), 1e-3, HALF, SINGLE))
     @example((banded(33), None, np.linspace(1.0, 2.0, 33), 1e-12, DOUBLE, DOUBLE))
+    # dots through a double plan's Python-float tail, and 30 or more Givens rotations per column
+    @example((banded(65), None, np.linspace(1.0, 2.0, 65), 1e-12, DOUBLE, DOUBLE))
+    @example((banded(65), None, np.linspace(1.0, 2.0, 65), 1e-3, HALF, SINGLE))
+    @example((banded(129), None, np.linspace(1.0, 2.0, 129), 1e-12, DOUBLE, DOUBLE))
+    @example((banded(129), None, np.linspace(1.0, 2.0, 129), 1e-3, HALF, SINGLE))
     def every_case(case):
         kinds[compare(case)] += 1
 
