@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precision import Precision, SingularMatrixError
-from .refine import norm_inf, require_square
+from .precision import Precision, SingularMatrixError, require_square
+from .refine import norm_inf
 from .spai import SpaiPreconditioner
 from .sparse import SparseMatrix
 
@@ -75,11 +75,14 @@ def _two_norm_power(X: np.ndarray, tol: float = 1e-4, max_iters: int = 500) -> f
     return sigma
 
 
+def _cond2_transpose(Ad: np.ndarray, invA: np.ndarray) -> float:
+    return _two_norm_power(np.abs(invA.T) @ np.abs(Ad.T))
+
+
 def cond2_transpose(A) -> float:
     """2-norm condition measure |inv(A^T)| |A^T| of the transposed system."""
     Ad = _dense(A)
-    X = np.abs(_inv(Ad).T) @ np.abs(Ad.T)
-    return _two_norm_power(X)
+    return _cond2_transpose(Ad, _inv(Ad))
 
 
 def kappa_inf_product(P, A: SparseMatrix) -> float:
@@ -143,7 +146,7 @@ def check_bounds(A: SparseMatrix, pre: SpaiPreconditioner) -> BoundReport:
     bound = 2.0 * n * eps
     dist = norm_inf(Pd - invA)
     dist_bound = bound * norm_inf(invA)
-    cond2_at = cond2_transpose(A)
+    cond2_at = _cond2_transpose(Ad, invA)
     kt = kappa_inf_product(pre.P, A)
     satisfied_all = pre.all_satisfied
     report = BoundReport(

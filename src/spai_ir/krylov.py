@@ -76,9 +76,8 @@ def apply_precond_matvec(A: SparseMatrix, P, v: np.ndarray, up: Precision) -> np
     """y = P (A v) with both products carried out in the application precision.
 
     ``P`` is ``None`` (identity) or a preconditioner: any object with an
-    ``apply(vector, precision)`` method, such as a :class:`SparseMatrix` or
-    an LU-factor preconditioner.  Non-finite output raises
-    :class:`PrecisionOverflowSignal`.
+    ``apply(vector, precision)`` method, such as what ``prepare_solver``
+    returns.  Non-finite output raises :class:`PrecisionOverflowSignal`.
     """
     w = matvec(A, v, up)
     y = _apply_p(P, w, up)

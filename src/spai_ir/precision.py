@@ -78,6 +78,8 @@ __all__ = [
     "dd_solve",
     "DenseLu",
     "dense_lu",
+    "require_square",
+    "check_matrix",
     "DomainError",
     "OverflowInFactorizationError",
     "SingularMatrixError",
@@ -94,6 +96,26 @@ class SingularMatrixError(ArithmeticError):
 
 class OverflowInFactorizationError(ArithmeticError):
     """The factorization produced non-finite entries in the target precision."""
+
+
+def require_square(shape: tuple[int, int]) -> None:
+    """Raise ``ValueError`` unless ``shape`` is that of a square matrix."""
+    if shape[0] != shape[1]:
+        raise ValueError(f"square matrix required, got {shape[0]}x{shape[1]}")
+
+
+def check_matrix(A, b=None) -> None:
+    """The input gate of every entry point that takes a system: raise
+    ``ValueError`` for a non-square sparse ``A`` or one with a NaN or
+    infinite entry, and, when ``b`` is given, for a ``b`` whose length is
+    not A's order or that has a NaN or infinite entry, in that order."""
+    require_square(A.shape)
+    if not np.all(np.isfinite(A.data)):
+        raise ValueError("matrix A has a NaN or infinite entry")
+    if b is not None and len(b) != A.shape[0]:
+        raise ValueError(f"right-hand side b has length {len(b)}, expected {A.shape[0]}")
+    if b is not None and not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side b has a NaN or infinite entry")
 
 
 @dataclass(frozen=True)
@@ -635,12 +657,11 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     """
     single = uf is SINGLE
     M = np.asarray(A, dtype=np.float64).astype(np.float32 if single else np.float64)
+    require_square(M.shape)
     rounding = None if single or uf.dtype is None else uf
     if rounding is not None:
         fl(M, rounding, inplace=True)
     n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("square matrix required")
     # at most two n x n masks live at once, and argmax runs along rows
     nz = M == 0.0
     minus_zero = np.signbit(M)
@@ -705,17 +726,12 @@ def dd_solve(A, b):
     refined with :func:`dd_residual` of the pair until that residual stops
     improving; the limiting forward error is of order
     ``unit_roundoff(QUAD) * cond(A)``.  Returns ``(x_hi, x_lo)`` as a
-    normalized double-double pair.  A NaN or infinite entry of ``A`` or
-    ``b`` raises ``ValueError`` before the factorization.
+    normalized double-double pair.  The system passes :func:`check_matrix`
+    before the dense copy is made.
     """
     b = np.asarray(b, dtype=np.float64)
-    dense = A.to_dense()
-    if dense.shape[0] != dense.shape[1] or dense.shape[0] != b.shape[0]:
-        raise ValueError("dd_solve needs a square system with matching right-hand side")
-    for what, values in (("matrix A", A.data), ("right-hand side b", b)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{what} has a NaN or infinite entry")
-    factors = dense_lu(dense, DOUBLE)
+    check_matrix(A, b)
+    factors = dense_lu(A.to_dense(), DOUBLE)
     xh = factors.substitute(b[factors.perm], DOUBLE)
     xl = np.zeros_like(xh)
     best = math.inf

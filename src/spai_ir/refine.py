@@ -22,6 +22,7 @@ from .precision import (
     OverflowInFactorizationError,
     Precision,
     SingularMatrixError,
+    check_matrix,
     dd_residual,
     dd_solve,
     dense_lu,
@@ -44,8 +45,6 @@ __all__ = [
     "measure_errors",
     "norm_inf",
     "run_ir",
-    "require_square",
-    "check_matrix",
     "prepare_solver",
 ]
 
@@ -240,51 +239,28 @@ def measure_errors(A, b, x, x_ref):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PreparedSolver:
-    """Preconditioner built once in ``uf`` and reused by the driver: ``precond``
-    answers ``apply(v, p)`` and ``nnz``, or is ``None`` for the identity."""
-
-    precond: SparseMatrix | LuPreconditioner | None = None
-    spai: SpaiPreconditioner | None = None
-    lu_scaled: bool = False
-
-
-def require_square(shape: tuple[int, int]) -> None:
-    """Raise ``ValueError`` unless ``shape`` is that of a square matrix."""
-    if shape[0] != shape[1]:
-        raise ValueError(f"square matrix required, got {shape[0]}x{shape[1]}")
-
-
-def check_matrix(A: SparseMatrix) -> None:
-    """Raise ``ValueError`` for a non-square ``A`` or one with a NaN or infinite entry."""
-    require_square(A.shape)
-    if not np.all(np.isfinite(A.data)):
-        raise ValueError("matrix A has a NaN or infinite entry")
-
-
 @quiet
-def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> PreparedSolver:
-    """Build the preconditioner or factors required by ``cfg.solver``.
+def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> SpaiPreconditioner | LuPreconditioner | None:
+    """The preconditioner ``cfg.solver`` refines with, built in ``cfg.uf``:
+    a :class:`SpaiPreconditioner` (spai), a :class:`LuPreconditioner` (lu,
+    sir) or ``None``, the identity (none).
 
-    ``A`` is checked first (:func:`check_matrix`), for every solver, before
-    any ordering, factorization or build.
+    ``A`` passes :func:`check_matrix` first, for every solver, before any
+    ordering, factorization or build.
     """
     check_matrix(A)
     if cfg.solver == "spai":
-        pre = build_left_preconditioner(A, cfg.spai)
-        return PreparedSolver(precond=pre.P, spai=pre)
+        return build_left_preconditioner(A, cfg.spai)
     if cfg.solver in ("lu", "sir"):
         order = rcm_permutation(A)
         dense = A.to_dense()[np.ix_(order, order)]
         try:
-            lu = LuPreconditioner(dense_lu(dense, cfg.uf), order)
+            return LuPreconditioner(dense_lu(dense, cfg.uf), order)
         except OverflowInFactorizationError:
             r, s, mu = equilibrate_two_sided(dense, cfg.uf)
             hatA = fl(mu * (dense * r[:, None]) * s[None, :], cfg.uf)
-            lu = LuPreconditioner(dense_lu(hatA, cfg.uf), order, r=r, s=s, mu=mu)
-        return PreparedSolver(precond=lu, lu_scaled=lu.r is not None)
-    return PreparedSolver()
+            return LuPreconditioner(dense_lu(hatA, cfg.uf), order, r=r, s=s, mu=mu)
+    return None
 
 
 def _residual(A: SparseMatrix, x: np.ndarray, b: np.ndarray, ur: Precision) -> np.ndarray:
@@ -295,22 +271,18 @@ def _residual(A: SparseMatrix, x: np.ndarray, b: np.ndarray, ur: Precision) -> n
 
 
 @quiet
-def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver | None = None,
-           x_ref=None):
+def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
+           solver: SpaiPreconditioner | LuPreconditioner | None = None, x_ref=None):
     """Iterative refinement of A x = b under ``cfg``; returns ``(x, IrReport)``.
 
-    ``solver`` and ``x_ref`` allow reusing a prepared preconditioner and a
-    double-double reference solution across runs on the same system.  A
-    non-square ``A``, a ``b`` of the wrong length and a NaN or infinite
-    entry of ``b`` raise ``ValueError``, as :func:`prepare_solver` does for
-    ``A``, before any factorization.
+    ``solver`` is what :func:`prepare_solver` returns for ``cfg`` (left
+    ``None``, it is prepared here) and ``x_ref`` a double-double reference
+    solution; both can be reused across runs on the same system.  The
+    system passes :func:`check_matrix` first.
     """
     b = np.asarray(b, dtype=np.float64)
+    check_matrix(A, b)
     n = A.n_rows
-    if A.n_cols != n or b.shape[0] != n:
-        raise ValueError("square system with matching right-hand side required")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side b has a NaN or infinite entry")
     if solver is None:
         solver = prepare_solver(A, cfg)
     if x_ref is None:
@@ -318,8 +290,8 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
 
     # initial solution in uf, stored in u
     x = np.zeros(n)
-    if solver.precond is not None:
-        x = solver.precond.apply(fl(b, cfg.uf), cfg.uf)
+    if solver is not None:
+        x = solver.apply(fl(b, cfg.uf), cfg.uf)
     x = fl(x, cfg.u)
 
     ferr_hist: list[float] = []
@@ -338,10 +310,10 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
             break
         r = fl(_residual(A, x, b, cfg.ur), cfg.u)
         if cfg.solver == "sir":
-            d = solver.precond.apply(r, cfg.uf)
+            d = solver.apply(r, cfg.uf)
             iters_per_step.append(0)
         else:
-            d, grep = pgmres_left(A, solver.precond, r, cfg.tau, cfg.ug, cfg.up)
+            d, grep = pgmres_left(A, solver, r, cfg.tau, cfg.ug, cfg.up)
             iters_per_step.append(grep.iters)
             capped = capped or (grep.iters >= n and not grep.converged)
             breakdown = breakdown or grep.breakdown
@@ -357,7 +329,7 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
         stagnated=stagnated,
         details={
             "solver": cfg.solver,
-            "precond_nnz": solver.precond.nnz if solver.precond is not None else 0,
+            "precond_nnz": solver.nnz if solver is not None else 0,
             "tau": cfg.tau,
             "precisions": {
                 "uf": cfg.uf.name,
@@ -368,9 +340,9 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig, solver: PreparedSolver
             },
             "gmres_capped": capped,
             "gmres_breakdown": breakdown,
-            "lu_scaled": solver.lu_scaled,
+            "lu_scaled": isinstance(solver, LuPreconditioner) and solver.r is not None,
         },
     )
-    if solver.spai is not None:
-        report.details["spai"] = solver.spai.stats_dict()
+    if isinstance(solver, SpaiPreconditioner):
+        report.details["spai"] = solver.stats_dict()
     return x, report

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 # fl_op stays bound here although unused: perfbench/tracer.py wraps spai.fl_op
-from .precision import QUAD, SINGLE, Precision, fl, fl_dot, fl_norm2, fl_op, fl_sum, quiet  # noqa: F401
+from .precision import QUAD, SINGLE, Precision, check_matrix, fl, fl_dot, fl_norm2, fl_op, fl_sum, quiet  # noqa: F401
 # shadow and extract_submatrix stay bound here for perfbench/tracer.py
 from .sparse import SparseMatrix, batch_keys, column_scale, extract_blocks, extract_submatrix  # noqa: F401
 from .sparse import in_arrival_order, keys_to_batch, one_set, owners, shadow, shadows, take_sets  # noqa: F401
@@ -91,10 +91,12 @@ class SpaiParams:
 class SpaiPreconditioner:
     """The assembled preconditioner plus per-column construction statistics.
 
-    ``col_resnorm`` holds the final residual 2-norm of each column as
-    measured in the build precision (inf for a column that never solved),
-    ``col_rounds`` the number of pattern augmentations, and ``col_status``
-    one of ``ok | overflow | stagnated | rank_deficient``.
+    It answers the preconditioner interface (``apply``, ``apply_exact`` and
+    ``nnz``) through its sparse ``P``.  ``col_resnorm`` holds the final
+    residual 2-norm of each column as measured in the build precision (inf
+    for a column that never solved), ``col_rounds`` the number of pattern
+    augmentations, and ``col_status`` one of ``ok | overflow | stagnated |
+    rank_deficient``.
     """
 
     P: SparseMatrix
@@ -106,6 +108,14 @@ class SpaiPreconditioner:
     @property
     def nnz(self) -> int:
         return self.P.nnz
+
+    def apply(self, v: np.ndarray, p: Precision) -> np.ndarray:
+        """``P @ v`` rounded to ``p`` (:meth:`SparseMatrix.apply`)."""
+        return self.P.apply(v, p)
+
+    def apply_exact(self, A: SparseMatrix) -> np.ndarray:
+        """The dense product ``P @ A`` in plain double (diagnostics)."""
+        return self.P.apply_exact(A)
 
     @property
     def satisfied(self) -> np.ndarray:
@@ -492,10 +502,11 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     solve (an augmentation made in the final round is never solved).  Like
     MATLAB's ``sparse``, ``P`` drops a solved value that is exactly zero, so
     its pattern and ``nnz`` count only the stored nonzeros and can be
-    smaller than the pattern the column was solved on.
+    smaller than the pattern the column was solved on.  ``At`` passes
+    :func:`check_matrix` first; finite entries that overflow ``uf`` give
+    columns flagged ``overflow``.
     """
-    if At.n_rows != At.n_cols:
-        raise ValueError("square matrix required")
+    check_matrix(At)
     n = At.n_rows
     uf = params.uf
     B = At.rounded(uf)
@@ -574,10 +585,9 @@ def build_left_preconditioner(A: SparseMatrix, params: SpaiParams) -> SpaiPrecon
     (this keeps low-precision builds inside the representable range), the
     approximate inverse M of the scaled transpose is built, and the scaling
     is folded back: P = M^T D.  Column statistics refer to the scaled system
-    actually solved.
+    actually solved.  ``A`` passes :func:`check_matrix` first.
     """
-    if A.n_rows != A.n_cols:
-        raise ValueError("square matrix required")
+    check_matrix(A)
     At = A.transpose()
     scaled, d = column_scale(At)
     pre = build_spai(scaled, params)

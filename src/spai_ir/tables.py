@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import cond2_transpose, feasible, kappa_estimate, kappa_inf, kappa_inf_product
-from .precision import Precision, dd_solve, parse_precision
-from .refine import IrConfig, IrReport, check_matrix, prepare_solver, run_ir
+from .precision import Precision, check_matrix, dd_solve, parse_precision
+from .refine import IrConfig, IrReport, prepare_solver, run_ir
 from .reference import GOLDEN_TABLES, TABLE_SETTINGS, GoldenRow, find_matrix, rhs_for
 from .spai import SpaiParams, build_left_preconditioner
 from .sparse import SparseMatrix, load_matrix_market
@@ -70,12 +70,11 @@ def solve_system(
         uf=uf, u=u, ur=ur, solver=solver, tau=tau, i_max=i_max, ug=ug, up=up,
         spai=SpaiParams(eps=eps, alpha=alpha, beta=beta, uf=uf) if solver == "spai" else None,
     )
-    prepared = prepare_solver(A, cfg)
+    P = prepare_solver(A, cfg)
     b = rhs_for(A.n_rows)
-    x, report = run_ir(A, b, cfg, solver=prepared, x_ref=x_ref)
+    x, report = run_ir(A, b, cfg, solver=P, x_ref=x_ref)
     kappa_tilde = None
     if with_kappa:
-        P = prepared.precond
         kappa_tilde = kappa_inf(A) if P is None else kappa_inf_product(P, A)
     return SolveOutcome(matrix=name, report=report, x=x, kappa_tilde=kappa_tilde)
 

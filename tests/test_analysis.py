@@ -90,6 +90,12 @@ def test_check_bounds_random_dd_against_dense_oracle(rng):
     assert rep.estimate == (1 + 2 * 10 * 0.3) ** 2
 
 
+def test_check_bounds_reports_cond2_transpose_exactly():
+    A = load_synthetic("conv_diff_225")
+    pre = build_left_preconditioner(A, SpaiParams(eps=0.3, uf=SINGLE))
+    assert check_bounds(A, pre).cond2_at == cond2_transpose(A)
+
+
 def test_check_bounds_unsatisfied_flagged_not_asserted(rng):
     A = random_dd_sparse(rng, 14)
     As = SparseMatrix.from_dense(A)

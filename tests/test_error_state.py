@@ -44,7 +44,7 @@ def test_run_ir_half_gmres_overflow_raises_no_warning(u):
 def test_prepare_solver_half_lu_overflow_raises_no_warning(rng):
     A = SparseMatrix.from_dense(random_dd_sparse(rng, 8) * 3.0e4)
     solver = prepare_solver(A, IrConfig(uf=HALF, u=SINGLE, ur=DOUBLE, solver="lu", tau=1e-4))
-    assert solver.lu_scaled  # the unscaled factorization overflowed
+    assert solver.r is not None  # the unscaled factorization overflowed
 
 
 def test_half_spai_builds_raise_no_warning():

@@ -188,10 +188,22 @@ def test_scaled_lu_fallback_inside_run(rng):
     A = SparseMatrix.from_dense(dense)
     cfg = IrConfig(uf=HALF, u=SINGLE, ur=DOUBLE, solver="lu", tau=1e-4)
     solver = prepare_solver(A, cfg)
-    assert solver.lu_scaled
+    assert solver.r is not None  # the unscaled factorization overflowed
     x, rep = run_ir(A, rhs_for(8), cfg, solver=solver)
     assert rep.converged
     assert rep.details["lu_scaled"]
+
+
+@pytest.mark.parametrize("solver", ["spai", "lu", "none", "sir"])
+def test_run_with_a_prepared_solver_equals_a_run_that_prepares_it(solver):
+    A = load_synthetic("dd_rand_64")
+    b = rhs_for(A.n_rows)
+    cfg = IrConfig(uf=HALF, u=SINGLE, ur=DOUBLE, solver=solver,
+                   spai=SpaiParams(eps=0.3, uf=HALF) if solver == "spai" else None)
+    x, rep = run_ir(A, b, cfg, solver=prepare_solver(A, cfg))
+    x2, rep2 = run_ir(A, b, cfg)
+    assert x.tobytes() == x2.tobytes()
+    assert repr(rep.to_dict()) == repr(rep2.to_dict())
 
 
 def test_imax_exhaustion_reports_unconverged(rng):
