@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--solver", choices=SOLVERS, default="spai")
     sp.add_argument("--precisions", default="s,d,q", help="uf,u,ur[,ug,up]; letters h s d q")
     sp.add_argument("--eps", type=float, default=0.3, help="SPAI column tolerance")
-    sp.add_argument("--alpha", type=int, default=None, help="max augmentation rounds (default ceil(n/beta))")
+    sp.add_argument("--alpha", type=int, default=None,
+                    help="max augmentation rounds (default ceil(n/beta)); a capped column may stay above eps")
     sp.add_argument("--beta", type=int, default=SpaiParams.beta, help="indices added per round")
     sp.add_argument("--tau", type=float, default=None, help="GMRES tolerance (default by working precision)")
     sp.add_argument("--imax", type=int, default=IrConfig.i_max, help="max refinement steps")

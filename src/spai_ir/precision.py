@@ -7,17 +7,19 @@ exactly in double and the result is rounded to the target format by
 :func:`fl`, the one rounding kernel (round-to-nearest, ties-to-even,
 subnormals kept, overflow to infinity).  Sums follow one fixed pairwise
 tree, padded to a power-of-two length with -0, the exact additive
-identity, so the padding changes no partial sum (:func:`fl_sum`).  The
-tree has one implementation (:func:`_levels`, :func:`_reduce`): it runs
-level by level inside one buffer that holds the padded terms and every
-level's sums, with no array allocated per level.  :class:`PairwisePlan`
-keeps such a buffer and its level views for vectors of one length, so
-that GMRES's dots and norms, thousands per solve, reuse them with the
-bits of :func:`fl_dot` and :func:`fl_norm2`.  A double plan runs the numpy
-levels only down to 16 sums and adds those as Python floats in one
-written-out pairwise expression: a Python ``+`` on floats is the same
-binary64 addition, and the level's unused rows hold -0, the identity, so
-the bits do not change while four numpy calls per dot go.
+identity, so the padding changes no partial sum (:func:`fl_sum`); a
+batch whose lines differ in size pads them with -0 too, and so gets each
+line's own sum.  The tree has one implementation (:func:`_levels`,
+:func:`_reduce`): it runs level by level inside one buffer that holds the
+padded terms and every level's sums, with no array allocated per level.
+:class:`PairwisePlan`, the one kind of kept tree, keeps such a buffer and
+its level views for vectors of one length: GMRES holds one per solve for
+its dots and norms, thousands per solve, and :func:`fl_sum` one per
+length for its 1-d lines.  A double plan runs the numpy levels only down
+to 16 sums and adds those as Python floats in one written-out pairwise
+expression: a Python ``+`` on floats is the same binary64 addition, and
+the level's unused rows hold -0, the identity, so the bits do not change
+while four numpy calls per dot go.
 
 Half and single values may instead be stored in their own numpy dtype
 (``Precision.dtype``) and computed on natively, as GMRES
@@ -107,11 +109,14 @@ def require_square(shape: tuple[int, int]) -> None:
 def check_matrix(A, b=None) -> None:
     """The input gate of every entry point that takes a system: raise
     ``ValueError`` for a non-square sparse ``A`` or one with a NaN or
-    infinite entry, and, when ``b`` is given, for a ``b`` whose length is
-    not A's order or that has a NaN or infinite entry, in that order."""
+    infinite entry, and, when ``b`` is given, for a ``b`` that is not a
+    vector, whose length is not A's order or that has a NaN or infinite
+    entry, in that order."""
     require_square(A.shape)
     if not np.all(np.isfinite(A.data)):
         raise ValueError("matrix A has a NaN or infinite entry")
+    if b is not None and np.ndim(b) != 1:
+        raise ValueError(f"right-hand side b has shape {np.shape(b)}, expected length {A.shape[0]}")
     if b is not None and len(b) != A.shape[0]:
         raise ValueError(f"right-hand side b has length {len(b)}, expected {A.shape[0]}")
     if b is not None and not np.all(np.isfinite(b)):
@@ -281,70 +286,41 @@ def _reduce(levels, p: Precision | None = None) -> None:
             out[...] = out.astype(p.dtype)  # fl(out, p, inplace=True), without the call
 
 
-_TREE_MAX = 1 << 16  # longest 1-d line whose tree is kept, so the cache stays small
-
-
-@functools.lru_cache(maxsize=128)
-def _tree(m: int, dtype, thread: int):
-    """A buffer of :func:`fl_sum`'s tree for one line of length ``m`` in
-    ``dtype``, padding set, and the views of its levels; one per thread."""
-    size = _padded_length(m)
-    buf = np.empty(2 * size - 1, dtype)
-    buf[m:size] = -0.0 if m else 0.0  # the sum of no terms is +0
-    return buf, _levels(buf, m)
-
-
-def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarray | float:
+def fl_sum(v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:
     """Sum with every partial addition rounded to ``p``.
 
     Uses a fixed pairwise reduction order over the array padded with -0 to
     a power-of-two length, so results are deterministic and independent of
     threading.  -0 is the exact additive identity, x + (-0) = x for every x
     including -0, so the padding changes no partial sum and a sum whose
-    terms are all -0 is -0 at every length.  Entries are assumed to be
-    representable in ``p`` already.  Reduces along ``axis``; a 1-d input
-    gives a float.  The tree runs level by level in one buffer that holds
-    the padded copy and every level's sums (:func:`_levels`, :func:`_reduce`,
-    which :class:`PairwisePlan` runs too); a 1-d line of up to 2**16 terms
-    reuses one such buffer per length and dtype (:func:`_tree`).
+    terms are all -0 is -0 at every length; a sum of no terms is +0.
+    Entries are assumed to be representable in ``p`` already.  Reduces
+    along the whole ``axis``, so a caller whose lines differ in size pads
+    them with -0 (see :mod:`spai_ir.spai`); a 1-d input gives a float.  A
+    1-d line stored in ``p``'s own dtype (float64 for double) runs through
+    a kept :class:`PairwisePlan` of its length, one per precision and
+    thread; any other input through one buffer built per call that holds
+    the padded copy and every level's sums (:func:`_levels`, :func:`_reduce`).
 
     An array stored in ``p.dtype`` (float16 or float32) is summed in that
     dtype, level by level, and a 1-d one gives a scalar of that dtype.  The
     bits are those of the float64 round trip, because each native IEEE
     addition is the exact sum rounded once (see the module docstring); only
-    the float64 copies and the per-level casts are saved.
-
-    ``lengths`` (broadcastable to the result's shape) sums only the first
-    ``lengths`` entries of each reduced line, bit for bit as if that line
-    were summed alone: entries past the length are masked to -0 as well.  A
-    line of length 0, like an empty input, sums to +0.  Bare, like
+    the float64 copies and the per-level casts are saved.  Bare, like
     :func:`fl`: outside :func:`quiet` overflow warns.
     """
     s = np.asarray(v)
+    if s.ndim == 1 and s.dtype.type is (p.dtype or np.float64):
+        total = _kept_plan(s.size, p, threading.get_ident()).sum(s)
+        return total if p.dtype else float(total)
     native = s.dtype.type is p.dtype
-    rounding = None if native or p.dtype is None else p
-    if s.ndim == 1 and lengths is None and s.size <= _TREE_MAX:
-        buf, levels = _tree(s.size, s.dtype if native else np.float64, threading.get_ident())
-        buf[: s.size] = s
-        _reduce(levels, rounding)
-        return buf[-1] if native else float(buf[-1])
     if axis:
         s = s.swapaxes(0, 1) if axis == 1 else np.moveaxis(s, axis, 0)
     m, rest = s.shape[0], s.shape[1:]
-    size = _padded_length(m)
-    buf = np.empty((2 * size - 1,) + rest, s.dtype if native else np.float64)
-    if lengths is not None:
-        lengths = np.asarray(lengths, dtype=np.int64)  # the mask below broadcasts it
-        # one reduction checks both ends: a negative length reads as a huge unsigned one
-        if lengths.size and lengths.view(np.uint64).max() > m:
-            raise ValueError(f"lengths must lie in [0, {m}]")
-        buf[0] = 0.0  # the sum of no terms is +0
-        buf[1 : m + 1] = -0.0
-        np.copyto(buf[:m], s, where=np.arange(m).reshape((m,) + (1,) * len(rest)) < lengths)
-    else:
-        buf[:m] = s
-        buf[m : m + 1] = -0.0 if m else 0.0  # the sum of no terms is +0
-    _reduce(_levels(buf, m), rounding)
+    buf = np.empty((2 * _padded_length(m) - 1,) + rest, s.dtype if native else np.float64)
+    buf[:m] = s
+    buf[m : m + 1] = -0.0 if m else 0.0  # the sum of no terms is +0
+    _reduce(_levels(buf, m), None if native or p.dtype is None else p)
     out = buf[-1]
     if out.ndim:
         return out.copy()  # not a view that keeps the whole buffer alive
@@ -352,21 +328,22 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarr
 
 
 class PairwisePlan:
-    """:func:`fl_dot` and :func:`fl_norm2` of length-``m`` vectors stored in
-    ``p``'s own dtype (float64 for double), through one reusable tree.
+    """:func:`fl_sum`, :func:`fl_dot` and :func:`fl_norm2` of length-``m``
+    vectors stored in ``p``'s own dtype (float64 for double), through one
+    reusable tree.
 
     The plan owns the buffer of :func:`fl_sum`'s tree for length ``m``, its
-    padding already set, and the views of its levels (:func:`_levels`), all
-    built once.  A call writes the products into the buffer's head and runs
-    the tree (:func:`_reduce`), so it allocates no array; no level writes
-    into the head or the padding, so nothing of one call reaches the next.
-    The results are those of :func:`fl_dot` and :func:`fl_norm2` bit for
+    padding already set to -0, and the views of its levels (:func:`_levels`),
+    all built once.  A call writes the terms or the products into the
+    buffer's head and runs the tree (:meth:`_total`), so it allocates no
+    array; no level writes into the head or the padding, so nothing of one
+    call reaches the next.  The results are those of the functions bit for
     bit, as scalars of the plan's dtype.  GMRES (:mod:`spai_ir.krylov`)
-    holds one plan per solve for its Arnoldi dots and norms.  Bare, like
-    :func:`fl`.
+    holds one plan per solve, and :func:`fl_sum` one per length, precision
+    and thread.  Bare, like :func:`fl`.
 
     A double plan runs its numpy levels only down to the level of 16 sums
-    (a plan of at most 16 terms runs none and writes its products straight
+    (a plan of at most 16 terms runs none and writes its terms straight
     into that level) and adds those 16 as Python floats in one written-out
     pairwise expression, read by one ``tolist``; the tree's last four
     levels would cost one numpy call each for at most 8 additions.  The
@@ -390,8 +367,19 @@ class PairwisePlan:
             levels, self._tail = levels[:-4], self._buf[2 * size - 32 : 2 * size - 16]
         self._levels = levels
 
+    def sum(self, v: np.ndarray):
+        self._head[...] = v
+        return self._total()
+
     def dot(self, u: np.ndarray, v: np.ndarray):
         np.multiply(u, v, out=self._head)
+        return self._total()
+
+    def norm2(self, v: np.ndarray):
+        return np.sqrt(self.dot(v, v))
+
+    def _total(self):
+        """Run the tree over the terms in the head and return their sum."""
         _reduce(self._levels)
         if self._tail is None:
             return self._buf[-1]
@@ -399,14 +387,14 @@ class PairwisePlan:
         return np.float64((((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])))
                           + (((a[8] + a[9]) + (a[10] + a[11])) + ((a[12] + a[13]) + (a[14] + a[15]))))
 
-    def norm2(self, v: np.ndarray):
-        return np.sqrt(self.dot(v, v))
+
+# fl_sum's plans for 1-d lines, by length, precision and thread: a call writes into its plan's buffer
+_kept_plan = functools.lru_cache(maxsize=128)(lambda m, p, thread: PairwisePlan(m, p))
 
 
-def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0,
-           lengths=None) -> np.ndarray | float:
+def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:
     """Inner product in ``p``: each product rounded, then a rounded pairwise
-    sum (see :func:`fl_sum` for ``axis``, ``lengths`` and overflow).
+    sum (see :func:`fl_sum` for ``axis``, padding and overflow).
 
     When both arrays are stored in ``p.dtype`` the products and the sum are
     computed natively in that dtype, with the same bits as the float64
@@ -414,17 +402,17 @@ def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0,
     that dtype."""
     u, v = np.asarray(u), np.asarray(v)
     if u.dtype.type is p.dtype and v.dtype.type is p.dtype:
-        return fl_sum(u * v, p, axis=axis, lengths=lengths)
+        return fl_sum(u * v, p, axis=axis)
     prods = fl(np.asarray(u, dtype=np.float64) * np.asarray(v, dtype=np.float64), p, inplace=True)
-    return fl_sum(prods, p, axis=axis, lengths=lengths)
+    return fl_sum(prods, p, axis=axis)
 
 
-def fl_norm2(v: np.ndarray, p: Precision, axis: int = 0, lengths=None) -> np.ndarray | float:
+def fl_norm2(v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:
     """Euclidean norm computed in ``p``: a rounded dot, then a rounded square
-    root (see :func:`fl_sum` for ``axis``, ``lengths`` and overflow).  An
+    root (see :func:`fl_sum` for ``axis``, padding and overflow).  An
     array stored in ``p.dtype`` gives a result of that dtype, as in
     :func:`fl_dot`."""
-    r = np.sqrt(fl_dot(v, v, p, axis=axis, lengths=lengths))
+    r = np.sqrt(fl_dot(v, v, p, axis=axis))
     return r if r.dtype.type is p.dtype else fl(r, p)
 
 

@@ -62,10 +62,11 @@ class SpaiParams:
     """Inputs of the adaptive construction.
 
     ``eps`` is the per-column residual tolerance, ``alpha`` the maximum
-    number of augmentation rounds (``None`` means ceil(n / beta), which lets
-    a column fill in as much as it needs), ``beta`` the maximum number of
-    indices added per round.  Every column starts from the identity pattern
-    ``{k}``, so the input needs a nonzero diagonal.
+    number of augmentation rounds (``None``, the default, means
+    ceil(n / beta); a column that reaches it stops there with status ``ok``
+    even above ``eps``), ``beta`` the maximum number of indices added per
+    round.  Every column starts from the identity pattern ``{k}``, so the
+    input needs a nonzero diagonal.
     """
 
     eps: float
@@ -149,11 +150,13 @@ def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
     a flag per item that is set for a wide block or a zero pivot column, in
     which case that item's mbar and sbar mean nothing.
 
-    Every item comes out bit-identical to its block solved alone: each
-    reduction takes the item's own length (see :func:`fl_sum`), so whatever
-    the updates leave in the padding (0 * inf is NaN) never reaches a real
-    entry.  Single computes in float32, where :func:`fl` is the identity;
-    half stays on the float64 round trip, faster than float16 in numpy.
+    Every item comes out bit-identical to its block solved alone, though
+    each reduction runs over the whole padded line (see :func:`fl_sum`):
+    every padded term is -0, the identity, as :func:`_padding` and
+    :func:`_back_substitute` arrange, and the NaN an overflow leaves in
+    the padding (0 * inf) is reset there.  Single computes in float32,
+    where :func:`fl` is the identity; half stays on the float64 round
+    trip, faster than float16 in numpy.
     """
     N, M, P = np.shape(Abar)
     qr, deficient = _extend_qr(_Qr.empty(N, uf), Abar, ebar, m, p, uf)
@@ -344,12 +347,17 @@ def _extend_qr(qr: _Qr, Anew, ebar, m, p, uf: Precision):
 
 def _back_substitute(qr: _Qr, uf: Precision) -> np.ndarray:
     """The least-squares solutions R^-1 (Q^T e)[:p] of the factorizations
-    ``qr``, (N, max p) in float64, zero past each item's width."""
+    ``qr``, (N, max p) in float64, +0 past each item's width.  Each dot runs
+    over the batch's whole row: R is +0 past each item's width and ``mbar``
+    starts at -0, so a padded product is -0, the identity, and a row with
+    no terms of its own is set to +0, the empty sum."""
     R, p = qr.W, qr.p
-    mbar = np.zeros(qr.rdiag.shape, R.dtype)
+    mbar = np.full(qr.rdiag.shape, -0.0, R.dtype)
     for c, k in reversed(list(enumerate(_reach(p, mbar.shape[1])))):
-        s = fl_dot(R[:k, c, c + 1 :], mbar[:k, c + 1 :], uf, axis=1, lengths=np.maximum(p[:k] - c - 1, 0))
+        s = fl_dot(R[:k, c, c + 1 :], mbar[:k, c + 1 :], uf, axis=1)
+        s[p[:k] == c + 1] = 0.0
         _put(mbar[:k, c], fl(fl(qr.qte[:k, c] - s, uf) / qr.rdiag[:k, c], uf), c < p[:k])
+    mbar[np.arange(mbar.shape[1]) >= p[:, None]] = 0.0
     return mbar.astype(np.float64, copy=False)
 
 
@@ -449,11 +457,11 @@ def augment_patterns(
     c = np.diff(cands[0])
     C = extract_blocks(A, row_sets, cands)
     rho = rho_scores(sbar[:, : C.shape[1]], C, uf)
-    rho_mean = fl(fl_sum(rho, uf, axis=1, lengths=c) / c, uf)
+    real = np.arange(C.shape[2]) < c[:, None]
+    rho_mean = fl(fl_sum(np.where(real, rho, -0.0), uf, axis=1) / c, uf)
     # padding sorts after every real score (NaN sorts last, padded keys
     # exceed every real one) and never passes the mean test; within a
     # column, keys sort as the candidate indices do
-    real = np.arange(C.shape[2]) < c[:, None]
     rho = np.where(real, rho, np.nan)
     cand = np.full(rho.shape, np.iinfo(np.int64).max)
     cand[real] = keys
@@ -543,7 +551,7 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
         qr, deficient = _extend_qr(qr, new, ebar if not step else np.zeros_like(ebar), m, p, uf)
         mbar = to_index_order(J, _back_substitute(qr, uf))
         sbar = _residual(extract_blocks(B, I, J), ebar, mbar, m, p, uf)
-        norms = fl_norm2(sbar, uf, axis=1, lengths=m)
+        norms = fl_norm2(sbar, uf, axis=1)  # sbar is +0 past m, and no square is -0
         finite = np.isfinite(mbar).all(axis=1) & np.isfinite(sbar).all(axis=1) & np.isfinite(norms)
         status[active[deficient]] = COL_RANK_DEFICIENT
         status[active[~deficient & ~finite]] = COL_OVERFLOW

@@ -74,6 +74,51 @@ def random_dd_sparse(rng, n: int, fill: float = 0.35) -> np.ndarray:
     return A
 
 
+def same_bits(got, want) -> bool:
+    """Equal bytes, with a NaN compared by position only: numpy picks a
+    NaN's sign by the position of its operands."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(got)
+    return bool(np.array_equal(nan, np.isnan(want)) and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def reference_sum(s: np.ndarray, p) -> float:
+    """The pairwise tree over the terms ``s`` padded with -0 (+0 for no
+    terms), each level a new array rounded to ``p``."""
+    s = np.asarray(s, dtype=np.float64)
+    size = 1 << max(len(s) - 1, 0).bit_length()
+    s = np.concatenate([s, np.full(size - len(s), -0.0 if len(s) else 0.0)])
+    while len(s) > 1:
+        s = fl(s[0::2] + s[1::2], p)
+    return float(s[0])
+
+
+@quiet
+def masked_sum(V, sizes, p) -> np.ndarray:
+    """Oracle for a batch of lines of different sizes: line ``idx`` of ``V``
+    along axis 1 cut to its first ``sizes[idx]`` terms (``sizes``
+    broadcasts to the reduced shape) and summed alone by
+    :func:`reference_sum`, never through ``fl_sum``; float64."""
+    V = np.moveaxis(np.asarray(V, dtype=np.float64), 1, -1)
+    sizes = np.broadcast_to(sizes, V.shape[:-1])
+    out = np.empty(V.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        out[idx] = reference_sum(V[idx][: sizes[idx]], p)
+    return out
+
+
+@quiet
+def masked_dot(u, v, sizes, p) -> np.ndarray:
+    """:func:`masked_sum` of the products of ``u`` and ``v``, each rounded to ``p``."""
+    return masked_sum(fl(np.asarray(u, dtype=np.float64) * np.asarray(v, dtype=np.float64), p), sizes, p)
+
+
+@quiet
+def masked_norm2(v, sizes, p) -> np.ndarray:
+    """The rounded square root of :func:`masked_dot` of ``v`` with itself."""
+    return fl(np.sqrt(masked_dot(v, v, sizes, p)), p)
+
+
 @quiet
 def reference_dense_lu(A, uf, seen=None) -> DenseLu:
     """Oracle for :func:`spai_ir.precision.dense_lu`: its loop as it stood
@@ -335,7 +380,8 @@ def reference_solve_ls(Abar, ebar, m, p, uf: Precision):
     """Oracle for :func:`spai_ir.spai.solve_ls_batch`: its Householder loop
     as it stood when every format computed in float64 and rounded each
     operation to ``uf`` by :func:`fl`, with ``v^T v`` and ``v^T trail``
-    reduced apart."""
+    reduced apart, and every sum taken over the item's own rows alone
+    (:func:`masked_sum`)."""
     B = np.asarray(Abar, dtype=np.float64)
     e = np.asarray(ebar, dtype=np.float64)
     m = np.asarray(m, dtype=np.int64)
@@ -349,15 +395,15 @@ def reference_solve_ls(Abar, ebar, m, p, uf: Precision):
         live = (j < p) & ~deficient
         rows = np.maximum(m - j, 0)
         x = W[:, j:, j]
-        nx = fl_norm2(x, uf, axis=1, lengths=rows)
+        nx = masked_norm2(x, rows, uf)
         deficient |= live & (nx == 0.0)
         live &= nx != 0.0
         alpha = np.where(x[:, 0] >= 0.0, -nx, nx)
         v = x.copy()
         v[:, 0] = fl(x[:, 0] - alpha, uf)
-        vtv = fl_dot(v, v, uf, axis=1, lengths=rows)
+        vtv = masked_dot(v, v, rows, uf)
         trail = W[:, j:, j + 1 :]
-        s = fl_dot(v[:, :, None], trail, uf, axis=1, lengths=rows[:, None])
+        s = masked_dot(v[:, :, None], trail, rows[:, None], uf)
         coef = fl(fl(2.0 * s, uf) / vtv[:, None], uf)
         new = fl(trail - fl(v[:, :, None] * coef[:, None, :], uf), uf)
         upd = live & (vtv != 0.0)
@@ -366,7 +412,7 @@ def reference_solve_ls(Abar, ebar, m, p, uf: Precision):
         W[live, j + 1 :, j] = 0.0
     mbar = np.zeros((N, P))
     for c in range(steps - 1, -1, -1):
-        s = fl_dot(W[:, c, c + 1 : P], mbar[:, c + 1 :], uf, axis=1, lengths=np.maximum(p - c - 1, 0))
+        s = masked_dot(W[:, c, c + 1 : P], mbar[:, c + 1 :], np.maximum(p - c - 1, 0), uf)
         mbar[:, c] = np.where(c < p, fl(fl(W[:, c, P] - s, uf) / W[:, c, c], uf), 0.0)
     y = np.zeros((N, M))
     for c in range(steps):
@@ -379,13 +425,14 @@ def reference_solve_ls(Abar, ebar, m, p, uf: Precision):
 @quiet
 def reference_rho_scores(sbar, C, m, uf: Precision):
     """Oracle for :func:`spai_ir.spai.rho_scores`: its scorer as it stood
-    when every format computed in float64 and rounded by :func:`fl`."""
+    when every format computed in float64 and rounded by :func:`fl`, every
+    sum taken over the item's own rows alone (:func:`masked_sum`)."""
     sbar = np.asarray(sbar, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     m = np.asarray(m, dtype=np.int64)
-    ss = fl_dot(sbar, sbar, uf, axis=1, lengths=m)
-    dots = fl_dot(sbar[:, :, None], C, uf, axis=1, lengths=m[:, None])
-    dens = fl_dot(C, C, uf, axis=1, lengths=m[:, None])
+    ss = masked_dot(sbar, sbar, m, uf)
+    dots = masked_dot(sbar[:, :, None], C, m[:, None], uf)
+    dens = masked_dot(C, C, m[:, None], uf)
     q = np.where(dens == 0.0, 0.0, fl(fl(dots * dots, uf) / dens, uf))
     rad = np.maximum(fl(ss[:, None] - q, uf), 0.0)
     return fl(np.sqrt(rad), uf)

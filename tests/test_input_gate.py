@@ -38,6 +38,9 @@ MATRIX_CASES = {
 }
 RHS_CASES = {
     "b_too_long": (SparseMatrix.identity(3), np.ones(4), "right-hand side b has length 4, expected 3"),
+    "b_scalar": (SparseMatrix.identity(3), np.float64(1.0), "right-hand side b has shape (), expected length 3"),
+    "b_matrix": (SparseMatrix.identity(3), np.ones((3, 2)),
+                 "right-hand side b has shape (3, 2), expected length 3"),
     "nan_in_b": (SparseMatrix.identity(3), np.array([1.0, np.nan, 1.0]),
                  "right-hand side b has a NaN or infinite entry"),
 }

@@ -1,125 +1,36 @@
 """Property tests for the padding argument behind the lockstep SPAI build.
 
-A batch pads every item to a common shape.  That is bit-exact only if a
-length-limited ``fl_sum`` equals the sum of each line alone, and if an item
-solved inside a batch of other blocks equals the same block solved on its
-own; both are compared here as raw bytes.
+A batch pads every item to a common shape, and every sum runs over the
+whole padded line: ``fl_sum`` takes no per-line size.  That is bit-exact
+only if each padded term is the identity -0, or cannot move a bit, at each
+call site, and if an item solved inside a batch of other blocks equals the
+same block solved on its own.  Each call site's sums are compared here, as
+raw bytes, with ``masked_sum`` from ``conftest``, which sums each line
+alone, cut to its own size, without ``fl_sum``: the back substitution,
+the mean score of ``augment_patterns`` and ``build_spai``'s column norms.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_rho_scores, reference_solve_ls
-from spai_ir.precision import DOUBLE, HALF, SINGLE, fl_sum
-from spai_ir.spai import RankDeficiencySignal, rho_scores, solve_column_ls, solve_ls_batch
-
-FORMATS = {"half": (HALF, np.uint16), "single": (SINGLE, np.uint32)}
-# signed zeros, the subnormal edges and the overflow edge of both formats
-SPECIAL = np.array([0.0, -0.0, 2.0**-24, -(2.0**-24), 2.0**-149, -(2.0**-149), 2.0**-14, 65504.0,
-                    -65504.0, 32768.0, 3.4028234663852886e38, -3.4028234663852886e38,
-                    1.7014118346046923e38, np.inf, -np.inf])
-
-
-@st.composite
-def ragged_columns(draw):
-    """Columns of values representable in half or single, each with a length.
-
-    Values are random bit patterns of the format (NaN replaced by -0) mixed
-    with the special values above that the format can hold; entries past a
-    column's length are garbage the sum must ignore.
-    """
-    p, bits = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
-    lengths = draw(st.lists(st.integers(0, 70), min_size=1, max_size=5))
-    shape = (max(lengths) + draw(st.integers(0, 3)), len(lengths))
-    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        special = SPECIAL[p.dtype(SPECIAL).astype(np.float64) == SPECIAL]
-        V = rng.randint(0, np.iinfo(bits).max + 1, size=shape).astype(bits).view(p.dtype).astype(np.float64)
-    V[np.isnan(V)] = -0.0
-    V = np.where(rng.rand(*shape) < draw(st.sampled_from([0.0, 0.3, 0.9])), rng.choice(special, shape), V)
-    for c, n in enumerate(lengths):
-        V[n:, c] = draw(st.sampled_from([np.nan, np.inf, -0.0, 1.0]))
-    return p, V, np.array(lengths)
-
-
-@settings(max_examples=300, deadline=None)
-@given(ragged_columns())
-def test_fl_sum_lengths_equal_each_column_alone(case):
-    p, V, lengths = case
-    with np.errstate(over="ignore", invalid="ignore"):
-        batched = fl_sum(V, p, axis=0, lengths=lengths)
-        transposed = fl_sum(V.T, p, axis=1, lengths=lengths)
-        for c, n in enumerate(lengths):
-            alone = np.float64(fl_sum(V[:n, c], p))
-            assert batched[c].tobytes() == alone.tobytes(), (c, n, batched[c], alone)
-            assert transposed[c].tobytes() == alone.tobytes()
-
-
-@st.composite
-def ragged_blocks(draw):
-    """A 3-d array of values of half or single, stored in float64 or in the
-    format's own dtype, with a reduction axis and line lengths shaped like
-    the reduced shape, like its last axis, like its first axis with a
-    trailing 1, or as a scalar; entries past a line's length are garbage."""
-    p, bits = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
-    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=3, max_size=3)))
-    axis = draw(st.integers(0, 2))
-    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        special = SPECIAL[p.dtype(SPECIAL).astype(np.float64) == SPECIAL]
-        V = rng.randint(0, np.iinfo(bits).max + 1, size=shape).astype(bits).view(p.dtype).astype(np.float64)
-    V[np.isnan(V)] = -0.0
-    V = np.where(rng.rand(*shape) < 0.3, rng.choice(special, shape), V)
-    rest = shape[:axis] + shape[axis + 1 :]
-    lshape = draw(st.sampled_from([rest, rest[-1:], (rest[0], 1), ()]))
-    lengths = rng.randint(0, shape[axis] + 1, size=lshape)
-    lines = np.moveaxis(V, axis, 0)
-    past = np.broadcast_to(np.arange(shape[axis]).reshape(-1, 1, 1) >= lengths, lines.shape)
-    lines[past] = draw(st.sampled_from([np.nan, np.inf, 1.0]))
-    if draw(st.booleans()):
-        V = V.astype(p.dtype)
-    return p, V, axis, lengths
-
-
-@settings(max_examples=300, deadline=None)
-@given(ragged_blocks())
-def test_fl_sum_lengths_on_3d_equal_each_line_alone(case):
-    p, V, axis, lengths = case
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = fl_sum(V, p, axis=axis, lengths=lengths)
-        lines = np.moveaxis(V, axis, 0).astype(np.float64)
-        full = np.broadcast_to(lengths, got.shape)
-        for idx in np.ndindex(got.shape):
-            alone = np.float64(fl_sum(lines[(slice(None, full[idx]),) + idx], p))
-            assert np.float64(got[idx]).tobytes() == alone.tobytes(), (idx, full[idx], got[idx], alone)
-
-
-@pytest.mark.parametrize("bad", [-1, 6])
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_fl_sum_lengths_out_of_range_raise(axis, bad):
-    V = np.ones((5, 5, 5))
-    lengths = np.full((5, 5), 2)
-    lengths[1, 3] = bad
-    with pytest.raises(ValueError, match="lengths must lie in"):
-        fl_sum(V, SINGLE, axis=axis, lengths=lengths)
-    with pytest.raises(ValueError, match="lengths must lie in"):
-        fl_sum(V, SINGLE, axis=axis, lengths=bad)
+from conftest import masked_dot, masked_norm2, masked_sum, reference_rho_scores, reference_solve_ls, same_bits
+from spai_ir import spai
+from spai_ir.precision import DOUBLE, HALF, SINGLE, fl, fl_sum, quiet
+from spai_ir.spai import (RankDeficiencySignal, SpaiParams, _back_substitute, _extend_qr, _Qr, augment_pattern,
+                          augment_patterns, build_spai, rho_scores, solve_column_ls, solve_ls_batch)
+from spai_ir.sparse import SparseMatrix, shadows
 
 
 @pytest.mark.parametrize("p", [HALF, SINGLE, DOUBLE])
 def test_fl_sum_of_negative_zeros_is_negative_zero_at_every_length(p):
-    """A sum whose terms are all -0 is -0, alone and batched with ``lengths``,
-    in float64 and in the format's own dtype; a sum of no terms is +0."""
+    """A sum whose terms are all -0 is -0, in float64 and in the format's
+    own dtype; a sum of no terms is +0."""
     for dtype in {np.float64, p.dtype or np.float64}:
         for n in range(71):
             got = fl_sum(np.full(n, -0.0, dtype), p)
             assert got == 0.0 and np.signbit(got) == (n > 0), n
-            V = np.full((70, 2), -0.0, dtype)
-            V[n:] = 1.0  # past the length
-            got = fl_sum(V, p, axis=0, lengths=[n, 0])
-            assert not np.any(got) and np.signbit(got).tolist() == [n > 0, False], n
 
 
 @st.composite
@@ -197,3 +108,179 @@ def test_batched_solve_and_scores_equal_the_float64_reference(case):
     rho = rho_scores(s, Abar, p)
     assert rho.dtype == np.float64
     assert rho.tobytes() == reference_rho_scores(s, Abar, m, p).tobytes()
+
+
+def scaled(rng, shape, uf=None):
+    """Random values, a fifth of them zero, scaled by 10**k for k in -8..8,
+    and rounded to ``uf`` when given: in half some overflow to inf and
+    some underflow."""
+    v = rng.randn(*shape) * (rng.rand(*shape) < 0.8) * 10.0 ** rng.randint(-8, 9, size=shape)
+    with np.errstate(over="ignore"):
+        return fl(v, uf) if uf else v
+
+
+@st.composite
+def padded_batches(draw):
+    """A batch of least-squares blocks in half, single or double, padded to
+    one shape, with items of width 0, of the batch's full width, tall and
+    wide, entries scaled as :func:`scaled` does, and right-hand sides that
+    are unit vectors, signed zeros only, or signed zeros and ones: a -0 in
+    Q^T e is what shows the sign of a zero sum."""
+    uf = draw(st.sampled_from([HALF, SINGLE, DOUBLE]))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    N, P = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    M = P + draw(st.integers(0, 3))
+    m, p = np.zeros(N, np.int64), np.zeros(N, np.int64)
+    Abar, ebar = np.zeros((N, M, P)), np.zeros((N, M))
+    for i in range(N):
+        kind = draw(st.sampled_from(["empty", "full", "tall", "wide"]))
+        p[i] = {"empty": 0, "full": P}.get(kind, rng.randint(1, P + 1))
+        m[i] = rng.randint(1, p[i]) if kind == "wide" and p[i] > 1 else rng.randint(max(p[i], 1), M + 1)
+        Abar[i, : m[i], : p[i]] = scaled(rng, (m[i], p[i]), uf)
+        rhs = draw(st.sampled_from(["unit", "zeros", "mixed"]))
+        if rhs == "unit":
+            ebar[i, rng.randint(m[i])] = 1.0
+        else:
+            ebar[i, : m[i]] = rng.choice([0.0, -0.0] + [1.0] * (rhs == "mixed"), m[i])
+    return uf, Abar, ebar, m, p
+
+
+@quiet
+def reference_back_substitute(qr, uf) -> np.ndarray:
+    """Oracle for ``_back_substitute``: each dot over the item's own row
+    alone (``masked_dot``), in float64 rounded by ``fl``; +0 past each
+    item's width."""
+    R, qte, rdiag = (np.asarray(a, dtype=np.float64) for a in (qr.W, qr.qte, qr.rdiag))
+    N, P = rdiag.shape
+    mbar = np.zeros((N, P))
+    for c in range(P - 1, -1, -1):
+        s = masked_dot(R[:, c, c + 1 :], mbar[:, c + 1 :], np.maximum(qr.p - c - 1, 0), uf)
+        mbar[:, c] = np.where(c < qr.p, fl(fl(qte[:, c] - s, uf) / rdiag[:, c], uf), 0.0)
+    return mbar
+
+
+# Q^T e holds -0 where these rows of signed zeros meet a reflector with
+# entries of both signs.  First, a row whose terms sum to -0 (item 0, row 0):
+# its padded product must be -0 as well.  Then a row with no terms (item 0,
+# row 0 again, its only column the last): it must sum to +0.
+ZERO_SUM = (DOUBLE, np.array([[[0.0, 1, 0], [1, 1, 0], [-3, 3, 0]], np.eye(3)]),
+            np.array([[-0.0, 0, -0.0], [1, 0, 0]]), np.array([3, 3]), np.array([2, 3]))
+NO_TERMS = (DOUBLE, np.array([[[1.0, 0], [-2, 0]], [[1, 2], [3, 5]]]),
+            np.array([[-0.0, -0.0], [1, 0]]), np.array([2, 2]), np.array([1, 2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(padded_batches())
+@example(ZERO_SUM)
+@example(NO_TERMS)
+def test_back_substitution_equals_the_masked_oracle(case):
+    uf, Abar, ebar, m, p = case
+    with np.errstate(all="ignore"):
+        qr, _ = _extend_qr(_Qr.empty(len(m), uf), Abar, ebar, m, p, uf)
+        assert same_bits(_back_substitute(qr, uf), reference_back_substitute(qr, uf))
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_batches())
+def test_solve_ls_batch_returns_plus_zero_past_each_size(case):
+    uf, Abar, ebar, m, p = case
+    mbar, sbar, _ = solve_ls_batch(Abar, ebar, m, p, uf)
+    for out, size in ((mbar, p), (sbar, m)):
+        past = out[np.arange(out.shape[1]) >= size[:, None]]
+        assert past.tobytes() == np.zeros(past.size).tobytes()
+
+
+@st.composite
+def augment_batches(draw):
+    """A sparse matrix in half, single or double with entries scaled as
+    :func:`scaled` does, and a batch of columns: each a sorted pattern J,
+    its shadow I and a residual on I.  Among the columns are some whose
+    pattern is every column, so that they have no candidate, and some
+    with a single index, which leave the most."""
+    uf = draw(st.sampled_from([HALF, SINGLE, DOUBLE]))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    D = np.where(rng.rand(n, n) < 0.4, scaled(rng, (n, n), uf), 0.0)
+    np.fill_diagonal(D, 1.0)
+    A = SparseMatrix.from_dense(D)
+    sets = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["one", "some", "all"]))
+        size = {"one": 1, "all": n}.get(kind, rng.randint(1, n + 1))
+        sets.append(np.sort(rng.choice(n, size, replace=False)))
+    J = (np.concatenate([[0], np.cumsum([len(j) for j in sets])]), np.concatenate(sets))
+    I = shadows(A, J)
+    m = np.diff(I[0])
+    sbar = np.zeros((len(sets), m.max()))
+    for i in range(len(sets)):
+        sbar[i, : m[i]] = scaled(rng, (m[i],), uf)
+    return uf, A, I, J, sbar, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(augment_batches())
+def test_mean_score_equals_the_masked_oracle(case):
+    """``augment_patterns``' mean score equals the mean of each column's
+    real scores summed alone (a column with no candidate gets 0/0 = NaN
+    either way), and every column grows as it does in a batch of one."""
+    uf, A, I, J, sbar, beta = case
+    seen = []
+
+    def spy(v, p, axis=0):
+        seen.append((np.array(v), fl_sum(v, p, axis=axis)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spai, "fl_sum", spy)
+        grown = augment_patterns(A, I, J, sbar, beta, uf)
+    (scores, got), = seen
+    D, N = A.to_dense(), len(J[0]) - 1
+    count = np.array([np.setdiff1d(np.flatnonzero(D[I[1][I[0][i] : I[0][i + 1]]].any(axis=0)),
+                                   J[1][J[0][i] : J[0][i + 1]]).size for i in range(N)])
+    with np.errstate(all="ignore"):
+        assert same_bits(fl(got / count, uf), fl(masked_sum(scores, count, uf) / count, uf))
+    for i in range(N):
+        Ii, Ji = I[1][I[0][i] : I[0][i + 1]], J[1][J[0][i] : J[0][i + 1]]
+        alone = augment_pattern(A, int(Ji[0]), Ii, Ji, sbar[i, : Ii.size], beta, uf)
+        assert grown[1][grown[0][i] : grown[0][i + 1]].tolist() == alone.tolist()
+
+
+@st.composite
+def spai_inputs(draw):
+    """A tridiagonal matrix with random fill, entries scaled as
+    :func:`scaled` does but left in double for the build to round, a
+    diagonal that every format holds, and a build in half, single or
+    double."""
+    uf = draw(st.sampled_from([HALF, SINGLE, DOUBLE]))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 16))
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 1
+    D = np.where(band | (rng.rand(n, n) < 0.1), scaled(rng, (n, n)), 0.0)
+    np.fill_diagonal(D, (1.0 + rng.rand(n)) * 10.0 ** rng.randint(-4, 5, size=n))
+    return SparseMatrix.from_dense(D), SpaiParams(eps=draw(st.sampled_from([0.05, 0.3])), uf=uf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spai_inputs())
+def test_build_column_norms_equal_the_masked_oracle(case):
+    """Every residual norm ``build_spai`` takes equals the norm of each
+    column's residual alone, cut to the size of its shadow."""
+    At, params = case
+    last, checked = {}, []
+    _residual, fl_norm2 = spai._residual, spai.fl_norm2
+
+    def residual(Abar, ebar, mbar, m, p, uf):
+        last.update(sbar=_residual(Abar, ebar, mbar, m, p, uf), m=np.asarray(m))
+        return last["sbar"]
+
+    def norm2(v, p, axis=0):
+        got = fl_norm2(v, p, axis=axis)
+        if v is last.get("sbar"):
+            checked.append(same_bits(got, masked_norm2(v, last["m"], p)))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spai, "_residual", residual)
+        patch.setattr(spai, "fl_norm2", norm2)
+        build_spai(At, params)
+    assert checked and all(checked)

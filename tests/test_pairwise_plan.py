@@ -12,16 +12,17 @@ random bit patterns of the format with signed zeros, subnormals, values
 whose products or sums overflow it, infinities and NaN, and some draws
 make every product -0.
 
-A 1-d ``fl_sum`` reuses one such tree per length and dtype as well, and a
-batched one adds only the pairs of each level that hold a term; both are
-compared with ``reference_sum``, and a 1-d result must not change when a
-later call reuses its tree.
+A 1-d ``fl_sum`` of a line stored in the format's own dtype goes through a
+kept plan of its length, and any other line takes the general path; both
+are compared with ``reference_sum``, and a 1-d result must not change when
+a later call reuses its plan.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_sum, same_bits
 from spai_ir.precision import DOUBLE, HALF, SINGLE, PairwisePlan, fl, fl_dot, fl_norm2, fl_sum
 
 FORMATS = {"half": (HALF, np.uint16), "single": (SINGLE, np.uint32), "double": (DOUBLE, np.uint64)}
@@ -42,12 +43,6 @@ def reference_dot(u: np.ndarray, v: np.ndarray, p) -> float:
     while len(s) > 1:
         s = fl(s[0::2] + s[1::2], p)
     return float(s[0])
-
-
-def same(got, want) -> bool:
-    """Equal bits, or NaN on both sides."""
-    got, want = np.float64(got), np.float64(want)
-    return bool(np.isnan(got) and np.isnan(want)) or got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -92,48 +87,37 @@ def test_plan_equals_fl_dot_and_fl_norm2_bit_for_bit(case):
             assert got.dtype == (p.dtype or np.float64)
             for want in (fl_dot(u, v, p), fl_dot(u.astype(np.float64), v.astype(np.float64), p),
                          reference_dot(u, v, p)):
-                assert same(got, want), (m, got, want)
+                assert same_bits(got, want), (m, got, want)
             got = plan.norm2(v)
             for want in (fl_norm2(v, p), fl_norm2(v.astype(np.float64), p)):
-                assert same(got, want), (m, got, want)
+                assert same_bits(got, want), (m, got, want)
 
 
 def test_plan_edge_sums():
     """No terms sum to +0, all -0 terms to -0, and inf and NaN pass through."""
     for p in (HALF, SINGLE, DOUBLE):
         dtype = p.dtype or np.float64
-        assert same(PairwisePlan(0, p).dot(np.empty(0, dtype), np.empty(0, dtype)), 0.0)
+        assert same_bits(PairwisePlan(0, p).dot(np.empty(0, dtype), np.empty(0, dtype)), 0.0)
         for m in (1, 2, 3, 17, 129):
             plan = PairwisePlan(m, p)
             ones = np.ones(m, dtype)
-            assert same(plan.dot(np.full(m, -0.0, dtype), ones), -0.0), m
+            assert same_bits(plan.dot(np.full(m, -0.0, dtype), ones), -0.0), m
             terms = ones.copy()
             terms[-1] = np.inf
-            assert same(plan.dot(terms, ones), np.inf), m
+            assert same_bits(plan.dot(terms, ones), np.inf), m
             terms[0] = -np.inf
             with np.errstate(invalid="ignore"):
                 assert np.isnan(plan.dot(terms, ones)) == (m > 1), m
-            assert same(plan.dot(ones, ones), m), m
-
-
-def reference_sum(s: np.ndarray, p) -> float:
-    """The pairwise tree over the terms ``s`` padded with -0 (+0 for no
-    terms), each level a new array rounded to ``p``."""
-    s = np.asarray(s, dtype=np.float64)
-    size = 1 << max(len(s) - 1, 0).bit_length()
-    s = np.concatenate([s, np.full(size - len(s), -0.0 if len(s) else 0.0)])
-    while len(s) > 1:
-        s = fl(s[0::2] + s[1::2], p)
-    return float(s[0])
+            assert same_bits(plan.dot(ones, ones), m), m
 
 
 @settings(max_examples=300, deadline=None)
 @given(plan_cases())
 def test_1d_sums_equal_the_reference_and_keep_their_results(case):
-    """A 1-d ``fl_sum`` reuses one tree per length and storage dtype: its
-    results equal ``reference_sum`` on the native array and on its float64
-    copy, come back as scalars, and do not change when later calls of the
-    same length reuse the tree."""
+    """A 1-d ``fl_sum`` of a native array reuses one plan per length, and
+    its float64 copy takes the general path: both equal ``reference_sum``,
+    come back as scalars, and do not change when later calls of the same
+    length reuse the plan."""
     p, m, pairs = case
     kept = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -142,32 +126,18 @@ def test_1d_sums_equal_the_reference_and_keep_their_results(case):
             want = reference_sum(terms, p)
             native = terms.astype(p.dtype or np.float64)
             for got in (fl_sum(native, p), fl_sum(terms, p)):
-                assert np.ndim(got) == 0 and same(got, want), (m, got, want)
+                assert np.ndim(got) == 0 and same_bits(got, want), (m, got, want)
                 kept.append((got, want))
     for got, want in kept:
-        assert same(got, want)
-
-
-@settings(max_examples=200, deadline=None)
-@given(plan_cases(), st.integers(0, 2**32 - 1))
-def test_batched_sums_with_lengths_equal_the_reference_line_by_line(case, seed):
-    """The levels of a batched sum add only the pairs that hold a term of
-    the longest line; each line, cut at its own length, still sums to
-    ``reference_sum`` of its terms."""
-    p, m, pairs = case
-    rng = np.random.RandomState(seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.stack([fl(u.astype(np.float64) * v.astype(np.float64), p) for u, v in pairs], axis=1)
-        lengths = rng.randint(0, m + 1, size=terms.shape[1])
-        for store in {np.float64, p.dtype or np.float64}:
-            got = fl_sum(terms.astype(store), p, axis=0, lengths=lengths)
-            for c, n in enumerate(lengths):
-                assert same(got[c], reference_sum(terms[:n, c], p)), (m, n, c)
+        assert same_bits(got, want)
 
 
 def test_long_1d_sums_bypass_the_kept_trees():
-    """Lines longer than the kept trees take the batched path, with the same bits."""
+    """Long half lines stored in float64 bypass the kept plans and take the
+    general path, and their float16 copies go through kept plans, with the
+    same bits."""
     rng = np.random.RandomState(3)
     for m in (2**16, 2**16 + 1):
         terms = fl(rng.standard_normal(m), HALF)
-        assert same(fl_sum(terms, HALF), reference_sum(terms, HALF)), m
+        want = reference_sum(terms, HALF)
+        assert same_bits(fl_sum(terms, HALF), want) and same_bits(fl_sum(terms.astype(np.float16), HALF), want), m

@@ -2,8 +2,9 @@
 
 ``perfbench/tracer.py`` wraps ``spai_ir.<module>.<name>`` for each entry of
 its ``TARGETS``; a name that is gone reads as absent and its figures as
-zero.  The benchmark's own tests catch that, but they run outside this
-suite, so the list is read here and checked against the package.
+zero.  The benchmark's own tests, which this suite runs too, catch that
+in a traced run of each workload; this test reads the list and checks it
+against the package directly, without a run.
 """
 
 import importlib

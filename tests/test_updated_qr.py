@@ -14,8 +14,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import masked_norm2
 from test_spai import assert_matches_reference
-from spai_ir.precision import DOUBLE, HALF, SINGLE, fl_norm2, quiet
+from spai_ir.precision import DOUBLE, HALF, SINGLE, quiet
 from spai_ir.spai import SpaiParams, _back_substitute, _extend_qr, _Qr, _residual
 from spai_ir.sparse import SparseMatrix
 
@@ -81,7 +82,7 @@ def check_carried_equals_fresh(uf, items):
     sbar = _residual(old, e, mbar, m0, p0, uf)
     # a column goes on to the next round only when its solve was finite
     finite = np.isfinite(mbar).all(axis=1) & np.isfinite(sbar).all(axis=1)
-    go = np.flatnonzero(~deficient & finite & np.isfinite(fl_norm2(sbar, uf, axis=1, lengths=m0)))
+    go = np.flatnonzero(~deficient & finite & np.isfinite(masked_norm2(sbar, m0, uf)))
     if not go.size:
         return
     whole = padded([items[i][0] for i in go], (M, P))
