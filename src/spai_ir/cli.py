@@ -162,8 +162,17 @@ def cmd_table(args) -> int:
     return 2 if (missing or failed) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (and those of its subcommand
+    parsers, which take its class) raise ``ValueError`` for :func:`main` to
+    report in one line, instead of printing the usage and exiting 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="spai-ir", description=__doc__)
+    ap = _Parser(prog="spai-ir", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -199,9 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ArithmeticError, OSError, MatrixMarketParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

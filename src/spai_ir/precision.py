@@ -33,6 +33,9 @@ that double rounding is innocuous (Figueroa, "When is double rounding
 innocuous?", SIGNUM 1995).  numpy's float16 loops compute in float32 and
 round to half, innocuous for the same reason.  :func:`fl_sum` and
 :func:`fl_dot` keep such arrays in their dtype, and :func:`fl` returns them.
+Half and single LU factors are both kept in float32, which holds every
+single value exactly, and widen exactly to float64 where an operation
+mixes them with a float64 operand.
 
 Overflow to infinity and 0/0 = NaN are intended results, not errors.  The
 functions that compute on emulated values are wrapped in :func:`quiet`, the
@@ -46,7 +49,9 @@ elimination step updates only the rows and columns that its nonzero
 multipliers and pivot row reach inside the input's structural envelope, and
 the substitution runs over the band of the final factors, so both cost
 what the bandwidth of the ordered matrix implies, with the bits of the
-loops over whole columns.
+loops over whole columns.  It holds each n x n array once: the factors in
+the one format they are kept in, and, for the double-double reference
+solve, the dense copy of the sparse matrix factored in place.
 
 The quad-emulated format is realized with compensated double-double
 arithmetic built on error-free transformations; it is used for high
@@ -496,12 +501,11 @@ def dd_residual(A, x, b) -> np.ndarray:
 class DenseLu:
     """Partial-pivoting factors of (a row permutation of) a dense matrix.
 
-    ``lu`` packs both factors in one float64 array: U on and above the
-    diagonal, the multipliers of the unit lower factor L below it.  Row
-    ``k`` of the factored matrix is row ``perm[k]`` of the input.  ``uf`` is
-    the precision the factors were computed in (double if not known); the
-    entries of half and single factors are single values, so
-    :meth:`substitute` in single runs natively in float32 on a copy of them.
+    ``lu`` packs both factors in one array: U on and above the diagonal,
+    the multipliers of the unit lower factor L below it.  Row ``k`` of the
+    factored matrix is row ``perm[k]`` of the input.  :func:`dense_lu`
+    keeps half and single factors, whose entries are single values, in
+    float32, and double factors in float64; there is no second copy.
 
     Two reach tables, taken once from the final factors (after every row
     swap), bound the substitution: ``l_end[k]`` is one past the last
@@ -512,10 +516,8 @@ class DenseLu:
 
     lu: np.ndarray
     perm: np.ndarray
-    uf: Precision = DOUBLE
     l_end: np.ndarray = field(init=False, repr=False)
     u_start: np.ndarray = field(init=False, repr=False)
-    _single: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         n = self.lu.shape[0]
@@ -549,26 +551,20 @@ class DenseLu:
         whole columns from the start; a result that is not finite is
         computed again over them.
 
-        Single-precision substitution of half or single factors runs
-        natively in float32 on a copy of the factors made once, with the
-        bits of the float64 round trip (see the module docstring); half
-        keeps float64 and :func:`fl`.
+        Single-precision substitution with float32 factors runs natively in
+        float32, with the bits of the float64 round trip (see the module
+        docstring).  Any other runs in float64, with :func:`fl` below
+        double; numpy widens float32 factors exactly as it reads them.
         """
-        if p is SINGLE and self.uf in (HALF, SINGLE):
-            if self._single is None:
-                self._single = self.lu.astype(np.float32)
-            lu, rounding = self._single, None
-        else:
-            lu, rounding = self.lu, (None if p.dtype is None else p)
-        x = np.array(b, dtype=lu.dtype)
-        if rounding is not None:
-            fl(x, rounding, inplace=True)
+        native = p is SINGLE and self.lu.dtype == np.float32
+        rounding = None if native or p.dtype is None else p
+        x = fl(np.array(b, dtype=np.float32 if native else np.float64), p, inplace=True)
         if not np.signbit(x[x == 0.0]).any():
-            y = _substitute(lu, x.copy(), rounding, self.l_end.tolist(), self.u_start.tolist())
+            y = _substitute(self.lu, x.copy(), rounding, self.l_end.tolist(), self.u_start.tolist())
             if np.isfinite(y).all():
                 return y.astype(np.float64, copy=False)
         n = x.shape[0]
-        y = _substitute(lu, x, rounding, [n] * n, [0] * n)
+        y = _substitute(self.lu, x, rounding, [n] * n, [0] * n)
         return y.astype(np.float64, copy=False)
 
 
@@ -577,7 +573,9 @@ def _substitute(lu: np.ndarray, x: np.ndarray, rounding: Precision | None,
     """Forward and back substitution with the factors ``lu``, in place on
     ``x``, over the rows that the reach tables ``l_end`` and ``u_start``
     give (see :meth:`DenseLu.substitute`); every operation is rounded to
-    ``rounding``, or computed natively in ``x``'s dtype when it is None."""
+    ``rounding``, or computed natively in ``x``'s dtype when it is None.
+    Every product is formed in ``x``'s dtype, since a multiplier is always
+    a scalar read from ``x``."""
     n = x.shape[0]
     for k in range(n - 1):
         end = l_end[k]
@@ -590,7 +588,8 @@ def _substitute(lu: np.ndarray, x: np.ndarray, rounding: Precision | None,
                 fl(seg, rounding, inplace=True)
     for k in range(n - 1, -1, -1):
         xk = x[k] / lu[k, k]
-        x[k] = xk = xk if rounding is None else fl(xk, rounding)
+        x[k] = xk if rounding is None else fl(xk, rounding)
+        xk = x[k]  # not fl's Python float, which float32 factors would multiply in float32
         start = u_start[k]
         if start < k:
             seg = x[start:k]
@@ -624,7 +623,8 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     :class:`OverflowInFactorizationError` when the factors contain
     non-finite entries (the caller may equilibrate and retry).  Single
     precision is factored natively in float32 and half in float64 with
-    :func:`fl`, with the same bits (see the module docstring).
+    :func:`fl`, with the same bits (see the module docstring); the factors
+    of both are returned in float32 and those of double in float64.
 
     Only the work that can change a bit is done.  Rows and columns are
     bounded by the structural envelope of the input: column k can hold a
@@ -643,12 +643,15 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     step on, an inf or NaN in a step's multipliers or pivot row (0 * inf =
     NaN), tested by one reduction per vector.
     """
-    single = uf is SINGLE
-    M = np.asarray(A, dtype=np.float64).astype(np.float32 if single else np.float64)
+    return _eliminate(np.asarray(A, dtype=np.float64).astype(np.float32 if uf is SINGLE else np.float64), uf)
+
+
+def _eliminate(M: np.ndarray, uf: Precision) -> DenseLu:
+    """:func:`dense_lu` in place on ``M``, float32 for single and float64
+    otherwise, which it overwrites with the factors."""
     require_square(M.shape)
-    rounding = None if single or uf.dtype is None else uf
-    if rounding is not None:
-        fl(M, rounding, inplace=True)
+    rounding = None if uf is SINGLE or uf.dtype is None else uf
+    fl(M, uf, inplace=True)  # a float32 M for single is already rounded
     n = M.shape[0]
     # at most two n x n masks live at once, and argmax runs along rows
     nz = M == 0.0
@@ -701,16 +704,17 @@ def dense_lu(A, uf: Precision) -> DenseLu:
         raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
     if not np.all(np.isfinite(M)):
         raise OverflowInFactorizationError(f"overflow in {uf.name}")
-    return DenseLu(lu=M.astype(np.float64, copy=False), perm=perm, uf=uf)
+    return DenseLu(lu=M if uf.dtype is None else M.astype(np.float32, copy=False), perm=perm)
 
 
 @quiet
 def dd_solve(A, b):
     """Reference solution of A x = b accurate to double-double level.
 
-    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`.  A dense copy is
-    factored once in double with :func:`dense_lu`, whose cost follows the
-    bandwidth of ``A`` as ordered.  The double-double iterate is then
+    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`.  Its dense copy is
+    factored once in double, in place, by the elimination of
+    :func:`dense_lu`, whose cost follows the bandwidth of ``A`` as ordered;
+    no copy of that copy is made.  The double-double iterate is then
     refined with :func:`dd_residual` of the pair until that residual stops
     improving; the limiting forward error is of order
     ``unit_roundoff(QUAD) * cond(A)``.  Returns ``(x_hi, x_lo)`` as a
@@ -719,7 +723,7 @@ def dd_solve(A, b):
     """
     b = np.asarray(b, dtype=np.float64)
     check_matrix(A, b)
-    factors = dense_lu(A.to_dense(), DOUBLE)
+    factors = _eliminate(A.to_dense(), DOUBLE)
     xh = factors.substitute(b[factors.perm], DOUBLE)
     xl = np.zeros_like(xh)
     best = math.inf

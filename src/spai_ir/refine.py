@@ -136,7 +136,8 @@ def equilibrate_two_sided(A: np.ndarray, uf: Precision):
     if np.any(rowmax == 0.0):
         raise SingularMatrixError("structurally singular: empty row")
     r = 1.0 / rowmax
-    colmax = (dense * r[:, None]).max(axis=0)
+    dense *= r[:, None]
+    colmax = dense.max(axis=0)
     if np.any(colmax == 0.0):
         raise SingularMatrixError("structurally singular: empty column")
     s = 1.0 / colmax
@@ -179,16 +180,20 @@ class LuPreconditioner:
         return x[self.inv_order]
 
     def apply_exact(self, A: SparseMatrix) -> np.ndarray:
-        """The dense product of the preconditioner and ``A`` in plain double (diagnostics)."""
+        """The dense product of the preconditioner and ``A`` in plain double
+        (diagnostics): the factors, float32 for half and single, are handed
+        to LAPACK widened to float64, and the scalings act in place."""
         from scipy.linalg import solve_triangular
 
         Y = A.to_dense()[self.rows]
         if self.r is not None:
-            Y = (self.mu * Y) * self.r[:, None]
-        Y = solve_triangular(self.factors.lu, Y, lower=True, unit_diagonal=True)
-        Y = solve_triangular(self.factors.lu, Y)
+            Y *= self.mu
+            Y *= self.r[:, None]
+        lu = self.factors.lu.astype(np.float64, copy=False)
+        Y = solve_triangular(lu, Y, lower=True, unit_diagonal=True)
+        Y = solve_triangular(lu, Y)
         if self.s is not None:
-            Y = Y * self.s[:, None]
+            Y *= self.s[:, None]
         return Y[self.inv_order]
 
 
@@ -258,8 +263,10 @@ def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> SpaiPreconditioner | LuPre
             return LuPreconditioner(dense_lu(dense, cfg.uf), order)
         except OverflowInFactorizationError:
             r, s, mu = equilibrate_two_sided(dense, cfg.uf)
-            hatA = fl(mu * (dense * r[:, None]) * s[None, :], cfg.uf)
-            return LuPreconditioner(dense_lu(hatA, cfg.uf), order, r=r, s=s, mu=mu)
+            dense *= r[:, None]  # mu * R B S in place; dense_lu rounds it to uf
+            dense *= mu
+            dense *= s
+            return LuPreconditioner(dense_lu(dense, cfg.uf), order, r=r, s=s, mu=mu)
     return None
 
 

@@ -3,10 +3,13 @@
 Each elimination step of ``dense_lu`` updates only the rows up to its last
 nonzero multiplier and the columns up to the last nonzero entry of its
 pivot row.  That is bit-exact only if the skipped entries would not have
-changed, so ``dense_lu`` is compared here, as raw bytes, with
-``reference_dense_lu``, which updates the whole trailing block at every
-step.  Both must return the same factors and pivot order, or raise the same
-exception with the same message.
+changed, so ``dense_lu`` is compared here with ``reference_dense_lu``,
+which updates the whole trailing block at every step.  Both must return the
+same factors and pivot order, or raise the same exception with the same
+message.  The factors are compared as the raw bytes of their float64
+widening, which is exact and one-to-one on finite values, since
+``dense_lu`` keeps half and single factors in float32 and the reference
+keeps every format in float64; the storage dtype is checked on its own.
 """
 
 import numpy as np
@@ -25,7 +28,7 @@ def outcome(factor, A, uf):
         f = factor(A, uf)
     except ArithmeticError as exc:
         return type(exc).__name__, str(exc)
-    return f.lu.tobytes(), f.perm.tobytes()
+    return f.lu.astype(np.float64).tobytes(), f.perm.tobytes()
 
 
 @st.composite
@@ -70,3 +73,9 @@ def lu_inputs(draw):
 def test_dense_lu_equals_full_block_reference(case):
     A, uf = case
     assert outcome(dense_lu, A, uf) == outcome(reference_dense_lu, A, uf)
+
+
+def test_dense_lu_keeps_half_and_single_factors_in_float32():
+    A = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+    for uf, dtype in ((HALF, np.float32), (SINGLE, np.float32), (DOUBLE, np.float64)):
+        assert dense_lu(A, uf).lu.dtype == dtype, uf

@@ -5,8 +5,11 @@ that the reach tables of the final factors give, in float32 for single
 precision.  That is bit-exact only if every skipped operation would not have
 changed a bit, so it is compared here, as raw bytes, with
 ``reference_substitute``, which runs over whole columns in float64 with
-``fl``, applied to the factors of ``reference_dense_lu``.  The right-hand
-sides hold -0, infinities, NaN, subnormals and values that overflow.
+``fl``, applied to the float64 factors of ``reference_dense_lu``.  The
+factors of ``dense_lu`` are float32 for half and single, so the native
+float32 substitution and the mixed float32-and-float64 one are both
+checked against the float64 loop.  The right-hand sides hold -0,
+infinities, NaN, subnormals and values that overflow.
 """
 
 import numpy as np
@@ -64,6 +67,9 @@ def substitute_inputs(draw):
 @example((np.array([[4.0, 1.0, 0.0], [2.0, 0.5, 1.0], [0.0, 3.0, 1.0]]), DOUBLE, DOUBLE, np.ones(3)))
 # 0 divided by the negative pivot is -0 in L, and -0 - (-0 * 1) = +0 in x
 @example((np.array([[-2.0, 1.0], [0.0, 1.0]]), DOUBLE, DOUBLE, np.array([1.0, -0.0])))
+# half substitution of float32 single factors: the product 1.17634606... * 1.6142578125
+# rounded to single first would round to half 2**-10 below its correctly rounded value
+@example((np.array([[1.0, 1.1763460636138916], [0.0, 1.0]]), SINGLE, HALF, np.array([0.0, 1.6142578125])))
 def test_substitute_equals_whole_column_reference(case):
     A, uf, p, b = case
     got = solve(dense_lu, DenseLu.substitute, A, uf, p, b)

@@ -338,3 +338,23 @@ def test_cli_main_callable_directly(capsys):
     rc = main(["solve", "--matrix", "ident_32", "--solver", "none", "--precisions", "s,d,q"])
     assert rc == 0
     assert "converged" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["solve"],  # no --matrix
+    ["solve", "--matrix", "band_asym_120", "--eps", "abc"],
+    ["solve", "--matrix", "band_asym_120", "--solver", "foo"],
+    ["table", "t9"],
+])
+def test_cli_usage_error_is_one_line_exit_1(capsys, args):
+    # argparse's own errors would print the usage block and exit 2, the code of non-convergence
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: "), captured.err
+
+
+def test_cli_help_exits_0():
+    res = _run_cli(["solve", "--help"])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage: spai-ir solve")
