@@ -34,8 +34,8 @@ innocuous?", SIGNUM 1995).  numpy's float16 loops compute in float32 and
 round to half, innocuous for the same reason.  :func:`fl_sum` and
 :func:`fl_dot` keep such arrays in their dtype, and :func:`fl` returns them.
 Half and single LU factors are both kept in float32, which holds every
-single value exactly, and widen exactly to float64 where an operation
-mixes them with a float64 operand.
+single value exactly; a substitution in half or double forms each product
+in float64, which widens them exactly.
 
 Overflow to infinity and 0/0 = NaN are intended results, not errors.  The
 functions that compute on emulated values are wrapped in :func:`quiet`, the
@@ -554,7 +554,8 @@ class DenseLu:
         Single-precision substitution with float32 factors runs natively in
         float32, with the bits of the float64 round trip (see the module
         docstring).  Any other runs in float64, with :func:`fl` below
-        double; numpy widens float32 factors exactly as it reads them.
+        double, and forms each product in float64, which widens float32
+        factors exactly.
         """
         native = p is SINGLE and self.lu.dtype == np.float32
         rounding = None if native or p.dtype is None else p
@@ -574,29 +575,31 @@ def _substitute(lu: np.ndarray, x: np.ndarray, rounding: Precision | None,
     ``x``, over the rows that the reach tables ``l_end`` and ``u_start``
     give (see :meth:`DenseLu.substitute`); every operation is rounded to
     ``rounding``, or computed natively in ``x``'s dtype when it is None.
-    Every product is formed in ``x``'s dtype, since a multiplier is always
-    a scalar read from ``x``."""
-    n = x.shape[0]
+    Every product is formed in ``x``'s dtype, named outright, so float32
+    factors are widened exactly under any numpy promotion rules (numpy 1.x
+    would keep a float32 array times a float64 scalar in float32)."""
+    n, dt = x.shape[0], x.dtype
     for k in range(n - 1):
         end = l_end[k]
         if end > k + 1:
             seg = x[k + 1 : end]
+            prod = np.multiply(lu[k + 1 : end, k], x[k], dtype=dt)
             if rounding is None:
-                seg -= lu[k + 1 : end, k] * x[k]
+                seg -= prod
             else:
-                seg -= fl(lu[k + 1 : end, k] * x[k], rounding, inplace=True)
+                seg -= fl(prod, rounding, inplace=True)
                 fl(seg, rounding, inplace=True)
     for k in range(n - 1, -1, -1):
         xk = x[k] / lu[k, k]
-        x[k] = xk if rounding is None else fl(xk, rounding)
-        xk = x[k]  # not fl's Python float, which float32 factors would multiply in float32
+        x[k] = xk = xk if rounding is None else fl(xk, rounding)
         start = u_start[k]
         if start < k:
             seg = x[start:k]
+            prod = np.multiply(lu[start:k, k], xk, dtype=dt)
             if rounding is None:
-                seg -= lu[start:k, k] * xk
+                seg -= prod
             else:
-                seg -= fl(lu[start:k, k] * xk, rounding, inplace=True)
+                seg -= fl(prod, rounding, inplace=True)
                 fl(seg, rounding, inplace=True)
     return x
 
