@@ -24,11 +24,13 @@ Numpy calls per Arnoldi step are kept few.  The basis is a list of
 vectors, so a dot indexes no array.  Column j of the Hessenberg matrix is
 built in a Python list: its MGS coefficients and the next basis norm are
 collected there, the earlier Givens rotations, whose cosines and sines are
-lists too, are applied to it, and it is written into ``H`` once.  In
-double these scalars are Python floats, whose operations are the binary64
-operations of numpy's float64; in half and single they stay numpy scalars
-of the working dtype, so every operation still rounds to it.  The
-operations and their order are those of a loop over the columns of ``H``.
+lists too, are applied to it, and it is kept.  Only after the loop is the
+(k+1) x k ``H`` of the k iterations run formed from these columns, once,
+for the least-squares solve; no n x n array is allocated.  In double these
+scalars are Python floats, whose operations are the binary64 operations of
+numpy's float64; in half and single they stay numpy scalars of the working
+dtype, so every operation still rounds to it.  The operations and their
+order are those of a loop over the columns of ``H``.
 """
 
 from __future__ import annotations
@@ -98,6 +100,8 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     happy breakdown, or after n iterations: there is no cap below the
     problem size.  A basis norm that underflows to zero before the
     tolerance is met sets ``breakdown`` and returns the best iterate so far.
+    Its memory follows the iterations run: the basis, and the (k+1) x k
+    Hessenberg matrix of k iterations, formed once after the loop.
 
     :class:`PrecisionOverflowSignal` is raised as soon as a value leaves the
     range of a precision: the operator's output in ``up``, or in ``ug`` the
@@ -121,8 +125,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     scalar = float if ug.dtype is None else dt
     plan = PairwisePlan(n, ug)  # the Arnoldi dots and norms
     t = np.empty(n, dt)  # scratch for a rounded product
-    H = np.zeros((n + 1, n), dt)
-    cs, sn = [], []
+    cs, sn, hcols = [], [], []  # the Givens rotations, and the rotated columns of H
     g = np.zeros(n + 1, dt)
     g[0] = beta
     basis = [z / beta]
@@ -158,7 +161,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
         cs.append(hjj / denom)
         sn.append(hnext / denom)
         col[j], col[j + 1] = denom, 0.0
-        H[: j + 2, j] = col
+        hcols.append(col)
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]
 
@@ -179,6 +182,9 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
             break
 
     # Hessenberg least squares in the GMRES working precision
+    H = np.zeros((k + 1, k), dt)
+    for j, col in enumerate(hcols):
+        H[: j + 2, j] = col
     y = np.zeros(k, dt)
     for c in range(k - 1, -1, -1):
         s = fl_dot(H[c, c + 1 : k], y[c + 1 : k], ug)

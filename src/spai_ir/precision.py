@@ -23,9 +23,9 @@ while four numpy calls per dot go.
 
 Half and single values may instead be stored in their own numpy dtype
 (``Precision.dtype``) and computed on natively, as GMRES
-(:mod:`spai_ir.krylov`), single-precision SPAI builds (:mod:`spai_ir.spai`)
-and single-precision dense LU and substitution (:func:`dense_lu`,
-:meth:`DenseLu.substitute`) do, with the same bits: an IEEE
+(:mod:`spai_ir.krylov`), single-precision SPAI builds (:mod:`spai_ir.spai`),
+dense LU in half and single (:func:`dense_lu`) and single-precision
+substitution (:meth:`DenseLu.substitute`) do, with the same bits: an IEEE
 ``+ - * / sqrt`` in float16 or float32 is the exact result rounded once,
 and so is the float64 operation followed by :func:`fl`, since
 binary64 carries at least 2t + 2 significant bits for t = 11 and t = 24 and
@@ -34,7 +34,9 @@ innocuous?", SIGNUM 1995).  numpy's float16 loops compute in float32 and
 round to half, innocuous for the same reason.  :func:`fl_sum` and
 :func:`fl_dot` keep such arrays in their dtype, and :func:`fl` returns them.
 Half and single LU factors are both kept in float32, which holds every
-single value exactly; a substitution in half or double forms each product
+single value exactly (half's are factored in float16 and widened once at
+the end: the single-precision substitution that hsd GMRES runs is slower
+on float16 factors); a substitution in half or double forms each product
 in float64, which widens them exactly.
 
 Overflow to infinity and 0/0 = NaN are intended results, not errors.  The
@@ -49,9 +51,10 @@ elimination step updates only the rows and columns that its nonzero
 multipliers and pivot row reach inside the input's structural envelope, and
 the substitution runs over the band of the final factors, so both cost
 what the bandwidth of the ordered matrix implies, with the bits of the
-loops over whole columns.  It holds each n x n array once: the factors in
-the one format they are kept in, and, for the double-double reference
-solve, the dense copy of the sparse matrix factored in place.
+loops over whole columns.  It holds each n x n array once: the working
+copy in the format's own dtype, the factors in the one format they are
+kept in, and, for the double-double reference solve, the dense copy of
+the sparse matrix factored in place.
 
 The quad-emulated format is realized with compensated double-double
 arithmetic built on error-free transformations; it is used for high
@@ -624,10 +627,13 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     Factors a copy of the dense array ``A``.  Raises
     :class:`SingularMatrixError` on an exactly zero pivot and
     :class:`OverflowInFactorizationError` when the factors contain
-    non-finite entries (the caller may equilibrate and retry).  Single
-    precision is factored natively in float32 and half in float64 with
-    :func:`fl`, with the same bits (see the module docstring); the factors
-    of both are returned in float32 and those of double in float64.
+    non-finite entries (the caller may equilibrate and retry).  The copy
+    is made in the format's own dtype, float16 for half, float32 for single
+    and float64 for double, a cast that is :func:`fl`, and is factored
+    natively in it, with the bits of the float64-then-round loop (see the
+    module docstring).  Half and single factors are returned in float32,
+    which holds them exactly and which single-precision substitution runs
+    in, and double factors in float64.
 
     Only the work that can change a bit is done.  Rows and columns are
     bounded by the structural envelope of the input: column k can hold a
@@ -646,15 +652,14 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     step on, an inf or NaN in a step's multipliers or pivot row (0 * inf =
     NaN), tested by one reduction per vector.
     """
-    return _eliminate(np.asarray(A, dtype=np.float64).astype(np.float32 if uf is SINGLE else np.float64), uf)
+    return _eliminate(np.asarray(A, dtype=np.float64).astype(uf.dtype or np.float64), uf)
 
 
 def _eliminate(M: np.ndarray, uf: Precision) -> DenseLu:
-    """:func:`dense_lu` in place on ``M``, float32 for single and float64
-    otherwise, which it overwrites with the factors."""
+    """:func:`dense_lu` in place on ``M``, which holds values of ``uf`` in
+    its own dtype; every operation runs natively in that dtype and so is
+    rounded to ``uf`` once.  ``M`` is overwritten with the factors."""
     require_square(M.shape)
-    rounding = None if uf is SINGLE or uf.dtype is None else uf
-    fl(M, uf, inplace=True)  # a float32 M for single is already rounded
     n = M.shape[0]
     # at most two n x n masks live at once, and argmax runs along rows
     nz = M == 0.0
@@ -687,8 +692,6 @@ def _eliminate(M: np.ndarray, uf: Precision) -> DenseLu:
         col = M[k + 1 :, k]
         col /= M[k, k]  # the whole column: 0 divided by a negative pivot is -0
         mult = col[: r_end - k - 1]  # past it, +-0 (or NaN from a NaN pivot)
-        if rounding is not None:
-            fl(mult, rounding, inplace=True)
         row = M[k, k + 1 : n if full else cols_end[k]]
         if not full and not (_finite(col) and _finite(row)):
             full, row = True, M[k, k + 1 :]
@@ -697,12 +700,7 @@ def _eliminate(M: np.ndarray, uf: Precision) -> DenseLu:
             fits = re <= scratch.shape[0] and ce <= scratch.shape[1]
             t = scratch[:re, :ce] if fits else np.empty((re, ce), M.dtype)
             np.multiply(col[:re, None], row[None, :ce], out=t)
-            block = M[k + 1 : k + 1 + re, k + 1 : k + 1 + ce]
-            if rounding is None:
-                block -= t
-            else:
-                block -= fl(t, rounding, inplace=True)
-                fl(block, rounding, inplace=True)
+            M[k + 1 : k + 1 + re, k + 1 : k + 1 + ce] -= t
     if M[n - 1, n - 1] == 0.0:
         raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
     if not np.all(np.isfinite(M)):

@@ -181,17 +181,21 @@ class LuPreconditioner:
 
     def apply_exact(self, A: SparseMatrix) -> np.ndarray:
         """The dense product of the preconditioner and ``A`` in plain double
-        (diagnostics): the factors, float32 for half and single, are handed
-        to LAPACK widened to float64, and the scalings act in place."""
+        (diagnostics).  ``A`` is densified once, its rows in pivot order and
+        in Fortran order, so both triangular solves overwrite it in place;
+        the factors, float32 for half and single, are handed to LAPACK
+        widened to float64 and dropped before the rows go back to A's order,
+        and the scalings act in place."""
         from scipy.linalg import solve_triangular
 
-        Y = A.to_dense()[self.rows]
+        Y = A.to_dense(rows=self.rows, order="F")
         if self.r is not None:
             Y *= self.mu
             Y *= self.r[:, None]
         lu = self.factors.lu.astype(np.float64, copy=False)
-        Y = solve_triangular(lu, Y, lower=True, unit_diagonal=True)
-        Y = solve_triangular(lu, Y)
+        Y = solve_triangular(lu, Y, lower=True, unit_diagonal=True, overwrite_b=True)
+        Y = solve_triangular(lu, Y, overwrite_b=True)
+        del lu
         if self.s is not None:
             Y *= self.s[:, None]
         return Y[self.inv_order]
@@ -258,7 +262,7 @@ def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> SpaiPreconditioner | LuPre
         return build_left_preconditioner(A, cfg.spai)
     if cfg.solver in ("lu", "sir"):
         order = rcm_permutation(A)
-        dense = A.to_dense()[np.ix_(order, order)]
+        dense = A.to_dense(rows=order, cols=order)
         try:
             return LuPreconditioner(dense_lu(dense, cfg.uf), order)
         except OverflowInFactorizationError:

@@ -126,9 +126,12 @@ class SparseMatrix:
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return self.indices[lo:hi], self.data[lo:hi]
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[self.indices, owners(self.indptr)] = self.data
+    def to_dense(self, rows=None, cols=None, order: str = "C") -> np.ndarray:
+        """The dense float64 matrix in numpy memory ``order``; given permutations
+        ``rows`` and ``cols``, it is written straight into ``[rows][:, cols]``."""
+        out = np.zeros((self.n_rows, self.n_cols), order=order)
+        i, j = self.indices, owners(self.indptr)
+        out[i if rows is None else np.argsort(rows)[i], j if cols is None else np.argsort(cols)[j]] = self.data
         return out
 
     def transpose(self) -> "SparseMatrix":

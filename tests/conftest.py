@@ -55,9 +55,19 @@ def reference_solution(A: SparseMatrix, b: np.ndarray):
     return _refs[key]
 
 
+def refuse_nan(values, what: str) -> None:
+    """Fail the test if ``values`` hold a NaN: numpy picks a NaN's sign by
+    array position, so the bytes of a NaN pin the layout, not the arithmetic."""
+    if np.isnan(values).any():
+        pytest.fail(f"{what} holds a NaN, whose sign bit no fingerprint can pin", pytrace=False)
+
+
 def digest(arr: np.ndarray, dtype) -> str:
-    """SHA-256 of an array's bytes in ``dtype``, for bit-exact fingerprints."""
-    return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
+    """SHA-256 of an array's bytes in ``dtype``, for bit-exact fingerprints;
+    an array that holds a NaN fails the test (:func:`refuse_nan`)."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    refuse_nan(arr, "a fingerprinted array")
+    return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
 @pytest.fixture

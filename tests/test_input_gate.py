@@ -52,7 +52,7 @@ CASES = [(entry, case) for entry in ENTRY_POINTS for case in MATRIX_CASES] + [
 @pytest.mark.parametrize("entry,case", CASES)
 def test_bad_input_gets_the_one_message_before_any_dense_copy(monkeypatch, entry, case):
     A, b, message = {**MATRIX_CASES, **RHS_CASES}[case]
-    monkeypatch.setattr(SparseMatrix, "to_dense", lambda self: pytest.fail("bad input was densified"))
+    monkeypatch.setattr(SparseMatrix, "to_dense", lambda self, *args, **kwargs: pytest.fail("bad input was densified"))
     with pytest.raises(ValueError) as info:
         ENTRY_POINTS[entry](A, b)
     assert type(info.value) is ValueError

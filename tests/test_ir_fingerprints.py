@@ -10,7 +10,9 @@ of the solution, of the sorted ``IrReport.to_dict()`` JSON, of the
 preconditioner size and of the kappa(PA) diagnostic must equal the digest
 stored in ``ir_fingerprints.json``, which also records whether the LU
 factors were equilibrated; so must the double-double reference
-solution (hi and lo words) of each matrix.
+solution (hi and lo words) of each matrix.  A NaN in a fingerprinted
+array or in ``kappa_tilde`` fails the test: numpy picks a NaN's sign by
+array position, so its digest would pin the layout, not the arithmetic.
 
 The file is regenerated, only for a deliberate and documented change of the
 arithmetic, with ``PYTHONPATH=src python tests/test_ir_fingerprints.py``.
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import digest
+from conftest import digest, refuse_nan
 from spai_ir.precision import DOUBLE, HALF, QUAD, SINGLE, dd_solve
 from spai_ir.reference import SYNTHETIC, find_matrix, rhs_for
 from spai_ir.sparse import SparseMatrix, load_matrix_market
@@ -44,7 +46,10 @@ def _sha(data: bytes) -> str:
 def solve_fingerprint(A, name: str, pset: str, solver: str) -> dict:
     uf, u, ur = PRECISION_SETS[pset]
     out = solve_system(A, name, solver, uf, u, ur, eps=0.3 if solver == "spai" else None)
-    kappa = b"none" if out.kappa_tilde is None else struct.pack("<d", out.kappa_tilde)
+    kappa = b"none"
+    if out.kappa_tilde is not None:
+        refuse_nan(out.kappa_tilde, f"kappa_tilde of {name}/{pset}/{solver}")
+        kappa = struct.pack("<d", out.kappa_tilde)
     return {
         "x": digest(out.x, np.float64),
         "report": _sha(json.dumps(out.report.to_dict(), sort_keys=True).encode()),

@@ -108,6 +108,16 @@ def test_transpose_involution(rng):
     assert np.array_equal(A.data, B.data)
 
 
+def test_to_dense_writes_permuted_rows_and_columns_in_either_layout(rng):
+    dense = rng.randn(7, 5) * (rng.rand(7, 5) < 0.5)
+    A = SparseMatrix.from_dense(dense)
+    rows, cols = rng.permutation(7), rng.permutation(5)
+    assert np.array_equal(A.to_dense(), dense)
+    assert np.array_equal(A.to_dense(rows, cols), dense[np.ix_(rows, cols)])
+    fortran = A.to_dense(rows=rows, order="F")
+    assert fortran.flags.f_contiguous and np.array_equal(fortran, dense[rows])
+
+
 def test_shadow_identity_and_definition(rng):
     I = SparseMatrix.identity(6)
     assert np.array_equal(shadow(I, np.array([3])), [3])
