@@ -46,15 +46,19 @@ kernel and the primitives ``fl_op``, ``fl_sum``, ``fl_dot`` and ``fl_norm2``
 stay bare because they run in the innermost loops; a caller outside the
 package wraps them in :func:`quiet`.
 
-The emulated dense LU does only the work that can change a bit: an
-elimination step updates only the rows and columns that its nonzero
-multipliers and pivot row reach inside the input's structural envelope, and
-the substitution runs over the band of the final factors, so both cost
-what the bandwidth of the ordered matrix implies, with the bits of the
-loops over whole columns.  It holds each n x n array once: the working
-copy in the format's own dtype, the factors in the one format they are
-kept in, and, for the double-double reference solve, the dense copy of
-the sparse matrix factored in place.
+The emulated LU does only the work that can change a bit: an elimination
+step updates only the rows and columns that its nonzero multipliers and
+pivot row reach inside the input's structural envelope, and the
+substitution runs over the band of the factors, so both cost what the
+bandwidth of the ordered matrix implies, with the bits of the loops over
+whole columns of a dense array.  The factors live in one column-major band
+store that is filled straight from the sparse matrix, LAPACK's ``dgbtrf``
+layout with each multiplier kept in the row where it was computed
+(:class:`DenseLu`), so neither the LU preconditioner nor the double-double
+reference solve makes an n x n array; only an input that needs the
+full-block elimination (a -0, or an inf or NaN met on the way) is moved
+into the full n x n store, and :meth:`DenseLu.packed` rebuilds the dense
+factors for the kappa(PA) diagnostic.
 
 The quad-emulated format is realized with compensated double-double
 arithmetic built on error-free transformations; it is used for high
@@ -496,63 +500,111 @@ def dd_residual(A, x, b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dense LU in emulated precision
+# LU in emulated precision, on a band store
 # ---------------------------------------------------------------------------
+
+
+def _layout(n: int, kl: int, ku: int) -> tuple[int, int, int]:
+    """``(off, stride, width)`` of the store of n x n factors that hold
+    ``kl`` rows below and ``ku`` above the diagonal: element (i, j) is at
+    ``off + i + j * stride`` and column j's entries are the ``width``
+    entries from ``j * width``.  The band has ``stride = kl + ku`` and
+    ``off = ku``, LAPACK's ``dgbtrf`` layout; where it would be no smaller
+    than n x n, the full store, n x n in Fortran order, is used."""
+    if kl + ku + 1 < n:
+        return ku, kl + ku, kl + ku + 1
+    return 0, n, n
 
 
 @dataclass
 class DenseLu:
-    """Partial-pivoting factors of (a row permutation of) a dense matrix.
+    """Partial-pivoting factors of a square matrix in one column-major store.
 
-    ``lu`` packs both factors in one array: U on and above the diagonal,
-    the multipliers of the unit lower factor L below it.  Row ``k`` of the
-    factored matrix is row ``perm[k]`` of the input.  :func:`dense_lu`
-    keeps half and single factors, whose entries are single values, in
-    float32, and double factors in float64; there is no second copy.
+    Element (i, j) of the factors is ``store[off + i + j * stride]`` (see
+    :func:`_layout`): a band store holds the ``kl`` rows below and the
+    ``ku`` rows above the diagonal of each column, the full store (``kl =
+    ku = n - 1``) every entry.  U lies on and above the diagonal.  As in
+    LAPACK's ``dgbtrf``, the multipliers of step k stay in the rows where
+    step k computed them, below the diagonal of column k, and ``piv[k]`` is
+    the row that step k interchanged with row k, in columns k and on; a
+    later interchange does not move them.  An entry the store does not hold
+    is as the full-block elimination leaves it: +0, or 0 / u_jj (-0 for a
+    negative pivot) below the band of column j.  :func:`dense_lu` keeps
+    half and single factors, whose entries are single values, in float32,
+    and double factors in float64.  :meth:`packed` rebuilds the factors as
+    one n x n array in LAPACK's ``dgetrf`` form, for what needs them dense.
 
-    Two reach tables, taken once from the final factors (after every row
-    swap), bound the substitution: ``l_end[k]`` is one past the last
-    nonzero multiplier in column k of L (k + 1 if there is none), and
-    ``u_start[k]`` is the first nonzero row of column k of U above the
-    diagonal (k if there is none).
+    Two reach tables, taken from the store in one pass, bound the
+    substitution: ``l_end[k]`` is one past the last nonzero multiplier of
+    step k (k + 1 if there is none), and ``u_start[k]`` is the first
+    nonzero row of column k of U above the diagonal (k if there is none).
     """
 
-    lu: np.ndarray
-    perm: np.ndarray
-    l_end: np.ndarray = field(init=False, repr=False)
-    u_start: np.ndarray = field(init=False, repr=False)
+    store: np.ndarray
+    kl: int
+    ku: int
+    piv: np.ndarray
+    l_end: list = field(init=False, repr=False)
+    u_start: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.lu.shape[0]
-        self.l_end, self.u_start = np.empty(n, np.int64), np.empty(n, np.int64)
-        for c in range(0, n, 128):  # 128 columns at a time, so the masks stay small
-            nz = self.lu[:, c : c + 128] != 0.0
-            k = np.arange(c, c + nz.shape[1])
-            self.l_end[c : c + 128] = np.maximum(n - nz[::-1].argmax(axis=0), k + 1)
-            self.u_start[c : c + 128] = np.minimum(nz.argmax(axis=0), k)
+        n = len(self.piv)
+        off, stride, width = _layout(n, self.kl, self.ku)
+        nz = self.store.reshape(n, width) != 0.0  # row j: the entries of column j
+        shift = np.arange(n) * (width - stride) - off  # entry t of column j is row t + shift[j]
+        # the diagonal is nonzero, so each column has a first and a last nonzero
+        self.l_end = (width - nz[:, ::-1].argmax(axis=1) + shift).tolist()
+        self.u_start = (nz.argmax(axis=1) + shift).tolist()
+        self._piv = self.piv.tolist()
+
+    @property
+    def stride(self) -> int:
+        """The column stride of the store: ``kl + ku`` for a band, n for the full store."""
+        return _layout(len(self.piv), self.kl, self.ku)[1]
 
     @property
     def nnz_lu(self) -> int:
         """Nonzero entries of L and U, the unit diagonal of L counted once
         with the diagonal of U."""
-        return int(np.count_nonzero(self.lu))
+        return int(np.count_nonzero(self.store))
+
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factors as LAPACK's ``dgetrf`` packs them, in a new float64
+        n x n array in C order, and the row order ``perm``: row k of the
+        factored matrix is row ``perm[k]`` of the input.  U lies on and
+        above the diagonal and the multipliers of L below it, each moved by
+        every later row interchange, as the elimination with whole-row swaps
+        leaves them, -0 below the band included."""
+        n = len(self.piv)
+        lu = _unband(self.store, n, self.kl, self.ku, n, np.zeros((n, n)))
+        perm = np.arange(n)
+        for k, p in enumerate(self._piv):
+            if p != k:
+                lu[[k, p], :k] = lu[[p, k], :k]
+                perm[[k, p]] = perm[[p, k]]
+        return lu, perm
 
     @quiet
     def substitute(self, b: np.ndarray, p: Precision) -> np.ndarray:
-        """Solve L U x = b for ``b`` already in pivot order by forward and
-        back substitution, every operation rounded to ``p``; returns float64.
+        """Solve A x = b, for ``b`` in the row order of the factored matrix
+        A, by forward and back substitution, every operation rounded to
+        ``p``; returns float64.
 
-        Step k of the forward loop runs over the rows of column k of L up to
-        ``l_end[k]``, step k of the back loop over the rows of column k of U
-        from ``u_start[k]``, so the cost follows the band of the factors,
-        not n**2.  The operations and their order are those of the loops
-        over whole columns, and so are the bits: a skipped entry is a zero
-        factor, and x_i - fl(+-0 * x_k) = x_i unless x_i is -0 or x_k is not
-        finite.  An entry still to be updated is -0 only if the rounded
-        ``b`` holds a -0 (a difference is -0 only when its minuend is, and a
-        quotient, which may be -0, is final), so such a ``b`` takes the
-        whole columns from the start; a result that is not finite is
-        computed again over them.
+        Step k of the forward loop first interchanges entries k and
+        ``piv[k]`` of x, then runs over the rows of step k's multipliers up
+        to ``l_end[k]``; step k of the back loop runs over the rows of
+        column k of U from ``u_start[k]``.  So the cost follows the band of
+        the factors, not n**2, and every entry gets the operations of the
+        loops over whole columns of the packed factors, in their order, and
+        their bits: a skipped entry is a zero factor, and x_i - fl(+-0 *
+        x_k) = x_i unless x_i is -0 or x_k is not finite.  An entry still to
+        be updated is -0 only if the rounded ``b`` holds a -0 (a difference
+        is -0 only when its minuend is, and a quotient, which may be -0, is
+        final), so such a ``b`` takes the whole columns from the start; a
+        result that is not finite is computed again over them.  Outside the
+        band the whole columns hold only the zeros that :class:`DenseLu`
+        names, so a step subtracts their product with x_k from those rows as
+        one scalar.
 
         Single-precision substitution with float32 factors runs natively in
         float32, with the bits of the float64 round trip (see the module
@@ -560,51 +612,85 @@ class DenseLu:
         double, and forms each product in float64, which widens float32
         factors exactly.
         """
-        native = p is SINGLE and self.lu.dtype == np.float32
+        native = p is SINGLE and self.store.dtype == np.float32
         rounding = None if native or p.dtype is None else p
         x = fl(np.array(b, dtype=np.float32 if native else np.float64), p, inplace=True)
+        n = x.shape[0]
+        off, stride, _ = _layout(n, self.kl, self.ku)
+        run = functools.partial(_substitute, self.store, off, stride, self._piv, rounding=rounding)
         if not np.signbit(x[x == 0.0]).any():
-            y = _substitute(self.lu, x.copy(), rounding, self.l_end.tolist(), self.u_start.tolist())
+            y = run(x.copy(), self.l_end, self.u_start)
             if np.isfinite(y).all():
                 return y.astype(np.float64, copy=False)
-        n = x.shape[0]
-        y = _substitute(self.lu, x, rounding, [n] * n, [0] * n)
+        k = np.arange(n)
+        below = np.divide(self.store.dtype.type(0), self.store[off + k * (stride + 1)])  # 0 / u_kk
+        y = run(x, np.minimum(k + self.kl + 1, n).tolist(), np.maximum(k - self.ku, 0).tolist(), below=below)
         return y.astype(np.float64, copy=False)
 
 
-def _substitute(lu: np.ndarray, x: np.ndarray, rounding: Precision | None,
-                l_end: list, u_start: list) -> np.ndarray:
-    """Forward and back substitution with the factors ``lu``, in place on
-    ``x``, over the rows that the reach tables ``l_end`` and ``u_start``
-    give (see :meth:`DenseLu.substitute`); every operation is rounded to
-    ``rounding``, or computed natively in ``x``'s dtype when it is None.
-    Every product is formed in ``x``'s dtype, named outright, so float32
-    factors are widened exactly under any numpy promotion rules (numpy 1.x
-    would keep a float32 array times a float64 scalar in float32)."""
+def _substitute(store: np.ndarray, off: int, stride: int, piv: list, x: np.ndarray, l_end: list, u_start: list,
+                rounding: Precision | None, below: np.ndarray | None = None) -> np.ndarray:
+    """Forward and back substitution with the factors held in ``store``, in
+    place on ``x``, over the rows that the reach tables ``l_end`` and
+    ``u_start`` give (see :meth:`DenseLu.substitute`); every operation is
+    rounded to ``rounding``, or computed natively in ``x``'s dtype when it
+    is None.  Every product is formed in ``x``'s dtype, named outright, so
+    float32 factors are widened exactly under any numpy promotion rules
+    (numpy 1.x would keep a float32 array times a float64 scalar in
+    float32).  With ``below``, the rows past the tables are updated too:
+    with the factor ``below[k]`` under column k of L, +0 over column k of U;
+    such a product is +-0, or NaN when x_k is not finite, so the difference
+    is exact and needs no rounding."""
     n, dt = x.shape[0], x.dtype
     for k in range(n - 1):
+        p = piv[k]
+        if p != k:
+            x[k], x[p] = x[p], x[k]
         end = l_end[k]
         if end > k + 1:
             seg = x[k + 1 : end]
-            prod = np.multiply(lu[k + 1 : end, k], x[k], dtype=dt)
+            at = off + k * stride
+            prod = np.multiply(store[at + k + 1 : at + end], x[k], dtype=dt)
             if rounding is None:
                 seg -= prod
             else:
                 seg -= fl(prod, rounding, inplace=True)
                 fl(seg, rounding, inplace=True)
+        if below is not None and end < n:
+            x[end:] -= np.multiply(below[k], x[k], dtype=dt)
     for k in range(n - 1, -1, -1):
-        xk = x[k] / lu[k, k]
+        at = off + k * stride
+        xk = x[k] / store[at + k]
         x[k] = xk = xk if rounding is None else fl(xk, rounding)
         start = u_start[k]
         if start < k:
             seg = x[start:k]
-            prod = np.multiply(lu[start:k, k], xk, dtype=dt)
+            prod = np.multiply(store[at + start : at + k], xk, dtype=dt)
             if rounding is None:
                 seg -= prod
             else:
                 seg -= fl(prod, rounding, inplace=True)
                 fl(seg, rounding, inplace=True)
+        if below is not None and start > 0:
+            x[:start] -= np.multiply(0.0, xk, dtype=dt)
     return x
+
+
+def _unband(store: np.ndarray, n: int, kl: int, ku: int, columns: int, out: np.ndarray) -> np.ndarray:
+    """Write the factors held in ``store`` into ``out``, an n x n array of
+    +0 indexed ``out[i, j]``, and 0 / u_jj below the band of each of the
+    first ``columns`` columns, as the full-block elimination leaves it."""
+    off, stride, width = _layout(n, kl, ku)
+    entries = store.reshape(n, width)  # row j: the entries of column j
+    if stride == n:
+        out[...] = entries.T
+        return out
+    rows = np.arange(width) + (np.arange(n) - off)[:, None]
+    held = (rows >= 0) & (rows < n)
+    out[rows[held], held.nonzero()[0]] = entries[held]
+    below = np.greater.outer(np.arange(n), np.arange(columns) + kl)
+    np.copyto(out[:, :columns], np.divide(store.dtype.type(0), entries[:columns, off]), where=below)
+    return out
 
 
 def _reach(v: np.ndarray) -> int:
@@ -624,108 +710,155 @@ def _finite(v: np.ndarray) -> bool:
 def dense_lu(A, uf: Precision) -> DenseLu:
     """LU with partial pivoting, every operation rounded to ``uf``.
 
-    Factors a copy of the dense array ``A``.  Raises
-    :class:`SingularMatrixError` on an exactly zero pivot and
-    :class:`OverflowInFactorizationError` when the factors contain
-    non-finite entries (the caller may equilibrate and retry).  The copy
-    is made in the format's own dtype, float16 for half, float32 for single
-    and float64 for double, a cast that is :func:`fl`, and is factored
-    natively in it, with the bits of the float64-then-round loop (see the
-    module docstring).  Half and single factors are returned in float32,
-    which holds them exactly and which single-precision substitution runs
-    in, and double factors in float64.
+    ``A`` is a :class:`spai_ir.sparse.SparseMatrix` or a dense array; it
+    is not changed.  Raises :class:`SingularMatrixError` on an exactly zero
+    pivot and :class:`OverflowInFactorizationError` when the factors
+    contain non-finite entries (the caller may equilibrate and retry).  A's
+    entries are rounded to ``uf`` by a cast to the format's own dtype,
+    float16 for half, float32 for single and float64 for double, which is
+    :func:`fl`, and written straight into a band store of that dtype
+    (:class:`DenseLu`), so no n x n array is made unless the store is the
+    full one.  The elimination runs natively in that dtype, with the bits
+    of the float64-then-round loop (see the module docstring).  Half and
+    single factors are returned in float32, which holds them exactly and
+    which single-precision substitution runs in, and double factors in
+    float64.
 
     Only the work that can change a bit is done.  Rows and columns are
-    bounded by the structural envelope of the input: column k can hold a
-    nonzero only in the rows up to the last nonzero row of columns 0..k
-    (row swaps stay inside it), and those rows only in the columns up to
-    their last nonzero column.  Step k searches its pivot and scans its
-    pivot row inside that envelope, divides the whole column (0 divided by
-    a negative pivot is -0 in L), and subtracts its rank-1 update, formed
-    in one reused scratch of the band's size, only from the rows up to its
-    last nonzero multiplier and the columns up to the last nonzero entry of
-    its pivot row; every entry skipped would get a - fl(+-0 * u) = a.
-    Partial pivoting keeps the factors inside the band, so the cost follows
-    the bandwidth of the ordered matrix, not n**3.  The factors are those
-    of the full-block update bit for bit: a -0 in the rounded input makes
-    every step take the full block (-0 - -0 = +0), and so does, from that
-    step on, an inf or NaN in a step's multipliers or pivot row (0 * inf =
-    NaN), tested by one reduction per vector.
+    bounded by the structural envelope of the rounded input: column k can
+    hold a nonzero only in the rows up to the last nonzero row of columns
+    0..k (row swaps stay inside it), and those rows only in the columns up
+    to their last nonzero column.  The band of the store is the widest such
+    reach below and above the diagonal.  Step k searches its pivot and
+    swaps its rows inside that envelope, divides the band of its column (0
+    divided by a negative pivot is -0 in L), and subtracts its rank-1
+    update, formed in one reused scratch of the band's size, only from the
+    rows up to its last nonzero multiplier and the columns up to the last
+    nonzero entry of its pivot row; every entry skipped would get a - fl(+-0
+    * u) = a.  The factors are those of the full-block update with
+    whole-row swaps bit for bit, each multiplier in the row where it was
+    computed (:meth:`DenseLu.packed` moves them).  A -0 in the rounded input
+    makes every step take the full block in the full store (-0 - -0 = +0),
+    and an inf or NaN in a step's multipliers, pivot or pivot row (0 * inf
+    = NaN) moves the factors into the full store, with the zeros below the
+    band that the full-block loop holds, and makes every step from that one
+    on take the full block; each is tested by one reduction per vector.
     """
-    return _eliminate(np.asarray(A, dtype=np.float64).astype(uf.dtype or np.float64), uf)
+    return _eliminate(*_band_store(A, uf.dtype or np.float64), uf)
 
 
-def _eliminate(M: np.ndarray, uf: Precision) -> DenseLu:
-    """:func:`dense_lu` in place on ``M``, which holds values of ``uf`` in
-    its own dtype; every operation runs natively in that dtype and so is
-    rounded to ``uf`` once.  ``M`` is overwritten with the factors."""
-    require_square(M.shape)
-    n = M.shape[0]
-    # at most two n x n masks live at once, and argmax runs along rows
-    nz = M == 0.0
-    minus_zero = np.signbit(M)
-    minus_zero &= nz
-    full = bool(minus_zero.any())  # a -0 in the rounded input
-    del minus_zero
-    nz = np.logical_not(nz, out=nz)
+def _band_store(A, dtype) -> tuple:
+    """The band store of ``A`` rounded to ``dtype`` and the envelope of
+    the rounded matrix, as :func:`_eliminate` takes them: ``(store, n, kl,
+    ku, full, rows_end, cols_end)``.  ``full`` is set, and the store is the
+    full one, when a rounded entry is -0."""
+    from .sparse import SparseMatrix, owners  # here: sparse imports this module
+
+    if isinstance(A, SparseMatrix):
+        require_square(A.shape)
+        n, i, j, v = A.n_rows, A.indices, owners(A.indptr), A.data.astype(dtype)
+    else:
+        M = np.asarray(A, dtype=np.float64).astype(dtype)
+        require_square(M.shape)
+        n = M.shape[0]
+        i, j = np.nonzero((M != 0.0) | np.signbit(M))  # every entry but +0
+        v = M[i, j]
+    full = bool(np.any((v == 0.0) & np.signbit(v)))  # a -0 in the rounded input
+    nz = v != 0.0
+    i_nz, j_nz = i[nz], j[nz]
+    # each row's first and last nonzero column; an empty row counts as one
+    # that reaches every column, which is safe
+    first, last = np.full(n, n), np.full(n, -1)
+    np.minimum.at(first, i_nz, j_nz)
+    np.maximum.at(last, i_nz, j_nz)
+    first[first == n], last[last < 0] = 0, n - 1
     # one past the last row that may hold a nonzero in columns 0..k (row i
     # does when its first nonzero column is at most k), and one past the last
-    # column that may hold a nonzero in those rows; an empty row counts as
-    # one that reaches every column, which is safe
+    # column that may hold a nonzero in those rows
     rows_end = np.zeros(n, np.int64)
-    np.maximum.at(rows_end, nz.argmax(axis=1), np.arange(1, n + 1))
+    np.maximum.at(rows_end, first, np.arange(1, n + 1))
     rows_end = np.maximum.accumulate(rows_end)
-    cols_end = np.maximum.accumulate(n - nz[:, ::-1].argmax(axis=1))[np.maximum(rows_end, 1) - 1]
-    del nz
+    cols_end = np.maximum.accumulate(last + 1)[np.maximum(rows_end, 1) - 1]
     steps = np.arange(n)
-    scratch = np.empty(((rows_end - steps).max(initial=1) - 1, (cols_end - steps).max(initial=1) - 1), M.dtype)
-    rows_end, cols_end = rows_end.tolist(), cols_end.tolist()
-    perm = np.arange(n)
+    kl = int((np.maximum(rows_end, steps + 1) - steps).max(initial=1)) - 1
+    ku = max(int((cols_end - steps).max(initial=1)) - 1, int((j_nz - i_nz).max(initial=0)), 1)  # a stride of 1 at least
+    off, stride, width = _layout(n, n, n) if full else _layout(n, kl, ku)
+    if stride == n:
+        kl = ku = n - 1
+    else:
+        i, j, v = i_nz, j_nz, v[nz]  # every other entry is +0
+    store = np.zeros(n * width, dtype)
+    store[off + i + j * stride] = v
+    return store, n, kl, ku, full, rows_end.tolist(), cols_end.tolist()
+
+
+def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, full: bool, rows_end: list, cols_end: list,
+               uf: Precision) -> DenseLu:
+    """:func:`dense_lu` in place on the store :func:`_band_store` made,
+    which holds values of ``uf`` in its own dtype; every operation runs
+    natively in that dtype and so is rounded to ``uf`` once."""
+    off, stride, _ = _layout(n, kl, ku)
+    steps = np.arange(n)
+    widest = (np.array(cols_end) - steps).max(initial=1) - 1, (np.maximum(rows_end, steps + 1) - steps).max(initial=1) - 1
+    scratch = np.empty(widest, store.dtype)  # (columns, rows) of an update
+    piv = np.arange(n)
     for k in range(n - 1):
         r_end = n if full else max(rows_end[k], k + 1)
-        p = k + int(np.argmax(np.abs(M[k:r_end, k])))
-        if M[p, k] == 0.0:
+        c_end = n if full else cols_end[k]
+        at = off + k * (stride + 1)  # the diagonal entry of column k
+        p = k + int(np.argmax(np.abs(store[at : at + r_end - k])))
+        pivot = store[at + p - k]
+        if pivot == 0.0:
             raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
-        if p != k:
-            M[k], M[p] = M[p], M[k].copy()
-            perm[k], perm[p] = perm[p], perm[k]
-        col = M[k + 1 :, k]
-        col /= M[k, k]  # the whole column: 0 divided by a negative pivot is -0
-        mult = col[: r_end - k - 1]  # past it, +-0 (or NaN from a NaN pivot)
-        row = M[k, k + 1 : n if full else cols_end[k]]
-        if not full and not (_finite(col) and _finite(row)):
-            full, row = True, M[k, k + 1 :]
-        re, ce = (col.shape[0], row.shape[0]) if full else (_reach(mult), _reach(row))
+        if p != k:  # rows k and p, in columns k and on
+            top = store[at : off + k + c_end * stride : stride]
+            bottom = store[at + p - k : off + p + c_end * stride : stride]
+            top[...], bottom[...] = bottom, top.copy()
+            piv[k] = p
+        col = store[at + 1 : at + 1 + min(kl, n - 1 - k)]
+        col /= pivot  # the band of the column: 0 divided by a negative pivot is -0
+        row = store[at + stride : off + k + c_end * stride : stride]
+        if not full and not (_finite(col) and _finite(row) and pivot == pivot):  # a NaN pivot: NaN below the band
+            full = True
+            if stride < n:
+                out = _unband(store, n, kl, ku, k + 1, np.zeros((n, n), store.dtype, order="F"))
+                store, kl, ku, off, stride = out.ravel(order="F"), n - 1, n - 1, 0, n
+                at = k * (n + 1)
+                col = store[at + 1 : at + n - k]
+            row = store[at + n :: n]
+        re, ce = (n - k - 1, n - k - 1) if full else (_reach(col[: r_end - k - 1]), _reach(row))
         if re and ce:
-            fits = re <= scratch.shape[0] and ce <= scratch.shape[1]
-            t = scratch[:re, :ce] if fits else np.empty((re, ce), M.dtype)
-            np.multiply(col[:re, None], row[None, :ce], out=t)
-            M[k + 1 : k + 1 + re, k + 1 : k + 1 + ce] -= t
-    if M[n - 1, n - 1] == 0.0:
+            fits = ce <= scratch.shape[0] and re <= scratch.shape[1]
+            t = scratch[:ce, :re] if fits else np.empty((ce, re), store.dtype)
+            np.multiply(col[None, :re], row[:ce, None], out=t)
+            block = np.lib.stride_tricks.as_strided(store[at + stride + 1 :], shape=(ce, re),
+                                                    strides=(stride * store.itemsize, store.itemsize))
+            block -= t  # block[c, r] is entry (k + 1 + r, k + 1 + c)
+    if store[off + (n - 1) * (stride + 1)] == 0.0:
         raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
-    if not np.all(np.isfinite(M)):
+    if not np.all(np.isfinite(store)):
         raise OverflowInFactorizationError(f"overflow in {uf.name}")
-    return DenseLu(lu=M if uf.dtype is None else M.astype(np.float32, copy=False), perm=perm)
+    return DenseLu(store if uf.dtype is None else store.astype(np.float32, copy=False), kl, ku, piv)
 
 
 @quiet
 def dd_solve(A, b):
     """Reference solution of A x = b accurate to double-double level.
 
-    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`.  Its dense copy is
-    factored once in double, in place, by the elimination of
-    :func:`dense_lu`, whose cost follows the bandwidth of ``A`` as ordered;
-    no copy of that copy is made.  The double-double iterate is then
-    refined with :func:`dd_residual` of the pair until that residual stops
-    improving; the limiting forward error is of order
-    ``unit_roundoff(QUAD) * cond(A)``.  Returns ``(x_hi, x_lo)`` as a
-    normalized double-double pair.  The system passes :func:`check_matrix`
-    before the dense copy is made.
+    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`.  It is factored once
+    in double by :func:`dense_lu`, straight from its entries into a band
+    store, so no n x n array is made unless the factors need the full
+    store, and the cost follows the bandwidth of ``A`` as ordered.  The
+    double-double iterate is then refined with :func:`dd_residual` of the
+    pair until that residual stops improving; the limiting forward error is
+    of order ``unit_roundoff(QUAD) * cond(A)``.  Returns ``(x_hi, x_lo)``
+    as a normalized double-double pair.  The system passes
+    :func:`check_matrix` before it is factored.
     """
     b = np.asarray(b, dtype=np.float64)
     check_matrix(A, b)
-    factors = _eliminate(A.to_dense(), DOUBLE)
-    xh = factors.substitute(b[factors.perm], DOUBLE)
+    factors = dense_lu(A, DOUBLE)
+    xh = factors.substitute(b, DOUBLE)
     xl = np.zeros_like(xh)
     best = math.inf
     for _ in range(8):
@@ -736,6 +869,6 @@ def dd_solve(A, b):
         if rnorm >= best:
             break
         best = rnorm
-        d = factors.substitute(rh[factors.perm], DOUBLE)
+        d = factors.substitute(rh, DOUBLE)
         xh, xl = dd_add(xh, xl, d, np.zeros_like(d))
     return xh, xl

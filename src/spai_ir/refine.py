@@ -32,7 +32,7 @@ from .precision import (
 )
 from .krylov import pgmres_left
 from .spai import SpaiParams, SpaiPreconditioner, build_left_preconditioner
-from .sparse import SparseMatrix, matvec
+from .sparse import SparseMatrix, matvec, owners
 
 __all__ = [
     "IrConfig",
@@ -124,25 +124,47 @@ class IrReport:
 # ---------------------------------------------------------------------------
 
 
-def equilibrate_two_sided(A: np.ndarray, uf: Precision):
+def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
     """Row and column scaling pushing entries into a safe range for ``uf``.
 
     Returns diagonals (r, s) and a scalar mu such that mu * R A S has
-    magnitudes at most ``0.1 * max_finite(uf)`` for the dense matrix ``A``;
-    used as a retry when a low-precision factorization overflows.
+    magnitudes at most ``0.1 * max_finite(uf)`` for the sparse matrix
+    ``A``, with the values the dense computation gives; used as a retry
+    when a low-precision factorization overflows.
     """
-    dense = np.abs(A)
-    rowmax = dense.max(axis=1)
+    rows, mag = A.indices, np.abs(A.data)
+    rowmax = np.zeros(A.n_rows)
+    np.maximum.at(rowmax, rows, mag)
     if np.any(rowmax == 0.0):
         raise SingularMatrixError("structurally singular: empty row")
     r = 1.0 / rowmax
-    dense *= r[:, None]
-    colmax = dense.max(axis=0)
+    if np.isinf(r).any():  # then R A holds NaN at A's zeros (0 * inf), which only a dense copy holds
+        colmax = (np.abs(A.to_dense()) * r[:, None]).max(axis=0)
+    else:
+        colmax = np.zeros(A.n_cols)
+        np.maximum.at(colmax, owners(A.indptr), mag * r[rows])
     if np.any(colmax == 0.0):
         raise SingularMatrixError("structurally singular: empty column")
     s = 1.0 / colmax
     mu = 0.1 * uf.max_finite
     return r, s, mu
+
+
+def _scaled(A: SparseMatrix, r: np.ndarray, s: np.ndarray, mu: float):
+    """mu R A S with each entry's three products rounded in turn, a r, then
+    mu, then s, as the dense product computes it.  An infinite scale turns
+    A's zeros into NaN (0 * inf), which only a dense copy holds, so that
+    case is scaled dense."""
+    if np.isinf(r).any() or np.isinf(s).any():
+        dense = A.to_dense()
+        dense *= r[:, None]
+        dense *= mu
+        dense *= s
+        return dense
+    data = A.data * r[A.indices]
+    data *= mu
+    data *= s[owners(A.indptr)]
+    return SparseMatrix(A.n_rows, A.n_cols, A.indptr, A.indices, data)
 
 
 class LuPreconditioner:
@@ -151,17 +173,17 @@ class LuPreconditioner:
     The factors are those of mu * R B S, where B = A[order][:, order] is a
     symmetric reordering of A and the optional two-sided scaling (r, s)
     acts in the reordered coordinates.  Applying the preconditioner to v
-    computes S U^-1 L^-1 Pi (mu R v[order]) and returns it in the original
-    order, every elementary operation rounded to the requested precision.
+    computes S (LU)^-1 (mu R v[order]), the factors applying their own row
+    interchanges, and returns it in the original order, every elementary
+    operation rounded to the requested precision.
     """
 
     def __init__(self, factors: DenseLu, order: np.ndarray, r=None, s=None, mu: float = 1.0):
         self.factors = factors
-        # entry of v feeding each row of the factors: reordering, then pivoting
-        self.rows = np.asarray(order)[factors.perm]
+        self.order = np.asarray(order)
         self.inv_order = np.empty(len(order), dtype=np.int64)
         self.inv_order[order] = np.arange(len(order))
-        self.r = None if r is None else r[factors.perm]
+        self.r = r
         self.s = s
         self.mu = mu
 
@@ -171,7 +193,7 @@ class LuPreconditioner:
 
     @quiet
     def apply(self, v: np.ndarray, p: Precision) -> np.ndarray:
-        x = fl(np.asarray(v, dtype=np.float64)[self.rows], p)
+        x = fl(np.asarray(v, dtype=np.float64)[self.order], p)
         if self.r is not None:
             x = fl(fl(self.mu * x, p) * self.r, p)
         x = self.factors.substitute(x, p)
@@ -181,18 +203,19 @@ class LuPreconditioner:
 
     def apply_exact(self, A: SparseMatrix) -> np.ndarray:
         """The dense product of the preconditioner and ``A`` in plain double
-        (diagnostics).  ``A`` is densified once, its rows in pivot order and
+        (diagnostics).  The factors are asked for their packed float64
+        n x n array and row order (:meth:`DenseLu.packed`), the one n x n
+        copy of them; ``A`` is densified once, its rows in pivot order and
         in Fortran order, so both triangular solves overwrite it in place;
-        the factors, float32 for half and single, are handed to LAPACK
-        widened to float64 and dropped before the rows go back to A's order,
-        and the scalings act in place."""
+        the packed factors are dropped before the rows go back to A's
+        order, and the scalings act in place."""
         from scipy.linalg import solve_triangular
 
-        Y = A.to_dense(rows=self.rows, order="F")
+        lu, perm = self.factors.packed()
+        Y = A.to_dense(rows=self.order[perm], order="F")
         if self.r is not None:
             Y *= self.mu
-            Y *= self.r[:, None]
-        lu = self.factors.lu.astype(np.float64, copy=False)
+            Y *= self.r[perm][:, None]
         Y = solve_triangular(lu, Y, lower=True, unit_diagonal=True, overwrite_b=True)
         Y = solve_triangular(lu, Y, overwrite_b=True)
         del lu
@@ -262,15 +285,12 @@ def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> SpaiPreconditioner | LuPre
         return build_left_preconditioner(A, cfg.spai)
     if cfg.solver in ("lu", "sir"):
         order = rcm_permutation(A)
-        dense = A.to_dense(rows=order, cols=order)
+        B = A.permuted(order)
         try:
-            return LuPreconditioner(dense_lu(dense, cfg.uf), order)
+            return LuPreconditioner(dense_lu(B, cfg.uf), order)
         except OverflowInFactorizationError:
-            r, s, mu = equilibrate_two_sided(dense, cfg.uf)
-            dense *= r[:, None]  # mu * R B S in place; dense_lu rounds it to uf
-            dense *= mu
-            dense *= s
-            return LuPreconditioner(dense_lu(dense, cfg.uf), order, r=r, s=s, mu=mu)
+            r, s, mu = equilibrate_two_sided(B, cfg.uf)
+            return LuPreconditioner(dense_lu(_scaled(B, r, s, mu), cfg.uf), order, r=r, s=s, mu=mu)
     return None
 
 

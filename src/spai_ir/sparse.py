@@ -126,13 +126,23 @@ class SparseMatrix:
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return self.indices[lo:hi], self.data[lo:hi]
 
-    def to_dense(self, rows=None, cols=None, order: str = "C") -> np.ndarray:
-        """The dense float64 matrix in numpy memory ``order``; given permutations
-        ``rows`` and ``cols``, it is written straight into ``[rows][:, cols]``."""
+    def to_dense(self, rows=None, order: str = "C") -> np.ndarray:
+        """The dense float64 matrix in numpy memory ``order``; given a
+        permutation ``rows``, it is written straight into ``[rows]``."""
         out = np.zeros((self.n_rows, self.n_cols), order=order)
-        i, j = self.indices, owners(self.indptr)
-        out[i if rows is None else np.argsort(rows)[i], j if cols is None else np.argsort(cols)[j]] = self.data
+        i = self.indices
+        out[i if rows is None else np.argsort(rows)[i], owners(self.indptr)] = self.data
         return out
+
+    def permuted(self, order) -> "SparseMatrix":
+        """``self[order][:, order]`` of a square matrix, every stored entry
+        kept as it is."""
+        inv = np.argsort(order)
+        rows, cols = inv[self.indices], inv[owners(self.indptr)]
+        at = np.lexsort((rows, cols))
+        indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=self.n_cols), out=indptr[1:])
+        return SparseMatrix(self.n_rows, self.n_cols, indptr, rows[at], self.data[at])
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_coo(self.n_cols, self.n_rows, owners(self.indptr), self.indices, self.data)

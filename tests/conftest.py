@@ -5,7 +5,6 @@ import pytest
 
 from spai_ir.krylov import GmresReport, PrecisionOverflowSignal, _apply_p, apply_precond_matvec
 from spai_ir.precision import (
-    DenseLu,
     OverflowInFactorizationError,
     Precision,
     SingularMatrixError,
@@ -129,10 +128,22 @@ def masked_norm2(v, sizes, p) -> np.ndarray:
     return fl(np.sqrt(masked_dot(v, v, sizes, p)), p)
 
 
+def stored(A) -> SparseMatrix:
+    """A :class:`SparseMatrix` that stores every entry of the dense ``A``
+    that is not +0, a -0 included (``SparseMatrix.from_dense`` drops it)."""
+    A = np.asarray(A, dtype=np.float64)
+    cols, rows = np.nonzero(((A != 0.0) | np.signbit(A)).T)
+    indptr = np.searchsorted(cols, np.arange(A.shape[1] + 1))
+    return SparseMatrix(A.shape[0], A.shape[1], indptr, rows, A[rows, cols])
+
+
 @quiet
-def reference_dense_lu(A, uf, seen=None) -> DenseLu:
+def reference_dense_lu(A, uf, seen=None) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for :func:`spai_ir.precision.dense_lu`: its loop as it stood
-    when every step updated the whole trailing block.
+    when every step updated the whole trailing block of one dense float64
+    array and swapped whole rows.  Returns that array, U on and above the
+    diagonal and L below it, and the row order ``perm``: what
+    :meth:`~spai_ir.precision.DenseLu.packed` rebuilds.
 
     ``seen``, if given a set, collects the paths the input takes:
     ``"minus_zero"`` when the rounded input holds a -0,
@@ -169,14 +180,14 @@ def reference_dense_lu(A, uf, seen=None) -> DenseLu:
         raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
     if not np.all(np.isfinite(M)):
         raise OverflowInFactorizationError(f"overflow in {uf.name}")
-    return DenseLu(lu=M, perm=perm)
+    return M, perm
 
 
 @quiet
-def reference_substitute(factors: DenseLu, b, p: Precision) -> np.ndarray:
+def reference_substitute(lu: np.ndarray, b, p: Precision) -> np.ndarray:
     """Oracle for :meth:`spai_ir.precision.DenseLu.substitute`: its loops as
-    they stood when every step ran over whole columns of the factors."""
-    lu = factors.lu
+    they stood when every step ran over whole columns of the packed factors
+    ``lu``, for ``b`` already in pivot order."""
     x = fl(np.array(b, dtype=np.float64), p, inplace=True)
     for k in range(lu.shape[0] - 1):
         x[k + 1 :] = fl(x[k + 1 :] - fl(lu[k + 1 :, k] * x[k], p), p)

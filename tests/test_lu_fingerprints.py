@@ -5,7 +5,7 @@ and double, in its natural order and in the RCM order that the LU solver
 uses, as given and scaled by 3e4 (which overflows the half-precision
 factors) and by 1e-7 (which rounds the smallest negative entries of some
 matrices to -0 in half).  For each case the SHA-256 of the packed factors
-and of the pivot order, or the type and message of the exception raised,
+that ``DenseLu.packed`` rebuilds from the band store, and of the pivot order, or the type and message of the exception raised,
 must equal what ``lu_fingerprints.json`` stores.  The file also records
 which paths the full-block elimination of each case takes (a -0 in the
 rounded input, a non-finite pivot row or non-finite multipliers), and the
@@ -34,10 +34,10 @@ SCALES = (1.0, 3.0e4, 1.0e-7)  # as given; half overflow; -0 in half
 
 def factor_fingerprint(dense: np.ndarray, uf) -> dict:
     try:
-        f = dense_lu(dense, uf)
+        lu, perm = dense_lu(dense, uf).packed()
     except ArithmeticError as exc:
         return {"raises": f"{type(exc).__name__}: {exc}"}
-    return {"lu": digest(f.lu, np.float64), "perm": digest(f.perm, np.int64)}
+    return {"lu": digest(lu, np.float64), "perm": digest(perm, np.int64)}
 
 
 def all_fingerprints() -> dict:

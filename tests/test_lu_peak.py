@@ -1,31 +1,34 @@
 """``tools/lu_peak.py`` on a shipped matrix: each phase of a dense LU solve
-holds each n x n array once.
+holds each n x n array once, and the factorizations hold none.
 
 The peaks are ``tracemalloc``'s, in n x n float64 arrays, on
 ``conv_diff_225`` in hsd and sdq; memory that numpy or LAPACK takes with
-``malloc`` is not traced.  Each bound leaves about 0.1 to 0.17 of room
+``malloc`` is not traced.  Each bound leaves about 0.1 to 0.15 of room
 above what was measured, and would fail if any phase held one more
-quarter array.
+quarter array (or, for the two factorizations, any n x n array of float32
+or float64).  The band store of the RCM-ordered matrix has stride 45,
+so it holds 46 of 225 entries per column, 0.20 of an n x n array.
 
-- ``dd_solve`` (1.33): the dense copy of A, factored in place, the two
-  n x n boolean masks of the elimination (1/8 each) and its scratch.  A
-  copy of the reference's input would add a whole array.
-- ``prepare_solver`` (2.00 in half, 1.77 in single): the RCM-ordered dense
-  copy of A, made straight in that order (1), the working copy in the
-  format's own dtype (1/4 in float16, 1/2 in float32), the masks, and the
-  float32 factors, which for half are a new array (1/2).  Densifying A and
-  then permuting it would add a whole array.
+- ``dd_solve`` (0.36): the float64 band store (0.20), factored in place,
+  and arrays as long as A's entry list (about 0.02 each here) that find
+  its envelope and place its entries.  Densifying A would add a whole
+  array.
+- ``prepare_solver`` (0.30 in half and single): the RCM ordering and the
+  RCM-ordered sparse matrix, the band store in the format's own dtype
+  (0.05 in float16, 0.10 in float32) and the arrays that fill it, and the
+  float32 factors, which for half are a new store (0.10).  A dense copy
+  of A would add a whole array.
 - ``run_ir`` (0.11): no n x n array at all; GMRES forms only the
   (k+1) x k Hessenberg matrix of the iterations it ran.
-- ``kappa_inf_product`` (2.13): inside ``apply_exact``, the dense copy of
-  A in pivot and Fortran order, which both triangular solves overwrite
-  (1), and the library temporaries that remain: the factors widened to
-  float64 for LAPACK (1) and ``solve_triangular``'s finiteness mask (1/8).
-  ``kappa_inf`` then holds P A and its inverse (2); LAPACK's work copy in
-  ``np.linalg.inv`` is not traced, and the norm of the inverse is taken in
-  place on it.
-- ``solve_system`` (2.67): the four phases in turn, with the factors (1/2)
-  kept through the diagnostic.
+- ``kappa_inf_product`` (2.13): inside ``apply_exact``, the packed float64
+  factors that ``DenseLu.packed`` rebuilds (1), with its mask of the
+  entries below the band (1/8), the dense copy of A in pivot and Fortran
+  order, which both triangular solves overwrite (1), and
+  ``solve_triangular``'s finiteness mask (1/8).  ``kappa_inf`` then holds
+  P A and its inverse (2); LAPACK's work copy in ``np.linalg.inv`` is not
+  traced, and the norm of the inverse is taken in place on it.
+- ``solve_system`` (2.28): the four phases in turn; nothing of the
+  factorizations outlives them but the band store.
 
 A numpy or scipy release that makes one more n x n temporary fails this
 test with no change in the repo; the bounds are then to be re-measured
@@ -43,8 +46,8 @@ spec = importlib.util.spec_from_file_location("lu_peak", TOOL)
 lu_peak = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(lu_peak)
 
-BOUNDS = {"dd_solve": 1.4, "run_ir": 0.2, "kappa_inf_product": 2.3, "solve_system": 2.8}
-PREPARE_BOUNDS = {"hsd": ((HALF, SINGLE, DOUBLE), 2.1), "sdq": ((SINGLE, DOUBLE, QUAD), 1.9)}
+BOUNDS = {"dd_solve": 0.45, "run_ir": 0.2, "kappa_inf_product": 2.3, "solve_system": 2.4}
+PREPARE_BOUNDS = {"hsd": ((HALF, SINGLE, DOUBLE), 0.4), "sdq": ((SINGLE, DOUBLE, QUAD), 0.4)}
 
 
 def test_lu_solve_holds_each_dense_array_once():
@@ -52,6 +55,6 @@ def test_lu_solve_holds_each_dense_array_once():
     for precisions, prepare_bound in PREPARE_BOUNDS.values():
         result = lu_peak.phase_peaks(A, *precisions)
         bounds = {**BOUNDS, "prepare_solver": prepare_bound}
-        assert result["lu_dtype"] == "float32"
+        assert (result["store_dtype"], result["store_stride"]) == ("float32", 45)
         over = {phase: (peak, bounds[phase]) for phase, peak in result["peaks"].items() if peak > bounds[phase]}
         assert not over, f"{precisions}: peak over bound in {over}"

@@ -25,24 +25,25 @@ from spai_ir.sparse import SparseMatrix
 
 def test_lu_identity():
     f = dense_lu(np.eye(4), DOUBLE)
-    assert np.array_equal(f.lu, np.eye(4))  # L = U = I, packed
-    assert np.array_equal(f.perm, np.arange(4))
+    lu, perm = f.packed()
+    assert np.array_equal(lu, np.eye(4))  # L = U = I, packed
+    assert np.array_equal(perm, np.arange(4))
     assert f.nnz_lu == 4
 
 
 def test_lu_permutation_matrix():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    f = dense_lu(A, DOUBLE)
-    assert np.array_equal(f.lu, np.eye(2))
-    assert np.array_equal(f.perm, np.array([1, 0]))
+    lu, perm = dense_lu(A, DOUBLE).packed()
+    assert np.array_equal(lu, np.eye(2))
+    assert np.array_equal(perm, np.array([1, 0]))
 
 
 def test_lu_reconstruction_bound(rng):
     A = random_dd_sparse(rng, 8)
-    f = dense_lu(A, DOUBLE)
-    PA = A[f.perm]
-    L = np.tril(f.lu, -1) + np.eye(8)
-    U = np.triu(f.lu)
+    lu, perm = dense_lu(A, DOUBLE).packed()
+    PA = A[perm]
+    L = np.tril(lu, -1) + np.eye(8)
+    U = np.triu(lu)
     err = norm_inf(PA - L @ U)
     assert err <= 10 * 8**3 * 2.0**-53 * norm_inf(A)
 
@@ -62,7 +63,7 @@ def test_lu_half_overflow_and_equilibration(rng):
     A = random_dd_sparse(rng, 6) * 3.0e4  # products overflow half during elimination
     with pytest.raises(OverflowInFactorizationError):
         dense_lu(A, HALF)
-    r, s, mu = equilibrate_two_sided(A, HALF)
+    r, s, mu = equilibrate_two_sided(SparseMatrix.from_dense(A), HALF)
     scaled = mu * (A * r[:, None]) * s[None, :]
     f = dense_lu(scaled, HALF)  # no overflow after scaling
     lupre = LuPreconditioner(f, np.arange(6), r=r, s=s, mu=mu)

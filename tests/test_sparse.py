@@ -111,11 +111,18 @@ def test_transpose_involution(rng):
 def test_to_dense_writes_permuted_rows_and_columns_in_either_layout(rng):
     dense = rng.randn(7, 5) * (rng.rand(7, 5) < 0.5)
     A = SparseMatrix.from_dense(dense)
-    rows, cols = rng.permutation(7), rng.permutation(5)
+    rows = rng.permutation(7)
     assert np.array_equal(A.to_dense(), dense)
-    assert np.array_equal(A.to_dense(rows, cols), dense[np.ix_(rows, cols)])
+    assert np.array_equal(A.to_dense(rows), dense[rows])
     fortran = A.to_dense(rows=rows, order="F")
     assert fortran.flags.f_contiguous and np.array_equal(fortran, dense[rows])
+    # permuted reorders rows and columns alike and keeps every stored entry, a -0 too
+    square = rng.randn(7, 7) * (rng.rand(7, 7) < 0.5)
+    S = SparseMatrix(7, 7, np.arange(8), np.arange(7), np.where(rng.rand(7) < 0.5, -0.0, 1.0))
+    for M in (SparseMatrix.from_dense(square), S):
+        B = M.permuted(rows)
+        assert B.to_dense().tobytes() == M.to_dense()[np.ix_(rows, rows)].tobytes()
+        assert all(np.all(np.diff(B.col(j)[0]) > 0) for j in range(7))
 
 
 def test_shadow_identity_and_definition(rng):

@@ -12,7 +12,8 @@ not counted and what it returns is.  One untraced solve runs first, so the
 peaks are those of a solve that repeats, not of the first.  The matrix is
 a path or a shipped name, as ``spai-ir solve --matrix`` takes it, and the
 precisions are uf,u,ur (default h,s,d).  The output is one JSON object
-that also gives n and the dtype of the stored factors:
+that also gives n and the dtype and column stride of the preconditioner's
+factor store (a stride below n is a band store):
 
     PYTHONPATH=src python tools/lu_peak.py conv_diff_225
     PYTHONPATH=src python tools/lu_peak.py lap2d_196 --precisions s,d,q
@@ -45,7 +46,7 @@ def _peak(call):
 
 def phase_peaks(A, uf, u, ur) -> dict:
     """The peak of each phase of one LU solve of ``A`` in (uf, u, ur), in
-    n x n float64 arrays, with n and the dtype of the stored factors."""
+    n x n float64 arrays, with n and the dtype and stride of the factor store."""
     cfg = IrConfig(uf=uf, u=u, ur=ur, solver="lu")
     b = rhs_for(A.n_rows)
     solve_system(A, "lu_peak", "lu", uf, u, ur)  # untraced: the imports and kept plans a first call makes
@@ -60,7 +61,7 @@ def phase_peaks(A, uf, u, ur) -> dict:
     finally:
         tracemalloc.stop()
     unit = 8 * A.n_rows**2
-    return {"n": A.n_rows, "lu_dtype": P.factors.lu.dtype.name,
+    return {"n": A.n_rows, "store_dtype": P.factors.store.dtype.name, "store_stride": P.factors.stride,
             "peaks": {phase: round(peak / unit, 3) for phase, peak in peaks.items()}}
 
 
