@@ -57,8 +57,9 @@ layout with each multiplier kept in the row where it was computed
 (:class:`DenseLu`), so neither the LU preconditioner nor the double-double
 reference solve makes an n x n array; only an input that needs the
 full-block elimination (a -0, or an inf or NaN met on the way) is moved
-into the full n x n store, and :meth:`DenseLu.packed` rebuilds the dense
-factors for the kappa(PA) diagnostic.
+into the full n x n store.  The kappa(PA) diagnostic solves with the same
+factors in plain double, by LAPACK's ``dgbtrs`` on a float64 copy of the
+store in its band form (:meth:`DenseLu.solve`).
 
 The quad-emulated format is realized with compensated double-double
 arithmetic built on error-free transformations; it is used for high
@@ -531,8 +532,8 @@ class DenseLu:
     is as the full-block elimination leaves it: +0, or 0 / u_jj (-0 for a
     negative pivot) below the band of column j.  :func:`dense_lu` keeps
     half and single factors, whose entries are single values, in float32,
-    and double factors in float64.  :meth:`packed` rebuilds the factors as
-    one n x n array in LAPACK's ``dgetrf`` form, for what needs them dense.
+    and double factors in float64.  :meth:`substitute` solves with them in
+    an emulated precision, :meth:`solve` in plain double by LAPACK.
 
     Two reach tables, taken from the store in one pass, bound the
     substitution: ``l_end[k]`` is one past the last nonzero multiplier of
@@ -568,21 +569,37 @@ class DenseLu:
         with the diagonal of U."""
         return int(np.count_nonzero(self.store))
 
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """The factors as LAPACK's ``dgetrf`` packs them, in a new float64
-        n x n array in C order, and the row order ``perm``: row k of the
-        factored matrix is row ``perm[k]`` of the input.  U lies on and
-        above the diagonal and the multipliers of L below it, each moved by
-        every later row interchange, as the elimination with whole-row swaps
-        leaves them, -0 below the band included."""
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """Solve A X = B in plain double by LAPACK's ``dgbtrs``, for ``B``
+        an n x m float64 array in the row order of the factored matrix A;
+        a ``B`` in Fortran order is overwritten with X, which is returned.
+        Raises ``ValueError`` if ``dgbtrs`` reports a bad argument.
+
+        ``dgbtrs`` takes the factors as ``dgbtrf`` leaves them, which is how
+        the store holds them: ``piv`` goes as it is (scipy's wrapper adds
+        Fortran's 1), and a float64 copy of the store in LAPACK's band
+        form, whose column j holds rows j - max(kl, ku) to j + kl.  That
+        copy is width x n for a band store with ku >= kl (every input that
+        is not structurally singular: its first k + kl + 1 rows must reach
+        column k + kl), and (2n - 1) x n for the full store.  The zeros
+        below the band that the store does not hold are not read: in plain
+        double, on finite values, they change nothing."""
+        from scipy.linalg.lapack import dgbtrs
+
         n = len(self.piv)
-        lu = _unband(self.store, n, self.kl, self.ku, n, np.zeros((n, n)))
-        perm = np.arange(n)
-        for k, p in enumerate(self._piv):
-            if p != k:
-                lu[[k, p], :k] = lu[[p, k], :k]
-                perm[[k, p]] = perm[[p, k]]
-        return lu, perm
+        off, stride, width = _layout(n, self.kl, self.ku)
+        kv = max(self.kl, self.ku)  # dgbtrs's kl + ku, the reach of U above the diagonal
+        rows = self.kl + kv + 1
+        flat = np.zeros(rows * n)
+        # (i, j) goes to row kv + i - j of column j of the band form, and
+        # entry t of column j of the store is row t - off + j * (width - stride)
+        band = np.lib.stride_tricks.as_strided(flat[kv - off :], shape=(n, width),
+                                               strides=((rows + width - stride - 1) * flat.itemsize, flat.itemsize))
+        band[...] = self.store.reshape(n, width)
+        X, info = dgbtrs(flat.reshape(rows, n, order="F"), self.kl, kv - self.kl, B, self.piv, overwrite_b=1)
+        if info:
+            raise ValueError(f"dgbtrs: illegal value in argument {-info}")
+        return X
 
     @quiet
     def substitute(self, b: np.ndarray, p: Precision) -> np.ndarray:
@@ -595,7 +612,7 @@ class DenseLu:
         to ``l_end[k]``; step k of the back loop runs over the rows of
         column k of U from ``u_start[k]``.  So the cost follows the band of
         the factors, not n**2, and every entry gets the operations of the
-        loops over whole columns of the packed factors, in their order, and
+        loops over whole columns of the dense factors, in their order, and
         their bits: a skipped entry is a zero factor, and x_i - fl(+-0 *
         x_k) = x_i unless x_i is -0 or x_k is not finite.  An entry still to
         be updated is -0 only if the rounded ``b`` holds a -0 (a difference
@@ -676,15 +693,14 @@ def _substitute(store: np.ndarray, off: int, stride: int, piv: list, x: np.ndarr
     return x
 
 
-def _unband(store: np.ndarray, n: int, kl: int, ku: int, columns: int, out: np.ndarray) -> np.ndarray:
-    """Write the factors held in ``store`` into ``out``, an n x n array of
-    +0 indexed ``out[i, j]``, and 0 / u_jj below the band of each of the
-    first ``columns`` columns, as the full-block elimination leaves it."""
+def _unband(store: np.ndarray, n: int, kl: int, ku: int, columns: int) -> np.ndarray:
+    """The factors held in the band ``store`` as a new n x n array in
+    Fortran order, indexed ``[i, j]``, with 0 / u_jj below the band of each
+    of the first ``columns`` columns, as the full-block elimination leaves
+    it, and +0 everywhere else outside the band."""
     off, stride, width = _layout(n, kl, ku)
     entries = store.reshape(n, width)  # row j: the entries of column j
-    if stride == n:
-        out[...] = entries.T
-        return out
+    out = np.zeros((n, n), store.dtype, order="F")
     rows = np.arange(width) + (np.arange(n) - off)[:, None]
     held = (rows >= 0) & (rows < n)
     out[rows[held], held.nonzero()[0]] = entries[held]
@@ -710,10 +726,11 @@ def _finite(v: np.ndarray) -> bool:
 def dense_lu(A, uf: Precision) -> DenseLu:
     """LU with partial pivoting, every operation rounded to ``uf``.
 
-    ``A`` is a :class:`spai_ir.sparse.SparseMatrix` or a dense array; it
-    is not changed.  Raises :class:`SingularMatrixError` on an exactly zero
-    pivot and :class:`OverflowInFactorizationError` when the factors
-    contain non-finite entries (the caller may equilibrate and retry).  A's
+    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`; it is not changed,
+    and every entry it stores counts, a -0 included.  Raises
+    :class:`SingularMatrixError` on an exactly zero pivot and
+    :class:`OverflowInFactorizationError` when the factors contain
+    non-finite entries (the caller may equilibrate and retry).  A's
     entries are rounded to ``uf`` by a cast to the format's own dtype,
     float16 for half, float32 for single and float64 for double, which is
     :func:`fl`, and written straight into a band store of that dtype
@@ -737,7 +754,7 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     nonzero entry of its pivot row; every entry skipped would get a - fl(+-0
     * u) = a.  The factors are those of the full-block update with
     whole-row swaps bit for bit, each multiplier in the row where it was
-    computed (:meth:`DenseLu.packed` moves them).  A -0 in the rounded input
+    computed, as ``dgbtrf`` keeps them.  A -0 in the rounded input
     makes every step take the full block in the full store (-0 - -0 = +0),
     and an inf or NaN in a step's multipliers, pivot or pivot row (0 * inf
     = NaN) moves the factors into the full store, with the zeros below the
@@ -748,21 +765,14 @@ def dense_lu(A, uf: Precision) -> DenseLu:
 
 
 def _band_store(A, dtype) -> tuple:
-    """The band store of ``A`` rounded to ``dtype`` and the envelope of
-    the rounded matrix, as :func:`_eliminate` takes them: ``(store, n, kl,
-    ku, full, rows_end, cols_end)``.  ``full`` is set, and the store is the
-    full one, when a rounded entry is -0."""
-    from .sparse import SparseMatrix, owners  # here: sparse imports this module
+    """The band store of the sparse ``A`` rounded to ``dtype`` and the
+    envelope of the rounded matrix, as :func:`_eliminate` takes them:
+    ``(store, n, kl, ku, full, rows_end, cols_end)``.  ``full`` is set, and
+    the store is the full one, when a rounded entry is -0."""
+    from .sparse import owners  # here: sparse imports this module
 
-    if isinstance(A, SparseMatrix):
-        require_square(A.shape)
-        n, i, j, v = A.n_rows, A.indices, owners(A.indptr), A.data.astype(dtype)
-    else:
-        M = np.asarray(A, dtype=np.float64).astype(dtype)
-        require_square(M.shape)
-        n = M.shape[0]
-        i, j = np.nonzero((M != 0.0) | np.signbit(M))  # every entry but +0
-        v = M[i, j]
+    require_square(A.shape)
+    n, i, j, v = A.n_rows, A.indices, owners(A.indptr), A.data.astype(dtype)
     full = bool(np.any((v == 0.0) & np.signbit(v)))  # a -0 in the rounded input
     nz = v != 0.0
     i_nz, j_nz = i[nz], j[nz]
@@ -821,8 +831,8 @@ def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, full: bool, rows_end
         if not full and not (_finite(col) and _finite(row) and pivot == pivot):  # a NaN pivot: NaN below the band
             full = True
             if stride < n:
-                out = _unband(store, n, kl, ku, k + 1, np.zeros((n, n), store.dtype, order="F"))
-                store, kl, ku, off, stride = out.ravel(order="F"), n - 1, n - 1, 0, n
+                store = _unband(store, n, kl, ku, k + 1).ravel(order="F")
+                kl, ku, off, stride = n - 1, n - 1, 0, n
                 at = k * (n + 1)
                 col = store[at + 1 : at + n - k]
             row = store[at + n :: n]

@@ -124,13 +124,19 @@ class IrReport:
 # ---------------------------------------------------------------------------
 
 
+@quiet
 def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
     """Row and column scaling pushing entries into a safe range for ``uf``.
 
     Returns diagonals (r, s) and a scalar mu such that mu * R A S has
     magnitudes at most ``0.1 * max_finite(uf)`` for the sparse matrix
     ``A``, with the values the dense computation gives; used as a retry
-    when a low-precision factorization overflows.
+    when a low-precision factorization overflows.  A row's scale is
+    infinite when its largest magnitude is below about 1 /
+    ``max_finite(double)``, and a column's when its largest magnitude in R
+    A is; either would make every entry of that row or column of mu R A S
+    +-inf or NaN, and so the factors, and raises
+    :class:`OverflowInFactorizationError` with the factorization's message.
     """
     rows, mag = A.indices, np.abs(A.data)
     rowmax = np.zeros(A.n_rows)
@@ -138,29 +144,22 @@ def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
     if np.any(rowmax == 0.0):
         raise SingularMatrixError("structurally singular: empty row")
     r = 1.0 / rowmax
-    if np.isinf(r).any():  # then R A holds NaN at A's zeros (0 * inf), which only a dense copy holds
-        colmax = (np.abs(A.to_dense()) * r[:, None]).max(axis=0)
-    else:
-        colmax = np.zeros(A.n_cols)
-        np.maximum.at(colmax, owners(A.indptr), mag * r[rows])
+    if np.isinf(r).any():
+        raise OverflowInFactorizationError(f"overflow in {uf.name}")
+    colmax = np.zeros(A.n_cols)
+    np.maximum.at(colmax, owners(A.indptr), mag * r[rows])
     if np.any(colmax == 0.0):
         raise SingularMatrixError("structurally singular: empty column")
     s = 1.0 / colmax
+    if np.isinf(s).any():
+        raise OverflowInFactorizationError(f"overflow in {uf.name}")
     mu = 0.1 * uf.max_finite
     return r, s, mu
 
 
-def _scaled(A: SparseMatrix, r: np.ndarray, s: np.ndarray, mu: float):
+def _scaled(A: SparseMatrix, r: np.ndarray, s: np.ndarray, mu: float) -> SparseMatrix:
     """mu R A S with each entry's three products rounded in turn, a r, then
-    mu, then s, as the dense product computes it.  An infinite scale turns
-    A's zeros into NaN (0 * inf), which only a dense copy holds, so that
-    case is scaled dense."""
-    if np.isinf(r).any() or np.isinf(s).any():
-        dense = A.to_dense()
-        dense *= r[:, None]
-        dense *= mu
-        dense *= s
-        return dense
+    mu, then s, as the dense product computes it."""
     data = A.data * r[A.indices]
     data *= mu
     data *= s[owners(A.indptr)]
@@ -203,22 +202,16 @@ class LuPreconditioner:
 
     def apply_exact(self, A: SparseMatrix) -> np.ndarray:
         """The dense product of the preconditioner and ``A`` in plain double
-        (diagnostics).  The factors are asked for their packed float64
-        n x n array and row order (:meth:`DenseLu.packed`), the one n x n
-        copy of them; ``A`` is densified once, its rows in pivot order and
-        in Fortran order, so both triangular solves overwrite it in place;
-        the packed factors are dropped before the rows go back to A's
-        order, and the scalings act in place."""
-        from scipy.linalg import solve_triangular
-
-        lu, perm = self.factors.packed()
-        Y = A.to_dense(rows=self.order[perm], order="F")
+        (diagnostics).  ``A`` is densified once, its rows in the order of
+        the factored matrix and in Fortran order, scaled in place, and
+        overwritten by the factors' LAPACK solve (:meth:`DenseLu.solve`),
+        which holds only a float64 copy of their band beside it; the
+        column scaling acts in place and the rows go back to A's order."""
+        Y = A.to_dense(rows=self.order, order="F")
         if self.r is not None:
             Y *= self.mu
-            Y *= self.r[perm][:, None]
-        Y = solve_triangular(lu, Y, lower=True, unit_diagonal=True, overwrite_b=True)
-        Y = solve_triangular(lu, Y, overwrite_b=True)
-        del lu
+            Y *= self.r[:, None]
+        Y = self.factors.solve(Y)
         if self.s is not None:
             Y *= self.s[:, None]
         return Y[self.inv_order]

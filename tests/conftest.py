@@ -8,6 +8,7 @@ from spai_ir.precision import (
     OverflowInFactorizationError,
     Precision,
     SingularMatrixError,
+    _layout,
     _renorm,
     dd_add,
     dd_mul,
@@ -138,12 +139,37 @@ def stored(A) -> SparseMatrix:
 
 
 @quiet
+def packed(f) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of the :class:`~spai_ir.precision.DenseLu` ``f`` as
+    LAPACK's ``dgetrf`` packs them, in a new float64 n x n array in C
+    order, and the row order ``perm``: row k of the factored matrix is row
+    ``perm[k]`` of the input.  U lies on and above the diagonal and the
+    multipliers of L below it, each moved by every later row interchange,
+    as the elimination with whole-row swaps leaves them, 0 / u_jj (-0
+    under a negative pivot) below the band included: what
+    :func:`reference_dense_lu` returns."""
+    n = len(f.piv)
+    off, stride, _ = _layout(n, f.kl, f.ku)
+    i, j = np.indices((n, n))
+    diagonal = f.store[off + np.arange(n) * (stride + 1)]
+    lu = np.where(i - j > f.kl, np.divide(f.store.dtype.type(0), diagonal)[j], 0.0).astype(np.float64)
+    held = (i - j <= f.kl) & (j - i <= f.ku)
+    lu[held] = f.store[off + i[held] + j[held] * stride]
+    perm = np.arange(n)
+    for k, p in enumerate(f.piv.tolist()):
+        if p != k:
+            lu[[k, p], :k] = lu[[p, k], :k]
+            perm[[k, p]] = perm[[p, k]]
+    return lu, perm
+
+
+@quiet
 def reference_dense_lu(A, uf, seen=None) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for :func:`spai_ir.precision.dense_lu`: its loop as it stood
     when every step updated the whole trailing block of one dense float64
     array and swapped whole rows.  Returns that array, U on and above the
     diagonal and L below it, and the row order ``perm``: what
-    :meth:`~spai_ir.precision.DenseLu.packed` rebuilds.
+    :func:`packed` rebuilds from the band store.
 
     ``seen``, if given a set, collects the paths the input takes:
     ``"minus_zero"`` when the rounded input holds a -0,

@@ -6,11 +6,11 @@ pivot row, in a band store that keeps each multiplier in the row where it
 was computed.  That is bit-exact only if the skipped entries would not have
 changed, so ``dense_lu`` is compared here with ``reference_dense_lu``,
 which updates the whole trailing block of a dense array at every step and
-swaps whole rows.  Both must return the same packed factors
-(``DenseLu.packed``) and pivot order, or raise the same exception with the
-same message.  The input is drawn dense or as a ``SparseMatrix`` that
-stores every entry but +0 (the path the LU preconditioner and the
-reference solve take).  The factors are compared as the raw bytes of their
+swaps whole rows.  Both must return the same packed factors (conftest's
+``packed`` rebuilds them from the band store) and pivot order, or raise the
+same exception with the same message.  The drawn matrix is handed to
+``dense_lu`` as a ``SparseMatrix`` that stores every entry but +0
+(conftest's ``stored``).  The factors are compared as the raw bytes of their
 float64 widening, which is exact and one-to-one on finite values, since
 ``dense_lu`` keeps half and single factors in float32 and the reference
 keeps every format in float64; the storage dtype is checked on its own.
@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_dense_lu, stored
+from conftest import packed, reference_dense_lu, stored
 from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
 
 # as given, overflow of half / single / double, underflow of half / single / double
@@ -35,8 +35,8 @@ def outcome(factor, A, uf):
     return lu.astype(np.float64).tobytes(), perm.tobytes()
 
 
-def band_lu(A, uf, sparse):
-    return dense_lu(stored(A) if sparse else A, uf).packed()
+def band_lu(A, uf):
+    return packed(dense_lu(stored(A), uf))
 
 
 @st.composite
@@ -44,8 +44,7 @@ def lu_inputs(draw):
     """A banded, random-sparse or dense matrix with n in 1..40, its rows
     spread over several decades and the whole scaled, often out of the
     format's range; -0 and inf entries, zero rows and zero columns are
-    planted in it.  It is handed to ``dense_lu`` as a dense array or as a
-    ``SparseMatrix``."""
+    planted in it."""
     n = draw(st.integers(1, 40))
     uf = draw(st.sampled_from([HALF, SINGLE, DOUBLE]))
     rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
@@ -66,7 +65,7 @@ def lu_inputs(draw):
         A[rng.randint(n, size=planted), rng.randint(n, size=planted)] = value
     A[rng.randint(n, size=draw(st.integers(0, 2))), :] = 0.0
     A[:, rng.randint(n, size=draw(st.integers(0, 2)))] = 0.0
-    return A, uf, draw(st.booleans())
+    return A, uf
 
 
 # tridiagonal, every step swapping rows k and k + 1: each multiplier is carried
@@ -79,24 +78,24 @@ TRIDIAGONAL_INF[4, 5] = 7e4
 @settings(max_examples=400, deadline=None)
 @given(lu_inputs())
 # a -0 that a full step turns into +0 (-0 - -0): L holds +0 at [2, 1]
-@example((np.array([[2.0, -1.0, 0.0], [1.0, 1.0, 1.0], [0.0, -0.0, 1.0]]), DOUBLE, False))
+@example((np.array([[2.0, -1.0, 0.0], [1.0, 1.0, 1.0], [0.0, -0.0, 1.0]]), DOUBLE))
 # an inf in the pivot row over zero multipliers (0 * inf = NaN): overflow, not a zero pivot
-@example((np.array([[1.0, 1e5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), HALF, False))
+@example((np.array([[1.0, 1e5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), HALF))
 # a NaN multiplier (inf / inf) over a zero pivot row: overflow, not a zero pivot
-@example((np.array([[1e5, 0.0, 0.0], [1e5, 0.0, 0.0], [0.0, 0.0, 0.0]]), HALF, False))
+@example((np.array([[1e5, 0.0, 0.0], [1e5, 0.0, 0.0], [0.0, 0.0, 0.0]]), HALF))
 # a negative pivot over structural zeros in its column: 0 / -2 is -0 in L
-@example((np.array([[-2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0]]), DOUBLE, False))
-@example((TRIDIAGONAL, SINGLE, True))
+@example((np.array([[-2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0]]), DOUBLE))
+@example((TRIDIAGONAL, SINGLE))
 # the band store meets an inf (7e4 in half) in the pivot row of step 3 and moves into the full store
-@example((TRIDIAGONAL_INF, HALF, True))
+@example((TRIDIAGONAL_INF, HALF))
 # stored entries that round to -0 in half: every step takes the full block, and L holds -0
-@example((np.eye(8) - 1e-10 * np.eye(8, k=-1), HALF, True))
+@example((np.eye(8) - 1e-10 * np.eye(8, k=-1), HALF))
 def test_dense_lu_equals_full_block_reference(case):
-    A, uf, sparse = case
-    assert outcome(lambda A, uf: band_lu(A, uf, sparse), A, uf) == outcome(reference_dense_lu, A, uf)
+    A, uf = case
+    assert outcome(band_lu, A, uf) == outcome(reference_dense_lu, A, uf)
 
 
 def test_dense_lu_keeps_half_and_single_factors_in_float32():
     A = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
     for uf, dtype in ((HALF, np.float32), (SINGLE, np.float32), (DOUBLE, np.float64)):
-        assert dense_lu(A, uf).store.dtype == dtype, uf
+        assert dense_lu(stored(A), uf).store.dtype == dtype, uf

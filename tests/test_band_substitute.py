@@ -11,8 +11,8 @@ not have changed a bit, so it is compared here, as raw bytes, with
 the right-hand side in their pivot order.  The factors of ``dense_lu`` are
 float32 for half and single, so the native float32 substitution and the
 mixed float32-and-float64 one are both checked against the float64 loop.
-The matrix is drawn dense or as a ``SparseMatrix`` that stores every entry
-but +0.  The right-hand sides hold -0, infinities, NaN, subnormals and
+The matrix is handed to ``dense_lu`` as a ``SparseMatrix`` that stores
+every entry but +0 (conftest's ``stored``).  The right-hand sides hold -0, infinities, NaN, subnormals and
 values that overflow.
 """
 
@@ -28,9 +28,9 @@ FORMATS = (HALF, SINGLE, DOUBLE)
 EXTREMES = {"half": (2.0**-20, 6.0e4), "single": (1.0e-40, 3.0e38), "double": (1.0e-310, 1.0e308)}
 
 
-def band_solve(A, uf, p, b, sparse):
+def band_solve(A, uf, p, b):
     try:
-        f = dense_lu(stored(A) if sparse else A, uf)
+        f = dense_lu(stored(A), uf)
     except ArithmeticError:
         return None
     return f.substitute(b, p).tobytes()
@@ -48,9 +48,7 @@ def reference_solve(A, uf, p, b):
 def substitute_inputs(draw):
     """A banded, random-sparse or dense matrix with n in 1..30 that factors
     with pivoting in ``uf``, a substitution precision ``p`` and a
-    right-hand side spread over decades with special values planted; the
-    matrix is handed to ``dense_lu`` as a dense array or as a
-    ``SparseMatrix``."""
+    right-hand side spread over decades with special values planted."""
     n = draw(st.integers(1, 30))
     uf, p = draw(st.sampled_from(FORMATS)), draw(st.sampled_from(FORMATS))
     rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
@@ -71,7 +69,7 @@ def substitute_inputs(draw):
     tiny, huge = EXTREMES[p.name]
     for value, most in ((-0.0, 3), (np.inf, 1), (-np.inf, 1), (np.nan, 1), (tiny, 3), (-huge, 2), (huge, 2)):
         b[rng.randint(n, size=draw(st.integers(0, most)))] = value
-    return A, uf, p, b, draw(st.booleans())
+    return A, uf, p, b
 
 
 # tridiagonal, every step swapping rows k and k + 1, so each multiplier is carried
@@ -83,21 +81,21 @@ TRIDIAGONAL = np.eye(6) + np.diag(np.full(5, -4.0), -1) + np.diag(np.ones(5), 1)
 @given(substitute_inputs())
 # a later row swap carries the multiplier of column 0 from row 1 to row 2,
 # past the reach of column 0 when it was eliminated
-@example((np.array([[4.0, 1.0, 0.0], [2.0, 0.5, 1.0], [0.0, 3.0, 1.0]]), DOUBLE, DOUBLE, np.ones(3), False))
+@example((np.array([[4.0, 1.0, 0.0], [2.0, 0.5, 1.0], [0.0, 3.0, 1.0]]), DOUBLE, DOUBLE, np.ones(3)))
 # 0 divided by the negative pivot is -0 in L, and -0 - (-0 * 1) = +0 in x
-@example((np.array([[-2.0, 1.0], [0.0, 1.0]]), DOUBLE, DOUBLE, np.array([1.0, -0.0]), False))
+@example((np.array([[-2.0, 1.0], [0.0, 1.0]]), DOUBLE, DOUBLE, np.array([1.0, -0.0])))
 # half substitution of float32 single factors: the product 1.17634606... * 1.6142578125
 # rounded to single first would round to half 2**-10 below its correctly rounded value
-@example((np.array([[1.0, 1.1763460636138916], [0.0, 1.0]]), SINGLE, HALF, np.array([0.0, 1.6142578125]), False))
+@example((np.array([[1.0, 1.1763460636138916], [0.0, 1.0]]), SINGLE, HALF, np.array([0.0, 1.6142578125])))
 # in a band store: the multipliers carried below the band; and the whole columns that
 # a -0 in b takes, whose -0 below the band turns -0 - (-0 * x_0) into +0 in rows 6 and 7
-@example((TRIDIAGONAL, SINGLE, SINGLE, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), True))
+@example((TRIDIAGONAL, SINGLE, SINGLE, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])))
 @example((np.diag(np.ones(8)) + np.pad(TRIDIAGONAL - np.eye(6), (0, 2)), DOUBLE, HALF,
-          np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, -0.0, -0.0]), True))
+          np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, -0.0, -0.0])))
 # stored entries that round to -0 in half: -0 in L, and -0 - (-0 * 1) = +0 in x
-@example((np.eye(8) - 1e-10 * np.eye(8, k=-1), HALF, SINGLE, np.array([1.0, -0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), True))
+@example((np.eye(8) - 1e-10 * np.eye(8, k=-1), HALF, SINGLE, np.array([1.0, -0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])))
 def test_substitute_equals_whole_column_reference(case):
-    A, uf, p, b, sparse = case
+    A, uf, p, b = case
     want = reference_solve(A, uf, p, b)
     assume(want is not None)
-    assert band_solve(A, uf, p, b, sparse) == want
+    assert band_solve(A, uf, p, b) == want

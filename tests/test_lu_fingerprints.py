@@ -4,12 +4,14 @@ Every shipped synthetic matrix is factored by ``dense_lu`` in half, single
 and double, in its natural order and in the RCM order that the LU solver
 uses, as given and scaled by 3e4 (which overflows the half-precision
 factors) and by 1e-7 (which rounds the smallest negative entries of some
-matrices to -0 in half).  For each case the SHA-256 of the packed factors
-that ``DenseLu.packed`` rebuilds from the band store, and of the pivot order, or the type and message of the exception raised,
-must equal what ``lu_fingerprints.json`` stores.  The file also records
-which paths the full-block elimination of each case takes (a -0 in the
-rounded input, a non-finite pivot row or non-finite multipliers), and the
-grid must keep covering the first two.
+matrices to -0 in half), each handed to ``dense_lu`` as a ``SparseMatrix``
+that stores every entry but +0 (conftest's ``stored``).  For each case the
+SHA-256 of the packed factors that conftest's ``packed`` rebuilds from the
+band store, and of the pivot order, or the type and message of the
+exception raised, must equal what ``lu_fingerprints.json`` stores.  The
+file also records which paths the full-block elimination of each case takes
+(a -0 in the rounded input, a non-finite pivot row or non-finite
+multipliers), and the grid must keep covering the first two.
 
 The file is regenerated, only for a deliberate and documented change of the
 arithmetic, with ``PYTHONPATH=src python tests/test_lu_fingerprints.py``.
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import digest, reference_dense_lu
+from conftest import digest, packed, reference_dense_lu, stored
 from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
 from spai_ir.reference import SYNTHETIC, find_matrix
 from spai_ir.refine import rcm_permutation
@@ -34,7 +36,7 @@ SCALES = (1.0, 3.0e4, 1.0e-7)  # as given; half overflow; -0 in half
 
 def factor_fingerprint(dense: np.ndarray, uf) -> dict:
     try:
-        lu, perm = dense_lu(dense, uf).packed()
+        lu, perm = packed(dense_lu(stored(dense), uf))
     except ArithmeticError as exc:
         return {"raises": f"{type(exc).__name__}: {exc}"}
     return {"lu": digest(lu, np.float64), "perm": digest(perm, np.int64)}

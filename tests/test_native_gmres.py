@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_pgmres_left
+from conftest import reference_pgmres_left, stored
 from spai_ir.krylov import PrecisionOverflowSignal, pgmres_left
 from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
 from spai_ir.refine import LuPreconditioner
@@ -74,7 +74,7 @@ def gmres_inputs(draw):
     elif kind == "lu":
         near = A + np.diag(np.where(np.abs(np.diag(A)) > 0, 0.0, 1.0)) + 0.1 * rng.standard_normal((n, n))
         try:
-            P = LuPreconditioner(dense_lu(near, FORMATS[draw(st.sampled_from("hsd"))]), np.arange(n))
+            P = LuPreconditioner(dense_lu(stored(near), FORMATS[draw(st.sampled_from("hsd"))]), np.arange(n))
         except ArithmeticError:
             P = None
     tau = draw(st.sampled_from([0.5, 1.0e-2, 1.0e-4, 1.0e-8, 1.0e-14]))

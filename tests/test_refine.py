@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import load_synthetic, random_dd_sparse, reference_solution
+from conftest import load_synthetic, packed, random_dd_sparse, reference_solution, stored
 from spai_ir.precision import DOUBLE, HALF, QUAD, SINGLE, SingularMatrixError, dd_solve
 from spai_ir.refine import (
     IrConfig,
@@ -24,8 +24,8 @@ from spai_ir.sparse import SparseMatrix
 
 
 def test_lu_identity():
-    f = dense_lu(np.eye(4), DOUBLE)
-    lu, perm = f.packed()
+    f = dense_lu(stored(np.eye(4)), DOUBLE)
+    lu, perm = packed(f)
     assert np.array_equal(lu, np.eye(4))  # L = U = I, packed
     assert np.array_equal(perm, np.arange(4))
     assert f.nnz_lu == 4
@@ -33,14 +33,14 @@ def test_lu_identity():
 
 def test_lu_permutation_matrix():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    lu, perm = dense_lu(A, DOUBLE).packed()
+    lu, perm = packed(dense_lu(stored(A), DOUBLE))
     assert np.array_equal(lu, np.eye(2))
     assert np.array_equal(perm, np.array([1, 0]))
 
 
 def test_lu_reconstruction_bound(rng):
     A = random_dd_sparse(rng, 8)
-    lu, perm = dense_lu(A, DOUBLE).packed()
+    lu, perm = packed(dense_lu(stored(A), DOUBLE))
     PA = A[perm]
     L = np.tril(lu, -1) + np.eye(8)
     U = np.triu(lu)
@@ -50,22 +50,22 @@ def test_lu_reconstruction_bound(rng):
 
 def test_lu_nnz_counts_pivots_of_minus_one():
     # a pivot of exactly -1 must not cancel the unit diagonal of L
-    assert dense_lu(-np.eye(3), SINGLE).nnz_lu == 3
-    assert dense_lu(np.array([[2.0, 1.0], [1.0, -0.5]]), SINGLE).nnz_lu == 4
+    assert dense_lu(stored(-np.eye(3)), SINGLE).nnz_lu == 3
+    assert dense_lu(stored(np.array([[2.0, 1.0], [1.0, -0.5]])), SINGLE).nnz_lu == 4
 
 
 def test_lu_singular():
     with pytest.raises(SingularMatrixError, match="singular"):
-        dense_lu(np.zeros((3, 3)), SINGLE)
+        dense_lu(stored(np.zeros((3, 3))), SINGLE)
 
 
 def test_lu_half_overflow_and_equilibration(rng):
     A = random_dd_sparse(rng, 6) * 3.0e4  # products overflow half during elimination
     with pytest.raises(OverflowInFactorizationError):
-        dense_lu(A, HALF)
+        dense_lu(stored(A), HALF)
     r, s, mu = equilibrate_two_sided(SparseMatrix.from_dense(A), HALF)
     scaled = mu * (A * r[:, None]) * s[None, :]
-    f = dense_lu(scaled, HALF)  # no overflow after scaling
+    f = dense_lu(stored(scaled), HALF)  # no overflow after scaling
     lupre = LuPreconditioner(f, np.arange(6), r=r, s=s, mu=mu)
     b = rng.randn(6)
     x = lupre.apply(b, SINGLE)
@@ -73,11 +73,30 @@ def test_lu_half_overflow_and_equilibration(rng):
     assert np.abs(x - want).max() <= 1e-2 * np.abs(want).max()
 
 
+def test_infinite_scale_retry_raises_the_overflow():
+    # after RCM the half factors meet 1e5 -> inf in the pivot row over the
+    # tiny row's zero multiplier (0 * inf = NaN): they overflow; then row 0,
+    # which peaks at 1e-310, has the scale 1 / 1e-310 = inf, which would make
+    # every entry of its row of mu R A S +-inf or NaN
+    A = SparseMatrix.from_dense(np.array([[1e-310, 1e-310], [1e5, 1.0]]))
+    B = A.permuted(rcm_permutation(A))
+    with pytest.raises(OverflowInFactorizationError, match="^overflow in half$"):
+        dense_lu(B, HALF)
+    with pytest.raises(OverflowInFactorizationError, match="^overflow in half$"):
+        prepare_solver(A, IrConfig(uf=HALF, u=SINGLE, ur=DOUBLE, solver="lu"))
+    # called directly, for an infinite row scale and for an infinite column scale
+    with pytest.raises(OverflowInFactorizationError, match="^overflow in half$"):
+        equilibrate_two_sided(A, HALF)
+    tiny_column = SparseMatrix.from_dense(np.array([[2.0, 1e-310], [1.0, 0.0]]))
+    with pytest.raises(OverflowInFactorizationError, match="^overflow in single$"):
+        equilibrate_two_sided(tiny_column, SINGLE)
+
+
 def test_lu_half_underflow_drops_fill(rng):
     # entries far below the half-normal range vanish from the factors
     A = np.eye(5) + np.diag(np.full(4, 1e-9), -1)
-    f_half = dense_lu(A, HALF)
-    f_double = dense_lu(A, DOUBLE)
+    f_half = dense_lu(stored(A), HALF)
+    f_double = dense_lu(stored(A), DOUBLE)
     assert f_half.nnz_lu < f_double.nnz_lu
 
 
