@@ -32,29 +32,51 @@ class BoundViolationError(AssertionError):
 
 
 def _dense(A) -> np.ndarray:
-    return A.to_dense() if isinstance(A, SparseMatrix) else np.asarray(A, dtype=np.float64)
+    """A new dense float64 copy of the sparse or dense ``A``, the caller's to overwrite."""
+    return A.to_dense() if isinstance(A, SparseMatrix) else np.array(A, dtype=np.float64)
 
 
-def _inv(A: np.ndarray) -> np.ndarray:
-    """The inverse of a dense matrix; ``ValueError`` (:func:`require_square`)
-    if it is not square, :class:`SingularMatrixError` if it is singular."""
+def _inv(A: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """The inverse of a dense float64 matrix by LAPACK's ``dgetrf`` and
+    ``dgetri`` (2 n**3 flops), in the memory order of ``A``; ``ValueError``
+    (:func:`require_square`) if it is not square, :class:`SingularMatrixError`
+    if it is exactly singular.  With ``overwrite`` the inverse takes the
+    memory of an ``A`` in C or Fortran order, and no n x n array is made;
+    else it is made on a copy, and ``A`` is not changed.  LAPACK's Fortran
+    order holds a C-ordered A as A^T, whose inverse, inv(A)^T, it computes,
+    and whose transpose is inv(A) in C order."""
+    from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
+
     require_square(A.shape)
-    try:
-        return np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("singular") from exc
+    at = A.T if A.flags.c_contiguous else A
+    lu, piv, info = dgetrf(at, overwrite_a=overwrite)
+    if info > 0:
+        raise SingularMatrixError("singular")
+    inv = dgetri(lu, piv, lwork=int(dgetri_lwork(len(piv))[0]), overwrite_lu=1)[0]
+    return inv.T if at is not A else inv
+
+
+def _norm_inf(X: np.ndarray) -> float:
+    """The infinity norm of a dense float64 array in C or Fortran order by
+    LAPACK's ``dlange``, which makes no n x n temporary: the max row sum of
+    X is the max column sum of X^T."""
+    from scipy.linalg.lapack import dlange
+
+    return dlange("1", X.T) if X.flags.c_contiguous else dlange("I", X)
+
+
+def _kappa(Ad: np.ndarray) -> float:
+    """:func:`kappa_inf` of the dense float64 ``Ad``, whose memory its
+    inverse takes: the norm of ``Ad`` is taken before the inverse is made
+    in place on it, so it holds no n x n array beside ``Ad``."""
+    norm = _norm_inf(Ad)
+    return norm * _norm_inf(_inv(Ad, overwrite=True))
 
 
 def kappa_inf(A) -> float:
-    """Infinity-norm condition number via a dense inverse (desk scale).
-
-    ``norm_inf(A)`` is taken before the inverse is made, and the inverse's
-    norm in place on it, so no n x n temporary stands beside ``A`` and its
-    inverse; the operations are those of ``norm_inf(A) * norm_inf(inv)``."""
-    Ad = _dense(A)
-    norm = norm_inf(Ad)
-    inv = _inv(Ad)
-    return norm * float(np.abs(inv, out=inv).sum(axis=1).max())
+    """Infinity-norm condition number via a dense inverse (desk scale),
+    made in place on a dense copy of ``A``, which is not changed."""
+    return _kappa(_dense(A))
 
 
 def _two_norm_power(X: np.ndarray, tol: float = 1e-4, max_iters: int = 500) -> float:
@@ -93,8 +115,9 @@ def cond2_transpose(A) -> float:
 
 def kappa_inf_product(P, A: SparseMatrix) -> float:
     """Infinity-norm condition number of P A; any preconditioner ``P`` (sparse
-    or LU factors) forms the dense product in plain double by ``apply_exact``."""
-    return kappa_inf(P.apply_exact(A))
+    or LU factors) forms the dense product in plain double by ``apply_exact``,
+    which the inverse then overwrites."""
+    return _kappa(P.apply_exact(A))
 
 
 def feasible(uf: Precision, cond2_at: float, eps: float) -> bool:
@@ -153,7 +176,7 @@ def check_bounds(A: SparseMatrix, pre: SpaiPreconditioner) -> BoundReport:
     dist = norm_inf(Pd - invA)
     dist_bound = bound * norm_inf(invA)
     cond2_at = _cond2_transpose(Ad, invA)
-    kt = kappa_inf(PA)
+    kt = _kappa(PA)  # the last use of P A, which its inverse overwrites
     satisfied_all = pre.all_satisfied
     report = BoundReport(
         n=n,

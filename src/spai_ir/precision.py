@@ -50,16 +50,19 @@ The emulated LU does only the work that can change a bit: an elimination
 step updates only the rows and columns that its nonzero multipliers and
 pivot row reach inside the input's structural envelope, and the
 substitution runs over the band of the factors, so both cost what the
-bandwidth of the ordered matrix implies, with the bits of the loops over
-whole columns of a dense array.  The factors live in one column-major band
-store that is filled straight from the sparse matrix, LAPACK's ``dgbtrf``
-layout with each multiplier kept in the row where it was computed
-(:class:`DenseLu`), so neither the LU preconditioner nor the double-double
-reference solve makes an n x n array; only an input that needs the
-full-block elimination (a -0, or an inf or NaN met on the way) is moved
-into the full n x n store.  The kappa(PA) diagnostic solves with the same
-factors in plain double, by LAPACK's ``dgbtrs`` on a float64 copy of the
-store in its band form (:meth:`DenseLu.solve`).
+bandwidth of the ordered matrix implies.  The factors live in one
+column-major band store that is filled straight from the sparse matrix,
+LAPACK's ``dgbtrf`` layout with each multiplier kept in the row where it
+was computed (:class:`DenseLu`), so neither the LU preconditioner nor the
+double-double reference solve makes an n x n array.  The LU contract: a
+rounded -0 in the input is the +0 it stands for, an entry outside the
+envelope is a zero that no step touches, and an inf or NaN anywhere in
+the store is an overflow, raised ahead of a zero pivot
+(:func:`dense_lu`); the factors and solutions are then those of the loops
+over whole columns of a dense array, up to the sign of a zero.  The
+kappa(PA) diagnostic solves with the same factors in plain double, by
+LAPACK's ``dgbtrs`` on a float64 copy of the store in its band form
+(:meth:`DenseLu.solve`).
 
 The quad-emulated format is realized with compensated double-double
 arithmetic built on error-free transformations; it is used for high
@@ -517,6 +520,16 @@ def _layout(n: int, kl: int, ku: int) -> tuple[int, int, int]:
     return 0, n, n
 
 
+def _columns(store: np.ndarray, n: int, kl: int, ku: int) -> np.ndarray:
+    """One n x n view of the store, ``[j, i]`` the factors' entry (i, j).
+    Every index of it lies inside the store, but one outside the band
+    names an entry of another column, so only the band may be read or
+    written through it."""
+    off, stride, _ = _layout(n, kl, ku)
+    return np.lib.stride_tricks.as_strided(store[off:], shape=(n, n),
+                                           strides=(stride * store.itemsize, store.itemsize))
+
+
 @dataclass
 class DenseLu:
     """Partial-pivoting factors of a square matrix in one column-major store.
@@ -529,11 +542,11 @@ class DenseLu:
     step k computed them, below the diagonal of column k, and ``piv[k]`` is
     the row that step k interchanged with row k, in columns k and on; a
     later interchange does not move them.  An entry the store does not hold
-    is as the full-block elimination leaves it: +0, or 0 / u_jj (-0 for a
-    negative pivot) below the band of column j.  :func:`dense_lu` keeps
-    half and single factors, whose entries are single values, in float32,
-    and double factors in float64.  :meth:`substitute` solves with them in
-    an emulated precision, :meth:`solve` in plain double by LAPACK.
+    is a zero that no step of :func:`dense_lu` or :meth:`substitute`
+    touches.  :func:`dense_lu` keeps half and single factors, whose entries
+    are single values, in float32, and double factors in float64.
+    :meth:`substitute` solves with them in an emulated precision,
+    :meth:`solve` in plain double by LAPACK.
 
     Two reach tables, taken from the store in one pass, bound the
     substitution: ``l_end[k]`` is one past the last nonzero multiplier of
@@ -581,9 +594,7 @@ class DenseLu:
         form, whose column j holds rows j - max(kl, ku) to j + kl.  That
         copy is width x n for a band store with ku >= kl (every input that
         is not structurally singular: its first k + kl + 1 rows must reach
-        column k + kl), and (2n - 1) x n for the full store.  The zeros
-        below the band that the store does not hold are not read: in plain
-        double, on finite values, they change nothing."""
+        column k + kl), and (2n - 1) x n for the full store."""
         from scipy.linalg.lapack import dgbtrs
 
         n = len(self.piv)
@@ -611,102 +622,48 @@ class DenseLu:
         ``piv[k]`` of x, then runs over the rows of step k's multipliers up
         to ``l_end[k]``; step k of the back loop runs over the rows of
         column k of U from ``u_start[k]``.  So the cost follows the band of
-        the factors, not n**2, and every entry gets the operations of the
-        loops over whole columns of the dense factors, in their order, and
-        their bits: a skipped entry is a zero factor, and x_i - fl(+-0 *
-        x_k) = x_i unless x_i is -0 or x_k is not finite.  An entry still to
-        be updated is -0 only if the rounded ``b`` holds a -0 (a difference
-        is -0 only when its minuend is, and a quotient, which may be -0, is
-        final), so such a ``b`` takes the whole columns from the start; a
-        result that is not finite is computed again over them.  Outside the
-        band the whole columns hold only the zeros that :class:`DenseLu`
-        names, so a step subtracts their product with x_k from those rows as
-        one scalar.
+        the factors, not n**2.  Each entry gets the operations of the loops
+        over whole columns of the factors, in their order, except those
+        with the zeros outside each step's reach, which no step touches:
+        x_i - fl(+-0 * x_k) is x_i, up to the sign of a zero, for every
+        finite x_k.
 
         Single-precision substitution with float32 factors runs natively in
         float32, with the bits of the float64 round trip (see the module
         docstring).  Any other runs in float64, with :func:`fl` below
         double, and forms each product in float64, which widens float32
-        factors exactly.
+        factors exactly.  Every product names its dtype, so float32 factors
+        are widened exactly under any numpy promotion rules (numpy 1.x would
+        keep a float32 array times a float64 scalar in float32).
         """
         native = p is SINGLE and self.store.dtype == np.float32
         rounding = None if native or p.dtype is None else p
         x = fl(np.array(b, dtype=np.float32 if native else np.float64), p, inplace=True)
-        n = x.shape[0]
+        dt, store, n = x.dtype, self.store, x.shape[0]
         off, stride, _ = _layout(n, self.kl, self.ku)
-        run = functools.partial(_substitute, self.store, off, stride, self._piv, rounding=rounding)
-        if not np.signbit(x[x == 0.0]).any():
-            y = run(x.copy(), self.l_end, self.u_start)
-            if np.isfinite(y).all():
-                return y.astype(np.float64, copy=False)
-        k = np.arange(n)
-        below = np.divide(self.store.dtype.type(0), self.store[off + k * (stride + 1)])  # 0 / u_kk
-        y = run(x, np.minimum(k + self.kl + 1, n).tolist(), np.maximum(k - self.ku, 0).tolist(), below=below)
-        return y.astype(np.float64, copy=False)
-
-
-def _substitute(store: np.ndarray, off: int, stride: int, piv: list, x: np.ndarray, l_end: list, u_start: list,
-                rounding: Precision | None, below: np.ndarray | None = None) -> np.ndarray:
-    """Forward and back substitution with the factors held in ``store``, in
-    place on ``x``, over the rows that the reach tables ``l_end`` and
-    ``u_start`` give (see :meth:`DenseLu.substitute`); every operation is
-    rounded to ``rounding``, or computed natively in ``x``'s dtype when it
-    is None.  Every product is formed in ``x``'s dtype, named outright, so
-    float32 factors are widened exactly under any numpy promotion rules
-    (numpy 1.x would keep a float32 array times a float64 scalar in
-    float32).  With ``below``, the rows past the tables are updated too:
-    with the factor ``below[k]`` under column k of L, +0 over column k of U;
-    such a product is +-0, or NaN when x_k is not finite, so the difference
-    is exact and needs no rounding."""
-    n, dt = x.shape[0], x.dtype
-    for k in range(n - 1):
-        p = piv[k]
-        if p != k:
-            x[k], x[p] = x[p], x[k]
-        end = l_end[k]
-        if end > k + 1:
-            seg = x[k + 1 : end]
+        for k, pk, end in zip(range(n - 1), self._piv, self.l_end):
+            if pk != k:
+                x[k], x[pk] = x[pk], x[k]
+            if end > k + 1:
+                at = off + k * stride
+                seg, prod = x[k + 1 : end], np.multiply(store[at + k + 1 : at + end], x[k], dtype=dt)
+                if rounding is None:
+                    seg -= prod
+                else:
+                    seg -= fl(prod, rounding, inplace=True)
+                    fl(seg, rounding, inplace=True)
+        for k, start in zip(range(n - 1, -1, -1), reversed(self.u_start)):
             at = off + k * stride
-            prod = np.multiply(store[at + k + 1 : at + end], x[k], dtype=dt)
-            if rounding is None:
-                seg -= prod
-            else:
-                seg -= fl(prod, rounding, inplace=True)
-                fl(seg, rounding, inplace=True)
-        if below is not None and end < n:
-            x[end:] -= np.multiply(below[k], x[k], dtype=dt)
-    for k in range(n - 1, -1, -1):
-        at = off + k * stride
-        xk = x[k] / store[at + k]
-        x[k] = xk = xk if rounding is None else fl(xk, rounding)
-        start = u_start[k]
-        if start < k:
-            seg = x[start:k]
-            prod = np.multiply(store[at + start : at + k], xk, dtype=dt)
-            if rounding is None:
-                seg -= prod
-            else:
-                seg -= fl(prod, rounding, inplace=True)
-                fl(seg, rounding, inplace=True)
-        if below is not None and start > 0:
-            x[:start] -= np.multiply(0.0, xk, dtype=dt)
-    return x
-
-
-def _unband(store: np.ndarray, n: int, kl: int, ku: int, columns: int) -> np.ndarray:
-    """The factors held in the band ``store`` as a new n x n array in
-    Fortran order, indexed ``[i, j]``, with 0 / u_jj below the band of each
-    of the first ``columns`` columns, as the full-block elimination leaves
-    it, and +0 everywhere else outside the band."""
-    off, stride, width = _layout(n, kl, ku)
-    entries = store.reshape(n, width)  # row j: the entries of column j
-    out = np.zeros((n, n), store.dtype, order="F")
-    rows = np.arange(width) + (np.arange(n) - off)[:, None]
-    held = (rows >= 0) & (rows < n)
-    out[rows[held], held.nonzero()[0]] = entries[held]
-    below = np.greater.outer(np.arange(n), np.arange(columns) + kl)
-    np.copyto(out[:, :columns], np.divide(store.dtype.type(0), entries[:columns, off]), where=below)
-    return out
+            xk = x[k] / store[at + k]
+            x[k] = xk = xk if rounding is None else fl(xk, rounding)
+            if start < k:
+                seg, prod = x[start:k], np.multiply(store[at + start : at + k], xk, dtype=dt)
+                if rounding is None:
+                    seg -= prod
+                else:
+                    seg -= fl(prod, rounding, inplace=True)
+                    fl(seg, rounding, inplace=True)
+        return x.astype(np.float64, copy=False)
 
 
 def _reach(v: np.ndarray) -> int:
@@ -715,51 +672,44 @@ def _reach(v: np.ndarray) -> int:
     return int(nz[-1]) + 1 if nz.size else 0
 
 
-def _finite(v: np.ndarray) -> bool:
-    """Whether every entry of ``v`` is finite, by one reduction: a sum with
-    an inf or NaN term is not finite.  A finite sum that overflows reads as
-    not finite, which only costs the caller its shortcut."""
-    return math.isfinite(np.add.reduce(v, dtype=np.float64))
-
-
 @quiet
 def dense_lu(A, uf: Precision) -> DenseLu:
     """LU with partial pivoting, every operation rounded to ``uf``.
 
-    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`; it is not changed,
-    and every entry it stores counts, a -0 included.  Raises
-    :class:`SingularMatrixError` on an exactly zero pivot and
-    :class:`OverflowInFactorizationError` when the factors contain
-    non-finite entries (the caller may equilibrate and retry).  A's
-    entries are rounded to ``uf`` by a cast to the format's own dtype,
+    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`; it is not changed.
+    A's entries are rounded to ``uf`` by a cast to the format's own dtype,
     float16 for half, float32 for single and float64 for double, which is
     :func:`fl`, and written straight into a band store of that dtype
-    (:class:`DenseLu`), so no n x n array is made unless the store is the
-    full one.  The elimination runs natively in that dtype, with the bits
-    of the float64-then-round loop (see the module docstring).  Half and
-    single factors are returned in float32, which holds them exactly and
-    which single-precision substitution runs in, and double factors in
-    float64.
+    (:class:`DenseLu`, :func:`_band_store`), so no n x n array is made
+    unless the store is the full one.  The elimination runs natively in
+    that dtype, with the bits of the float64-then-round loop (see the
+    module docstring).  Half and single factors are returned in float32,
+    which holds them exactly and which single-precision substitution runs
+    in, and double factors in float64.
 
-    Only the work that can change a bit is done.  Rows and columns are
-    bounded by the structural envelope of the rounded input: column k can
-    hold a nonzero only in the rows up to the last nonzero row of columns
-    0..k (row swaps stay inside it), and those rows only in the columns up
-    to their last nonzero column.  The band of the store is the widest such
-    reach below and above the diagonal.  Step k searches its pivot and
-    swaps its rows inside that envelope, divides the band of its column (0
-    divided by a negative pivot is -0 in L), and subtracts its rank-1
-    update, formed in one reused scratch of the band's size, only from the
-    rows up to its last nonzero multiplier and the columns up to the last
-    nonzero entry of its pivot row; every entry skipped would get a - fl(+-0
-    * u) = a.  The factors are those of the full-block update with
-    whole-row swaps bit for bit, each multiplier in the row where it was
-    computed, as ``dgbtrf`` keeps them.  A -0 in the rounded input
-    makes every step take the full block in the full store (-0 - -0 = +0),
-    and an inf or NaN in a step's multipliers, pivot or pivot row (0 * inf
-    = NaN) moves the factors into the full store, with the zeros below the
-    band that the full-block loop holds, and makes every step from that one
-    on take the full block; each is tested by one reduction per vector.
+    Only the work that can change a bit is done, on the entries inside the
+    structural envelope of the rounded input, and an entry outside it is a
+    zero that no step touches.  Column k can hold a nonzero only in the rows
+    up to the last nonzero row of columns 0..k (row swaps stay inside it),
+    and those rows only in the columns up to their last nonzero column.
+    The band of the store is the widest such reach below and above the
+    diagonal.  Step k searches its pivot and swaps its rows inside that
+    envelope, divides the band of its column (0 divided by a negative
+    pivot is -0 in L), and subtracts its rank-1 update, formed in one
+    reused scratch of the band's size, only from the rows up to its last
+    nonzero multiplier and the columns up to the last nonzero entry of its
+    pivot row.  Every entry skipped would get a - fl(+-0 * u) = a up to the
+    sign of a zero while the factors are finite, so they are those of the
+    full-block update with whole-row swaps, up to the sign of a zero, each
+    multiplier in the row where it was computed, as ``dgbtrf`` keeps them.
+    Each step reads its pivot column, pivot row and update block through
+    one view of the store made once (:func:`_columns`).
+
+    The contract: a -0 in the rounded input is the +0 it stands for; an
+    inf or NaN anywhere in the store, which no later operation makes
+    finite again, raises :class:`OverflowInFactorizationError` (the caller
+    may equilibrate and retry), ahead of the
+    :class:`SingularMatrixError` that an exactly zero pivot raises.
     """
     return _eliminate(*_band_store(A, uf.dtype or np.float64), uf)
 
@@ -767,20 +717,20 @@ def dense_lu(A, uf: Precision) -> DenseLu:
 def _band_store(A, dtype) -> tuple:
     """The band store of the sparse ``A`` rounded to ``dtype`` and the
     envelope of the rounded matrix, as :func:`_eliminate` takes them:
-    ``(store, n, kl, ku, full, rows_end, cols_end)``.  ``full`` is set, and
-    the store is the full one, when a rounded entry is -0."""
+    ``(store, n, kl, ku, rows_end, cols_end)``.  An entry that rounds to
+    +-0 is left out: it is the +0 that every entry the store does not
+    fill holds."""
     from .sparse import owners  # here: sparse imports this module
 
     require_square(A.shape)
-    n, i, j, v = A.n_rows, A.indices, owners(A.indptr), A.data.astype(dtype)
-    full = bool(np.any((v == 0.0) & np.signbit(v)))  # a -0 in the rounded input
+    n, v = A.n_rows, A.data.astype(dtype)
     nz = v != 0.0
-    i_nz, j_nz = i[nz], j[nz]
+    i, j, v = A.indices[nz], owners(A.indptr)[nz], v[nz]
     # each row's first and last nonzero column; an empty row counts as one
     # that reaches every column, which is safe
     first, last = np.full(n, n), np.full(n, -1)
-    np.minimum.at(first, i_nz, j_nz)
-    np.maximum.at(last, i_nz, j_nz)
+    np.minimum.at(first, i, j)
+    np.maximum.at(last, i, j)
     first[first == n], last[last < 0] = 0, n - 1
     # one past the last row that may hold a nonzero in columns 0..k (row i
     # does when its first nonzero column is at most k), and one past the last
@@ -791,62 +741,54 @@ def _band_store(A, dtype) -> tuple:
     cols_end = np.maximum.accumulate(last + 1)[np.maximum(rows_end, 1) - 1]
     steps = np.arange(n)
     kl = int((np.maximum(rows_end, steps + 1) - steps).max(initial=1)) - 1
-    ku = max(int((cols_end - steps).max(initial=1)) - 1, int((j_nz - i_nz).max(initial=0)), 1)  # a stride of 1 at least
-    off, stride, width = _layout(n, n, n) if full else _layout(n, kl, ku)
+    ku = max(int((cols_end - steps).max(initial=1)) - 1, int((j - i).max(initial=0)), 1)  # a stride of 1 at least
+    off, stride, width = _layout(n, kl, ku)
     if stride == n:
         kl = ku = n - 1
-    else:
-        i, j, v = i_nz, j_nz, v[nz]  # every other entry is +0
     store = np.zeros(n * width, dtype)
     store[off + i + j * stride] = v
-    return store, n, kl, ku, full, rows_end.tolist(), cols_end.tolist()
+    return store, n, kl, ku, rows_end.tolist(), cols_end.tolist()
 
 
-def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, full: bool, rows_end: list, cols_end: list,
+def _zero_pivot(store: np.ndarray, uf: Precision, k: int) -> ArithmeticError:
+    """The error for a zero pivot at step k: an overflow if the store
+    already holds an inf or NaN, else the singular matrix."""
+    if not np.isfinite(store).all():
+        return OverflowInFactorizationError(f"overflow in {uf.name}")
+    return SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
+
+
+def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, rows_end: list, cols_end: list,
                uf: Precision) -> DenseLu:
     """:func:`dense_lu` in place on the store :func:`_band_store` made,
     which holds values of ``uf`` in its own dtype; every operation runs
     natively in that dtype and so is rounded to ``uf`` once."""
-    off, stride, _ = _layout(n, kl, ku)
+    cols = _columns(store, n, kl, ku)  # cols[j, i] is entry (i, j)
     steps = np.arange(n)
     widest = (np.array(cols_end) - steps).max(initial=1) - 1, (np.maximum(rows_end, steps + 1) - steps).max(initial=1) - 1
     scratch = np.empty(widest, store.dtype)  # (columns, rows) of an update
     piv = np.arange(n)
     for k in range(n - 1):
-        r_end = n if full else max(rows_end[k], k + 1)
-        c_end = n if full else cols_end[k]
-        at = off + k * (stride + 1)  # the diagonal entry of column k
-        p = k + int(np.argmax(np.abs(store[at : at + r_end - k])))
-        pivot = store[at + p - k]
+        r_end, c_end, column = max(rows_end[k], k + 1), cols_end[k], cols[k]
+        p = k + int(np.argmax(np.abs(column[k:r_end])))
+        pivot = column[p]
         if pivot == 0.0:
-            raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
+            raise _zero_pivot(store, uf, k)
         if p != k:  # rows k and p, in columns k and on
-            top = store[at : off + k + c_end * stride : stride]
-            bottom = store[at + p - k : off + p + c_end * stride : stride]
+            top, bottom = cols[k:c_end, k], cols[k:c_end, p]
             top[...], bottom[...] = bottom, top.copy()
             piv[k] = p
-        col = store[at + 1 : at + 1 + min(kl, n - 1 - k)]
+        col = column[k + 1 : k + 1 + min(kl, n - 1 - k)]
         col /= pivot  # the band of the column: 0 divided by a negative pivot is -0
-        row = store[at + stride : off + k + c_end * stride : stride]
-        if not full and not (_finite(col) and _finite(row) and pivot == pivot):  # a NaN pivot: NaN below the band
-            full = True
-            if stride < n:
-                store = _unband(store, n, kl, ku, k + 1).ravel(order="F")
-                kl, ku, off, stride = n - 1, n - 1, 0, n
-                at = k * (n + 1)
-                col = store[at + 1 : at + n - k]
-            row = store[at + n :: n]
-        re, ce = (n - k - 1, n - k - 1) if full else (_reach(col[: r_end - k - 1]), _reach(row))
+        row = cols[k + 1 : c_end, k]
+        re, ce = _reach(col[: r_end - k - 1]), _reach(row)
         if re and ce:
-            fits = ce <= scratch.shape[0] and re <= scratch.shape[1]
-            t = scratch[:ce, :re] if fits else np.empty((ce, re), store.dtype)
+            t = scratch[:ce, :re]
             np.multiply(col[None, :re], row[:ce, None], out=t)
-            block = np.lib.stride_tricks.as_strided(store[at + stride + 1 :], shape=(ce, re),
-                                                    strides=(stride * store.itemsize, store.itemsize))
-            block -= t  # block[c, r] is entry (k + 1 + r, k + 1 + c)
-    if store[off + (n - 1) * (stride + 1)] == 0.0:
-        raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
-    if not np.all(np.isfinite(store)):
+            cols[k + 1 : k + 1 + ce, k + 1 : k + 1 + re] -= t
+    if cols[n - 1, n - 1] == 0.0:
+        raise _zero_pivot(store, uf, n - 1)
+    if not np.isfinite(store).all():
         raise OverflowInFactorizationError(f"overflow in {uf.name}")
     return DenseLu(store if uf.dtype is None else store.astype(np.float32, copy=False), kl, ku, piv)
 
@@ -857,8 +799,8 @@ def dd_solve(A, b):
 
     ``A`` is a :class:`spai_ir.sparse.SparseMatrix`.  It is factored once
     in double by :func:`dense_lu`, straight from its entries into a band
-    store, so no n x n array is made unless the factors need the full
-    store, and the cost follows the bandwidth of ``A`` as ordered.  The
+    store, so no n x n array is made unless A's envelope is as wide as A,
+    and the cost follows the bandwidth of ``A`` as ordered.  The
     double-double iterate is then refined with :func:`dd_residual` of the
     pair until that residual stops improving; the limiting forward error is
     of order ``unit_roundoff(QUAD) * cond(A)``.  Returns ``(x_hi, x_lo)``

@@ -206,7 +206,9 @@ class LuPreconditioner:
         the factored matrix and in Fortran order, scaled in place, and
         overwritten by the factors' LAPACK solve (:meth:`DenseLu.solve`),
         which holds only a float64 copy of their band beside it; the
-        column scaling acts in place and the rows go back to A's order."""
+        column scaling acts in place and the rows go back to A's order in
+        place too, a block of 64 columns at a time, so the product is
+        that one array, in Fortran order."""
         Y = A.to_dense(rows=self.order, order="F")
         if self.r is not None:
             Y *= self.mu
@@ -214,7 +216,9 @@ class LuPreconditioner:
         Y = self.factors.solve(Y)
         if self.s is not None:
             Y *= self.s[:, None]
-        return Y[self.inv_order]
+        for c in range(0, Y.shape[1], 64):
+            Y[:, c : c + 64] = Y[self.inv_order, c : c + 64]
+        return Y
 
 
 def rcm_permutation(A: SparseMatrix) -> np.ndarray:

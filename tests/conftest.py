@@ -145,9 +145,11 @@ def packed(f) -> tuple[np.ndarray, np.ndarray]:
     order, and the row order ``perm``: row k of the factored matrix is row
     ``perm[k]`` of the input.  U lies on and above the diagonal and the
     multipliers of L below it, each moved by every later row interchange,
-    as the elimination with whole-row swaps leaves them, 0 / u_jj (-0
-    under a negative pivot) below the band included: what
-    :func:`reference_dense_lu` returns."""
+    as the elimination with whole-row swaps leaves them.  Below the band,
+    where the store holds the zeros that no step touches, each column j
+    holds 0 / u_jj (-0 under a negative pivot), the zero the full-block
+    loop of :func:`reference_dense_lu` leaves there, so the fingerprints of
+    the packed factors read as those of the full block."""
     n = len(f.piv)
     off, stride, _ = _layout(n, f.kl, f.ku)
     i, j = np.indices((n, n))
@@ -163,19 +165,29 @@ def packed(f) -> tuple[np.ndarray, np.ndarray]:
     return lu, perm
 
 
+def signless_zeros(v) -> bytes:
+    """The bytes of ``v`` in float64 with each -0 read as +0: the factors
+    and solutions of the band contract match the full-block loops up to the
+    sign of a zero."""
+    return (np.asarray(v, dtype=np.float64) + 0.0).tobytes()
+
+
 @quiet
 def reference_dense_lu(A, uf, seen=None) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for :func:`spai_ir.precision.dense_lu`: its loop as it stood
     when every step updated the whole trailing block of one dense float64
-    array and swapped whole rows.  Returns that array, U on and above the
-    diagonal and L below it, and the row order ``perm``: what
-    :func:`packed` rebuilds from the band store.
+    array and swapped whole rows, with the band contract's rule that an
+    inf or NaN anywhere in the factors is an overflow, raised ahead of a
+    zero pivot.  Returns that array, U on and above the diagonal and L
+    below it, and the row order ``perm``: what :func:`packed` rebuilds from
+    the band store, up to the sign of a zero (:func:`signless_zeros`).
 
     ``seen``, if given a set, collects the paths the input takes:
     ``"minus_zero"`` when the rounded input holds a -0,
     ``"nonfinite_pivot_row"`` when a step's pivot row right of the pivot
-    holds an inf or NaN, and ``"nonfinite_multipliers"`` when a step's
-    multipliers do.
+    holds an inf or NaN, ``"nonfinite_multipliers"`` when a step's
+    multipliers do, and ``"zero_pivot_after_overflow"`` when a zero pivot
+    meets factors that already hold one, which the overflow rule decides.
     """
     M = fl(np.array(A, dtype=np.float64), uf)
     n = M.shape[0]
@@ -183,11 +195,19 @@ def reference_dense_lu(A, uf, seen=None) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("square matrix required")
     if seen is not None and np.any(np.signbit(M) & (M == 0.0)):
         seen.add("minus_zero")
+
+    def zero_pivot(k):
+        if not np.all(np.isfinite(M)):
+            if seen is not None:
+                seen.add("zero_pivot_after_overflow")
+            return OverflowInFactorizationError(f"overflow in {uf.name}")
+        return SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
+
     perm = np.arange(n)
     for k in range(n - 1):
         p = k + int(np.argmax(np.abs(M[k:, k])))
         if M[p, k] == 0.0:
-            raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
+            raise zero_pivot(k)
         if p != k:
             M[[k, p]] = M[[p, k]]
             perm[[k, p]] = perm[[p, k]]
@@ -203,7 +223,7 @@ def reference_dense_lu(A, uf, seen=None) -> tuple[np.ndarray, np.ndarray]:
         trailing -= fl(np.outer(col, M[k, k + 1 :]), uf)
         trailing[...] = fl(trailing, uf)
     if M[n - 1, n - 1] == 0.0:
-        raise SingularMatrixError(f"singular in {uf.name}: zero pivot at step {n - 1}")
+        raise zero_pivot(n - 1)
     if not np.all(np.isfinite(M)):
         raise OverflowInFactorizationError(f"overflow in {uf.name}")
     return M, perm

@@ -1,26 +1,30 @@
-"""Property test of the band-limited update of ``dense_lu``.
+"""Property test of the band contract of ``dense_lu``.
 
 Each elimination step of ``dense_lu`` updates only the rows up to its last
 nonzero multiplier and the columns up to the last nonzero entry of its
 pivot row, in a band store that keeps each multiplier in the row where it
-was computed.  That is bit-exact only if the skipped entries would not have
-changed, so ``dense_lu`` is compared here with ``reference_dense_lu``,
-which updates the whole trailing block of a dense array at every step and
-swaps whole rows.  Both must return the same packed factors (conftest's
-``packed`` rebuilds them from the band store) and pivot order, or raise the
-same exception with the same message.  The drawn matrix is handed to
-``dense_lu`` as a ``SparseMatrix`` that stores every entry but +0
-(conftest's ``stored``).  The factors are compared as the raw bytes of their
-float64 widening, which is exact and one-to-one on finite values, since
-``dense_lu`` keeps half and single factors in float32 and the reference
-keeps every format in float64; the storage dtype is checked on its own.
+was computed; an entry outside the structural envelope is a zero that no
+step touches, a rounded -0 in the input is the +0 it stands for, and an
+inf or NaN anywhere in the store is an overflow, raised ahead of a zero
+pivot.  So ``dense_lu`` is compared here with ``reference_dense_lu``, which
+updates the whole trailing block of a dense array at every step, swaps
+whole rows and follows the same overflow rule.  Both must return the same
+packed factors (conftest's ``packed`` rebuilds them from the band store)
+up to the sign of a zero (conftest's ``signless_zeros``) and the same
+pivot order, or raise the same exception with the same message.  The drawn
+matrix is handed to ``dense_lu`` as a ``SparseMatrix`` that stores every
+entry but +0 (conftest's ``stored``).  The factors are compared as the raw
+bytes of their float64 widening, which is exact and one-to-one on finite
+values, since ``dense_lu`` keeps half and single factors in float32 and
+the reference keeps every format in float64; the storage dtype is checked
+on its own.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import packed, reference_dense_lu, stored
+from conftest import packed, reference_dense_lu, signless_zeros, stored
 from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
 
 # as given, overflow of half / single / double, underflow of half / single / double
@@ -32,7 +36,7 @@ def outcome(factor, A, uf):
         lu, perm = factor(A, uf)
     except ArithmeticError as exc:
         return type(exc).__name__, str(exc)
-    return lu.astype(np.float64).tobytes(), perm.tobytes()
+    return signless_zeros(lu), perm.tobytes()
 
 
 def band_lu(A, uf):
@@ -77,7 +81,7 @@ TRIDIAGONAL_INF[4, 5] = 7e4
 
 @settings(max_examples=400, deadline=None)
 @given(lu_inputs())
-# a -0 that a full step turns into +0 (-0 - -0): L holds +0 at [2, 1]
+# a -0 that a full step turns into +0 (-0 - -0): the band reads it as +0 and skips the step
 @example((np.array([[2.0, -1.0, 0.0], [1.0, 1.0, 1.0], [0.0, -0.0, 1.0]]), DOUBLE))
 # an inf in the pivot row over zero multipliers (0 * inf = NaN): overflow, not a zero pivot
 @example((np.array([[1.0, 1e5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), HALF))
@@ -86,10 +90,12 @@ TRIDIAGONAL_INF[4, 5] = 7e4
 # a negative pivot over structural zeros in its column: 0 / -2 is -0 in L
 @example((np.array([[-2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0]]), DOUBLE))
 @example((TRIDIAGONAL, SINGLE))
-# the band store meets an inf (7e4 in half) in the pivot row of step 3 and moves into the full store
+# the band store meets an inf (7e4 in half) in the pivot row of step 3, and keeps its band
 @example((TRIDIAGONAL_INF, HALF))
-# stored entries that round to -0 in half: every step takes the full block, and L holds -0
+# stored entries that round to -0 in half, read as +0: L holds +0 where the full block holds -0
 @example((np.eye(8) - 1e-10 * np.eye(8, k=-1), HALF))
+# a zero pivot after an inf (1e5 in half) in the factors: overflow, not a singular matrix
+@example((np.array([[1e5, 0.0], [0.0, 0.0]]), HALF))
 def test_dense_lu_equals_full_block_reference(case):
     A, uf = case
     assert outcome(band_lu, A, uf) == outcome(reference_dense_lu, A, uf)

@@ -2,19 +2,21 @@
 README's tolerance under another OpenBLAS kernel and thread count, and the
 emulated outputs do not drift at all.
 
-Two child processes compute the same runs on ``colscale_80`` and
-``lap2d_196``: one on OpenBLAS's default kernel, and one with
-``OPENBLAS_CORETYPE=Haswell`` and ``OPENBLAS_NUM_THREADS=2`` set in its
-environment alone.  Each child runs ``kappa_inf`` and ``cond2_transpose``
+Child processes compute the same runs on ``colscale_80`` and
+``lap2d_196``: one on OpenBLAS's default kernel and thread count, and each
+of the others with its own settings in its environment alone:
+``OPENBLAS_CORETYPE=Haswell`` and ``OPENBLAS_NUM_THREADS=2``, and
+``OPENBLAS_NUM_THREADS=1``, what a one-core machine gets.  Each child runs ``kappa_inf`` and ``cond2_transpose``
 of A, and an ``lu`` and a ``spai`` (eps 0.3) solve in hsd and sdq, whose
 ``kappa_tilde`` is ``kappa_inf_product`` with a half or single
 preconditioner.  The diagnostics must agree within ``RTOL`` relative, as
 the README's bit contract says; the solutions and the refinement reports
 must be the same bytes.  OpenBLAS reads ``OPENBLAS_CORETYPE`` only when it
-is built with ``DYNAMIC_ARCH``, so the test is skipped unless numpy's and
+is built with ``DYNAMIC_ARCH``, so the tests are skipped unless numpy's and
 scipy's OpenBLAS both are.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -60,6 +62,7 @@ def _dynamic_arch(module) -> bool:
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
+@functools.lru_cache(maxsize=None)
 def _child(**blas_env) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
     env.update(blas_env, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
@@ -69,13 +72,24 @@ def _child(**blas_env) -> dict:
     return json.loads(run.stdout)
 
 
-@pytest.mark.skipif(not (_dynamic_arch(np) and _dynamic_arch(scipy)),
-                    reason="OpenBLAS picks its kernel by OPENBLAS_CORETYPE only when built with DYNAMIC_ARCH")
-def test_diagnostics_drift_within_tolerance_and_emulation_not_at_all():
-    default = _child()
-    haswell = _child(OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="2")
-    assert haswell["emulated"] == default["emulated"]
-    want, got = default["diagnostics"], haswell["diagnostics"]
+def _compare(got: dict, want: dict) -> None:
+    assert got["emulated"] == want["emulated"]
+    want, got = want["diagnostics"], got["diagnostics"]
     assert sorted(got) == sorted(want)
     drift = {key: abs(got[key] - want[key]) / abs(want[key]) for key in want}
     assert max(drift.values()) <= RTOL, {key: d for key, d in drift.items() if d > RTOL}
+
+
+DYNAMIC_ARCH = pytest.mark.skipif(
+    not (_dynamic_arch(np) and _dynamic_arch(scipy)),
+    reason="OpenBLAS picks its kernel by OPENBLAS_CORETYPE only when built with DYNAMIC_ARCH")
+
+
+@DYNAMIC_ARCH
+def test_diagnostics_drift_within_tolerance_and_emulation_not_at_all():
+    _compare(_child(OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="2"), _child())
+
+
+@DYNAMIC_ARCH
+def test_diagnostics_on_one_blas_thread_drift_within_tolerance_and_emulation_not_at_all():
+    _compare(_child(OPENBLAS_NUM_THREADS="1"), _child())

@@ -8,10 +8,13 @@ matrices to -0 in half), each handed to ``dense_lu`` as a ``SparseMatrix``
 that stores every entry but +0 (conftest's ``stored``).  For each case the
 SHA-256 of the packed factors that conftest's ``packed`` rebuilds from the
 band store, and of the pivot order, or the type and message of the
-exception raised, must equal what ``lu_fingerprints.json`` stores.  The
-file also records which paths the full-block elimination of each case takes
-(a -0 in the rounded input, a non-finite pivot row or non-finite
-multipliers), and the grid must keep covering the first two.
+exception raised, must equal what ``lu_fingerprints.json`` stores.  Each
+case must also agree with the oracle of the band contract,
+``reference_dense_lu``: the same factors up to the sign of a zero and the
+same pivot order, or the same exception.  The file records which paths
+the oracle takes for each case (a -0 in the rounded input, a non-finite
+pivot row or non-finite multipliers, a zero pivot after an overflow), and
+the grid must keep covering the contract's -0 rule and its overflow rule.
 
 The file is regenerated, only for a deliberate and documented change of the
 arithmetic, with ``PYTHONPATH=src python tests/test_lu_fingerprints.py``.
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import digest, packed, reference_dense_lu, stored
+from conftest import digest, packed, reference_dense_lu, signless_zeros, stored
 from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
 from spai_ir.reference import SYNTHETIC, find_matrix
 from spai_ir.refine import rcm_permutation
@@ -34,15 +37,17 @@ FINGERPRINTS = Path(__file__).with_name("lu_fingerprints.json")
 SCALES = (1.0, 3.0e4, 1.0e-7)  # as given; half overflow; -0 in half
 
 
-def factor_fingerprint(dense: np.ndarray, uf) -> dict:
+def outcome(factor) -> dict:
+    """The packed factors and pivot order that ``factor()`` returns, or the exception it raises."""
     try:
-        lu, perm = packed(dense_lu(stored(dense), uf))
+        lu, perm = factor()
     except ArithmeticError as exc:
         return {"raises": f"{type(exc).__name__}: {exc}"}
-    return {"lu": digest(lu, np.float64), "perm": digest(perm, np.int64)}
+    return {"lu": lu, "perm": perm}
 
 
-def all_fingerprints() -> dict:
+def all_cases() -> dict:
+    """Each case's outcome of ``dense_lu`` and of the oracle, and the oracle's paths."""
     out = {}
     for name in sorted(SYNTHETIC):
         A = load_matrix_market(find_matrix(name))
@@ -51,27 +56,41 @@ def all_fingerprints() -> dict:
             base = A.to_dense()[np.ix_(idx, idx)]
             for scale in SCALES:
                 for uf in (HALF, SINGLE, DOUBLE):
-                    dense = base * scale
-                    seen = set()
-                    try:
-                        reference_dense_lu(dense, uf, seen)
-                    except ArithmeticError:
-                        pass
-                    case = factor_fingerprint(dense, uf)
-                    case["paths"] = sorted(seen)
-                    out[f"{name}*{scale:g}/{order}/{uf.name}"] = case
+                    dense, seen = base * scale, set()
+                    want = outcome(lambda: reference_dense_lu(dense, uf, seen))
+                    got = outcome(lambda: packed(dense_lu(stored(dense), uf)))
+                    out[f"{name}*{scale:g}/{order}/{uf.name}"] = got, want, sorted(seen)
     return out
+
+
+def fingerprint(got: dict, paths: list) -> dict:
+    if "raises" in got:
+        return {**got, "paths": paths}
+    return {"lu": digest(got["lu"], np.float64), "perm": digest(got["perm"], np.int64), "paths": paths}
+
+
+def all_fingerprints() -> dict:
+    return {key: fingerprint(got, paths) for key, (got, _, paths) in all_cases().items()}
+
+
+def agrees(got: dict, want: dict) -> bool:
+    if "raises" in got or "raises" in want:
+        return got == want
+    return signless_zeros(got["lu"]) == signless_zeros(want["lu"]) and np.array_equal(got["perm"], want["perm"])
 
 
 def test_lu_factors_match_committed_fingerprints():
     want = json.loads(FINGERPRINTS.read_text())
-    got = all_fingerprints()
+    cases = all_cases()
+    got = {key: fingerprint(g, paths) for key, (g, _, paths) in cases.items()}
     assert sorted(got) == sorted(want), "fingerprint grid changed"
     moved = {key: sorted(f for f in got[key].keys() | want[key].keys()
                          if got[key].get(f) != want[key].get(f))
              for key in got if got[key] != want[key]}
     if moved:
         pytest.fail(f"dense LU output moved in {len(moved)} cases: {moved}")
+    disagree = [key for key, (g, oracle, _) in cases.items() if not agrees(g, oracle)]
+    assert not disagree, f"dense LU departs from the band contract's oracle in {disagree}"
     paths = set().union(*(set(case["paths"]) for case in got.values()))
     assert {"minus_zero", "nonfinite_pivot_row"} <= paths, paths
 

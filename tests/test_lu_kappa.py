@@ -8,9 +8,11 @@ and two ``scipy.linalg.solve_triangular`` calls.  Both are plain double in
 different operation orders, so they need not agree bit for bit; they must
 agree within 1e-13 relative in the max norm, the tolerance the README
 gives this diagnostic.  The cases take each path of the copy: a band store
-(``conv_diff_225``, RCM-ordered, in half), the full store (an input whose
-stored entries round to -0 in half, and a 1 x 1 matrix) and an equilibrated
-LU (``colscale_80`` scaled by 3e4, whose half factors overflow unscaled).
+(``conv_diff_225``, RCM-ordered, in half, and an input whose stored
+entries round to -0 in half, which ``dense_lu`` reads as the +0 they stand
+for), the full store (a dense 5 x 5 matrix, whose envelope is as wide as
+the matrix, and a 1 x 1 matrix) and an equilibrated LU (``colscale_80``
+scaled by 3e4, whose half factors overflow unscaled).
 """
 
 import numpy as np
@@ -53,6 +55,11 @@ def minus_zero_case():
     return A, LuPreconditioner(dense_lu(A, HALF), np.arange(8))
 
 
+def wide_case():
+    A = SparseMatrix.from_dense(4.0 * np.eye(5) + np.arange(25.0).reshape(5, 5) % 3 - 1.0)
+    return A, LuPreconditioner(dense_lu(A, HALF), np.arange(5))
+
+
 def one_by_one_case():
     A = SparseMatrix.from_dense(np.array([[-3.0]]))
     return A, LuPreconditioner(dense_lu(A, HALF), np.arange(1))
@@ -66,7 +73,8 @@ def equilibrated_case():
 # name: (the case, whether its store is the full one, whether its LU is equilibrated)
 CASES = {
     "band": (band_case, False, False),
-    "minus_zero": (minus_zero_case, True, False),
+    "minus_zero": (minus_zero_case, False, False),
+    "wide": (wide_case, True, False),
     "one_by_one": (one_by_one_case, True, False),
     "equilibrated": (equilibrated_case, False, True),
 }
