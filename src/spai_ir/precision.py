@@ -33,6 +33,13 @@ that double rounding is innocuous (Figueroa, "When is double rounding
 innocuous?", SIGNUM 1995).  numpy's float16 loops compute in float32 and
 round to half, innocuous for the same reason.  :func:`fl_sum` and
 :func:`fl_dot` keep such arrays in their dtype, and :func:`fl` returns them.
+A float16 elimination step forms its products in float32, where the
+product of two halves is exact, and rounds those below 2**-14 onto half's
+subnormal grid by float32 arithmetic before its one cast to float16:
+numpy's conversion signals underflow for each inexact subnormal it makes,
+at some twenty times the cost of any other conversion, and the rounding
+is the one the cast would do, so the bits do not change
+(:class:`_HalfProducts`).
 Half and single LU factors are both kept in float32, which holds every
 single value exactly (half's are factored in float16 and widened once at
 the end: the single-precision substitution that hsd GMRES runs is slower
@@ -683,9 +690,12 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     (:class:`DenseLu`, :func:`_band_store`), so no n x n array is made
     unless the store is the full one.  The elimination runs natively in
     that dtype, with the bits of the float64-then-round loop (see the
-    module docstring).  Half and single factors are returned in float32,
-    which holds them exactly and which single-precision substitution runs
-    in, and double factors in float64.
+    module docstring); a half step forms its products in float32 and
+    rounds the subnormal ones arithmetically before its cast to float16,
+    which spares numpy's slow underflow path and keeps the bits
+    (:class:`_HalfProducts`).  Half and single factors are returned in
+    float32, which holds them exactly and which single-precision
+    substitution runs in, and double factors in float64.
 
     Only the work that can change a bit is done, on the entries inside the
     structural envelope of the rounded input, and an entry outside it is a
@@ -758,15 +768,79 @@ def _zero_pivot(store: np.ndarray, uf: Precision, k: int) -> ArithmeticError:
     return SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
 
 
+class _HalfProducts:
+    """The rank-1 products of the float16 elimination steps of one
+    factorization: ``out[j, i]`` is ``row[j] * col[i]`` rounded to half,
+    the bits of numpy's float16 ``col[None, :] * row[:, None]`` (a NaN is
+    a NaN, whatever its payload).
+
+    numpy rounds a float to half in software and signals underflow once
+    for each inexact subnormal result, which took about 100 ns against 3
+    to 6 ns for any other result (numpy 2.4 on an AVX-512 x86-64 core).
+    A half product lands there whenever it is below 2**-14 in magnitude
+    and not a multiple of 2**-24, as most of the small fill products of a
+    banded elimination do.  So each product is formed in float32, where
+    the product of two halves is exact (22 significant bits, exponents
+    from -48 to 32), and a magnitude t below 2**-14 is rounded onto half's
+    subnormal grid first: 0.75 has float32 spacing 2**-24, so
+    (t + 0.75) - 0.75 is t rounded to nearest, ties to even, at a multiple
+    of 2**-24, which is what the cast would give.  copysign gives back the
+    sign, that of a zero included.  The cast to float16 then rounds the
+    other products as before and meets only exact subnormals, which it
+    converts on its fast path.  The float32 buffers are made once, for
+    blocks of up to ``shape``, and their views once per block shape.
+    """
+
+    def __init__(self, shape: tuple):
+        self.col, self.row = np.empty(shape[1], np.float32), np.empty(shape[0], np.float32)
+        size = shape[0] * shape[1]
+        self.wide, self.mag, self.low, self.fix = (np.empty(size, np.float32) for _ in range(4))
+        self.views = {}
+
+    def __call__(self, col: np.ndarray, row: np.ndarray, out: np.ndarray) -> None:
+        views = self.views.get(out.shape)
+        if views is None:
+            views = self.views[out.shape] = self._views(*out.shape)
+        c, r, c_row, r_col, wide, mag, low, fix = views
+        c[...], r[...] = col, row
+        np.multiply(c_row, r_col, out=wide)
+        np.abs(wide, out=mag)
+        # below 2**-14, low is the magnitude and fix what rounding it onto
+        # the grid adds; from there up (a NaN too), low is 2**-14, on the
+        # grid, and fix is 0
+        np.fmin(mag, _HALF_MIN_NORMAL, out=low)
+        np.add(low, _SUBNORMAL_SHIFT, out=fix)
+        np.subtract(fix, _SUBNORMAL_SHIFT, out=fix)
+        np.subtract(fix, low, out=fix)
+        np.add(mag, fix, out=mag)
+        np.copysign(mag, wide, out=mag)
+        out[...] = mag
+
+    def _views(self, rows: int, cols: int) -> tuple:
+        c, r, size = self.col[:cols], self.row[:rows], rows * cols
+        return (c, r, c[None, :], r[:, None],
+                *(buffer[:size].reshape(rows, cols) for buffer in (self.wide, self.mag, self.low, self.fix)))
+
+
+# 0-d arrays, not numpy scalars: a ufunc takes them without a conversion per call
+_HALF_MIN_NORMAL = np.array(2.0**-14, np.float32)
+_SUBNORMAL_SHIFT = np.array(0.75, np.float32)  # float32 spacing 2**-24
+
+
 def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, rows_end: list, cols_end: list,
                uf: Precision) -> DenseLu:
     """:func:`dense_lu` in place on the store :func:`_band_store` made,
     which holds values of ``uf`` in its own dtype; every operation runs
-    natively in that dtype and so is rounded to ``uf`` once."""
+    natively in that dtype and so is rounded to ``uf`` once.  In float16
+    the rank-1 products are formed by :class:`_HalfProducts`, in float32
+    buffers made once per factorization, and cast once into the float16
+    scratch, with the bits of the native product; the subtraction stays
+    native."""
     cols = _columns(store, n, kl, ku)  # cols[j, i] is entry (i, j)
     steps = np.arange(n)
     widest = (np.array(cols_end) - steps).max(initial=1) - 1, (np.maximum(rows_end, steps + 1) - steps).max(initial=1) - 1
     scratch = np.empty(widest, store.dtype)  # (columns, rows) of an update
+    products = _HalfProducts(widest) if store.dtype == np.float16 else None
     piv = np.arange(n)
     for k in range(n - 1):
         r_end, c_end, column = max(rows_end[k], k + 1), cols_end[k], cols[k]
@@ -784,7 +858,10 @@ def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, rows_end: list, cols
         re, ce = _reach(col[: r_end - k - 1]), _reach(row)
         if re and ce:
             t = scratch[:ce, :re]
-            np.multiply(col[None, :re], row[:ce, None], out=t)
+            if products is None:
+                np.multiply(col[None, :re], row[:ce, None], out=t)
+            else:
+                products(col[:re], row[:ce], t)
             cols[k + 1 : k + 1 + ce, k + 1 : k + 1 + re] -= t
     if cols[n - 1, n - 1] == 0.0:
         raise _zero_pivot(store, uf, n - 1)

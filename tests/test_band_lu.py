@@ -77,6 +77,9 @@ def lu_inputs(draw):
 TRIDIAGONAL = np.eye(6) + np.diag(np.full(5, -4.0), -1) + np.diag(np.ones(5), 1)
 TRIDIAGONAL_INF = np.eye(8) + np.diag(np.full(7, -4.0), -1) + np.diag(np.ones(7), 1)
 TRIDIAGONAL_INF[4, 5] = 7e4
+# entries near 1e-3 over a strong diagonal: in half, 71 % of the rank-1 products
+# fall below 2**-14 and are rounded onto the subnormal grid before the cast
+SMALL_ENTRIES = 1e-3 * (4.0 * np.eye(12) + 0.5 * np.random.RandomState(0).standard_normal((12, 12)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -96,6 +99,7 @@ TRIDIAGONAL_INF[4, 5] = 7e4
 @example((np.eye(8) - 1e-10 * np.eye(8, k=-1), HALF))
 # a zero pivot after an inf (1e5 in half) in the factors: overflow, not a singular matrix
 @example((np.array([[1e5, 0.0], [0.0, 0.0]]), HALF))
+@example((SMALL_ENTRIES, HALF))
 def test_dense_lu_equals_full_block_reference(case):
     A, uf = case
     assert outcome(band_lu, A, uf) == outcome(reference_dense_lu, A, uf)

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import spai_ir
@@ -84,10 +85,7 @@ def test_every_definition_is_named_elsewhere():
         for folder in ("src", "tests", "tools", "perfbench")
         for path in sorted((root / folder).rglob("*.py"))
     )
-    dead = [
-        (name, file)
-        for name, file in _definitions()
-        if len(re.findall(rf"\b{name}\b", text))
-        <= len(re.findall(rf"\b(?:def|class) {name}\b", text))
-    ]
+    named = Counter(re.findall(r"\w+", text))
+    defined = Counter(re.findall(r"\b(?:def|class) (\w+)", text))
+    dead = [(name, file) for name, file in _definitions() if named[name] <= defined[name]]
     assert not dead, f"defined but never named elsewhere: {dead}"
