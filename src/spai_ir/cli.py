@@ -4,8 +4,11 @@ reproduction.
 Matrix files are resolved against --matrix as a path first, then inside
 $SPAI_IR_MATRIX_DIR (default ./matrices).  Exit codes: 0 success/converged,
 2 non-convergence or failed table bands, 1 usage or input errors, including
-arithmetic failures such as a singular matrix or an overflowing
-factorization, and an --out path that cannot be written.
+--json with --csv, arithmetic failures such as a singular matrix or an
+overflowing factorization, and an --out path that cannot be written.  A
+sweep is the exception: a cell that fails (a quad build precision, --beta
+0, a non-positive eps) is recorded as a row with status "error: ...", the
+other cells still run, and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -177,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--csv", action="store_true", help="emit CSV")
+    form = common.add_mutually_exclusive_group()
+    form.add_argument("--json", action="store_true", help="emit JSON")
+    form.add_argument("--csv", action="store_true", help="emit CSV")
 
     sp = sub.add_parser("solve", parents=[common], help="run one refinement solve")
     sp.add_argument("--matrix", required=True)

@@ -59,17 +59,19 @@ pivot row reach inside the input's structural envelope, and the
 substitution runs over the band of the factors, so both cost what the
 bandwidth of the ordered matrix implies.  The factors live in one
 column-major band store that is filled straight from the sparse matrix,
-LAPACK's ``dgbtrf`` layout with each multiplier kept in the row where it
-was computed (:class:`DenseLu`), so neither the LU preconditioner nor the
-double-double reference solve makes an n x n array.  The LU contract: a
-rounded -0 in the input is the +0 it stands for, an entry outside the
-envelope is a zero that no step touches, and an inf or NaN anywhere in
-the store is an overflow, raised ahead of a zero pivot
-(:func:`dense_lu`); the factors and solutions are then those of the loops
-over whole columns of a dense array, up to the sign of a zero.  The
-kappa(PA) diagnostic solves with the same factors in plain double, by
-LAPACK's ``dgbtrs`` on a float64 copy of the store in its band form
-(:meth:`DenseLu.solve`).
+LAPACK's ``dgbtrf`` band matrix with each multiplier kept in the row where
+it was computed (:class:`DenseLu`).  It holds (kl + ku + 1) n entries for
+kl rows below and ku >= kl rows above the diagonal, at most (2n - 1) n
+when the envelope is as wide as the matrix, so neither the LU
+preconditioner nor the double-double reference solve of a banded matrix
+makes an n x n array.  The LU contract: a rounded -0 in the input is the
++0 it stands for, an entry outside the envelope is a zero that no step
+touches, and an inf or NaN anywhere in the store is an overflow, raised
+ahead of a zero pivot (:func:`dense_lu`); the factors and solutions are
+then those of the loops over whole columns of a dense array, up to the
+sign of a zero.  The kappa(PA) diagnostic solves with the same factors in
+plain double, by LAPACK's ``dgbtrs`` on the store itself, cast to float64
+when it is float32 (:meth:`DenseLu.solve`).
 
 The quad-emulated format is realized with compensated double-double
 arithmetic built on error-free transformations; it is used for high
@@ -515,45 +517,33 @@ def dd_residual(A, x, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _layout(n: int, kl: int, ku: int) -> tuple[int, int, int]:
-    """``(off, stride, width)`` of the store of n x n factors that hold
-    ``kl`` rows below and ``ku`` above the diagonal: element (i, j) is at
-    ``off + i + j * stride`` and column j's entries are the ``width``
-    entries from ``j * width``.  The band has ``stride = kl + ku`` and
-    ``off = ku``, LAPACK's ``dgbtrf`` layout; where it would be no smaller
-    than n x n, the full store, n x n in Fortran order, is used."""
-    if kl + ku + 1 < n:
-        return ku, kl + ku, kl + ku + 1
-    return 0, n, n
-
-
 def _columns(store: np.ndarray, n: int, kl: int, ku: int) -> np.ndarray:
     """One n x n view of the store, ``[j, i]`` the factors' entry (i, j).
     Every index of it lies inside the store, but one outside the band
     names an entry of another column, so only the band may be read or
     written through it."""
-    off, stride, _ = _layout(n, kl, ku)
-    return np.lib.stride_tricks.as_strided(store[off:], shape=(n, n),
-                                           strides=(stride * store.itemsize, store.itemsize))
+    return np.lib.stride_tricks.as_strided(store[ku:], shape=(n, n),
+                                           strides=((kl + ku) * store.itemsize, store.itemsize))
 
 
 @dataclass
 class DenseLu:
-    """Partial-pivoting factors of a square matrix in one column-major store.
+    """Partial-pivoting factors of a square matrix in LAPACK's band form.
 
-    Element (i, j) of the factors is ``store[off + i + j * stride]`` (see
-    :func:`_layout`): a band store holds the ``kl`` rows below and the
-    ``ku`` rows above the diagonal of each column, the full store (``kl =
-    ku = n - 1``) every entry.  U lies on and above the diagonal.  As in
-    LAPACK's ``dgbtrf``, the multipliers of step k stay in the rows where
-    step k computed them, below the diagonal of column k, and ``piv[k]`` is
-    the row that step k interchanged with row k, in columns k and on; a
-    later interchange does not move them.  An entry the store does not hold
-    is a zero that no step of :func:`dense_lu` or :meth:`substitute`
-    touches.  :func:`dense_lu` keeps half and single factors, whose entries
-    are single values, in float32, and double factors in float64.
-    :meth:`substitute` solves with them in an emulated precision,
-    :meth:`solve` in plain double by LAPACK.
+    The store is the band matrix AB that ``dgbtrf`` leaves, kept flat in
+    column-major order: column j holds rows j - ku to j + kl in its ``kl +
+    ku + 1`` entries, so element (i, j) is ``store[ku + i + j * (kl + ku)]``.
+    ku >= kl, so it is AB for ``kl`` and an upper bandwidth of ku - kl.  An
+    envelope as wide as the matrix gives (2n - 1) x n entries.  U lies on
+    and above the diagonal.  As in ``dgbtrf``, the multipliers of step k
+    stay in the rows where step k computed them, below the diagonal of
+    column k, and ``piv[k]`` is the row that step k interchanged with row
+    k, in columns k and on; a later interchange does not move them.  An
+    entry the store does not hold is a zero that no step of
+    :func:`dense_lu` or :meth:`substitute` touches.  :func:`dense_lu` keeps
+    half and single factors, whose entries are single values, in float32,
+    and double factors in float64.  :meth:`substitute` solves with them in
+    an emulated precision, :meth:`solve` in plain double by LAPACK.
 
     Two reach tables, taken from the store in one pass, bound the
     substitution: ``l_end[k]`` is one past the last nonzero multiplier of
@@ -569,19 +559,13 @@ class DenseLu:
     u_start: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.piv)
-        off, stride, width = _layout(n, self.kl, self.ku)
+        n, width = len(self.piv), self.kl + self.ku + 1
         nz = self.store.reshape(n, width) != 0.0  # row j: the entries of column j
-        shift = np.arange(n) * (width - stride) - off  # entry t of column j is row t + shift[j]
+        shift = np.arange(n) - self.ku  # entry t of column j is row t + j - ku
         # the diagonal is nonzero, so each column has a first and a last nonzero
         self.l_end = (width - nz[:, ::-1].argmax(axis=1) + shift).tolist()
         self.u_start = (nz.argmax(axis=1) + shift).tolist()
         self._piv = self.piv.tolist()
-
-    @property
-    def stride(self) -> int:
-        """The column stride of the store: ``kl + ku`` for a band, n for the full store."""
-        return _layout(len(self.piv), self.kl, self.ku)[1]
 
     @property
     def nnz_lu(self) -> int:
@@ -597,24 +581,12 @@ class DenseLu:
 
         ``dgbtrs`` takes the factors as ``dgbtrf`` leaves them, which is how
         the store holds them: ``piv`` goes as it is (scipy's wrapper adds
-        Fortran's 1), and a float64 copy of the store in LAPACK's band
-        form, whose column j holds rows j - max(kl, ku) to j + kl.  That
-        copy is width x n for a band store with ku >= kl (every input that
-        is not structurally singular: its first k + kl + 1 rows must reach
-        column k + kl), and (2n - 1) x n for the full store."""
+        Fortran's 1), and the store, cast to float64 if it is float32, as
+        the Fortran (kl + ku + 1) x n array AB with upper bandwidth ku - kl."""
         from scipy.linalg.lapack import dgbtrs
 
-        n = len(self.piv)
-        off, stride, width = _layout(n, self.kl, self.ku)
-        kv = max(self.kl, self.ku)  # dgbtrs's kl + ku, the reach of U above the diagonal
-        rows = self.kl + kv + 1
-        flat = np.zeros(rows * n)
-        # (i, j) goes to row kv + i - j of column j of the band form, and
-        # entry t of column j of the store is row t - off + j * (width - stride)
-        band = np.lib.stride_tricks.as_strided(flat[kv - off :], shape=(n, width),
-                                               strides=((rows + width - stride - 1) * flat.itemsize, flat.itemsize))
-        band[...] = self.store.reshape(n, width)
-        X, info = dgbtrs(flat.reshape(rows, n, order="F"), self.kl, kv - self.kl, B, self.piv, overwrite_b=1)
+        ab = self.store.astype(np.float64, copy=False).reshape(len(self.piv), -1).T
+        X, info = dgbtrs(ab, self.kl, self.ku - self.kl, B, self.piv, overwrite_b=1)
         if info:
             raise ValueError(f"dgbtrs: illegal value in argument {-info}")
         return X
@@ -647,7 +619,7 @@ class DenseLu:
         rounding = None if native or p.dtype is None else p
         x = fl(np.array(b, dtype=np.float32 if native else np.float64), p, inplace=True)
         dt, store, n = x.dtype, self.store, x.shape[0]
-        off, stride, _ = _layout(n, self.kl, self.ku)
+        off, stride = self.ku, self.kl + self.ku
         for k, pk, end in zip(range(n - 1), self._piv, self.l_end):
             if pk != k:
                 x[k], x[pk] = x[pk], x[k]
@@ -687,8 +659,8 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     A's entries are rounded to ``uf`` by a cast to the format's own dtype,
     float16 for half, float32 for single and float64 for double, which is
     :func:`fl`, and written straight into a band store of that dtype
-    (:class:`DenseLu`, :func:`_band_store`), so no n x n array is made
-    unless the store is the full one.  The elimination runs natively in
+    (:class:`DenseLu`, :func:`_band_store`) of (kl + ku + 1) n entries, so
+    a banded matrix gets no n x n array.  The elimination runs natively in
     that dtype, with the bits of the float64-then-round loop (see the
     module docstring); a half step forms its products in float32 and
     rounds the subnormal ones arithmetically before its cast to float16,
@@ -727,9 +699,11 @@ def dense_lu(A, uf: Precision) -> DenseLu:
 def _band_store(A, dtype) -> tuple:
     """The band store of the sparse ``A`` rounded to ``dtype`` and the
     envelope of the rounded matrix, as :func:`_eliminate` takes them:
-    ``(store, n, kl, ku, rows_end, cols_end)``.  An entry that rounds to
-    +-0 is left out: it is the +0 that every entry the store does not
-    fill holds."""
+    ``(store, n, kl, ku, rows_end, cols_end)``.  kl and ku are the widest
+    reach of the envelope below and above the diagonal, ku raised to kl
+    where it is smaller, and the store is :class:`DenseLu`'s band matrix
+    of (kl + ku + 1) n entries.  An entry that rounds to +-0 is left out:
+    it is the +0 that every entry the store does not fill holds."""
     from .sparse import owners  # here: sparse imports this module
 
     require_square(A.shape)
@@ -751,12 +725,10 @@ def _band_store(A, dtype) -> tuple:
     cols_end = np.maximum.accumulate(last + 1)[np.maximum(rows_end, 1) - 1]
     steps = np.arange(n)
     kl = int((np.maximum(rows_end, steps + 1) - steps).max(initial=1)) - 1
-    ku = max(int((cols_end - steps).max(initial=1)) - 1, int((j - i).max(initial=0)), 1)  # a stride of 1 at least
-    off, stride, width = _layout(n, kl, ku)
-    if stride == n:
-        kl = ku = n - 1
-    store = np.zeros(n * width, dtype)
-    store[off + i + j * stride] = v
+    # ku >= kl makes the store dgbtrs's band form, and ku >= 1 a stride of 1 at least
+    ku = max(int((cols_end - steps).max(initial=1)) - 1, int((j - i).max(initial=0)), kl, 1)
+    store = np.zeros(n * (kl + ku + 1), dtype)
+    store[ku + i + j * (kl + ku)] = v
     return store, n, kl, ku, rows_end.tolist(), cols_end.tolist()
 
 
@@ -876,13 +848,13 @@ def dd_solve(A, b):
 
     ``A`` is a :class:`spai_ir.sparse.SparseMatrix`.  It is factored once
     in double by :func:`dense_lu`, straight from its entries into a band
-    store, so no n x n array is made unless A's envelope is as wide as A,
-    and the cost follows the bandwidth of ``A`` as ordered.  The
-    double-double iterate is then refined with :func:`dd_residual` of the
-    pair until that residual stops improving; the limiting forward error is
-    of order ``unit_roundoff(QUAD) * cond(A)``.  Returns ``(x_hi, x_lo)``
-    as a normalized double-double pair.  The system passes
-    :func:`check_matrix` before it is factored.
+    store of (kl + ku + 1) n entries, (2n - 1) n at most when A's envelope
+    is as wide as A, and the cost follows the bandwidth of ``A`` as
+    ordered.  The double-double iterate is then refined with
+    :func:`dd_residual` of the pair until that residual stops improving;
+    the limiting forward error is of order ``unit_roundoff(QUAD) *
+    cond(A)``.  Returns ``(x_hi, x_lo)`` as a normalized double-double
+    pair.  The system passes :func:`check_matrix` before it is factored.
     """
     b = np.asarray(b, dtype=np.float64)
     check_matrix(A, b)

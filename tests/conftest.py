@@ -8,7 +8,6 @@ from spai_ir.precision import (
     OverflowInFactorizationError,
     Precision,
     SingularMatrixError,
-    _layout,
     _renorm,
     dd_add,
     dd_mul,
@@ -151,7 +150,7 @@ def packed(f) -> tuple[np.ndarray, np.ndarray]:
     loop of :func:`reference_dense_lu` leaves there, so the fingerprints of
     the packed factors read as those of the full block."""
     n = len(f.piv)
-    off, stride, _ = _layout(n, f.kl, f.ku)
+    off, stride = f.ku, f.kl + f.ku  # DenseLu's band matrix: (i, j) at off + i + j * stride
     i, j = np.indices((n, n))
     diagonal = f.store[off + np.arange(n) * (stride + 1)]
     lu = np.where(i - j > f.kl, np.divide(f.store.dtype.type(0), diagonal)[j], 0.0).astype(np.float64)

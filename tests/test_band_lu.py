@@ -21,8 +21,9 @@ on its own.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgbtrf
 
 from conftest import packed, reference_dense_lu, signless_zeros, stored
 from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
@@ -109,3 +110,75 @@ def test_dense_lu_keeps_half_and_single_factors_in_float32():
     A = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
     for uf, dtype in ((HALF, np.float32), (SINGLE, np.float32), (DOUBLE, np.float64)):
         assert dense_lu(stored(A), uf).store.dtype == dtype, uf
+
+
+def lapack_band(A: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """The band matrix AB that LAPACK's ``dgbtrf`` takes for ``A``, of lower
+    and upper bandwidth ``kl`` and ``ku``: (i, j) at row kl + ku + i - j of
+    column j, with kl rows of room for fill on top."""
+    i, j = np.indices(A.shape)
+    held = (i - j <= kl) & (j - i <= ku)
+    ab = np.zeros((2 * kl + ku + 1, A.shape[1]))
+    ab[kl + ku + i[held] - j[held], j[held]] = A[held]
+    return ab
+
+
+def unbanded(ab: np.ndarray, n: int, kl: int, ku: int) -> np.ndarray:
+    """The n x n array whose (i, j) is entry (i, j) of the band matrix ``ab``
+    that holds ``kl`` rows below and ``ku`` above the diagonal (0 outside)."""
+    i, j = np.indices((n, n))
+    held = (i - j <= kl) & (j - i <= ku)
+    out = np.zeros((n, n))
+    out[held] = ab[ku + i[held] - j[held], j[held]]
+    return out
+
+
+@st.composite
+def band_systems(draw):
+    """``(n, kl, ku, seed)`` for :func:`band_system`: n in 1..40, and lower
+    and upper bandwidths kl and ku, each any of 0..n - 1."""
+    n = draw(st.integers(1, 40))
+    return n, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+def band_system(n, kl, ku, seed):
+    """An n x n band matrix of lower and upper bandwidth kl and ku and an
+    n x 3 right-hand side, with standard normal entries from a seeded
+    generator, so that no two pivot candidates tie.  Each diagonal entry is
+    pushed away from 0 by a shift drawn from [1, 3], which leaves the
+    entries below it free to win the pivot search: 4,000 such matrices
+    swapped rows 8 times each on average."""
+    rng = np.random.RandomState(seed)
+    i, j = np.indices((n, n))
+    A = np.where((i - j <= kl) & (j - i <= ku), rng.standard_normal((n, n)), 0.0)
+    A[np.diag_indices(n)] += rng.uniform(1.0, 3.0) * np.sign(A.diagonal())
+    return A, rng.standard_normal((n, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(band_systems())
+@example((40, 39, 39, 0))  # an envelope as wide as the matrix, a (2n - 1) x n store: 28 row swaps
+@example((12, 11, 11, 1))
+@example((12, 5, 9, 4))  # a wide envelope, kl + ku + 1 >= n, with kl < n - 1: 3 row swaps
+@example((12, 9, 2, 4))  # kl > ku: the interchanges widen U to kl + ku (6 row swaps)
+@example((1, 0, 0, 4))
+def test_dense_lu_factors_as_lapack_dgbtrf(case):
+    """LAPACK as an independent oracle of the layout: ``dense_lu`` in double
+    and ``dgbtrf`` choose the same pivots, their L and U agree within 1e-12
+    of max |A| (not bit for bit: ``dgbtf2`` scales the column by the
+    reciprocal of the pivot), and ``DenseLu.solve`` agrees with
+    ``np.linalg.solve`` within 1e-12 of max |X|.  Only matrices with
+    cond_2(A) <= 1e3 are kept, so that two backward-stable solves must
+    agree that closely."""
+    n, kl, ku, seed = case
+    A, B = band_system(n, kl, ku, seed)
+    assume(np.linalg.cond(A) <= 1e3)
+    f = dense_lu(stored(A), DOUBLE)
+    ab, piv, info = dgbtrf(lapack_band(A, kl, ku), kl, ku)
+    assert info == 0
+    assert f.piv.tolist() == piv.tolist()
+    ours = unbanded(f.store.reshape(n, -1).T, n, f.kl, f.ku)
+    theirs = unbanded(ab, n, kl, kl + ku)
+    assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(A).max()
+    X, want = f.solve(B.copy(order="F")), np.linalg.solve(A, B)
+    assert np.abs(X - want).max() <= 1e-12 * np.abs(want).max()

@@ -15,6 +15,8 @@ unequal or tied lengths; x and b hold signed zeros, subnormals and values
 near overflow, so the order of a row's additions shows in the result.
 """
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -72,3 +74,86 @@ def test_dd_residual_equals_the_padded_slot_loop_bit_for_bit(case):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes(), (got, want)
+
+
+# Exact oracle.  With u = 2**-53, S = sum_j |a_ij| |x_j| over row i and x a
+# normalized pair (|xl| <= u |xh|, as dd_solve's iterates are), the code's
+# own operations give these first-order bounds (no underflow):
+# - a term, dd_mul(a, 0, xh, xl): _two_prod is exact, and fl(a * xl) and its
+#   addition to the product's error word round twice, on values at most
+#   2u |a xh|; the closing _renorm is exact.  So 3 u**2 |a| |x|.
+# - an addition, dd_add(sh, sl, ph, pl): _two_sum is exact; fl(sl + pl)
+#   errs by at most 2 u**2 (|sh| + |ph|) (a sum's low word may reach 2u times
+#   its high one), fl(e + f) by 2 u**2 (|sh| + |ph|), and the closing fast
+#   two-sum is exact unless its second word outweighs its first, and then
+#   errs by at most 3u times that word, 6 u**2 (|sh| + |ph|).  So
+#   10 u**2 S.  The first addition of a row, to a +0 sum, is exact.
+# - the last step, dd_add(b, 0, -sh, -sl)[0]: _two_sum(b, -sh) is exact, its
+#   error word plus -sl errs by at most u**2 (|b| + 3 S), and the high word
+#   is the sum rounded once to double.
+# So the result is b - A x + d rounded to double, |d| <= u**2 ((10 n - 4) S
+# + |b|) <= 10 n 2**-106 (|b| + S), within half an ulp of the result of it.
+# Subnormal operands make each of a term's six products (_two_prod's five
+# and a * xl) err by up to 2**-1075 on the subnormal grid, which the sums
+# carry exactly: 3 * 2**-1074 per term, 3 n 2**-1074 in a row; the test
+# allows 4 n 2**-1074.
+DD_RESIDUAL_C = 10
+SUBNORMALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3.3e-315, 2.2250738585072009e-308])
+
+
+def exact_residual(A: SparseMatrix, x, b) -> tuple[list, list]:
+    """b - A x and sum_j |a_ij| |x_j| per row, exactly, as ``Fraction``s,
+    for ``x`` a vector or a (hi, lo) pair."""
+    pairs = zip(*x) if isinstance(x, tuple) else ((v, 0.0) for v in x)
+    xs = [Fraction(float(hi)) + Fraction(float(lo)) for hi, lo in pairs]
+    r, s = [Fraction(float(v)) for v in b], [Fraction(0)] * len(b)
+    for j in range(A.n_cols):
+        for k in range(A.indptr[j], A.indptr[j + 1]):
+            i, a = A.indices[k], Fraction(float(A.data[k]))
+            r[i] -= a * xs[j]
+            s[i] += abs(a * xs[j])
+    return r, s
+
+
+def normalized(hi: np.ndarray, lo: np.ndarray) -> tuple:
+    """The pair (hi, lo) renormalized, so that |lo| is at most half an ulp of hi."""
+    s = hi + lo
+    return s, lo - (s - hi)
+
+
+@st.composite
+def exact_cases(draw):
+    """A square system with n <= 12, entries over +-2**40 mixed with signed
+    zeros and subnormals, x a vector or a normalized (hi, lo) pair, and b
+    partly the correctly rounded A x, so that the residual cancels down to
+    the low words."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    mix = draw(st.sampled_from([0.0, 0.2, 0.6]))
+
+    def entries(shape):
+        v = rng.standard_normal(shape) * 2.0 ** rng.randint(-40, 40, size=shape)
+        tiny = np.where(rng.random_sample(shape) < 0.5, rng.choice(SUBNORMALS, shape),
+                        np.ldexp(rng.randint(1, 2**52, size=shape), -1074) * rng.choice([-1.0, 1.0], shape))
+        return np.where(rng.random_sample(shape) < mix, tiny, v)
+
+    A = SparseMatrix.from_dense(np.where(rng.rand(n, n) < draw(st.sampled_from([0.3, 1.0])), entries((n, n)), 0.0))
+    xh = entries(n)
+    x = normalized(xh, xh * 2.0**-53 * rng.uniform(-1.0, 1.0, n)) if draw(st.booleans()) else xh
+    exact, _ = exact_residual(A, x, np.zeros(n))
+    b = np.where(rng.rand(n) < 0.6, [float(-v) for v in exact], entries(n))
+    return A, x, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_cases())
+def test_dd_residual_is_within_its_bound_of_the_exact_residual(case):
+    A, x, b = case
+    got = dd_residual(A, x, b)
+    exact, s = exact_residual(A, x, b)
+    n = A.n_rows
+    for i in range(n):
+        bound = (Fraction(float(np.spacing(abs(got[i])))) / 2
+                 + Fraction(DD_RESIDUAL_C * n, 2**106) * (abs(Fraction(float(b[i]))) + s[i])
+                 + Fraction(4 * n, 2**1074))
+        assert abs(Fraction(float(got[i])) - exact[i]) <= bound, (i, got[i], float(exact[i]))

@@ -1,18 +1,20 @@
 """The kappa(PA) product of the LU solver against the computation it replaced.
 
 ``LuPreconditioner.apply_exact`` forms P A in plain double by LAPACK's
-``dgbtrs`` on a float64 copy of the band store (``DenseLu.solve``).  The
-reference here is the computation it replaced: the packed float64 factors
-that conftest's ``packed`` rebuilds from the store, A's rows in pivot order
-and two ``scipy.linalg.solve_triangular`` calls.  Both are plain double in
+``dgbtrs`` on the band store itself, cast to float64 when it is float32
+(``DenseLu.solve``).  The reference here is the computation it replaced:
+the packed float64 factors that conftest's ``packed`` rebuilds from the
+store, A's rows in pivot order and two ``scipy.linalg.solve_triangular``
+calls.  Both are plain double in
 different operation orders, so they need not agree bit for bit; they must
 agree within 1e-13 relative in the max norm, the tolerance the README
-gives this diagnostic.  The cases take each path of the copy: a band store
-(``conv_diff_225``, RCM-ordered, in half, and an input whose stored
-entries round to -0 in half, which ``dense_lu`` reads as the +0 they stand
-for), the full store (a dense 5 x 5 matrix, whose envelope is as wide as
-the matrix, and a 1 x 1 matrix) and an equilibrated LU (``colscale_80``
-scaled by 3e4, whose half factors overflow unscaled).
+gives this diagnostic.  Every case gets the one layout, LAPACK's band
+matrix with column stride kl + ku and ku >= kl: ``conv_diff_225``,
+RCM-ordered, in half; an input whose stored entries round to -0 in half,
+which ``dense_lu`` reads as the +0 they stand for; a dense 5 x 5 matrix,
+whose envelope is as wide as the matrix (kl = ku = 4, a 9 x 5 store); a
+1 x 1 matrix; and an equilibrated LU (``colscale_80`` scaled by 3e4, whose
+half factors overflow unscaled).
 """
 
 import numpy as np
@@ -70,22 +72,22 @@ def equilibrated_case():
     return A, prepare_solver(A, HSD)
 
 
-# name: (the case, whether its store is the full one, whether its LU is equilibrated)
+# name: (the case, whether its LU is equilibrated)
 CASES = {
-    "band": (band_case, False, False),
-    "minus_zero": (minus_zero_case, False, False),
-    "wide": (wide_case, True, False),
-    "one_by_one": (one_by_one_case, True, False),
-    "equilibrated": (equilibrated_case, False, True),
+    "band": (band_case, False),
+    "minus_zero": (minus_zero_case, False),
+    "wide": (wide_case, False),
+    "one_by_one": (one_by_one_case, False),
+    "equilibrated": (equilibrated_case, True),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_apply_exact_agrees_with_packed_triangular_solves(name):
-    make, full, equilibrated = CASES[name]
+    make, equilibrated = CASES[name]
     A, pre = make()
-    n = A.n_rows
-    assert (pre.factors.stride == n) == full
+    f = pre.factors
+    assert f.store.size == A.n_rows * (f.kl + f.ku + 1) and f.ku >= f.kl  # n columns of stride kl + ku, plus one
     assert (pre.r is not None) == equilibrated
     got, want = pre.apply_exact(A), reference_apply_exact(pre, A)
     assert np.isfinite(want).all()

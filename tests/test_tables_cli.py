@@ -48,6 +48,17 @@ def test_sweep_records_a_quad_cell_as_an_error_row(capsys):
     assert row["status"].startswith("error: quad-emulated")
 
 
+@pytest.mark.parametrize("args, status", [
+    (["--beta", "0"], "error: beta must be at least 1"),
+    (["--eps-grid", "0,-1"], "error: eps must be positive"),
+])
+def test_sweep_records_a_bad_parameter_as_error_rows_and_exits_2(capsys, args, status):
+    # like a quad cell: every cell the parameter reaches is an error row, not an exit 1
+    assert main(["sweep", "--matrix", "ident_32", "--uf-list", "s", *args, "--json"]) == 2
+    rows = json.loads(capsys.readouterr().out)
+    assert rows and all(row["status"] == status for row in rows)
+
+
 def test_sweep_lets_a_programming_error_propagate(monkeypatch):
     import spai_ir.tables as tables
 
@@ -345,6 +356,10 @@ def test_cli_main_callable_directly(capsys):
     ["solve", "--matrix", "band_asym_120", "--eps", "abc"],
     ["solve", "--matrix", "band_asym_120", "--solver", "foo"],
     ["table", "t9"],
+    # one output format at most, for each subcommand
+    ["solve", "--matrix", "ident_32", "--json", "--csv"],
+    ["sweep", "--matrix", "ident_32", "--json", "--csv"],
+    ["table", "t5", "--json", "--csv"],
 ])
 def test_cli_usage_error_is_one_line_exit_1(capsys, args):
     # argparse's own errors would print the usage block and exit 2, the code of non-convergence

@@ -12,8 +12,8 @@ not counted and what it returns is.  One untraced solve runs first, so the
 peaks are those of a solve that repeats, not of the first.  The matrix is
 a path or a shipped name, as ``spai-ir solve --matrix`` takes it, and the
 precisions are uf,u,ur (default h,s,d).  The output is one JSON object
-that also gives n and the dtype and column stride of the preconditioner's
-factor store (a stride below n is a band store):
+that also gives n and the dtype and column stride, kl + ku, of the
+preconditioner's band store of factors:
 
     PYTHONPATH=src python tools/lu_peak.py conv_diff_225
     PYTHONPATH=src python tools/lu_peak.py lap2d_196 --precisions s,d,q
@@ -61,7 +61,7 @@ def phase_peaks(A, uf, u, ur) -> dict:
     finally:
         tracemalloc.stop()
     unit = 8 * A.n_rows**2
-    return {"n": A.n_rows, "store_dtype": P.factors.store.dtype.name, "store_stride": P.factors.stride,
+    return {"n": A.n_rows, "store_dtype": P.factors.store.dtype.name, "store_stride": P.factors.kl + P.factors.ku,
             "peaks": {phase: round(peak / unit, 3) for phase, peak in peaks.items()}}
 
 
