@@ -79,27 +79,28 @@ def kappa_inf(A) -> float:
     return _kappa(_dense(A))
 
 
-def _two_norm_power(X: np.ndarray, tol: float = 1e-4, max_iters: int = 500) -> float:
+def _two_norm_power(X: np.ndarray) -> float:
     """Largest singular value of X by power iteration on X^T X.
 
     Deterministic start vector; iterates until the estimate stabilizes to
-    roughly three digits.
+    roughly three digits (relative change 1e-4), or for 500 steps.  Each
+    step multiplies by X^T once and by X once: the product X v whose norm
+    is the estimate is the next step's X v.
     """
     n = X.shape[1]
-    v = np.ones(n) / np.sqrt(n)
+    w = X @ (np.ones(n) / np.sqrt(n))
     sigma = 0.0
-    for _ in range(max_iters):
-        w = X @ v
-        v_new = X.T @ w
-        norm = np.linalg.norm(v_new)
+    for _ in range(500):
+        v = X.T @ w
+        norm = np.linalg.norm(v)
         if norm == 0.0:
             return 0.0
-        v_new /= norm
-        sigma_new = float(np.linalg.norm(X @ v_new))
-        if sigma_new > 0 and abs(sigma_new - sigma) <= tol * sigma_new:
+        v /= norm
+        w = X @ v
+        sigma_new = float(np.linalg.norm(w))
+        if sigma_new > 0 and abs(sigma_new - sigma) <= 1e-4 * sigma_new:
             return sigma_new
         sigma = sigma_new
-        v = v_new
     return sigma
 
 

@@ -100,6 +100,10 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     happy breakdown, or after n iterations: there is no cap below the
     problem size.  A basis norm that underflows to zero before the
     tolerance is met sets ``breakdown`` and returns the best iterate so far.
+    The report reads both from the record: ``iters`` is the number of
+    Hessenberg columns kept, and ``converged`` whether the last entry of
+    ``relres_history``, the true residual after a happy breakdown, is at
+    most ``tau``.
     Its memory follows the iterations run: the basis, and the (k+1) x k
     Hessenberg matrix of k iterations, formed once after the loop.
 
@@ -131,9 +135,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     basis = [z / beta]
     relres_history = [1.0]
     breakdown = False
-    converged = False
     verify_breakdown = False
-    k = 0
 
     for j in range(n):
         w = apply_precond_matvec(A, P, basis[j], up).astype(dt)
@@ -165,7 +167,6 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]
 
-        k = j + 1
         # the stopping estimate is a double quotient, not a ug operation
         relres = float(abs(g[j + 1])) / float(beta)
         relres_history.append(relres)
@@ -178,10 +179,10 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
         w /= hnext
         basis.append(w)
         if relres <= tau:
-            converged = True
             break
 
     # Hessenberg least squares in the GMRES working precision
+    k = len(hcols)
     H = np.zeros((k + 1, k), dt)
     for j, col in enumerate(hcols):
         H[: j + 2, j] = col
@@ -199,12 +200,9 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     if verify_breakdown:
         q = apply_precond_matvec(A, P, d, up)
         # the difference is exact in float64, then rounded once to ug
-        true_rel = float(fl_norm2((z - q).astype(dt), ug)) / float(beta)
-        relres_history[-1] = true_rel
-        if true_rel <= tau:
-            converged = True
-        else:
-            breakdown = True
+        relres_history[-1] = float(fl_norm2((z - q).astype(dt), ug)) / float(beta)
+    converged = relres_history[-1] <= tau
+    breakdown = breakdown or (verify_breakdown and not converged)
 
     report = GmresReport(iters=k, relres_history=relres_history, breakdown=breakdown, converged=converged)
     return d, report

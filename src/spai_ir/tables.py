@@ -21,7 +21,6 @@ __all__ = [
     "SolveOutcome",
     "result_row",
     "solve_system",
-    "sweep_cell",
     "run_sweep",
     "run_table",
 ]
@@ -79,38 +78,34 @@ def solve_system(
     return SolveOutcome(matrix=name, report=report, x=x, kappa_tilde=kappa_tilde)
 
 
-def sweep_cell(A: SparseMatrix, name: str, eps: float, uf: Precision, cond2_at: float,
-               beta: int = SpaiParams.beta) -> dict:
-    """One (eps, build precision) cell: preconditioner stats only, no solve."""
-    row = {
-        "matrix": name,
-        "eps": eps,
-        "uf": uf.name,
-        "estimate": kappa_estimate(A.n_rows, eps),
-        "feasible": feasible(uf, cond2_at, eps),
-        "nnz": None,
-        "kappa_tilde": None,
-        "satisfied_all": None,
-        "status": "ok",
-    }
-    try:
-        pre = build_left_preconditioner(A, SpaiParams(eps=eps, beta=beta, uf=uf))
-        row["nnz"] = pre.nnz
-        row["satisfied_all"] = pre.all_satisfied
-        row["kappa_tilde"] = kappa_inf_product(pre.P, A)
-    except (ArithmeticError, ValueError) as exc:  # per-cell failures recorded, sweep continues
-        row["status"] = f"error: {exc}"
-    return row
-
-
 def run_sweep(A: SparseMatrix, name: str, eps_grid, uf_list, beta: int = SpaiParams.beta) -> list[dict]:
-    """Grid of preconditioner builds, ordered by grid position, after :func:`check_matrix`."""
+    """Grid of preconditioner builds, ordered by grid position, after
+    :func:`check_matrix`: one row of preconditioner stats per (eps, build
+    precision) cell, no solve."""
     check_matrix(A)
     cond2_at = cond2_transpose(A)
     rows = []
-    for eps in eps_grid:
+    for eps in map(float, eps_grid):
         for uf in uf_list:
-            rows.append(sweep_cell(A, name, float(eps), uf, cond2_at, beta=beta))
+            row = {
+                "matrix": name,
+                "eps": eps,
+                "uf": uf.name,
+                "estimate": kappa_estimate(A.n_rows, eps),
+                "feasible": feasible(uf, cond2_at, eps),
+                "nnz": None,
+                "kappa_tilde": None,
+                "satisfied_all": None,
+                "status": "ok",
+            }
+            try:
+                pre = build_left_preconditioner(A, SpaiParams(eps=eps, beta=beta, uf=uf))
+                row["nnz"] = pre.nnz
+                row["satisfied_all"] = pre.all_satisfied
+                row["kappa_tilde"] = kappa_inf_product(pre.P, A)
+            except (ArithmeticError, ValueError) as exc:  # per-cell failures recorded, sweep continues
+                row["status"] = f"error: {exc}"
+            rows.append(row)
     return rows
 
 
