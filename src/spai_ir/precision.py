@@ -134,12 +134,20 @@ def require_square(shape: tuple[int, int]) -> None:
 def check_matrix(A, b=None) -> None:
     """The input gate of every entry point that takes a system: raise
     ``ValueError`` for a non-square sparse ``A`` or one with a NaN or
-    infinite entry, and, when ``b`` is given, for a ``b`` that is not a
-    vector, whose length is not A's order or that has a NaN or infinite
-    entry, in that order."""
+    infinite entry, :class:`SingularMatrixError` for an ``A`` with a row or
+    column that stores no nonzero entry, and, when ``b`` is given,
+    ``ValueError`` for a ``b`` that is not a vector, whose length is not
+    A's order or that has a NaN or infinite entry, in that order."""
     require_square(A.shape)
     if not np.all(np.isfinite(A.data)):
         raise ValueError("matrix A has a NaN or infinite entry")
+    nonzero = A.data != 0.0
+    per_row = np.bincount(A.indices[nonzero], minlength=A.shape[0])
+    per_col = np.diff(np.concatenate(([0], np.cumsum(nonzero)))[A.indptr])
+    for kind, counts in (("row", per_row), ("column", per_col)):
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            raise SingularMatrixError(f"matrix A is singular: {kind} {empty[0]} has no nonzero entry")
     if b is not None and np.ndim(b) != 1:
         raise ValueError(f"right-hand side b has shape {np.shape(b)}, expected length {A.shape[0]}")
     if b is not None and len(b) != A.shape[0]:

@@ -21,7 +21,6 @@ from .precision import (
     DenseLu,
     OverflowInFactorizationError,
     Precision,
-    SingularMatrixError,
     check_matrix,
     dd_residual,
     dd_solve,
@@ -137,19 +136,17 @@ def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
     A is; either would make every entry of that row or column of mu R A S
     +-inf or NaN, and so the factors, and raises
     :class:`OverflowInFactorizationError` with the factorization's message.
+    An empty row or column, which :func:`check_matrix` refuses first, has
+    an infinite scale too.
     """
     rows, mag = A.indices, np.abs(A.data)
     rowmax = np.zeros(A.n_rows)
     np.maximum.at(rowmax, rows, mag)
-    if np.any(rowmax == 0.0):
-        raise SingularMatrixError("structurally singular: empty row")
     r = 1.0 / rowmax
     if np.isinf(r).any():
         raise OverflowInFactorizationError(f"overflow in {uf.name}")
     colmax = np.zeros(A.n_cols)
     np.maximum.at(colmax, owners(A.indptr), mag * r[rows])
-    if np.any(colmax == 0.0):
-        raise SingularMatrixError("structurally singular: empty column")
     s = 1.0 / colmax
     if np.isinf(s).any():
         raise OverflowInFactorizationError(f"overflow in {uf.name}")

@@ -4,7 +4,8 @@
 import numpy as np
 import pytest
 
-from spai_ir.precision import DOUBLE, HALF, SINGLE, dd_solve
+from spai_ir.cli import main
+from spai_ir.precision import DOUBLE, HALF, SINGLE, SingularMatrixError, dd_solve
 from spai_ir.refine import IrConfig, prepare_solver, run_ir
 from spai_ir.spai import SpaiParams, build_left_preconditioner, build_spai
 from spai_ir.sparse import SparseMatrix
@@ -29,13 +30,32 @@ def _diag(value):
     return SparseMatrix.from_coo(3, 3, [0, 1, 2], [0, 1, 2], [1.0, value, 1.0])
 
 
-# case -> (A, b, message)
+def _without(kind, i=2, n=4):
+    """The tridiagonal n x n matrix of 1 and 0.5 with its row or column i emptied."""
+    dense = np.eye(n) + np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
+    if kind == "row":
+        dense[i, :] = 0.0
+    else:
+        dense[:, i] = 0.0
+    return SparseMatrix.from_dense(dense)
+
+
+def _stored_zero_column():
+    """diag(1, 0, 1) with the zero stored: a stored zero is not a nonzero entry."""
+    return SparseMatrix(3, 3, np.array([0, 1, 2, 3]), np.array([0, 1, 2]), np.array([1.0, 0.0, 1.0]))
+
+
+# case -> (A, b, message); the singular cases raise SingularMatrixError, the rest ValueError
 MATRIX_CASES = {
     "2x3": (SparseMatrix.from_dense(np.ones((2, 3))), np.ones(2), "square matrix required, got 2x3"),
     "nan_in_A": (_diag(np.nan), np.ones(3), "matrix A has a NaN or infinite entry"),
     "inf_in_A": (_diag(np.inf), np.ones(3), "matrix A has a NaN or infinite entry"),
     "minus_inf_in_A": (_diag(-np.inf), np.ones(3), "matrix A has a NaN or infinite entry"),
+    "zero_row": (_without("row"), np.ones(4), "matrix A is singular: row 2 has no nonzero entry"),
+    "zero_column": (_without("column"), np.ones(4), "matrix A is singular: column 2 has no nonzero entry"),
+    "stored_zero": (_stored_zero_column(), np.ones(3), "matrix A is singular: row 1 has no nonzero entry"),
 }
+SINGULAR_CASES = ("zero_row", "zero_column", "stored_zero")
 RHS_CASES = {
     "b_too_long": (SparseMatrix.identity(3), np.ones(4), "right-hand side b has length 4, expected 3"),
     "b_scalar": (SparseMatrix.identity(3), np.float64(1.0), "right-hand side b has shape (), expected length 3"),
@@ -53,7 +73,34 @@ CASES = [(entry, case) for entry in ENTRY_POINTS for case in MATRIX_CASES] + [
 def test_bad_input_gets_the_one_message_before_any_dense_copy(monkeypatch, entry, case):
     A, b, message = {**MATRIX_CASES, **RHS_CASES}[case]
     monkeypatch.setattr(SparseMatrix, "to_dense", lambda self, *args, **kwargs: pytest.fail("bad input was densified"))
-    with pytest.raises(ValueError) as info:
+    error = SingularMatrixError if case in SINGULAR_CASES else ValueError
+    with pytest.raises(error) as info:
         ENTRY_POINTS[entry](A, b)
-    assert type(info.value) is ValueError
+    assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_singular_input_is_checked_after_finiteness_and_before_b():
+    # a NaN in A names the NaN, however empty its rows; an empty row is named
+    # before a bad right-hand side
+    A = SparseMatrix(3, 3, np.array([0, 1, 1, 2]), np.array([0, 2]), np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="^matrix A has a NaN or infinite entry$"):
+        dd_solve(A, np.ones(3))
+    with pytest.raises(SingularMatrixError, match="^matrix A is singular: row 1 has no nonzero entry$"):
+        dd_solve(_without("row", i=1), np.ones(5))
+
+
+@pytest.mark.parametrize("kind", ["row", "column"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--solver", "spai"], ["solve", "--solver", "lu"], ["solve", "--solver", "sir"],
+    ["solve", "--solver", "none"], ["sweep"],
+])
+def test_cli_names_an_empty_row_or_column_in_one_error_line(tmp_path, capsys, command, kind):
+    A = _without(kind)
+    entries = [f"{i + 1} {j + 1} {v}\n" for j in range(4) for i, v in zip(*A.col(j))]
+    path = tmp_path / "empty.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n4 4 {A.nnz}\n" + "".join(entries))
+    assert main(command + ["--matrix", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: matrix A is singular: {kind} 2 has no nonzero entry\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dd_sparse
-from spai_ir.precision import DOUBLE, HALF, SINGLE, fl, fl_norm2, quiet
+from spai_ir.precision import DOUBLE, HALF, SINGLE, SingularMatrixError, fl, fl_norm2, quiet
 from spai_ir.spai import (
     RankDeficiencySignal,
     SpaiParams,
@@ -241,6 +241,11 @@ def test_build_zero_diagonal_rejected():
         build_spai(A, SpaiParams(eps=0.3, uf=DOUBLE))
 
 
+def test_params_reject_a_negative_alpha():
+    with pytest.raises(ValueError, match="^alpha must be nonnegative$"):
+        SpaiParams(eps=0.3, alpha=-1, uf=HALF)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_build_zero_diagonal_names_the_first_missing_index(seed):
     # reference: the loop over columns that the array test in build_spai replaced;
@@ -250,6 +255,13 @@ def test_build_zero_diagonal_names_the_first_missing_index(seed):
     dense = np.where(rng.random((n, n)) < 0.4, rng.uniform(1.0, 2.0, (n, n)), 0.0)
     dense[np.diag_indices(n)] = rng.choice([0.0, 1e-9, 1.5], n, p=[0.15, 0.15, 0.7])
     A = SparseMatrix.from_dense(dense)
+    # an empty row or column (seed 6 draws an empty column 6) is refused at the gate first
+    empty = [f"{kind} {i}" for kind, lines in (("row", dense), ("column", dense.T))
+             for i in range(n) if not lines[i].any()]
+    if empty:
+        with pytest.raises(SingularMatrixError, match=rf"^matrix A is singular: {empty[0]} has no nonzero entry$"):
+            build_spai(A, SpaiParams(eps=0.3, uf=HALF))
+        return
     B = A.rounded(HALF)
     missing = [j for j in range(n) if not np.any(B.col(j)[0] == j)]
     if not missing:
