@@ -4,6 +4,7 @@ import pytest
 from conftest import load_synthetic, random_dd_sparse
 from spai_ir.analysis import (
     BoundViolationError,
+    _two_norm_power,
     check_bounds,
     cond2_transpose,
     kappa_inf,
@@ -114,6 +115,27 @@ def test_bound_violation_detected():
     pre.P = bad
     with pytest.raises(BoundViolationError):
         check_bounds(I, pre)
+
+
+def test_inverse_distance_violation_detected(monkeypatch):
+    # P - inv(A) = (P A - I) inv(A) keeps the distance within its bound for a
+    # preconditioner whose product is its own; one whose product claims
+    # P A = I while P = 50 I is caught by the second check
+    I = SparseMatrix.identity(4)
+    pre = build_left_preconditioner(I, SpaiParams(eps=0.1, uf=SINGLE))
+    pre.P = SparseMatrix.from_dense(np.eye(4) * 50.0)
+    monkeypatch.setattr(pre, "apply_exact", lambda A: np.eye(4))
+    with pytest.raises(BoundViolationError, match="^inverse distance bound violated: "):
+        check_bounds(I, pre)
+
+
+def test_power_iteration_edge_exits():
+    # |inv(A^T)| |A^T| has a diagonal of at least 1, so cond2_transpose meets
+    # neither exit: a zero X gives the zero norm, and a NaN in X, which never
+    # settles, runs the 500 steps and returns the NaN
+    assert _two_norm_power(np.zeros((3, 3))) == 0.0
+    with np.errstate(all="ignore"):
+        assert np.isnan(_two_norm_power(np.array([[np.nan, 1.0], [0.0, 1.0]])))
 
 
 def test_bound_report_serializes(rng):

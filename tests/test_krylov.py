@@ -44,6 +44,14 @@ def test_overflow_in_gmres_names_the_working_precision(diag, r, ug):
         pgmres_left(A, None, np.array(r), 1e-4, ug, DOUBLE)
 
 
+def test_overflowing_correction_names_the_working_precision():
+    # every Arnoldi and Givens value fits in half, but the correction
+    # 200 / 1e-3 = 2e5 does not
+    A = SparseMatrix.from_dense(np.array([[1e-3]]))
+    with pytest.raises(PrecisionOverflowSignal, match=r"^overflow in the GMRES working precision \(half\)$"):
+        pgmres_left(A, None, np.array([200.0]), 1e-4, HALF, DOUBLE)
+
+
 def test_exact_inverse_preconditioner_one_iteration(rng):
     dense = rng.randn(5, 5) + 8 * np.eye(5)
     A = SparseMatrix.from_dense(dense)

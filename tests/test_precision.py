@@ -9,10 +9,12 @@ from spai_ir.precision import (
     HALF,
     QUAD,
     SINGLE,
+    DenseLu,
     DomainError,
     SingularMatrixError,
     dd_residual,
     dd_solve,
+    dense_lu,
     fl_dot,
     fl_norm2,
     fl_op,
@@ -324,6 +326,22 @@ def test_dd_solve_singular():
     A = SparseMatrix.from_dense(np.zeros((3, 3)))
     with pytest.raises(SingularMatrixError):
         dd_solve(A, np.ones(3))
+
+
+def test_dd_solve_overflowing_solution_is_singular():
+    # the pivot 1e-310 is not zero, but 1 / 1e-310 overflows: the residual is not finite
+    A = SparseMatrix.from_dense(np.diag([1.0, 1e-310]))
+    with pytest.raises(SingularMatrixError, match="^singular$"):
+        dd_solve(A, np.ones(2))
+
+
+def test_lu_solve_reports_an_illegal_lapack_argument():
+    # kl and ku swapped: dgbtrs gets the upper bandwidth ku - kl = -1, its argument 4
+    f = dense_lu(SparseMatrix.from_dense(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])), DOUBLE)
+    assert (f.kl, f.ku) == (1, 2)
+    bad = DenseLu(f.store, f.ku, f.kl, f.piv)
+    with pytest.raises(ValueError, match="^dgbtrs: illegal value in argument 4$"):
+        bad.solve(np.eye(3))
 
 
 def test_dd_solve_rejects_a_non_finite_right_hand_side():

@@ -130,6 +130,13 @@ def test_measure_errors_constructed_perturbation(rng):
     assert ferr == pytest.approx(1e-6, abs=1e-12)
 
 
+def test_run_with_a_zero_right_hand_side_has_no_forward_error():
+    # b = 0 gives the reference x = 0, against which no relative error exists
+    cfg = IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="none")
+    with pytest.raises(ValueError, match="^reference solution is zero; forward error undefined$"):
+        run_ir(SparseMatrix.identity(3), np.zeros(3), cfg)
+
+
 # ---- run_ir -----------------------------------------------------------------
 
 

@@ -56,6 +56,20 @@ def test_load_errors_name_lines():
         load_matrix_market((HEADER + "2 2 1\n").encode())
 
 
+@pytest.mark.parametrize("text, message", [
+    ("%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1.0 0.0\n",
+     "line 1: unsupported field 'complex'"),
+    ("%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1.0\n",
+     "line 1: unsupported symmetry 'hermitian'"),
+    ("%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 1\n1 1 1.0\n",
+     "line 1: unsupported symmetry 'skew-symmetric'"),
+    ("%%MatrixMarket matrix coordinate real general\n% only a comment\n\n", "line 3: missing size line"),
+])
+def test_load_rejects_an_unsupported_header_or_a_missing_size_line(text, message):
+    with pytest.raises(MatrixMarketParseError, match=f"^{message}$"):
+        load_matrix_market(text.encode())
+
+
 def test_load_takes_a_path_or_bytes_only():
     with pytest.raises(TypeError, match="^source must be a path or bytes$"):
         load_matrix_market(io.BytesIO((HEADER + "1 1 1\n1 1 5\n").encode()))
@@ -173,6 +187,13 @@ def test_column_scale():
 def test_column_scale_zero_column():
     A = SparseMatrix.from_coo(2, 2, [0], [0], [1.0])
     with pytest.raises(ValueError, match="zero column"):
+        column_scale(A)
+
+
+def test_column_scale_stored_zero_column():
+    # column 1 stores one entry, an exact zero: it is counted, but its maximum is 0
+    A = SparseMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="^zero column: column maxima must be positive and finite$"):
         column_scale(A)
 
 

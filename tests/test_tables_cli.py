@@ -70,6 +70,24 @@ def test_sweep_lets_a_programming_error_propagate(monkeypatch):
         run_sweep(load_synthetic("ident_32"), "ident_32", [0.3], [SINGLE])
 
 
+def test_run_table_rejects_an_unknown_table():
+    # the command line refuses t9 as a usage error; the library call names it
+    with pytest.raises(ValueError, match=r"^unknown table 't9'; expected one of \['t4', 't5', 't6'\]$"):
+        run_table("t9")
+
+
+def test_matrix_dir_falls_back_to_the_repository_copy(monkeypatch, tmp_path):
+    import spai_ir.reference as reference
+
+    repo = Path(__file__).resolve().parents[1] / "matrices"
+    monkeypatch.delenv("SPAI_IR_MATRIX_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)  # no ./matrices here
+    assert reference.matrix_dir() == repo
+    # without a repository copy either, the answer is ./matrices, missing as it is
+    monkeypatch.setattr(reference, "__file__", str(tmp_path / "site" / "spai_ir" / "reference.py"))
+    assert reference.matrix_dir() == tmp_path / "matrices"
+
+
 @pytest.mark.parametrize("solvers", ["foo", "sir", "spai,sir"])
 def test_table_rejects_an_unknown_solver(solvers, capsys):
     with pytest.raises(ValueError, match="unknown table solvers"):
