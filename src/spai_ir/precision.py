@@ -859,17 +859,18 @@ def dd_solve(A, b):
     store of (kl + ku + 1) n entries, (2n - 1) n at most when A's envelope
     is as wide as A, and the cost follows the bandwidth of ``A`` as
     ordered.  The double-double iterate is then refined with
-    :func:`dd_residual` of the pair until that residual stops improving;
-    the limiting forward error is of order ``unit_roundoff(QUAD) *
-    cond(A)``.  Returns ``(x_hi, x_lo)`` as a normalized double-double
-    pair.  The system passes :func:`check_matrix` before it is factored.
+    :func:`dd_residual` of the pair until that residual stops improving,
+    for at most 8 residuals; the limiting forward error is of order
+    ``unit_roundoff(QUAD) * cond(A)``.  Returns ``(x_hi, x_lo)``, the
+    normalized double-double pair of the smallest residual seen.  The
+    system passes :func:`check_matrix` before it is factored.
     """
     b = np.asarray(b, dtype=np.float64)
     check_matrix(A, b)
     factors = dense_lu(A, DOUBLE)
     xh = factors.substitute(b, DOUBLE)
     xl = np.zeros_like(xh)
-    best = math.inf
+    best, best_pair = math.inf, None
     for _ in range(8):
         rh = dd_residual(A, (xh, xl), b)
         rnorm = float(np.max(np.abs(rh)))
@@ -877,7 +878,7 @@ def dd_solve(A, b):
             raise SingularMatrixError("singular")
         if rnorm >= best:
             break
-        best = rnorm
+        best, best_pair = rnorm, (xh, xl)
         d = factors.substitute(rh, DOUBLE)
         xh, xl = dd_add(xh, xl, d, np.zeros_like(d))
-    return xh, xl
+    return best_pair

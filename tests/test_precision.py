@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_dd_lu_solve
+from conftest import load_synthetic, reference_dd_lu_solve
 from spai_ir.precision import (
     DOUBLE,
     HALF,
@@ -23,6 +23,7 @@ from spai_ir.precision import (
     parse_precision,
     quiet,
 )
+from spai_ir.reference import SYNTHETIC, rhs_for
 from spai_ir.sparse import SparseMatrix
 
 
@@ -326,6 +327,26 @@ def test_dd_solve_singular():
     A = SparseMatrix.from_dense(np.zeros((3, 3)))
     with pytest.raises(SingularMatrixError):
         dd_solve(A, np.ones(3))
+
+
+@pytest.mark.parametrize("name", SYNTHETIC)
+def test_dd_solve_returns_the_pair_of_the_smallest_residual_seen(monkeypatch, name):
+    # the refinement stops when a residual fails to improve; the pair it
+    # returns is the one before, not the one that made it stop
+    import spai_ir.precision as precision
+
+    A = load_synthetic(name)
+    b = rhs_for(A.n_rows)
+    seen = []
+
+    def spy(A, x, b):
+        r = dd_residual(A, x, b)
+        seen.append(float(np.max(np.abs(r))))
+        return r
+
+    monkeypatch.setattr(precision, "dd_residual", spy)
+    pair = dd_solve(A, b)
+    assert float(np.max(np.abs(dd_residual(A, pair, b)))) == min(seen)
 
 
 def test_dd_solve_overflowing_solution_is_singular():
