@@ -6,6 +6,7 @@ feasibility constraint linking build precision to the column tolerance).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,17 @@ def _two_norm_power(X: np.ndarray) -> float:
 
 
 def _cond2_transpose(Ad: np.ndarray, invA: np.ndarray) -> float:
-    return _two_norm_power(np.abs(invA.T) @ np.abs(Ad.T))
+    """The power iteration runs on X = |inv(A^T)| |A^T| divided by 2**e,
+    the power of two above its largest entry, and its estimate is
+    multiplied back: a finite X whose X^T X would overflow then still
+    gives its norm.  Scaling by a power of two is exact, and so is every
+    step of the iteration on the scaled X, so the bits of the estimate are
+    those of the unscaled iteration wherever that stays in range."""
+    X = np.abs(invA.T) @ np.abs(Ad.T)
+    e = math.frexp(X.max())[1]  # 0 for a zero, infinite or NaN entry, which leave X as it is
+    sigma = _two_norm_power(np.ldexp(X, -e, out=X))
+    with np.errstate(over="ignore"):  # a norm above the double range is inf
+        return float(np.ldexp(sigma, e))
 
 
 def cond2_transpose(A) -> float:

@@ -20,17 +20,22 @@ reuses one buffer for ``fl_sum``'s tree; the basis update and the final
 combination run in place through one scratch vector.  Each is still one
 IEEE operation per entry, rounded once, so the bits do not change.
 
-Numpy calls per Arnoldi step are kept few.  The basis is a list of
-vectors, so a dot indexes no array.  Column j of the Hessenberg matrix is
-built in a Python list: its MGS coefficients and the next basis norm are
-collected there, the earlier Givens rotations, whose cosines and sines are
-lists too, are applied to it, and it is kept.  Only after the loop is the
-(k+1) x k ``H`` of the k iterations run formed from these columns, once,
-for the least-squares solve; no n x n array is allocated.  In double these
-scalars are Python floats, whose operations are the binary64 operations of
-numpy's float64; in half and single they stay numpy scalars of the working
-dtype, so every operation still rounds to it.  The operations and their
-order are those of a loop over the columns of ``H``.
+Numpy calls per Arnoldi step are kept few, and so is the Python work
+around them.  Each MGS step against a basis vector is one call,
+:meth:`~spai_ir.precision.PairwisePlan.mgs_step`, which forms the dot,
+updates ``w`` in place and returns the coefficient, so the inner loop
+makes one call per basis vector.  The basis is a list of vectors, so a
+dot indexes no array.  Column j of the Hessenberg matrix is built in a
+Python list: the MGS coefficients are collected, the earlier Givens
+rotations, whose cosines and sines are lists too, are applied to them,
+the rotated entry carried from one rotation to the next, and the column
+is kept.  Only after the loop is the (k+1) x k ``H`` of the k iterations
+run formed from these columns, once, for the least-squares solve; no
+n x n array is allocated.  In double these scalars are Python floats,
+whose operations are the binary64 operations of numpy's float64; in half
+and single they stay numpy scalars of the working dtype, so every
+operation still rounds to it.  The operations and their order are those
+of a loop over the columns of ``H``.
 """
 
 from __future__ import annotations
@@ -128,6 +133,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     # Python floats for double, scalars of dt otherwise (see the module docstring)
     scalar = float if ug.dtype is None else dt
     plan = PairwisePlan(n, ug)  # the Arnoldi dots and norms
+    mgs_step = plan.mgs_step
     t = np.empty(n, dt)  # scratch for a rounded product
     cs, sn, hcols = [], [], []  # the Givens rotations, and the rotated columns of H
     g = np.zeros(n + 1, dt)
@@ -139,20 +145,15 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
 
     for j in range(n):
         w = apply_precond_matvec(A, P, basis[j], up).astype(dt)
-        col = []  # column j of H
-        for v in basis:
-            h = scalar(plan.dot(v, w))
-            col.append(h)
-            np.subtract(w, np.multiply(h, v, out=t), out=w)
+        hs = [mgs_step(v, w, t) for v in basis]  # the MGS coefficients of column j of H
         hnext = scalar(plan.norm2(w))
         if not np.isfinite(hnext):
             raise _ug_overflow(ug)
-        col.append(hnext)
 
-        for i in range(j):
-            a, b = col[i], col[i + 1]
-            col[i], col[i + 1] = cs[i] * a + sn[i] * b, cs[i] * b - sn[i] * a
-        hjj = col[j]
+        col, hjj = [], hs[0]  # column j of H; hjj carries entry i through rotation i
+        for c, s, b in zip(cs, sn, hs[1:]):
+            col.append(c * hjj + s * b)
+            hjj = c * b - s * hjj
         denom = scalar(np.sqrt(hjj * hjj + hnext * hnext))
         if not np.isfinite(denom):
             # cs = sn = 0 would read as a zero residual estimate
@@ -162,7 +163,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
             break
         cs.append(hjj / denom)
         sn.append(hnext / denom)
-        col[j], col[j + 1] = denom, 0.0
+        col += (denom, 0.0)
         hcols.append(col)
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]

@@ -14,7 +14,8 @@ line's own sum.  The tree has one implementation (:func:`_levels`,
 padded terms and every level's sums, with no array allocated per level.
 :class:`PairwisePlan`, the one kind of kept tree, keeps such a buffer and
 its level views for vectors of one length: GMRES holds one per solve for
-its dots and norms, thousands per solve, and :func:`fl_sum` one per
+its dots and norms, thousands per solve, each modified Gram-Schmidt step
+one call (:meth:`PairwisePlan.mgs_step`), and :func:`fl_sum` one per
 length for its 1-d lines.  A double plan runs the numpy levels only down
 to 16 sums and adds those as Python floats in one written-out pairwise
 expression: a Python ``+`` on floats is the same binary64 addition, and
@@ -360,6 +361,10 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:
     return out[()] if native else float(out)
 
 
+# the ufuncs of PairwisePlan.mgs_step, bound once
+_add, _multiply, _subtract = np.add, np.multiply, np.subtract
+
+
 class PairwisePlan:
     """:func:`fl_sum`, :func:`fl_dot` and :func:`fl_norm2` of length-``m``
     vectors stored in ``p``'s own dtype (float64 for double), through one
@@ -374,6 +379,11 @@ class PairwisePlan:
     bit, as scalars of the plan's dtype.  GMRES (:mod:`spai_ir.krylov`)
     holds one plan per solve, and :func:`fl_sum` one per length, precision
     and thread.  Bare, like :func:`fl`.
+
+    :meth:`mgs_step` is GMRES's whole modified Gram-Schmidt step, the dot
+    and the update of the vector being orthogonalized, in one call and one
+    Python frame; it is the one place that repeats the tree's level loop
+    and double tail inline (its docstring says why).
 
     A double plan runs its numpy levels only down to the level of 16 sums
     (a plan of at most 16 terms runs none and writes its terms straight
@@ -410,6 +420,34 @@ class PairwisePlan:
 
     def norm2(self, v: np.ndarray):
         return np.sqrt(self.dot(v, v))
+
+    def mgs_step(self, v: np.ndarray, w: np.ndarray, t: np.ndarray):
+        """One modified Gram-Schmidt step of GMRES: ``h = fl_dot(v, w)``,
+        then ``w -= fl(h v)`` in place through the scratch vector ``t``;
+        returns ``h``, a Python float in double and a scalar of the plan's
+        dtype otherwise.
+
+        The products go into the head and the tree runs as in :meth:`dot`,
+        with the same operations in the same order, so ``h`` and ``w`` have
+        the bits of :meth:`dot` followed by the update.  The level loop and
+        the double tail are written out here again, not reached through
+        :meth:`_total`: GMRES makes this call for every basis vector of
+        every iteration, and the frame hop and the ``np.float64`` that
+        ``dot`` builds only for its caller to take apart cost a measurable
+        share of a solve, as do the keyword ``out`` and the lookups of the
+        ufuncs through ``np``.
+        """
+        _multiply(v, w, self._head)
+        for a, b, out in self._levels:
+            _add(a, b, out)
+        if self._tail is None:
+            h = self._buf[-1]
+        else:
+            a = self._tail.tolist()
+            h = ((((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])))
+                 + (((a[8] + a[9]) + (a[10] + a[11])) + ((a[12] + a[13]) + (a[14] + a[15]))))
+        _subtract(w, _multiply(h, v, t), w)
+        return h
 
     def _total(self):
         """Run the tree over the terms in the head and return their sum."""
@@ -585,7 +623,9 @@ class DenseLu:
         """Solve A X = B in plain double by LAPACK's ``dgbtrs``, for ``B``
         an n x m float64 array in the row order of the factored matrix A;
         a ``B`` in Fortran order is overwritten with X, which is returned.
-        Raises ``ValueError`` if ``dgbtrs`` reports a bad argument.
+        Raises ``ValueError`` if ``dgbtrs`` would report a bad argument:
+        factors with ``ku < kl`` are refused here, before LAPACK's error
+        handler prints its own report on the process's C-level stdout.
 
         ``dgbtrs`` takes the factors as ``dgbtrf`` leaves them, which is how
         the store holds them: ``piv`` goes as it is (scipy's wrapper adds
@@ -593,6 +633,8 @@ class DenseLu:
         the Fortran (kl + ku + 1) x n array AB with upper bandwidth ku - kl."""
         from scipy.linalg.lapack import dgbtrs
 
+        if self.ku < self.kl:  # the upper bandwidth ku - kl, dgbtrs's argument 4, would be negative
+            raise ValueError("dgbtrs: illegal value in argument 4")
         ab = self.store.astype(np.float64, copy=False).reshape(len(self.piv), -1).T
         X, info = dgbtrs(ab, self.kl, self.ku - self.kl, B, self.piv, overwrite_b=1)
         if info:

@@ -500,19 +500,25 @@ def matvec(A: SparseMatrix, x: np.ndarray, p: Precision) -> np.ndarray:
     right, ascending row within a column), so results are reproducible and
     independent of threading.  The sums run in the permuted row order of
     :meth:`SparseMatrix.row_plan`, each slot added in place into a prefix
-    of the rows, and one scatter at the end restores the row order.
+    of the rows, and one scatter at the end restores the row order.  A
+    format that keeps the double word (double, quad-emulated) skips the
+    two roundings per slot, which would return their input unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != A.n_cols:
         raise ValueError(f"dimension mismatch: {A.shape} @ {x.shape}")
     order, slots = A.row_plan()
     y = np.zeros(A.n_rows)
+    rounding = p.dtype is not None
     for r, cols, vals in slots:
         t = x[cols]
         np.multiply(vals, t, out=t)
         seg = y[:r]
-        seg += fl(t, p, inplace=True)
-        fl(seg, p, inplace=True)
+        if rounding:
+            seg += fl(t, p, inplace=True)
+            fl(seg, p, inplace=True)
+        else:
+            seg += t
     out = np.empty(A.n_rows)
     out[order] = y
     return out

@@ -60,6 +60,14 @@ def test_cond2_transpose_vs_svd(rng):
     assert got == pytest.approx(want, rel=1e-2)
 
 
+def test_cond2_transpose_where_only_xtx_overflows():
+    # X = |inv(A^T)| |A^T| = [[1, 0], [2e155, 1]] is finite, but X^T X is not
+    A = np.array([[1.0, 1e155], [0.0, 1.0]])
+    want = np.linalg.svd(np.abs(np.linalg.inv(A).T) @ np.abs(A.T), compute_uv=False)[0]
+    got = cond2_transpose(SparseMatrix.from_dense(A))
+    assert np.isfinite(got) and got == pytest.approx(want, rel=1e-3)
+
+
 def test_kappa_inf_product(rng):
     A = random_dd_sparse(rng, 10)
     As = SparseMatrix.from_dense(A)

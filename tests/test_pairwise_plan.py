@@ -5,7 +5,11 @@ for vectors of length ``m`` stored in ``p``'s own dtype.  Its ``dot`` and
 ``norm2`` must give the bits of ``fl_dot`` and ``fl_norm2``: on the same
 native arrays, on their float64 copies (the emulated path), and against
 ``reference_dot``, an independent pairwise sum that allocates every level.
-One plan serves several draws of its length, so nothing left in the buffer
+GMRES's modified Gram-Schmidt step, ``mgs_step(v, w, t)``, must return the
+coefficient ``fl_dot(v, w)`` with those bits, as a Python float in double
+and a scalar of the format's dtype otherwise, and leave in ``w`` the
+emulated ``fl(w - fl(h v))``.  One plan and one scratch vector serve
+several draws of its length, so nothing left in the buffer or the scratch
 by one call may reach the next.  Lengths run over 0..70 and both sides of
 128 and 1024, where the padding grows by a whole level; the values mix
 random bit patterns of the format with signed zeros, subnormals, values
@@ -81,16 +85,29 @@ def plan_cases(draw):
 def test_plan_equals_fl_dot_and_fl_norm2_bit_for_bit(case):
     p, m, pairs = case
     plan = PairwisePlan(m, p)
+    dtype = p.dtype or np.float64
+    t = np.full(m, np.nan, dtype)  # the scratch starts and stays dirty
+    kept = []
     with np.errstate(over="ignore", invalid="ignore"):
         for u, v in pairs:
             got = plan.dot(u, v)
-            assert got.dtype == (p.dtype or np.float64)
+            assert got.dtype == dtype
             for want in (fl_dot(u, v, p), fl_dot(u.astype(np.float64), v.astype(np.float64), p),
                          reference_dot(u, v, p)):
                 assert same_bits(got, want), (m, got, want)
             got = plan.norm2(v)
             for want in (fl_norm2(v, p), fl_norm2(v.astype(np.float64), p)):
                 assert same_bits(got, want), (m, got, want)
+
+            w = v.copy()
+            h = plan.mgs_step(u, w, t)
+            assert type(h) is (float if p.dtype is None else p.dtype)
+            assert same_bits(h, fl_dot(u, v, p)), (m, h)
+            want = fl(v.astype(np.float64) - fl(float(h) * u.astype(np.float64), p), p)
+            assert w.dtype == dtype and same_bits(w, want), m
+            kept.append((h, fl_dot(u, v, p)))
+    for h, want in kept:
+        assert same_bits(h, want)
 
 
 def test_plan_edge_sums():

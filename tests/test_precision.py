@@ -356,13 +356,14 @@ def test_dd_solve_overflowing_solution_is_singular():
         dd_solve(A, np.ones(2))
 
 
-def test_lu_solve_reports_an_illegal_lapack_argument():
-    # kl and ku swapped: dgbtrs gets the upper bandwidth ku - kl = -1, its argument 4
+def test_lu_solve_reports_an_illegal_lapack_argument(capfd):
+    # kl and ku swapped: dgbtrs would get the upper bandwidth ku - kl = -1, its argument 4
     f = dense_lu(SparseMatrix.from_dense(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])), DOUBLE)
     assert (f.kl, f.ku) == (1, 2)
     bad = DenseLu(f.store, f.ku, f.kl, f.piv)
     with pytest.raises(ValueError, match="^dgbtrs: illegal value in argument 4$"):
         bad.solve(np.eye(3))
+    assert capfd.readouterr().out == ""  # LAPACK's xerbla writes to file descriptor 1
 
 
 def test_dd_solve_rejects_a_non_finite_right_hand_side():
