@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precision import Precision, SingularMatrixError, require_square
+from .precision import Precision, SingularMatrixError, quiet, require_square
 from .refine import norm_inf
 from .spai import SpaiPreconditioner
 from .sparse import SparseMatrix
@@ -105,18 +105,22 @@ def _two_norm_power(X: np.ndarray) -> float:
     return sigma
 
 
+@quiet
 def _cond2_transpose(Ad: np.ndarray, invA: np.ndarray) -> float:
     """The power iteration runs on X = |inv(A^T)| |A^T| divided by 2**e,
     the power of two above its largest entry, and its estimate is
     multiplied back: a finite X whose X^T X would overflow then still
     gives its norm.  Scaling by a power of two is exact, and so is every
     step of the iteration on the scaled X, so the bits of the estimate are
-    those of the unscaled iteration wherever that stays in range."""
+    those of the unscaled iteration wherever that stays in range.  An X
+    with an inf or NaN entry gives inf, as does an estimate that overflows
+    when multiplied back: the norm is beyond the double range."""
     X = np.abs(invA.T) @ np.abs(Ad.T)
-    e = math.frexp(X.max())[1]  # 0 for a zero, infinite or NaN entry, which leave X as it is
+    if not np.isfinite(X).all():
+        return math.inf
+    e = math.frexp(X.max())[1]  # 0 for a zero X, which is left as it is
     sigma = _two_norm_power(np.ldexp(X, -e, out=X))
-    with np.errstate(over="ignore"):  # a norm above the double range is inf
-        return float(np.ldexp(sigma, e))
+    return float(np.ldexp(sigma, e))
 
 
 def cond2_transpose(A) -> float:

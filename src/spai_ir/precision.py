@@ -34,18 +34,15 @@ that double rounding is innocuous (Figueroa, "When is double rounding
 innocuous?", SIGNUM 1995).  numpy's float16 loops compute in float32 and
 round to half, innocuous for the same reason.  :func:`fl_sum` and
 :func:`fl_dot` keep such arrays in their dtype, and :func:`fl` returns them.
-A float16 elimination step forms its products in float32, where the
-product of two halves is exact, and rounds those below 2**-14 onto half's
-subnormal grid by float32 arithmetic before its one cast to float16:
-numpy's conversion signals underflow for each inexact subnormal it makes,
-at some twenty times the cost of any other conversion, and the rounding
-is the one the cast would do, so the bits do not change
-(:class:`_HalfProducts`).
-Half and single LU factors are both kept in float32, which holds every
-single value exactly (half's are factored in float16 and widened once at
-the end: the single-precision substitution that hsd GMRES runs is slower
-on float16 factors); a substitution in half or double forms each product
-in float64, which widens them exactly.
+A float16 elimination step rounds its subnormal products before its one
+cast to float16, which spares numpy's slow underflow path and keeps the
+bits (:class:`_HalfProducts`).  Half and single LU factors are both kept
+in float32, which holds every single value exactly (half's are factored
+in float16 and widened once at the end: the single-precision substitution
+that hsd GMRES runs is slower on float16 factors); a substitution in half
+or double forms each product with a float32 factor in float64, where it
+is exact, and a half one casts it once to float16 and subtracts natively.
+The per-step loops hand numpy their scalar operands as kept 0-d arrays.
 
 Overflow to infinity and 0/0 = NaN are intended results, not errors.  The
 functions that compute on emulated values are wrapped in :func:`quiet`, the
@@ -361,8 +358,8 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:
     return out[()] if native else float(out)
 
 
-# the ufuncs of PairwisePlan.mgs_step, bound once
-_add, _multiply, _subtract = np.add, np.multiply, np.subtract
+# the ufuncs of the per-step loops, bound once
+_add, _multiply, _subtract, _divide = np.add, np.multiply, np.subtract, np.divide
 
 
 class PairwisePlan:
@@ -406,8 +403,10 @@ class PairwisePlan:
             self._buf[0] = 0.0  # the sum of no terms is +0
         self._head = self._buf[:m]
         levels, self._tail = _levels(self._buf, m), None
+        # mgs_step's h as a 0-d array: the tree's last row, or where a double plan writes its tail's sum
+        self._h = self._buf[-1, ...]
         if double:  # the last four levels, 16 sums down to 1, run in Python floats
-            levels, self._tail = levels[:-4], self._buf[2 * size - 32 : 2 * size - 16]
+            levels, self._tail, self._h = levels[:-4], self._buf[2 * size - 32 : 2 * size - 16], np.empty(())
         self._levels = levels
 
     def sum(self, v: np.ndarray):
@@ -431,11 +430,11 @@ class PairwisePlan:
         with the same operations in the same order, so ``h`` and ``w`` have
         the bits of :meth:`dot` followed by the update.  The level loop and
         the double tail are written out here again, not reached through
-        :meth:`_total`: GMRES makes this call for every basis vector of
-        every iteration, and the frame hop and the ``np.float64`` that
-        ``dot`` builds only for its caller to take apart cost a measurable
-        share of a solve, as do the keyword ``out`` and the lookups of the
-        ufuncs through ``np``.
+        :meth:`_total`, and ``h`` reaches the update as a kept 0-d array:
+        GMRES makes this call for every basis vector of every iteration,
+        where a frame hop, a scalar built and taken apart again, a
+        conversion of a scalar operand, a keyword ``out`` and a ufunc looked
+        up through ``np`` each cost a measurable share of a solve.
         """
         _multiply(v, w, self._head)
         for a, b, out in self._levels:
@@ -444,9 +443,9 @@ class PairwisePlan:
             h = self._buf[-1]
         else:
             a = self._tail.tolist()
-            h = ((((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])))
-                 + (((a[8] + a[9]) + (a[10] + a[11])) + ((a[12] + a[13]) + (a[14] + a[15]))))
-        _subtract(w, _multiply(h, v, t), w)
+            h = self._h[()] = ((((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])))
+                               + (((a[8] + a[9]) + (a[10] + a[11])) + ((a[12] + a[13]) + (a[14] + a[15]))))
+        _subtract(w, _multiply(self._h, v, t), w)
         return h
 
     def _total(self):
@@ -657,46 +656,56 @@ class DenseLu:
         x_i - fl(+-0 * x_k) is x_i, up to the sign of a zero, for every
         finite x_k.
 
-        Single-precision substitution with float32 factors runs natively in
-        float32, with the bits of the float64 round trip (see the module
-        docstring).  Any other runs in float64, with :func:`fl` below
-        double, and forms each product in float64, which widens float32
-        factors exactly.  Every product names its dtype, so float32 factors
-        are widened exactly under any numpy promotion rules (numpy 1.x would
-        keep a float32 array times a float64 scalar in float32).
+        With float32 factors, single and half substitution run natively in
+        float32 and float16, with the bits of the float64 round trip (see
+        the module docstring): a half step forms its products in float64,
+        where a single times a half is exact, casts them once to float16
+        and subtracts natively.  Any other runs in float64, with :func:`fl`
+        below double.  Each quotient is formed in float64 and rounded once.
+        A step's x_k is a kept 0-d array of x's dtype, which a ufunc takes
+        without a conversion; a product whose operands differ in dtype
+        names float64, since numpy 1.x casts a 0-d operand by its value.
         """
-        native = p is SINGLE and self.store.dtype == np.float32
+        store, off, stride = self.store, self.ku, self.kl + self.ku
+        native = store.dtype == np.float32 and p.dtype is not None  # half or single factors in p's dtype
+        x = fl(np.array(b, dtype=p.dtype if native else np.float64), p, inplace=True)
         rounding = None if native or p.dtype is None else p
-        x = fl(np.array(b, dtype=np.float32 if native else np.float64), p, inplace=True)
-        dt, store, n = x.dtype, self.store, x.shape[0]
-        off, stride = self.ku, self.kl + self.ku
+        mixed, half = x.dtype != store.dtype, x.dtype == np.float16
+        xk, n = np.empty((), x.dtype), x.shape[0]
         for k, pk, end in zip(range(n - 1), self._piv, self.l_end):
             if pk != k:
                 x[k], x[pk] = x[pk], x[k]
             if end > k + 1:
-                at = off + k * stride
-                seg, prod = x[k + 1 : end], np.multiply(store[at + k + 1 : at + end], x[k], dtype=dt)
+                at, xk[()] = off + k * stride, x[k]
+                seg, factor = x[k + 1 : end], store[at + k + 1 : at + end]
+                prod = _multiply(factor, xk, dtype=np.float64) if mixed else _multiply(factor, xk)
                 if rounding is None:
-                    seg -= prod
+                    _subtract(seg, prod.astype(np.float16) if half else prod, seg)
                 else:
-                    seg -= fl(prod, rounding, inplace=True)
+                    _subtract(seg, fl(prod, rounding, inplace=True), seg)
                     fl(seg, rounding, inplace=True)
-        for k, start in zip(range(n - 1, -1, -1), reversed(self.u_start)):
-            at = off + k * stride
-            xk = x[k] / store[at + k]
-            x[k] = xk = xk if rounding is None else fl(xk, rounding)
+        # each pivot widened to float64: the quotient of a half by a single is rounded once, from double
+        pivots = store[off :: stride + 1].astype(np.float64)
+        for k, start, pivot in zip(range(n - 1, -1, -1), reversed(self.u_start), pivots[::-1]):
+            q = x[k] / pivot
+            x[k] = xk[()] = q if rounding is None else fl(q, rounding)
             if start < k:
-                seg, prod = x[start:k], np.multiply(store[at + start : at + k], xk, dtype=dt)
+                at = off + k * stride
+                seg, factor = x[start:k], store[at + start : at + k]
+                prod = _multiply(factor, xk, dtype=np.float64) if mixed else _multiply(factor, xk)
                 if rounding is None:
-                    seg -= prod
+                    _subtract(seg, prod.astype(np.float16) if half else prod, seg)
                 else:
-                    seg -= fl(prod, rounding, inplace=True)
+                    _subtract(seg, fl(prod, rounding, inplace=True), seg)
                     fl(seg, rounding, inplace=True)
         return x.astype(np.float64, copy=False)
 
 
 def _reach(v: np.ndarray) -> int:
     """One past the last nonzero entry of ``v``; 0 if there is none."""
+    m = len(v)
+    if m and v[m - 1] != 0.0:
+        return m
     nz = v.nonzero()[0]
     return int(nz[-1]) + 1 if nz.size else 0
 
@@ -796,10 +805,9 @@ class _HalfProducts:
     the bits of numpy's float16 ``col[None, :] * row[:, None]`` (a NaN is
     a NaN, whatever its payload).
 
-    numpy rounds a float to half in software and signals underflow once
-    for each inexact subnormal result, which took about 100 ns against 3
-    to 6 ns for any other result (numpy 2.4 on an AVX-512 x86-64 core).
-    A half product lands there whenever it is below 2**-14 in magnitude
+    numpy rounds a float to half in software and signals underflow, on a
+    slow path, for each inexact subnormal result.  A half product lands
+    there whenever it is below 2**-14 in magnitude
     and not a multiple of 2**-24, as most of the small fill products of a
     banded elimination do.  So each product is formed in float32, where
     the product of two halves is exact (22 significant bits, exponents
@@ -863,28 +871,30 @@ def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, rows_end: list, cols
     widest = (np.array(cols_end) - steps).max(initial=1) - 1, (np.maximum(rows_end, steps + 1) - steps).max(initial=1) - 1
     scratch = np.empty(widest, store.dtype)  # (columns, rows) of an update
     products = _HalfProducts(widest) if store.dtype == np.float16 else None
+    mag, pivot = np.empty(kl + 1, store.dtype), np.empty((), store.dtype)  # |pivot candidates|, the pivot
     piv = np.arange(n)
     for k in range(n - 1):
         r_end, c_end, column = max(rows_end[k], k + 1), cols_end[k], cols[k]
-        p = k + int(np.argmax(np.abs(column[k:r_end])))
-        pivot = column[p]
-        if pivot == 0.0:
+        p = k + int(np.abs(column[k:r_end], mag[: r_end - k]).argmax())
+        pivot[()] = column[p]
+        if pivot[()] == 0.0:
             raise _zero_pivot(store, uf, k)
         if p != k:  # rows k and p, in columns k and on
             top, bottom = cols[k:c_end, k], cols[k:c_end, p]
             top[...], bottom[...] = bottom, top.copy()
             piv[k] = p
         col = column[k + 1 : k + 1 + min(kl, n - 1 - k)]
-        col /= pivot  # the band of the column: 0 divided by a negative pivot is -0
+        _divide(col, pivot, col)  # the band of the column: 0 divided by a negative pivot is -0
         row = cols[k + 1 : c_end, k]
         re, ce = _reach(col[: r_end - k - 1]), _reach(row)
         if re and ce:
             t = scratch[:ce, :re]
             if products is None:
-                np.multiply(col[None, :re], row[:ce, None], out=t)
+                _multiply(col[None, :re], row[:ce, None], t)
             else:
                 products(col[:re], row[:ce], t)
-            cols[k + 1 : k + 1 + ce, k + 1 : k + 1 + re] -= t
+            block = cols[k + 1 : k + 1 + ce, k + 1 : k + 1 + re]
+            _subtract(block, t, block)
     if cols[n - 1, n - 1] == 0.0:
         raise _zero_pivot(store, uf, n - 1)
     if not np.isfinite(store).all():

@@ -241,12 +241,13 @@ def norm_inf(A) -> float:
     return float(np.abs(np.asarray(A)).sum(axis=1).max())
 
 
-def measure_errors(A, b, x, x_ref):
+def measure_errors(A, b, x, x_ref, r=None):
     """Normwise forward error and backward error of a candidate solution.
 
     The forward error is measured against ``x_ref``, a double-double
     reference solution ``(hi, lo)`` such as ``dd_solve`` returns; the
-    backward-error residual is accumulated in double-double as well.
+    backward-error residual is accumulated in double-double as well, or is
+    ``r`` when the caller has it, as ``dd_residual(A, x, b)`` gives it.
     """
     xh, xl = x_ref
     diff = (xh - np.asarray(x, dtype=np.float64)) + xl
@@ -254,7 +255,8 @@ def measure_errors(A, b, x, x_ref):
     if denom == 0.0:
         raise ValueError("reference solution is zero; forward error undefined")
     ferr = float(np.max(np.abs(diff))) / denom
-    r = dd_residual(A, x, b)
+    if r is None:
+        r = dd_residual(A, x, b)
     nbe_den = float(np.max(np.abs(b))) + norm_inf(A) * float(np.max(np.abs(x)))
     nbe = float(np.max(np.abs(r))) / nbe_den if nbe_den else 0.0
     return ferr, nbe
@@ -288,13 +290,6 @@ def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> SpaiPreconditioner | LuPre
     return None
 
 
-def _residual(A: SparseMatrix, x: np.ndarray, b: np.ndarray, ur: Precision) -> np.ndarray:
-    if ur is QUAD:
-        return dd_residual(A, x, b)
-    y = matvec(A, x, ur)
-    return fl(b - y, ur)
-
-
 @quiet
 def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
            solver: SpaiPreconditioner | LuPreconditioner | None = None, x_ref=None):
@@ -325,7 +320,9 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
     thresh = n * cfg.u.unit_roundoff
     capped = breakdown = False
     while True:
-        ferr, nbe = measure_errors(A, b, x, x_ref=x_ref)
+        # with ur = quad, the step's residual is the one the backward error is measured from
+        r = dd_residual(A, x, b) if cfg.ur is QUAD else None
+        ferr, nbe = measure_errors(A, b, x, x_ref=x_ref, r=r)
         ferr_hist.append(ferr)
         nbe_hist.append(nbe)
         converged = nbe <= thresh and ferr <= thresh
@@ -333,7 +330,9 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
         stagnated = not converged and len(ferr_hist) >= 3 and ferr > 0.5 * ferr_hist[-3]
         if converged or stagnated or len(iters_per_step) >= cfg.i_max:
             break
-        r = fl(_residual(A, x, b, cfg.ur), cfg.u)
+        if r is None:
+            r = fl(b - matvec(A, x, cfg.ur), cfg.ur)
+        r = fl(r, cfg.u)
         if cfg.solver == "sir":
             d = solver.apply(r, cfg.uf)
             iters_per_step.append(0)

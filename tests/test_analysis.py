@@ -68,6 +68,13 @@ def test_cond2_transpose_where_only_xtx_overflows():
     assert np.isfinite(got) and got == pytest.approx(want, rel=1e-3)
 
 
+def test_cond2_transpose_where_x_overflows_is_inf_without_a_warning():
+    # X = |inv(A^T)| |A^T| overflows to an inf and a NaN entry here; pytest turns numpy's
+    # RuntimeWarnings into errors, so a leaked warning fails the test too
+    A = np.array([[1e200, 1e300], [0.0, 1e-200]])
+    assert cond2_transpose(SparseMatrix.from_dense(A)) == np.inf
+
+
 def test_kappa_inf_product(rng):
     A = random_dd_sparse(rng, 10)
     As = SparseMatrix.from_dense(A)

@@ -101,6 +101,9 @@ SMALL_ENTRIES = 1e-3 * (4.0 * np.eye(12) + 0.5 * np.random.RandomState(0).standa
 # a zero pivot after an inf (1e5 in half) in the factors: overflow, not a singular matrix
 @example((np.array([[1e5, 0.0], [0.0, 0.0]]), HALF))
 @example((SMALL_ENTRIES, HALF))
+# step 1 inside the envelope: its last multiplier, of row 3, and its pivot row's last entry,
+# in column 3, are exact zeros, so both reaches are found by a scan
+@example((np.array([[4.0, 0.0, 0.0, 0.0], [1.0, 4.0, 1.0, 0.0], [0.0, 1.0, 4.0, 0.0], [1.0, 0.0, 0.0, 4.0]]), DOUBLE))
 def test_dense_lu_equals_full_block_reference(case):
     A, uf = case
     assert outcome(band_lu, A, uf) == outcome(reference_dense_lu, A, uf)

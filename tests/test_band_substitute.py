@@ -102,6 +102,12 @@ TRIDIAGONAL = np.eye(6) + np.diag(np.full(5, -4.0), -1) + np.diag(np.ones(5), 1)
 # half substitution of float32 single factors: the product 1.17634606... * 1.6142578125
 # rounded to single first would round to half 2**-10 below its correctly rounded value
 @example((np.array([[1.0, 1.1763460636138916], [0.0, 1.0]]), SINGLE, HALF, np.array([0.0, 1.6142578125])))
+# half substitution with products below 2**-14, where the one cast to float16 is their rounding:
+# with half factors, and with single ones, whose first product 0.61787074804306 * 1.5676021575927734e-05
+# rounded to single first would round to half 2**-24 below its correctly rounded value
+@example((np.array([[1.0, 0.7001953125], [0.2998046875, 1.0]]), HALF, HALF, np.array([3.0994415283203125e-05, 0.0])))
+@example((np.array([[1.0, 0.6462264060974121], [0.6178707480430603, 1.0]]), SINGLE, HALF,
+          np.array([1.5676021575927734e-05, 0.0])))
 # in a band store: the multipliers carried below the band; and a -0 in b, which the whole
 # columns turn into +0 in rows 6 and 7 (-0 - (-0 * x_0)) and the band leaves -0
 @example((TRIDIAGONAL, SINGLE, SINGLE, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])))

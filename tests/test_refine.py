@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import load_synthetic, packed, random_dd_sparse, reference_solution, stored
-from spai_ir.precision import DOUBLE, HALF, QUAD, SINGLE, SingularMatrixError, dd_solve
+from spai_ir import refine
+from spai_ir.precision import DOUBLE, HALF, QUAD, SINGLE, SingularMatrixError, dd_residual, dd_solve
 from spai_ir.refine import (
     IrConfig,
     LuPreconditioner,
@@ -167,6 +168,24 @@ def test_all_solvers_converge_sdq(rng, solver):
     if solver == "sir":
         assert all(v == 0 for v in rep.gmres_iters_per_step)
     assert rep.total_gmres_iters == sum(rep.gmres_iters_per_step)
+
+
+@pytest.mark.parametrize("ur", [QUAD, DOUBLE])
+def test_one_dd_residual_per_measured_iterate(monkeypatch, ur):
+    # with ur = quad, a step's residual is the one its backward error is measured from
+    A = load_synthetic("band_asym_120")
+    b = rhs_for(A.n_rows)
+    x_ref = reference_solution(A, b)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return dd_residual(*args)
+
+    monkeypatch.setattr(refine, "dd_residual", spy)
+    x, rep = run_ir(A, b, IrConfig(uf=SINGLE, u=DOUBLE, ur=ur, solver="sir"), x_ref=x_ref)
+    assert rep.converged and rep.steps >= 1
+    assert len(calls) == rep.steps + 1
 
 
 @pytest.mark.parametrize("solver", ["spai", "lu", "none"])
