@@ -1,6 +1,6 @@
 """``tools/cli_digests.py`` digests the command-line runs of one matrix stably.
 
-The tool runs every ``solve`` of a matrix (4 solvers x 3 precision sets),
+The tool runs every ``solve`` of a matrix (4 solvers x 5 precision sets),
 its ``sweep`` and the three ``table`` runs in process.  Here it runs twice
 on ``colscale_80``, whose LU factors need pivoting: both runs must give the
 committed ``cli_digests.json``, key for key, so a change of the

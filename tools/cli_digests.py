@@ -2,9 +2,10 @@
 """Print digests of the command-line runs of ``spai-ir``, to compare two trees.
 
 The runs are ``solve --json`` on each shipped matrix with every solver
-(spai, lu, none, sir) and the precision sets h,s,d / s,d,q / h,h,d,h,h,
-``sweep --json`` on each matrix, and ``table t4|t5|t6 --json``: 81 runs
-over the six shipped matrices.  Each runs in this process through
+(spai, lu, none, sir) and the precision sets h,s,d / s,d,q / h,h,d,h,h /
+d,s,d / d,s,d,s,h (the last two apply double LU factors in single and in
+half), ``sweep --json`` on each matrix, and ``table t4|t5|t6 --json``: 129
+runs over the six shipped matrices.  Each runs in this process through
 ``spai_ir.cli.main``; its key maps to the SHA-256 of its stdout and of its
 stderr and to its exit code.  The output is JSON with sorted keys, so the
 outputs of two trees compare with ``diff``:
@@ -28,7 +29,7 @@ from spai_ir import cli  # noqa: E402
 from spai_ir.reference import SYNTHETIC  # noqa: E402
 
 SOLVERS = ("spai", "lu", "none", "sir")
-PRECISION_SETS = ("h,s,d", "s,d,q", "h,h,d,h,h")
+PRECISION_SETS = ("h,s,d", "s,d,q", "h,h,d,h,h", "d,s,d", "d,s,d,s,h")
 TABLES = ("t4", "t5", "t6")
 
 
