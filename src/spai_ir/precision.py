@@ -667,10 +667,9 @@ class DenseLu:
         names float64, since numpy 1.x casts a 0-d operand by its value.
         """
         store, off, stride = self.store, self.ku, self.kl + self.ku
-        native = store.dtype == np.float32 and p.dtype is not None  # half or single factors in p's dtype
-        x = fl(np.array(b, dtype=p.dtype if native else np.float64), p, inplace=True)
-        rounding = None if native or p.dtype is None else p
-        mixed, half = x.dtype != store.dtype, x.dtype == np.float16
+        x = np.array(b, dtype=p.dtype or np.float64)
+        mixed = x.dtype != store.dtype
+        cast = mixed and x.dtype != np.float64
         xk, n = np.empty((), x.dtype), x.shape[0]
         for k, pk, end in zip(range(n - 1), self._piv, self.l_end):
             if pk != k:
@@ -679,25 +678,16 @@ class DenseLu:
                 at, xk[()] = off + k * stride, x[k]
                 seg, factor = x[k + 1 : end], store[at + k + 1 : at + end]
                 prod = _multiply(factor, xk, dtype=np.float64) if mixed else _multiply(factor, xk)
-                if rounding is None:
-                    _subtract(seg, prod.astype(np.float16) if half else prod, seg)
-                else:
-                    _subtract(seg, fl(prod, rounding, inplace=True), seg)
-                    fl(seg, rounding, inplace=True)
-        # each pivot widened to float64: the quotient of a half by a single is rounded once, from double
+                _subtract(seg, prod.astype(x.dtype) if cast else prod, seg)
+        # each pivot widened to float64: the quotient is rounded once, by its store into x
         pivots = store[off :: stride + 1].astype(np.float64)
         for k, start, pivot in zip(range(n - 1, -1, -1), reversed(self.u_start), pivots[::-1]):
-            q = x[k] / pivot
-            x[k] = xk[()] = q if rounding is None else fl(q, rounding)
+            x[k] = xk[()] = x[k] / pivot
             if start < k:
                 at = off + k * stride
                 seg, factor = x[start:k], store[at + start : at + k]
                 prod = _multiply(factor, xk, dtype=np.float64) if mixed else _multiply(factor, xk)
-                if rounding is None:
-                    _subtract(seg, prod.astype(np.float16) if half else prod, seg)
-                else:
-                    _subtract(seg, fl(prod, rounding, inplace=True), seg)
-                    fl(seg, rounding, inplace=True)
+                _subtract(seg, prod.astype(x.dtype) if cast else prod, seg)
         return x.astype(np.float64, copy=False)
 
 

@@ -29,7 +29,7 @@ from .precision import (
     fl_op,
     quiet,
 )
-from .krylov import pgmres_left
+from .krylov import PrecisionOverflowSignal, pgmres_left
 from .spai import SpaiParams, SpaiPreconditioner, build_left_preconditioner
 from .sparse import SparseMatrix, matvec, owners
 
@@ -311,8 +311,9 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
     # initial solution in uf, stored in u
     x = np.zeros(n)
     if solver is not None:
-        x = solver.apply(fl(b, cfg.uf), cfg.uf)
-    x = fl(x, cfg.u)
+        x = fl(solver.apply(fl(b, cfg.uf), cfg.uf), cfg.u)
+        if not np.isfinite(x).all():
+            raise PrecisionOverflowSignal(f"overflow in the initial solve in {cfg.uf.name}")
 
     ferr_hist: list[float] = []
     nbe_hist: list[float] = []

@@ -242,6 +242,26 @@ def reference_substitute(lu: np.ndarray, b, p: Precision) -> np.ndarray:
     return x
 
 
+@quiet
+def reference_band_substitute(f, b, p: Precision) -> np.ndarray:
+    """Oracle for the bits of :meth:`spai_ir.precision.DenseLu.substitute`:
+    its loops over the reach tables of the band store of ``f`` as they
+    stood with x in float64 and each product and difference rounded to
+    ``p`` by ``fl``, for ``b`` in the row order of the factored matrix."""
+    store, off, stride = f.store.astype(np.float64), f.ku, f.kl + f.ku
+    x = fl(np.array(b, dtype=np.float64), p, inplace=True)
+    n = len(x)
+    for k in range(n - 1):
+        pk, end, at = int(f.piv[k]), f.l_end[k], off + k * stride
+        x[[k, pk]] = x[[pk, k]]
+        x[k + 1 : end] = fl(x[k + 1 : end] - fl(store[at + k + 1 : at + end] * x[k], p), p)
+    for k in range(n - 1, -1, -1):
+        start, at = f.u_start[k], off + k * stride
+        x[k] = fl(x[k] / store[at + k], p)
+        x[start:k] = fl(x[start:k] - fl(store[at + start : at + k] * x[k], p), p)
+    return x
+
+
 def dd_div(ah, al, bh, bl):
     """Double-double quotient (ah + al) / (bh + bl), normalized."""
     q1 = ah / bh

@@ -19,13 +19,18 @@ float32-and-float64 one are both checked against the float64 loop.  The
 matrix is handed to ``dense_lu`` as a ``SparseMatrix`` that stores every
 entry but +0 (conftest's ``stored``).  The right-hand sides hold -0,
 infinities, NaN, subnormals and values that overflow.
+
+The bits themselves, zero signs included, are pinned by
+``reference_band_substitute``: the same band loops with x in float64 and
+every product and difference rounded by ``fl``, for float32 and float64
+factors applied in half, single and double.
 """
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_dense_lu, reference_substitute, signless_zeros, stored
+from conftest import reference_band_substitute, reference_dense_lu, reference_substitute, same_bits, signless_zeros, stored
 from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
 
 FORMATS = (HALF, SINGLE, DOUBLE)
@@ -122,3 +127,18 @@ def test_substitute_equals_whole_column_reference(case):
     want = reference_solve(A, uf, p, b)
     assume(want is not None)
     assert agree(band_solve(A, uf, p, b), want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(substitute_inputs())
+# double factors applied in half, products below 2**-14: 0.3256578827686793 * 9.059906005859375e-06
+# rounded to single first would round to half 2**-24 above its correctly rounded value
+@example((np.array([[1.0, 0.3002204062508747], [0.3256578827686793, 1.0]]), DOUBLE, HALF,
+          np.array([9.059906005859375e-06, 0.0])))
+def test_substitute_has_the_bits_of_the_rounded_float64_band_loop(case):
+    A, uf, p, b = case
+    try:
+        f = dense_lu(stored(A), uf)
+    except ArithmeticError:
+        assume(False)
+    assert same_bits(f.substitute(b, p), reference_band_substitute(f, b, p))

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import load_synthetic, packed, random_dd_sparse, reference_solution, stored
 from spai_ir import refine
+from spai_ir.krylov import PrecisionOverflowSignal
 from spai_ir.precision import DOUBLE, HALF, QUAD, SINGLE, SingularMatrixError, dd_residual, dd_solve
 from spai_ir.refine import (
     IrConfig,
@@ -186,6 +187,16 @@ def test_one_dd_residual_per_measured_iterate(monkeypatch, ur):
     x, rep = run_ir(A, b, IrConfig(uf=SINGLE, u=DOUBLE, ur=ur, solver="sir"), x_ref=x_ref)
     assert rep.converged and rep.steps >= 1
     assert len(calls) == rep.steps + 1
+
+
+@pytest.mark.parametrize("solver", ["lu", "sir", "spai"])
+def test_an_initial_solve_that_overflows_fails_fast(solver):
+    # x_0 = 1e6 overflows half: sir used to refine NaN for i_max steps, lu and spai blamed GMRES's input
+    A = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0]) + np.diag([0.5, 0.5], 1))
+    cfg = IrConfig(uf=HALF, u=SINGLE, ur=DOUBLE, solver=solver,
+                   spai=SpaiParams(eps=0.3, uf=HALF) if solver == "spai" else None)
+    with pytest.raises(PrecisionOverflowSignal, match="^overflow in the initial solve in half$"):
+        run_ir(A, np.array([1e6, 1.0, 1.0]), cfg)
 
 
 @pytest.mark.parametrize("solver", ["spai", "lu", "none"])
