@@ -1,79 +1,52 @@
 """Software emulation of floating-point formats.
 
-Values are stored in a native ``float64``; a value "lives in" a lower
-format when it is a fixed point of :func:`fl` for that format.  Arithmetic
-is emulated operate-then-round: each elementary operation is carried out
-exactly in double and the result is rounded to the target format by
-:func:`fl`, the one rounding kernel (round-to-nearest, ties-to-even,
-subnormals kept, overflow to infinity).  Sums follow one fixed pairwise
-tree, padded to a power-of-two length with -0, the exact additive
-identity, so the padding changes no partial sum (:func:`fl_sum`); a
-batch whose lines differ in size pads them with -0 too, and so gets each
-line's own sum.  The tree has one implementation (:func:`_levels`,
-:func:`_reduce`): it runs level by level inside one buffer that holds the
-padded terms and every level's sums, with no array allocated per level.
-:class:`PairwisePlan`, the one kind of kept tree, keeps such a buffer and
-its level views for vectors of one length: GMRES holds one per solve for
-its dots and norms, thousands per solve, each modified Gram-Schmidt step
-one call (:meth:`PairwisePlan.mgs_step`), and :func:`fl_sum` one per
-length for its 1-d lines.  A double plan runs the numpy levels only down
-to 16 sums and adds those as Python floats in one written-out pairwise
-expression: a Python ``+`` on floats is the same binary64 addition, and
-the level's unused rows hold -0, the identity, so the bits do not change
-while four numpy calls per dot go.
+A value lives in a format when it is a fixed point of :func:`fl` for that
+format, the one rounding kernel: round to nearest, ties to even,
+subnormals kept, overflow to infinity.  Arithmetic is emulated
+operate-then-round: each elementary operation is carried out in double
+and rounded once by :func:`fl`.  Sums follow one fixed pairwise tree over
+the terms padded with -0 to a power-of-two length; -0 is the exact
+additive identity, so the padding changes no partial sum, and a batch
+whose lines differ in size, padded with -0 too, gets each line's own
+sum.  The tree runs level by level in one buffer (:func:`_levels`,
+:func:`_reduce`), which :class:`PairwisePlan` keeps for repeated sums and
+dots of one length.
 
 Half and single values may instead be stored in their own numpy dtype
-(``Precision.dtype``) and computed on natively, as GMRES
-(:mod:`spai_ir.krylov`), single-precision SPAI builds (:mod:`spai_ir.spai`),
-dense LU in half and single (:func:`dense_lu`) and single-precision
-substitution (:meth:`DenseLu.substitute`) do, with the same bits: an IEEE
-``+ - * / sqrt`` in float16 or float32 is the exact result rounded once,
-and so is the float64 operation followed by :func:`fl`, since
-binary64 carries at least 2t + 2 significant bits for t = 11 and t = 24 and
-that double rounding is innocuous (Figueroa, "When is double rounding
+(``Precision.dtype``) and computed on natively, with the same bits: an
+IEEE ``+ - * / sqrt`` in float16 or float32 is the exact result rounded
+once, and so is the double result rounded by :func:`fl`, since binary64
+carries at least 2t + 2 significand bits for t = 11 and t = 24, which
+makes that double rounding innocuous (Figueroa, "When is double rounding
 innocuous?", SIGNUM 1995).  numpy's float16 loops compute in float32 and
-round to half, innocuous for the same reason.  :func:`fl_sum` and
-:func:`fl_dot` keep such arrays in their dtype, and :func:`fl` returns them.
-A float16 elimination step rounds its subnormal products before its one
-cast to float16, which spares numpy's slow underflow path and keeps the
-bits (:class:`_HalfProducts`).  Half and single LU factors are both kept
-in float32, which holds every single value exactly (half's are factored
-in float16 and widened once at the end: the single-precision substitution
-that hsd GMRES runs is slower on float16 factors); a substitution in half
-or double forms each product with a float32 factor in float64, where it
-is exact, and a half one casts it once to float16 and subtracts natively.
-The per-step loops hand numpy their scalar operands as kept 0-d arrays.
+round to half, innocuous for the same reason.  A product whose operands
+differ in dtype is formed in float64 and cast once to the result's
+dtype, which is the emulation's fl(a * b): the double product is exact
+for a half times a single (11 + 24 bits), and otherwise it is the one
+rounding to double that the emulation asks for.  Such a product names
+``dtype=np.float64``, since numpy 1.x casts a 0-d operand by its value.
 
 Overflow to infinity and 0/0 = NaN are intended results, not errors.  The
-functions that compute on emulated values are wrapped in :func:`quiet`, the
-one numpy error-state policy, so no numpy warning leaves the package.  The
-kernel and the primitives ``fl_op``, ``fl_sum``, ``fl_dot`` and ``fl_norm2``
-stay bare because they run in the innermost loops; a caller outside the
-package wraps them in :func:`quiet`.
+functions that compute on emulated values run under :func:`quiet`, the
+one numpy error-state policy.  :func:`fl`, :func:`fl_op`, :func:`fl_sum`,
+:func:`fl_dot` and :func:`fl_norm2` stay bare, since they run in the
+innermost loops; a caller outside the package wraps them in :func:`quiet`.
 
-The emulated LU does only the work that can change a bit: an elimination
-step updates only the rows and columns that its nonzero multipliers and
-pivot row reach inside the input's structural envelope, and the
-substitution runs over the band of the factors, so both cost what the
-bandwidth of the ordered matrix implies.  The factors live in one
-column-major band store that is filled straight from the sparse matrix,
-LAPACK's ``dgbtrf`` band matrix with each multiplier kept in the row where
-it was computed (:class:`DenseLu`).  It holds (kl + ku + 1) n entries for
-kl rows below and ku >= kl rows above the diagonal, at most (2n - 1) n
-when the envelope is as wide as the matrix, so neither the LU
-preconditioner nor the double-double reference solve of a banded matrix
-makes an n x n array.  The LU contract: a rounded -0 in the input is the
-+0 it stands for, an entry outside the envelope is a zero that no step
-touches, and an inf or NaN anywhere in the store is an overflow, raised
-ahead of a zero pivot (:func:`dense_lu`); the factors and solutions are
-then those of the loops over whole columns of a dense array, up to the
-sign of a zero.  The kappa(PA) diagnostic solves with the same factors in
-plain double, by LAPACK's ``dgbtrs`` on the store itself, cast to float64
-when it is float32 (:meth:`DenseLu.solve`).
+The emulated LU keeps its factors in one band store, LAPACK's ``dgbtrf``
+band matrix (:class:`DenseLu`): float32 for half and single, whose values
+it holds exactly, float64 for double.  The elimination (:func:`dense_lu`)
+and the substitution (:meth:`DenseLu.substitute`) do only the work that
+can change a bit, so they cost what the bandwidth of the ordered matrix
+implies, and no n x n array is made.  The LU contract: a rounded -0 in
+the input is the +0 it stands for; an entry outside the structural
+envelope is a zero that no step touches; an inf or NaN anywhere in the
+store is an overflow, raised ahead of a zero pivot.  Within it, factors
+and solutions are those of the loops over whole columns of a dense
+array, up to the sign of a zero.
 
-The quad-emulated format is realized with compensated double-double
-arithmetic built on error-free transformations; it is used for high
-accuracy residuals and reference solves, not as a storage format.
+The quad-emulated format is compensated double-double arithmetic built on
+error-free transformations, used for residuals and reference solves
+(:func:`dd_residual`, :func:`dd_solve`), not as a storage format.
 """
 
 from __future__ import annotations
@@ -130,12 +103,11 @@ def require_square(shape: tuple[int, int]) -> None:
 
 
 def check_matrix(A, b=None) -> None:
-    """The input gate of every entry point that takes a system: raise
-    ``ValueError`` for a non-square sparse ``A`` or one with a NaN or
-    infinite entry, :class:`SingularMatrixError` for an ``A`` with a row or
-    column that stores no nonzero entry, and, when ``b`` is given,
-    ``ValueError`` for a ``b`` that is not a vector, whose length is not
-    A's order or that has a NaN or infinite entry, in that order."""
+    """The input gate of every entry point that takes a system, raising in
+    this order: ``ValueError`` for a non-square sparse ``A`` or one with a
+    NaN or inf, :class:`SingularMatrixError` for a row or column of ``A``
+    with no stored nonzero, and ``ValueError`` for a given ``b`` that is
+    not a vector of A's order or holds a NaN or inf."""
     require_square(A.shape)
     if not np.all(np.isfinite(A.data)):
         raise ValueError("matrix A has a NaN or infinite entry")
@@ -156,13 +128,9 @@ def check_matrix(A, b=None) -> None:
 
 @dataclass(frozen=True)
 class Precision:
-    """A floating-point format and the constants that describe it.
-
-    ``dtype`` is the numpy storage type used to round into the format, or
-    ``None`` for formats that keep the full double word (double itself and
-    the quad emulation, whose extra accuracy lives in compensated kernels,
-    not in the stored word).
-    """
+    """A floating-point format and its constants.  ``dtype`` is the numpy
+    type that stores it, or ``None`` where values keep the double word
+    (double, and quad-emulated, whose accuracy lives in its kernels)."""
 
     name: str
     unit_roundoff: float
@@ -196,12 +164,9 @@ def parse_precision(flag: str) -> Precision:
 
 
 def quiet(fn):
-    """Run ``fn`` with numpy's overflow, invalid and divide warnings off.
-
-    A fresh ``np.errstate`` is entered per call, so nested calls restore
-    the caller's state on every numpy version (one shared instance used as
-    a decorator is not re-entrant before numpy 2.0).
-    """
+    """Run ``fn`` with numpy's overflow, invalid and divide warnings off,
+    through a fresh ``np.errstate`` per call: one shared instance used as
+    a decorator is not re-entrant before numpy 2.0."""
 
     @functools.wraps(fn)
     def quieted(*args, **kwargs):
@@ -212,16 +177,12 @@ def quiet(fn):
 
 
 def fl(x, p: Precision, inplace: bool = False):
-    """Round to format ``p``: the one rounding kernel of the package.
+    """Round ``x`` to format ``p``: the one rounding kernel.
 
-    A number gives a float; a float64 array gives a new float64 array, or
-    with ``inplace`` is rounded in place, without a float64 temporary, and
-    returned.  Round-to-nearest-even with subnormals kept; values beyond
-    the format's range become infinities.  ``x`` comes back as itself for
-    double and quad-emulated, which keep the double word, and in ``p.dtype``.
-
-    Overflow to +-inf is the intended result, but the kernel is bare: numpy
-    warns of it unless the caller runs under :func:`quiet`.
+    A number gives a float, a float64 array a new float64 array, or with
+    ``inplace`` itself, rounded in place.  ``x`` comes back unchanged for
+    double and quad-emulated, and when it is stored in ``p.dtype``.  Bare:
+    outside :func:`quiet` numpy warns of an overflow.
     """
     dtype = p.dtype
     if dtype is None:
@@ -237,16 +198,11 @@ def fl(x, p: Precision, inplace: bool = False):
 
 
 def fl_op(op: str, a: float, b: float | None = None, p: Precision = DOUBLE) -> float:
-    """One emulated scalar operation: exact in double, then rounded to ``p``.
-
-    ``op`` is one of ``add``, ``sub``, ``mul``, ``div``, ``sqrt`` (unary,
-    ``b`` ignored).  Division follows IEEE semantics (x/0 gives a signed
-    infinity, 0/0 gives NaN); the square root of a negative raises
-    :class:`DomainError`.  For the quad emulation the returned double is the
-    high word of the compensated result, which for a single operation on
-    double operands is just the correctly rounded double.  Bare, like
-    :func:`fl`: outside :func:`quiet` overflow and x/0 warn.
-    """
+    """One emulated scalar operation, ``op`` one of ``add``, ``sub``,
+    ``mul``, ``div`` and ``sqrt`` (``b`` ignored): in double, then rounded
+    to ``p``; quad gives the correctly rounded double.  x/0 is a signed
+    infinity and 0/0 NaN; the square root of a negative raises
+    :class:`DomainError`.  Bare, like :func:`fl`."""
     a = float(a)
     if op == "sqrt":
         if a < 0.0:
@@ -272,20 +228,14 @@ def _padded_length(m: int) -> int:
 
 def _levels(buf: np.ndarray, m: int) -> list:
     """The pairwise tree over the first ``m`` rows of ``buf`` as ``(a, b,
-    out)`` views.
+    out)`` views, one per level.
 
-    ``buf`` holds the terms padded with -0 to ``size``, a power of two,
-    then room for every level's sums: ``2 * size - 1`` rows in all.  A
-    level adds the even and odd rows of its input, ``a + b``, into
-    ``out``, the rows right after that input, which are the next level's
-    input; the total ends in the last row.  Writing each level beside its
-    input, not over it, keeps every output contiguous and apart from its
-    operands, so numpy neither checks nor copies for overlap.
-
-    A pair of padding rows sums to -0, so a level adds only the pairs that
-    hold a term and leaves the rest of its output alone; where its last
-    pair ends on a term, the row after it, which the next level reads, is
-    set to -0 here.  The sums are those of the whole padded tree.
+    ``buf`` has ``2 * size - 1`` rows, ``size`` the padded length: the
+    terms, then each level's sums, ``a + b`` of the even and odd rows of
+    its input, written right after it, so no output overlaps its operands
+    and the total ends in the last row.  A level adds only the pairs that
+    hold a term, since two padding rows sum to -0; the row after its last
+    sum, which the next level reads, is set to -0 here.
     """
     views = []
     for a, b, out, pad in _level_slices(m):
@@ -318,27 +268,13 @@ def _reduce(levels, p: Precision | None = None) -> None:
 
 
 def fl_sum(v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:
-    """Sum with every partial addition rounded to ``p``.
-
-    Uses a fixed pairwise reduction order over the array padded with -0 to
-    a power-of-two length, so results are deterministic and independent of
-    threading.  -0 is the exact additive identity, x + (-0) = x for every x
-    including -0, so the padding changes no partial sum and a sum whose
-    terms are all -0 is -0 at every length; a sum of no terms is +0.
-    Entries are assumed to be representable in ``p`` already.  Reduces
-    along the whole ``axis``, so a caller whose lines differ in size pads
-    them with -0 (see :mod:`spai_ir.spai`); a 1-d input gives a float.  A
-    1-d line stored in ``p``'s own dtype (float64 for double) runs through
-    a kept :class:`PairwisePlan` of its length, one per precision and
-    thread; any other input through one buffer built per call that holds
-    the padded copy and every level's sums (:func:`_levels`, :func:`_reduce`).
-
-    An array stored in ``p.dtype`` (float16 or float32) is summed in that
-    dtype, level by level, and a 1-d one gives a scalar of that dtype.  The
-    bits are those of the float64 round trip, because each native IEEE
-    addition is the exact sum rounded once (see the module docstring); only
-    the float64 copies and the per-level casts are saved.  Bare, like
-    :func:`fl`: outside :func:`quiet` overflow warns.
+    """Sum of the values of ``p`` in ``v`` along the whole ``axis``, each
+    addition of the pairwise tree rounded to ``p``; a sum of no terms is
+    +0.  A 1-d input gives a float, or a scalar of ``p.dtype`` when stored
+    in it; an array stored in ``p.dtype`` is summed natively.  A 1-d line
+    in ``p``'s own dtype runs through a kept :class:`PairwisePlan`, one per
+    length, precision and thread; any other input through a buffer made
+    per call.  Bare, like :func:`fl`.
     """
     s = np.asarray(v)
     if s.ndim == 1 and s.dtype.type is (p.dtype or np.float64):
@@ -364,35 +300,16 @@ _add, _multiply, _subtract, _divide = np.add, np.multiply, np.subtract, np.divid
 
 class PairwisePlan:
     """:func:`fl_sum`, :func:`fl_dot` and :func:`fl_norm2` of length-``m``
-    vectors stored in ``p``'s own dtype (float64 for double), through one
-    reusable tree.
+    vectors stored in ``p``'s own dtype (float64 for double), bit for bit,
+    as scalars of that dtype, through one tree built once.
 
-    The plan owns the buffer of :func:`fl_sum`'s tree for length ``m``, its
-    padding already set to -0, and the views of its levels (:func:`_levels`),
-    all built once.  A call writes the terms or the products into the
-    buffer's head and runs the tree (:meth:`_total`), so it allocates no
-    array; no level writes into the head or the padding, so nothing of one
-    call reaches the next.  The results are those of the functions bit for
-    bit, as scalars of the plan's dtype.  GMRES (:mod:`spai_ir.krylov`)
-    holds one plan per solve, and :func:`fl_sum` one per length, precision
-    and thread.  Bare, like :func:`fl`.
-
-    :meth:`mgs_step` is GMRES's whole modified Gram-Schmidt step, the dot
-    and the update of the vector being orthogonalized, in one call and one
-    Python frame; it is the one place that repeats the tree's level loop
-    and double tail inline (its docstring says why).
-
-    A double plan runs its numpy levels only down to the level of 16 sums
-    (a plan of at most 16 terms runs none and writes its terms straight
-    into that level) and adds those 16 as Python floats in one written-out
-    pairwise expression, read by one ``tolist``; the tree's last four
-    levels would cost one numpy call each for at most 8 additions.  The
-    level's rows past its last sum are set to -0 once, here, and no call
-    writes them.  The bits are those of the numpy levels: a Python ``+`` on
-    floats is one binary64 addition, -0 + -0 = -0, so the extra padding is
-    still the identity, and infinities and NaN pass through.  Half and
-    single plans keep every level in numpy, where a Python tail would need
-    a rounding after every addition.
+    A call writes its terms into the buffer's head and runs the levels; no
+    level writes the head or the -0 padding, so no call reaches the next,
+    and none allocates an array.  A double plan runs numpy levels down to
+    16 sums (at most 16 terms go straight there) and adds those as Python
+    floats in one pairwise expression, the same binary64 additions without
+    four numpy calls; half and single would need a rounding per addition.
+    Bare, like :func:`fl`.
     """
 
     def __init__(self, m: int, p: Precision):
@@ -423,18 +340,12 @@ class PairwisePlan:
     def mgs_step(self, v: np.ndarray, w: np.ndarray, t: np.ndarray):
         """One modified Gram-Schmidt step of GMRES: ``h = fl_dot(v, w)``,
         then ``w -= fl(h v)`` in place through the scratch vector ``t``;
-        returns ``h``, a Python float in double and a scalar of the plan's
-        dtype otherwise.
-
-        The products go into the head and the tree runs as in :meth:`dot`,
-        with the same operations in the same order, so ``h`` and ``w`` have
-        the bits of :meth:`dot` followed by the update.  The level loop and
-        the double tail are written out here again, not reached through
-        :meth:`_total`, and ``h`` reaches the update as a kept 0-d array:
-        GMRES makes this call for every basis vector of every iteration,
-        where a frame hop, a scalar built and taken apart again, a
-        conversion of a scalar operand, a keyword ``out`` and a ufunc looked
-        up through ``np`` each cost a measurable share of a solve.
+        returns ``h``, a Python float in double, else a scalar of the
+        plan's dtype.  The bits are those of :meth:`dot` and the update.
+        The tree is written out again here, not reached through
+        :meth:`_total`, and ``h`` is a kept 0-d array: GMRES calls this per
+        basis vector per iteration, where each frame hop, scalar
+        conversion and keyword ``out`` costs a measurable share.
         """
         _multiply(v, w, self._head)
         for a, b, out in self._levels:
@@ -463,13 +374,9 @@ _kept_plan = functools.lru_cache(maxsize=128)(lambda m, p, thread: PairwisePlan(
 
 
 def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:
-    """Inner product in ``p``: each product rounded, then a rounded pairwise
-    sum (see :func:`fl_sum` for ``axis``, padding and overflow).
-
-    When both arrays are stored in ``p.dtype`` the products and the sum are
-    computed natively in that dtype, with the same bits as the float64
-    round trip (see the module docstring), and a 1-d result is a scalar of
-    that dtype."""
+    """Inner product in ``p``: each product rounded, then :func:`fl_sum`
+    along ``axis``; natively when both arrays are stored in ``p.dtype``,
+    where a 1-d result is a scalar of that dtype."""
     u, v = np.asarray(u), np.asarray(v)
     if u.dtype.type is p.dtype and v.dtype.type is p.dtype:
         return fl_sum(u * v, p, axis=axis)
@@ -478,10 +385,8 @@ def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0) -> np.ndar
 
 
 def fl_norm2(v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:
-    """Euclidean norm computed in ``p``: a rounded dot, then a rounded square
-    root (see :func:`fl_sum` for ``axis``, padding and overflow).  An
-    array stored in ``p.dtype`` gives a result of that dtype, as in
-    :func:`fl_dot`."""
+    """Euclidean norm in ``p``: :func:`fl_dot`, then a rounded square
+    root, in ``p.dtype`` for an array stored in it."""
     r = np.sqrt(fl_dot(v, v, p, axis=axis))
     return r if r.dtype.type is p.dtype else fl(r, p)
 
@@ -532,15 +437,10 @@ def dd_mul(ah, al, bh, bl):
 
 @quiet
 def dd_residual(A, x, b) -> np.ndarray:
-    """b - A x with all accumulation in double-double, rounded to double.
-
-    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`.  Each row's products
-    are added to a +0 sum in ascending column order, slot by slot through
-    the prefixes of :meth:`~spai_ir.sparse.SparseMatrix.row_plan`, in the
-    permuted row order; one scatter at the end restores the row order.
-    ``x`` may be a plain double vector or a ``(hi, lo)`` double-double pair,
-    such as the iterate :func:`dd_solve` refines, in which case the residual
-    reflects the full compensated accuracy of the pair.
+    """b - A x for the sparse ``A``, accumulated in double-double and
+    rounded to double.  ``x`` is a double vector or a ``(hi, lo)`` pair.
+    Each row's products are added to a +0 sum in ascending column order,
+    through the prefixes of :meth:`~spai_ir.sparse.SparseMatrix.row_plan`.
     """
     if not isinstance(x, tuple):
         x = (x, np.zeros(len(x)))
@@ -563,10 +463,8 @@ def dd_residual(A, x, b) -> np.ndarray:
 
 
 def _columns(store: np.ndarray, n: int, kl: int, ku: int) -> np.ndarray:
-    """One n x n view of the store, ``[j, i]`` the factors' entry (i, j).
-    Every index of it lies inside the store, but one outside the band
-    names an entry of another column, so only the band may be read or
-    written through it."""
+    """One n x n view of the store, ``[j, i]`` the factors' entry (i, j);
+    an index outside the band names another column's entry."""
     return np.lib.stride_tricks.as_strided(store[ku:], shape=(n, n),
                                            strides=((kl + ku) * store.itemsize, store.itemsize))
 
@@ -575,25 +473,16 @@ def _columns(store: np.ndarray, n: int, kl: int, ku: int) -> np.ndarray:
 class DenseLu:
     """Partial-pivoting factors of a square matrix in LAPACK's band form.
 
-    The store is the band matrix AB that ``dgbtrf`` leaves, kept flat in
-    column-major order: column j holds rows j - ku to j + kl in its ``kl +
-    ku + 1`` entries, so element (i, j) is ``store[ku + i + j * (kl + ku)]``.
-    ku >= kl, so it is AB for ``kl`` and an upper bandwidth of ku - kl.  An
-    envelope as wide as the matrix gives (2n - 1) x n entries.  U lies on
-    and above the diagonal.  As in ``dgbtrf``, the multipliers of step k
-    stay in the rows where step k computed them, below the diagonal of
-    column k, and ``piv[k]`` is the row that step k interchanged with row
-    k, in columns k and on; a later interchange does not move them.  An
-    entry the store does not hold is a zero that no step of
-    :func:`dense_lu` or :meth:`substitute` touches.  :func:`dense_lu` keeps
-    half and single factors, whose entries are single values, in float32,
-    and double factors in float64.  :meth:`substitute` solves with them in
-    an emulated precision, :meth:`solve` in plain double by LAPACK.
-
-    Two reach tables, taken from the store in one pass, bound the
-    substitution: ``l_end[k]`` is one past the last nonzero multiplier of
-    step k (k + 1 if there is none), and ``u_start[k]`` is the first
-    nonzero row of column k of U above the diagonal (k if there is none).
+    ``store`` is the band matrix that ``dgbtrf`` leaves, flat in
+    column-major order: entry (i, j) is ``store[ku + i + j * (kl + ku)]``
+    for i - j in [-ku, kl], and ku >= kl.  U lies on and above the
+    diagonal; the multipliers of step k stay in the rows where step k
+    computed them, and ``piv[k]`` is the row that step k swapped with row
+    k in columns k and on.  An entry the store does not hold is a zero
+    that no step touches.  The reach tables bound the substitution:
+    ``l_end[k]`` is one past the last nonzero multiplier of step k (k + 1
+    if none), ``u_start[k]`` the first nonzero row of column k of U (k if
+    none).
     """
 
     store: np.ndarray
@@ -619,17 +508,12 @@ class DenseLu:
         return int(np.count_nonzero(self.store))
 
     def solve(self, B: np.ndarray) -> np.ndarray:
-        """Solve A X = B in plain double by LAPACK's ``dgbtrs``, for ``B``
-        an n x m float64 array in the row order of the factored matrix A;
-        a ``B`` in Fortran order is overwritten with X, which is returned.
-        Raises ``ValueError`` if ``dgbtrs`` would report a bad argument:
-        factors with ``ku < kl`` are refused here, before LAPACK's error
-        handler prints its own report on the process's C-level stdout.
-
-        ``dgbtrs`` takes the factors as ``dgbtrf`` leaves them, which is how
-        the store holds them: ``piv`` goes as it is (scipy's wrapper adds
-        Fortran's 1), and the store, cast to float64 if it is float32, as
-        the Fortran (kl + ku + 1) x n array AB with upper bandwidth ku - kl."""
+        """Solve A X = B in plain double by LAPACK's ``dgbtrs`` on the
+        store (cast to float64) and ``piv`` as they are, for ``B`` an n x m
+        float64 array in the factored matrix's row order; a ``B`` in
+        Fortran order is overwritten with X.  Raises ``ValueError`` for a
+        bad argument, ``ku < kl`` before LAPACK would print its own report
+        on the C-level stdout."""
         from scipy.linalg.lapack import dgbtrs
 
         if self.ku < self.kl:  # the upper bandwidth ku - kl, dgbtrs's argument 4, would be negative
@@ -642,29 +526,18 @@ class DenseLu:
 
     @quiet
     def substitute(self, b: np.ndarray, p: Precision) -> np.ndarray:
-        """Solve A x = b, for ``b`` in the row order of the factored matrix
-        A, by forward and back substitution, every operation rounded to
-        ``p``; returns float64.
+        """Solve A x = b, for ``b`` in the factored matrix's row order, by
+        forward and back substitution, every operation rounded to ``p``;
+        returns float64.  Step k swaps entries k and ``piv[k]`` of x, then
+        runs over rows k + 1 to ``l_end[k]``; back step k over rows
+        ``u_start[k]`` to k.  A skipped x_i - fl(+-0 * x_k) is x_i up to
+        the sign of a zero, for a finite x_k.
 
-        Step k of the forward loop first interchanges entries k and
-        ``piv[k]`` of x, then runs over the rows of step k's multipliers up
-        to ``l_end[k]``; step k of the back loop runs over the rows of
-        column k of U from ``u_start[k]``.  So the cost follows the band of
-        the factors, not n**2.  Each entry gets the operations of the loops
-        over whole columns of the factors, in their order, except those
-        with the zeros outside each step's reach, which no step touches:
-        x_i - fl(+-0 * x_k) is x_i, up to the sign of a zero, for every
-        finite x_k.
-
-        With float32 factors, single and half substitution run natively in
-        float32 and float16, with the bits of the float64 round trip (see
-        the module docstring): a half step forms its products in float64,
-        where a single times a half is exact, casts them once to float16
-        and subtracts natively.  Any other runs in float64, with :func:`fl`
-        below double.  Each quotient is formed in float64 and rounded once.
-        A step's x_k is a kept 0-d array of x's dtype, which a ufunc takes
-        without a conversion; a product whose operands differ in dtype
-        names float64, since numpy 1.x casts a 0-d operand by its value.
+        One arithmetic form: x lives in ``p.dtype`` (float64 for double
+        and quad), a product whose operands differ in dtype is formed in
+        float64 and cast once to x's dtype, and every difference and
+        quotient is stored natively in x's dtype (see the module
+        docstring).  A step's x_k is a kept 0-d array of x's dtype.
         """
         store, off, stride = self.store, self.ku, self.kl + self.ku
         x = np.array(b, dtype=p.dtype or np.float64)
@@ -702,57 +575,30 @@ def _reach(v: np.ndarray) -> int:
 
 @quiet
 def dense_lu(A, uf: Precision) -> DenseLu:
-    """LU with partial pivoting, every operation rounded to ``uf``.
+    """LU with partial pivoting of the sparse ``A``, every operation
+    rounded to ``uf``; ``A`` is not changed.  Returns :class:`DenseLu`
+    factors, in float32 for half and single and float64 for double.
 
-    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`; it is not changed.
-    A's entries are rounded to ``uf`` by a cast to the format's own dtype,
-    float16 for half, float32 for single and float64 for double, which is
-    :func:`fl`, and written straight into a band store of that dtype
-    (:class:`DenseLu`, :func:`_band_store`) of (kl + ku + 1) n entries, so
-    a banded matrix gets no n x n array.  The elimination runs natively in
-    that dtype, with the bits of the float64-then-round loop (see the
-    module docstring); a half step forms its products in float32 and
-    rounds the subnormal ones arithmetically before its cast to float16,
-    which spares numpy's slow underflow path and keeps the bits
-    (:class:`_HalfProducts`).  Half and single factors are returned in
-    float32, which holds them exactly and which single-precision
-    substitution runs in, and double factors in float64.
-
-    Only the work that can change a bit is done, on the entries inside the
-    structural envelope of the rounded input, and an entry outside it is a
-    zero that no step touches.  Column k can hold a nonzero only in the rows
-    up to the last nonzero row of columns 0..k (row swaps stay inside it),
-    and those rows only in the columns up to their last nonzero column.
-    The band of the store is the widest such reach below and above the
-    diagonal.  Step k searches its pivot and swaps its rows inside that
-    envelope, divides the band of its column (0 divided by a negative
-    pivot is -0 in L), and subtracts its rank-1 update, formed in one
-    reused scratch of the band's size, only from the rows up to its last
-    nonzero multiplier and the columns up to the last nonzero entry of its
-    pivot row.  Every entry skipped would get a - fl(+-0 * u) = a up to the
-    sign of a zero while the factors are finite, so they are those of the
-    full-block update with whole-row swaps, up to the sign of a zero, each
-    multiplier in the row where it was computed, as ``dgbtrf`` keeps them.
-    Each step reads its pivot column, pivot row and update block through
-    one view of the store made once (:func:`_columns`).
-
-    The contract: a -0 in the rounded input is the +0 it stands for; an
-    inf or NaN anywhere in the store, which no later operation makes
-    finite again, raises :class:`OverflowInFactorizationError` (the caller
-    may equilibrate and retry), ahead of the
-    :class:`SingularMatrixError` that an exactly zero pivot raises.
+    A's entries are cast to ``uf``'s own dtype (float64 for double) into
+    the band store, and the elimination runs natively in it, inside the
+    envelope: column k holds nonzeros only in rows up to the last nonzero
+    row of columns 0..k, which row swaps keep, and those rows only in
+    columns up to their last nonzero.  Step k divides the band of its
+    column (0 over a negative pivot is -0 in L) and subtracts its rank-1
+    update only up to its last nonzero multiplier and pivot-row entry; a
+    skipped a - fl(+-0 * u) is a up to the sign of a zero.  An inf or NaN
+    in the store raises :class:`OverflowInFactorizationError` (the caller
+    may equilibrate and retry), ahead of the :class:`SingularMatrixError`
+    of a zero pivot.
     """
     return _eliminate(*_band_store(A, uf.dtype or np.float64), uf)
 
 
 def _band_store(A, dtype) -> tuple:
-    """The band store of the sparse ``A`` rounded to ``dtype`` and the
-    envelope of the rounded matrix, as :func:`_eliminate` takes them:
-    ``(store, n, kl, ku, rows_end, cols_end)``.  kl and ku are the widest
-    reach of the envelope below and above the diagonal, ku raised to kl
-    where it is smaller, and the store is :class:`DenseLu`'s band matrix
-    of (kl + ku + 1) n entries.  An entry that rounds to +-0 is left out:
-    it is the +0 that every entry the store does not fill holds."""
+    """``(store, n, kl, ku, rows_end, cols_end)`` of the sparse ``A``
+    rounded to ``dtype``, as :func:`_eliminate` takes them: the envelope's
+    widest reach below and above the diagonal (ku >= kl), its per-step
+    ends, and the band store.  An entry that rounds to +-0 is left +0."""
     from .sparse import owners  # here: sparse imports this module
 
     require_square(A.shape)
@@ -790,25 +636,19 @@ def _zero_pivot(store: np.ndarray, uf: Precision, k: int) -> ArithmeticError:
 
 
 class _HalfProducts:
-    """The rank-1 products of the float16 elimination steps of one
-    factorization: ``out[j, i]`` is ``row[j] * col[i]`` rounded to half,
-    the bits of numpy's float16 ``col[None, :] * row[:, None]`` (a NaN is
-    a NaN, whatever its payload).
+    """The rank-1 products of one factorization's float16 elimination
+    steps: ``out[j, i]`` is ``row[j] * col[i]`` rounded to half, with the
+    bits of numpy's float16 product (a NaN's payload aside).
 
-    numpy rounds a float to half in software and signals underflow, on a
-    slow path, for each inexact subnormal result.  A half product lands
-    there whenever it is below 2**-14 in magnitude
-    and not a multiple of 2**-24, as most of the small fill products of a
-    banded elimination do.  So each product is formed in float32, where
-    the product of two halves is exact (22 significant bits, exponents
-    from -48 to 32), and a magnitude t below 2**-14 is rounded onto half's
-    subnormal grid first: 0.75 has float32 spacing 2**-24, so
-    (t + 0.75) - 0.75 is t rounded to nearest, ties to even, at a multiple
-    of 2**-24, which is what the cast would give.  copysign gives back the
-    sign, that of a zero included.  The cast to float16 then rounds the
-    other products as before and meets only exact subnormals, which it
-    converts on its fast path.  The float32 buffers are made once, for
-    blocks of up to ``shape``, and their views once per block shape.
+    numpy converts a float to half on a slow path that signals underflow
+    for each inexact subnormal result, where most small fill products of
+    a banded elimination land.  So each product is formed in float32,
+    where two halves multiply exactly, and a magnitude t below 2**-14 is
+    first rounded onto half's subnormal grid: 0.75 has float32 spacing
+    2**-24, so (t + 0.75) - 0.75 is the rounding the cast would do, and
+    copysign restores the sign.  The cast then meets only exact
+    subnormals.  The float32 buffers are made once, for blocks up to
+    ``shape``.
     """
 
     def __init__(self, shape: tuple):
@@ -849,13 +689,9 @@ _SUBNORMAL_SHIFT = np.array(0.75, np.float32)  # float32 spacing 2**-24
 
 def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, rows_end: list, cols_end: list,
                uf: Precision) -> DenseLu:
-    """:func:`dense_lu` in place on the store :func:`_band_store` made,
-    which holds values of ``uf`` in its own dtype; every operation runs
-    natively in that dtype and so is rounded to ``uf`` once.  In float16
-    the rank-1 products are formed by :class:`_HalfProducts`, in float32
-    buffers made once per factorization, and cast once into the float16
-    scratch, with the bits of the native product; the subtraction stays
-    native."""
+    """:func:`dense_lu` in place on the store of :func:`_band_store`,
+    natively in its dtype; float16 products come from
+    :class:`_HalfProducts`."""
     cols = _columns(store, n, kl, ku)  # cols[j, i] is entry (i, j)
     steps = np.arange(n)
     widest = (np.array(cols_end) - steps).max(initial=1) - 1, (np.maximum(rows_end, steps + 1) - steps).max(initial=1) - 1
@@ -894,18 +730,13 @@ def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, rows_end: list, cols
 
 @quiet
 def dd_solve(A, b):
-    """Reference solution of A x = b accurate to double-double level.
-
-    ``A`` is a :class:`spai_ir.sparse.SparseMatrix`.  It is factored once
-    in double by :func:`dense_lu`, straight from its entries into a band
-    store of (kl + ku + 1) n entries, (2n - 1) n at most when A's envelope
-    is as wide as A, and the cost follows the bandwidth of ``A`` as
-    ordered.  The double-double iterate is then refined with
-    :func:`dd_residual` of the pair until that residual stops improving,
-    for at most 8 residuals; the limiting forward error is of order
-    ``unit_roundoff(QUAD) * cond(A)``.  Returns ``(x_hi, x_lo)``, the
-    normalized double-double pair of the smallest residual seen.  The
-    system passes :func:`check_matrix` before it is factored.
+    """Reference solution of A x = b, to double-double accuracy: the
+    sparse ``A``, after :func:`check_matrix`, is factored once in double
+    by :func:`dense_lu` in its given order, and the double-double iterate
+    is refined with :func:`dd_residual` until the residual stops falling,
+    for at most 8 residuals.  Returns ``(x_hi, x_lo)``, the pair of the
+    smallest residual seen; its forward error is of order
+    ``unit_roundoff(QUAD) * cond(A)``.
     """
     b = np.asarray(b, dtype=np.float64)
     check_matrix(A, b)

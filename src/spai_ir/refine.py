@@ -125,19 +125,15 @@ class IrReport:
 
 @quiet
 def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
-    """Row and column scaling pushing entries into a safe range for ``uf``.
+    """Row and column scaling pushing entries into a safe range for ``uf``,
+    the retry after a low-precision factorization overflows.
 
     Returns diagonals (r, s) and a scalar mu such that mu * R A S has
-    magnitudes at most ``0.1 * max_finite(uf)`` for the sparse matrix
-    ``A``, with the values the dense computation gives; used as a retry
-    when a low-precision factorization overflows.  A row's scale is
-    infinite when its largest magnitude is below about 1 /
-    ``max_finite(double)``, and a column's when its largest magnitude in R
-    A is; either would make every entry of that row or column of mu R A S
-    +-inf or NaN, and so the factors, and raises
+    magnitudes at most ``0.1 * max_finite(uf)`` for the sparse ``A``.  A
+    row or column whose scale is infinite (its largest magnitude, in R A
+    for a column, below about 1 / ``max_finite(double)``, or none at all)
+    would make the factors +-inf or NaN, and raises
     :class:`OverflowInFactorizationError` with the factorization's message.
-    An empty row or column, which :func:`check_matrix` refuses first, has
-    an infinite scale too.
     """
     rows, mag = A.indices, np.abs(A.data)
     rowmax = np.zeros(A.n_rows)
@@ -150,8 +146,7 @@ def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
     s = 1.0 / colmax
     if np.isinf(s).any():
         raise OverflowInFactorizationError(f"overflow in {uf.name}")
-    mu = 0.1 * uf.max_finite
-    return r, s, mu
+    return r, s, 0.1 * uf.max_finite
 
 
 def _scaled(A: SparseMatrix, r: np.ndarray, s: np.ndarray, mu: float) -> SparseMatrix:
@@ -298,7 +293,8 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
     ``solver`` is what :func:`prepare_solver` returns for ``cfg`` (left
     ``None``, it is prepared here) and ``x_ref`` a double-double reference
     solution; both can be reused across runs on the same system.  The
-    system passes :func:`check_matrix` first.
+    system passes :func:`check_matrix` first.  An initial solve that
+    overflows raises :class:`PrecisionOverflowSignal` naming ``cfg.uf``.
     """
     b = np.asarray(b, dtype=np.float64)
     check_matrix(A, b)
