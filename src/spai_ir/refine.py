@@ -146,7 +146,8 @@ def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
     s = 1.0 / colmax
     if np.isinf(s).any():
         raise OverflowInFactorizationError(f"overflow in {uf.name}")
-    return r, s, 0.1 * uf.max_finite
+    mu = 0.1 * uf.max_finite
+    return r, s, mu
 
 
 def _scaled(A: SparseMatrix, r: np.ndarray, s: np.ndarray, mu: float) -> SparseMatrix:
@@ -305,11 +306,9 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
         x_ref = dd_solve(A, b)
 
     # initial solution in uf, stored in u
-    x = np.zeros(n)
-    if solver is not None:
-        x = fl(solver.apply(fl(b, cfg.uf), cfg.uf), cfg.u)
-        if not np.isfinite(x).all():
-            raise PrecisionOverflowSignal(f"overflow in the initial solve in {cfg.uf.name}")
+    x = np.zeros(n) if solver is None else fl(solver.apply(fl(b, cfg.uf), cfg.uf), cfg.u)
+    if not np.isfinite(x).all():
+        raise PrecisionOverflowSignal(f"overflow in the initial solve in {cfg.uf.name}")
 
     ferr_hist: list[float] = []
     nbe_hist: list[float] = []
