@@ -39,13 +39,11 @@ def _dense(A) -> np.ndarray:
 
 def _inv(A: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """The inverse of a dense float64 matrix by LAPACK's ``dgetrf`` and
-    ``dgetri`` (2 n**3 flops), in the memory order of ``A``; ``ValueError``
-    (:func:`require_square`) if it is not square, :class:`SingularMatrixError`
-    if it is exactly singular.  With ``overwrite`` the inverse takes the
-    memory of an ``A`` in C or Fortran order, and no n x n array is made;
-    else it is made on a copy, and ``A`` is not changed.  LAPACK's Fortran
-    order holds a C-ordered A as A^T, whose inverse, inv(A)^T, it computes,
-    and whose transpose is inv(A) in C order."""
+    ``dgetri``, in the memory order of ``A``; ``ValueError`` if it is not
+    square, :class:`SingularMatrixError` if it is exactly singular.  With
+    ``overwrite`` it takes the memory of an ``A`` in C or Fortran order,
+    else ``A`` is not changed.  A C-ordered A reaches LAPACK as A^T, whose
+    inverse, transposed, is inv(A) in C order."""
     from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
 
     require_square(A.shape)
@@ -57,21 +55,12 @@ def _inv(A: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return inv.T if at is not A else inv
 
 
-def _norm_inf(X: np.ndarray) -> float:
-    """The infinity norm of a dense float64 array in C or Fortran order by
-    LAPACK's ``dlange``, which makes no n x n temporary: the max row sum of
-    X is the max column sum of X^T."""
-    from scipy.linalg.lapack import dlange
-
-    return dlange("1", X.T) if X.flags.c_contiguous else dlange("I", X)
-
-
 def _kappa(Ad: np.ndarray) -> float:
     """:func:`kappa_inf` of the dense float64 ``Ad``, whose memory its
     inverse takes: the norm of ``Ad`` is taken before the inverse is made
     in place on it, so it holds no n x n array beside ``Ad``."""
-    norm = _norm_inf(Ad)
-    return norm * _norm_inf(_inv(Ad, overwrite=True))
+    norm = norm_inf(Ad)
+    return norm * norm_inf(_inv(Ad, overwrite=True))
 
 
 def kappa_inf(A) -> float:
@@ -107,14 +96,12 @@ def _two_norm_power(X: np.ndarray) -> float:
 
 @quiet
 def _cond2_transpose(Ad: np.ndarray, invA: np.ndarray) -> float:
-    """The power iteration runs on X = |inv(A^T)| |A^T| divided by 2**e,
-    the power of two above its largest entry, and its estimate is
-    multiplied back: a finite X whose X^T X would overflow then still
-    gives its norm.  Scaling by a power of two is exact, and so is every
-    step of the iteration on the scaled X, so the bits of the estimate are
-    those of the unscaled iteration wherever that stays in range.  An X
-    with an inf or NaN entry gives inf, as does an estimate that overflows
-    when multiplied back: the norm is beyond the double range."""
+    """The power iteration on X = |inv(A^T)| |A^T| divided by 2**e, the
+    power of two above its largest entry, its estimate multiplied back, so
+    a finite X whose X^T X would overflow still gets its norm.  The scaling
+    is exact, so the bits are those of the unscaled iteration wherever that
+    stays in range.  An inf or NaN in X, or an estimate that overflows when
+    multiplied back, gives inf."""
     X = np.abs(invA.T) @ np.abs(Ad.T)
     if not np.isfinite(X).all():
         return math.inf

@@ -1,41 +1,16 @@
-"""Left-preconditioned MGS-GMRES in a configurable working precision.
+"""Left-preconditioned MGS-GMRES from a zero initial guess, with no restart.
 
-The Arnoldi process, inner products, Givens rotations, and the Hessenberg
-least-squares solve all run in the GMRES working precision; the operator
-and preconditioner are applied to vectors in a (possibly different)
-application precision.  No restarting: each call runs full GMRES from a
-zero initial guess, as used inside iterative refinement.
-
-The GMRES state lives in the working precision's own numpy dtype (float16,
-float32 or float64) and is computed on natively; each operation then
-rounds once, with the bits of the emulated float64-then-round loop (see
-:mod:`spai_ir.precision`).  Only the operator's float64 output is rounded
-into that dtype, and the correction leaves as float64.  No Python float
-meets a half or single scalar in arithmetic, where numpy 1.x would promote
-the result to float64.
-
-The modified Gram-Schmidt dots and the Arnoldi norms, most of the work,
-go through one :class:`spai_ir.precision.PairwisePlan` per solve, which
-reuses one buffer for ``fl_sum``'s tree; the basis update and the final
-combination run in place through one scratch vector.  Each is still one
-IEEE operation per entry, rounded once, so the bits do not change.
-
-Numpy calls per Arnoldi step are kept few, and so is the Python work
-around them.  Each MGS step against a basis vector is one call,
-:meth:`~spai_ir.precision.PairwisePlan.mgs_step`, which forms the dot,
-updates ``w`` in place and returns the coefficient, so the inner loop
-makes one call per basis vector.  The basis is a list of vectors, so a
-dot indexes no array.  Column j of the Hessenberg matrix is built in a
-Python list: the MGS coefficients are collected, the earlier Givens
-rotations, whose cosines and sines are lists too, are applied to them,
-the rotated entry carried from one rotation to the next, and the column
-is kept.  Only after the loop is the (k+1) x k ``H`` of the k iterations
-run formed from these columns, once, for the least-squares solve; no
-n x n array is allocated.  In double these scalars are Python floats,
-whose operations are the binary64 operations of numpy's float64; in half
-and single they stay numpy scalars of the working dtype, so every
-operation still rounds to it.  The operations and their order are those
-of a loop over the columns of ``H``.
+The Arnoldi process, inner products, Givens rotations and the Hessenberg
+least-squares solve run in the working precision ``ug``; the operator and
+preconditioner are applied in ``up``.  The state lives in ``ug``'s own
+numpy dtype and is computed on natively, each operation rounding once,
+with the bits of the emulated loop (see :mod:`spai_ir.precision`): only
+the operator's float64 output is rounded into that dtype, and the
+correction leaves as float64.  Scalars are Python floats in double, whose
+operations are binary64's, and numpy scalars of the dtype in half and
+single, since numpy 1.x promotes a Python float met in arithmetic to
+float64.  The Hessenberg columns are built in Python lists and H is formed
+once after the loop, with the operations and order of a loop over it.
 """
 
 from __future__ import annotations
@@ -97,20 +72,14 @@ def apply_precond_matvec(A: SparseMatrix, P, v: np.ndarray, up: Precision) -> np
 def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up: Precision):
     """Solve P A d = P r by MGS-GMRES; returns ``(d, GmresReport)``.
 
-    ``ug`` is the working precision of the iteration and ``up`` the
-    precision in which A and P are applied; the right-hand side is
-    preconditioned in ``up``.  The iteration stops when the Givens residual
-    estimate relative to the preconditioned right-hand side norm drops to
-    ``tau`` (in (0, 1), as :class:`spai_ir.refine.IrConfig` checks), on a
-    happy breakdown, or after n iterations: there is no cap below the
-    problem size.  A basis norm that underflows to zero before the
-    tolerance is met sets ``breakdown`` and returns the best iterate so far.
-    The report reads both from the record: ``iters`` is the number of
-    Hessenberg columns kept, and ``converged`` whether the last entry of
-    ``relres_history``, the true residual after a happy breakdown, is at
-    most ``tau``.
-    Its memory follows the iterations run: the basis, and the (k+1) x k
-    Hessenberg matrix of k iterations, formed once after the loop.
+    The right-hand side is preconditioned in ``up``.  The iteration stops
+    when the Givens residual estimate relative to the preconditioned
+    right-hand side norm reaches ``tau`` (in (0, 1)), on a happy breakdown,
+    or after n iterations.  ``iters`` counts the Hessenberg columns kept;
+    ``converged`` says whether the last entry of ``relres_history``, the
+    true residual after a happy breakdown, is at most ``tau``, and a basis
+    norm that underflows to zero short of it sets ``breakdown``.  Memory
+    follows the iterations run: no n x n array is made.
 
     :class:`PrecisionOverflowSignal` is raised as soon as a value leaves the
     range of a precision: the operator's output in ``up``, or in ``ug`` the

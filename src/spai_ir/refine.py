@@ -1,12 +1,9 @@
 """Mixed-precision iterative refinement with interchangeable correction solvers.
 
-The driver computes an initial solution with the chosen factorization or
-preconditioner, then repeats residual (in the residual precision),
-correction solve (preconditioned GMRES or triangular solves), and update
-(in the working precision) until the measured errors reach the working
-accuracy, stagnation is detected, or the step limit binds.  Five precisions
-participate: factorization/construction, working, residual, GMRES working,
-and operator application.
+After an initial solve in the factorization precision, each step forms the
+residual in the residual precision, solves for a correction (preconditioned
+GMRES or triangular solves) and updates in the working precision, until the
+one stopping rule of :class:`IrConfig` holds.
 """
 
 from __future__ import annotations
@@ -125,15 +122,12 @@ class IrReport:
 
 @quiet
 def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
-    """Row and column scaling pushing entries into a safe range for ``uf``,
-    the retry after a low-precision factorization overflows.
-
-    Returns diagonals (r, s) and a scalar mu such that mu * R A S has
-    magnitudes at most ``0.1 * max_finite(uf)`` for the sparse ``A``.  A
-    row or column whose scale is infinite (its largest magnitude, in R A
-    for a column, below about 1 / ``max_finite(double)``, or none at all)
-    would make the factors +-inf or NaN, and raises
-    :class:`OverflowInFactorizationError` with the factorization's message.
+    """Diagonals (r, s) and a scalar mu such that mu R A S has magnitudes
+    at most ``0.1 * max_finite(uf)``: the retry after a low-precision
+    factorization overflows.  A row or column whose scale is infinite (no
+    entry, or none above about 1 / ``max_finite(double)``) would make the
+    factors inf or NaN, and raises :class:`OverflowInFactorizationError`
+    with the factorization's message.
     """
     rows, mag = A.indices, np.abs(A.data)
     rowmax = np.zeros(A.n_rows)
@@ -153,10 +147,7 @@ def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
 def _scaled(A: SparseMatrix, r: np.ndarray, s: np.ndarray, mu: float) -> SparseMatrix:
     """mu R A S with each entry's three products rounded in turn, a r, then
     mu, then s, as the dense product computes it."""
-    data = A.data * r[A.indices]
-    data *= mu
-    data *= s[owners(A.indptr)]
-    return SparseMatrix(A.n_rows, A.n_cols, A.indptr, A.indices, data)
+    return SparseMatrix(A.n_rows, A.n_cols, A.indptr, A.indices, A.data * r[A.indices] * mu).scale_columns(s)
 
 
 class LuPreconditioner:
@@ -195,13 +186,9 @@ class LuPreconditioner:
 
     def apply_exact(self, A: SparseMatrix) -> np.ndarray:
         """The dense product of the preconditioner and ``A`` in plain double
-        (diagnostics).  ``A`` is densified once, its rows in the order of
-        the factored matrix and in Fortran order, scaled in place, and
-        overwritten by the factors' LAPACK solve (:meth:`DenseLu.solve`),
-        which holds only a float64 copy of their band beside it; the
-        column scaling acts in place and the rows go back to A's order in
-        place too, a block of 64 columns at a time, so the product is
-        that one array, in Fortran order."""
+        (diagnostics), in Fortran order.  ``A`` is densified once in the
+        factored order, and every later step works in place on that array,
+        beside only the float64 band of :meth:`DenseLu.solve`."""
         Y = A.to_dense(rows=self.order, order="F")
         if self.r is not None:
             Y *= self.mu
@@ -229,21 +216,27 @@ def rcm_permutation(A: SparseMatrix) -> np.ndarray:
 
 
 def norm_inf(A) -> float:
-    """Infinity norm (max absolute row sum) of a sparse or dense matrix."""
+    """Infinity norm (max absolute row sum) of a sparse or dense matrix.  A
+    dense one goes to LAPACK's ``dlange`` in C or Fortran order, which makes
+    no n x n temporary: the max row sum of X is the max column sum of X^T."""
     if isinstance(A, SparseMatrix):
         sums = np.zeros(A.n_rows)
         np.add.at(sums, A.indices, np.abs(A.data))
         return float(sums.max()) if A.n_rows else 0.0
-    return float(np.abs(np.asarray(A)).sum(axis=1).max())
+    from scipy.linalg.lapack import dlange
+
+    X = np.asarray(A, dtype=np.float64)
+    if not (X.flags.c_contiguous or X.flags.f_contiguous):
+        X = np.ascontiguousarray(X)
+    return float(dlange("1", X.T) if X.flags.c_contiguous else dlange("I", X))
 
 
 def measure_errors(A, b, x, x_ref, r=None):
-    """Normwise forward error and backward error of a candidate solution.
-
-    The forward error is measured against ``x_ref``, a double-double
-    reference solution ``(hi, lo)`` such as ``dd_solve`` returns; the
-    backward-error residual is accumulated in double-double as well, or is
-    ``r`` when the caller has it, as ``dd_residual(A, x, b)`` gives it.
+    """``(ferr, nbe)`` of a candidate solution ``x``: the normwise forward
+    error max|x_ref - x| / max|x_ref| against the double-double ``x_ref`` =
+    ``(hi, lo)`` that ``dd_solve`` returns, and the normwise backward error
+    max|r| / (max|b| + |A|_inf max|x|), where ``r`` is ``dd_residual(A, x,
+    b)``, computed here unless the caller passes it.
     """
     xh, xl = x_ref
     diff = (xh - np.asarray(x, dtype=np.float64)) + xl

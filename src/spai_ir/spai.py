@@ -1,22 +1,18 @@
-"""Adaptive sparse approximate inverse construction.
+"""Adaptive sparse approximate inverse (Grote & Huckle, SISC 1997).
 
-Builds an explicit sparse M with M ~= inv(B) column by column: each column
-solves a small dense least-squares problem on the current sparsity pattern,
-and while the column residual is above the tolerance the pattern is grown
-with the candidate indices that most reduce the residual in a univariate
-sense.  All arithmetic runs in a configurable emulated precision; single
-builds compute natively in float32, as GMRES does, with the same bits.
+M ~= inv(B) is built column by column: each column solves a small dense
+least-squares problem on its pattern, and while its residual is above the
+tolerance the pattern grows by the candidates that most reduce it.  All
+arithmetic runs in the build precision; single computes natively in
+float32, with the bits of the emulated loop.
 
-A column's least-squares block keeps its rows and columns in arrival
-order: those of the previous round in their order, then the new ones in
-ascending order.  In that order the old columns are zero in the new rows,
-so the Householder factorization of the grown block continues the stored
-one: each round applies a column's stored reflectors to its new columns
-only and goes on from the old width, with the bits of a factorization from
-scratch (Grote & Huckle, SISC 1997, update the QR factorization across
-rounds the same way).  Only the factorization sees that order: the
-solution, the residual, its norm and the scores keep the ascending order
-of the indices.
+Columns are solved in zero-padded batches, and each item has the bits of
+its block solved alone: a reduction over a padded line adds only -0, the
+identity (:func:`_padding`), or zeros that change at most the sign of a
+zero sum.  A column's block keeps its rows and columns in arrival order,
+the previous round's first, so its Householder factorization is carried
+from round to round (:func:`_extend_qr`); only the factorization sees that
+order, and the solution, residual and scores keep ascending index order.
 """
 
 from __future__ import annotations
@@ -59,15 +55,12 @@ class RankDeficiencySignal(ArithmeticError):
 
 @dataclass(frozen=True)
 class SpaiParams:
-    """Inputs of the adaptive construction.
-
-    ``eps`` is the per-column residual tolerance, ``alpha`` the maximum
-    number of augmentation rounds (``None``, the default, means
-    ceil(n / beta); a column that reaches it stops there with status ``ok``
-    even above ``eps``), ``beta`` the maximum number of indices added per
-    round.  Every column starts from the identity pattern ``{k}``, so the
-    input needs a nonzero diagonal.
-    """
+    """Inputs of the adaptive construction: the per-column residual
+    tolerance ``eps``, at most ``alpha`` augmentation rounds (``None``
+    means ceil(n / beta); a column that reaches it stops with status ``ok``
+    even above ``eps``), at most ``beta`` indices added per round, and the
+    build precision ``uf``.  Every column starts from the identity pattern
+    ``{k}``, so the input needs a nonzero diagonal."""
 
     eps: float
     alpha: int | None = None
@@ -90,15 +83,11 @@ class SpaiParams:
 
 @dataclass
 class SpaiPreconditioner:
-    """The assembled preconditioner plus per-column construction statistics.
-
-    It answers the preconditioner interface (``apply``, ``apply_exact`` and
-    ``nnz``) through its sparse ``P``.  ``col_resnorm`` holds the final
-    residual 2-norm of each column as measured in the build precision (inf
-    for a column that never solved), ``col_rounds`` the number of pattern
-    augmentations, and ``col_status`` one of ``ok | overflow | stagnated |
-    rank_deficient``.
-    """
+    """The sparse ``P``, which answers the preconditioner interface
+    (``apply``, ``apply_exact``, ``nnz``), and per column: the final
+    residual 2-norm in the build precision (inf if it never solved), the
+    number of augmentations, and the status ``ok | overflow | stagnated |
+    rank_deficient``."""
 
     P: SparseMatrix
     col_resnorm: np.ndarray
@@ -143,20 +132,12 @@ class SpaiPreconditioner:
 def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
     """Householder least squares min ||A_i x - e_i||_2 for a batch of blocks, all in ``uf``.
 
-    ``Abar`` is (N, M, P) and ``ebar`` (N, M), zero-padded: item i is the
+    ``Abar`` (N, M, P) and ``ebar`` (N, M) are zero-padded: item i is the
     block ``Abar[i, :m[i], :p[i]]`` with right-hand side ``ebar[i, :m[i]]``.
-    Returns ``(mbar, sbar, deficient)``: mbar (N, P), the residual
-    ``sbar = A_i mbar_i - e_i`` (N, M), both zero past each item's size, and
-    a flag per item that is set for a wide block or a zero pivot column, in
-    which case that item's mbar and sbar mean nothing.
-
-    Every item comes out bit-identical to its block solved alone, though
-    each reduction runs over the whole padded line (see :func:`fl_sum`):
-    every padded term is -0, the identity, as :func:`_padding` and
-    :func:`_back_substitute` arrange, and the NaN an overflow leaves in
-    the padding (0 * inf) is reset there.  Single computes in float32,
-    where :func:`fl` is the identity; half stays on the float64 round
-    trip, faster than float16 in numpy.
+    Returns ``(mbar, sbar, deficient)``: mbar (N, P) and the residual
+    ``sbar = A_i mbar_i - e_i`` (N, M), zero past each item's size, and a
+    flag per item, set for a wide block or a zero pivot column, whose mbar
+    and sbar then mean nothing.
     """
     N, M, P = np.shape(Abar)
     qr, deficient = _extend_qr(_Qr.empty(N, uf), Abar, ebar, m, p, uf)
@@ -167,18 +148,16 @@ def solve_ls_batch(Abar: np.ndarray, ebar: np.ndarray, m, p, uf: Precision):
 
 def _dtype(uf: Precision):
     """A build's storage: float32 for single, which computes natively, and
-    float64 for the round trip of half and for double."""
+    float64 for double and for half, whose float64 round trip through
+    :func:`fl` is faster than float16 in numpy."""
     return np.float32 if uf == SINGLE else np.float64
 
 
 class _Qr(NamedTuple):
-    """Householder factorizations of a batch of least-squares blocks, each
-    in its block's row and column order.
-
-    Item i has ``m[i]`` rows and ``p[i]`` columns.  Column j of ``W`` holds
-    R above the diagonal and the reflector v_j from the diagonal down;
-    ``rdiag`` holds R's diagonal, ``vtv`` each v_j^T v_j and ``qte`` Q^T e.
-    """
+    """Householder factorizations of a batch of blocks, item i with ``m[i]``
+    rows and ``p[i]`` columns in its block's order.  Column j of ``W``
+    holds R above the diagonal and the reflector v_j from it down;
+    ``rdiag`` holds R's diagonal, ``vtv`` each v_j^T v_j, ``qte`` Q^T e."""
 
     W: np.ndarray
     rdiag: np.ndarray
@@ -218,13 +197,9 @@ def _put(dst: np.ndarray, new: np.ndarray, where: np.ndarray) -> None:
 
 def _padding(W: np.ndarray, m) -> np.ndarray:
     """Set the rows of ``W`` (N, M, cols) past each item's ``m`` to +0 and
-    return them as an (N, M) mask.
-
-    The Householder loops keep those rows +0 in every column that a step
-    updates and -0 in the reflector: a product of the two is -0, the exact
-    additive identity that :func:`fl_sum` pads with, so the reductions take
-    the whole column with the bits of summing each item's own rows alone.
-    """
+    return them as an (N, M) mask.  The Householder loops keep those rows
+    +0 in every updated column and -0 in the reflector, so each padded
+    product is -0, the exact additive identity :func:`fl_sum` pads with."""
     pad = np.arange(W.shape[1]) >= np.asarray(m)[:, None]
     np.copyto(W, 0.0, where=pad[:, :, None])
     return pad
@@ -232,11 +207,10 @@ def _padding(W: np.ndarray, m) -> np.ndarray:
 
 def _reflect(trail: np.ndarray, v: np.ndarray, coef: np.ndarray, upd: np.ndarray, uf: Precision,
              pad: np.ndarray) -> None:
-    """``trail - v coef``, every operation rounded to ``uf``, into the items
-    ``upd`` of ``trail`` (k, rows, cols); ``v`` is (k, rows, 1) and
-    ``coef`` (k, cols).  A coefficient that overflowed leaves NaN (0 * inf)
-    in the padding rows ``pad`` (k, rows), which are set back to +0 (see
-    :func:`_padding`)."""
+    """``trail - v coef`` rounded to ``uf``, into the items ``upd`` of
+    ``trail`` (k, rows, cols); ``v`` is (k, rows, 1), ``coef`` (k, cols).
+    An overflowed coefficient leaves NaN (0 * inf) in the padding rows
+    ``pad`` (k, rows), which are reset to the +0 of :func:`_padding`."""
     t = fl(v * coef[:, None, :], uf, inplace=True)
     _put(trail, fl(np.subtract(trail, t, out=t), uf, inplace=True), upd[:, None, None])
     if not np.isfinite(coef).all():
@@ -244,13 +218,10 @@ def _reflect(trail: np.ndarray, v: np.ndarray, coef: np.ndarray, upd: np.ndarray
 
 
 def _householder(W: np.ndarray, m, p, uf: Precision):
-    """Householder steps in place on the blocks ``W[i, :m[i], :p[i]]`` and
-    the column ``W[i, :m[i], -1]`` that rides along (e, or Q^T e so far).
-
-    Returns ``(rdiag, vtv, deficient)``: R's diagonal, each step's v^T v,
-    and a flag per item that is set for a wide block or a zero pivot
-    column.  Column j keeps its reflector from the diagonal down.
-    """
+    """Householder steps in place on the blocks ``W[i, :m[i], :p[i]]``, the
+    column ``W[i, :m[i], -1]`` (e, or Q^T e so far) riding along.  Returns
+    R's diagonal, each step's v^T v, and a flag per item, set for a wide
+    block or a zero pivot column."""
     N, M, P = W.shape[0], W.shape[1], W.shape[2] - 1
     deficient = p > m
     p = np.where(deficient, 0, p)
@@ -280,25 +251,20 @@ def _householder(W: np.ndarray, m, p, uf: Precision):
 
 
 def _extend_qr(qr: _Qr, Anew, ebar, m, p, uf: Precision):
-    """Extend the factorizations ``qr`` by new rows and columns.
+    """Extend the factorizations ``qr`` by new rows and columns; returns
+    ``(qr, deficient)`` as :func:`_householder` flags.
 
-    Item i's block now has ``m[i]`` rows and ``p[i]`` columns: the first
-    ``qr.m[i]`` rows and ``qr.p[i]`` columns are those ``qr`` factored,
-    the old columns are zero in the new rows, and ``Anew[i]`` holds the
-    new columns (``Anew`` is (N, M, max new)), zero-padded, with the rows
-    in the block's order; ``ebar`` (N, M) gives e on the new rows.  The
-    stored reflectors are applied to the new columns only, then the
-    factorization continues from the old width on the rows below it.
-    Returns ``(qr, deficient)``, the flag being set for a wide block or a
-    zero pivot column.  Items in descending ``qr.p`` apply the stored
-    reflectors fastest.
-
-    The result has the bits of factoring each whole block from scratch,
-    except for the signs of zeros inside ``W``: every stored reflector is
-    zero in the new rows, so each of its sums over a longer line keeps the
-    old line's pairwise tree as its left subtree and adds only zeros, and
-    an overflow in an old step makes that column's solution non-finite, so
-    a column that goes on to a new round never had one.
+    Item i's block now has ``m[i]`` rows and ``p[i]`` columns, the first
+    ``qr.m[i]`` and ``qr.p[i]`` those ``qr`` factored, in arrival order, so
+    the old columns are zero in the new rows.  ``Anew`` (N, M, max new)
+    holds the new columns, zero-padded, and ``ebar`` (N, M) e on the new
+    rows.  The stored reflectors are applied to the new columns only, then
+    the factorization goes on from the old width; items in descending
+    ``qr.p`` run fastest.  The bits are those of factoring each whole block
+    from scratch, up to the signs of zeros inside ``W``: a stored reflector
+    is zero in the new rows, so each of its sums over a longer line keeps
+    the old line's pairwise tree as its left subtree and adds only zeros,
+    and a column whose old step overflowed never reaches a new round.
     """
     dt = _dtype(uf)
     m, p = np.asarray(m, np.int64), np.asarray(p, np.int64)
@@ -346,11 +312,9 @@ def _extend_qr(qr: _Qr, Anew, ebar, m, p, uf: Precision):
 
 
 def _back_substitute(qr: _Qr, uf: Precision) -> np.ndarray:
-    """The least-squares solutions R^-1 (Q^T e)[:p] of the factorizations
-    ``qr``, (N, max p) in float64, +0 past each item's width.  Each dot runs
-    over the batch's whole row: R is +0 past each item's width and ``mbar``
-    starts at -0, so a padded product is -0, the identity, and a row with
-    no terms of its own is set to +0, the empty sum."""
+    """The solutions R^-1 (Q^T e)[:p] of ``qr``, (N, max p) in float64, +0
+    past each item's width.  ``mbar`` starts at -0 against R's +0 padding,
+    so a padded product is -0; a dot with no terms is set to +0."""
     R, p = qr.W, qr.p
     mbar = np.full(qr.rdiag.shape, -0.0, R.dtype)
     for c, k in reversed(list(enumerate(_reach(p, mbar.shape[1])))):
@@ -377,13 +341,9 @@ def _residual(Abar, ebar, mbar, m, p, uf: Precision) -> np.ndarray:
 
 
 def solve_column_ls(Abar: np.ndarray, ebar: np.ndarray, uf: Precision):
-    """Least squares min ||Abar m - ebar||_2 by Householder QR, all in ``uf``.
-
-    Returns ``(mbar, sbar)`` where ``sbar = Abar @ mbar - ebar`` is also
-    accumulated in ``uf``.  Raises :class:`RankDeficiencySignal` when a
-    diagonal of R rounds to zero (or the problem is structurally wide).
-    This is :func:`solve_ls_batch` on a batch of one.
-    """
+    """:func:`solve_ls_batch` on one block: returns ``(mbar, sbar)``, or
+    raises :class:`RankDeficiencySignal` for a wide block or a zero pivot
+    column."""
     A = np.asarray(Abar, dtype=np.float64)
     m, p = A.shape
     mbar, sbar, deficient = solve_ls_batch(A[None], np.asarray(ebar, dtype=np.float64)[None], [m], [p], uf)
@@ -396,22 +356,17 @@ def solve_column_ls(Abar: np.ndarray, ebar: np.ndarray, uf: Precision):
 def rho_scores(sbar: np.ndarray, C: np.ndarray, uf: Precision) -> np.ndarray:
     """Grote & Huckle's score of every candidate, for a batch of columns, all in ``uf``.
 
-    Item i has the residual ``sbar[i, :m_i]`` on its shadow I_i, of size
-    m_i, and the candidate columns ``C[i, :m_i, :]`` restricted to I_i;
-    ``sbar`` is (N, M) and ``C`` (N, M, K), zero past each item's size.
-    Returns rho (N, K): the residual norm min over mu of ||sbar_i + mu c||
-    predicted if candidate c joins the pattern, computed as
-    sqrt(s.s - (s.c)^2 / c.c) with the radicand clamped at zero.  Each
-    item's scores are bit-identical to scoring it alone: the sums run over
-    the whole padded line, and the zero padding can change only the sign of
-    a zero sum, which enters squared or is a sum of squares already.
+    Item i has the residual ``sbar[i, :m_i]`` on its shadow I_i and the
+    candidate columns ``C[i, :m_i, :]`` on I_i; ``sbar`` (N, M) and ``C``
+    (N, M, K) are zero-padded.  Returns rho (N, K), the residual norm
+    min over mu of ||s + mu c|| if candidate c joins the pattern, as
+    sqrt(s.s - (s.c)^2 / c.c) with the radicand clamped at zero.  The zero
+    padding can change only the sign of a zero sum, which enters squared.
 
-    A candidate whose c.c rounds to zero is scored as no reduction, rho =
-    ||s||: that holds for padding, and in half precision for a candidate
-    whose entries on I_i are about 1e-5, as c.c underflows.  Its quotient
-    would be 0/0 = NaN, which would make the mean score in
-    :func:`augment_patterns` NaN, so that no candidate passes and the column
-    stagnates although a good candidate exists.
+    A candidate whose c.c rounds to zero scores rho = ||s||, no reduction:
+    padding, and in half a candidate about 1e-5 on I_i, whose c.c
+    underflows.  Its 0/0 = NaN would make the mean score in
+    :func:`augment_patterns` NaN, so no candidate would pass.
     """
     dt = _dtype(uf)
     sbar, C = np.asarray(sbar, dtype=dt), np.asarray(C, dtype=dt)
@@ -435,16 +390,13 @@ def augment_patterns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grow each pattern J_i by up to ``beta`` acceptable candidates, for a batch of columns.
 
-    The shadows I_i (``row_sets``), the patterns and the result are
-    batches ``(ptr, idx)`` of sorted index sets (see :mod:`spai_ir.sparse`).
-    Column i has the residual ``sbar[i, :|I_i|]`` (``sbar`` is zero-padded
-    to (N, max |I_i|)).  Its candidates are the unvisited column indices
-    with a nonzero in a row of I_i (any other column is zero on I_i and
-    cannot reduce the residual).  A candidate is acceptable when its score
-    (see :func:`rho_scores`) is at most the mean score, and the smallest
-    scores win, ties broken by smallest column index.  A column without an
-    acceptable candidate keeps its pattern.  Each column's scores are
-    bit-identical to scoring it alone.
+    The shadows I_i (``row_sets``), the patterns and the result are plain
+    batches (see :mod:`spai_ir.sparse`), and ``sbar`` (N, max |I_i|) holds
+    each residual, zero-padded.  The candidates are the unvisited columns
+    with a nonzero in a row of I_i, the others being zero on I_i.  A
+    candidate whose score (:func:`rho_scores`) is at most the mean is
+    acceptable; the smallest scores win, ties to the smallest index.  A
+    column without an acceptable candidate keeps its pattern.
     """
     N = row_sets[0].size - 1
     if A_t is None:
@@ -480,12 +432,8 @@ def augment_pattern(
     uf: Precision,
     A_t: SparseMatrix | None = None,
 ) -> np.ndarray:
-    """Grow the pattern Jk of column k by up to ``beta`` acceptable candidates.
-
-    This is :func:`augment_patterns` on a batch of one; Jk comes back
-    unchanged when no candidate is acceptable.  ``k`` is kept for the
-    callers' sake: a candidate reached only through row k is zero on Ik.
-    """
+    """:func:`augment_patterns` on the one column k, with shadow Ik and
+    pattern Jk; ``k`` is kept for the callers' sake and not read."""
     return augment_patterns(A, one_set(Ik), one_set(Jk), np.asarray(sbar)[None], beta, uf, A_t)[1]
 
 
@@ -493,26 +441,17 @@ def augment_pattern(
 def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     """Adaptive approximate inverse M ~= inv(At), all arithmetic in ``params.uf``.
 
-    The input values are first rounded into the build precision (entries
-    that round to zero are dropped).  Columns are independent and advance in
-    lockstep: each round solves the least-squares problems of every
-    unfinished column in one batch, tests each column, grows the patterns
-    of those above the tolerance in one batch (:func:`augment_patterns`),
-    and drops the columns that finished.  The unfinished columns' patterns
-    and shadows are held as ordered batches ``(ptr, idx, at)`` (see
-    :mod:`spai_ir.sparse`), their Householder factorizations in arrival
-    order from one round to the next (see the module docstring).  Every
-    column is bit-identical to its own adaptive loop that factors each
-    round's block from scratch in arrival order.  Abnormal columns
-    (overflow, stagnation, rank deficiency) are frozen at their last finite
-    state and flagged rather than aborting the whole construction.  Each
-    column of ``P`` holds the values of its last completed least-squares
-    solve (an augmentation made in the final round is never solved).  Like
-    MATLAB's ``sparse``, ``P`` drops a solved value that is exactly zero, so
-    its pattern and ``nnz`` count only the stored nonzeros and can be
-    smaller than the pattern the column was solved on.  ``At`` passes
-    :func:`check_matrix` first; finite entries that overflow ``uf`` give
-    columns flagged ``overflow``.
+    ``At`` passes :func:`check_matrix`, then is rounded to ``uf``, entries
+    that round to zero dropped.  The unfinished columns advance in
+    lockstep: each round solves them in one batch, and grows those above
+    ``eps`` in one batch; their patterns and shadows travel as ordered
+    batches, and their factorizations are carried (see the module
+    docstring).  Every column has the bits of its own adaptive loop.  An
+    abnormal column (overflow, stagnation, rank deficiency) is frozen at
+    its last finite state and flagged; a finite entry that overflows ``uf``
+    gives ``overflow``.  Each column of ``P`` holds its last completed
+    solve, an exact zero dropped as MATLAB's ``sparse`` does, so ``nnz``
+    can be below the size of the pattern it was solved on.
     """
     check_matrix(At)
     n = At.n_rows
@@ -546,24 +485,24 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
         m, p = np.diff(I[0]), np.diff(J[0])
         # e is the unit vector on row k: the first round's rows come in
         # ascending order, and no later round adds row k
-        ebar = extract_blocks(E, I, (np.arange(active.size + 1), active))[:, :, 0]
-        new = extract_blocks(B, I, arrived_since(J, qr.p), ordered=True)
+        ebar = extract_blocks(E, I[:2], (np.arange(active.size + 1), active))[:, :, 0]
+        new = extract_blocks(B, I, arrived_since(J, qr.p))
         qr, deficient = _extend_qr(qr, new, ebar if not step else np.zeros_like(ebar), m, p, uf)
         mbar = to_index_order(J, _back_substitute(qr, uf))
-        sbar = _residual(extract_blocks(B, I, J), ebar, mbar, m, p, uf)
+        sbar = _residual(extract_blocks(B, I[:2], J[:2]), ebar, mbar, m, p, uf)
         norms = fl_norm2(sbar, uf, axis=1)  # sbar is +0 past m, and no square is -0
         finite = np.isfinite(mbar).all(axis=1) & np.isfinite(sbar).all(axis=1) & np.isfinite(norms)
         status[active[deficient]] = COL_RANK_DEFICIENT
         status[active[~deficient & ~finite]] = COL_OVERFLOW
         ok = np.flatnonzero(~deficient & finite)
         resnorm[active[ok]], last[active[ok]] = norms[ok], step
-        ptr, row, _ = take_sets(J, ok)
+        ptr, row = take_sets(J[:2], ok)
         value = mbar[ok][np.arange(mbar.shape[1]) < p[ok, None]]
         solved.append((np.full(row.size, step), active[ok][owners(ptr)], row, value))
         if step == alpha:
             break
         grow = ok[norms[ok] > params.eps]
-        grown = augment_patterns(B, take_sets(I, grow), take_sets(J, grow), sbar[grow], params.beta, uf, B_t)
+        grown = augment_patterns(B, take_sets(I[:2], grow), take_sets(J[:2], grow), sbar[grow], params.beta, uf, B_t)
         moved = np.diff(grown[0]) > p[grow]
         status[active[grow[~moved]]] = COL_STAGNATED
         # the columns that go on, widest first (see _extend_qr)
@@ -589,11 +528,10 @@ def build_spai(At: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
 def build_left_preconditioner(A: SparseMatrix, params: SpaiParams) -> SpaiPreconditioner:
     """Left preconditioner P ~= inv(A) via the transposed construction.
 
-    The transpose is column-scaled so every column peaks at magnitude 1
-    (this keeps low-precision builds inside the representable range), the
-    approximate inverse M of the scaled transpose is built, and the scaling
-    is folded back: P = M^T D.  Column statistics refer to the scaled system
-    actually solved.  ``A`` passes :func:`check_matrix` first.
+    ``A`` passes :func:`check_matrix`; its transpose is column-scaled so
+    every column peaks at magnitude 1, which keeps a low-precision build in
+    range, M is built for the scaled transpose, and P = M^T D.  The column
+    statistics refer to the scaled system.
     """
     check_matrix(A)
     At = A.transpose()

@@ -2,12 +2,12 @@
 index sets, and kernels (shadows, block extraction, column scaling, rounded
 matrix-vector products).
 
-A batch of index sets may carry each entry's position in its set's arrival
-order, as the SPAI build needs for its least-squares blocks: the entries
-that a set held before keep their positions, and those it gains follow in
-ascending order (:func:`in_arrival_order`).  :func:`extract_blocks` places
-rows and columns by those positions on request, and :func:`arrived_since`
-and :func:`to_index_order` move between the two orders.
+A batch of N sorted index sets is stored as a matrix stores its pattern,
+``(ptr, idx)``, set i being ``idx[ptr[i]:ptr[i + 1]]``; entry j of set i
+has the key ``i * n + j``, so sorted keys sort by set, then by index.  An
+ordered batch ``(ptr, idx, at)`` also gives each entry its position in its
+set's arrival order (:func:`in_arrival_order`); its entries stay sorted,
+and every kernel takes either kind.
 """
 
 from __future__ import annotations
@@ -168,17 +168,13 @@ class SparseMatrix:
         )
 
     def row_plan(self):
-        """The rows in an order where every accumulation slot is a prefix.
-
-        Returns ``(order, slots)``, built once and cached.  ``order`` sorts
-        the rows by descending entry count, stably, so row ``order[k]`` is
-        the k-th permuted row.  Slot s is ``(r, cols, vals)``: the s-th
-        entry, in ascending column order, of each of the first ``r``
-        permuted rows, which are the rows with more than s entries.
-        Accumulating slot by slot into the prefix ``y[:r]`` of a permuted
-        vector, then scattering ``y`` back to ``order``, adds every row's
-        entries in ascending column order, the canonical "columns left to
-        right" order, with no gather or scatter of ``y`` per slot.
+        """``(order, slots)``, built once and cached: ``order`` sorts the
+        rows by descending entry count, stably, and slot s is ``(r, cols,
+        vals)``, the s-th entry, in ascending column order, of each of the
+        first ``r`` permuted rows, those with more than s entries.  Adding
+        slot by slot into the prefix ``y[:r]``, then scattering ``y`` to
+        ``order``, adds each row in ascending column order with no gather
+        or scatter per slot.
         """
         if self._plan is None:
             cols = owners(self.indptr)
@@ -331,14 +327,6 @@ def load_matrix_market(source) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-# A batch of N sorted index sets is stored the way SparseMatrix stores its
-# pattern: ``(ptr, idx)``, set i being ``idx[ptr[i]:ptr[i + 1]]``.  Entry j of
-# set i has the key ``i * n + j``, so sorted keys sort by set, then by index.
-# An ordered batch ``(ptr, idx, at)`` also gives each entry its position in
-# its set's arrival order (see :func:`in_arrival_order`); the entries stay
-# sorted, and every kernel that takes a batch takes an ordered one.
-
-
 def one_set(indices) -> tuple[np.ndarray, np.ndarray]:
     """The batch of the one sorted index set ``indices``."""
     return np.array([0, np.size(indices)]), np.asarray(indices, dtype=np.int64)
@@ -383,12 +371,9 @@ def _sorted_positions(ptr: np.ndarray) -> np.ndarray:
 
 
 def in_arrival_order(old, new, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The batch ``new`` of sets of indices below n, ordered by arrival.
-
-    Set i of ``new`` holds set i of the ordered batch ``old``: those entries
-    keep their positions, and the entries new to the set follow them in
-    ascending order.  With an empty ``old`` the order is ascending.
-    """
+    """The batch ``new`` of sets of indices below n, ordered by arrival:
+    set i of ``new`` holds set i of the ordered batch ``old``, whose entries
+    keep their positions, and the others follow in ascending order."""
     ptr, idx = new[0], new[1]
     owner = owners(ptr)
     kept = np.searchsorted(owner * n + idx, batch_keys(old, n))  # where the old entries are
@@ -412,9 +397,8 @@ def arrived_since(batch, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def to_index_order(batch, X: np.ndarray) -> np.ndarray:
-    """Row i of ``X`` (N, K) holds set i's values in the arrival order of
-    the ordered ``batch``; returns them in the order of the sorted indices,
-    zero past each set's size."""
+    """Row i of ``X`` (N, K), set i's values in the arrival order of the
+    ordered ``batch``, in sorted order, zero past each set's size."""
     ptr, _, at = batch
     owner = owners(ptr)
     out = np.zeros_like(X)
@@ -444,17 +428,13 @@ def shadow(A: SparseMatrix, J: np.ndarray) -> np.ndarray:
     return shadows(A, one_set(J))[1]
 
 
-def extract_blocks(A: SparseMatrix, rows, cols, ordered: bool = False) -> np.ndarray:
-    """Dense blocks A(I_i, J_i) for the batches ``rows`` = I and ``cols`` = J
-    of sorted sets, in one gather.
-
-    Returns an (N, max |I_i|, max |J_i|) array holding block i in
-    ``[i, :|I_i|, :|J_i|]`` and zeros elsewhere.  Its rows and columns
-    follow the sorted indices, or with ``ordered`` the arrival positions of
-    an ordered batch (a plain batch keeps its sorted order).
-    """
+def extract_blocks(A: SparseMatrix, rows, cols) -> np.ndarray:
+    """Dense blocks A(I_i, J_i) for the batches ``rows`` = I and ``cols`` = J,
+    in one gather: an (N, max |I_i|, max |J_i|) array, block i in
+    ``[i, :|I_i|, :|J_i|]``, zeros elsewhere.  An ordered batch places its
+    entries by ``at``, a plain one by sorted position."""
     I_ptr, J_ptr, J = rows[0], cols[0], cols[1]
-    row_at, col_at = (b[2] if ordered and len(b) > 2 else _sorted_positions(b[0]) for b in (rows, cols))
+    row_at, col_at = (b[2] if len(b) > 2 else _sorted_positions(b[0]) for b in (rows, cols))
     out = np.zeros((J_ptr.size - 1, int(np.diff(I_ptr).max(initial=0)), int(np.diff(J_ptr).max(initial=0))))
     pos, which = _gather(A.indptr, J)
     owner = owners(J_ptr)[which]
@@ -474,12 +454,8 @@ def extract_submatrix(A: SparseMatrix, I: np.ndarray, J: np.ndarray) -> np.ndarr
 
 
 def column_scale(At: SparseMatrix) -> tuple[SparseMatrix, np.ndarray]:
-    """Scale each column of At so its largest magnitude becomes exactly 1.
-
-    Returns ``(scaled, d)``, the positive diagonal d as an array with
-    scaled(:, j) = At(:, j) * d[j]; folding the preconditioner back is
-    P = (M^T) D for the M built from the scaled matrix.
-    """
+    """``(scaled, d)``: scaled(:, j) = At(:, j) * d[j] has largest magnitude
+    exactly 1; a zero or non-finite column raises ``ValueError``."""
     counts = np.diff(At.indptr)
     if np.any(counts == 0):
         j = int(np.nonzero(counts == 0)[0][0])
@@ -493,16 +469,10 @@ def column_scale(At: SparseMatrix) -> tuple[SparseMatrix, np.ndarray]:
 
 @quiet
 def matvec(A: SparseMatrix, x: np.ndarray, p: Precision) -> np.ndarray:
-    """A @ x with every product and partial sum rounded to p.
-
-    Accumulation order is fixed: within each output component, contributions
-    are added to +0 in ascending column order (equivalently: columns left to
-    right, ascending row within a column), so results are reproducible and
-    independent of threading.  The sums run in the permuted row order of
-    :meth:`SparseMatrix.row_plan`, each slot added in place into a prefix
-    of the rows, and one scatter at the end restores the row order.  A
-    format that keeps the double word (double, quad-emulated) skips the
-    two roundings per slot, which would return their input unchanged.
+    """A @ x with every product and partial sum rounded to p: each row's
+    products are added to +0 in ascending column order, through the slots
+    of :meth:`SparseMatrix.row_plan`.  A format that keeps the double word
+    (double, quad-emulated) skips the roundings, which would change nothing.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != A.n_cols:

@@ -1,5 +1,6 @@
-"""The README's library quick start runs as written, and two of its claims
-hold: the output schemas and the cond2 accuracy figures.
+"""The README's library quick start runs as written, two of its claims
+hold (the output schemas and the cond2 accuracy figures), and its module
+map has one short row per module of the package.
 
 The block is the only ``python`` code block in the README.  It is run
 verbatim from the repository root, where its relative matrix path
@@ -54,3 +55,16 @@ def test_readme_cond2_accuracy_sentence():
     assert f"{estimate:.4f}" == m.group(1) == "26.5063"
     assert f"{svd:.4f}" == m.group(2) == "26.5235"
     assert f"{gap:.1e}" == f"{float(m.group(3)):.1e}" == "6.5e-04"
+
+
+def test_readme_module_map_has_one_short_row_per_module():
+    import pkgutil
+
+    import spai_ir
+
+    section = (ROOT / "README.md").read_text().split("## Module map", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `spai_ir\.(\w+)` \|.*$", section, re.M)
+    modules = sorted(m.name for m in pkgutil.iter_modules(spai_ir.__path__))
+    assert sorted(rows) == modules
+    assert all(len(line) <= 250 for line in section.splitlines() if line.startswith("| `spai_ir."))
+    assert len(section.split()) <= 250
