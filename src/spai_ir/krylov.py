@@ -63,7 +63,7 @@ def apply_precond_matvec(A: SparseMatrix, P, v: np.ndarray, up: Precision) -> np
     """
     w = matvec(A, v, up)
     y = _apply_p(P, w, up)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise PrecisionOverflowSignal("overflow while applying preconditioned operator")
     return y
 

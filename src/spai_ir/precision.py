@@ -77,6 +77,7 @@ __all__ = [
     "DenseLu",
     "dense_lu",
     "require_square",
+    "require_vector",
     "check_matrix",
     "DomainError",
     "OverflowInFactorizationError",
@@ -100,6 +101,15 @@ def require_square(shape: tuple[int, int]) -> None:
     """Raise ``ValueError`` unless ``shape`` is that of a square matrix."""
     if shape[0] != shape[1]:
         raise ValueError(f"square matrix required, got {shape[0]}x{shape[1]}")
+
+
+def require_vector(v, n: int, shape: tuple[int, int], name: str = "x") -> np.ndarray:
+    """``v`` as an array; ``ValueError`` unless it is 1-d with ``n``
+    entries, as the vector ``name`` of a system with a matrix of ``shape``."""
+    v = np.asarray(v)
+    if v.shape != (n,):
+        raise ValueError(f"dimension mismatch: {name} of shape {v.shape} for a {shape} matrix, expected ({n},)")
+    return v
 
 
 def check_matrix(A, b=None) -> None:
@@ -440,20 +450,21 @@ def dd_residual(A, x, b) -> np.ndarray:
     """b - A x for the sparse ``A``, accumulated in double-double and
     rounded to double.  ``x`` is a double vector or a ``(hi, lo)`` pair.
     Each row's products are added to a +0 sum in ascending column order,
-    through the prefixes of :meth:`~spai_ir.sparse.SparseMatrix.row_plan`.
+    through the slots of :meth:`~spai_ir.sparse.SparseMatrix.row_plan`:
+    ``x`` is gathered once for all entries, but each slot forms its own
+    products, since :func:`dd_mul`'s dozen temporaries over every entry
+    at once nearly double the reference solve's memory peak.
     """
-    if not isinstance(x, tuple):
-        x = (x, np.zeros(len(x)))
-    xh, xl = (np.asarray(w, dtype=np.float64) for w in x)
-    b = np.asarray(b, dtype=np.float64)
-    order, slots = A.row_plan()
-    sh = np.zeros_like(b)
-    sl = np.zeros_like(b)
-    for r, cols, vals in slots:
-        ph, pl = dd_mul(vals, np.zeros_like(vals), xh[cols], xl[cols])
+    xh, xl = x if isinstance(x, tuple) else (x, np.zeros(np.shape(x)))
+    b = require_vector(b, A.n_rows, A.shape, "b").astype(np.float64, copy=False)
+    order, cols, vals, slots = A.row_plan()
+    xh, xl = (require_vector(w, A.n_cols, A.shape)[cols].astype(np.float64, copy=False) for w in (xh, xl))
+    sh, sl, zero = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
+    for r, start, end in slots:
+        ph, pl = dd_mul(vals[start:end], zero[:r], xh[start:end], xl[start:end])
         sh[:r], sl[:r] = dd_add(sh[:r], sl[:r], ph, pl)
     out = np.empty_like(b)
-    out[order] = dd_add(b[order], np.zeros_like(b), -sh, -sl)[0]
+    out[order] = dd_add(b[order], zero, -sh, -sl)[0]
     return out
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .precision import Precision, fl, quiet
+from .precision import Precision, fl, quiet, require_vector
 
 __all__ = [
     "SparseMatrix",
@@ -168,13 +168,15 @@ class SparseMatrix:
         )
 
     def row_plan(self):
-        """``(order, slots)``, built once and cached: ``order`` sorts the
-        rows by descending entry count, stably, and slot s is ``(r, cols,
-        vals)``, the s-th entry, in ascending column order, of each of the
-        first ``r`` permuted rows, those with more than s entries.  Adding
-        slot by slot into the prefix ``y[:r]``, then scattering ``y`` to
-        ``order``, adds each row in ascending column order with no gather
-        or scatter per slot.
+        """``(order, cols, vals, slots)``, built once and cached: ``order``
+        sorts the rows by descending entry count, stably; ``cols`` and
+        ``vals`` hold every entry, slot by slot, and slot ``(r, start,
+        end)`` is ``[start:end]`` of them, the s-th entry, in ascending
+        column order, of each of the first ``r`` permuted rows, those with
+        more than s entries.  A kernel gathers and multiplies all entries
+        at once, then adds slot by slot into the prefix ``y[:r]`` and
+        scatters ``y`` to ``order``: each row is added in ascending column
+        order with no gather or scatter per slot.
         """
         if self._plan is None:
             cols = owners(self.indptr)
@@ -187,11 +189,10 @@ class SparseMatrix:
             at = np.lexsort((cols, rank[self.indices]))
             pos = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
             at = at[np.argsort(pos, kind="stable")]
-            cols, vals = cols[at], self.data[at]
             # slot s holds the rows with more than s entries
             widths = np.searchsorted(-counts, -np.arange(counts.max(initial=0)))
             ends = np.cumsum(widths).tolist()
-            self._plan = order, [(r, cols[e - r : e], vals[e - r : e]) for r, e in zip(widths.tolist(), ends)]
+            self._plan = order, cols[at], self.data[at], [(r, e - r, e) for r, e in zip(widths.tolist(), ends)]
         return self._plan
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -471,24 +472,18 @@ def column_scale(At: SparseMatrix) -> tuple[SparseMatrix, np.ndarray]:
 def matvec(A: SparseMatrix, x: np.ndarray, p: Precision) -> np.ndarray:
     """A @ x with every product and partial sum rounded to p: each row's
     products are added to +0 in ascending column order, through the slots
-    of :meth:`SparseMatrix.row_plan`.  A format that keeps the double word
-    (double, quad-emulated) skips the roundings, which would change nothing.
+    of :meth:`SparseMatrix.row_plan`.  All products are formed at once in
+    double and cast once to ``p.dtype``, then each slot is added natively
+    in it, which rounds each sum once as the emulation does; a format that
+    keeps the double word (double, quad-emulated) adds in float64.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != A.n_cols:
-        raise ValueError(f"dimension mismatch: {A.shape} @ {x.shape}")
-    order, slots = A.row_plan()
-    y = np.zeros(A.n_rows)
-    rounding = p.dtype is not None
-    for r, cols, vals in slots:
-        t = x[cols]
-        np.multiply(vals, t, out=t)
+    order, cols, vals, slots = A.row_plan()
+    t = np.multiply(vals, require_vector(x, A.n_cols, A.shape)[cols], dtype=np.float64)
+    t = t.astype(p.dtype or np.float64, copy=False)
+    y = np.zeros(A.n_rows, t.dtype)
+    for r, start, end in slots:
         seg = y[:r]
-        if rounding:
-            seg += fl(t, p, inplace=True)
-            fl(seg, p, inplace=True)
-        else:
-            seg += t
+        seg += t[start:end]
     out = np.empty(A.n_rows)
     out[order] = y
     return out

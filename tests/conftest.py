@@ -83,6 +83,19 @@ def random_dd_sparse(rng, n: int, fill: float = 0.35) -> np.ndarray:
     return A
 
 
+def many_slot_system() -> tuple[SparseMatrix, np.ndarray]:
+    """A 4 x 30 matrix whose row 2 holds 30 entries beside rows of 1, so
+    that ``row_plan`` gives it 30 slots, and an x for it.  Every value is a
+    normal half value of magnitude 2**-5 to 2**6, so the pair is in every
+    format, no half product overflows, and a half sum rounds."""
+    rng = np.random.RandomState(30)
+    v = rng.choice([-1.0, 1.0], 63) * (1.0 + rng.randint(0, 1024, 63) / 1024) * 2.0 ** rng.randint(-5, 6, 63)
+    dense = np.zeros((4, 30))
+    dense[2] = v[:30]
+    dense[[0, 1, 3], [5, 0, 29]] = v[30:33]
+    return SparseMatrix.from_dense(dense), v[33:]
+
+
 def same_bits(got, want) -> bool:
     """Equal bytes, with a NaN compared by position only: numpy picks a
     NaN's sign by the position of its operands."""

@@ -10,9 +10,12 @@ two are compared as raw bytes, except that a NaN only has to be a NaN:
 numpy's add loops choose which of two NaN operands' sign survives by the
 element's position in the array (NaN + -NaN gave +NaN at element 0 and
 -NaN at element 9 of a 10-element add), so a row moved by the permutation
-may carry the other NaN.  Matrices have empty rows and columns and rows of
+may carry the other NaN, and so may a product formed at another offset of
+the plan's flat arrays.  Matrices have empty rows and columns and rows of
 unequal or tied lengths; x and b hold signed zeros, subnormals and values
-near overflow, so the order of a row's additions shows in the result.
+near overflow, so the order of a row's additions shows in the result.  An
+example adds a matrix with one row of 30 entries beside rows of 1, 30 slots
+where the drawn matrices reach 12.
 """
 
 from fractions import Fraction
@@ -21,7 +24,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_dd_residual
+from conftest import many_slot_system, reference_dd_residual
 from spai_ir.precision import dd_residual
 from spai_ir.sparse import SparseMatrix
 
@@ -61,6 +64,7 @@ def residual_cases(draw):
 
 
 M = 1.7976931348623157e308
+MANY_SLOTS, MANY_X = many_slot_system()
 
 
 @settings(max_examples=400, deadline=None)
@@ -68,6 +72,9 @@ M = 1.7976931348623157e308
 # row 0's partial sums overflow in ascending column order, not in descending
 @example((SparseMatrix.from_dense(np.array([[1.0, 0.5, -1.0], [0.0, 2.0, 0.0]])),
           (np.full(3, -M), np.zeros(3)), np.array([1.0, -0.0])))
+# 30 slots, one row wide after the first; b is the double product, so the
+# residual is the low words of the sums
+@example((MANY_SLOTS, (MANY_X, MANY_X * 2.0**-60), MANY_SLOTS.to_dense() @ MANY_X))
 def test_dd_residual_equals_the_padded_slot_loop_bit_for_bit(case):
     A, x, b = case
     got, want = dd_residual(A, x, b), reference_dd_residual(A, x, b)

@@ -1,5 +1,6 @@
 """``tools/kernel_times.py`` on the tiny stand-ins: one timed call of every
-kernel, printed as one sorted-key JSON object."""
+kernel, ``matvec`` and ``dd_residual`` included, printed as one sorted-key
+JSON object."""
 
 import importlib.util
 import json
@@ -18,12 +19,15 @@ def test_kernel_times_prints_every_kernel_once(capsys):
     assert out.strip() == json.dumps(result, sort_keys=True, indent=1)
     formats = {"half", "single", "double"}
     assert set(result["dense_lu"]) == set(result["substitute"]) == {"conv_diff_25", "stencil3d_18"}
-    assert set(result["mgs_step"]) == {"conv_diff_36", "stencil3d_24"}
+    assert set(result["mgs_step"]) == set(result["matvec"]) == set(result["dd_residual"]) == {"conv_diff_36",
+                                                                                                "stencil3d_24"}
     for name, times in result["dense_lu"].items():
         assert set(times) == formats
         assert set(result["substitute"][name]) == {f"{uf}/{p}" for uf in formats for p in formats}
-    for times in result["mgs_step"].values():
-        assert set(times) == formats
-    timings = [t for kernel in ("dense_lu", "substitute", "mgs_step")
+    for kernel in ("mgs_step", "matvec"):
+        for times in result[kernel].values():
+            assert set(times) == formats
+    timings = [t for kernel in ("dense_lu", "substitute", "mgs_step", "matvec")
                for per_matrix in result[kernel].values() for t in per_matrix.values()]
+    timings += result["dd_residual"].values()
     assert all(t > 0.0 for t in timings)

@@ -9,13 +9,19 @@ operations round once as the emulation does.  Matrices and vectors hold
 values of the format: random bit patterns mixed with signed zeros,
 subnormals and values whose products or sums overflow; some rows are empty.
 Examples in every format add a matrix with an empty row, one whose rows all
-have the same length, and an x holding -0, inf and NaN.
+have the same length, an x holding -0, inf and NaN, and a matrix with one row
+of 30 entries beside rows of 1, whose 30 slots are views into the plan's flat
+arrays at 30 offsets (the drawn matrices reach 12).  That matrix also takes x
+stored as float32 and as float16, as GMRES passes its basis vectors; the
+products are still formed in double.  A NaN is compared by position only,
+since numpy's add picks a NaN's sign by its offset in the operand arrays.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import many_slot_system
 from spai_ir.precision import DOUBLE, HALF, SINGLE
 from spai_ir.sparse import SparseMatrix, matvec
 
@@ -73,6 +79,7 @@ EMPTY_ROW = SparseMatrix.from_dense(np.array([[2.0, 0.0, -3.0], [0.0, 0.0, 0.0],
 # every row has two entries, in different columns
 TIED_ROWS = SparseMatrix.from_dense(np.array([[0.0, 1.0, 0.0, -2.0], [3.0, 0.0, 0.5, 0.0], [1.0, -1.0, 0.0, 0.0]]))
 SPECIAL_X = np.array([-0.0, np.inf, np.nan, 1.0])
+MANY_SLOTS, MANY_X = many_slot_system()
 
 
 @settings(max_examples=400, deadline=None)
@@ -83,6 +90,11 @@ SPECIAL_X = np.array([-0.0, np.inf, np.nan, 1.0])
 @example((HALF, TIED_ROWS, SPECIAL_X))
 @example((SINGLE, TIED_ROWS, SPECIAL_X[::-1]))
 @example((DOUBLE, TIED_ROWS, SPECIAL_X[[0, 3, 0, 1]]))
+@example((HALF, MANY_SLOTS, MANY_X))
+@example((HALF, MANY_SLOTS, MANY_X.astype(np.float16)))
+@example((SINGLE, MANY_SLOTS, MANY_X.astype(np.float32)))
+@example((SINGLE, MANY_SLOTS, MANY_X.astype(np.float16)))
+@example((DOUBLE, MANY_SLOTS, MANY_X.astype(np.float32)))
 def test_matvec_equals_the_scalar_loop_bit_for_bit(case):
     p, A, x = case
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,9 +1,10 @@
 import io
+import re
 
 import numpy as np
 import pytest
 
-from spai_ir.precision import DOUBLE, HALF
+from spai_ir.precision import DOUBLE, HALF, SINGLE, dd_residual
 from spai_ir.sparse import (
     MatrixMarketParseError,
     SparseMatrix,
@@ -233,10 +234,22 @@ def test_matvec_half_error_bound(rng):
     assert np.abs(yh - yd).max() <= bound
 
 
-def test_matvec_dimension_check():
-    A = SparseMatrix.identity(3)
-    with pytest.raises(ValueError):
-        matvec(A, np.ones(4), DOUBLE)
+UPPER = SparseMatrix.from_dense(np.array([[2.0, 1.0], [0.0, 3.0]]))
+
+
+@pytest.mark.parametrize("call, name, shape", [
+    (lambda: matvec(UPPER, np.ones(3), DOUBLE), "x", (3,)),
+    (lambda: matvec(UPPER, np.ones((2, 1)), SINGLE), "x", (2, 1)),
+    (lambda: matvec(UPPER, np.float64(1.0), HALF), "x", ()),
+    (lambda: dd_residual(UPPER, np.ones(3), np.ones(2)), "x", (3,)),
+    (lambda: dd_residual(UPPER, (np.ones(2), np.ones(3)), np.ones(2)), "x", (3,)),
+    (lambda: dd_residual(UPPER, np.ones(2), np.ones((2, 2))), "b", (2, 2)),
+    (lambda: dd_residual(UPPER, np.ones(2), np.ones(1)), "b", (1,)),
+])
+def test_matvec_and_dd_residual_refuse_a_vector_of_the_wrong_shape(call, name, shape):
+    with pytest.raises(ValueError, match=rf"^dimension mismatch: {name} of shape {re.escape(str(shape))} "
+                                         r"for a \(2, 2\) matrix, expected \(2,\)$"):
+        call()
 
 
 def test_rounded_drops_halved_entries():

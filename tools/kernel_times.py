@@ -8,12 +8,17 @@ baseline and of GMRES, in microseconds, as one sorted-key JSON object:
   precision (``"half/single"``: half factors, single substitution), on those
   factors and the workloads' right-hand side;
 - ``PairwisePlan.mgs_step``, per plan precision, at the order of each
-  ``ir_solve`` stand-in, one step of a unit vector against a normal one.
+  ``ir_solve`` stand-in, one step of a unit vector against a normal one;
+- ``matvec``, per format, on A of each ``ir_solve`` stand-in, with a
+  normal x stored in the format's dtype, as GMRES stores its basis;
+- ``dd_residual`` on A of each ``ir_solve`` stand-in, with a normal x
+  pair and b.
 
 Each call is timed on its own and the best of ``--repeat`` calls is kept;
 the inputs a call overwrites are restored outside the timed region.  The
 stand-ins come from ``perfbench/gen.py`` at ``--seed``, and ``--scale tiny``
-takes the workloads' tiny ones.  None of these kernels calls BLAS.
+takes the workloads' tiny ones; a matrix's row plan is built before its
+products are timed.  None of these kernels calls BLAS.
 
     python tools/kernel_times.py
     python tools/kernel_times.py --seed 2 --repeat 50
@@ -31,8 +36,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from spai_ir.precision import PairwisePlan, dense_lu, parse_precision  # noqa: E402
+from spai_ir.precision import PairwisePlan, dd_residual, dense_lu, parse_precision  # noqa: E402
 from spai_ir.refine import rcm_permutation  # noqa: E402
+from spai_ir.sparse import matvec  # noqa: E402
 
 FORMATS = ("half", "single", "double")
 
@@ -84,14 +90,30 @@ def mgs_times(n: int, seed: int, repeat: int) -> dict:
     return times
 
 
+def product_times(A, seed: int, repeat: int) -> tuple:
+    """``matvec`` per format and ``dd_residual`` on the sparse ``A``."""
+    rng = np.random.default_rng(seed)
+    x, b = rng.standard_normal(A.n_cols), rng.standard_normal(A.n_rows)
+    A.row_plan()
+    times = {}
+    for name in FORMATS:
+        p = parse_precision(name)
+        xp = x.astype(p.dtype or np.float64)
+        times[name] = best_time(lambda: matvec(A, xp, p), repeat=repeat)
+    return times, best_time(lambda: dd_residual(A, (x, x * 2.0**-60), b), repeat=repeat)
+
+
 def kernel_times(seed: int, scale: str, repeat: int) -> dict:
     """The times of every kernel on the stand-ins of ``scale`` at ``seed``."""
-    out = {"dense_lu": {}, "substitute": {}, "mgs_step": {}, "seed": seed, "scale": scale, "repeat": repeat}
+    out = {"dense_lu": {}, "substitute": {}, "mgs_step": {}, "matvec": {}, "dd_residual": {},
+           "seed": seed, "scale": scale, "repeat": repeat}
     for name, make in workloads.LU_MATRICES[scale]:
         A = workloads._system(name, make, seed).A
         out["dense_lu"][name], out["substitute"][name] = lu_times(A, repeat)
     for name, make in workloads.IR_MATRICES[scale]:
-        out["mgs_step"][name] = mgs_times(make(seed).shape[0], seed, repeat)
+        A = workloads._system(name, make, seed).A
+        out["mgs_step"][name] = mgs_times(A.n_rows, seed, repeat)
+        out["matvec"][name], out["dd_residual"][name] = product_times(A, seed, repeat)
     return out
 
 
