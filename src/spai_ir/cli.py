@@ -1,14 +1,11 @@
 """Command-line harness: single solves, parameter sweeps, and golden-table
 reproduction.
 
-Matrix files are resolved against --matrix as a path first, then inside
-$SPAI_IR_MATRIX_DIR (default ./matrices).  Exit codes: 0 success/converged,
-2 non-convergence or failed table bands, 1 usage or input errors, including
---json with --csv, arithmetic failures such as a singular matrix or an
-overflowing factorization, and an --out path that cannot be written.  A
-sweep is the exception: a cell that fails (a quad build precision, --beta
-0, a non-positive eps) is recorded as a row with status "error: ...", the
-other cells still run, and the exit code is 2.
+--matrix is a .mtx path or a name in the matrix directory (see
+reference.matrix_dir).  Exit 0 on success, 2 on non-convergence or a
+failed table band, 1 on one "error:" line for a usage, input or
+arithmetic error or an unwritable --out.  sweep records a failing cell as
+a row with status "error: ...", runs the rest, and exits 2.
 """
 
 from __future__ import annotations
@@ -166,9 +163,8 @@ def cmd_table(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors (and those of its subcommand
-    parsers, which take its class) raise ``ValueError`` for :func:`main` to
-    report in one line, instead of printing the usage and exiting 2."""
+    """Usage errors, its subparsers' too, raise ``ValueError`` for
+    :func:`main`'s one line, not argparse's usage block and exit 2."""
 
     def error(self, message):
         raise ValueError(message)

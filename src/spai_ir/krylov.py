@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# fl_op stays bound here although unused: perfbench/tracer.py wraps krylov.fl_op
-from .precision import PairwisePlan, Precision, fl, fl_dot, fl_norm2, fl_op, quiet
+# fl_dot and fl_op stay bound here although unused: perfbench/tracer.py wraps krylov.fl_dot and krylov.fl_op
+from .precision import PairwisePlan, Precision, fl, fl_dot, fl_op, quiet
 from .sparse import SparseMatrix, matvec
 
 __all__ = [
@@ -93,7 +93,9 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     if not np.all(np.isfinite(z)):
         raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")
     z = z.astype(dt)
-    beta = fl_norm2(z, ug)  # inf too if z overflowed ug
+    plan = PairwisePlan(n, ug)  # every dot and norm of length n
+    mgs_step = plan.mgs_step
+    beta = plan.norm2(z)  # inf too if z overflowed ug
     if not np.isfinite(beta):
         raise _ug_overflow(ug)
     if beta == 0.0:
@@ -101,8 +103,6 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
 
     # Python floats for double, scalars of dt otherwise (see the module docstring)
     scalar = float if ug.dtype is None else dt
-    plan = PairwisePlan(n, ug)  # the Arnoldi dots and norms
-    mgs_step = plan.mgs_step
     t = np.empty(n, dt)  # scratch for a rounded product
     cs, sn, hcols = [], [], []  # the Givens rotations, and the rotated columns of H
     g = np.zeros(n + 1, dt)
@@ -157,8 +157,9 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     for j, col in enumerate(hcols):
         H[: j + 2, j] = col
     y = np.zeros(k, dt)
+    hplan = PairwisePlan(k, ug)  # the dots of the back substitution, of k - 1 terms at most
     for c in range(k - 1, -1, -1):
-        s = fl_dot(H[c, c + 1 : k], y[c + 1 : k], ug)
+        s = hplan.dot(H[c, c + 1 : k], y[c + 1 : k])
         y[c] = (g[c] - s) / H[c, c]
     d = np.zeros(n, dt)
     for c in range(k):
@@ -170,7 +171,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     if verify_breakdown:
         q = apply_precond_matvec(A, P, d, up)
         # the difference is exact in float64, then rounded once to ug
-        relres_history[-1] = float(fl_norm2((z - q).astype(dt), ug)) / float(beta)
+        relres_history[-1] = float(plan.norm2((z - q).astype(dt))) / float(beta)
     converged = relres_history[-1] <= tau
     breakdown = breakdown or (verify_breakdown and not converged)
 

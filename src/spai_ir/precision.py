@@ -9,8 +9,8 @@ the terms padded with -0 to a power-of-two length; -0 is the exact
 additive identity, so the padding changes no partial sum, and a batch
 whose lines differ in size, padded with -0 too, gets each line's own
 sum.  The tree runs level by level in one buffer (:func:`_levels`,
-:func:`_reduce`), which :class:`PairwisePlan` keeps for repeated sums and
-dots of one length.
+:func:`_reduce`), made per call by :func:`fl_sum` and kept only by a
+:class:`PairwisePlan` that its caller owns.
 
 Half and single values may instead be stored in their own numpy dtype
 (``Precision.dtype``) and computed on natively, with the same bits: an
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,11 +127,7 @@ def check_matrix(A, b=None) -> None:
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             raise SingularMatrixError(f"matrix A is singular: {kind} {empty[0]} has no nonzero entry")
-    if b is not None and np.ndim(b) != 1:
-        raise ValueError(f"right-hand side b has shape {np.shape(b)}, expected length {A.shape[0]}")
-    if b is not None and len(b) != A.shape[0]:
-        raise ValueError(f"right-hand side b has length {len(b)}, expected {A.shape[0]}")
-    if b is not None and not np.all(np.isfinite(b)):
+    if b is not None and not np.all(np.isfinite(require_vector(b, A.shape[0], A.shape, "b"))):
         raise ValueError("right-hand side b has a NaN or infinite entry")
 
 
@@ -281,15 +276,10 @@ def fl_sum(v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:
     """Sum of the values of ``p`` in ``v`` along the whole ``axis``, each
     addition of the pairwise tree rounded to ``p``; a sum of no terms is
     +0.  A 1-d input gives a float, or a scalar of ``p.dtype`` when stored
-    in it; an array stored in ``p.dtype`` is summed natively.  A 1-d line
-    in ``p``'s own dtype runs through a kept :class:`PairwisePlan`, one per
-    length, precision and thread; any other input through a buffer made
-    per call.  Bare, like :func:`fl`.
+    in it; an array stored in ``p.dtype`` is summed natively.  The buffer
+    is made per call, and nothing outlives it.  Bare, like :func:`fl`.
     """
     s = np.asarray(v)
-    if s.ndim == 1 and s.dtype.type is (p.dtype or np.float64):
-        total = _kept_plan(s.size, p, threading.get_ident()).sum(s)
-        return total if p.dtype else float(total)
     native = s.dtype.type is p.dtype
     if axis:
         s = s.swapaxes(0, 1) if axis == 1 else np.moveaxis(s, axis, 0)
@@ -309,17 +299,21 @@ _add, _multiply, _subtract, _divide = np.add, np.multiply, np.subtract, np.divid
 
 
 class PairwisePlan:
-    """:func:`fl_sum`, :func:`fl_dot` and :func:`fl_norm2` of length-``m``
-    vectors stored in ``p``'s own dtype (float64 for double), bit for bit,
-    as scalars of that dtype, through one tree built once.
+    """:func:`fl_dot` and :func:`fl_norm2` of at most ``m`` terms stored
+    in ``p``'s own dtype (float64 for double), bit for bit, as scalars of
+    that dtype, through one tree built once, whose buffer lives as long as
+    the plan that its caller owns.
 
-    A call writes its terms into the buffer's head and runs the levels; no
-    level writes the head or the -0 padding, so no call reaches the next,
-    and none allocates an array.  A double plan runs numpy levels down to
-    16 sums (at most 16 terms go straight there) and adds those as Python
-    floats in one pairwise expression, the same binary64 additions without
-    four numpy calls; half and single would need a rounding per addition.
-    Bare, like :func:`fl`.
+    A call writes its k terms into the buffer's head, -0 past them (+0 for
+    no terms), and runs the levels; no level writes the head or the -0
+    padding, so no call reaches the next, and none allocates an array.
+    The first P(k) leaves, P(k) the padded length of k, form a complete
+    subtree and the rest sum -0, so the total is fl_dot's over k terms.
+    A double plan runs numpy levels down to 16 sums (at most 16 terms go
+    straight there) and adds those as Python floats in one pairwise
+    expression, the same binary64 additions without four numpy calls;
+    half and single would need a rounding per addition.  Bare, like
+    :func:`fl`.
     """
 
     def __init__(self, m: int, p: Precision):
@@ -336,13 +330,16 @@ class PairwisePlan:
             levels, self._tail, self._h = levels[:-4], self._buf[2 * size - 32 : 2 * size - 16], np.empty(())
         self._levels = levels
 
-    def sum(self, v: np.ndarray):
-        self._head[...] = v
-        return self._total()
-
     def dot(self, u: np.ndarray, v: np.ndarray):
-        np.multiply(u, v, out=self._head)
-        return self._total()
+        k, head = len(u), self._head
+        np.multiply(u, v, out=head[:k])
+        head[k:] = -0.0 if k else 0.0
+        _reduce(self._levels)
+        if self._tail is None:
+            return self._buf[-1]
+        a = self._tail.tolist()
+        return np.float64((((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])))
+                          + (((a[8] + a[9]) + (a[10] + a[11])) + ((a[12] + a[13]) + (a[14] + a[15]))))
 
     def norm2(self, v: np.ndarray):
         return np.sqrt(self.dot(v, v))
@@ -353,7 +350,7 @@ class PairwisePlan:
         returns ``h``, a Python float in double, else a scalar of the
         plan's dtype.  The bits are those of :meth:`dot` and the update.
         The tree is written out again here, not reached through
-        :meth:`_total`, and ``h`` is a kept 0-d array: GMRES calls this per
+        :meth:`dot`, and ``h`` is a kept 0-d array: GMRES calls this per
         basis vector per iteration, where each frame hop, scalar
         conversion and keyword ``out`` costs a measurable share.
         """
@@ -368,19 +365,6 @@ class PairwisePlan:
                                + (((a[8] + a[9]) + (a[10] + a[11])) + ((a[12] + a[13]) + (a[14] + a[15]))))
         _subtract(w, _multiply(self._h, v, t), w)
         return h
-
-    def _total(self):
-        """Run the tree over the terms in the head and return their sum."""
-        _reduce(self._levels)
-        if self._tail is None:
-            return self._buf[-1]
-        a = self._tail.tolist()
-        return np.float64((((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])))
-                          + (((a[8] + a[9]) + (a[10] + a[11])) + ((a[12] + a[13]) + (a[14] + a[15]))))
-
-
-# fl_sum's plans for 1-d lines, by length, precision and thread: a call writes into its plan's buffer
-_kept_plan = functools.lru_cache(maxsize=128)(lambda m, p, thread: PairwisePlan(m, p))
 
 
 def fl_dot(u: np.ndarray, v: np.ndarray, p: Precision, axis: int = 0) -> np.ndarray | float:

@@ -1,10 +1,7 @@
-"""Bundled reference data: the benchmark matrix manifest with published
-properties, golden result tables for regression bands, and the synthetic
-matrix suite shipped with the package.
-
-Benchmark matrices are not distributed here; place the Matrix Market files
-in the directory named by ``SPAI_IR_MATRIX_DIR`` (or ``./matrices``) to run
-the full golden-table comparisons.
+"""Reference data: the benchmark matrices' published properties, the
+golden tables used as regression bands, and the names of the shipped
+synthetic matrices.  The benchmark matrices are not shipped; their Matrix
+Market files go in :func:`matrix_dir`.
 """
 
 from __future__ import annotations
@@ -140,12 +137,9 @@ GOLDEN_TABLES = {
 
 
 def matrix_dir() -> Path:
-    """Directory searched for Matrix Market files.
-
-    ``SPAI_IR_MATRIX_DIR`` wins; the fallback is ``./matrices`` relative to
-    the current working directory, then the repository copy shipped next to
-    the package.
-    """
+    """Directory searched for Matrix Market files: ``SPAI_IR_MATRIX_DIR``
+    if set, else ``./matrices`` if it exists, else the repository's copy
+    (``./matrices`` if neither exists)."""
     env = os.environ.get("SPAI_IR_MATRIX_DIR")
     if env:
         return Path(env)
@@ -157,7 +151,8 @@ def matrix_dir() -> Path:
 
 
 def find_matrix(name: str) -> Path | None:
-    """Locate ``<name>.mtx`` (case as given) in the matrix directory."""
+    """``name`` if it is an existing ``.mtx`` file, else ``<name>.mtx`` in
+    :func:`matrix_dir` if it exists, else ``None``."""
     candidate = Path(name)
     if candidate.suffix == ".mtx" and candidate.is_file():
         return candidate

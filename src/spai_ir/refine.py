@@ -9,6 +9,7 @@ one stopping rule of :class:`IrConfig` holds.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -82,6 +83,8 @@ class IrConfig:
             object.__setattr__(self, "tau", 1e-4 if self.u.unit_roundoff > 2.0**-30 else 1e-8)
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must lie strictly between 0 and 1")
+        if not isinstance(self.i_max, Integral):
+            raise ValueError(f"i_max must be an integer, got {self.i_max!r}")
         if self.i_max < 1:
             raise ValueError("i_max must be at least 1")
         if self.solver == "spai":

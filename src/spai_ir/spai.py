@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +71,9 @@ class SpaiParams:
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
+        for name, count in (("alpha", self.alpha), ("beta", self.beta)):
+            if count is not None and not isinstance(count, Integral):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.alpha is not None and self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
         if self.beta < 1:

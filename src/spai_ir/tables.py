@@ -1,6 +1,5 @@
-"""Runners for single solves, parameter sweeps, and golden-table
-reproduction, shared by the command-line interface and the test suite.
-"""
+"""Runners for single solves, parameter sweeps and golden tables, which
+the command-line interface prints."""
 
 from __future__ import annotations
 
@@ -33,11 +32,8 @@ ITERS_BAND = 0.25
 
 @dataclass
 class SolveOutcome:
-    """One solve: the run's report, its solution and the kappa(PA) diagnostic.
-
-    ``report.details`` is the one record of the run's settings and
-    preconditioner size; nothing here repeats it.
-    """
+    """One solve: its report, whose ``details`` hold the settings and
+    preconditioner size, its solution, and kappa(PA) (``None`` unasked)."""
 
     matrix: str
     report: IrReport
@@ -63,8 +59,9 @@ def solve_system(
     with_kappa: bool = True,
     x_ref=None,
 ) -> SolveOutcome:
-    """One full refinement run with the benchmark right-hand side; ``tau``
-    left ``None`` follows the working precision (see :class:`IrConfig`)."""
+    """Prepare the solver, refine ``A x = rhs_for(n)`` and, with
+    ``with_kappa``, take kappa(PA), under the :class:`IrConfig` that these
+    arguments make."""
     cfg = IrConfig(
         uf=uf, u=u, ur=ur, solver=solver, tau=tau, i_max=i_max, ug=ug, up=up,
         spai=SpaiParams(eps=eps, alpha=alpha, beta=beta, uf=uf) if solver == "spai" else None,
@@ -79,9 +76,9 @@ def solve_system(
 
 
 def run_sweep(A: SparseMatrix, name: str, eps_grid, uf_list, beta: int = SpaiParams.beta) -> list[dict]:
-    """Grid of preconditioner builds, ordered by grid position, after
-    :func:`check_matrix`: one row of preconditioner stats per (eps, build
-    precision) cell, no solve."""
+    """One row of preconditioner stats per (eps, build precision) cell, in
+    grid order, after :func:`check_matrix`; no solve.  A cell whose build
+    raises ``ArithmeticError`` or ``ValueError`` gets status ``error: ...``."""
     check_matrix(A)
     cond2_at = cond2_transpose(A)
     rows = []
@@ -117,12 +114,9 @@ def _within(value: float, ref: float, band: float) -> bool:
 
 def result_row(matrix: str, precond: str, eps: float | None, uf: str,
                outcome: SolveOutcome | None = None, golden: GoldenRow | None = None) -> dict:
-    """One row of the schema shared by ``spai-ir solve`` and ``spai-ir table``.
-
-    Without an ``outcome`` the row records a table matrix whose file is
-    missing.  ``golden`` adds the published reference values and, for a
-    solved row, the regression-band checks against them.
-    """
+    """One row of ``spai-ir solve`` and ``spai-ir table``; without an
+    ``outcome`` the matrix file is missing.  ``golden`` adds the published
+    values and, for a solved row, the band checks against them."""
     row = {"matrix": matrix, "precond": precond, "eps": eps, "uf": uf,
            "status": "ok" if outcome is not None else "missing"}
     if golden is not None:
@@ -142,13 +136,9 @@ def result_row(matrix: str, precond: str, eps: float | None, uf: str,
 
 
 def run_table(name: str, *, solvers=None, with_kappa: bool = True) -> list[dict]:
-    """Reproduce one golden table; missing matrix files yield 'missing' rows.
-
-    Matrices are looked up in the matrix directory (``SPAI_IR_MATRIX_DIR``).
-    ``solvers`` restricts which preconditioner kinds are run (e.g. skip the
-    dense LU baseline for speed); skipped rows are omitted entirely.  A
-    kind outside spai, lu and none raises ``ValueError``.
-    """
+    """The rows of golden table ``name``, a missing matrix file's as
+    ``missing``; ``solvers``, a subset of spai, lu and none, keeps only
+    its rows.  An unknown table or kind raises ``ValueError``."""
     if name not in GOLDEN_TABLES:
         raise ValueError(f"unknown table {name!r}; expected one of {sorted(GOLDEN_TABLES)}")
     unknown = set(solvers or ()) - {"spai", "lu", "none"}

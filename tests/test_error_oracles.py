@@ -22,6 +22,9 @@ With u = 2**-53 and no underflow or overflow (the drawn values lie within
   with max|b| by u each, and the quotient by u.  So nbe is within
   (n + 3) u (1 + O(u)) of the exact one relatively, plus 10 n 2**-106 (1 +
   O(u)) absolutely; the test allows (n + 4) u and 11 n 2**-106.
+- ``run_ir``'s ``converged``.  On a diagonally dominant system with n <= 8,
+  a run that reports it has ferr against the exact solution, and nbe, each
+  at most n u of its working precision, in ``Fraction`` arithmetic.
 """
 
 from fractions import Fraction
@@ -30,8 +33,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spai_ir.precision import dd_solve
-from spai_ir.refine import measure_errors, norm_inf
+from conftest import random_dd_sparse
+from spai_ir.precision import dd_solve, parse_precision
+from spai_ir.refine import IrConfig, measure_errors, norm_inf, run_ir
+from spai_ir.spai import SpaiParams
 from spai_ir.sparse import SparseMatrix
 
 U = Fraction(1, 2**53)
@@ -121,3 +126,38 @@ def test_measure_errors_is_within_its_bound_of_the_exact_errors(case):
     den = max(abs(bi) for bi in bs) + exact_norm_inf(dense) * max(abs(xj) for xj in xs)
     nbe_exact = residual / den
     assert abs(Fraction(nbe) - nbe_exact) <= (n + 4) * U * nbe_exact + Fraction(11 * n, 2**106)
+
+
+def exact_solution(dense: np.ndarray, b: np.ndarray) -> list:
+    """x with A x = b, by Gaussian elimination in ``Fraction`` arithmetic."""
+    n = b.size
+    rows = [exact(row) + [Fraction(float(bi))] for row, bi in zip(dense, b)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [a - f * c for a, c in zip(rows[i], rows[k])]
+    x = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from(["lu", "none", "spai"]),
+       st.sampled_from(["hsd", "sdq"]))
+def test_a_converged_run_meets_n_u_exactly(n, seed, solver, precisions):
+    rng = np.random.RandomState(seed)
+    dense = random_dd_sparse(rng, n)
+    b = rng.standard_normal(n)
+    uf, u, ur = map(parse_precision, precisions)
+    spai = SpaiParams(eps=0.3, uf=uf) if solver == "spai" else None
+    x, rep = run_ir(SparseMatrix.from_dense(dense), b, IrConfig(uf=uf, u=u, ur=ur, solver=solver, spai=spai))
+    if not rep.converged:
+        return
+    X, xs, bound = exact_solution(dense, b), exact(x), n * Fraction(u.unit_roundoff)
+    assert max(abs(r - c) for r, c in zip(X, xs)) <= bound * max(abs(r) for r in X)
+    residual = max(abs(Fraction(float(bi)) - sum(a * xj for a, xj in zip(exact(row), xs)))
+                   for bi, row in zip(b, dense))
+    assert residual <= bound * (max(abs(Fraction(float(bi))) for bi in b) + exact_norm_inf(dense) * max(map(abs, xs)))

@@ -57,10 +57,12 @@ MATRIX_CASES = {
 }
 SINGULAR_CASES = ("zero_row", "zero_column", "stored_zero")
 RHS_CASES = {
-    "b_too_long": (SparseMatrix.identity(3), np.ones(4), "right-hand side b has length 4, expected 3"),
-    "b_scalar": (SparseMatrix.identity(3), np.float64(1.0), "right-hand side b has shape (), expected length 3"),
+    "b_too_long": (SparseMatrix.identity(3), np.ones(4),
+                   "dimension mismatch: b of shape (4,) for a (3, 3) matrix, expected (3,)"),
+    "b_scalar": (SparseMatrix.identity(3), np.float64(1.0),
+                 "dimension mismatch: b of shape () for a (3, 3) matrix, expected (3,)"),
     "b_matrix": (SparseMatrix.identity(3), np.ones((3, 2)),
-                 "right-hand side b has shape (3, 2), expected length 3"),
+                 "dimension mismatch: b of shape (3, 2) for a (3, 3) matrix, expected (3,)"),
     "nan_in_b": (SparseMatrix.identity(3), np.array([1.0, np.nan, 1.0]),
                  "right-hand side b has a NaN or infinite entry"),
 }

@@ -1,6 +1,6 @@
 """``tools/kernel_times.py`` on the tiny stand-ins: one timed call of every
-kernel, ``matvec`` and ``dd_residual`` included, printed as one sorted-key
-JSON object."""
+kernel, ``matvec``, ``dd_residual`` and the prefix dots of ``PairwisePlan``
+included, printed as one sorted-key JSON object."""
 
 import importlib.util
 import json
@@ -27,7 +27,8 @@ def test_kernel_times_prints_every_kernel_once(capsys):
     for kernel in ("mgs_step", "matvec"):
         for times in result[kernel].values():
             assert set(times) == formats
+    assert set(result["plan_dot"]) == formats
     timings = [t for kernel in ("dense_lu", "substitute", "mgs_step", "matvec")
                for per_matrix in result[kernel].values() for t in per_matrix.values()]
-    timings += result["dd_residual"].values()
+    timings += [*result["dd_residual"].values(), *result["plan_dot"].values()]
     assert all(t > 0.0 for t in timings)

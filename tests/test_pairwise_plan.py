@@ -1,9 +1,10 @@
 """Property test of the reusable pairwise plan that GMRES reduces through.
 
 ``PairwisePlan(m, p)`` keeps one buffer and the views of ``fl_sum``'s tree
-for vectors of length ``m`` stored in ``p``'s own dtype.  Its ``dot`` and
-``norm2`` must give the bits of ``fl_dot`` and ``fl_norm2``: on the same
-native arrays, on their float64 copies (the emulated path), and against
+for vectors of at most ``m`` terms stored in ``p``'s own dtype.  Its
+``dot`` and ``norm2`` of a drawn prefix of 0 to ``m`` terms must give the
+bits of ``fl_dot`` and ``fl_norm2`` over that prefix: on the same native
+arrays, on their float64 copies (the emulated path), and against
 ``reference_dot``, an independent pairwise sum that allocates every level.
 GMRES's modified Gram-Schmidt step, ``mgs_step(v, w, t)``, must return the
 coefficient ``fl_dot(v, w)`` with those bits, as a Python float in double
@@ -16,11 +17,12 @@ random bit patterns of the format with signed zeros, subnormals, values
 whose products or sums overflow it, infinities and NaN, and some draws
 make every product -0.
 
-A 1-d ``fl_sum`` of a line stored in the format's own dtype goes through a
-kept plan of its length, and any other line takes the general path; both
-are compared with ``reference_sum``, and a 1-d result must not change when
-a later call reuses its plan.
+``fl_sum`` keeps no plan: a 1-d line, stored in the format's own dtype or
+in float64, is summed in a buffer made per call, compared with
+``reference_sum``, and must leave no memory behind once it returns.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -65,8 +67,9 @@ def vectors(draw, p, bits, m):
 
 @st.composite
 def plan_cases(draw):
-    """A format, a length and several (u, v) pairs of that length; in some
-    pairs ``u`` is all -0 and ``v`` positive, so every product is -0."""
+    """A format, a length and several (u, v, k) of that length, ``k`` the
+    prefix length a plan call takes; in some pairs ``u`` is all -0 and
+    ``v`` positive, so every product is -0."""
     name = draw(st.sampled_from(sorted(FORMATS)))
     p, bits = FORMATS[name]
     m = draw(st.sampled_from(LENGTHS))
@@ -76,7 +79,7 @@ def plan_cases(draw):
         if draw(st.integers(0, 3)) == 0:
             u = np.full(m, -0.0, u.dtype)
             v = np.where(np.isfinite(v) & (v > 0), v, v.dtype.type(1.0))
-        pairs.append((u, v))
+        pairs.append((u, v, draw(st.one_of(st.just(m), st.integers(0, m)))))
     return p, m, pairs
 
 
@@ -89,15 +92,16 @@ def test_plan_equals_fl_dot_and_fl_norm2_bit_for_bit(case):
     t = np.full(m, np.nan, dtype)  # the scratch starts and stays dirty
     kept = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for u, v in pairs:
-            got = plan.dot(u, v)
+        for u, v, k in pairs:
+            uk, vk = u[:k], v[:k]
+            got = plan.dot(uk, vk)
             assert got.dtype == dtype
-            for want in (fl_dot(u, v, p), fl_dot(u.astype(np.float64), v.astype(np.float64), p),
-                         reference_dot(u, v, p)):
-                assert same_bits(got, want), (m, got, want)
-            got = plan.norm2(v)
-            for want in (fl_norm2(v, p), fl_norm2(v.astype(np.float64), p)):
-                assert same_bits(got, want), (m, got, want)
+            for want in (fl_dot(uk, vk, p), fl_dot(uk.astype(np.float64), vk.astype(np.float64), p),
+                         reference_dot(uk, vk, p)):
+                assert same_bits(got, want), (m, k, got, want)
+            got = plan.norm2(vk)
+            for want in (fl_norm2(vk, p), fl_norm2(vk.astype(np.float64), p)):
+                assert same_bits(got, want), (m, k, got, want)
 
             w = v.copy()
             h = plan.mgs_step(u, w, t)
@@ -119,6 +123,7 @@ def test_plan_edge_sums():
             plan = PairwisePlan(m, p)
             ones = np.ones(m, dtype)
             assert same_bits(plan.dot(np.full(m, -0.0, dtype), ones), -0.0), m
+            assert same_bits(plan.dot(ones[:0], ones[:0]), 0.0), m  # no terms of the m
             terms = ones.copy()
             terms[-1] = np.inf
             assert same_bits(plan.dot(terms, ones), np.inf), m
@@ -131,14 +136,13 @@ def test_plan_edge_sums():
 @settings(max_examples=300, deadline=None)
 @given(plan_cases())
 def test_1d_sums_equal_the_reference_and_keep_their_results(case):
-    """A 1-d ``fl_sum`` of a native array reuses one plan per length, and
-    its float64 copy takes the general path: both equal ``reference_sum``,
-    come back as scalars, and do not change when later calls of the same
-    length reuse the plan."""
+    """A 1-d ``fl_sum`` of a native array and of its float64 copy both
+    equal ``reference_sum``, come back as scalars, and do not change when
+    later calls of the same length run."""
     p, m, pairs = case
     kept = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for u, v in pairs:
+        for u, v, _ in pairs:
             terms = fl(u.astype(np.float64) * v.astype(np.float64), p)
             want = reference_sum(terms, p)
             native = terms.astype(p.dtype or np.float64)
@@ -149,12 +153,27 @@ def test_1d_sums_equal_the_reference_and_keep_their_results(case):
         assert same_bits(got, want)
 
 
-def test_long_1d_sums_bypass_the_kept_trees():
-    """Long half lines stored in float64 bypass the kept plans and take the
-    general path, and their float16 copies go through kept plans, with the
-    same bits."""
+def test_long_1d_sums_agree_in_float64_and_float16():
+    """Long half lines stored in float64 and their float16 copies, summed
+    natively, give the same bits."""
     rng = np.random.RandomState(3)
     for m in (2**16, 2**16 + 1):
         terms = fl(rng.standard_normal(m), HALF)
         want = reference_sum(terms, HALF)
         assert same_bits(fl_sum(terms, HALF), want) and same_bits(fl_sum(terms.astype(np.float16), HALF), want), m
+
+
+def test_1d_sums_leave_no_buffer_behind():
+    """``fl_sum`` of 2**20 double and single terms keeps no buffer once it
+    returns: under 1 MiB stays traced, where a tree kept for either
+    length would hold 8 MiB or more."""
+    terms = [np.ones(2**20), np.ones(2**20, np.float32)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for v, p in zip(terms, (DOUBLE, SINGLE)):
+            assert fl_sum(v, p) == 2**20
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20, held

@@ -284,6 +284,25 @@ def test_config_validation():
         IrConfig(uf=SINGLE, u=DOUBLE, ur=QUAD, solver="spai", spai=SpaiParams(eps=0.3, uf=HALF))
 
 
+# a count field -> the class that holds it and the other arguments it needs
+COUNTS = {
+    "alpha": (SpaiParams, {"eps": 0.01}),
+    "beta": (SpaiParams, {"eps": 0.01}),
+    "i_max": (IrConfig, {"uf": SINGLE, "u": DOUBLE, "ur": QUAD, "solver": "none"}),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0)])
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_counts_must_be_integers(name, value):
+    """A non-integral count is refused at construction with one line; a
+    numpy integer is still a count."""
+    cls, kwargs = COUNTS[name]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        cls(**kwargs, **{name: value})
+    assert getattr(cls(**kwargs, **{name: np.int64(2)}), name) == 2
+
+
 def test_run_without_tau_takes_the_working_precision_tolerance():
     # hsd: tau is 1e-4, so GMRES stops twice at 9 iterations; a tau of 1e-8
     # would run one solve capped at n = 120 iterations

@@ -9,6 +9,10 @@ baseline and of GMRES, in microseconds, as one sorted-key JSON object:
   factors and the workloads' right-hand side;
 - ``PairwisePlan.mgs_step``, per plan precision, at the order of each
   ``ir_solve`` stand-in, one step of a unit vector against a normal one;
+- ``PairwisePlan.dot``, per plan precision, on a plan of 40 terms, as
+  GMRES's Hessenberg back substitution calls it: one sweep of a dot of
+  every prefix of two normal vectors, 40 terms down to 0, per timed call,
+  reported per dot;
 - ``matvec``, per format, on A of each ``ir_solve`` stand-in, with a
   normal x stored in the format's dtype, as GMRES stores its basis;
 - ``dd_residual`` on A of each ``ir_solve`` stand-in, with a normal x
@@ -41,6 +45,7 @@ from spai_ir.refine import rcm_permutation  # noqa: E402
 from spai_ir.sparse import matvec  # noqa: E402
 
 FORMATS = ("half", "single", "double")
+PLAN_TERMS = 40  # the Hessenberg plan's length in plan_dot_times
 
 
 def best_time(call, reset=lambda: None, repeat: int = 20) -> float:
@@ -90,6 +95,26 @@ def mgs_times(n: int, seed: int, repeat: int) -> dict:
     return times
 
 
+def plan_dot_times(seed: int, repeat: int) -> dict:
+    """``PairwisePlan.dot`` per plan precision over every prefix of
+    ``PLAN_TERMS`` terms, per dot."""
+    rng = np.random.default_rng(seed)
+    u0, v0 = rng.standard_normal(PLAN_TERMS), rng.standard_normal(PLAN_TERMS)
+    times = {}
+    for name in FORMATS:
+        p = parse_precision(name)
+        dtype = p.dtype or np.float64
+        plan, u, v = PairwisePlan(PLAN_TERMS, p), u0.astype(dtype), v0.astype(dtype)
+        prefixes = [(u[:k], v[:k]) for k in range(PLAN_TERMS, -1, -1)]
+
+        def sweep():
+            for a, b in prefixes:
+                plan.dot(a, b)
+
+        times[name] = round(best_time(sweep, repeat=repeat) / len(prefixes), 2)
+    return times
+
+
 def product_times(A, seed: int, repeat: int) -> tuple:
     """``matvec`` per format and ``dd_residual`` on the sparse ``A``."""
     rng = np.random.default_rng(seed)
@@ -106,7 +131,7 @@ def product_times(A, seed: int, repeat: int) -> tuple:
 def kernel_times(seed: int, scale: str, repeat: int) -> dict:
     """The times of every kernel on the stand-ins of ``scale`` at ``seed``."""
     out = {"dense_lu": {}, "substitute": {}, "mgs_step": {}, "matvec": {}, "dd_residual": {},
-           "seed": seed, "scale": scale, "repeat": repeat}
+           "plan_dot": plan_dot_times(seed, repeat), "seed": seed, "scale": scale, "repeat": repeat}
     for name, make in workloads.LU_MATRICES[scale]:
         A = workloads._system(name, make, seed).A
         out["dense_lu"][name], out["substitute"][name] = lu_times(A, repeat)

@@ -49,7 +49,7 @@ def phase_peaks(A, uf, u, ur) -> dict:
     n x n float64 arrays, with n and the dtype and stride of the factor store."""
     cfg = IrConfig(uf=uf, u=u, ur=ur, solver="lu")
     b = rhs_for(A.n_rows)
-    solve_system(A, "lu_peak", "lu", uf, u, ur)  # untraced: the imports and kept plans a first call makes
+    solve_system(A, "lu_peak", "lu", uf, u, ur)  # untraced: the imports and level slices a first call caches
     peaks = {}
     tracemalloc.start()
     try:
