@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # fl_dot and fl_op stay bound here although unused: perfbench/tracer.py wraps krylov.fl_dot and krylov.fl_op
-from .precision import PairwisePlan, Precision, fl, fl_dot, fl_op, quiet
+from .precision import PairwisePlan, Precision, fl, fl_dot, fl_op, quiet, require_vector
 from .sparse import SparseMatrix, matvec
 
 __all__ = [
@@ -81,6 +81,8 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     norm that underflows to zero short of it sets ``breakdown``.  Memory
     follows the iterations run: no n x n array is made.
 
+    An ``r`` that is not a vector of A's order raises ``ValueError``
+    (:func:`~spai_ir.precision.require_vector`), and
     :class:`PrecisionOverflowSignal` is raised as soon as a value leaves the
     range of a precision: the operator's output in ``up``, or in ``ug`` the
     rounded right-hand side or its norm, an Arnoldi norm, a Givens
@@ -88,7 +90,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     """
     n = A.n_rows
     dt = ug.dtype or np.float64
-    r = np.asarray(r, dtype=np.float64)
+    r = np.asarray(require_vector(r, n, A.shape, "r"), dtype=np.float64)
     z = _apply_p(P, r, up)
     if not np.all(np.isfinite(z)):
         raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")

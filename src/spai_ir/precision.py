@@ -38,11 +38,11 @@ it holds exactly, float64 for double.  The elimination (:func:`dense_lu`)
 and the substitution (:meth:`DenseLu.substitute`) do only the work that
 can change a bit, so they cost what the bandwidth of the ordered matrix
 implies, and no n x n array is made.  The LU contract: a rounded -0 in
-the input is the +0 it stands for; an entry outside the structural
-envelope is a zero that no step touches; an inf or NaN anywhere in the
-store is an overflow, raised ahead of a zero pivot.  Within it, factors
-and solutions are those of the loops over whole columns of a dense
-array, up to the sign of a zero.
+the input is the +0 it stands for; an entry outside the band is a zero
+that no step touches; an inf or NaN anywhere in the store is an
+overflow, raised ahead of a zero pivot.  Within it, factors and
+solutions are those of the loops over whole columns of a dense array, up
+to the sign of a zero.
 
 The quad-emulated format is compensated double-double arithmetic built on
 error-free transformations, used for residuals and reference solves
@@ -523,10 +523,12 @@ class DenseLu:
     def substitute(self, b: np.ndarray, p: Precision) -> np.ndarray:
         """Solve A x = b, for ``b`` in the factored matrix's row order, by
         forward and back substitution, every operation rounded to ``p``;
-        returns float64.  Step k swaps entries k and ``piv[k]`` of x, then
-        runs over rows k + 1 to ``l_end[k]``; back step k over rows
-        ``u_start[k]`` to k.  A skipped x_i - fl(+-0 * x_k) is x_i up to
-        the sign of a zero, for a finite x_k.
+        returns float64, or raises ``ValueError`` for a ``b`` that is not a
+        vector of the factors' order (:func:`require_vector`).  Step k
+        swaps entries k and ``piv[k]`` of x, then runs over rows k + 1 to
+        ``l_end[k]``; back step k over rows ``u_start[k]`` to k.  A skipped
+        x_i - fl(+-0 * x_k) is x_i up to the sign of a zero, for a finite
+        x_k.
 
         One arithmetic form: x lives in ``p.dtype`` (float64 for double
         and quad), a product whose operands differ in dtype is formed in
@@ -534,11 +536,11 @@ class DenseLu:
         quotient is stored natively in x's dtype (see the module
         docstring).  A step's x_k is a kept 0-d array of x's dtype.
         """
-        store, off, stride = self.store, self.ku, self.kl + self.ku
-        x = np.array(b, dtype=p.dtype or np.float64)
+        store, off, stride, n = self.store, self.ku, self.kl + self.ku, len(self.piv)
+        x = np.array(require_vector(b, n, (n, n), "b"), dtype=p.dtype or np.float64)
         mixed = x.dtype != store.dtype
         cast = mixed and x.dtype != np.float64
-        xk, n = np.empty((), x.dtype), x.shape[0]
+        xk = np.empty((), x.dtype)
         for k, pk, end in zip(range(n - 1), self._piv, self.l_end):
             if pk != k:
                 x[k], x[pk] = x[pk], x[k]
@@ -575,51 +577,37 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     factors, in float32 for half and single and float64 for double.
 
     A's entries are cast to ``uf``'s own dtype (float64 for double) into
-    the band store, and the elimination runs natively in it, inside the
-    envelope: column k holds nonzeros only in rows up to the last nonzero
-    row of columns 0..k, which row swaps keep, and those rows only in
-    columns up to their last nonzero.  Step k divides the band of its
-    column (0 over a negative pivot is -0 in L) and subtracts its rank-1
-    update only up to its last nonzero multiplier and pivot-row entry; a
-    skipped a - fl(+-0 * u) is a up to the sign of a zero.  An inf or NaN
-    in the store raises :class:`OverflowInFactorizationError` (the caller
-    may equilibrate and retry), ahead of the :class:`SingularMatrixError`
-    of a zero pivot.
+    the band store, and the elimination runs natively in it, inside
+    ``dgbtrf``'s band: column k holds nonzeros only in rows up to k + kl,
+    and its pivot row, after the swap, only in columns up to k + ku.  Step
+    k divides the band of its column (0 over a negative pivot is -0 in L)
+    and subtracts its rank-1 update only up to its last nonzero
+    multiplier and pivot-row entry; a skipped a - fl(+-0 * u) is a up to
+    the sign of a zero.  An inf or NaN in the store raises
+    :class:`OverflowInFactorizationError` (the caller may equilibrate and
+    retry), ahead of the :class:`SingularMatrixError` of a zero pivot.
     """
     return _eliminate(*_band_store(A, uf.dtype or np.float64), uf)
 
 
 def _band_store(A, dtype) -> tuple:
-    """``(store, n, kl, ku, rows_end, cols_end)`` of the sparse ``A``
-    rounded to ``dtype``, as :func:`_eliminate` takes them: the envelope's
-    widest reach below and above the diagonal (ku >= kl), its per-step
-    ends, and the band store.  An entry that rounds to +-0 is left +0."""
+    """``(store, n, kl, ku)`` of the sparse ``A`` rounded to ``dtype``, as
+    :func:`_eliminate` takes them: the band store and ``dgbtrf``'s widths
+    of the entries that stay nonzero, kl below the diagonal and ku above,
+    the upper width grown by kl for the fill that row swaps bring into U
+    (so ku >= kl).  An entry that rounds to +-0 is left +0."""
     from .sparse import owners  # here: sparse imports this module
 
     require_square(A.shape)
     n, v = A.n_rows, A.data.astype(dtype)
     nz = v != 0.0
     i, j, v = A.indices[nz], owners(A.indptr)[nz], v[nz]
-    # each row's first and last nonzero column; an empty row counts as one
-    # that reaches every column, which is safe
-    first, last = np.full(n, n), np.full(n, -1)
-    np.minimum.at(first, i, j)
-    np.maximum.at(last, i, j)
-    first[first == n], last[last < 0] = 0, n - 1
-    # one past the last row that may hold a nonzero in columns 0..k (row i
-    # does when its first nonzero column is at most k), and one past the last
-    # column that may hold a nonzero in those rows
-    rows_end = np.zeros(n, np.int64)
-    np.maximum.at(rows_end, first, np.arange(1, n + 1))
-    rows_end = np.maximum.accumulate(rows_end)
-    cols_end = np.maximum.accumulate(last + 1)[np.maximum(rows_end, 1) - 1]
-    steps = np.arange(n)
-    kl = int((np.maximum(rows_end, steps + 1) - steps).max(initial=1)) - 1
-    # ku >= kl makes the store dgbtrs's band form, and ku >= 1 a stride of 1 at least
-    ku = max(int((cols_end - steps).max(initial=1)) - 1, int((j - i).max(initial=0)), kl, 1)
+    kl = int((i - j).max(initial=0))
+    # ku >= 1 makes the store's stride 1 at least
+    ku = max(min(kl + int((j - i).max(initial=0)), n - 1), 1)
     store = np.zeros(n * (kl + ku + 1), dtype)
     store[ku + i + j * (kl + ku)] = v
-    return store, n, kl, ku, rows_end.tolist(), cols_end.tolist()
+    return store, n, kl, ku
 
 
 def _zero_pivot(store: np.ndarray, uf: Precision, k: int) -> ArithmeticError:
@@ -682,20 +670,18 @@ _HALF_MIN_NORMAL = np.array(2.0**-14, np.float32)
 _SUBNORMAL_SHIFT = np.array(0.75, np.float32)  # float32 spacing 2**-24
 
 
-def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, rows_end: list, cols_end: list,
-               uf: Precision) -> DenseLu:
+def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, uf: Precision) -> DenseLu:
     """:func:`dense_lu` in place on the store of :func:`_band_store`,
-    natively in its dtype; float16 products come from
+    natively in its dtype: step k reads and writes only rows up to k + kl
+    and columns up to k + ku; float16 products come from
     :class:`_HalfProducts`."""
     cols = _columns(store, n, kl, ku)  # cols[j, i] is entry (i, j)
-    steps = np.arange(n)
-    widest = (np.array(cols_end) - steps).max(initial=1) - 1, (np.maximum(rows_end, steps + 1) - steps).max(initial=1) - 1
-    scratch = np.empty(widest, store.dtype)  # (columns, rows) of an update
-    products = _HalfProducts(widest) if store.dtype == np.float16 else None
+    scratch = np.empty((ku, kl), store.dtype)  # (columns, rows) of an update
+    products = _HalfProducts((ku, kl)) if store.dtype == np.float16 else None
     mag, pivot = np.empty(kl + 1, store.dtype), np.empty((), store.dtype)  # |pivot candidates|, the pivot
     piv = np.arange(n)
     for k in range(n - 1):
-        r_end, c_end, column = max(rows_end[k], k + 1), cols_end[k], cols[k]
+        r_end, c_end, column = min(k + kl + 1, n), min(k + ku + 1, n), cols[k]
         p = k + int(np.abs(column[k:r_end], mag[: r_end - k]).argmax())
         pivot[()] = column[p]
         if pivot[()] == 0.0:
@@ -704,10 +690,10 @@ def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, rows_end: list, cols
             top, bottom = cols[k:c_end, k], cols[k:c_end, p]
             top[...], bottom[...] = bottom, top.copy()
             piv[k] = p
-        col = column[k + 1 : k + 1 + min(kl, n - 1 - k)]
+        col = column[k + 1 : r_end]
         _divide(col, pivot, col)  # the band of the column: 0 divided by a negative pivot is -0
         row = cols[k + 1 : c_end, k]
-        re, ce = _reach(col[: r_end - k - 1]), _reach(row)
+        re, ce = _reach(col), _reach(row)
         if re and ce:
             t = scratch[:ce, :re]
             if products is None:

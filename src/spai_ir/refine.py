@@ -26,6 +26,7 @@ from .precision import (
     fl,
     fl_op,
     quiet,
+    require_vector,
 )
 from .krylov import PrecisionOverflowSignal, pgmres_left
 from .spai import SpaiParams, SpaiPreconditioner, build_left_preconditioner
@@ -179,7 +180,8 @@ class LuPreconditioner:
 
     @quiet
     def apply(self, v: np.ndarray, p: Precision) -> np.ndarray:
-        x = fl(np.asarray(v, dtype=np.float64)[self.order], p)
+        n = len(self.order)
+        x = fl(np.asarray(require_vector(v, n, (n, n), "v"), dtype=np.float64)[self.order], p)
         if self.r is not None:
             x = fl(fl(self.mu * x, p) * self.r, p)
         x = self.factors.substitute(x, p)

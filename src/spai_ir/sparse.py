@@ -51,8 +51,14 @@ class SparseMatrix:
 
     Values are always stored as doubles; a matrix "in precision p" is one
     whose values are all fixed points of rounding to p.  Row indices are
-    strictly increasing within each column and exact zeros are dropped at
-    construction.
+    strictly increasing within each column.
+
+    The constructor keeps the arrays as given: it neither sorts, nor sums
+    duplicates, nor drops zeros, so a stored zero (-0 too) stays stored;
+    only :meth:`from_coo`, and :meth:`from_dense` through it, does those.
+    It freezes the arrays it is given: each is made read-only, in place
+    when it already has the stored dtype (int64 indices, float64 data), so
+    a later write to the caller's own array fails.
     """
 
     __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_plan")

@@ -2,8 +2,8 @@
 
 Each elimination step of ``dense_lu`` updates only the rows up to its last
 nonzero multiplier and the columns up to the last nonzero entry of its
-pivot row, in a band store that keeps each multiplier in the row where it
-was computed; an entry outside the structural envelope is a zero that no
+pivot row, in ``dgbtrf``'s band store, which keeps each multiplier in the
+row where it was computed; an entry outside the band is a zero that no
 step touches, a rounded -0 in the input is the +0 it stands for, and an
 inf or NaN anywhere in the store is an overflow, raised ahead of a zero
 pivot.  So ``dense_lu`` is compared here with ``reference_dense_lu``, which
@@ -101,7 +101,7 @@ SMALL_ENTRIES = 1e-3 * (4.0 * np.eye(12) + 0.5 * np.random.RandomState(0).standa
 # a zero pivot after an inf (1e5 in half) in the factors: overflow, not a singular matrix
 @example((np.array([[1e5, 0.0], [0.0, 0.0]]), HALF))
 @example((SMALL_ENTRIES, HALF))
-# step 1 inside the envelope: its last multiplier, of row 3, and its pivot row's last entry,
+# step 1 inside the band: its last multiplier, of row 3, and its pivot row's last entry,
 # in column 3, are exact zeros, so both reaches are found by a scan
 @example((np.array([[4.0, 0.0, 0.0, 0.0], [1.0, 4.0, 1.0, 0.0], [0.0, 1.0, 4.0, 0.0], [1.0, 0.0, 0.0, 4.0]]), DOUBLE))
 def test_dense_lu_equals_full_block_reference(case):
@@ -160,14 +160,15 @@ def band_system(n, kl, ku, seed):
 
 @settings(max_examples=200, deadline=None)
 @given(band_systems())
-@example((40, 39, 39, 0))  # an envelope as wide as the matrix, a (2n - 1) x n store: 28 row swaps
+@example((40, 39, 39, 0))  # a band as wide as the matrix, a (2n - 1) x n store: 28 row swaps
 @example((12, 11, 11, 1))
-@example((12, 5, 9, 4))  # a wide envelope, kl + ku + 1 >= n, with kl < n - 1: 3 row swaps
+@example((12, 5, 9, 4))  # a wide band, kl + ku + 1 >= n, with kl < n - 1: 3 row swaps
 @example((12, 9, 2, 4))  # kl > ku: the interchanges widen U to kl + ku (6 row swaps)
 @example((1, 0, 0, 4))
 def test_dense_lu_factors_as_lapack_dgbtrf(case):
     """LAPACK as an independent oracle of the layout: ``dense_lu`` in double
-    and ``dgbtrf`` choose the same pivots, their L and U agree within 1e-12
+    and ``dgbtrf`` choose the same pivots and band widths (the drawn kl, and
+    kl + ku up to n - 1, but at least 1), their L and U agree within 1e-12
     of max |A| (not bit for bit: ``dgbtf2`` scales the column by the
     reciprocal of the pivot), and ``DenseLu.solve`` agrees with
     ``np.linalg.solve`` within 1e-12 of max |X|.  Only matrices with
@@ -177,6 +178,7 @@ def test_dense_lu_factors_as_lapack_dgbtrf(case):
     A, B = band_system(n, kl, ku, seed)
     assume(np.linalg.cond(A) <= 1e3)
     f = dense_lu(stored(A), DOUBLE)
+    assert (f.kl, f.ku) == (kl, max(min(kl + ku, n - 1), 1))
     ab, piv, info = dgbtrf(lapack_band(A, kl, ku), kl, ku)
     assert info == 0
     assert f.piv.tolist() == piv.tolist()

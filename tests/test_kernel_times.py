@@ -1,6 +1,7 @@
 """``tools/kernel_times.py`` on the tiny stand-ins: one timed call of every
 kernel, ``matvec``, ``dd_residual`` and the prefix dots of ``PairwisePlan``
-included, printed as one sorted-key JSON object."""
+included, and the band of each LU stand-in, printed as one sorted-key JSON
+object."""
 
 import importlib.util
 import json
@@ -18,7 +19,10 @@ def test_kernel_times_prints_every_kernel_once(capsys):
     result = json.loads(out)
     assert out.strip() == json.dumps(result, sort_keys=True, indent=1)
     formats = {"half", "single", "double"}
-    assert set(result["dense_lu"]) == set(result["substitute"]) == {"conv_diff_25", "stencil3d_18"}
+    assert set(result["dense_lu"]) == set(result["substitute"]) == set(result["band"]) == {"conv_diff_25",
+                                                                                           "stencil3d_18"}
+    for kl, ku in result["band"].values():  # dgbtrf's widths, ku grown by kl for U's fill
+        assert isinstance(kl, int) and isinstance(ku, int) and 0 <= kl <= ku
     assert set(result["mgs_step"]) == set(result["matvec"]) == set(result["dd_residual"]) == {"conv_diff_36",
                                                                                                 "stencil3d_24"}
     for name, times in result["dense_lu"].items():

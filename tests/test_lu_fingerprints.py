@@ -11,7 +11,9 @@ band store, and of the pivot order, or the type and message of the
 exception raised, must equal what ``lu_fingerprints.json`` stores.  Each
 case must also agree with the oracle of the band contract,
 ``reference_dense_lu``: the same factors up to the sign of a zero and the
-same pivot order, or the same exception.  The file records which paths
+same pivot order, or the same exception.  In each order the double
+factors must have ``dgbtrf``'s band of the stored pattern: kl = max(i - j)
+and ku = kl + max(j - i), at most n - 1 and at least 1.  The file records which paths
 the oracle takes for each case (a -0 in the rounded input, a non-finite
 pivot row or non-finite multipliers, a zero pivot after an overflow), and
 the grid must keep covering the contract's -0 rule and its overflow rule.
@@ -54,6 +56,11 @@ def all_cases() -> dict:
         orders = {"natural": np.arange(A.n_rows), "rcm": rcm_permutation(A)}
         for order, idx in orders.items():
             base = A.to_dense()[np.ix_(idx, idx)]
+            i, j = np.nonzero(base)
+            kl = int((i - j).max(initial=0))
+            band = kl, max(min(kl + int((j - i).max(initial=0)), A.n_rows - 1), 1)
+            f = dense_lu(stored(base), DOUBLE)
+            assert (f.kl, f.ku) == band, f"{name}/{order}: band {(f.kl, f.ku)}, want {band}"
             for scale in SCALES:
                 for uf in (HALF, SINGLE, DOUBLE):
                     dense, seen = base * scale, set()

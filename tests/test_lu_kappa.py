@@ -12,7 +12,7 @@ gives this diagnostic.  Every case gets the one layout, LAPACK's band
 matrix with column stride kl + ku and ku >= kl: ``conv_diff_225``,
 RCM-ordered, in half; an input whose stored entries round to -0 in half,
 which ``dense_lu`` reads as the +0 they stand for; a dense 5 x 5 matrix,
-whose envelope is as wide as the matrix (kl = ku = 4, a 9 x 5 store); a
+whose band is as wide as the matrix (kl = ku = 4, a 9 x 5 store); a
 1 x 1 matrix; and an equilibrated LU (``colscale_80`` scaled by 3e4, whose
 half factors overflow unscaled).
 """

@@ -3,22 +3,21 @@ holds each n x n array once, and the factorizations hold none.
 
 The peaks are ``tracemalloc``'s, in n x n float64 arrays, on
 ``conv_diff_225`` in hsd and sdq; memory that numpy or LAPACK takes with
-``malloc`` is not traced.  Each bound leaves about 0.09 to 0.15 of room
+``malloc`` is not traced.  Each bound leaves about 0.06 to 0.12 of room
 above what was measured, and would fail if any phase held one more
 quarter array (or, for the two factorizations, any n x n array of float32
 or float64).  The band store of the RCM-ordered matrix has stride 45,
 so it holds 46 of 225 entries per column, 0.20 of an n x n array.
 
-- ``dd_solve`` (0.36): the float64 band store (0.20), factored in place,
-  and arrays as long as A's entry list (about 0.02 each here) that find
-  its envelope and place its entries.  Densifying A would add a whole
-  array.
-- ``prepare_solver`` (0.30 in half and single): the RCM ordering and the
+- ``dd_solve`` (0.37): the float64 band store (0.20), factored in place,
+  and arrays as long as A's entry list (about 0.02 each here) that place
+  its entries.  Densifying A would add a whole array.
+- ``prepare_solver`` (0.34 in hsd, 0.28 in sdq): the RCM ordering and the
   RCM-ordered sparse matrix, the band store in the format's own dtype
   (0.05 in float16, 0.10 in float32) and the arrays that fill it, and the
   float32 factors, which for half are a new store (0.10).  A dense copy
   of A would add a whole array.
-- ``run_ir`` (0.11): no n x n array at all; GMRES forms only the
+- ``run_ir`` (0.13): no n x n array at all; GMRES forms only the
   (k+1) x k Hessenberg matrix of the iterations it ran.
 - ``kappa_inf_product`` (1.29): inside ``apply_exact``, the dense copy of
   A in the row order of the factors and in Fortran order, which LAPACK's

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import load_synthetic, packed, random_dd_sparse, reference_solution, stored
 from spai_ir import refine
-from spai_ir.krylov import PrecisionOverflowSignal
+from spai_ir.krylov import PrecisionOverflowSignal, pgmres_left
 from spai_ir.precision import DOUBLE, HALF, QUAD, SINGLE, SingularMatrixError, dd_residual, dd_solve
 from spai_ir.refine import (
     IrConfig,
@@ -357,3 +359,28 @@ def test_non_finite_right_hand_side_is_named_before_any_factorization(monkeypatc
     with pytest.raises(ValueError, match="^right-hand side b has a NaN or infinite entry$"):
         run_ir(SparseMatrix.identity(3), b, _cfg("lu"))
 
+
+@pytest.fixture(scope="module")
+def lap2d_lu():
+    A = load_synthetic("lap2d_196")
+    return A, prepare_solver(A, IrConfig(uf=HALF, u=SINGLE, ur=DOUBLE, solver="lu"))
+
+
+WRONG_VECTORS = {
+    "substitute": ("b", lambda A, P, v: P.factors.substitute(v, DOUBLE)),
+    "apply": ("v", lambda A, P, v: P.apply(v, SINGLE)),
+    "pgmres_left": ("r", lambda A, P, v: pgmres_left(A, P, v, 1e-4, SINGLE, DOUBLE)),
+    "pgmres_left unpreconditioned": ("r", lambda A, P, v: pgmres_left(A, None, v, 1e-4, SINGLE, DOUBLE)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WRONG_VECTORS))
+@pytest.mark.parametrize("shape", [(195,), (197,), (196, 1)], ids=["n-1", "n+1", "column"])
+def test_lu_and_gmres_refuse_a_vector_of_the_wrong_shape(lap2d_lu, entry, shape):
+    # such a vector used to give a result of the wrong length (n - 1 and
+    # n + 1 entries), or numpy's own broadcast or sequence error
+    A, P = lap2d_lu
+    name, call = WRONG_VECTORS[entry]
+    with pytest.raises(ValueError, match=rf"^dimension mismatch: {name} of shape {re.escape(str(shape))} "
+                                         r"for a \(196, 196\) matrix, expected \(196,\)$"):
+        call(A, P, np.ones(shape))

@@ -3,7 +3,9 @@
 baseline and of GMRES, in microseconds, as one sorted-key JSON object:
 
 - ``dense_lu``, per format, on each ``lu_baseline`` stand-in of
-  ``perfbench/workloads.py`` in RCM order, as ``prepare_solver`` factors it;
+  ``perfbench/workloads.py`` in RCM order, as ``prepare_solver`` factors it,
+  and under ``band`` the ``[kl, ku]`` of its double factors' band store,
+  so that times from two trees say which band they ran on;
 - ``DenseLu.substitute``, per pair of factor format and substitution
   precision (``"half/single"``: half factors, single substitution), on those
   factors and the workloads' right-hand side;
@@ -61,8 +63,9 @@ def best_time(call, reset=lambda: None, repeat: int = 20) -> float:
 
 
 def lu_times(A, repeat: int) -> tuple:
-    """``dense_lu`` per format and ``substitute`` per (factor format,
-    precision) on the sparse ``A`` in RCM order."""
+    """``dense_lu`` per format, ``substitute`` per (factor format,
+    precision) and the double factors' ``[kl, ku]``, on the sparse ``A`` in
+    RCM order."""
     B = A.permuted(rcm_permutation(A))
     b = np.full(B.n_rows, 1.0 / np.sqrt(B.n_rows))
     factor, substitute = {}, {}
@@ -73,7 +76,7 @@ def lu_times(A, repeat: int) -> tuple:
         for p in FORMATS:
             prec = parse_precision(p)
             substitute[f"{uf}/{p}"] = best_time(lambda: factors.substitute(b, prec), repeat=repeat)
-    return factor, substitute
+    return factor, substitute, [factors.kl, factors.ku]  # FORMATS ends on double
 
 
 def mgs_times(n: int, seed: int, repeat: int) -> dict:
@@ -130,11 +133,11 @@ def product_times(A, seed: int, repeat: int) -> tuple:
 
 def kernel_times(seed: int, scale: str, repeat: int) -> dict:
     """The times of every kernel on the stand-ins of ``scale`` at ``seed``."""
-    out = {"dense_lu": {}, "substitute": {}, "mgs_step": {}, "matvec": {}, "dd_residual": {},
+    out = {"dense_lu": {}, "substitute": {}, "band": {}, "mgs_step": {}, "matvec": {}, "dd_residual": {},
            "plan_dot": plan_dot_times(seed, repeat), "seed": seed, "scale": scale, "repeat": repeat}
     for name, make in workloads.LU_MATRICES[scale]:
         A = workloads._system(name, make, seed).A
-        out["dense_lu"][name], out["substitute"][name] = lu_times(A, repeat)
+        out["dense_lu"][name], out["substitute"][name], out["band"][name] = lu_times(A, repeat)
     for name, make in workloads.IR_MATRICES[scale]:
         A = workloads._system(name, make, seed).A
         out["mgs_step"][name] = mgs_times(A.n_rows, seed, repeat)
