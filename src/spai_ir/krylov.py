@@ -11,6 +11,9 @@ operations are binary64's, and numpy scalars of the dtype in half and
 single, since numpy 1.x promotes a Python float met in arithmetic to
 float64.  The Hessenberg columns are built in Python lists and H is formed
 once after the loop, with the operations and order of a loop over it.
+
+The range check of every narrow step of a refinement run lives here too:
+:func:`precondition` and the one error factory, :func:`overflow`.
 """
 
 from __future__ import annotations
@@ -27,17 +30,30 @@ __all__ = [
     "GmresReport",
     "PrecisionOverflowSignal",
     "apply_precond_matvec",
+    "overflow",
     "pgmres_left",
+    "precondition",
 ]
 
 
 class PrecisionOverflowSignal(ArithmeticError):
-    """An operator application, or GMRES itself, produced non-finite values
-    in low precision; the message names the precision."""
+    """A step of a refinement run left the range of its precision.  Only
+    :func:`overflow` makes one: ``overflow in <what> in <precision>``."""
 
 
-def _ug_overflow(ug: Precision) -> PrecisionOverflowSignal:
-    return PrecisionOverflowSignal(f"overflow in the GMRES working precision ({ug.name})")
+def overflow(p: Precision, what: str) -> PrecisionOverflowSignal:
+    """The one error for a value of ``what`` that left the range of ``p``."""
+    return PrecisionOverflowSignal(f"overflow in {what} in {p.name}")
+
+
+def precondition(P, v: np.ndarray, p: Precision, what: str) -> np.ndarray:
+    """P v rounded to ``p``, or ``fl(v, p)`` when ``P`` is ``None`` (the
+    identity), with the bits of ``P.apply(v, p)``.  A result that is not
+    finite raises ``overflow(p, what)``."""
+    y = fl(v, p) if P is None else P.apply(v, p)
+    if not np.isfinite(y).all():
+        raise overflow(p, what)
+    return y
 
 
 @dataclass
@@ -50,22 +66,15 @@ class GmresReport:
     converged: bool
 
 
-def _apply_p(P, v: np.ndarray, up: Precision) -> np.ndarray:
-    return fl(v, up) if P is None else P.apply(v, up)
-
-
 def apply_precond_matvec(A: SparseMatrix, P, v: np.ndarray, up: Precision) -> np.ndarray:
     """y = P (A v) with both products carried out in the application precision.
 
     ``P`` is ``None`` (identity) or a preconditioner: any object with an
     ``apply(vector, precision)`` method, such as what ``prepare_solver``
-    returns.  Non-finite output raises :class:`PrecisionOverflowSignal`.
+    returns.  A non-finite ``y``, an inf of A v included, raises
+    ``overflow in the preconditioned operator in <up>``.
     """
-    w = matvec(A, v, up)
-    y = _apply_p(P, w, up)
-    if not np.isfinite(y).all():
-        raise PrecisionOverflowSignal("overflow while applying preconditioned operator")
-    return y
+    return precondition(P, matvec(A, v, up), up, "the preconditioned operator")
 
 
 @quiet
@@ -84,22 +93,23 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     An ``r`` that is not a vector of A's order raises ``ValueError``
     (:func:`~spai_ir.precision.require_vector`), and
     :class:`PrecisionOverflowSignal` is raised as soon as a value leaves the
-    range of a precision: the operator's output in ``up``, or in ``ug`` the
-    rounded right-hand side or its norm, an Arnoldi norm, a Givens
-    denominator, or the correction.
+    range of a precision.  In ``up`` these are the preconditioned
+    right-hand side (``overflow in the preconditioned right-hand side in
+    <up>``) and the operator's output (:func:`apply_precond_matvec`); in
+    ``ug``, each as ``overflow in GMRES in <ug>``, the rounded right-hand
+    side or its norm, an Arnoldi norm, a Givens denominator, and the
+    correction.  A right-hand side that rounds to zero in ``ug`` returns a
+    zero correction after 0 iterations, reported converged.
     """
     n = A.n_rows
     dt = ug.dtype or np.float64
     r = np.asarray(require_vector(r, n, A.shape, "r"), dtype=np.float64)
-    z = _apply_p(P, r, up)
-    if not np.all(np.isfinite(z)):
-        raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")
-    z = z.astype(dt)
+    z = precondition(P, r, up, "the preconditioned right-hand side").astype(dt)
     plan = PairwisePlan(n, ug)  # every dot and norm of length n
     mgs_step = plan.mgs_step
     beta = plan.norm2(z)  # inf too if z overflowed ug
     if not np.isfinite(beta):
-        raise _ug_overflow(ug)
+        raise overflow(ug, "GMRES")
     if beta == 0.0:
         return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
 
@@ -119,7 +129,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
         hs = [mgs_step(v, w, t) for v in basis]  # the MGS coefficients of column j of H
         hnext = scalar(plan.norm2(w))
         if not np.isfinite(hnext):
-            raise _ug_overflow(ug)
+            raise overflow(ug, "GMRES")
 
         col, hjj = [], hs[0]  # column j of H; hjj carries entry i through rotation i
         for c, s, b in zip(cs, sn, hs[1:]):
@@ -128,7 +138,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
         denom = scalar(np.sqrt(hjj * hjj + hnext * hnext))
         if not np.isfinite(denom):
             # cs = sn = 0 would read as a zero residual estimate
-            raise _ug_overflow(ug)
+            raise overflow(ug, "GMRES")
         if denom == 0.0:
             breakdown = True
             break
@@ -167,7 +177,7 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     for c in range(k):
         np.add(d, np.multiply(y[c], basis[c], out=t), out=d)
     if not np.all(np.isfinite(d)):
-        raise _ug_overflow(ug)
+        raise overflow(ug, "GMRES")
     d = d.astype(np.float64)
 
     if verify_breakdown:

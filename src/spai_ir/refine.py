@@ -28,7 +28,7 @@ from .precision import (
     quiet,
     require_vector,
 )
-from .krylov import PrecisionOverflowSignal, pgmres_left
+from .krylov import overflow, pgmres_left, precondition
 from .spai import SpaiParams, SpaiPreconditioner, build_left_preconditioner
 from .sparse import SparseMatrix, matvec, owners
 
@@ -292,8 +292,13 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
     ``solver`` is what :func:`prepare_solver` returns for ``cfg`` (left
     ``None``, it is prepared here) and ``x_ref`` a double-double reference
     solution; both can be reused across runs on the same system.  The
-    system passes :func:`check_matrix` first.  An initial solve that
-    overflows raises :class:`PrecisionOverflowSignal` naming ``cfg.uf``.
+    system passes :func:`check_matrix` first.
+
+    A step that leaves its precision's range raises
+    :class:`~spai_ir.krylov.PrecisionOverflowSignal`, never a stagnated
+    report: the initial solve (``cfg.uf``, then stored in ``cfg.u``),
+    ``sir``'s correction solve (``cfg.uf``), GMRES (:func:`pgmres_left`)
+    and the update (``cfg.u``), e.g. ``overflow in the update in half``.
     """
     b = np.asarray(b, dtype=np.float64)
     check_matrix(A, b)
@@ -303,10 +308,9 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
     if x_ref is None:
         x_ref = dd_solve(A, b)
 
-    # initial solution in uf, stored in u
-    x = np.zeros(n) if solver is None else fl(solver.apply(fl(b, cfg.uf), cfg.uf), cfg.u)
-    if not np.isfinite(x).all():
-        raise PrecisionOverflowSignal(f"overflow in the initial solve in {cfg.uf.name}")
+    # initial solution in uf, stored in u: the second rounding overflows only where u is narrower than uf
+    x = np.zeros(n) if solver is None else precondition(
+        None, precondition(solver, fl(b, cfg.uf), cfg.uf, "the initial solve"), cfg.u, "the initial solve")
 
     ferr_hist: list[float] = []
     nbe_hist: list[float] = []
@@ -328,7 +332,7 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
             r = fl(b - matvec(A, x, cfg.ur), cfg.ur)
         r = fl(r, cfg.u)
         if cfg.solver == "sir":
-            d = solver.apply(r, cfg.uf)
+            d = precondition(solver, r, cfg.uf, "the correction solve")
             iters_per_step.append(0)
         else:
             d, grep = pgmres_left(A, solver, r, cfg.tau, cfg.ug, cfg.up)
@@ -336,6 +340,8 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
             capped = capped or (grep.iters >= n and not grep.converged)
             breakdown = breakdown or grep.breakdown
         x = fl(x + fl(d, cfg.u), cfg.u)
+        if not np.isfinite(x).all():
+            raise overflow(cfg.u, "the update")
 
     report = IrReport(
         steps=len(iters_per_step),

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from spai_ir.krylov import GmresReport, PrecisionOverflowSignal, _apply_p, apply_precond_matvec
+from spai_ir.krylov import GmresReport, apply_precond_matvec, precondition
 from spai_ir.precision import (
     OverflowInFactorizationError,
     Precision,
@@ -372,10 +372,7 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Pre
     """
     n = A.n_rows
     r = np.asarray(r, dtype=np.float64)
-    z = _apply_p(P, r, up)
-    if not np.all(np.isfinite(z)):
-        raise PrecisionOverflowSignal("overflow while preconditioning the right-hand side")
-    z = fl(z, ug)
+    z = fl(precondition(P, r, up, "the preconditioned right-hand side"), ug)
     beta = fl_norm2(z, ug)
     if seen is not None and not np.isfinite(beta):
         seen.add("ug_overflow")

@@ -201,6 +201,23 @@ def test_an_initial_solve_that_overflows_fails_fast(solver):
         run_ir(A, np.array([1e6, 1.0, 1.0]), cfg)
 
 
+@pytest.mark.parametrize("A, b, cfg, step", [
+    # x_0 = 1e6 fits the double solve but not half storage: the error names u, not uf
+    (np.diag([1.0, 2.0, 3.0]), [1e6, 1.0, 1.0], IrConfig(uf=DOUBLE, u=HALF, ur=DOUBLE, solver="lu"),
+     "the initial solve"),
+    # sir's first half correction of the 5 x 5 Hilbert system overflows; the
+    # run used to refine NaN for all i_max steps and report stagnated=False
+    (1.0 / (np.arange(1, 6)[:, None] + np.arange(5)), [256.0] * 5,
+     IrConfig(uf=HALF, u=SINGLE, ur=DOUBLE, solver="sir"), "the correction solve"),
+    # x_2 rounds to -inf in half; the run used to return it as stagnated
+    ([[-0.14, 0.07, -0.27], [-0.31, 0.19, -0.83], [0.1, -0.06, 0.27]], [1.0, -98.0, -76.0],
+     IrConfig(uf=HALF, u=HALF, ur=DOUBLE, solver="none"), "the update"),
+], ids=["initial-solve-stored", "sir-correction", "update"])
+def test_a_step_that_leaves_its_precision_raises(A, b, cfg, step):
+    with pytest.raises(PrecisionOverflowSignal, match=f"^overflow in {step} in half$"):
+        run_ir(SparseMatrix.from_dense(np.array(A)), np.array(b), cfg)
+
+
 @pytest.mark.parametrize("solver", ["spai", "lu", "none"])
 def test_all_solvers_converge_hsd(rng, solver):
     A = load_synthetic("lap2d_196")

@@ -295,7 +295,7 @@ def test_cli_half_overflow_is_one_line_error(tmp_path):
                     "1 1 3e3\n2 2 6e3\n3 3 9e3\n")
     res = _run_cli(["solve", "--matrix", str(path), "--solver", "none", "--precisions", "h,h,d,h,h"])
     assert res.returncode == 1
-    assert res.stderr.splitlines() == ["error: overflow in the GMRES working precision (half)"], res.stderr
+    assert res.stderr.splitlines() == ["error: overflow in GMRES in half"], res.stderr
 
 
 def test_cli_unwritable_out_is_one_line_error(tmp_path):
