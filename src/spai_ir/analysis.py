@@ -50,7 +50,7 @@ def _inv(A: np.ndarray, overwrite: bool = False) -> np.ndarray:
     at = A.T if A.flags.c_contiguous else A
     lu, piv, info = dgetrf(at, overwrite_a=overwrite)
     if info > 0:
-        raise SingularMatrixError("singular")
+        raise SingularMatrixError("singular in the dense inverse in double")
     inv = dgetri(lu, piv, lwork=int(dgetri_lwork(len(piv))[0]), overwrite_lu=1)[0]
     return inv.T if at is not A else inv
 

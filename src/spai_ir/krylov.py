@@ -12,8 +12,7 @@ single, since numpy 1.x promotes a Python float met in arithmetic to
 float64.  The Hessenberg columns are built in Python lists and H is formed
 once after the loop, with the operations and order of a loop over it.
 
-The range check of every narrow step of a refinement run lives here too:
-:func:`precondition` and the one error factory, :func:`overflow`.
+It also holds :func:`precondition`, each narrow refinement step's range check.
 """
 
 from __future__ import annotations
@@ -23,27 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 # fl_dot and fl_op stay bound here although unused: perfbench/tracer.py wraps krylov.fl_dot and krylov.fl_op
-from .precision import PairwisePlan, Precision, fl, fl_dot, fl_op, quiet, require_vector
+from .precision import PairwisePlan, Precision, fl, fl_dot, fl_op, overflow, quiet, require_vector
 from .sparse import SparseMatrix, matvec
 
 __all__ = [
     "GmresReport",
-    "PrecisionOverflowSignal",
     "apply_precond_matvec",
-    "overflow",
     "pgmres_left",
     "precondition",
 ]
-
-
-class PrecisionOverflowSignal(ArithmeticError):
-    """A step of a refinement run left the range of its precision.  Only
-    :func:`overflow` makes one: ``overflow in <what> in <precision>``."""
-
-
-def overflow(p: Precision, what: str) -> PrecisionOverflowSignal:
-    """The one error for a value of ``what`` that left the range of ``p``."""
-    return PrecisionOverflowSignal(f"overflow in {what} in {p.name}")
 
 
 def precondition(P, v: np.ndarray, p: Precision, what: str) -> np.ndarray:
@@ -92,14 +79,15 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
 
     An ``r`` that is not a vector of A's order raises ``ValueError``
     (:func:`~spai_ir.precision.require_vector`), and
-    :class:`PrecisionOverflowSignal` is raised as soon as a value leaves the
+    :func:`~spai_ir.precision.overflow` as soon as a value leaves the
     range of a precision.  In ``up`` these are the preconditioned
     right-hand side (``overflow in the preconditioned right-hand side in
     <up>``) and the operator's output (:func:`apply_precond_matvec`); in
     ``ug``, each as ``overflow in GMRES in <ug>``, the rounded right-hand
     side or its norm, an Arnoldi norm, a Givens denominator, and the
-    correction.  A right-hand side that rounds to zero in ``ug`` returns a
-    zero correction after 0 iterations, reported converged.
+    correction.  A right-hand side whose P r rounds to zero gets a zero
+    correction after 0 iterations, converged with ``relres_history`` [0.0]
+    if ``r`` is zero, else not converged with [1.0].
     """
     n = A.n_rows
     dt = ug.dtype or np.float64
@@ -111,7 +99,8 @@ def pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Precision, up
     if not np.isfinite(beta):
         raise overflow(ug, "GMRES")
     if beta == 0.0:
-        return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
+        solved = not r.any()  # else P r rounded to zero, and nothing is solved
+        return np.zeros(n), GmresReport(iters=0, relres_history=[float(not solved)], breakdown=False, converged=solved)
 
     # Python floats for double, scalars of dt otherwise (see the module docstring)
     scalar = float if ug.dtype is None else dt

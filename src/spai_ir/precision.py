@@ -26,9 +26,11 @@ for a half times a single (11 + 24 bits), and otherwise it is the one
 rounding to double that the emulation asks for.  Such a product names
 ``dtype=np.float64``, since numpy 1.x casts a 0-d operand by its value.
 
-Overflow to infinity and 0/0 = NaN are intended results, not errors.  The
-functions that compute on emulated values run under :func:`quiet`, the
-one numpy error-state policy.  :func:`fl`, :func:`fl_op`, :func:`fl_sum`,
+Overflow to infinity and 0/0 = NaN are intended results, not errors, up
+to a step whose result must be finite: it raises the one range error,
+``overflow in <what> in <precision>`` (:func:`overflow`).  The functions
+that compute on emulated values run under :func:`quiet`, the one numpy
+error-state policy.  :func:`fl`, :func:`fl_op`, :func:`fl_sum`,
 :func:`fl_dot` and :func:`fl_norm2` stay bare, since they run in the
 innermost loops; a caller outside the package wraps them in :func:`quiet`.
 
@@ -79,8 +81,9 @@ __all__ = [
     "require_vector",
     "check_matrix",
     "DomainError",
-    "OverflowInFactorizationError",
+    "PrecisionOverflowSignal",
     "SingularMatrixError",
+    "overflow",
 ]
 
 
@@ -92,8 +95,13 @@ class SingularMatrixError(ArithmeticError):
     """Raised when a factorization or solve meets an exactly singular matrix."""
 
 
-class OverflowInFactorizationError(ArithmeticError):
-    """The factorization produced non-finite entries in the target precision."""
+class PrecisionOverflowSignal(ArithmeticError):
+    """A step left the range of its precision; only :func:`overflow` makes one."""
+
+
+def overflow(p: Precision, what: str) -> PrecisionOverflowSignal:
+    """The one error for a value of ``what`` that left the range of ``p``."""
+    return PrecisionOverflowSignal(f"overflow in {what} in {p.name}")
 
 
 def require_square(shape: tuple[int, int]) -> None:
@@ -583,9 +591,9 @@ def dense_lu(A, uf: Precision) -> DenseLu:
     k divides the band of its column (0 over a negative pivot is -0 in L)
     and subtracts its rank-1 update only up to its last nonzero
     multiplier and pivot-row entry; a skipped a - fl(+-0 * u) is a up to
-    the sign of a zero.  An inf or NaN in the store raises
-    :class:`OverflowInFactorizationError` (the caller may equilibrate and
-    retry), ahead of the :class:`SingularMatrixError` of a zero pivot.
+    the sign of a zero.  An inf or NaN in the store raises ``overflow in
+    the factorization in <uf>`` (the caller may equilibrate and retry),
+    ahead of the :class:`SingularMatrixError` of a zero pivot.
     """
     return _eliminate(*_band_store(A, uf.dtype or np.float64), uf)
 
@@ -614,8 +622,8 @@ def _zero_pivot(store: np.ndarray, uf: Precision, k: int) -> ArithmeticError:
     """The error for a zero pivot at step k: an overflow if the store
     already holds an inf or NaN, else the singular matrix."""
     if not np.isfinite(store).all():
-        return OverflowInFactorizationError(f"overflow in {uf.name}")
-    return SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
+        return overflow(uf, "the factorization")
+    return SingularMatrixError(f"singular in the factorization in {uf.name}: zero pivot at step {k}")
 
 
 class _HalfProducts:
@@ -705,7 +713,7 @@ def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, uf: Precision) -> De
     if cols[n - 1, n - 1] == 0.0:
         raise _zero_pivot(store, uf, n - 1)
     if not np.isfinite(store).all():
-        raise OverflowInFactorizationError(f"overflow in {uf.name}")
+        raise overflow(uf, "the factorization")
     return DenseLu(store if uf.dtype is None else store.astype(np.float32, copy=False), kl, ku, piv)
 
 
@@ -717,7 +725,9 @@ def dd_solve(A, b):
     is refined with :func:`dd_residual` until the residual stops falling,
     for at most 8 residuals.  Returns ``(x_hi, x_lo)``, the pair of the
     smallest residual seen; its forward error is of order
-    ``unit_roundoff(QUAD) * cond(A)``.
+    ``unit_roundoff(QUAD) * cond(A)``.  A solution that overflows double,
+    the one source of a residual that is not finite, raises ``overflow in
+    the reference solve in double``.
     """
     b = np.asarray(b, dtype=np.float64)
     check_matrix(A, b)
@@ -729,7 +739,7 @@ def dd_solve(A, b):
         rh = dd_residual(A, (xh, xl), b)
         rnorm = float(np.max(np.abs(rh)))
         if not math.isfinite(rnorm):
-            raise SingularMatrixError("singular")
+            raise overflow(DOUBLE, "the reference solve")
         if rnorm >= best:
             break
         best, best_pair = rnorm, (xh, xl)

@@ -17,18 +17,19 @@ import numpy as np
 from .precision import (
     QUAD,
     DenseLu,
-    OverflowInFactorizationError,
     Precision,
+    PrecisionOverflowSignal,
     check_matrix,
     dd_residual,
     dd_solve,
     dense_lu,
     fl,
     fl_op,
+    overflow,
     quiet,
     require_vector,
 )
-from .krylov import overflow, pgmres_left, precondition
+from .krylov import pgmres_left, precondition
 from .spai import SpaiParams, SpaiPreconditioner, build_left_preconditioner
 from .sparse import SparseMatrix, matvec, owners
 
@@ -37,7 +38,6 @@ __all__ = [
     "IrReport",
     "DenseLu",
     "LuPreconditioner",
-    "OverflowInFactorizationError",
     "dense_lu",
     "rcm_permutation",
     "measure_errors",
@@ -130,20 +130,18 @@ def equilibrate_two_sided(A: SparseMatrix, uf: Precision):
     at most ``0.1 * max_finite(uf)``: the retry after a low-precision
     factorization overflows.  A row or column whose scale is infinite (no
     entry, or none above about 1 / ``max_finite(double)``) would make the
-    factors inf or NaN, and raises :class:`OverflowInFactorizationError`
-    with the factorization's message.
+    factors inf or NaN, and raises the factorization's error, ``overflow
+    in the factorization in <uf>``.
     """
     rows, mag = A.indices, np.abs(A.data)
     rowmax = np.zeros(A.n_rows)
     np.maximum.at(rowmax, rows, mag)
     r = 1.0 / rowmax
-    if np.isinf(r).any():
-        raise OverflowInFactorizationError(f"overflow in {uf.name}")
     colmax = np.zeros(A.n_cols)
     np.maximum.at(colmax, owners(A.indptr), mag * r[rows])
     s = 1.0 / colmax
-    if np.isinf(s).any():
-        raise OverflowInFactorizationError(f"overflow in {uf.name}")
+    if np.isinf(r).any() or np.isinf(s).any():
+        raise overflow(uf, "the factorization")
     mu = 0.1 * uf.max_finite
     return r, s, mu
 
@@ -268,7 +266,8 @@ def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> SpaiPreconditioner | LuPre
     sir) or ``None``, the identity (none).
 
     ``A`` passes :func:`check_matrix` first, for every solver, before any
-    ordering, factorization or build.
+    ordering, factorization or build.  An LU whose factors overflow is
+    retried once on the equilibrated matrix (:func:`equilibrate_two_sided`).
     """
     check_matrix(A)
     if cfg.solver == "spai":
@@ -278,7 +277,7 @@ def prepare_solver(A: SparseMatrix, cfg: IrConfig) -> SpaiPreconditioner | LuPre
         B = A.permuted(order)
         try:
             return LuPreconditioner(dense_lu(B, cfg.uf), order)
-        except OverflowInFactorizationError:
+        except PrecisionOverflowSignal:
             r, s, mu = equilibrate_two_sided(B, cfg.uf)
             return LuPreconditioner(dense_lu(_scaled(B, r, s, mu), cfg.uf), order, r=r, s=s, mu=mu)
     return None
@@ -295,7 +294,7 @@ def run_ir(A: SparseMatrix, b: np.ndarray, cfg: IrConfig,
     system passes :func:`check_matrix` first.
 
     A step that leaves its precision's range raises
-    :class:`~spai_ir.krylov.PrecisionOverflowSignal`, never a stagnated
+    :class:`~spai_ir.precision.PrecisionOverflowSignal`, never a stagnated
     report: the initial solve (``cfg.uf``, then stored in ``cfg.u``),
     ``sir``'s correction solve (``cfg.uf``), GMRES (:func:`pgmres_left`)
     and the update (``cfg.u``), e.g. ``overflow in the update in half``.

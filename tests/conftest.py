@@ -5,7 +5,6 @@ import pytest
 
 from spai_ir.krylov import GmresReport, apply_precond_matvec, precondition
 from spai_ir.precision import (
-    OverflowInFactorizationError,
     Precision,
     SingularMatrixError,
     _renorm,
@@ -16,6 +15,7 @@ from spai_ir.precision import (
     fl_dot,
     fl_norm2,
     fl_op,
+    overflow,
     quiet,
 )
 from spai_ir.reference import find_matrix
@@ -212,8 +212,8 @@ def reference_dense_lu(A, uf, seen=None) -> tuple[np.ndarray, np.ndarray]:
         if not np.all(np.isfinite(M)):
             if seen is not None:
                 seen.add("zero_pivot_after_overflow")
-            return OverflowInFactorizationError(f"overflow in {uf.name}")
-        return SingularMatrixError(f"singular in {uf.name}: zero pivot at step {k}")
+            return overflow(uf, "the factorization")
+        return SingularMatrixError(f"singular in the factorization in {uf.name}: zero pivot at step {k}")
 
     perm = np.arange(n)
     for k in range(n - 1):
@@ -237,7 +237,7 @@ def reference_dense_lu(A, uf, seen=None) -> tuple[np.ndarray, np.ndarray]:
     if M[n - 1, n - 1] == 0.0:
         raise zero_pivot(n - 1)
     if not np.all(np.isfinite(M)):
-        raise OverflowInFactorizationError(f"overflow in {uf.name}")
+        raise overflow(uf, "the factorization")
     return M, perm
 
 
@@ -377,7 +377,9 @@ def reference_pgmres_left(A: SparseMatrix, P, r: np.ndarray, tau: float, ug: Pre
     if seen is not None and not np.isfinite(beta):
         seen.add("ug_overflow")
     if beta == 0.0:
-        return np.zeros(n), GmresReport(iters=0, relres_history=[0.0], breakdown=False, converged=True)
+        solved = not r.any()
+        return np.zeros(n), GmresReport(iters=0, relres_history=[0.0 if solved else 1.0], breakdown=False,
+                                        converged=solved)
 
     m = n
     V = np.zeros((n, m + 1))

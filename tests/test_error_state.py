@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import random_dd_sparse
-from spai_ir.krylov import PrecisionOverflowSignal, pgmres_left
-from spai_ir.precision import DOUBLE, HALF, SINGLE, quiet
+from spai_ir.krylov import pgmres_left
+from spai_ir.precision import DOUBLE, HALF, SINGLE, PrecisionOverflowSignal, quiet
 from spai_ir.refine import IrConfig, prepare_solver, run_ir
 from spai_ir.reference import rhs_for
 from spai_ir.spai import SpaiParams, build_left_preconditioner, build_spai

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import load_synthetic, random_dd_sparse, reference_pgmres_left
-from spai_ir.krylov import PrecisionOverflowSignal, apply_precond_matvec, pgmres_left
-from spai_ir.precision import DOUBLE, HALF, SINGLE
+from spai_ir.krylov import apply_precond_matvec, pgmres_left
+from spai_ir.precision import DOUBLE, HALF, SINGLE, PrecisionOverflowSignal
 from spai_ir.reference import SYNTHETIC, rhs_for
 from spai_ir.sparse import SparseMatrix, matvec
 
@@ -85,6 +85,14 @@ def test_zero_rhs_returns_zero():
     d, rep = pgmres_left(A, None, np.zeros(4), 1e-8, DOUBLE, DOUBLE)
     assert np.array_equal(d, np.zeros(4))
     assert rep.iters == 0 and rep.converged
+
+
+def test_a_nonzero_rhs_whose_preconditioned_image_rounds_to_zero_is_not_converged():
+    # 1e-9 fits single but rounds to zero in half: nothing was solved
+    d, rep = pgmres_left(SparseMatrix.identity(4), None, np.full(4, 1e-9), 1e-4, HALF, SINGLE)
+    assert np.array_equal(d, np.zeros(4))
+    assert rep.iters == 0 and not rep.converged and not rep.breakdown
+    assert rep.relres_history == [1.0]
 
 
 def test_relres_history_nonincreasing_double(rng):

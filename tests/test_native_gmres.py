@@ -21,8 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_pgmres_left, stored
-from spai_ir.krylov import PrecisionOverflowSignal, pgmres_left
-from spai_ir.precision import DOUBLE, HALF, SINGLE, dense_lu
+from spai_ir.krylov import pgmres_left
+from spai_ir.precision import DOUBLE, HALF, SINGLE, PrecisionOverflowSignal, dense_lu
 from spai_ir.refine import LuPreconditioner
 from spai_ir.sparse import SparseMatrix
 

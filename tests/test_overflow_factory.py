@@ -1,15 +1,15 @@
-"""The range rule of a refinement run stays in one place: only
-:func:`spai_ir.krylov.overflow` makes a ``PrecisionOverflowSignal``, so every
-message reads ``overflow in <what> in <precision>``."""
+"""The range rule stays in one place: only :func:`spai_ir.precision.overflow`
+makes a ``PrecisionOverflowSignal``, so every message reads ``overflow in
+<what> in <precision>``, and no module defines a second overflow error."""
 
 import ast
 from pathlib import Path
 
 import spai_ir
-from spai_ir.krylov import PrecisionOverflowSignal, overflow
-from spai_ir.precision import HALF
+from spai_ir.precision import HALF, PrecisionOverflowSignal, overflow
 
 NAME = PrecisionOverflowSignal.__name__
+SOURCES = sorted(Path(spai_ir.__file__).parent.glob("*.py"))
 
 
 def _makes_the_signal(node) -> bool:
@@ -21,16 +21,22 @@ def _makes_the_signal(node) -> bool:
 
 def test_only_the_factory_makes_the_signal():
     inside, outside = [], []
-    for path in sorted(Path(spai_ir.__file__).parent.glob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text())
         factory = {id(node) for func in ast.walk(tree)
-                   if isinstance(func, ast.FunctionDef) and (path.name, func.name) == ("krylov.py", "overflow")
+                   if isinstance(func, ast.FunctionDef) and (path.name, func.name) == ("precision.py", "overflow")
                    for node in ast.walk(func)}
         for node in ast.walk(tree):
             if _makes_the_signal(node):
                 (inside if id(node) in factory else outside).append(f"{path.name}:{node.lineno}")
     assert len(inside) == 1, inside
-    assert not outside, f"PrecisionOverflowSignal made outside krylov.overflow: {outside}"
+    assert not outside, f"PrecisionOverflowSignal made outside precision.overflow: {outside}"
+
+
+def test_no_module_defines_a_second_overflow_error():
+    classes = [f"{path.name}:{node.name}" for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef) and "Overflow" in node.name]
+    assert classes == [f"precision.py:{NAME}"], classes
 
 
 def test_the_factory_names_the_step_and_the_precision():

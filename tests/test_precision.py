@@ -11,6 +11,7 @@ from spai_ir.precision import (
     SINGLE,
     DenseLu,
     DomainError,
+    PrecisionOverflowSignal,
     SingularMatrixError,
     dd_residual,
     dd_solve,
@@ -349,10 +350,10 @@ def test_dd_solve_returns_the_pair_of_the_smallest_residual_seen(monkeypatch, na
     assert float(np.max(np.abs(dd_residual(A, pair, b)))) == min(seen)
 
 
-def test_dd_solve_overflowing_solution_is_singular():
+def test_dd_solve_overflowing_solution_is_an_overflow():
     # the pivot 1e-310 is not zero, but 1 / 1e-310 overflows: the residual is not finite
     A = SparseMatrix.from_dense(np.diag([1.0, 1e-310]))
-    with pytest.raises(SingularMatrixError, match="^singular$"):
+    with pytest.raises(PrecisionOverflowSignal, match="^overflow in the reference solve in double$"):
         dd_solve(A, np.ones(2))
 
 

@@ -5,12 +5,20 @@ import pytest
 
 from conftest import load_synthetic, packed, random_dd_sparse, reference_solution, stored
 from spai_ir import refine
-from spai_ir.krylov import PrecisionOverflowSignal, pgmres_left
-from spai_ir.precision import DOUBLE, HALF, QUAD, SINGLE, SingularMatrixError, dd_residual, dd_solve
+from spai_ir.krylov import pgmres_left
+from spai_ir.precision import (
+    DOUBLE,
+    HALF,
+    QUAD,
+    SINGLE,
+    PrecisionOverflowSignal,
+    SingularMatrixError,
+    dd_residual,
+    dd_solve,
+)
 from spai_ir.refine import (
     IrConfig,
     LuPreconditioner,
-    OverflowInFactorizationError,
     dense_lu,
     equilibrate_two_sided,
     measure_errors,
@@ -65,7 +73,7 @@ def test_lu_singular():
 
 def test_lu_half_overflow_and_equilibration(rng):
     A = random_dd_sparse(rng, 6) * 3.0e4  # products overflow half during elimination
-    with pytest.raises(OverflowInFactorizationError):
+    with pytest.raises(PrecisionOverflowSignal, match="^overflow in the factorization in half$"):
         dense_lu(stored(A), HALF)
     r, s, mu = equilibrate_two_sided(SparseMatrix.from_dense(A), HALF)
     scaled = mu * (A * r[:, None]) * s[None, :]
@@ -84,15 +92,15 @@ def test_infinite_scale_retry_raises_the_overflow():
     # every entry of its row of mu R A S +-inf or NaN
     A = SparseMatrix.from_dense(np.array([[1e-310, 1e-310], [1e5, 1.0]]))
     B = A.permuted(rcm_permutation(A))
-    with pytest.raises(OverflowInFactorizationError, match="^overflow in half$"):
+    with pytest.raises(PrecisionOverflowSignal, match="^overflow in the factorization in half$"):
         dense_lu(B, HALF)
-    with pytest.raises(OverflowInFactorizationError, match="^overflow in half$"):
+    with pytest.raises(PrecisionOverflowSignal, match="^overflow in the factorization in half$"):
         prepare_solver(A, IrConfig(uf=HALF, u=SINGLE, ur=DOUBLE, solver="lu"))
     # called directly, for an infinite row scale and for an infinite column scale
-    with pytest.raises(OverflowInFactorizationError, match="^overflow in half$"):
+    with pytest.raises(PrecisionOverflowSignal, match="^overflow in the factorization in half$"):
         equilibrate_two_sided(A, HALF)
     tiny_column = SparseMatrix.from_dense(np.array([[2.0, 1e-310], [1.0, 0.0]]))
-    with pytest.raises(OverflowInFactorizationError, match="^overflow in single$"):
+    with pytest.raises(PrecisionOverflowSignal, match="^overflow in the factorization in single$"):
         equilibrate_two_sided(tiny_column, SINGLE)
 
 

@@ -298,6 +298,26 @@ def test_cli_half_overflow_is_one_line_error(tmp_path):
     assert res.stderr.splitlines() == ["error: overflow in GMRES in half"], res.stderr
 
 
+def test_cli_half_factorization_overflow_is_one_line_error(tmp_path):
+    # the half factors meet 1e5 -> inf, and the retry's row scale 1 / 1e-310 is inf
+    path = tmp_path / "tiny_row.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 4\n"
+                    "1 1 1e-310\n1 2 1e-310\n2 1 1e5\n2 2 1\n")
+    res = _run_cli(["solve", "--matrix", str(path), "--solver", "lu", "--precisions", "h,s,d"])
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["error: overflow in the factorization in half"], res.stderr
+
+
+def test_cli_reference_solve_overflow_is_one_line_error(tmp_path):
+    # diag(1, 1e-310) is nonsingular, but x_2 = 1 / 1e-310 overflows double
+    path = tmp_path / "tiny_pivot.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n"
+                    "1 1 1\n2 2 1e-310\n")
+    res = _run_cli(["solve", "--matrix", str(path), "--solver", "none"])
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["error: overflow in the reference solve in double"], res.stderr
+
+
 def test_cli_unwritable_out_is_one_line_error(tmp_path):
     # --out names a directory: the write fails with IsADirectoryError
     res = _run_cli(["solve", "--matrix", "lap2d_196", "--out", str(tmp_path)])
