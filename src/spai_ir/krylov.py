@@ -8,8 +8,9 @@ with the bits of the emulated loop (see :mod:`spai_ir.precision`): only
 the operator's float64 output is rounded into that dtype, and the
 correction leaves as float64.  Scalars are Python floats in double, whose
 operations are binary64's, and numpy scalars of the dtype in half and
-single, since numpy 1.x promotes a Python float met in arithmetic to
-float64.  The Hessenberg columns are built in Python lists and H is formed
+single, whose operations round once to it: a Python float computes in
+binary64, and numpy 2 casts one met in arithmetic with such a scalar to
+its dtype.  The Hessenberg columns are built in Python lists and H is formed
 once after the loop, with the operations and order of a loop over it.
 
 It also holds :func:`precondition`, each narrow refinement step's range check.

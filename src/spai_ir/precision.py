@@ -24,15 +24,16 @@ differ in dtype is formed in float64 and cast once to the result's
 dtype, which is the emulation's fl(a * b): the double product is exact
 for a half times a single (11 + 24 bits), and otherwise it is the one
 rounding to double that the emulation asks for.  Such a product names
-``dtype=np.float64``, since numpy 1.x casts a 0-d operand by its value.
+``dtype=np.float64``: numpy 2 forms a float32 x float16 product in
+float32, a second rounding.
 
 Overflow to infinity and 0/0 = NaN are intended results, not errors, up
 to a step whose result must be finite: it raises the one range error,
 ``overflow in <what> in <precision>`` (:func:`overflow`).  The functions
-that compute on emulated values run under :func:`quiet`, the one numpy
-error-state policy.  :func:`fl`, :func:`fl_op`, :func:`fl_sum`,
+that compute on emulated values are decorated with :data:`quiet`, the
+one numpy error-state policy.  :func:`fl`, :func:`fl_op`, :func:`fl_sum`,
 :func:`fl_dot` and :func:`fl_norm2` stay bare, since they run in the
-innermost loops; a caller outside the package wraps them in :func:`quiet`.
+innermost loops; a caller outside the package wraps them in :data:`quiet`.
 
 The emulated LU keeps its factors in one band store, LAPACK's ``dgbtrf``
 band matrix (:class:`DenseLu`): float32 for half and single, whose values
@@ -176,17 +177,9 @@ def parse_precision(flag: str) -> Precision:
     raise ValueError(f"unknown precision {flag!r}; expected one of h, s, d, q")
 
 
-def quiet(fn):
-    """Run ``fn`` with numpy's overflow, invalid and divide warnings off,
-    through a fresh ``np.errstate`` per call: one shared instance used as
-    a decorator is not re-entrant before numpy 2.0."""
-
-    @functools.wraps(fn)
-    def quieted(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fn(*args, **kwargs)
-
-    return quieted
+# the one numpy error-state policy, a decorator: since numpy 2.0 one shared
+# np.errstate sets and restores the state per call, in a context variable
+quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def fl(x, p: Precision, inplace: bool = False):
@@ -195,7 +188,7 @@ def fl(x, p: Precision, inplace: bool = False):
     A number gives a float, a float64 array a new float64 array, or with
     ``inplace`` itself, rounded in place.  ``x`` comes back unchanged for
     double and quad-emulated, and when it is stored in ``p.dtype``.  Bare:
-    outside :func:`quiet` numpy warns of an overflow.
+    outside :data:`quiet` numpy warns of an overflow.
     """
     dtype = p.dtype
     if dtype is None:
@@ -626,10 +619,10 @@ def _zero_pivot(store: np.ndarray, uf: Precision, k: int) -> ArithmeticError:
     return SingularMatrixError(f"singular in the factorization in {uf.name}: zero pivot at step {k}")
 
 
-class _HalfProducts:
-    """The rank-1 products of one factorization's float16 elimination
-    steps: ``out[j, i]`` is ``row[j] * col[i]`` rounded to half, with the
-    bits of numpy's float16 product (a NaN's payload aside).
+def _half_products(col: np.ndarray, row: np.ndarray, out: np.ndarray) -> None:
+    """The rank-1 products of a float16 elimination step: ``out[j, i]`` is
+    ``row[j] * col[i]`` rounded to half, with the bits of numpy's float16
+    product (a NaN's payload aside).
 
     numpy converts a float to half on a slow path that signals underflow
     for each inexact subnormal result, where most small fill products of
@@ -638,39 +631,19 @@ class _HalfProducts:
     first rounded onto half's subnormal grid: 0.75 has float32 spacing
     2**-24, so (t + 0.75) - 0.75 is the rounding the cast would do, and
     copysign restores the sign.  The cast then meets only exact
-    subnormals.  The float32 buffers are made once, for blocks up to
-    ``shape``.
+    subnormals.
     """
-
-    def __init__(self, shape: tuple):
-        self.col, self.row = np.empty(shape[1], np.float32), np.empty(shape[0], np.float32)
-        size = shape[0] * shape[1]
-        self.wide, self.mag, self.low, self.fix = (np.empty(size, np.float32) for _ in range(4))
-        self.views = {}
-
-    def __call__(self, col: np.ndarray, row: np.ndarray, out: np.ndarray) -> None:
-        views = self.views.get(out.shape)
-        if views is None:
-            views = self.views[out.shape] = self._views(*out.shape)
-        c, r, c_row, r_col, wide, mag, low, fix = views
-        c[...], r[...] = col, row
-        np.multiply(c_row, r_col, out=wide)
-        np.abs(wide, out=mag)
-        # below 2**-14, low is the magnitude and fix what rounding it onto
-        # the grid adds; from there up (a NaN too), low is 2**-14, on the
-        # grid, and fix is 0
-        np.fmin(mag, _HALF_MIN_NORMAL, out=low)
-        np.add(low, _SUBNORMAL_SHIFT, out=fix)
-        np.subtract(fix, _SUBNORMAL_SHIFT, out=fix)
-        np.subtract(fix, low, out=fix)
-        np.add(mag, fix, out=mag)
-        np.copysign(mag, wide, out=mag)
-        out[...] = mag
-
-    def _views(self, rows: int, cols: int) -> tuple:
-        c, r, size = self.col[:cols], self.row[:rows], rows * cols
-        return (c, r, c[None, :], r[:, None],
-                *(buffer[:size].reshape(rows, cols) for buffer in (self.wide, self.mag, self.low, self.fix)))
+    wide = np.multiply(col.astype(np.float32)[None, :], row.astype(np.float32)[:, None])
+    mag = np.abs(wide)
+    # below 2**-14, low is the magnitude and fix what rounding it onto the
+    # grid adds; from there up (a NaN too), low is 2**-14, on the grid, and
+    # fix is 0
+    low = np.fmin(mag, _HALF_MIN_NORMAL)
+    fix = np.add(low, _SUBNORMAL_SHIFT)
+    np.subtract(fix, _SUBNORMAL_SHIFT, out=fix)
+    np.subtract(fix, low, out=fix)
+    np.add(mag, fix, out=mag)
+    out[...] = np.copysign(mag, wide, out=mag)
 
 
 # 0-d arrays, not numpy scalars: a ufunc takes them without a conversion per call
@@ -682,10 +655,10 @@ def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, uf: Precision) -> De
     """:func:`dense_lu` in place on the store of :func:`_band_store`,
     natively in its dtype: step k reads and writes only rows up to k + kl
     and columns up to k + ku; float16 products come from
-    :class:`_HalfProducts`."""
+    :func:`_half_products`."""
     cols = _columns(store, n, kl, ku)  # cols[j, i] is entry (i, j)
     scratch = np.empty((ku, kl), store.dtype)  # (columns, rows) of an update
-    products = _HalfProducts((ku, kl)) if store.dtype == np.float16 else None
+    half = store.dtype == np.float16
     mag, pivot = np.empty(kl + 1, store.dtype), np.empty((), store.dtype)  # |pivot candidates|, the pivot
     piv = np.arange(n)
     for k in range(n - 1):
@@ -704,10 +677,10 @@ def _eliminate(store: np.ndarray, n: int, kl: int, ku: int, uf: Precision) -> De
         re, ce = _reach(col), _reach(row)
         if re and ce:
             t = scratch[:ce, :re]
-            if products is None:
-                _multiply(col[None, :re], row[:ce, None], t)
+            if half:
+                _half_products(col[:re], row[:ce], t)
             else:
-                products(col[:re], row[:ce], t)
+                _multiply(col[None, :re], row[:ce, None], t)
             block = cols[k + 1 : k + 1 + ce, k + 1 : k + 1 + re]
             _subtract(block, t, block)
     if cols[n - 1, n - 1] == 0.0:

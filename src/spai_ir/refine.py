@@ -36,9 +36,7 @@ from .sparse import SparseMatrix, matvec, owners
 __all__ = [
     "IrConfig",
     "IrReport",
-    "DenseLu",
     "LuPreconditioner",
-    "dense_lu",
     "rcm_permutation",
     "measure_errors",
     "norm_inf",
@@ -84,7 +82,7 @@ class IrConfig:
             object.__setattr__(self, "tau", 1e-4 if self.u.unit_roundoff > 2.0**-30 else 1e-8)
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must lie strictly between 0 and 1")
-        if not isinstance(self.i_max, Integral):
+        if isinstance(self.i_max, bool) or not isinstance(self.i_max, Integral):
             raise ValueError(f"i_max must be an integer, got {self.i_max!r}")
         if self.i_max < 1:
             raise ValueError("i_max must be at least 1")
@@ -220,18 +218,15 @@ def rcm_permutation(A: SparseMatrix) -> np.ndarray:
 
 def norm_inf(A) -> float:
     """Infinity norm (max absolute row sum) of a sparse or dense matrix.  A
-    dense one goes to LAPACK's ``dlange`` in C or Fortran order, which makes
-    no n x n temporary: the max row sum of X is the max column sum of X^T."""
+    dense one goes to :func:`scipy.linalg.norm`, which takes LAPACK's
+    ``dlange`` for C or Fortran order and makes no n x n temporary."""
     if isinstance(A, SparseMatrix):
         sums = np.zeros(A.n_rows)
         np.add.at(sums, A.indices, np.abs(A.data))
         return float(sums.max()) if A.n_rows else 0.0
-    from scipy.linalg.lapack import dlange
+    from scipy.linalg import norm
 
-    X = np.asarray(A, dtype=np.float64)
-    if not (X.flags.c_contiguous or X.flags.f_contiguous):
-        X = np.ascontiguousarray(X)
-    return float(dlange("1", X.T) if X.flags.c_contiguous else dlange("I", X))
+    return float(norm(np.asarray(A, dtype=np.float64), np.inf, check_finite=False))
 
 
 def measure_errors(A, b, x, x_ref, r=None):

@@ -72,7 +72,7 @@ class SpaiParams:
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         for name, count in (("alpha", self.alpha), ("beta", self.beta)):
-            if count is not None and not isinstance(count, Integral):
+            if count is not None and (isinstance(count, bool) or not isinstance(count, Integral)):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.alpha is not None and self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
@@ -190,15 +190,6 @@ def _reach(count: np.ndarray, steps: int) -> np.ndarray:
     return np.searchsorted(-ahead, -np.arange(steps))
 
 
-def _put(dst: np.ndarray, new: np.ndarray, where: np.ndarray) -> None:
-    """``dst`` takes ``new`` where ``where`` (broadcast) is set, in one
-    assignment when it is set everywhere and in none when nowhere."""
-    if where.all():
-        dst[...] = new
-    elif where.any():
-        np.copyto(dst, new, where=where)
-
-
 def _padding(W: np.ndarray, m) -> np.ndarray:
     """Set the rows of ``W`` (N, M, cols) past each item's ``m`` to +0 and
     return them as an (N, M) mask.  The Householder loops keep those rows
@@ -216,7 +207,7 @@ def _reflect(trail: np.ndarray, v: np.ndarray, coef: np.ndarray, upd: np.ndarray
     An overflowed coefficient leaves NaN (0 * inf) in the padding rows
     ``pad`` (k, rows), which are reset to the +0 of :func:`_padding`."""
     t = fl(v * coef[:, None, :], uf, inplace=True)
-    _put(trail, fl(np.subtract(trail, t, out=t), uf, inplace=True), upd[:, None, None])
+    np.copyto(trail, fl(np.subtract(trail, t, out=t), uf, inplace=True), where=upd[:, None, None])
     if not np.isfinite(coef).all():
         np.copyto(trail, 0.0, where=pad[:, :, None])
 
@@ -249,7 +240,7 @@ def _householder(W: np.ndarray, m, p, uf: Precision):
         vtv[:k, j], trail = d[:, 0], Wk[:, j:, j + 1 :]
         coef = fl(fl(2.0 * d[:, 1:], uf) / d[:, :1], uf)
         _reflect(trail, v, coef, live & (d[:, 0] != 0.0), uf, pad[:k, j:])
-        _put(Wk[:, j, j], x0, ~live)
+        np.copyto(Wk[:, j, j], x0, where=~live)
         rdiag[:k, j] = np.where(live, alpha, x0)
     return rdiag, vtv, deficient
 
@@ -324,7 +315,7 @@ def _back_substitute(qr: _Qr, uf: Precision) -> np.ndarray:
     for c, k in reversed(list(enumerate(_reach(p, mbar.shape[1])))):
         s = fl_dot(R[:k, c, c + 1 :], mbar[:k, c + 1 :], uf, axis=1)
         s[p[:k] == c + 1] = 0.0
-        _put(mbar[:k, c], fl(fl(qr.qte[:k, c] - s, uf) / qr.rdiag[:k, c], uf), c < p[:k])
+        np.copyto(mbar[:k, c], fl(fl(qr.qte[:k, c] - s, uf) / qr.rdiag[:k, c], uf), where=c < p[:k])
     mbar[np.arange(mbar.shape[1]) >= p[:, None]] = 0.0
     return mbar.astype(np.float64, copy=False)
 
@@ -339,7 +330,7 @@ def _residual(Abar, ebar, mbar, m, p, uf: Precision) -> np.ndarray:
     y = np.zeros((N, M), dt)
     for c, k in enumerate(_reach(p, mbar.shape[1])):
         t = fl(B[:k, :, c] * mbar[:k, c, None], uf, inplace=True)
-        _put(y[:k], fl(np.add(y[:k], t, out=t), uf, inplace=True), (c < p[:k])[:, None])
+        np.copyto(y[:k], fl(np.add(y[:k], t, out=t), uf, inplace=True), where=(c < p[:k])[:, None])
     sbar = np.where(np.arange(M) < np.asarray(m)[:, None], fl(y - e, uf), 0.0)
     return sbar.astype(np.float64, copy=False)
 

@@ -6,7 +6,9 @@ so every public function that computes on emulated values runs under
 caller's warning filters are.  Each case below overflows half somewhere.
 """
 
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -67,3 +69,32 @@ def test_quiet_restores_the_callers_state_when_nested():
         caller = np.geterr()
         assert depth(3)["over"] == depth(0)["invalid"] == depth(1)["divide"] == "ignore"
         assert np.geterr() == caller
+
+
+def test_quiet_in_a_worker_thread_leaves_the_main_threads_state():
+    """The shared decorator keeps its state per call: a worker inside a
+    ``quiet`` function overflows half with no warning (the fixture makes
+    one an error, raised through ``result()``), while the main thread,
+    under its own ``np.errstate``, still raises on overflow."""
+    inside, checked = threading.Event(), threading.Event()
+
+    @quiet
+    def overflow_half():
+        inside.set()
+        checked.wait(10)
+        return np.float16(65504.0) * np.float16(2.0), np.geterr()
+
+    with np.errstate(over="raise"):
+        caller = np.geterr()
+        with ThreadPoolExecutor(1) as pool:
+            future = pool.submit(overflow_half)
+            assert inside.wait(10)
+            try:
+                assert np.geterr() == caller
+                with pytest.raises(FloatingPointError):
+                    np.float16(65504.0) * np.float16(2.0)
+            finally:
+                checked.set()
+            value, state = future.result(timeout=10)
+        assert np.geterr() == caller
+    assert value == np.inf and state["over"] == state["invalid"] == state["divide"] == "ignore"

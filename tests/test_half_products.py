@@ -2,7 +2,7 @@
 
 ``dense_lu`` in half forms each step's rank-1 products in float32 and
 rounds those below 2**-14 onto half's subnormal grid before the one cast
-to float16 (``precision._HalfProducts``).  Here the kernel is run over all
+to float16 (``precision._half_products``).  Here the kernel is run over all
 65,536 half bit patterns against a fixed set of multipliers and compared
 with numpy's float16 ``col[None, :] * row[:, None]``, bit for bit, signed
 zeros and infinities included, and its cast to float16 must not signal
@@ -15,7 +15,7 @@ the store makes ``dense_lu`` raise before a factor is returned.
 
 import numpy as np
 
-from spai_ir.precision import _HalfProducts
+from spai_ir.precision import _half_products
 
 EVERY_HALF = np.arange(2**16, dtype=np.uint16).view(np.float16)
 
@@ -31,9 +31,7 @@ MULTIPLIERS = np.concatenate([
 
 
 def test_half_products_equal_native_float16_products():
-    # 16 multipliers at a time through one kernel: the last block is smaller
-    # and reuses the buffers through views of its own shape
-    products = _HalfProducts((EVERY_HALF.size, 16))
+    # 16 multipliers at a time: the last block is smaller
     subnormal = 0
     for start in range(0, MULTIPLIERS.size, 16):
         col = MULTIPLIERS[start : start + 16]
@@ -41,7 +39,7 @@ def test_half_products_equal_native_float16_products():
         # numpy signals underflow where its cast rounds to an inexact
         # subnormal, its slow path; the kernel's cast must never meet one
         with np.errstate(all="ignore", under="raise"):
-            products(col, EVERY_HALF, out)
+            _half_products(col, EVERY_HALF, out)
         with np.errstate(all="ignore"):
             native = col[None, :] * EVERY_HALF[:, None]
             wide = col.astype(np.float32)[None, :] * EVERY_HALF.astype(np.float32)[:, None]

@@ -319,11 +319,12 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0)])
+@pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0), True, False])
 @pytest.mark.parametrize("name", sorted(COUNTS))
 def test_counts_must_be_integers(name, value):
-    """A non-integral count is refused at construction with one line; a
-    numpy integer is still a count."""
+    """A non-integral count is refused at construction with one line, and
+    so is a ``bool``, although it is an ``Integral``; a numpy integer is
+    still a count."""
     cls, kwargs = COUNTS[name]
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         cls(**kwargs, **{name: value})
